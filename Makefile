@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the tier-1 gate (format, vet,
-# build, test); `make race` runs the concurrency-sensitive packages under the
-# race detector. See README.md "Development".
+# build, test); `make race` runs every package under the race detector. See
+# README.md "Development".
 
 GO ?= go
 
@@ -23,13 +23,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages that use or implement the worker pool, plus the serving
-# runtime (concurrent RPC handlers over both transports), the membership
-# protocol (failure detector, takeovers), the routing core, the view cache
-# (shared by handler goroutines and α-parallel lookups), and the
-# now-concurrent simulator counters, under -race.
+# Every package under the race detector. -short keeps the churn soak at its
+# reduced 8-node size (the full one is `make soak`, also under -race).
 race:
-	$(GO) test -race ./internal/parallel ./internal/core ./internal/experiments ./internal/transport ./internal/node ./internal/membership ./internal/can ./internal/route ./internal/sim ./internal/viewcache
+	$(GO) test -race -short ./...
 
 # The full churn soak: a 16-node TCP cluster absorbing scripted joins,
 # graceful leaves, and probe-detected crashes under live query load, checked
@@ -42,10 +39,11 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Optimized-vs-reference kernel microbenchmarks (k-means and the Eq 8
-# solver), 5 repetitions for benchstat-grade numbers.
+# Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
+# and the holder-side scans at 1k and 50k rows), 5 repetitions for
+# benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
 
 # Serving-runtime load benchmark: 64 TCP nodes, 8k mixed closed-loop
 # requests plus an open-loop latency-under-load sweep, writes

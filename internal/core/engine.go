@@ -225,7 +225,7 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 		}
 		res.Items = append(res.Items, fetchedIDs[i]...)
 	}
-	sort.Ints(res.Items)
+	sortIDs(res.Items)
 	return res, nil
 }
 

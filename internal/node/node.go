@@ -541,6 +541,24 @@ func (n *Node) PublishBatch(ids []int, items [][]float64) error {
 	return nil
 }
 
+// localRange and localKNN scan this node's own store: the body of the
+// fetch_range / fetch_knn handlers and of the coordinator's fetch from itself.
+// They hold the read lock, and that is the only lock a scan may hold: the
+// first scan to find the store's index missing or outgrown builds it inside
+// the call (store.ScanGroups), which concurrent readers tolerate and the
+// writers in Publish, excluded by the lock, never pay for.
+func (n *Node) localRange(q []float64, eps float64) []int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return core.LocalRange(q, eps, n.store)
+}
+
+func (n *Node) localKNN(q []float64, k int) []core.ItemDist {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return core.LocalKNN(q, k, n.store)
+}
+
 // ItemCount returns the number of locally stored items.
 func (n *Node) ItemCount() int {
 	n.mu.RLock()
@@ -696,10 +714,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		if err != nil {
 			return transport.Response{}, err
 		}
-		n.mu.RLock()
-		ids := core.LocalRange(q, eps, n.store)
-		n.mu.RUnlock()
-		body := encodeFetchRangeResp(ids)
+		body := encodeFetchRangeResp(n.localRange(q, eps))
 		if n.tuning.CacheViews {
 			n.fetchMemoPut('r', req.Body, body, gen)
 		}
@@ -718,10 +733,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		if err != nil {
 			return transport.Response{}, err
 		}
-		n.mu.RLock()
-		items := core.LocalKNN(q, k, n.store)
-		n.mu.RUnlock()
-		body := encodeFetchKNNResp(items)
+		body := encodeFetchKNNResp(n.localKNN(q, k))
 		if n.tuning.CacheViews {
 			n.fetchMemoPut('k', req.Body, body, gen)
 		}

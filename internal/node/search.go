@@ -350,10 +350,7 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 func (b *netBackend) FetchRange(from, peer int, q []float64, eps float64) ([]int, error) {
 	n := b.n
 	if peer == n.peer {
-		n.mu.RLock()
-		ids := core.LocalRange(q, eps, n.store)
-		n.mu.RUnlock()
-		return ids, nil
+		return n.localRange(q, eps), nil
 	}
 	body := encodeFetchRangeReq(q, eps)
 	if n.tuning.CacheViews {
@@ -391,10 +388,7 @@ func (b *netBackend) FetchRange(from, peer int, q []float64, eps float64) ([]int
 func (b *netBackend) FetchKNN(from, peer int, q []float64, k int) ([]core.ItemDist, error) {
 	n := b.n
 	if peer == n.peer {
-		n.mu.RLock()
-		items := core.LocalKNN(q, k, n.store)
-		n.mu.RUnlock()
-		return items, nil
+		return n.localKNN(q, k), nil
 	}
 	body := encodeFetchKNNReq(q, k)
 	if n.tuning.CacheViews {

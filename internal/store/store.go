@@ -17,9 +17,14 @@
 //
 // A Store is not safe for concurrent mutation; readers and the single writer
 // are serialized by the owner (node.Node's mu, the single-threaded simulator).
+// Concurrent readers are fine, including the lazy scan-index build they may
+// trigger (ScanGroups).
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BlockRows is the number of rows per arena block. Blocks hold
 // BlockRows*dim float64s contiguously; at dim 32 a block is 256 KiB.
@@ -31,6 +36,11 @@ type Store struct {
 	ids    []int
 	blocks [][]float64 // each block has capacity BlockRows*dim floats
 	n      int
+
+	// The scan index (index.go): derived from the rows, replaced wholesale,
+	// and the one part of a Store that concurrent readers may write.
+	index    atomic.Pointer[scanIndex]
+	building atomic.Bool
 }
 
 // New returns an empty store for dim-wide vectors.
@@ -116,14 +126,17 @@ func (s *Store) Clone() *Store {
 			c.blocks[len(c.blocks)-1] = cp
 		}
 	}
+	// The index names row numbers of a prefix both stores share.
+	c.index.Store(s.index.Load())
 	return c
 }
 
-// HeapBytes estimates the store's heap footprint: the id column plus the
-// allocated block capacity. It deliberately counts capacity, not length —
-// that is what the process actually holds.
+// HeapBytes estimates the store's heap footprint: the id column, the
+// allocated block capacity, and the scan index once a scan has built one. It
+// deliberately counts capacity, not length — that is what the process
+// actually holds.
 func (s *Store) HeapBytes() int {
-	bytes := cap(s.ids) * 8
+	bytes := cap(s.ids)*8 + s.indexBytes()
 	for _, b := range s.blocks {
 		bytes += cap(b) * 8
 	}
