@@ -40,10 +40,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
-# and the holder-side scans at 1k and 50k rows), 5 repetitions for
-# benchstat-grade numbers.
+# the holder-side scans at 1k and 50k rows, and the coordinator's id merge
+# against concatenate + radix sort over the run shapes the workloads fetch),
+# 5 repetitions for benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
 
 # Serving-runtime load benchmark: 64 TCP nodes, 8k mixed closed-loop
 # requests plus an open-loop latency-under-load sweep, writes
@@ -97,12 +98,14 @@ bench-mem-smoke:
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
 # the frozen pre-extraction sphere-search reference, the zone split/takeover
 # tiling invariants under random churn schedules, the first-wins merge of
-# delegated gather results against claimed-set consistency, and the store_rec
+# delegated gather results against claimed-set consistency, the store_rec
 # wire round-trip (bounded-count decode: a corrupt length prefix must error,
-# never allocate).
+# never allocate), and the delta-coded id sequence of range answers (round
+# trip; a corrupt count, varint or running sum must error).
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzDelegateMerge -fuzztime=30s ./internal/route
 	$(GO) test -fuzz=FuzzStoreRecRoundTrip -fuzztime=30s ./internal/membership
+	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport

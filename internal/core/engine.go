@@ -35,9 +35,12 @@ type Backend interface {
 	// sphere at the given wavelet level, plus the overlay hops spent. The
 	// entry order must match the overlay's deterministic flood order.
 	Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error)
-	// FetchRange asks peer for the ids of its items within eps of q
-	// (LocalRange). A dead or unreachable peer yields no items and no error:
-	// the contact budget is spent either way.
+	// FetchRange asks peer for the ids of its items within eps of q, in
+	// LocalRange's order: ascending from an indexed store, row order from a
+	// small one (RangeQuery takes either, the ascending case is the cheap
+	// one). The slice may be shared with other callers and is read-only. A
+	// dead or unreachable peer yields no items and no error: the contact
+	// budget is spent either way.
 	FetchRange(from, peer int, q []float64, eps float64) ([]int, error)
 	// FetchKNN asks peer for its k locally nearest items with their squared
 	// distances (LocalKNN). Dead peers yield nothing, as in FetchRange.
@@ -211,21 +214,27 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 	e.eachIndex(limit, func(i int) {
 		fetchedIDs[i], fetchErrs[i] = e.backend.FetchRange(from, res.Scores[i].Peer, q, eps)
 	})
-	total := 0
 	for i := 0; i < limit; i++ {
-		total += len(fetchedIDs[i])
-	}
-	if total > 0 { // keep Items nil when nothing matched
-		res.Items = make([]int, 0, total)
-	}
-	for i := 0; i < limit; i++ {
-		res.PeersContacted++
 		if err := fetchErrs[i]; err != nil {
+			// The partial answer is what the better-ranked peers returned,
+			// in score order, unsorted.
+			res.PeersContacted = i + 1
+			total := 0
+			for _, ids := range fetchedIDs {
+				total += len(ids)
+			}
+			if total > 0 {
+				res.Items = make([]int, 0, total)
+			}
+			for _, ids := range fetchedIDs[:i] {
+				res.Items = append(res.Items, ids...)
+			}
 			return res, fmt.Errorf("core: fetch from peer %d: %w", res.Scores[i].Peer, err)
 		}
-		res.Items = append(res.Items, fetchedIDs[i]...)
 	}
-	sortIDs(res.Items)
+	res.PeersContacted = limit
+	// Indexed holders answer in ascending id order, so the union is a merge.
+	res.Items = mergeIDs(fetchedIDs)
 	return res, nil
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"hyperm/internal/store"
 	"hyperm/internal/vec"
@@ -13,22 +15,37 @@ import (
 // LocalRange is the second query phase on a contacted peer: an exact scan of
 // its flat item store, returning the ids of every item within eps of q.
 // Exported so serving nodes (internal/node) answer fetch RPCs with the exact
-// same rule as the in-process simulation. The result is a set: its order is
-// deterministic for a given store and scan-index state, otherwise unspecified
-// (Engine.RangeQuery sorts the merged ids).
+// same rule as the in-process simulation. An indexed store (store.IndexMinRows
+// rows or more) answers in ascending id order, so the answer delta-codes to
+// about a byte per id and Engine.RangeQuery merges instead of sorting; a
+// smaller store answers in row order.
 func LocalRange(q []float64, eps float64, st *store.Store) []int {
-	var out []int
 	eps2 := eps * eps
 	// Dist2Capped exits on ">= bound"; membership is "<= eps2". Capping one
 	// ulp above eps2 makes the early exit mean "> eps2", so a row sitting
 	// exactly on the boundary still gets its full distance and is kept.
 	bound := math.Nextafter(eps2, math.Inf(1))
+	ids := st.IDs()
+	groups, byID := st.ScanIndex()
+	indexed := len(byID)
+	if indexed == 0 {
+		var out []int
+		for i := range ids {
+			if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
+				out = append(out, ids[i])
+			}
+		}
+		return out
+	}
+
+	sc := rangeScratchPool.Get().(*rangeScratch)
+	defer rangeScratchPool.Put(sc)
+	words := (indexed + 63) / 64
+	accepted, candidate := sc.bitmaps(words)
 	// The radius the bounds reason with is derived from eps2, so that a
 	// square that overflowed (or a NaN) disables them instead of disagreeing
 	// with the per-row test.
 	r := math.Sqrt(eps2)
-	ids := st.IDs()
-	groups, indexed := st.ScanGroups()
 	for gi := range groups {
 		g := &groups[gi]
 		// A member at distance m from the centroid, itself d from q, lies
@@ -42,21 +59,79 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 		lo, hi := g.Window(math.Abs(d-r)-slack, d+r+slack)
 		if r > d {
 			for _, row := range g.Rows[:lo] {
-				out = append(out, ids[row])
+				accepted[row>>6] |= 1 << (row & 63)
 			}
 		}
 		for _, row := range g.Rows[lo:hi] {
-			if vec.Dist2Capped(q, st.Vec(int(row)), bound) <= eps2 {
-				out = append(out, ids[row])
-			}
+			candidate[row>>6] |= 1 << (row & 63)
 		}
 	}
+	// Candidates pay their distance in ascending row order, which reads the
+	// store's blocks front to back instead of in centroid-distance order.
+	hits := 0
+	for w, word := range candidate {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if vec.Dist2Capped(q, st.Vec(w<<6|b), bound) <= eps2 {
+				accepted[w] |= 1 << b
+			}
+		}
+		hits += bits.OnesCount64(accepted[w])
+	}
+	// The tail is short (the index is rebuilt before it reaches an eighth of
+	// the store), so it is sorted on its own and merged in.
+	tail := sc.tail[:0]
 	for i := indexed; i < len(ids); i++ {
 		if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
-			out = append(out, ids[i])
+			tail = append(tail, ids[i])
+		}
+	}
+	sc.tail = tail
+	if hits+len(tail) == 0 {
+		return nil
+	}
+	slices.Sort(tail)
+
+	// Every covered row appears once in byID, so walking it until all hits
+	// are out emits them in id order with no branch on the hit bit: each step
+	// writes the row's id at the cursor and advances the cursor by that bit.
+	out := make([]int, hits+len(tail))
+	n := 0
+	for p := 0; n < hits; p++ {
+		row := byID[p]
+		out[n] = ids[row]
+		n += int(accepted[row>>6] >> (row & 63) & 1)
+	}
+	// Merge the tail in from the back; out[:hits] is its own merge input.
+	for i, j, k := hits-1, len(tail)-1, len(out)-1; j >= 0; k-- {
+		if i >= 0 && out[i] > tail[j] {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = tail[j]
+			j--
 		}
 	}
 	return out
+}
+
+// rangeScratch is LocalRange's per-call working memory, pooled: two bitmaps
+// over the indexed row numbers and the tail's hits.
+type rangeScratch struct {
+	words []uint64
+	tail  []int
+}
+
+var rangeScratchPool = sync.Pool{New: func() any { return new(rangeScratch) }}
+
+// bitmaps returns two zeroed bitmaps of n words each.
+func (sc *rangeScratch) bitmaps(n int) (accepted, candidate []uint64) {
+	if cap(sc.words) < 2*n {
+		sc.words = make([]uint64, 2*n)
+	}
+	w := sc.words[:2*n]
+	clear(w)
+	return w[:n:n], w[n:]
 }
 
 // LocalKNN returns the k locally stored items closest to q with their squared

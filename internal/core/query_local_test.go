@@ -118,17 +118,54 @@ func indexStates() []indexState {
 	}
 }
 
-// storeInState appends rows (ids are shuffled so id order != row order),
-// scanning once at st.built rows so the index, if any, is that old.
-func storeInState(rng *rand.Rand, is indexState, dim int, gen func(*rand.Rand, int, int) [][]float64) *store.Store {
+// idLayout names one way ids relate to append order. id(i, built, perm) is
+// the id of row i in a store whose index, if any, was built at built rows;
+// perm is a random permutation of the row numbers. farTail moves the rows
+// appended after the build far from the others, so a query near one of them
+// has every hit in the un-indexed tail.
+type idLayout struct {
+	name    string
+	id      func(i, built int, perm []int) int
+	farTail bool
+}
+
+var shuffledIDs = idLayout{name: "shuffled", id: func(i, _ int, perm []int) int { return perm[i]*3 + 1 }}
+
+func idLayouts() []idLayout {
+	return []idLayout{
+		{name: "descending", id: func(i, _ int, perm []int) int { return len(perm) - i }},
+		// Append order cycles through seven ascending id sequences, as when a
+		// corpus numbered globally is dealt to peers by cluster.
+		{name: "interleaved", id: func(i, _ int, perm []int) int { return i%7*len(perm) + i/7 }},
+		{name: "duplicates", id: func(i, _ int, perm []int) int { return perm[i] % (len(perm)/3 + 1) }},
+		{name: "negative", id: func(i, _ int, perm []int) int { return perm[i] - len(perm)/2 }},
+		// Every id appended after the build sorts below every indexed id.
+		{name: "tail-below", farTail: true, id: func(i, built int, perm []int) int {
+			if i < built {
+				return len(perm) + perm[i]
+			}
+			return len(perm) - i
+		}},
+	}
+}
+
+// storeInState appends rows under the given id layout, scanning once at
+// is.built rows so the index, if any, is that old.
+func storeInState(rng *rand.Rand, is indexState, dim int, gen func(*rand.Rand, int, int) [][]float64, ids idLayout) *store.Store {
 	rows := gen(rng, is.rows, dim)
-	ids := rng.Perm(is.rows)
+	perm := rng.Perm(is.rows)
 	st := store.New(dim)
 	for i, r := range rows {
 		if i == is.built && is.built > 0 {
 			LocalKNN(rows[0], 1, st)
 		}
-		st.Append(ids[i]*3+1, r)
+		if ids.farTail && i >= is.built && is.built > 0 {
+			r = vec.Clone(r)
+			for j := range r {
+				r[j] += 50
+			}
+		}
+		st.Append(ids.id(i, is.built, perm), r)
 	}
 	if is.built == is.rows && is.built > 0 {
 		LocalKNN(rows[0], 1, st)
@@ -143,27 +180,35 @@ func sortedCopy(ids []int) []int {
 }
 
 func TestLocalScansMatchReference(t *testing.T) {
-	shapes := []struct {
+	type shape struct {
 		name string
 		dim  int
 		gen  func(*rand.Rand, int, int) [][]float64
-	}{
-		{"clustered32", 32, clusteredRows},
-		{"clustered13", 13, clusteredRows}, // not a multiple of Dist2Capped's 8-wide step
-		{"lattice16", 16, latticeRows},
+		ids  idLayout
+	}
+	shapes := []shape{
+		{"clustered32", 32, clusteredRows, shuffledIDs},
+		{"clustered13", 13, clusteredRows, shuffledIDs}, // not a multiple of Dist2Capped's 8-wide step
+		{"lattice16", 16, latticeRows, shuffledIDs},
 		// One and two dimensions make the triangle inequality tight: rows sit
 		// on the line through query and centroid, right at the window edges.
-		{"clustered1", 1, clusteredRows},
-		{"lattice2", 2, latticeRows},
+		{"clustered1", 1, clusteredRows, shuffledIDs},
+		{"lattice2", 2, latticeRows, shuffledIDs},
+	}
+	// The other id layouts only change the order hits are emitted in, which
+	// one data shape covers.
+	for _, ids := range idLayouts() {
+		shapes = append(shapes, shape{"clustered32-" + ids.name, 32, clusteredRows, ids})
 	}
 	for _, sh := range shapes {
-		dim := sh.dim
+		dim, ids := sh.dim, sh.ids
 		for _, is := range indexStates() {
 			t.Run(sh.name+"/"+is.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(dim*1000 + is.rows)))
-				st := storeInState(rng, is, dim, sh.gen)
+				st := storeInState(rng, is, dim, sh.gen, ids)
 				n := st.Len()
-				if groups, indexed := st.ScanGroups(); is.rows >= store.IndexMinRows && (len(groups) == 0 || indexed > n) {
+				groups, indexed := st.ScanGroups()
+				if is.rows >= store.IndexMinRows && (len(groups) == 0 || indexed > n) {
 					t.Fatalf("store of %d rows: %d groups covering %d rows", n, len(groups), indexed)
 				}
 
@@ -178,6 +223,8 @@ func TestLocalScansMatchReference(t *testing.T) {
 				}
 				if n == 0 {
 					queries = append(queries, make([]float64, dim))
+				} else {
+					queries = append(queries, st.Vec(n-1)) // a tail row, when there is a tail
 				}
 
 				for qi, q := range queries {
@@ -189,11 +236,19 @@ func TestLocalScansMatchReference(t *testing.T) {
 						epss = append(epss, vec.Dist(q, st.Vec(rng.Intn(n))))
 					}
 					for _, eps := range epss {
-						want := sortedCopy(referenceLocalRange(q, eps, st))
-						got := sortedCopy(LocalRange(q, eps, st))
-						if !slices.Equal(got, want) {
-							t.Fatalf("query %d eps %v: LocalRange returned %d ids, reference %d", qi, eps, len(got), len(want))
+						// An indexed store answers in ascending id order, a
+						// smaller one in row order like the reference.
+						want := referenceLocalRange(q, eps, st)
+						if indexed > 0 {
+							slices.Sort(want)
 						}
+						if got := LocalRange(q, eps, st); !slices.Equal(got, want) {
+							t.Fatalf("query %d eps %v: LocalRange returned %d ids (ascending: %v), reference %d",
+								qi, eps, len(got), slices.IsSorted(got), len(want))
+						}
+					}
+					if ids.name != shuffledIDs.name {
+						continue // ids reach a kNN answer only through ties
 					}
 					// One reference sort per query: its answer for any k is
 					// a prefix of its answer for all rows. Mid-sized k keeps

@@ -67,9 +67,11 @@ func decodeScores(d *transport.Decoder) []core.PeerScore {
 	return out
 }
 
+// Range answers (here and in fetch_range) are ascending id runs, so they
+// travel delta-coded; kNN answers are in distance order and stay fixed-width.
 func encodeRangeResp(res core.RangeResult) []byte {
 	var e transport.Encoder
-	e.Ints(res.Items)
+	e.IntsDelta(res.Items)
 	encodeScores(&e, res.Scores)
 	e.Int(res.PeersContacted)
 	e.Int(res.OverlayHops)
@@ -79,7 +81,7 @@ func encodeRangeResp(res core.RangeResult) []byte {
 func decodeRangeResp(b []byte) (core.RangeResult, error) {
 	d := transport.NewDecoder(b)
 	var res core.RangeResult
-	res.Items = d.IntsShared()
+	res.Items = d.IntsDeltaShared()
 	res.Scores = decodeScores(d)
 	res.PeersContacted = d.Int()
 	res.OverlayHops = d.Int()
@@ -476,13 +478,13 @@ func decodeFetchRangeReq(b []byte) (q []float64, eps float64, err error) {
 
 func encodeFetchRangeResp(ids []int) []byte {
 	var e transport.Encoder
-	e.Ints(ids)
+	e.IntsDelta(ids)
 	return e.Bytes()
 }
 
 func decodeFetchRangeResp(b []byte) ([]int, error) {
 	d := transport.NewDecoder(b)
-	ids := d.IntsShared()
+	ids := d.IntsDeltaShared()
 	return ids, d.Finish()
 }
 

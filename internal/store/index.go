@@ -61,24 +61,36 @@ func (g *Group) Window(inner, outer float64) (lo, hi int) {
 	return min(a*ShellRows, len(g.Rows)), min(b*ShellRows, len(g.Rows))
 }
 
-// scanIndex is the published form: Groups partition rows [0, rows); rows
-// appended later are the caller's linearly scanned tail.
+// scanIndex is the published form: Groups partition rows [0, len(byID));
+// rows appended later are the caller's linearly scanned tail.
 type scanIndex struct {
 	groups []Group
-	rows   int
-	bytes  int // heap held by groups and what they point into
+	// byID lists the covered row numbers by ascending id (equal ids by
+	// ascending row). A range scan marks its hits in a bitmap over row
+	// numbers and reads them out along this array, so its answer leaves the
+	// holder already sorted.
+	byID  []int32
+	bytes int // heap held by groups, byID and what they point into
 }
 
 // ScanGroups returns the store's pivot groups and how many leading rows they
 // cover; rows [indexed, Len()) belong to no group and must be scanned
 // linearly. A store below IndexMinRows has no groups (indexed == 0).
+func (s *Store) ScanGroups() (groups []Group, indexed int) {
+	groups, byID := s.ScanIndex()
+	return groups, len(byID)
+}
+
+// ScanIndex returns the pivot groups together with the rows they cover in
+// ascending-id order (see ScanGroups; indexed == len(byID)). Both come from
+// one published index, so they agree even while another scan rebuilds it.
 //
 // A missing or outgrown index is built here, by the first scan to notice.
 // Scans run concurrently under the owner's read lock, so the build is guarded
 // by a try-lock: one scan builds, the others carry on with what is published
 // (possibly nothing) instead of waiting. Builds therefore never run under the
 // owner's write lock, which only Append needs.
-func (s *Store) ScanGroups() (groups []Group, indexed int) {
+func (s *Store) ScanIndex() (groups []Group, byID []int32) {
 	ix := s.index.Load()
 	if s.indexStale(ix) && s.building.CompareAndSwap(false, true) {
 		// Re-read under the try-lock: the previous holder may have published
@@ -90,19 +102,20 @@ func (s *Store) ScanGroups() (groups []Group, indexed int) {
 		s.building.Store(false)
 	}
 	if ix == nil {
-		return nil, 0
+		return nil, nil
 	}
-	return ix.groups, ix.rows
+	return ix.groups, ix.byID
 }
 
 func (s *Store) indexStale(ix *scanIndex) bool {
 	if s.n < IndexMinRows {
 		return false
 	}
-	return ix == nil || (s.n-ix.rows)*indexTailDiv > ix.rows
+	return ix == nil || (s.n-len(ix.byID))*indexTailDiv > len(ix.byID)
 }
 
-// buildIndex partitions the current rows into ~n/BlockRows pivot groups.
+// buildIndex partitions the current rows into ~n/BlockRows pivot groups and
+// orders them by id.
 // Pivots are rows at an even stride (arrival order is as good a sample as
 // any and keeps the build deterministic); one capped-distance pass assigns
 // each row to its nearest pivot; a second pass over the members gives each
@@ -186,9 +199,29 @@ func (s *Store) buildIndex() *scanIndex {
 		}
 		kept = append(kept, grp)
 	}
+	byID := s.rowsByID(n)
 	const groupBytes = 3 * 3 * 8 // three slice headers
-	bytes := cap(groups)*groupBytes + cap(centroids)*8 + cap(rows)*4 + cap(shells)*8
-	return &scanIndex{groups: kept, rows: n, bytes: bytes}
+	bytes := cap(groups)*groupBytes + cap(centroids)*8 + cap(rows)*4 + cap(shells)*8 + cap(byID)*4
+	return &scanIndex{groups: kept, byID: byID, bytes: bytes}
+}
+
+// rowsByID returns the first n row numbers ordered by (id, row).
+func (s *Store) rowsByID(n int) []int32 {
+	ids := s.ids[:n]
+	byID := make([]int32, len(ids))
+	for i := range byID {
+		byID[i] = int32(i)
+	}
+	// Stores filled in id order are the common case and need no sort.
+	if !slices.IsSorted(ids) {
+		slices.SortFunc(byID, func(a, b int32) int {
+			if c := cmp.Compare(ids[a], ids[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	return byID
 }
 
 // indexBytes is the heap held by the published index, if any.

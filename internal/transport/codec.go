@@ -8,9 +8,10 @@ import (
 
 // Encoder builds a binary message body: fixed-width big-endian integers,
 // IEEE-754 bit-exact floats, and length-prefixed sequences. The format is
-// deliberately trivial — no reflection, no varints — so that encode(decode)
-// round-trips are bit-identical, which the serving runtime's determinism
-// oracle depends on (float64 coordinates must survive the wire untouched).
+// deliberately trivial — no reflection, and varints only in the one id-run
+// codec (IntsDelta) — so that encode(decode) round-trips are bit-identical,
+// which the serving runtime's determinism oracle depends on (float64
+// coordinates must survive the wire untouched).
 //
 // The zero value is ready to use.
 type Encoder struct{ b []byte }
@@ -59,6 +60,30 @@ func (e *Encoder) Ints(v []int) {
 	e.U32(uint32(len(v)))
 	for _, x := range v {
 		e.Int(x)
+	}
+}
+
+// IntsDelta appends a []int as a count followed by one zig-zag uvarint per
+// element, each the difference from the element before it (the first from
+// zero). An ascending run of nearby ids — a range answer — costs about one
+// byte per id instead of eight; any other order still round-trips, at up to
+// ten bytes per element. Neighbouring elements must differ by less than 2^63
+// (ids of either sign within 2^62 of zero always do): the decoder rejects a
+// wider step as overflow.
+func (e *Encoder) IntsDelta(v []int) {
+	// One byte per element plus an eighth covers dense runs with the odd wide
+	// gap; a sparser run falls back on append's growth.
+	e.Grow(4 + len(v) + len(v)/8 + binary.MaxVarintLen64)
+	e.U32(uint32(len(v)))
+	prev := 0
+	for _, x := range v {
+		d := int64(x - prev)
+		prev = x
+		if u := uint64(d<<1) ^ uint64(d>>63); u < 0x80 {
+			e.b = append(e.b, byte(u))
+		} else {
+			e.b = binary.AppendUvarint(e.b, u)
+		}
 	}
 }
 
@@ -243,7 +268,7 @@ func (d *Decoder) FloatsShared() []float64 {
 		// length bounds the block: small messages get small blocks (retaining
 		// a decoded slice never pins more than ~the message), large ones
 		// amortize across arenaBlock-sized chunks.
-		d.farena = make([]float64, 0, blockCap(n, len(d.b)-d.off))
+		d.farena = make([]float64, 0, blockCap(n, (len(d.b)-d.off)/8))
 	}
 	base := len(d.farena)
 	for i := 0; i < n; i++ {
@@ -252,18 +277,12 @@ func (d *Decoder) FloatsShared() []float64 {
 	return d.farena[base : base+n : base+n]
 }
 
-// blockCap sizes a fresh arena block: the remaining message bytes cap the
-// useful capacity, arenaBlock caps the chunk, and the sequence being decoded
-// (already validated to fit the message) sets the floor.
-func blockCap(n, remaining int) int {
-	c := remaining / 8
-	if c > arenaBlock {
-		c = arenaBlock
-	}
-	if c < n {
-		c = n
-	}
-	return c
+// blockCap sizes a fresh arena block: the elements the rest of the message
+// can still hold cap the useful capacity, arenaBlock caps the chunk, and the
+// sequence being decoded (already validated to fit the message) sets the
+// floor.
+func blockCap(n, maxElems int) int {
+	return max(n, min(maxElems, arenaBlock))
 }
 
 // IntsShared reads a length-prefixed []int into the decoder's arena (the
@@ -273,21 +292,67 @@ func (d *Decoder) IntsShared() []int {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	out := d.arenaInts(n, (len(d.b)-d.off)/8)
+	for i := range out {
+		out[i] = d.Int()
+	}
+	return out
+}
+
+// arenaInts returns room for n ints: a slice of the int arena, or a dedicated
+// exact-size allocation beyond a block. maxElems is how many elements the
+// rest of the message can still hold, which bounds a fresh block.
+func (d *Decoder) arenaInts(n, maxElems int) []int {
 	if n > arenaBlock {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = d.Int()
-		}
-		return out
+		return make([]int, n)
 	}
 	if cap(d.iarena)-len(d.iarena) < n {
-		d.iarena = make([]int, 0, blockCap(n, len(d.b)-d.off))
+		d.iarena = make([]int, 0, blockCap(n, maxElems))
 	}
 	base := len(d.iarena)
-	for i := 0; i < n; i++ {
-		d.iarena = append(d.iarena, d.Int())
-	}
+	d.iarena = d.iarena[:base+n]
 	return d.iarena[base : base+n : base+n]
+}
+
+// IntsDeltaShared reads a sequence written by Encoder.IntsDelta into the
+// decoder's arena (exact-size allocation beyond a block, like IntsShared).
+// An element takes at least one byte, so the count is fenced by the bytes
+// that remain; a malformed varint or a running sum that leaves int64 trips
+// the sticky error and yields nil.
+func (d *Decoder) IntsDeltaShared() []int {
+	n := d.seqLen(1)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := d.arenaInts(n, len(d.b)-d.off)
+	b := d.b[d.off:]
+	pos := 0
+	var cur int64
+	for i := range out {
+		var u uint64
+		if pos < len(b) && b[pos] < 0x80 {
+			u = uint64(b[pos])
+			pos++
+		} else {
+			v, w := binary.Uvarint(b[pos:])
+			if w <= 0 {
+				d.err = fmt.Errorf("transport: malformed varint at offset %d", d.off+pos)
+				return nil
+			}
+			u = v
+			pos += w
+		}
+		delta := int64(u>>1) ^ -int64(u&1)
+		next := cur + delta
+		if (next > cur) != (delta > 0) {
+			d.err = fmt.Errorf("transport: delta-coded sequence overflows at element %d", i)
+			return nil
+		}
+		cur = next
+		out[i] = int(cur)
+	}
+	d.off += pos
+	return out
 }
 
 // String reads a length-prefixed string.
