@@ -100,8 +100,10 @@ bench-mem-smoke:
 # tiling invariants under random churn schedules, the first-wins merge of
 # delegated gather results against claimed-set consistency, the store_rec
 # wire round-trip (bounded-count decode: a corrupt length prefix must error,
-# never allocate), and the delta-coded id sequence of range answers (round
-# trip; a corrupt count, varint or running sum must error).
+# never allocate), the delta-coded id sequence of range answers (round
+# trip; a corrupt count, varint or running sum must error), and both ends of
+# the can_search message (sphere list and length-prefixed view list: round
+# trip; a corrupt count, view length or trailing byte must error).
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
@@ -109,3 +111,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzDelegateMerge -fuzztime=30s ./internal/route
 	$(GO) test -fuzz=FuzzStoreRecRoundTrip -fuzztime=30s ./internal/membership
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport
+	$(GO) test -fuzz=FuzzSearchReqRoundTrip -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzSearchRespDecode -fuzztime=30s ./internal/node

@@ -141,8 +141,10 @@ type ServeBenchRow struct {
 	AggDepth  int `json:"agg_depth,omitempty"`
 	WarmPush  int `json:"warm_push,omitempty"`
 	// CoordPerQuery is the mean number of lookup-coordinator RPCs per request
-	// in this row's phase — can_search fetches + can_search_agg delegations +
-	// version probes, the budget the delegation tentpole collapses from Θ(N).
+	// in this row's phase — can_search RPCs sent (messages, not views: an
+	// uncached query asks a peer about all of its levels in one, so this is
+	// below the row's overlay hops) + can_search_agg delegations + version
+	// probes, the budget the delegation tentpole collapses from Θ(N).
 	// AggPerQuery is the delegation share of it, and GatheredPerQuery the
 	// mean number of piggybacked views those delegations returned.
 	CoordPerQuery    float64 `json:"coord_per_query,omitempty"`

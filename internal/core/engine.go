@@ -31,9 +31,19 @@ type ItemDist struct {
 // to be byte-identical — the serving runtime's determinism-oracle tests
 // check exactly that.
 type Backend interface {
+	// Scope announces the first search sphere of every level of one query,
+	// computed before the level fan-out, and returns the backend that query
+	// runs through. A backend whose searches contact the same peers at every
+	// level (the RPC backend) returns a per-query value that asks each peer
+	// about all of them at once; one with nothing to share returns itself.
+	// The result must still answer a Search for a sphere it was not told
+	// about — a k-nn level that widens past its first radius issues one.
+	Scope(spheres []Sphere) Backend
 	// Search returns every published entry whose sphere intersects the query
-	// sphere at the given wavelet level, plus the overlay hops spent. The
-	// entry order must match the overlay's deterministic flood order.
+	// sphere at the given wavelet level, plus the overlay hops spent: one per
+	// view fed to the lookup machine, which a backend may obtain with fewer
+	// messages than that (see Scope). The entry order must match the
+	// overlay's deterministic flood order.
 	Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error)
 	// FetchRange asks peer for the ids of its items within eps of q, in
 	// LocalRange's order: ascending from an indexed store, row order from a
@@ -45,6 +55,15 @@ type Backend interface {
 	// FetchKNN asks peer for its k locally nearest items with their squared
 	// distances (LocalKNN). Dead peers yield nothing, as in FetchRange.
 	FetchKNN(from, peer int, q []float64, k int) ([]ItemDist, error)
+}
+
+// Sphere is one level's search sphere in overlay key space: the arguments of
+// a Backend.Search, named so a query can hand all of its levels to
+// Backend.Scope at once.
+type Sphere struct {
+	Level  int
+	Key    []float64
+	Radius float64
 }
 
 // Engine executes the two-phase query protocol of §4 — per-level scoring via
@@ -169,12 +188,15 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 		hops    int
 		err     error
 	}
+	spheres := make([]Sphere, e.cfg.Levels)
+	for l := range spheres {
+		epsL := eps * wavelet.RadiusScale(e.cfg.Convention, e.cfg.Dim, wavelet.SubspaceDim(l))
+		spheres[l] = Sphere{Level: l, Key: e.mappers[l].mapPoint(dec.Subspace(l)), Radius: slacken(e.mappers[l].mapRadius(epsL))}
+	}
+	b := e.backend.Scope(spheres)
 	outs := make([]levelOut, e.cfg.Levels)
 	e.eachLevel(func(l int) {
-		qc := dec.Subspace(l)
-		m := wavelet.SubspaceDim(l)
-		epsL := eps * wavelet.RadiusScale(e.cfg.Convention, e.cfg.Dim, m)
-		entries, hops, err := e.backend.Search(from, l, e.mappers[l].mapPoint(qc), slacken(e.mappers[l].mapRadius(epsL)))
+		entries, hops, err := b.Search(from, l, spheres[l].Key, spheres[l].Radius)
 		outs[l] = levelOut{entries: entries, hops: hops, err: err}
 	})
 	for l := 0; l < e.cfg.Levels; l++ {
@@ -212,7 +234,7 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 	fetchedIDs := make([][]int, limit)
 	fetchErrs := make([]error, limit)
 	e.eachIndex(limit, func(i int) {
-		fetchedIDs[i], fetchErrs[i] = e.backend.FetchRange(from, res.Scores[i].Peer, q, eps)
+		fetchedIDs[i], fetchErrs[i] = b.FetchRange(from, res.Scores[i].Peer, q, eps)
 	})
 	for i := 0; i < limit; i++ {
 		if err := fetchErrs[i]; err != nil {
@@ -266,12 +288,14 @@ func (e *Engine) KNNQuery(from int, q []float64, k int, opts KNNOptions) (KNNRes
 		hops int
 		err  error
 	}
+	spheres := make([]Sphere, e.cfg.Levels)
+	for l := range spheres {
+		spheres[l] = Sphere{Level: l, Key: e.mappers[l].mapPoint(dec.Subspace(l)), Radius: e.searchRadius(l, e.startRadius(l))}
+	}
+	b := e.backend.Scope(spheres)
 	outs := make([]levelOut, e.cfg.Levels)
 	e.eachLevel(func(l int) {
-		qc := dec.Subspace(l)
-		m := wavelet.SubspaceDim(l)
-		span := e.mappers[l].hi - e.mappers[l].lo
-		epsL, refs, hops, err := e.levelEps(from, l, m, qc, float64(k), span)
+		epsL, refs, hops, err := e.levelEps(b, from, l, dec.Subspace(l), spheres[l].Key, float64(k))
 		outs[l] = levelOut{epsL: epsL, refs: refs, hops: hops, err: err}
 	})
 	for l := 0; l < e.cfg.Levels; l++ {
@@ -331,7 +355,7 @@ func (e *Engine) KNNQuery(from int, q []float64, k int, opts KNNOptions) (KNNRes
 		if want < 1 {
 			want = 1
 		}
-		fetchedPer[i], fetchErrs[i] = e.backend.FetchKNN(from, ps.Peer, q, want)
+		fetchedPer[i], fetchErrs[i] = b.FetchKNN(from, ps.Peer, q, want)
 	})
 	var fetched []ItemDist
 	for i := 0; i < p; i++ {
@@ -362,12 +386,12 @@ type epsScratch struct {
 
 var epsScratchPool = sync.Pool{New: func() any { return new(epsScratch) }}
 
-func (e *Engine) levelEps(from, l, m int, qc []float64, k, span float64) (float64, []ClusterRef, int, error) {
-	key := e.mappers[l].mapPoint(qc)
-	// Start at 5% of the coefficient span; stop once the search sphere can
-	// cover the entire level space.
-	r := 0.05 * span
-	maxR := span * math.Sqrt(float64(m))
+func (e *Engine) levelEps(b Backend, from, l int, qc, key []float64, k float64) (float64, []ClusterRef, int, error) {
+	m := wavelet.SubspaceDim(l)
+	// Start at startRadius — the pass KNNQuery announced to Backend.Scope —
+	// and stop once the search sphere can cover the entire level space.
+	r := e.startRadius(l)
+	maxR := (e.mappers[l].hi - e.mappers[l].lo) * math.Sqrt(float64(m))
 	totalHops := 0
 	// Both scratch slices live across the widening iterations (each pass
 	// resets them to length zero and refills) and across calls via the pool;
@@ -375,7 +399,7 @@ func (e *Engine) levelEps(from, l, m int, qc []float64, k, span float64) (float6
 	sc := epsScratchPool.Get().(*epsScratch)
 	defer epsScratchPool.Put(sc)
 	for {
-		entries, hops, err := e.backend.Search(from, l, key, slacken(e.mappers[l].mapRadius(r)))
+		entries, hops, err := b.Search(from, l, key, e.searchRadius(l, r))
 		if err != nil {
 			return 0, nil, totalHops, err
 		}
@@ -403,6 +427,18 @@ func (e *Engine) levelEps(from, l, m int, qc []float64, k, span float64) (float6
 		}
 		r *= 2
 	}
+}
+
+// startRadius is the first radius of levelEps' widening search at level l, in
+// coefficient units: 5% of the level's coefficient span.
+func (e *Engine) startRadius(l int) float64 {
+	return 0.05 * (e.mappers[l].hi - e.mappers[l].lo)
+}
+
+// searchRadius maps a coefficient-space radius at level l to the key-space
+// radius handed to Backend.Search.
+func (e *Engine) searchRadius(l int, r float64) float64 {
+	return slacken(e.mappers[l].mapRadius(r))
 }
 
 // sortFetched orders fetched items by ascending true distance to the query
@@ -436,6 +472,10 @@ func sortFetched(fetched []ItemDist) []int {
 // overlays are searched directly and peers are "contacted" by scanning their
 // in-memory stores. It never returns an error.
 type systemBackend struct{ s *System }
+
+// Scope is the identity: an in-process search reads the overlay directly, so
+// there is nothing for the levels to share.
+func (b systemBackend) Scope([]Sphere) Backend { return b }
 
 func (b systemBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
 	entries, hops := b.s.overlays[level].SearchSphere(from, key, radius)

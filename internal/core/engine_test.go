@@ -17,6 +17,8 @@ type fetchBackend struct {
 	errs []error
 }
 
+func (b fetchBackend) Scope([]Sphere) Backend { return b }
+
 func (b fetchBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
 	entries := make([]overlay.Entry, len(b.runs))
 	for p := range entries {
@@ -91,5 +93,82 @@ func TestRangeQueryFetchOutcomes(t *testing.T) {
 					tc.name, fanout, res.Items, res.PeersContacted, want, contacted)
 			}
 		}
+	}
+}
+
+// scopeRecorder wraps a backend and notes what the engine tells Scope and
+// what it then searches for.
+type scopeRecorder struct {
+	Backend
+	scoped   [][]Sphere
+	searched []Sphere
+}
+
+func (b *scopeRecorder) Scope(spheres []Sphere) Backend {
+	b.scoped = append(b.scoped, spheres)
+	return b
+}
+
+func (b *scopeRecorder) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
+	b.searched = append(b.searched, Sphere{Level: level, Key: key, Radius: radius})
+	return b.Backend.Search(from, level, key, radius)
+}
+
+// TestEngineScopesFirstSpheres pins the contract Backend.Scope documents: a
+// query announces one sphere per level, computed before any search runs, and
+// its first search of each level is bit for bit the announced one — what lets
+// a backend ask a peer about every level at once. A range query searches
+// nothing else; a k-nn query that has to widen a level searches that level
+// again with a sphere it did not announce, and the answers are those of the
+// unwrapped system either way.
+func TestEngineScopesFirstSpheres(t *testing.T) {
+	sys, data, _ := testSystem(t, 8, 20, 4, 16, 3, 3, 5)
+	rec := &scopeRecorder{Backend: systemBackend{sys}}
+	e := &Engine{cfg: sys.cfg, mappers: sys.mappers, backend: rec}
+	levels := sys.cfg.Levels
+	firstPerLevel := func() []Sphere {
+		first := make([]Sphere, levels)
+		seen := make([]bool, levels)
+		for _, sp := range rec.searched {
+			if !seen[sp.Level] {
+				first[sp.Level], seen[sp.Level] = sp, true
+			}
+		}
+		return first
+	}
+
+	q := data[3]
+	gotR, err := e.RangeQuery(0, q, 0.3, RangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sys.RangeQuery(0, q, 0.3, RangeOptions{}); !reflect.DeepEqual(gotR, want) {
+		t.Errorf("range answer changed under a recording backend")
+	}
+	if len(rec.scoped) != 1 || len(rec.scoped[0]) != levels || len(rec.searched) != levels {
+		t.Fatalf("range query scoped %d times and searched %d spheres, want 1 and %d", len(rec.scoped), len(rec.searched), levels)
+	}
+	if !reflect.DeepEqual(firstPerLevel(), rec.scoped[0]) {
+		t.Errorf("range query searched %+v, announced %+v", rec.searched, rec.scoped[0])
+	}
+
+	// k near the corpus size: 5% of the span cannot hold it, so levels widen.
+	rec.scoped, rec.searched = nil, nil
+	k := len(data) * 3 / 4
+	gotK, err := e.KNNQuery(0, q, k, KNNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sys.KNNQuery(0, q, k, KNNOptions{}); !reflect.DeepEqual(gotK, want) {
+		t.Errorf("k-nn answer changed under a recording backend")
+	}
+	if len(rec.scoped) != 1 || len(rec.scoped[0]) != levels {
+		t.Fatalf("k-nn query scoped %d times, want once with %d spheres", len(rec.scoped), levels)
+	}
+	if !reflect.DeepEqual(firstPerLevel(), rec.scoped[0]) {
+		t.Errorf("k-nn query first searched %+v, announced %+v", firstPerLevel(), rec.scoped[0])
+	}
+	if len(rec.searched) <= levels {
+		t.Errorf("k-nn query for %d of %d items searched only %d spheres: no level widened", k, len(data), len(rec.searched))
 	}
 }

@@ -277,6 +277,15 @@ func (m *Manager) SearchView(level int, match func(route.RecordView) bool) (zone
 	return zones, nbs, filter(ls.Owned), filter(ls.Replicas), m.versions[level]
 }
 
+// ZonesIntersect reports whether the sphere (key, radius) touches a zone this
+// node owns at level — the test a flood applies to a neighbor before claiming
+// it, answered here from the node's own current zones.
+func (m *Manager) ZonesIntersect(level int, key []float64, radius float64) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return route.ZonesIntersect(m.levels[level].Zones, key, radius)
+}
+
 // Snapshot returns read-safe copies of every level.
 func (m *Manager) Snapshot() []LevelState {
 	m.mu.RLock()

@@ -284,7 +284,7 @@ func (n *Node) delegatedView(ctx context.Context, cv cachedViews, pool map[int]v
 	if n.cache != nil {
 		return cv.view(step.To)
 	}
-	return rpcViews{n: n, ctx: ctx, level: cv.level, key: cv.key, radius: cv.radius}.View(step.To)
+	return n.sphereViews(ctx, cv.level, cv.key, cv.radius).View(step.To)
 }
 
 // delegateRegion sends one can_search_agg to the region's first contact and
@@ -451,9 +451,16 @@ func (n *Node) warmPushLevel(level int) {
 	}
 }
 
-// handleWarm installs one pushed view. Equivalent to a fetch completing
-// now, so installing at this node's current epoch is sound; PutRefresh
-// drops version regressions from reordered pushes and preserves pins.
+// handleWarm installs one pushed view, one epoch behind. A push is late by
+// construction: the sender encoded it some time ago and may since have
+// applied the next membership event — which this node may have observed
+// already, so a copy installed at the current epoch would pass for fresh,
+// name neighbors that are gone and miss records handed over since (seen as a
+// post-churn query failing on a view_version to a departed peer). Installed
+// behind, the first lookup that wants the view pays the 8-byte view_version
+// probe and uses it only on a match; what the push saves is the payload.
+// PutRefresh drops version regressions from reordered pushes and preserves
+// pins.
 func (n *Node) handleWarm(body []byte) (transport.Response, error) {
 	from, level, sv, err := decodeWarmReq(body)
 	if err != nil {
@@ -463,7 +470,7 @@ func (n *Node) handleWarm(body []byte) (transport.Response, error) {
 		return transport.Response{}, fmt.Errorf("node: no level %d", level)
 	}
 	if n.cache != nil && sv.ID != n.peer && sv.ID == from {
-		n.cache.PutRefresh(level, sv.ID, viewcache.View{NodeView: n.toNodeView(sv), Version: sv.Version}, n.mgr.Epoch(level))
+		n.cache.PutRefresh(level, sv.ID, viewcache.View{NodeView: n.toNodeView(sv), Version: sv.Version}, n.mgr.Epoch(level)-1)
 		n.count("warm.install")
 	}
 	return transport.Response{}, nil

@@ -64,13 +64,15 @@ func coordRPCs(nd *node.Node) float64 {
 	return c["coord.can_search"] + c["coord.agg"] + c["coord.view_version"]
 }
 
-// TestDelegationColdRPCBudget is the regression fence on the tentpole
+// TestDelegationColdRPCBudget is the regression fence on delegation's
 // number: on a 64-node cluster, a first-touch (cold, unmemoized) query costs
 // the serial reference coordinator Θ(N) can_search RPCs — every
-// sphere-intersecting owner contacted directly — while the delegated
-// coordinator pays only routing hops plus a handful of can_search_agg
-// calls. The budget (20 per query) is the fence; the reference floor proves
-// it is a real reduction, not a small topology.
+// sphere-intersecting owner contacted directly, once for both levels since
+// the probe table (probe.go; 97.7 per query before it, 60.3 after) — while
+// the delegated coordinator pays only routing hops plus a handful of
+// can_search_agg calls (19.0, unchanged: it looks levels up one at a time).
+// Both measured numbers are fenced; the edge they leave delegation is 3.2x,
+// down from 5.1x.
 func TestDelegationColdRPCBudget(t *testing.T) {
 	params := experiments.Params{Peers: 64, ItemsPerPeer: 8, Dim: 8, Levels: 2, ClustersPerPeer: 2, Seed: 42}
 	sys, err := experiments.BuildMarkovSystem(params)
@@ -129,14 +131,17 @@ func TestDelegationColdRPCBudget(t *testing.T) {
 	reference := run("serial reference", node.Tuning{Alpha: 1})
 	delegated := run("delegated", node.Tuning{AggFanout: 3})
 
-	const budget = 20.0
+	const budget, referenceBudget = 20.0, 65.0
 	if delegated > budget {
 		t.Errorf("delegated coordinator spent %.1f RPCs per cold query, budget %.0f", delegated, budget)
 	}
-	if reference < 60 {
+	if reference > referenceBudget {
+		t.Errorf("serial reference spent %.1f RPCs per cold query, budget %.0f: its levels no longer share probes", reference, referenceBudget)
+	}
+	if reference < 40 {
 		t.Errorf("serial reference spent only %.1f RPCs per cold query — topology too small to exercise the Θ(N) cost", reference)
 	}
-	if delegated*4 > reference {
+	if delegated*2.5 > reference {
 		t.Errorf("delegation saved too little: %.1f delegated vs %.1f reference RPCs per query", delegated, reference)
 	}
 }

@@ -30,14 +30,12 @@ func (n *Node) Call(ctx context.Context, addr, method string, body []byte) ([]by
 // fetchViewAddr obtains one can_search view from a peer known only by
 // address — the bootstrap contact of a join, before any id is known.
 func (n *Node) fetchViewAddr(ctx context.Context, addr string, level int, key []float64, radius float64) (searchView, error) {
-	resp, err := n.client.Call(ctx, addr, transport.Request{
-		Method: methodCanSearch,
-		Body:   encodeSearchReq(level, key, radius, false),
-	})
+	req := searchReq{Level: level, Key: key, Radius: radius}
+	views, err := n.callSearchAddr(ctx, addr, encodeSearchReq([]searchReq{req}), 1)
 	if err != nil {
 		return searchView{}, fmt.Errorf("node: can_search %s: %w", addr, err)
 	}
-	return decodeSearchResp(resp.Body)
+	return decodeSearchSlot(views[0])
 }
 
 // RouteOwner greedily routes from the bootstrap address to the owner of key
@@ -96,7 +94,7 @@ func (n *Node) RouteOwner(ctx context.Context, level int, bootstrap string, key 
 // mid-flood are skipped (their visit is abandoned) — exactly the survivors
 // the simulator's scan would see.
 func (n *Node) Collect(ctx context.Context, level int, key []float64, radius float64) ([]route.RecordView, error) {
-	src := rpcViews{n: n, ctx: ctx, level: level, key: key, radius: radius}
+	src := n.sphereViews(ctx, level, key, radius)
 	seen := map[int]bool{}
 	var out []route.RecordView
 	harvest := func(v route.NodeView) {

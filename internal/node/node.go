@@ -95,7 +95,8 @@ type Tuning struct {
 	AggDepth int
 	// WarmPush enables proactive view warming: after a churn epoch this node
 	// pushes its refreshed view to up to WarmPush recent delegation
-	// requesters, pre-healing their caches before the next cold query.
+	// requesters, pre-healing their caches before the next cold query (which
+	// puts the pushed copy to use after a view_version match, see handleWarm).
 	// 0 → off.
 	WarmPush int
 	// StreamPublish enables streaming incremental publish: Publish runs the
@@ -636,24 +637,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		return transport.Response{}, nil
 
 	case methodCanSearch:
-		level, key, radius, full, err := decodeSearchReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		if level < 0 || level >= n.mgr.NumLevels() {
-			return transport.Response{}, fmt.Errorf("node: no level %d", level)
-		}
-		v := searchView{}
-		if full {
-			v = n.localFullView(level)
-		} else {
-			v = n.localView(level, key, radius)
-		}
-		body, err := encodeSearchResp(v)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		return transport.Response{Body: body}, nil
+		return n.handleSearch(req.Body)
 
 	case methodCanSearchAgg:
 		return n.handleAgg(ctx, req.Body)
@@ -679,7 +663,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		if level < 0 || level >= n.mgr.NumLevels() {
 			return transport.Response{}, fmt.Errorf("node: no level %d", level)
 		}
-		body, err := encodeSearchResp(n.localFullView(level))
+		body, err := encodeSearchResp([]searchAnswer{{View: n.localFullView(level)}})
 		if err != nil {
 			return transport.Response{}, err
 		}
@@ -751,6 +735,44 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	}
 }
 
+// maxSearchSpheres bounds the spheres one can_search may carry, so a buggy or
+// hostile requester cannot make one RPC assemble views without bound. A query
+// sends one per wavelet level, at most log2(Dim)+1 of them.
+const maxSearchSpheres = 64
+
+// handleSearch serves one can_search: a view of this node for every sphere of
+// the request, in request order. An optional sphere that misses this node's
+// zones is skipped — its sender asked on speculation, and no flood claims a
+// node its sphere does not touch.
+func (n *Node) handleSearch(body []byte) (transport.Response, error) {
+	reqs, err := decodeSearchReq(body)
+	if err != nil {
+		return transport.Response{}, err
+	}
+	if len(reqs) > maxSearchSpheres {
+		return transport.Response{}, fmt.Errorf("node: can_search carries %d spheres, limit %d", len(reqs), maxSearchSpheres)
+	}
+	answers := make([]searchAnswer, len(reqs))
+	for i, r := range reqs {
+		if r.Level < 0 || r.Level >= n.mgr.NumLevels() {
+			return transport.Response{}, fmt.Errorf("node: no level %d", r.Level)
+		}
+		switch {
+		case r.Full:
+			answers[i].View = n.localFullView(r.Level)
+		case r.Optional && !n.mgr.ZonesIntersect(r.Level, r.Key, r.Radius):
+			answers[i].Skipped = true
+		default:
+			answers[i].View = n.localView(r.Level, r.Key, r.Radius)
+		}
+	}
+	resp, err := encodeSearchResp(answers)
+	if err != nil {
+		return transport.Response{}, err
+	}
+	return transport.Response{Body: resp}, nil
+}
+
 // localView answers one can_search hop from this node's own slice: identity,
 // zones, neighbor table, and the stored records matching the query sphere in
 // storage order (owned first, then replicas) — the same order and match test
@@ -765,7 +787,7 @@ func (n *Node) localView(level int, key []float64, radius float64) searchView {
 }
 
 // localFullView is localView without the sphere filter: the complete record
-// stores, what cache fills (can_search full=1) and hot-replica pulls
+// stores, what cache fills (can_search with the full flag) and hot-replica pulls
 // (replicate_refs) return so the cached copy can answer any later sphere.
 func (n *Node) localFullView(level int) searchView {
 	zones, nbs, owned, replicas, ver := n.mgr.SearchView(level, nil)

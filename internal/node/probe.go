@@ -1,0 +1,147 @@
+package node
+
+import (
+	"context"
+	"slices"
+	"sync"
+
+	"hyperm/internal/core"
+	"hyperm/internal/overlay"
+	"hyperm/internal/route"
+)
+
+// One probe per peer per query.
+//
+// Every wavelet level runs its own CAN overlay, but over the same physical
+// peers, and a query floods all of them: left alone, the L level lookups of
+// one query each send their own can_search to mostly the same nodes. A
+// probeTable is what the lookups of one query share instead. The first
+// lookup whose machine asks for peer X sends X one can_search carrying the
+// spheres of all levels; the other levels' lookups find X's answer already
+// there, or wait on the RPC in flight. The route.Search machines, RunAlpha,
+// their claim order and their Feeds are untouched — a lookup still sees, view
+// for view, what a can_search of its own would have returned — so entries and
+// hops (one per Feed) stay byte-identical to the oracle and only the number
+// of messages drops.
+//
+// The spheres a probe carries beyond the one its sender needs are asked on
+// speculation, and flagged so: the responder skips those that miss its zones
+// (no flood claims a node its sphere does not touch). A machine that wants a
+// skipped view after all — a routing-phase hop through a node off the sphere,
+// or a flood acting on a neighbor table older than the responder's zones —
+// asks again for that sphere alone, this time required.
+type probeTable struct {
+	n       *Node
+	ctx     context.Context
+	spheres []core.Sphere
+	// bodies[i] is the request that names sphere i as the one needed and the
+	// rest as optional.
+	bodies [][]byte
+
+	mu     sync.Mutex
+	probes map[int]*probe
+}
+
+// probe is the future of one peer's answer.
+type probe struct {
+	done  chan struct{}
+	views [][]byte // by sphere, still encoded; nil where the peer skipped it
+	err   error
+}
+
+func (n *Node) newProbeTable(ctx context.Context, spheres []core.Sphere) *probeTable {
+	t := &probeTable{n: n, ctx: ctx, spheres: spheres, bodies: make([][]byte, len(spheres)), probes: make(map[int]*probe)}
+	reqs := make([]searchReq, len(spheres))
+	for i := range spheres {
+		for j, sp := range spheres {
+			reqs[j] = searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius, Optional: j != i}
+		}
+		t.bodies[i] = encodeSearchReq(reqs)
+	}
+	return t
+}
+
+// sphereViews is the RPC-fetching ViewSource of a lookup nobody shares: a
+// table of one sphere (which still spares a peer the second can_search when
+// the flood revisits a node the routing phase went through).
+func (n *Node) sphereViews(ctx context.Context, level int, key []float64, radius float64) route.ViewSource {
+	return probeViews{n.newProbeTable(ctx, []core.Sphere{{Level: level, Key: key, Radius: radius}}), 0}
+}
+
+// probeViews is the ViewSource of sphere i of a table: View answers locally
+// for the coordinator's own id and from the peer's probe otherwise,
+// pre-filtered server-side to the records matching the sphere (the machine's
+// own filter is idempotent, so pre-filtering cannot change the result). A
+// view is decoded only here, when its level's machine asks for it.
+type probeViews struct {
+	t *probeTable
+	i int
+}
+
+func (s probeViews) View(id int) (route.NodeView, error) {
+	t, n, sp := s.t, s.t.n, s.t.spheres[s.i]
+	if id == n.peer {
+		return n.toNodeView(n.localView(sp.Level, sp.Key, sp.Radius)), nil
+	}
+	t.mu.Lock()
+	p := t.probes[id]
+	first := p == nil
+	if first {
+		p = &probe{done: make(chan struct{})}
+		t.probes[id] = p
+	}
+	t.mu.Unlock()
+	if first {
+		p.views, p.err = n.callSearch(t.ctx, id, t.bodies[s.i], len(t.spheres), ctrCoordSearch)
+		close(p.done)
+	} else {
+		<-p.done
+	}
+	if p.err != nil {
+		// Every level that needs this peer fails on the one error.
+		return route.NodeView{}, p.err
+	}
+	raw := p.views[s.i]
+	if raw == nil {
+		n.count(ctrCoordRequire)
+		req := searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius}
+		views, err := n.callSearch(t.ctx, id, encodeSearchReq([]searchReq{req}), 1, ctrCoordSearch)
+		if err != nil {
+			return route.NodeView{}, err
+		}
+		raw = views[0]
+	}
+	sv, err := decodeSearchSlot(raw)
+	if err != nil {
+		return route.NodeView{}, err
+	}
+	return n.toNodeView(sv), nil
+}
+
+// scopedBackend is the netBackend of one query (core.Backend.Scope): its
+// level searches go through one probe table.
+type scopedBackend struct {
+	*netBackend
+	table *probeTable
+}
+
+// Scope shares one probe table between the level searches of a query. Cached
+// and delegated lookups resolve their views through the view cache and the
+// gathered pool, one level at a time, so they keep the plain backend.
+func (b *netBackend) Scope(spheres []core.Sphere) core.Backend {
+	if b.n.cache != nil || b.n.tuning.AggFanout > 0 {
+		return b
+	}
+	return &scopedBackend{b, b.n.newProbeTable(context.Background(), spheres)}
+}
+
+// Search runs a scoped sphere over the shared table and any other — a k-nn
+// level widening past its first radius — as a lookup of its own.
+func (b *scopedBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
+	for i, sp := range b.table.spheres {
+		if sp.Level == level && sp.Radius == radius && slices.Equal(sp.Key, key) {
+			return b.n.runSearch(probeViews{b.table, i}, level, key, radius)
+		}
+	}
+	return b.netBackend.Search(from, level, key, radius)
+}

@@ -19,42 +19,22 @@ import (
 // The querying node acts as lookup coordinator: it holds its own slice
 // locally (zero hops, like the in-process search starting at `from`) and
 // feeds the route.Search machine one view per contact — its own view for
-// free, a can_search RPC per remote node, whose response carries everything
+// free, a remote node's from a can_search response, which carries everything
 // the next decision needs (zones, neighbor table, matching records). Every
 // routing and flood decision is made by the same machine the simulator
 // drives, so served answers are byte-identical to the core.System oracle by
 // construction: one implementation, two ViewSources.
 //
-// Hops count contacts exactly like the simulator counts messages (one per
-// Feed), so hops == RPCs, except that a flood wave re-entering the
-// coordinator's own zone is a free local read — charged one hop either way,
-// just as the simulator charges the message.
+// Hops count Feeds exactly like the simulator counts messages (one per view
+// fed), so hops >= RPCs: a flood wave re-entering the coordinator's own zone
+// is a free local read, and a query asks each peer about all of its levels in
+// one can_search (probe.go) — each charged one hop all the same, just as the
+// simulator charges the message.
 //
 // The machine's two stall outcomes (route.ErrLoopLimit, route.ErrNoNeighbor)
 // are resolved by the simulator with a global scan; a serving node has no
 // global view, so here they surface as request errors carrying their
 // sentinel (and, across the wire, their detail token — see remoteErr).
-
-// rpcViews is the RPC-fetching ViewSource: View answers locally for the
-// coordinator's own id and issues one can_search RPC for any other node,
-// pre-filtered server-side to the records matching the query sphere (the
-// machine's own filter is idempotent, so pre-filtering cannot change the
-// result).
-type rpcViews struct {
-	n      *Node
-	ctx    context.Context
-	level  int
-	key    []float64
-	radius float64
-}
-
-func (s rpcViews) View(id int) (route.NodeView, error) {
-	v, err := s.n.fetchView(s.ctx, s.level, id, s.key, s.radius)
-	if err != nil {
-		return route.NodeView{}, err
-	}
-	return s.n.toNodeView(v), nil
-}
 
 // toNodeView shapes a wire view for the routing machines, learning the
 // neighbor addresses it carries (how a node hears about peers that joined
@@ -68,33 +48,33 @@ func (n *Node) toNodeView(v searchView) route.NodeView {
 	return route.NodeView{ID: v.ID, Zones: v.Zones, Neighbors: nbs, Owned: v.Owned, Replicas: v.Replicas}
 }
 
-// fetchView obtains one node's view of the query sphere: locally for this
-// node (no RPC — the coordinator is the node), via can_search otherwise.
-func (n *Node) fetchView(ctx context.Context, level, id int, key []float64, radius float64) (searchView, error) {
-	if id == n.peer {
-		return n.localView(level, key, radius), nil
-	}
-	return n.callSearch(ctx, level, id, encodeSearchReq(level, key, radius, false), ctrCoordSearch)
-}
-
-// fetchFullView is fetchView with the full flag: the complete record stores,
-// which is what the cache keeps (a cached view must answer any later sphere,
-// not just the one that fetched it). ctr attributes the RPC to the issuing
-// role — the query coordinator or a delegate's gather flood.
+// fetchFullView obtains one node's complete record stores at a level, which
+// is what the cache keeps (a cached view must answer any later sphere, not
+// just the one that fetched it): locally for this node, a can_search with the
+// full flag otherwise. ctr attributes the RPC to the issuing role — the query
+// coordinator or a delegate's gather flood.
 func (n *Node) fetchFullView(ctx context.Context, level, id int, ctr string) (searchView, error) {
 	if id == n.peer {
 		return n.localFullView(level), nil
 	}
-	return n.callSearch(ctx, level, id, encodeSearchReq(level, nil, 0, true), ctr)
+	views, err := n.callSearch(ctx, id, encodeSearchReq([]searchReq{{Level: level, Full: true}}), 1, ctr)
+	if err != nil {
+		return searchView{}, err
+	}
+	return decodeSearchSlot(views[0])
 }
 
 // Issue-side RPC attribution: handler-side rpc.* counters say how much
 // traffic a node served; these say which role *initiated* it — the lookup
 // coordinator (coord.*) or a can_search_agg delegate gathering its region
-// (agg.*). The cold-path budget metric is coord.can_search + coord.agg +
+// (agg.*). They count RPCs sent, not views obtained: one coord.can_search may
+// answer every level of a query (probe.go), and coord.can_search_required is
+// the share of them that re-asked for a level the first answer skipped. The
+// cold-path budget metric is coord.can_search + coord.agg +
 // coord.view_version per query.
 const (
 	ctrCoordSearch  = "coord.can_search"
+	ctrCoordRequire = "coord.can_search_required"
 	ctrCoordAgg     = "coord.agg"
 	ctrCoordVersion = "coord.view_version"
 	ctrAggFetch     = "agg.fetch"
@@ -102,17 +82,31 @@ const (
 	ctrAggVersion   = "agg.view_version"
 )
 
-func (n *Node) callSearch(ctx context.Context, level, id int, body []byte, ctr string) (searchView, error) {
+// callSearch sends one can_search to peer id and cuts the response into its
+// encoded views, one per sphere of the request (want of them), undecoded.
+func (n *Node) callSearch(ctx context.Context, id int, body []byte, want int, ctr string) ([][]byte, error) {
 	addr, err := n.peerAddr(id)
 	if err != nil {
-		return searchView{}, err
+		return nil, err
 	}
 	n.count(ctr)
+	views, err := n.callSearchAddr(ctx, addr, body, want)
+	if err != nil {
+		return nil, fmt.Errorf("node: can_search peer %d: %w", id, err)
+	}
+	return views, nil
+}
+
+func (n *Node) callSearchAddr(ctx context.Context, addr string, body []byte, want int) ([][]byte, error) {
 	resp, err := n.client.Call(ctx, addr, transport.Request{Method: methodCanSearch, Body: body})
 	if err != nil {
-		return searchView{}, fmt.Errorf("node: can_search peer %d: %w", id, err)
+		return nil, err
 	}
-	return decodeSearchResp(resp.Body)
+	views, err := splitSearchResp(resp.Body)
+	if err == nil && len(views) != want {
+		err = fmt.Errorf("response carries %d views for %d spheres", len(views), want)
+	}
+	return views, err
 }
 
 // fetchVersion asks peer id for its current level state version — the cheap
@@ -141,7 +135,7 @@ func (n *Node) fetchReplica(ctx context.Context, level, id int) (searchView, err
 	if err != nil {
 		return searchView{}, fmt.Errorf("node: replicate_refs peer %d: %w", id, err)
 	}
-	return decodeSearchResp(resp.Body)
+	return decodeSingleView(resp.Body)
 }
 
 // hopLimit mirrors the simulator's routing bound (8*nodes+16) using the
@@ -280,7 +274,7 @@ func memoKey(key []float64, radius float64) []byte {
 
 // searchSphere runs the full lookup for one level by driving the shared
 // route.Search machine over RPC-fetched views, with up to α can_search
-// probes in flight per flood step (both ViewSources are safe for the
+// probes in flight per flood step (every ViewSource here is safe for the
 // concurrent View calls RunAlpha makes; answers stay byte-identical to the
 // serial drive). With Tuning.CacheViews the fetcher is composed behind the
 // view cache — same machine, same decisions, fewer RPCs — and whole
@@ -296,17 +290,7 @@ func (n *Node) searchSphere(ctx context.Context, level int, key []float64, radiu
 		return n.searchSphereDelegated(ctx, level, key, radius)
 	}
 	if n.cache == nil {
-		src := rpcViews{n: n, ctx: ctx, level: level, key: key, radius: radius}
-		start, err := src.View(n.peer)
-		if err != nil {
-			return nil, 0, err
-		}
-		s := route.NewSearch(start, key, radius, n.hopLimit())
-		entries, hops, err := route.RunAlpha(s, src, n.tuning.Alpha)
-		if err != nil {
-			return nil, hops, fmt.Errorf("node: level %d search at %v: %w", level, key, err)
-		}
-		return entries, hops, nil
+		return n.runSearch(n.sphereViews(ctx, level, key, radius), level, key, radius)
 	}
 
 	mk := memoKey(key, radius)
@@ -322,23 +306,33 @@ func (n *Node) searchSphere(ctx context.Context, level int, key []float64, radiu
 		}
 	}
 	src := route.SourceFunc(cachedViews{n: n, ctx: ctx, level: level, key: key, radius: radius}.view)
-	start, err := src.View(n.peer)
-	if err != nil {
-		return nil, 0, err
-	}
-	s := route.NewSearch(start, key, radius, n.hopLimit())
-	entries, hops, err := route.RunAlpha(s, src, n.tuning.Alpha)
+	entries, hops, err := n.runSearch(src, level, key, radius)
 	if n.tuning.HotReplicate {
 		n.pullHotReplicas(ctx, level)
 	}
 	if err != nil {
-		return nil, hops, fmt.Errorf("node: level %d search at %v: %w", level, key, err)
+		return nil, hops, err
 	}
 	// Memoize only runs whose epoch held steady end to end: an epoch bump
 	// mid-search may have mixed views from two topologies, and such a result
 	// must not outlive the lookup that produced it.
 	if useMemo && n.mgr.Epoch(level) == epoch {
 		n.cache.PutSearch(level, mk, entries, hops, epoch)
+	}
+	return entries, hops, nil
+}
+
+// runSearch drives one level's route.Search machine to completion over src,
+// starting from this node's own view.
+func (n *Node) runSearch(src route.ViewSource, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
+	start, err := src.View(n.peer)
+	if err != nil {
+		return nil, 0, err
+	}
+	s := route.NewSearch(start, key, radius, n.hopLimit())
+	entries, hops, err := route.RunAlpha(s, src, n.tuning.Alpha)
+	if err != nil {
+		return nil, hops, fmt.Errorf("node: level %d search at %v: %w", level, key, err)
 	}
 	return entries, hops, nil
 }

@@ -75,7 +75,7 @@ func (n *Node) publishStream(id int, item []float64) error {
 // skipped, like replication drops in the simulator.
 func (n *Node) announceDelta(ctx context.Context, d core.StreamDelta) error {
 	key, radius := d.Rec.Entry.Key, d.Rec.Entry.Radius
-	src := rpcViews{n: n, ctx: ctx, level: d.Level, key: key, radius: 0}
+	src := n.sphereViews(ctx, d.Level, key, 0)
 	start, err := src.View(n.peer)
 	if err != nil {
 		return err

@@ -179,29 +179,73 @@ func decodePublishBatchReq(b []byte) (ids []int, items [][]float64, err error) {
 
 // ---- can_search ----
 
-// The full flag asks for the node's complete record stores instead of the
-// per-sphere filtered slice — what a view cache stores so the cached copy can
-// answer any later sphere (the searcher's own filter is idempotent).
-func encodeSearchReq(level int, key []float64, radius float64, full bool) []byte {
+// searchReq is one sphere of a can_search request. A request carries a
+// count-prefixed list of them: a lookup coordinator asks a peer about every
+// level of its query in one message (see probe.go), everything else sends a
+// list of one.
+type searchReq struct {
+	Level  int
+	Key    []float64
+	Radius float64
+	// Full asks for the node's complete record stores instead of the
+	// per-sphere filtered slice — what a view cache stores so the cached copy
+	// can answer any later sphere (the searcher's own filter is idempotent).
+	Full bool
+	// Optional marks a sphere the sender asked about on speculation: the
+	// responder skips it when the sphere misses its zones, where no flood
+	// would have claimed it.
+	Optional bool
+}
+
+const (
+	searchFlagFull     = 1 << 0
+	searchFlagOptional = 1 << 1
+)
+
+// searchReqMinSize is the wire size of a sphere with an empty key, the bound
+// Decoder.Count holds a request's count to.
+const searchReqMinSize = 8 + 4 + 8 + 1
+
+func encodeSearchReq(reqs []searchReq) []byte {
 	var e transport.Encoder
-	e.Int(level)
-	e.Floats(key)
-	e.F64(radius)
-	if full {
-		e.U8(1)
-	} else {
-		e.U8(0)
+	size := 4
+	for _, r := range reqs {
+		size += searchReqMinSize + 8*len(r.Key)
+	}
+	e.Grow(size)
+	e.U32(uint32(len(reqs)))
+	for _, r := range reqs {
+		e.Int(r.Level)
+		e.Floats(r.Key)
+		e.F64(r.Radius)
+		var flags uint8
+		if r.Full {
+			flags |= searchFlagFull
+		}
+		if r.Optional {
+			flags |= searchFlagOptional
+		}
+		e.U8(flags)
 	}
 	return e.Bytes()
 }
 
-func decodeSearchReq(b []byte) (level int, key []float64, radius float64, full bool, err error) {
+func decodeSearchReq(b []byte) ([]searchReq, error) {
 	d := transport.NewDecoder(b)
-	level = d.Int()
-	key = d.FloatsShared()
-	radius = d.F64()
-	full = d.U8() != 0
-	return level, key, radius, full, d.Finish()
+	var reqs []searchReq
+	if n := d.Count(searchReqMinSize); d.Err() == nil && n > 0 {
+		reqs = make([]searchReq, n)
+		for i := range reqs {
+			r := &reqs[i]
+			r.Level = d.Int()
+			r.Key = d.FloatsShared()
+			r.Radius = d.F64()
+			flags := d.U8()
+			r.Full = flags&searchFlagFull != 0
+			r.Optional = flags&searchFlagOptional != 0
+		}
+	}
+	return reqs, d.Finish()
 }
 
 // searchView is one node's answer to a can_search hop: its identity and
@@ -222,7 +266,7 @@ type searchView struct {
 	Replicas  []can.RecordView
 }
 
-// searchRespSize is the exact wire size of encodeSearchResp's output, so the
+// searchRespSize is the exact wire size of encodeSearchView's output, so the
 // hot can_search reply path allocates its buffer once (records' cluster-ref
 // centers share the key's dimensionality).
 func searchRespSize(v searchView) int {
@@ -274,19 +318,79 @@ func decodeSearchView(d *transport.Decoder) searchView {
 	return v
 }
 
-func encodeSearchResp(v searchView) ([]byte, error) {
+// searchAnswer is one slot of a can_search response, in request order: the
+// view of that sphere, or Skipped for an optional sphere the responder's
+// zones do not touch.
+type searchAnswer struct {
+	View    searchView
+	Skipped bool
+}
+
+// encodeSearchResp writes a count-prefixed list of length-prefixed views; a
+// skipped slot is a zero length and nothing else (a view is never empty: id,
+// version and four list counts alone take 32 bytes). The lengths let the
+// receiver split the message without decoding a view it may never read.
+func encodeSearchResp(answers []searchAnswer) ([]byte, error) {
 	var e transport.Encoder
-	e.Grow(searchRespSize(v))
-	if err := encodeSearchView(&e, v); err != nil {
-		return nil, err
+	size := 4
+	for _, a := range answers {
+		size += 4
+		if !a.Skipped {
+			size += searchRespSize(a.View)
+		}
+	}
+	e.Grow(size)
+	e.U32(uint32(len(answers)))
+	for _, a := range answers {
+		if a.Skipped {
+			e.U32(0)
+			continue
+		}
+		at := e.Len()
+		e.U32(0)
+		if err := encodeSearchView(&e, a.View); err != nil {
+			return nil, err
+		}
+		e.SetU32(at, uint32(e.Len()-at-4))
 	}
 	return e.Bytes(), nil
 }
 
-func decodeSearchResp(b []byte) (searchView, error) {
+// splitSearchResp cuts a can_search response into its encoded views without
+// decoding any: out[i] aliases b and answers the request's i-th sphere, nil
+// where the responder skipped it. The count is fenced by the bytes that
+// remain and every length by Decoder.Bytes, so a corrupt prefix is an error,
+// never an allocation.
+func splitSearchResp(b []byte) ([][]byte, error) {
+	d := transport.NewDecoder(b)
+	var out [][]byte
+	if n := d.Count(4); d.Err() == nil && n > 0 {
+		out = make([][]byte, n)
+		for i := range out {
+			out[i] = d.Bytes()
+		}
+	}
+	return out, d.Finish()
+}
+
+// decodeSearchSlot decodes one view cut out by splitSearchResp.
+func decodeSearchSlot(b []byte) (searchView, error) {
 	d := transport.NewDecoder(b)
 	v := decodeSearchView(d)
 	return v, d.Finish()
+}
+
+// decodeSingleView decodes a response that must hold exactly one view: the
+// answer to a one-sphere can_search or to replicate_refs.
+func decodeSingleView(b []byte) (searchView, error) {
+	slots, err := splitSearchResp(b)
+	if err != nil {
+		return searchView{}, err
+	}
+	if len(slots) != 1 || slots[0] == nil {
+		return searchView{}, fmt.Errorf("node: response carries %d views, want 1", len(slots))
+	}
+	return decodeSearchSlot(slots[0])
 }
 
 // ---- can_search_agg ----
@@ -387,7 +491,8 @@ func decodeWarmReq(b []byte) (from, level int, v searchView, err error) {
 
 // Both requests name only a level: view_version answers with the responder's
 // current state version (8 bytes — the cheap revalidation probe), and
-// replicate_refs answers with its full searchView (the hot-replica pull).
+// replicate_refs answers with its full searchView in a can_search response of
+// one view (the hot-replica pull).
 func encodeLevelReq(level int) []byte {
 	var e transport.Encoder
 	e.Int(level)

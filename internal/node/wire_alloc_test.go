@@ -45,14 +45,33 @@ func benchView(records int) searchView {
 	return v
 }
 
+// TestSearchRespDecodeAllocFence bounds both steps of reading a can_search
+// response of three views, one of them skipped: cutting it into its encoded
+// views costs the slice of slices and nothing that grows with the views, and
+// decoding one view — what a level's lookup does when it asks, the others
+// staying bytes — costs its records' boxing plus arena blocks.
 func TestSearchRespDecodeAllocFence(t *testing.T) {
 	const records = 256
-	body, err := encodeSearchResp(benchView(records))
+	body, err := encodeSearchResp([]searchAnswer{{View: benchView(records)}, {Skipped: true}, {View: benchView(records / 2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slots [][]byte
 	allocs := testing.AllocsPerRun(50, func() {
-		v, err := decodeSearchResp(body)
+		if slots, err = splitSearchResp(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("splitSearchResp of 3 views, %d bytes: %.0f allocs", len(body), allocs)
+	if allocs > 2 {
+		t.Errorf("splitSearchResp took %.0f allocs before any view was decoded, want <= 2", allocs)
+	}
+	if len(slots) != 3 || slots[0] == nil || slots[1] != nil || slots[2] == nil {
+		t.Fatalf("split into %d slots (nil: %v %v %v), want view, skipped, view",
+			len(slots), slots[0] == nil, slots[1] == nil, slots[2] == nil)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		v, err := decodeSearchSlot(slots[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +79,12 @@ func TestSearchRespDecodeAllocFence(t *testing.T) {
 			t.Fatalf("decoded %d records, want %d", len(v.Owned)+len(v.Replicas), records)
 		}
 	})
-	t.Logf("decodeSearchResp with %d records: %.0f allocs", records, allocs)
+	t.Logf("decodeSearchSlot with %d records: %.0f allocs", records, allocs)
 	// One boxing per record is structural (Entry.Payload is an interface);
 	// everything else — vectors, zone coordinates — must come from the arena.
 	// The old per-vector decode sat at >= 3x records.
 	if allocs > records+32 {
-		t.Errorf("decodeSearchResp with %d records took %.0f allocs, want <= %d (boxing + arena blocks)",
+		t.Errorf("decodeSearchSlot with %d records took %.0f allocs, want <= %d (boxing + arena blocks)",
 			records, allocs, records+32)
 	}
 }

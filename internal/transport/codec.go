@@ -29,6 +29,15 @@ func (e *Encoder) Grow(n int) {
 	}
 }
 
+// Len returns the number of bytes encoded so far: the offset the next append
+// lands at, which is what SetU32 takes.
+func (e *Encoder) Len() int { return len(e.b) }
+
+// SetU32 overwrites the uint32 at offset at — how an encoder prefixes a
+// sub-message with its length without sizing it first: reserve with U32(0),
+// append the sub-message, then set the prefix from Len.
+func (e *Encoder) SetU32(at int, v uint32) { binary.BigEndian.PutUint32(e.b[at:], v) }
+
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.b = append(e.b, v) }
 
@@ -353,6 +362,18 @@ func (d *Decoder) IntsDeltaShared() []int {
 	}
 	d.off += pos
 	return out
+}
+
+// Bytes reads a uint32 length and returns that many bytes as a slice of the
+// message itself (nil when empty) — a sub-message to be decoded later, or not
+// at all. No copy, so no allocation a corrupt length could inflate: a length
+// beyond the remaining bytes trips the sticky error.
+func (d *Decoder) Bytes() []byte {
+	n := d.seqLen(1)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	return d.take(n)[:n:n]
 }
 
 // String reads a length-prefixed string.
