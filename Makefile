@@ -49,21 +49,18 @@ bench-kernels:
 # Serving-runtime load benchmark: 64 TCP nodes, 8k mixed closed-loop
 # requests plus an open-loop latency-under-load sweep, writes
 # BENCH_serve.json (fails on any request error). The second phase repeats the
-# run on a skewed (Zipf + repeat) stream with the view cache and hot
-# replication on, appending its rows to the same artifact — the before/after
-# pair the cache's speedup claim is measured from. The skewed phases also run
-# a cache-cleared cold phase (-cold): 500 distinct first-touch queries whose
-# "cold" row carries coordinator RPCs per query — the Θ(N)-vs-delegated
-# number — so the artifact holds the serial reference, cached, and delegated
-# (can_search_agg + warm push) cold paths side by side. BENCH_CPUS pins
-# GOMAXPROCS for reproducible numbers (recorded in the artifact's env stamp).
+# run on a skewed (Zipf + repeat) stream with the view cache on, appending its
+# rows to the same artifact — the before/after pair the cache's speedup claim
+# is measured from. The uncached and cached skewed phases also run a
+# cache-cleared cold phase (-cold): 500 distinct first-touch queries whose
+# "cold" row carries coordinator RPCs per query. BENCH_CPUS pins GOMAXPROCS
+# for reproducible numbers (recorded in the artifact's env stamp).
 BENCH_CPUS ?= 0
 bench-serve:
 	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 8000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -sweep 40,80,120,160,200 -sweep-seconds 5s -out BENCH_serve.json
 	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cold 500 -append -out BENCH_serve.json
-	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cache-views -hot-replicate -cold 500 -append -out BENCH_serve.json
-	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cache-views -hot-replicate -affinity -append -out BENCH_serve.json
-	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cache-views -hot-replicate -affinity -agg-fanout 3 -warm-push 4 -cold 500 -append -out BENCH_serve.json
+	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cache-views -cold 500 -append -out BENCH_serve.json
+	$(GO) run ./cmd/hyperm-load -nodes 64 -requests 16000 -clients 32 -transport tcp -cpus $(BENCH_CPUS) -zipf 1.5 -repeat 0.5 -cache-views -affinity -append -out BENCH_serve.json
 
 # Quick serving smoke for CI: a small 8-node TCP run that fails on any
 # request error — catches transport or coordinator regressions in seconds —
@@ -71,7 +68,7 @@ bench-serve:
 # differential smoke: both must come back clean).
 bench-serve-smoke:
 	$(GO) run ./cmd/hyperm-load -nodes 8 -requests 2000 -clients 8 -transport tcp
-	$(GO) run ./cmd/hyperm-load -nodes 8 -requests 2000 -clients 8 -transport tcp -zipf 1.5 -repeat 0.5 -cache-views -hot-replicate -affinity -agg-fanout 3 -warm-push 2 -cold 200
+	$(GO) run ./cmd/hyperm-load -nodes 8 -requests 2000 -clients 8 -transport tcp -zipf 1.5 -repeat 0.5 -cache-views -affinity -cold 200
 
 # Memory-scale serving benchmark: first the flat-store layout accounting
 # (live-heap bytes/item, flat vs the parallel-slice layout it replaced) and
@@ -97,10 +94,9 @@ bench-mem-smoke:
 
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
 # the frozen pre-extraction sphere-search reference, the zone split/takeover
-# tiling invariants under random churn schedules, the first-wins merge of
-# delegated gather results against claimed-set consistency, the store_rec
-# wire round-trip (bounded-count decode: a corrupt length prefix must error,
-# never allocate), the delta-coded id sequence of range answers (round
+# tiling invariants under random churn schedules, the store_rec wire
+# round-trip (bounded-count decode: a corrupt length prefix must error, never
+# allocate), the delta-coded id sequence of range answers (round
 # trip; a corrupt count, varint or running sum must error), and both ends of
 # the can_search message (sphere list and length-prefixed view list: round
 # trip; a corrupt count, view length or trailing byte must error).
@@ -108,7 +104,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
-	$(GO) test -fuzz=FuzzDelegateMerge -fuzztime=30s ./internal/route
 	$(GO) test -fuzz=FuzzStoreRecRoundTrip -fuzztime=30s ./internal/membership
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz=FuzzSearchReqRoundTrip -fuzztime=30s ./internal/node

@@ -90,14 +90,13 @@ type ServeBenchRow struct {
 	// requests that repeat the previous request's query.
 	ZipfS      float64 `json:"zipf_s,omitempty"`
 	RepeatFrac float64 `json:"repeat_frac,omitempty"`
-	// CacheViews/CacheSize/HotReplicate record the view-cache tuning the
-	// cluster ran with, so every row names its configuration. Affinity records
-	// the client routing policy: queries hashed to a coordinator (true) vs
-	// uniformly random coordinators (false).
-	CacheViews   bool `json:"cache_views,omitempty"`
-	CacheSize    int  `json:"cache_size,omitempty"`
-	HotReplicate bool `json:"hot_replicate,omitempty"`
-	Affinity     bool `json:"affinity,omitempty"`
+	// CacheViews/CacheSize record the view-cache tuning the cluster ran with,
+	// so every row names its configuration. Affinity records the client
+	// routing policy: queries hashed to a coordinator (true) vs uniformly
+	// random coordinators (false).
+	CacheViews bool `json:"cache_views,omitempty"`
+	CacheSize  int  `json:"cache_size,omitempty"`
+	Affinity   bool `json:"affinity,omitempty"`
 	// Cache telemetry, aggregated across all nodes for this row's phase
 	// (the main run or one sweep phase). Zero when caching is off.
 	CacheHits          float64 `json:"cache_hits,omitempty"`
@@ -105,10 +104,8 @@ type ServeBenchRow struct {
 	CacheRevalidations float64 `json:"cache_revalidations,omitempty"`
 	CacheEvictions     float64 `json:"cache_evictions,omitempty"`
 	CacheEpochStale    float64 `json:"cache_epoch_stale,omitempty"`
-	ReplicaHits        float64 `json:"replica_hits,omitempty"`
 	// CacheHitRate is the fraction of cache-mediated view probes served
-	// without a full can_search fetch: (hits + replica hits + revalidation
-	// reuses) over all probes.
+	// without any RPC: same-epoch hits over all probes.
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 	// PathHits/PathMisses count whole level searches served from the lookup
 	// memo (no machine run, no view probes at all) vs run live;
@@ -135,25 +132,11 @@ type ServeBenchRow struct {
 	// toward zero.
 	FetchHitRate  float64 `json:"fetch_hit_rate,omitempty"`
 	FetchPerQuery float64 `json:"fetch_per_query,omitempty"`
-	// AggFanout/AggDepth/WarmPush record the delegation tuning the cluster
-	// ran with (0 = serial reference, no can_search_agg).
-	AggFanout int `json:"agg_fanout,omitempty"`
-	AggDepth  int `json:"agg_depth,omitempty"`
-	WarmPush  int `json:"warm_push,omitempty"`
 	// CoordPerQuery is the mean number of lookup-coordinator RPCs per request
 	// in this row's phase — can_search RPCs sent (messages, not views: an
 	// uncached query asks a peer about all of its levels in one, so this is
-	// below the row's overlay hops) + can_search_agg delegations + version
-	// probes, the budget the delegation tentpole collapses from Θ(N).
-	// AggPerQuery is the delegation share of it, and GatheredPerQuery the
-	// mean number of piggybacked views those delegations returned.
-	CoordPerQuery    float64 `json:"coord_per_query,omitempty"`
-	AggPerQuery      float64 `json:"agg_per_query,omitempty"`
-	GatheredPerQuery float64 `json:"gathered_per_query,omitempty"`
-	// WarmPushes/WarmInstalls count proactive warm_views pushes sent and
-	// installed cluster-wide during this row's phase.
-	WarmPushes   float64 `json:"warm_pushes,omitempty"`
-	WarmInstalls float64 `json:"warm_installs,omitempty"`
+	// below the row's overlay hops) + version probes.
+	CoordPerQuery float64 `json:"coord_per_query,omitempty"`
 	// StreamPublish/ReclusterEvery record the incremental-publish tuning the
 	// cluster ran with; PublishRate is the offered rate of the -publish-rate
 	// open-loop ingest driver (its completions are the "ingest" row).
@@ -264,12 +247,8 @@ func run() int {
 	repeatFrac := flag.Float64("repeat", 0, "fraction of requests repeating the previous request's query")
 	cacheViews := flag.Bool("cache-views", false, "enable the per-node view cache on the lookup path")
 	cacheSize := flag.Int("cache-size", 0, "view-cache capacity per level (0 = node default)")
-	hotReplicate := flag.Bool("hot-replicate", false, "pull and pin hot nodes' views on demand (implies -cache-views)")
-	aggFanout := flag.Int("agg-fanout", 0, "delegate flood regions via can_search_agg, sub-delegating to this many frontier claims (0 = off, serial reference)")
-	aggDepth := flag.Int("agg-depth", 0, "recursive sub-delegation depth budget (0 = default when -agg-fanout is set)")
-	warmPush := flag.Int("warm-push", 0, "after churn epochs, push refreshed views to up to this many recent delegation requesters per node (0 = off)")
 	affinity := flag.Bool("affinity", false, "route each query to a coordinator chosen by query hash so repeats land on warm caches (publishes stay random)")
-	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish instead of stale summaries (incompatible with -agg-fanout)")
+	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish instead of stale summaries")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster a node's levels after this many streamed inserts (0 = never)")
 	publishRate := flag.Float64("publish-rate", 0, "open-loop publish ingest in items/s running alongside the query load, reported as an 'ingest' row (0 = off)")
 	cold := flag.Int("cold", 0, "after the main run and sweeps, clear every node's caches and issue this many distinct first-touch queries, reported as a 'cold' row")
@@ -292,13 +271,6 @@ func run() int {
 	}
 	if *repeatFrac < 0 || *repeatFrac >= 1 {
 		fmt.Fprintln(os.Stderr, "hyperm-load: -repeat must be in [0,1)")
-		return 2
-	}
-	if *hotReplicate {
-		*cacheViews = true
-	}
-	if *streamPublish && *aggFanout > 0 {
-		fmt.Fprintln(os.Stderr, "hyperm-load: -stream-publish is incompatible with -agg-fanout (delegated view pools are not revalidated against record churn)")
 		return 2
 	}
 	if *publishRate < 0 {
@@ -350,10 +322,6 @@ func run() int {
 		Alpha:          *alpha,
 		CacheViews:     *cacheViews,
 		CacheSize:      *cacheSize,
-		HotReplicate:   *hotReplicate,
-		AggFanout:      *aggFanout,
-		AggDepth:       *aggDepth,
-		WarmPush:       *warmPush,
 		StreamPublish:  *streamPublish,
 		ReclusterEvery: *reclusterEvery,
 	}
@@ -423,8 +391,7 @@ func run() int {
 	// Query sequence: request i's query index, drawn up front so the stream is
 	// deterministic regardless of which client issues which request. Zipf skew
 	// (rank 0 = hottest center) and repeat-previous model the popularity
-	// locality of real query streams — the demand signal the view cache and
-	// hot replication exploit.
+	// locality of real query streams — the demand signal the caches exploit.
 	const querySeqLen = 1 << 16
 	queryIdx := make([]int, querySeqLen)
 	qrng := rand.New(rand.NewSource(*seed + 13))
@@ -474,17 +441,12 @@ func run() int {
 	if *cacheViews && effCacheSize == 0 {
 		effCacheSize = node.DefaultCacheSize
 	}
-	effAggDepth := *aggDepth
-	if *aggFanout > 0 && effAggDepth == 0 {
-		effAggDepth = node.DefaultAggDepth
-	}
 	// decorate stamps a row with the workload/tuning configuration and, when
 	// phase counters are given, the cache telemetry of that row's phase.
 	decorate := func(row *ServeBenchRow, cc map[string]float64, queries int) {
 		row.ZipfS, row.RepeatFrac = *zipfS, *repeatFrac
-		row.CacheViews, row.CacheSize, row.HotReplicate = *cacheViews, effCacheSize, *hotReplicate
+		row.CacheViews, row.CacheSize = *cacheViews, effCacheSize
 		row.Affinity = *affinity
-		row.AggFanout, row.AggDepth, row.WarmPush = *aggFanout, effAggDepth, *warmPush
 		row.StreamPublish, row.PublishRate = *streamPublish, *publishRate
 		if *streamPublish {
 			row.ReclusterEvery = *reclusterEvery
@@ -500,11 +462,9 @@ func run() int {
 		row.CacheRevalidations = cc["cache.revalidate"]
 		row.CacheEvictions = cc["cache.evict"]
 		row.CacheEpochStale = cc["cache.stale"]
-		row.ReplicaHits = cc["cache.replica_hit"]
-		probes := cc["cache.hit"] + cc["cache.replica_hit"] + cc["cache.revalidate_ok"] +
-			cc["cache.revalidate_stale"] + cc["cache.miss"]
+		probes := cc["cache.hit"] + cc["cache.revalidate_ok"] + cc["cache.revalidate_stale"] + cc["cache.miss"]
 		if probes > 0 {
-			row.CacheHitRate = (cc["cache.hit"] + cc["cache.replica_hit"]) / probes
+			row.CacheHitRate = cc["cache.hit"] / probes
 		}
 		row.PathHits = cc["cache.path_hit"]
 		row.PathMisses = cc["cache.path_miss"]
@@ -525,12 +485,8 @@ func run() int {
 			row.FetchPerQuery = fetchRPC / float64(queries)
 		}
 		if queries > 0 {
-			row.CoordPerQuery = (cc["coord.can_search"] + cc["coord.agg"] + cc["coord.view_version"]) / float64(queries)
-			row.AggPerQuery = cc["coord.agg"] / float64(queries)
-			row.GatheredPerQuery = cc["agg.gathered_views"] / float64(queries)
+			row.CoordPerQuery = (cc["coord.can_search"] + cc["coord.view_version"]) / float64(queries)
 		}
-		row.WarmPushes = cc["warm.push"]
-		row.WarmInstalls = cc["warm.install"]
 	}
 
 	// The churn driver: every -churn interval, join a fresh node through
@@ -986,8 +942,8 @@ func run() int {
 	// Cold phase: clear every node's caches — view cache, lookup memo, fetch
 	// memos, client fetch cache — then issue -cold distinct never-repeated
 	// queries closed-loop. Every lookup is a first touch, so the row's
-	// CoordPerQuery is the Θ(N)-vs-delegated number the can_search_agg
-	// tentpole targets, measured on the same cluster as the warm rows.
+	// CoordPerQuery is the Θ(N) first-touch cost, measured on the same cluster
+	// as the warm rows.
 	coldErrs := 0
 	if *cold > 0 {
 		for _, nd := range cl.Nodes {
@@ -1065,8 +1021,7 @@ func run() int {
 			row.QPS = float64(*cold) / coldSecs
 		}
 		decorate(&row, ccDelta(), *cold)
-		fmt.Printf("hyperm-load: cold path: %.2f coordinator RPCs/query (can_search+agg+version), %.2f delegations/query, %.2f gathered views/query\n",
-			row.CoordPerQuery, row.AggPerQuery, row.GatheredPerQuery)
+		fmt.Printf("hyperm-load: cold path: %.2f coordinator RPCs/query (can_search+version)\n", row.CoordPerQuery)
 		rows = append(rows, row)
 	}
 
@@ -1080,22 +1035,12 @@ func run() int {
 	cacheDesc := "off"
 	if *cacheViews {
 		cacheDesc = fmt.Sprintf("%d/level", effCacheSize)
-		if *hotReplicate {
-			cacheDesc += "+hot"
-		}
-	}
-	aggDesc := "off"
-	if *aggFanout > 0 {
-		aggDesc = fmt.Sprintf("fanout=%d depth=%d", *aggFanout, effAggDepth)
-		if *warmPush > 0 {
-			aggDesc += fmt.Sprintf(" warm=%d", *warmPush)
-		}
 	}
 	if *affinity {
 		workload += "+affinity"
 	}
-	fmt.Printf("\nServing throughput — %d requests, %d clients, %d nodes, %s transport, alpha=%d, queries=%s, cache=%s, agg=%s\n",
-		*requests, *clients, *nodes, *transportName, effAlpha, workload, cacheDesc, aggDesc)
+	fmt.Printf("\nServing throughput — %d requests, %d clients, %d nodes, %s transport, alpha=%d, queries=%s, cache=%s\n",
+		*requests, *clients, *nodes, *transportName, effAlpha, workload, cacheDesc)
 	fmt.Printf("%-8s %-9s %-9s %-7s %-10s %-9s %-9s %-9s\n", "op", "offered", "requests", "errors", "qps", "p50_ms", "p95_ms", "p99_ms")
 	for _, r := range rows {
 		if r.Op == "availability" {
@@ -1134,11 +1079,11 @@ func run() int {
 				allRow = &rows[i]
 			}
 		}
-		fmt.Printf("\ncache: hits=%.0f replica_hits=%.0f misses=%.0f reval=%.0f (ok=%.0f ver_stale=%.0f) "+
-			"evict=%.0f neg_hits=%.0f pins=%.0f pulls=%.0f hit-rate=%.1f%% can_search/query=%.2f\n",
-			cc["cache.hit"], cc["cache.replica_hit"], cc["cache.miss"], cc["cache.revalidate"],
+		fmt.Printf("\ncache: hits=%.0f misses=%.0f reval=%.0f (ok=%.0f ver_stale=%.0f) "+
+			"evict=%.0f neg_hits=%.0f hit-rate=%.1f%% can_search/query=%.2f\n",
+			cc["cache.hit"], cc["cache.miss"], cc["cache.revalidate"],
 			cc["cache.revalidate_ok"], cc["cache.revalidate_stale"], cc["cache.evict"], cc["cache.neg_hit"],
-			cc["cache.pin"], cc["cache.replicate_pull"], 100*allRow.CacheHitRate, allRow.CanSearchPerQuery)
+			100*allRow.CacheHitRate, allRow.CanSearchPerQuery)
 		fmt.Printf("lookup-memo: hits=%.0f misses=%.0f hit-rate=%.1f%%\n",
 			allRow.PathHits, allRow.PathMisses, 100*allRow.LookupHitRate)
 		fmt.Printf("fetch: local_hits=%.0f holder_memo_hits=%.0f invalidations=%.0f "+

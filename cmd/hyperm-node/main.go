@@ -91,18 +91,11 @@ func run() int {
 	alpha := flag.Int("alpha", 0, "concurrent can_search probes per lookup step (0 = default, 1 = serial)")
 	cacheViews := flag.Bool("cache-views", false, "cache peers' can_search views with churn-epoch invalidation")
 	cacheSize := flag.Int("cache-size", 0, "view-cache capacity per level (0 = default)")
-	hotReplicate := flag.Bool("hot-replicate", false, "pull and pin hot peers' views on demand (implies -cache-views)")
-	aggFanout := flag.Int("agg-fanout", 0, "delegate flood regions via can_search_agg, sub-delegating to this many frontier claims (0 = off, serial reference)")
-	aggDepth := flag.Int("agg-depth", 0, "recursive sub-delegation depth budget (0 = default when -agg-fanout is set)")
-	warmPush := flag.Int("warm-push", 0, "after churn epochs, push this node's refreshed view to up to this many recent delegation requesters (0 = off)")
-	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish (incompatible with -agg-fanout)")
+	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
 	publishRate := flag.Float64("publish-rate", 0, "self-ingest jittered workload items into this node at this rate (items/s) until shutdown; 0 disables")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	flag.Parse()
-	if *hotReplicate {
-		*cacheViews = true
-	}
 	if *configPath == "" {
 		fmt.Fprintln(os.Stderr, "hyperm-node: -config is required")
 		flag.Usage()
@@ -188,10 +181,6 @@ func run() int {
 			Alpha:          *alpha,
 			CacheViews:     *cacheViews,
 			CacheSize:      *cacheSize,
-			HotReplicate:   *hotReplicate,
-			AggFanout:      *aggFanout,
-			AggDepth:       *aggDepth,
-			WarmPush:       *warmPush,
 			StreamPublish:  *streamPublish,
 			ReclusterEvery: *reclusterEvery,
 		},

@@ -7,13 +7,30 @@ import (
 	"testing"
 	"time"
 
+	"hyperm/internal/overlay"
 	"hyperm/internal/route"
 )
 
 // Differential tests for the α-parallel search driver: route.RunAlpha must
-// return byte-identical entries and hops to the serial route.Run on every
+// return byte-identical entries and hops to a serial Next/Feed drive on every
 // topology the simulator can reach — the determinism contract the serving
 // coordinator relies on when it turns α up.
+
+// runSerial is the serial reference drive, pumped here and not through
+// RunAlpha(α=1) so the differential compares Next against NextBatch.
+func runSerial(s *route.Search, src route.ViewSource) ([]overlay.Entry, int, error) {
+	for {
+		step, err := s.Next()
+		if err != nil || step.Kind == route.StepDone {
+			return s.Results(), s.Hops(), err
+		}
+		v, err := src.View(step.To)
+		if err != nil {
+			return nil, s.Hops(), err
+		}
+		s.Feed(v, 1)
+	}
+}
 
 // overlayViews adapts a live overlay into a concurrency-safe route.ViewSource
 // (liveView is a pure read of overlay state).
@@ -42,8 +59,8 @@ func (s *jitterViews) View(id int) (route.NodeView, error) {
 
 // TestRunAlphaMatchesSerial runs many random topologies/queries through the
 // serial driver and through RunAlpha at α ∈ {1, 2, 3, 8}, requiring
-// byte-identical entries (order included) and identical hop counts. α=1 must
-// take the serial path exactly; α>1 exercises batched frontier claims.
+// byte-identical entries (order included) and identical hop counts. α=1 runs
+// NextBatch one claim at a time; α>1 exercises batched frontier claims.
 func TestRunAlphaMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -59,9 +76,9 @@ func TestRunAlphaMatchesSerial(t *testing.T) {
 			mk := func() *route.Search {
 				return route.NewSearch(o.liveView(o.nodes[from]), key, radius, o.hopLimit())
 			}
-			wantEntries, wantHops, err := route.Run(mk(), src)
+			wantEntries, wantHops, err := runSerial(mk(), src)
 			if err != nil {
-				t.Fatalf("seed %d: serial Run: %v", seed, err)
+				t.Fatalf("seed %d: serial drive: %v", seed, err)
 			}
 			for _, alpha := range []int{1, 2, 3, 8} {
 				gotEntries, gotHops, err := route.RunAlpha(mk(), src, alpha)
@@ -98,9 +115,9 @@ func TestRunAlphaCommutesUnderJitter(t *testing.T) {
 			mk := func() *route.Search {
 				return route.NewSearch(o.liveView(o.nodes[from]), key, radius, o.hopLimit())
 			}
-			wantEntries, wantHops, err := route.Run(mk(), src)
+			wantEntries, wantHops, err := runSerial(mk(), src)
 			if err != nil {
-				t.Fatalf("seed %d: serial Run: %v", seed, err)
+				t.Fatalf("seed %d: serial drive: %v", seed, err)
 			}
 			gotEntries, gotHops, err := route.RunAlpha(mk(), jit, 3)
 			if err != nil {

@@ -113,9 +113,6 @@ type Manager struct {
 	// (its own mutations plus neighbor-table changes seen in probe
 	// responses); view caches trust entries only within their fetch epoch.
 	epochs []uint64
-	// epochHook, when set (SetEpochHook), is invoked under mu on every
-	// epoch advance — the proactive-warming trigger.
-	epochHook func(level int)
 
 	probeMu   sync.Mutex
 	probeStop chan struct{}
@@ -346,21 +343,11 @@ func (m *Manager) Epoch(level int) uint64 {
 	return m.epochs[level]
 }
 
-// SetEpochHook registers a callback invoked on every churn-epoch advance at
-// a level — the trigger proactive cache warmers key off. The hook runs with
-// the manager's write lock held, so it must not block or call back into the
-// manager (implementations hand off to a goroutine, e.g. via a non-blocking
-// channel send). It must be set before the manager serves RPCs or probes.
-func (m *Manager) SetEpochHook(fn func(level int)) { m.epochHook = fn }
-
 // bumpLocked records a mutation of this node's own level-l state: both the
 // revalidation version and the observed-churn epoch advance. Callers hold mu.
 func (m *Manager) bumpLocked(level int) {
 	m.versions[level]++
 	m.epochs[level]++
-	if m.epochHook != nil {
-		m.epochHook(level)
-	}
 }
 
 // bumpVersionLocked records a record-store mutation that is not churn: the
@@ -378,9 +365,6 @@ func (m *Manager) bumpVersionLocked(level int) {
 // caches revalidate while remote caches of *this* node's view stay valid.
 func (m *Manager) observeLocked(level int) {
 	m.epochs[level]++
-	if m.epochHook != nil {
-		m.epochHook(level)
-	}
 }
 
 // ---- RPC dispatch ----

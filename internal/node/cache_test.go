@@ -96,10 +96,10 @@ func epochSnapshot(nd *node.Node, levels int) []uint64 {
 }
 
 // TestCacheDifferential sweeps seeded churned topologies and proves the core
-// invariant of the view cache: with caching (and hot replication) on, every
-// range and k-nn answer is byte-identical to the in-process oracle — on a
-// cold cache, on a warm cache, and after live mid-stream churn — and the warm
-// pass issues zero can_search RPCs (every view probe served from cache).
+// invariant of the view cache: with caching on, every range and k-nn answer
+// is byte-identical to the in-process oracle — on a cold cache, on a warm
+// cache, and after live mid-stream churn — and the warm pass issues zero
+// can_search RPCs (every view probe served from cache).
 func TestCacheDifferential(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -109,17 +109,16 @@ func TestCacheDifferential(t *testing.T) {
 		seed := int64(s + 1)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runServeDifferential(t, seed, node.Tuning{CacheViews: true, HotReplicate: true, HotThreshold: 2})
+			runCacheDifferential(t, seed)
 		})
 	}
 }
 
-// runServeDifferential drives the churned-topology differential for one
-// serving configuration: cold, warm, publish-interleaved, and post-churn
-// passes must all answer byte-identically to the oracle. Cache-coherence
-// counter assertions apply when the tuning caches; delegation assertions
-// when it delegates.
-func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
+// runCacheDifferential drives the churned-topology differential for one
+// seed: cold, warm, publish-interleaved, and post-churn passes must all
+// answer byte-identically to the oracle, with the cache-coherence counters
+// showing the cache did the work.
+func runCacheDifferential(t *testing.T, seed int64) {
 	params := cacheParams(seed)
 	sys, err := experiments.BuildMarkovSystem(params)
 	if err != nil {
@@ -150,7 +149,7 @@ func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
 	tr := transport.NewChan()
 	defer tr.Close()
 	cl, err := node.StartClusterTuned(sys, tr, func(int) string { return "" },
-		transport.Policy{Timeout: 30e9}, membership.Options{}, tuning)
+		transport.Policy{Timeout: 30e9}, membership.Options{}, node.Tuning{CacheViews: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,26 +197,14 @@ func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
 	// touching the view cache.
 	before := sumCounter(cl, "rpc.can_search")
 	check("warm", founders)
-	if tuning.CacheViews {
-		if delta := sumCounter(cl, "rpc.can_search") - before; delta != 0 {
-			t.Errorf("warm pass issued %v can_search RPCs, want 0 (all views cached)", delta)
-		}
-		if hits := sumCounter(cl, "cache.hit") + sumCounter(cl, "cache.replica_hit"); hits == 0 {
-			t.Error("warm pass recorded no cache hits")
-		}
-		if sumCounter(cl, "cache.path_hit") == 0 {
-			t.Error("warm pass recorded no lookup-memo hits for repeat spheres")
-		}
+	if delta := sumCounter(cl, "rpc.can_search") - before; delta != 0 {
+		t.Errorf("warm pass issued %v can_search RPCs, want 0 (all views cached)", delta)
 	}
-	if tuning.AggFanout > 0 {
-		// Delegation actually engaged: the cold pass handed flood regions to
-		// delegates and replayed their piggybacked pools.
-		if sumCounter(cl, "coord.agg") == 0 {
-			t.Error("delegated tuning never issued a can_search_agg")
-		}
-		if sumCounter(cl, "agg.pool_hit") == 0 {
-			t.Error("delegated lookups never resolved a view from the gathered pool")
-		}
+	if sumCounter(cl, "cache.hit") == 0 {
+		t.Error("warm pass recorded no cache hits")
+	}
+	if sumCounter(cl, "cache.path_hit") == 0 {
+		t.Error("warm pass recorded no lookup-memo hits for repeat spheres")
 	}
 
 	// Publish-interleaved passes: post-insert items near the query centers at
@@ -252,13 +239,11 @@ func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
 		nextID++
 		check(fmt.Sprintf("post-publish-%d", pi), founders)
 	}
-	if tuning.CacheViews {
-		if sumCounter(cl, "cache.fetch_local_hit") == fetchHits {
-			t.Error("publish-interleaved passes never hit the coordinator fetch memo")
-		}
-		if sumCounter(cl, "cache.fetch_inval") == 0 {
-			t.Error("publishes notified no fetch-cache subscribers")
-		}
+	if sumCounter(cl, "cache.fetch_local_hit") == fetchHits {
+		t.Error("publish-interleaved passes never hit the coordinator fetch memo")
+	}
+	if sumCounter(cl, "cache.fetch_inval") == 0 {
+		t.Error("publishes notified no fetch-cache subscribers")
 	}
 
 	// Live mid-stream churn: one protocol join and one graceful leave against
@@ -309,10 +294,8 @@ func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
 	if len(observers) > 0 {
 		reval := sumCounter(cl, "cache.revalidate")
 		check("post-churn", observers)
-		if tuning.CacheViews {
-			if d := sumCounter(cl, "cache.revalidate") - reval; d == 0 {
-				t.Error("post-churn queries trusted stale views: no revalidations recorded")
-			}
+		if d := sumCounter(cl, "cache.revalidate") - reval; d == 0 {
+			t.Error("post-churn queries trusted stale views: no revalidations recorded")
 		}
 	}
 }
@@ -324,10 +307,6 @@ func runServeDifferential(t *testing.T, seed int64, tuning node.Tuning) {
 // the same crash — and must have revalidated its stale cached views (counter
 // assertion: epochs advanced, so not one pre-crash view may be trusted as-is).
 func TestCacheTakeoverMidStream(t *testing.T) {
-	runTakeoverMidStream(t, node.Tuning{CacheViews: true})
-}
-
-func runTakeoverMidStream(t *testing.T, tuning node.Tuning) {
 	params := experiments.Params{Peers: 8, ItemsPerPeer: 30, Dim: 32, Levels: 3, ClustersPerPeer: 4, Seed: 7}
 	sys, err := experiments.BuildMarkovSystem(params)
 	if err != nil {
@@ -343,7 +322,7 @@ func runTakeoverMidStream(t *testing.T, tuning node.Tuning) {
 		FailAfter:     2,
 	}
 	cl, err := node.StartClusterTuned(sys, tr, func(int) string { return "" },
-		transport.Policy{Timeout: 30e9}, mopts, tuning)
+		transport.Policy{Timeout: 30e9}, mopts, node.Tuning{CacheViews: true})
 	if err != nil {
 		t.Fatal(err)
 	}

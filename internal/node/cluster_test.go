@@ -2,8 +2,11 @@ package node_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hyperm/internal/core"
@@ -245,5 +248,51 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if _, err := node.ExtractSnapshot(sys2, 0); err == nil {
 		t.Fatal("snapshot without bounds succeeded")
+	}
+}
+
+// TestUnknownMethodsAreRefusedUncounted: a method name is a peer's bytes, so
+// it may not become a counter key until it is recognised — otherwise any peer
+// grows the counter map without bound. Junk names and the three methods a
+// not-yet-upgraded peer may still send (removed with delegated aggregation)
+// all come back as the same classified refusal and count as rpc.unknown.
+func TestUnknownMethodsAreRefusedUncounted(t *testing.T) {
+	for _, tc := range clusterTransports() {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := buildPublishedSystem(t)
+			tr := tc.mk()
+			defer tr.Close()
+			cl, err := node.StartClusterTuned(sys, tr, tc.listen, transport.Policy{Timeout: 30e9}, membership.Options{}, node.Tuning{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Stop()
+			raw := transport.NewClient(tr, transport.Policy{Timeout: 30e9})
+			ctx := context.Background()
+			call := func(method string) {
+				t.Helper()
+				_, err := raw.Call(ctx, cl.Addrs[0], transport.Request{Method: method, Body: []byte{1, 2, 3}})
+				var remote *transport.RemoteError
+				if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown method") {
+					t.Fatalf("method %q: err = %v, want a remote unknown-method refusal", method, err)
+				}
+			}
+
+			call("bogus")
+			before := cl.Nodes[0].Counters()
+			for i := 0; i < 1000; i++ {
+				call(fmt.Sprintf("bogus-%d", i))
+			}
+			after := cl.Nodes[0].Counters()
+			if len(after) != len(before) {
+				t.Errorf("1000 distinct unknown methods grew the counter map from %d to %d keys", len(before), len(after))
+			}
+			for _, method := range []string{"can_search_agg", "warm_views", "replicate_refs"} {
+				call(method)
+			}
+			if got := cl.Nodes[0].Counters()["rpc.unknown"]; got != 1004 {
+				t.Errorf("rpc.unknown = %v, want 1004", got)
+			}
+		})
 	}
 }

@@ -293,3 +293,22 @@ func (n *Node) broadcastInvalidate(items [][]float64) {
 	}
 	n.subsMu.Unlock()
 }
+
+// ClearCaches drops every warm artifact this node holds — view cache,
+// lookup memos, holder- and coordinator-side fetch memos — returning it to
+// the cold-start state. The bench harness's cold phase uses it to measure
+// first-touch cost on an otherwise warm, quiesced cluster; not intended to
+// run concurrently with queries this node is coordinating.
+func (n *Node) ClearCaches() {
+	if n.cache != nil {
+		n.cache.Clear()
+	}
+	n.fetchMu.Lock()
+	n.fetchMemo = nil
+	n.fetchGen++
+	n.fetchMu.Unlock()
+	n.cliMu.Lock()
+	n.cliFetch = nil
+	n.cliCount = 0
+	n.cliMu.Unlock()
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hyperm/internal/can"
 	"hyperm/internal/core"
@@ -46,10 +45,6 @@ const DefaultAlpha = 3
 // is on and no size is given.
 const DefaultCacheSize = 1024
 
-// DefaultHotThreshold is the windowed fetch-hit count that marks a node hot
-// when Tuning.HotReplicate is on and no threshold is given.
-const DefaultHotThreshold = 16
-
 // Tuning bounds the coordinator's parallelism and caching. Every knob
 // preserves byte-identical answers (the concurrency never reaches the result
 // — see route.RunAlpha and core.Engine.SetParallelism — and cached views are
@@ -71,47 +66,19 @@ type Tuning struct {
 	// churn-epoch invalidation: cached hops skip the RPC entirely, stale
 	// entries are revalidated with a view_version check, never trusted.
 	CacheViews bool
-	// CacheSize bounds the unpinned entries cached per level.
+	// CacheSize bounds the entries cached per level.
 	// 0 → 1024. Only meaningful with CacheViews.
 	CacheSize int
-	// HotReplicate enables demand-driven replication: nodes whose records
-	// keep satisfying this coordinator's queries are pulled whole
-	// (replicate_refs) and pinned in the cache, so floods terminate at the
-	// replica. Requires CacheViews.
-	HotReplicate bool
-	// HotThreshold is the windowed fetch-hit count that marks a node hot.
-	// 0 → 16. Only meaningful with HotReplicate.
-	HotThreshold int
-	// AggFanout enables delegated flood aggregation (can_search_agg): the
-	// coordinator hands whole flood regions to the first node contacted in
-	// each, which gathers the region's views locally — sub-delegating up to
-	// AggFanout of its own frontier claims — and piggybacks them back in one
-	// response. Kills the Θ(N) coordinator-side first-touch cost; answers
-	// stay byte-identical (delegation only changes who fetches views, the
-	// coordinator replays the same serial machine over the gathered pool —
-	// see delegate.go and DESIGN.md §13). 0 → off (frozen reference).
-	AggFanout int
-	// AggDepth bounds recursive sub-delegation. 0 → 2 when AggFanout is on.
-	AggDepth int
-	// WarmPush enables proactive view warming: after a churn epoch this node
-	// pushes its refreshed view to up to WarmPush recent delegation
-	// requesters, pre-healing their caches before the next cold query (which
-	// puts the pushed copy to use after a view_version match, see handleWarm).
-	// 0 → off.
-	WarmPush int
 	// StreamPublish enables streaming incremental publish: Publish runs the
 	// core stream kernel (absorb/grow/split, periodic re-cluster) against the
 	// published summaries and announces the O(changed clusters) record deltas
 	// as store_rec RPCs — routed to each record's owner and flooded across its
 	// sphere — so the overlay stays fresh instead of degrading like Fig 10c.
 	// Changes the answer by design (fresher summaries), byte-identically to
-	// the simulator's StreamInsert oracle. Incompatible with AggFanout: record
-	// churn bumps only view versions, and the delegated-aggregation pool has
-	// no per-view revalidation step.
+	// the simulator's StreamInsert oracle.
 	StreamPublish bool
-	// GrowSlack and ReclusterEvery forward to core.StreamTuning (0 →
-	// kernel defaults). Only meaningful with StreamPublish.
-	GrowSlack      float64
+	// ReclusterEvery forwards to core.StreamTuning (0 → kernel default).
+	// Only meaningful with StreamPublish.
 	ReclusterEvery int
 }
 
@@ -127,12 +94,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.CacheViews && t.CacheSize == 0 {
 		t.CacheSize = DefaultCacheSize
-	}
-	if t.HotReplicate && t.HotThreshold == 0 {
-		t.HotThreshold = DefaultHotThreshold
-	}
-	if t.AggFanout > 0 && t.AggDepth == 0 {
-		t.AggDepth = DefaultAggDepth
 	}
 	return t
 }
@@ -203,17 +164,6 @@ type Node struct {
 
 	subsMu    sync.Mutex
 	fetchSubs map[int]struct{}
-
-	// Proactive warming state (Tuning.WarmPush > 0; see delegate.go):
-	// recent can_search_agg requesters and the per-level dirty flags the
-	// membership epoch hook sets for the warm loop to drain.
-	warmMu     sync.Mutex
-	warmPeers  map[int]uint64
-	warmSeq    uint64
-	warmDirty  []atomic.Bool
-	warmNotify chan struct{}
-	warmStop   chan struct{}
-	warmWG     sync.WaitGroup
 }
 
 // fetchMemoCap bounds the fetch memo; on overflow the whole memo resets
@@ -306,9 +256,6 @@ func New(cfg Config) (*Node, error) {
 		pubSeqs:   snap.PubSeqs,
 		tuning:    cfg.Tuning.withDefaults(),
 	}
-	if n.tuning.StreamPublish && n.tuning.AggFanout > 0 {
-		return nil, fmt.Errorf("node: StreamPublish is incompatible with AggFanout (delegated view pools are not revalidated against record churn)")
-	}
 	if n.tuning.StreamPublish {
 		n.mappers = core.BuildKeyMappers(snap.Bounds)
 	}
@@ -326,23 +273,10 @@ func New(cfg Config) (*Node, error) {
 	engine.SetParallelism(n.tuning.LevelFanout, n.tuning.FetchFanout)
 	n.engine = engine
 	if n.tuning.CacheViews {
-		hot := 0
-		if n.tuning.HotReplicate {
-			hot = n.tuning.HotThreshold
-		}
 		n.cache = viewcache.New(snap.Config.Levels, viewcache.Options{
-			Capacity:     n.tuning.CacheSize,
-			HotThreshold: hot,
-			Counters:     &n.counters,
+			Capacity: n.tuning.CacheSize,
+			Counters: &n.counters,
 		})
-	}
-	if n.tuning.WarmPush > 0 {
-		n.warmDirty = make([]atomic.Bool, snap.Config.Levels)
-		n.warmNotify = make(chan struct{}, 1)
-		n.warmStop = make(chan struct{})
-		// The hook runs under the manager's state lock: onEpochBump only
-		// flips an atomic and nudges the warm loop.
-		n.mgr.SetEpochHook(n.onEpochBump)
 	}
 	return n, nil
 }
@@ -369,10 +303,6 @@ func (n *Node) Start() error {
 	n.srv = srv
 	n.mgr.SetSelfAddr(srv.Addr())
 	n.mgr.StartProbing()
-	if n.tuning.WarmPush > 0 {
-		n.warmWG.Add(1)
-		go n.warmLoop()
-	}
 	return nil
 }
 
@@ -422,12 +352,6 @@ func (n *Node) Stop() error {
 	n.srvMu.Unlock()
 	if srv == nil {
 		return nil
-	}
-	if n.warmStop != nil {
-		// First Stop with a live server: the warm loop is running (Start
-		// launched it) and this path runs at most once, so the close is safe.
-		close(n.warmStop)
-		n.warmWG.Wait()
 	}
 	return srv.Close()
 }
@@ -590,8 +514,13 @@ func remoteErr(err error) error {
 	return err
 }
 
-// handle dispatches one RPC.
+// handle dispatches one RPC. The method name is a peer's bytes: it becomes a
+// counter key only once recognised, so junk names cannot grow the counter map.
 func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Response, error) {
+	if !isMethod(req.Method) && !membership.IsMethod(req.Method) {
+		n.count("rpc.unknown")
+		return transport.Response{}, fmt.Errorf("node: unknown method %q", req.Method)
+	}
 	n.count("rpc." + req.Method)
 	switch req.Method {
 	case methodRange:
@@ -639,12 +568,6 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	case methodCanSearch:
 		return n.handleSearch(req.Body)
 
-	case methodCanSearchAgg:
-		return n.handleAgg(ctx, req.Body)
-
-	case methodWarmViews:
-		return n.handleWarm(req.Body)
-
 	case methodViewVersion:
 		level, err := decodeLevelReq(req.Body)
 		if err != nil {
@@ -654,20 +577,6 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 			return transport.Response{}, fmt.Errorf("node: no level %d", level)
 		}
 		return transport.Response{Body: encodeVersionResp(n.mgr.Version(level))}, nil
-
-	case methodReplicate:
-		level, err := decodeLevelReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		if level < 0 || level >= n.mgr.NumLevels() {
-			return transport.Response{}, fmt.Errorf("node: no level %d", level)
-		}
-		body, err := encodeSearchResp([]searchAnswer{{View: n.localFullView(level)}})
-		if err != nil {
-			return transport.Response{}, err
-		}
-		return transport.Response{Body: body}, nil
 
 	case methodFetchSub:
 		peer, err := decodePeerReq(req.Body)
@@ -723,15 +632,12 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		}
 		return transport.Response{Body: body}, nil
 
-	default:
-		if membership.IsMethod(req.Method) {
-			body, err := n.mgr.HandleRPC(ctx, req.Method, req.Body)
-			if err != nil {
-				return transport.Response{}, err
-			}
-			return transport.Response{Body: body}, nil
+	default: // membership.IsMethod held above
+		body, err := n.mgr.HandleRPC(ctx, req.Method, req.Body)
+		if err != nil {
+			return transport.Response{}, err
 		}
-		return transport.Response{}, fmt.Errorf("node: unknown method %q", req.Method)
+		return transport.Response{Body: body}, nil
 	}
 }
 
@@ -787,8 +693,8 @@ func (n *Node) localView(level int, key []float64, radius float64) searchView {
 }
 
 // localFullView is localView without the sphere filter: the complete record
-// stores, what cache fills (can_search with the full flag) and hot-replica pulls
-// (replicate_refs) return so the cached copy can answer any later sphere.
+// stores, what a cache fill (can_search with the full flag) returns so the
+// cached copy can answer any later sphere.
 func (n *Node) localFullView(level int) searchView {
 	zones, nbs, owned, replicas, ver := n.mgr.SearchView(level, nil)
 	return searchView{ID: n.peer, Version: ver, Zones: zones, Neighbors: nbs, Owned: owned, Replicas: replicas}

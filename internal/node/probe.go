@@ -92,7 +92,7 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 	}
 	t.mu.Unlock()
 	if first {
-		p.views, p.err = n.callSearch(t.ctx, id, t.bodies[s.i], len(t.spheres), ctrCoordSearch)
+		p.views, p.err = n.callSearch(t.ctx, id, t.bodies[s.i], len(t.spheres))
 		close(p.done)
 	} else {
 		<-p.done
@@ -105,7 +105,7 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 	if raw == nil {
 		n.count(ctrCoordRequire)
 		req := searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius}
-		views, err := n.callSearch(t.ctx, id, encodeSearchReq([]searchReq{req}), 1, ctrCoordSearch)
+		views, err := n.callSearch(t.ctx, id, encodeSearchReq([]searchReq{req}), 1)
 		if err != nil {
 			return route.NodeView{}, err
 		}
@@ -126,10 +126,10 @@ type scopedBackend struct {
 }
 
 // Scope shares one probe table between the level searches of a query. Cached
-// and delegated lookups resolve their views through the view cache and the
-// gathered pool, one level at a time, so they keep the plain backend.
+// lookups resolve their views through the view cache, one level at a time, so
+// they keep the plain backend.
 func (b *netBackend) Scope(spheres []core.Sphere) core.Backend {
-	if b.n.cache != nil || b.n.tuning.AggFanout > 0 {
+	if b.n.cache != nil {
 		return b
 	}
 	return &scopedBackend{b, b.n.newProbeTable(context.Background(), spheres)}

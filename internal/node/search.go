@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"hyperm/internal/can"
 	"hyperm/internal/core"
 	"hyperm/internal/overlay"
 	"hyperm/internal/route"
@@ -51,13 +50,12 @@ func (n *Node) toNodeView(v searchView) route.NodeView {
 // fetchFullView obtains one node's complete record stores at a level, which
 // is what the cache keeps (a cached view must answer any later sphere, not
 // just the one that fetched it): locally for this node, a can_search with the
-// full flag otherwise. ctr attributes the RPC to the issuing role — the query
-// coordinator or a delegate's gather flood.
-func (n *Node) fetchFullView(ctx context.Context, level, id int, ctr string) (searchView, error) {
+// full flag otherwise.
+func (n *Node) fetchFullView(ctx context.Context, level, id int) (searchView, error) {
 	if id == n.peer {
 		return n.localFullView(level), nil
 	}
-	views, err := n.callSearch(ctx, id, encodeSearchReq([]searchReq{{Level: level, Full: true}}), 1, ctr)
+	views, err := n.callSearch(ctx, id, encodeSearchReq([]searchReq{{Level: level, Full: true}}), 1)
 	if err != nil {
 		return searchView{}, err
 	}
@@ -65,31 +63,25 @@ func (n *Node) fetchFullView(ctx context.Context, level, id int, ctr string) (se
 }
 
 // Issue-side RPC attribution: handler-side rpc.* counters say how much
-// traffic a node served; these say which role *initiated* it — the lookup
-// coordinator (coord.*) or a can_search_agg delegate gathering its region
-// (agg.*). They count RPCs sent, not views obtained: one coord.can_search may
-// answer every level of a query (probe.go), and coord.can_search_required is
-// the share of them that re-asked for a level the first answer skipped. The
-// cold-path budget metric is coord.can_search + coord.agg +
-// coord.view_version per query.
+// traffic a node served; these say what it *initiated* as lookup coordinator.
+// They count RPCs sent, not views obtained: one coord.can_search may answer
+// every level of a query (probe.go), and coord.can_search_required is the
+// share of them that re-asked for a level the first answer skipped. The
+// cold-path budget metric is coord.can_search + coord.view_version per query.
 const (
 	ctrCoordSearch  = "coord.can_search"
 	ctrCoordRequire = "coord.can_search_required"
-	ctrCoordAgg     = "coord.agg"
 	ctrCoordVersion = "coord.view_version"
-	ctrAggFetch     = "agg.fetch"
-	ctrAggSub       = "agg.sub"
-	ctrAggVersion   = "agg.view_version"
 )
 
 // callSearch sends one can_search to peer id and cuts the response into its
 // encoded views, one per sphere of the request (want of them), undecoded.
-func (n *Node) callSearch(ctx context.Context, id int, body []byte, want int, ctr string) ([][]byte, error) {
+func (n *Node) callSearch(ctx context.Context, id int, body []byte, want int) ([][]byte, error) {
 	addr, err := n.peerAddr(id)
 	if err != nil {
 		return nil, err
 	}
-	n.count(ctr)
+	n.count(ctrCoordSearch)
 	views, err := n.callSearchAddr(ctx, addr, body, want)
 	if err != nil {
 		return nil, fmt.Errorf("node: can_search peer %d: %w", id, err)
@@ -112,8 +104,8 @@ func (n *Node) callSearchAddr(ctx context.Context, addr string, body []byte, wan
 // fetchVersion asks peer id for its current level state version — the cheap
 // revalidation probe (16-byte request, 8-byte response) that decides whether
 // a stale cached view can be reused or must be refetched.
-func (n *Node) fetchVersion(ctx context.Context, level, id int, ctr string) (uint64, error) {
-	n.count(ctr)
+func (n *Node) fetchVersion(ctx context.Context, level, id int) (uint64, error) {
+	n.count(ctrCoordVersion)
 	addr, err := n.peerAddr(id)
 	if err != nil {
 		return 0, err
@@ -123,19 +115,6 @@ func (n *Node) fetchVersion(ctx context.Context, level, id int, ctr string) (uin
 		return 0, fmt.Errorf("node: view_version peer %d: %w", id, err)
 	}
 	return decodeVersionResp(resp.Body)
-}
-
-// fetchReplica pulls peer id's full level view for pinning (replicate_refs).
-func (n *Node) fetchReplica(ctx context.Context, level, id int) (searchView, error) {
-	addr, err := n.peerAddr(id)
-	if err != nil {
-		return searchView{}, err
-	}
-	resp, err := n.client.Call(ctx, addr, transport.Request{Method: methodReplicate, Body: encodeLevelReq(level)})
-	if err != nil {
-		return searchView{}, fmt.Errorf("node: replicate_refs peer %d: %w", id, err)
-	}
-	return decodeSingleView(resp.Body)
 }
 
 // hopLimit mirrors the simulator's routing bound (8*nodes+16) using the
@@ -187,16 +166,16 @@ func (s cachedViews) view(id int) (route.NodeView, error) {
 	}
 	switch outcome {
 	case viewcache.Hit:
-		return s.use(cv)
+		return cv.NodeView, nil
 	case viewcache.NegHit:
 		return route.NodeView{}, negErr
 	case viewcache.Stale:
 		n.count("cache.revalidate")
-		ver, err := n.fetchVersion(s.ctx, s.level, id, ctrCoordVersion)
+		ver, err := n.fetchVersion(s.ctx, s.level, id)
 		if err == nil && ver == cv.Version {
 			if v2, ok := n.cache.Confirm(s.level, id, epoch); ok {
 				n.count("cache.revalidate_ok")
-				return s.use(v2)
+				return v2.NodeView, nil
 			}
 		}
 		n.count("cache.revalidate_stale")
@@ -212,7 +191,7 @@ func (s cachedViews) view(id int) (route.NodeView, error) {
 // fetch fills the cache with one full can_search and returns the view.
 func (s cachedViews) fetch(id int, epoch uint64) (route.NodeView, error) {
 	n := s.n
-	sv, err := n.fetchFullView(s.ctx, s.level, id, ctrCoordSearch)
+	sv, err := n.fetchFullView(s.ctx, s.level, id)
 	if err != nil {
 		if errors.Is(err, transport.ErrUnavailable) {
 			n.cache.PutNegative(s.level, id, err, epoch)
@@ -221,42 +200,7 @@ func (s cachedViews) fetch(id int, epoch uint64) (route.NodeView, error) {
 	}
 	v := viewcache.View{NodeView: n.toNodeView(sv), Version: sv.Version}
 	n.cache.Put(s.level, id, v, epoch)
-	return s.use(v)
-}
-
-// use hands a cached view to the machines, feeding the hotness sketch with
-// the records this query's sphere actually touches (the demand signal that
-// drives replicate_refs pulls). Views returned Pinned are already replicated
-// — no demand to track, so their record scan is skipped entirely.
-func (s cachedViews) use(v viewcache.View) (route.NodeView, error) {
-	if s.n.tuning.HotReplicate && !v.Pinned {
-		hits := 0
-		for _, rs := range [2][]route.RecordView{v.Owned, v.Replicas} {
-			for _, rec := range rs {
-				if can.TorusDist(rec.Entry.Key, s.key) <= rec.Entry.Radius+s.radius {
-					hits++
-				}
-			}
-		}
-		s.n.cache.NoteFetchHits(s.level, v.ID, hits)
-	}
 	return v.NodeView, nil
-}
-
-// pullHotReplicas drains the level's hot-node queue after a lookup: each
-// holder that crossed the demand threshold is pulled whole and pinned, so the
-// next flood terminates at the replica. Best-effort — a failed pull just
-// leaves the node unpinned until demand re-queues it past the next decay.
-func (n *Node) pullHotReplicas(ctx context.Context, level int) {
-	for _, id := range n.cache.HotPending(level) {
-		epoch := n.mgr.Epoch(level)
-		sv, err := n.fetchReplica(ctx, level, id)
-		if err != nil {
-			continue
-		}
-		n.count("cache.replicate_pull")
-		n.cache.PutPinned(level, id, viewcache.View{NodeView: n.toNodeView(sv), Version: sv.Version}, epoch)
-	}
 }
 
 // memoKey encodes a query sphere for the lookup memo: the raw bits of the
@@ -283,12 +227,6 @@ func memoKey(key []float64, radius float64) []byte {
 // entries and hops (deterministic machine + epoch-stable views ⇒ identical
 // result; see viewcache.GetSearch).
 func (n *Node) searchSphere(ctx context.Context, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
-	if n.tuning.AggFanout > 0 {
-		// Delegated aggregation mode: gather whole flood regions through
-		// can_search_agg and replay this same machine over the pool — see
-		// delegate.go. Opt-in; the paths below are the frozen reference.
-		return n.searchSphereDelegated(ctx, level, key, radius)
-	}
 	if n.cache == nil {
 		return n.runSearch(n.sphereViews(ctx, level, key, radius), level, key, radius)
 	}
@@ -307,9 +245,6 @@ func (n *Node) searchSphere(ctx context.Context, level int, key []float64, radiu
 	}
 	src := route.SourceFunc(cachedViews{n: n, ctx: ctx, level: level, key: key, radius: radius}.view)
 	entries, hops, err := n.runSearch(src, level, key, radius)
-	if n.tuning.HotReplicate {
-		n.pullHotReplicas(ctx, level)
-	}
 	if err != nil {
 		return nil, hops, err
 	}

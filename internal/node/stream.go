@@ -32,10 +32,7 @@ func (n *Node) publishStream(id int, item []float64) error {
 		return fmt.Errorf("node: peer %d has not published; streaming publish needs a base clustering", n.peer)
 	}
 	if n.stream == nil {
-		n.stream = core.NewStreamState(core.StreamTuning{
-			GrowSlack:      n.tuning.GrowSlack,
-			ReclusterEvery: n.tuning.ReclusterEvery,
-		}, n.cfg.Levels)
+		n.stream = core.NewStreamState(core.StreamTuning{ReclusterEvery: n.tuning.ReclusterEvery}, n.cfg.Levels)
 	}
 	n.store.Append(id, item)
 	sp := &core.StreamPublisher{

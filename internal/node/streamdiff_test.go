@@ -17,14 +17,16 @@ import (
 // Acceptance suite of streaming incremental publish (core/stream.go +
 // node/stream.go): a cluster with Tuning.StreamPublish must answer every query
 // byte-identically to a core.System driven by StreamInsert — through absorb,
-// grow, split, and full re-cluster rounds, with caching coordinators in the
-// loop and live churn interleaved. The kernel side is pinned in
-// core/stream_test.go; this file proves the store_rec announce path places
-// every record delta exactly where the simulator's streamOp does.
+// grow, split, and full re-cluster rounds, with and without caching
+// coordinators in the loop and live churn interleaved. The kernel side is
+// pinned in core/stream_test.go; this file proves the store_rec announce path
+// places every record delta exactly where the simulator's streamOp does.
 
 // TestStreamDifferential sweeps seeded churned topologies, interleaving
 // streamed publishes (enough per holder to cross a re-cluster) and live
-// join/leave churn with byte-identity checks.
+// join/leave churn with byte-identity checks — through caching coordinators
+// (per-view revalidation) and through uncached ones (the probe table,
+// serve-ingest's configuration).
 func TestStreamDifferential(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -34,12 +36,16 @@ func TestStreamDifferential(t *testing.T) {
 		seed := int64(s + 101)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runStreamDifferential(t, seed)
+			for _, cached := range []bool{true, false} {
+				t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+					runStreamDifferential(t, seed, cached)
+				})
+			}
 		})
 	}
 }
 
-func runStreamDifferential(t *testing.T, seed int64) {
+func runStreamDifferential(t *testing.T, seed int64, cached bool) {
 	params := cacheParams(seed)
 	sys, err := experiments.BuildMarkovSystem(params)
 	if err != nil {
@@ -50,7 +56,7 @@ func runStreamDifferential(t *testing.T, seed int64) {
 	// bursts below cross a re-cluster (delete flood + fresh epoch) live.
 	const every = 4
 	sys.SetStreamTuning(core.StreamTuning{ReclusterEvery: every})
-	tuning := node.Tuning{CacheViews: true, StreamPublish: true, ReclusterEvery: every}
+	tuning := node.Tuning{CacheViews: cached, StreamPublish: true, ReclusterEvery: every}
 
 	// Pre-start churn so the snapshot includes split zones and a handoff.
 	rng := rand.New(rand.NewSource(seed * 41))

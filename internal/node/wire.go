@@ -13,20 +13,28 @@ import (
 // the transport codec; float64 values cross the wire bit-exactly, which the
 // determinism oracle depends on.
 const (
-	methodRange        = "range"          // client → node: run a range query as this peer
-	methodKNN          = "knn"            // client → node: run a k-nn query as this peer
-	methodPublish      = "publish"        // client → node: post-insert one item
-	methodPublishBatch = "publish_batch"  // client → node: post-insert many items, one coherence round
-	methodCanSearch    = "can_search"     // node → node: one hop of an overlay lookup
-	methodFetchRange   = "fetch_range"    // node → node: phase-two local range scan
-	methodFetchKNN     = "fetch_knn"      // node → node: phase-two local k-nn scan
-	methodViewVersion  = "view_version"   // node → node: cheap cache-revalidation version check
-	methodReplicate    = "replicate_refs" // node → node: pull a hot node's full view for pinning
-	methodFetchSub     = "fetch_sub"      // node → node: register for fetch invalidations
-	methodFetchInval   = "inval_fetch"    // node → node: holder's item store changed, drop its entries
-	methodCanSearchAgg = "can_search_agg" // node → node: delegated gather of a whole flood region
-	methodWarmViews    = "warm_views"     // node → node: proactive view push after a churn epoch
+	methodRange        = "range"         // client → node: run a range query as this peer
+	methodKNN          = "knn"           // client → node: run a k-nn query as this peer
+	methodPublish      = "publish"       // client → node: post-insert one item
+	methodPublishBatch = "publish_batch" // client → node: post-insert many items, one coherence round
+	methodCanSearch    = "can_search"    // node → node: one hop of an overlay lookup
+	methodFetchRange   = "fetch_range"   // node → node: phase-two local range scan
+	methodFetchKNN     = "fetch_knn"     // node → node: phase-two local k-nn scan
+	methodViewVersion  = "view_version"  // node → node: cheap cache-revalidation version check
+	methodFetchSub     = "fetch_sub"     // node → node: register for fetch invalidations
+	methodFetchInval   = "inval_fetch"   // node → node: holder's item store changed, drop its entries
 )
+
+// isMethod reports whether method is one of the node RPCs above (the
+// membership layer's are membership.IsMethod).
+func isMethod(method string) bool {
+	switch method {
+	case methodRange, methodKNN, methodPublish, methodPublishBatch, methodCanSearch,
+		methodFetchRange, methodFetchKNN, methodViewVersion, methodFetchSub, methodFetchInval:
+		return true
+	}
+	return false
+}
 
 // ---- range ----
 
@@ -291,8 +299,7 @@ func searchRespSize(v searchView) int {
 	return n + recs(v.Owned) + recs(v.Replicas)
 }
 
-// encodeSearchView appends one searchView to an encoder — the body shared
-// by can_search responses and the multi-view agg/warm messages.
+// encodeSearchView appends one searchView to an encoder.
 func encodeSearchView(e *transport.Encoder, v searchView) error {
 	e.Int(v.ID)
 	e.U64(v.Version)
@@ -380,119 +387,10 @@ func decodeSearchSlot(b []byte) (searchView, error) {
 	return v, d.Finish()
 }
 
-// decodeSingleView decodes a response that must hold exactly one view: the
-// answer to a one-sphere can_search or to replicate_refs.
-func decodeSingleView(b []byte) (searchView, error) {
-	slots, err := splitSearchResp(b)
-	if err != nil {
-		return searchView{}, err
-	}
-	if len(slots) != 1 || slots[0] == nil {
-		return searchView{}, fmt.Errorf("node: response carries %d views, want 1", len(slots))
-	}
-	return decodeSearchSlot(slots[0])
-}
+// ---- view_version ----
 
-// ---- can_search_agg ----
-
-// aggReq asks a delegate to gather the views of the sphere region reachable
-// from it without crossing the claimed set, sub-delegating up to Fanout
-// frontier claims with Depth budget remaining. From names the requester —
-// the id the delegate's proactive warmer will push refreshed views back to.
-type aggReq struct {
-	From, Level   int
-	Key           []float64
-	Radius        float64
-	Depth, Fanout int
-	Claimed       []int
-}
-
-func encodeAggReq(r aggReq) []byte {
-	var e transport.Encoder
-	e.Int(r.From)
-	e.Int(r.Level)
-	e.Floats(r.Key)
-	e.F64(r.Radius)
-	e.Int(r.Depth)
-	e.Int(r.Fanout)
-	e.Ints(r.Claimed)
-	return e.Bytes()
-}
-
-func decodeAggReq(b []byte) (aggReq, error) {
-	d := transport.NewDecoder(b)
-	var r aggReq
-	r.From = d.Int()
-	r.Level = d.Int()
-	r.Key = d.FloatsShared()
-	r.Radius = d.F64()
-	r.Depth = d.Int()
-	r.Fanout = d.Int()
-	r.Claimed = d.IntsShared()
-	return r, d.Finish()
-}
-
-// The agg response piggybacks every gathered full view (the delegate's own
-// first) plus the final claimed set of the delegate's flood.
-func encodeAggResp(views []searchView, claimed []int) ([]byte, error) {
-	var e transport.Encoder
-	size := 4 + 4 + 8*len(claimed)
-	for _, v := range views {
-		size += searchRespSize(v)
-	}
-	e.Grow(size)
-	e.Ints(claimed)
-	e.U32(uint32(len(views)))
-	for _, v := range views {
-		if err := encodeSearchView(&e, v); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
-}
-
-func decodeAggResp(b []byte) (views []searchView, claimed []int, err error) {
-	d := transport.NewDecoder(b)
-	claimed = d.IntsShared()
-	if n := d.Count(32); d.Err() == nil && n > 0 { // id + version + four list prefixes
-		views = make([]searchView, 0, n)
-		for i := 0; i < n; i++ {
-			views = append(views, decodeSearchView(d))
-		}
-	}
-	return views, claimed, d.Finish()
-}
-
-// ---- warm_views ----
-
-// warm_views pushes the sender's full level view unsolicited: From is the
-// sender (== view ID), installed by caching receivers at their current
-// epoch (equivalent to a fetch completing now).
-func encodeWarmReq(from, level int, v searchView) ([]byte, error) {
-	var e transport.Encoder
-	e.Grow(16 + searchRespSize(v))
-	e.Int(from)
-	e.Int(level)
-	if err := encodeSearchView(&e, v); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
-}
-
-func decodeWarmReq(b []byte) (from, level int, v searchView, err error) {
-	d := transport.NewDecoder(b)
-	from = d.Int()
-	level = d.Int()
-	v = decodeSearchView(d)
-	return from, level, v, d.Finish()
-}
-
-// ---- view_version / replicate_refs ----
-
-// Both requests name only a level: view_version answers with the responder's
-// current state version (8 bytes — the cheap revalidation probe), and
-// replicate_refs answers with its full searchView in a can_search response of
-// one view (the hot-replica pull).
+// The request names only a level; the answer is the responder's current state
+// version (8 bytes — the cheap revalidation probe).
 func encodeLevelReq(level int) []byte {
 	var e transport.Encoder
 	e.Int(level)

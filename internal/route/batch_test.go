@@ -61,8 +61,8 @@ func TestSearchNextBatchSerialRouting(t *testing.T) {
 	}
 
 	serialSeqs, serialHops := run(func(s *Search) {
-		if _, _, err := Run(s, sliceSource(views)); err != nil {
-			t.Fatalf("Run: %v", err)
+		if _, _, err := runSerial(s, sliceSource(views)); err != nil {
+			t.Fatalf("runSerial: %v", err)
 		}
 	})
 

@@ -280,15 +280,32 @@ func searchViews() []NodeView {
 	return views
 }
 
+// runSerial is the serial reference drive: one Next, one View, one Feed at a
+// time, a hop per contact. Independent of RunAlpha, so the Next-vs-NextBatch
+// differentials compare two drivers, not one with itself.
+func runSerial(s *Search, src ViewSource) ([]overlay.Entry, int, error) {
+	for {
+		step, err := s.Next()
+		if err != nil || step.Kind == StepDone {
+			return s.Results(), s.Hops(), err
+		}
+		v, err := src.View(step.To)
+		if err != nil {
+			return nil, s.Hops(), err
+		}
+		s.Feed(v, 1)
+	}
+}
+
 func TestSearchCollectsAndDeduplicates(t *testing.T) {
 	views := searchViews()
 	// Query sphere centered in node 1's zone touching every zone: the
 	// replica on 1 (the owner) is collected first; the original on 3 is
 	// deduplicated by sequence number; the far point on 0 does not match.
 	s := NewSearch(views[0], []float64{0.6, 0.25}, 0.4, 100)
-	entries, hops, err := Run(s, sliceSource(views))
+	entries, hops, err := runSerial(s, sliceSource(views))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("runSerial: %v", err)
 	}
 	if len(entries) != 1 || entries[0].Payload != "sphere" {
 		t.Fatalf("entries = %v, want the single sphere entry", entries)
@@ -304,9 +321,9 @@ func TestSearchOwnerRecordsCollectedWithoutFloodHop(t *testing.T) {
 	// Zero-radius query at the point entry: owner 0 contributes its record
 	// at the phase transition; no flood visit matches r=0 beyond the owner.
 	s := NewSearch(views[0], []float64{0.1, 0.1}, 0, 100)
-	entries, hops, err := Run(s, sliceSource(views))
+	entries, hops, err := runSerial(s, sliceSource(views))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("runSerial: %v", err)
 	}
 	if len(entries) != 1 || entries[0].Payload != "point" {
 		t.Fatalf("entries = %v, want the single point entry", entries)
@@ -319,9 +336,9 @@ func TestSearchOwnerRecordsCollectedWithoutFloodHop(t *testing.T) {
 func TestSearchSentinelsSurface(t *testing.T) {
 	lone := NodeView{ID: 0, Zones: []Zone{{Lo: []float64{0, 0}, Hi: []float64{0.5, 0.5}}}}
 	s := NewSearch(lone, []float64{0.9, 0.9}, 0.1, 100)
-	_, _, err := Run(s, sliceSource([]NodeView{lone}))
+	_, _, err := runSerial(s, sliceSource([]NodeView{lone}))
 	if !errors.Is(err, ErrNoNeighbor) {
-		t.Fatalf("Run err = %v, want ErrNoNeighbor", err)
+		t.Fatalf("runSerial err = %v, want ErrNoNeighbor", err)
 	}
 }
 
@@ -333,9 +350,9 @@ func TestRunSourceFailureAborts(t *testing.T) {
 	views := quadrants()
 	boom := errors.New("boom")
 	s := NewSearch(views[0], []float64{0.75, 0.75}, 0.1, 100)
-	_, _, err := Run(s, failingSource{err: boom})
+	_, _, err := RunAlpha(s, failingSource{err: boom}, 1)
 	if !errors.Is(err, boom) {
-		t.Fatalf("Run err = %v, want boom", err)
+		t.Fatalf("RunAlpha err = %v, want boom", err)
 	}
 }
 

@@ -254,41 +254,24 @@ func (s *Search) Results() []overlay.Entry { return s.results }
 // Hops returns the total driver-reported hops across both phases.
 func (s *Search) Hops() int { return s.router.Hops() + s.floodHops }
 
-// Run drives a Search to completion over src, feeding every requested view
-// and charging one hop per contact — the common failure-free driving loop
-// (one contact = one hop = one RPC for a serving node). Stalls and source
-// failures abort the lookup with the hops spent so far; drivers needing
-// drop injection, retransmission accounting, or global-scan stall recovery
-// (the simulator) pump the machine directly instead.
-func Run(s *Search, src ViewSource) ([]overlay.Entry, int, error) {
-	for {
-		step, err := s.Next()
-		if err != nil {
-			return nil, s.Hops(), err
-		}
-		if step.Kind == StepDone {
-			return s.Results(), s.Hops(), nil
-		}
-		v, err := src.View(step.To)
-		if err != nil {
-			return nil, s.Hops(), err
-		}
-		s.Feed(v, 1)
-	}
-}
-
-// RunAlpha drives a Search to completion over src with up to alpha view
-// fetches in flight at once (Kademlia's α, applied to the flood frontier).
-// src.View must be safe for concurrent calls. The returned entries, hops,
-// and error are byte-identical to Run's: batches never cross a frontier
-// boundary and views are fed back in claim order, so the machine walks the
-// exact serial visit sequence — only the fetch latency overlaps. On a source
-// failure the preceding views of the batch are still fed (and charged),
-// matching the serial driver's abort point; the surplus fetches the serial
-// driver would not have issued change no returned state.
+// RunAlpha drives a Search to completion over src, feeding every requested
+// view and charging one hop per contact (one contact = one hop = one RPC for
+// a serving node), with up to alpha view fetches in flight at once
+// (Kademlia's α, applied to the flood frontier; alpha <= 1 is the serial
+// drive). With alpha > 1 src.View must be safe for concurrent calls. The
+// returned entries, hops, and error are byte-identical for every alpha:
+// batches never cross a frontier boundary and views are fed back in claim
+// order, so the machine walks the exact serial visit sequence — only the
+// fetch latency overlaps. Stalls and source failures abort the lookup with
+// the hops spent so far; on a source failure the preceding views of the batch
+// are still fed (and charged), matching the serial abort point, and the
+// surplus fetches a serial drive would not have issued change no returned
+// state. Drivers needing drop injection, retransmission accounting, or
+// global-scan stall recovery (the simulator) pump the machine directly
+// instead.
 func RunAlpha(s *Search, src ViewSource, alpha int) ([]overlay.Entry, int, error) {
-	if alpha <= 1 {
-		return Run(s, src)
+	if alpha < 1 {
+		alpha = 1
 	}
 	views := make([]NodeView, alpha)
 	errs := make([]error, alpha)

@@ -1,8 +1,7 @@
 // Package viewcache is the per-node cache of overlay views that turns repeat
 // lookups from O(hops·zones) RPCs into O(1): a per-level LRU of full
-// route.NodeViews keyed by node id, with churn-epoch invalidation, negative
-// caching for dead peers, and demand-driven pinning of hot nodes' views
-// (replicas of the cluster refs everyone keeps asking for).
+// route.NodeViews keyed by node id, with churn-epoch invalidation and negative
+// caching for dead peers.
 //
 // Soundness rests on one repo invariant: the overlay state a can_search view
 // carries — zones, neighbor table, owned/replica records — changes *only*
@@ -30,20 +29,10 @@
 // that lost a wave to a crashed node should not re-dial it on the very next
 // query, but any membership event clears the verdict (the peer may have been
 // replaced).
-//
-// Hotness: the cache keeps a windowed sketch of per-record fetch hits
-// attributed to the node holding the record. When a holder's records cross
-// the threshold, the node is marked hot; the owner (internal/node) pulls its
-// full view via replicate_refs and installs it pinned — exempt from LRU
-// eviction, so the flood short-circuits at the replica for as long as the
-// demand lasts. Pinned entries expire after ReplicaTTL epochs without
-// revalidation, so churn cannot resurrect stale records from a long-dead
-// topology.
 package viewcache
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 
 	"hyperm/internal/overlay"
@@ -71,33 +60,19 @@ const (
 type View struct {
 	route.NodeView
 	Version uint64
-	// Pinned is set on views returned from Get/Confirm when the entry is a
-	// pinned replica — the holder is already replicated, so callers can skip
-	// feeding the hotness sketch for it. Ignored on Put.
-	Pinned bool
 }
 
 // Options tunes one cache. The zero value gets defaults from New.
 type Options struct {
-	// Capacity bounds the number of unpinned entries per level (LRU
-	// eviction beyond it). Default 1024.
+	// Capacity bounds the number of entries per level (LRU eviction beyond
+	// it). Default 1024.
 	Capacity int
-	// HotThreshold is the number of windowed fetch hits that mark a holder
-	// hot (<= 0 disables hotness tracking entirely).
-	HotThreshold int
-	// HotWindow is the total hit count at which the sketch decays (all
-	// per-holder counts halve), so hotness tracks current demand rather
-	// than all-time popularity. Default 64 * HotThreshold.
-	HotWindow int
-	// ReplicaTTL is how many epochs a pinned entry may lag behind without a
-	// successful revalidation before it is dropped outright. Default 8.
-	ReplicaTTL uint64
 	// PathCapacity bounds the per-level lookup memo (GetSearch/PutSearch),
 	// LRU-evicted beyond it. Default 4096.
 	PathCapacity int
 	// Counters receives the cache telemetry ("cache.hit", "cache.miss",
-	// "cache.stale", "cache.neg_hit", "cache.evict", "cache.replica_hit",
-	// "cache.pin", "cache.path_hit", "cache.path_miss", "cache.path_evict").
+	// "cache.stale", "cache.neg_hit", "cache.evict", "cache.path_hit",
+	// "cache.path_miss", "cache.path_evict").
 	// Optional.
 	Counters *sim.Counters
 }
@@ -107,8 +82,7 @@ type entry struct {
 	view    View
 	err     error // non-nil: negative entry (view is zero)
 	epoch   uint64
-	pinned  bool
-	lruElem *list.Element // nil while pinned
+	lruElem *list.Element
 }
 
 // memoEntry is one memoized lookup: the full level-search result for an
@@ -121,15 +95,10 @@ type memoEntry struct {
 	lruElem *list.Element
 }
 
-// levelCache is one level's entries plus its hotness sketch and lookup memo.
+// levelCache is one level's entries plus its lookup memo.
 type levelCache struct {
 	entries map[int]*entry
-	lru     *list.List // front = most recent; unpinned entries only
-	// hits[holder] counts windowed fetch hits attributed to holder's
-	// records; total is the window fill.
-	hits    map[int]int
-	total   int
-	pending map[int]bool // holders newly crossed the threshold, not yet pulled
+	lru     *list.List // front = most recent
 	// memo caches whole level-search results by encoded (key, radius); see
 	// GetSearch for the epoch argument that makes this sound.
 	memo    map[string]*memoEntry
@@ -149,26 +118,11 @@ func New(levels int, opts Options) *Cache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 1024
 	}
-	if opts.ReplicaTTL == 0 {
-		opts.ReplicaTTL = 8
-	}
-	if opts.HotWindow <= 0 {
-		opts.HotWindow = 64 * opts.HotThreshold
-	}
 	if opts.PathCapacity <= 0 {
 		opts.PathCapacity = 4096
 	}
 	c := &Cache{opts: opts, levels: make([]levelCache, levels)}
-	for l := range c.levels {
-		c.levels[l] = levelCache{
-			entries: map[int]*entry{},
-			lru:     list.New(),
-			hits:    map[int]int{},
-			pending: map[int]bool{},
-			memo:    map[string]*memoEntry{},
-			memoLRU: list.New(),
-		}
-	}
+	c.Clear()
 	return c
 }
 
@@ -202,22 +156,9 @@ func (c *Cache) Get(level, id int, epoch uint64) (View, Outcome, error) {
 		return View{}, Miss, nil
 	}
 	if e.epoch == epoch {
-		v := e.view
-		if e.pinned {
-			v.Pinned = true
-			c.count("cache.replica_hit")
-		} else {
-			lc.lru.MoveToFront(e.lruElem)
-			c.count("cache.hit")
-		}
-		return v, Hit, nil
-	}
-	if e.pinned && epoch-e.epoch >= c.opts.ReplicaTTL {
-		// A replica that outlived its TTL without revalidation is dropped,
-		// not revalidated: the demand that pinned it is long gone.
-		lc.remove(e)
-		c.count("cache.miss")
-		return View{}, Miss, nil
+		lc.lru.MoveToFront(e.lruElem)
+		c.count("cache.hit")
+		return e.view, Hit, nil
 	}
 	c.count("cache.stale")
 	return e.view, Stale, nil
@@ -236,66 +177,25 @@ func (c *Cache) Confirm(level, id int, epoch uint64) (View, bool) {
 		return View{}, false
 	}
 	e.epoch = epoch
-	v := e.view
-	if e.pinned {
-		v.Pinned = true
-	} else {
-		lc.lru.MoveToFront(e.lruElem)
-	}
-	return v, true
+	lc.lru.MoveToFront(e.lruElem)
+	return e.view, true
 }
 
 // Put installs a freshly fetched view at the given epoch, evicting the
-// least-recently-used unpinned entry beyond capacity.
+// least-recently-used entry beyond capacity.
 func (c *Cache) Put(level, id int, v View, epoch uint64) {
-	c.put(level, id, v, nil, epoch, false)
+	c.put(level, id, v, nil, epoch)
 }
 
 // PutNegative memoizes a fetch failure (an unreachable peer) at the given
 // epoch.
 func (c *Cache) PutNegative(level, id int, err error, epoch uint64) {
-	c.put(level, id, View{}, err, epoch, false)
+	c.put(level, id, View{}, err, epoch)
 }
 
-// PutPinned installs a replicated view exempt from LRU eviction (hot-node
-// replica). It expires only by ReplicaTTL, version mismatch, or Invalidate.
-func (c *Cache) PutPinned(level, id int, v View, epoch uint64) {
-	c.count("cache.pin")
-	c.put(level, id, v, nil, epoch, true)
-}
-
-// PutRefresh installs a view obtained out-of-band — a delegation piggyback
-// or a proactive warm push — at the given epoch. Unlike Put it preserves the
-// entry's pinned status (a warm copy of a hot replica refreshes the replica
-// rather than demoting it), never replaces a same-epoch negative verdict
-// (fail-fast stays consistent within an epoch), and drops version
-// regressions: responder versions are monotonic, so a reordered in-flight
-// older copy must not overwrite a newer view already installed.
-func (c *Cache) PutRefresh(level, id int, v View, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	pinned := false
-	if e := lc.entries[id]; e != nil {
-		if e.err != nil {
-			if e.epoch == epoch {
-				return
-			}
-		} else {
-			if e.view.Version > v.Version {
-				return
-			}
-			pinned = e.pinned
-		}
-	}
-	c.count("cache.refresh")
-	c.putLocked(lc, id, v, nil, epoch, pinned)
-}
-
-// Clear drops every cached view, negative verdict, memoized lookup, and
-// hotness count across all levels — back to the cold-start state. The bench
-// harness's cold phase uses it to measure first-touch cost on an otherwise
-// warm cluster.
+// Clear drops every cached view, negative verdict and memoized lookup across
+// all levels — back to the cold-start state. The bench harness's cold phase
+// uses it to measure first-touch cost on an otherwise warm cluster.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -303,28 +203,21 @@ func (c *Cache) Clear() {
 		c.levels[l] = levelCache{
 			entries: map[int]*entry{},
 			lru:     list.New(),
-			hits:    map[int]int{},
-			pending: map[int]bool{},
 			memo:    map[string]*memoEntry{},
 			memoLRU: list.New(),
 		}
 	}
 }
 
-func (c *Cache) put(level, id int, v View, err error, epoch uint64, pinned bool) {
+func (c *Cache) put(level, id int, v View, err error, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(&c.levels[level], id, v, err, epoch, pinned)
-}
-
-func (c *Cache) putLocked(lc *levelCache, id int, v View, err error, epoch uint64, pinned bool) {
+	lc := &c.levels[level]
 	if e := lc.entries[id]; e != nil {
 		lc.remove(e)
 	}
-	e := &entry{id: id, view: v, err: err, epoch: epoch, pinned: pinned}
-	if !pinned {
-		e.lruElem = lc.lru.PushFront(e)
-	}
+	e := &entry{id: id, view: v, err: err, epoch: epoch}
+	e.lruElem = lc.lru.PushFront(e)
 	lc.entries[id] = e
 	for lc.lru.Len() > c.opts.Capacity {
 		victim := lc.lru.Back().Value.(*entry)
@@ -346,56 +239,15 @@ func (c *Cache) Invalidate(level, id int) {
 
 // remove unlinks an entry from the level (both index and LRU list).
 func (lc *levelCache) remove(e *entry) {
-	if e.lruElem != nil {
-		lc.lru.Remove(e.lruElem)
-		e.lruElem = nil
-	}
+	lc.lru.Remove(e.lruElem)
 	delete(lc.entries, e.id)
 }
 
-// Len returns the number of entries cached at a level (pinned included).
+// Len returns the number of entries cached at a level.
 func (c *Cache) Len(level int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.levels[level].entries)
-}
-
-// NoteFetchHit records that a lookup used a record held by holder at this
-// level — the demand signal of the hotness sketch. When holder's windowed
-// count crosses HotThreshold it is queued for replication (HotPending).
-func (c *Cache) NoteFetchHit(level, holder int) { c.NoteFetchHits(level, holder, 1) }
-
-// NoteFetchHits is NoteFetchHit batched: one lock round for all of a view's
-// record hits from a single lookup. Already-pinned holders need no demand
-// tracking (they cannot be re-queued while pinned), so callers skip the call
-// for views returned with Pinned set.
-func (c *Cache) NoteFetchHits(level, holder, n int) {
-	if c.opts.HotThreshold <= 0 || n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	before := lc.hits[holder]
-	lc.hits[holder] = before + n
-	lc.total += n
-	if before < c.opts.HotThreshold && before+n >= c.opts.HotThreshold {
-		if e := lc.entries[holder]; e == nil || !e.pinned {
-			lc.pending[holder] = true
-		}
-	}
-	if lc.total >= c.opts.HotWindow {
-		// Window decay: halve every count so hotness follows current demand.
-		lc.total = 0
-		for id, n := range lc.hits {
-			if n /= 2; n == 0 {
-				delete(lc.hits, id)
-			} else {
-				lc.hits[id] = n
-				lc.total += n
-			}
-		}
-	}
 }
 
 // GetSearch probes the lookup memo: the entries and hop count a full level
@@ -452,23 +304,4 @@ func (c *Cache) PutSearch(level int, key []byte, entries []overlay.Entry, hops i
 func (lc *levelCache) removeMemo(m *memoEntry) {
 	lc.memoLRU.Remove(m.lruElem)
 	delete(lc.memo, m.key)
-}
-
-// HotPending drains the set of holders that crossed the hotness threshold
-// since the last call, in ascending id order. The caller is expected to pull
-// each holder's full view (replicate_refs) and PutPinned it.
-func (c *Cache) HotPending(level int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	if len(lc.pending) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(lc.pending))
-	for id := range lc.pending {
-		out = append(out, id)
-	}
-	lc.pending = map[int]bool{}
-	sort.Ints(out)
-	return out
 }

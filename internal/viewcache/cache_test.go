@@ -81,75 +81,32 @@ func TestLRUEviction(t *testing.T) {
 	if ctr.Get("cache.evict") != 1 {
 		t.Fatalf("evictions: %v", ctr.Get("cache.evict"))
 	}
-}
 
-func TestPinnedEntries(t *testing.T) {
-	var ctr sim.Counters
-	c := New(1, Options{Capacity: 1, ReplicaTTL: 3, Counters: &ctr})
-	c.PutPinned(0, 9, view(9, 2), 10)
-	// Pinned entries don't occupy LRU capacity and never get evicted by Puts.
-	c.Put(0, 1, view(1, 0), 10)
-	c.Put(0, 2, view(2, 0), 10)
-	v, out, _ := c.Get(0, 9, 10)
-	if out != Hit || v.ID != 9 {
-		t.Fatalf("pinned probe: outcome %v view %+v", out, v)
+	// Churn well beyond capacity: exactly the most recent entries remain, the
+	// older ones evicted least-recent-first.
+	c = New(1, Options{Capacity: 3, Counters: &ctr})
+	for id := 0; id < 20; id++ {
+		c.Put(0, id, view(id, 1), 0)
 	}
-	if ctr.Get("cache.replica_hit") != 1 {
-		t.Fatalf("replica_hit: %v", ctr.Get("cache.replica_hit"))
+	if got := c.Len(0); got != 3 {
+		t.Fatalf("Len %d, want 3", got)
 	}
-	// Within the TTL a stale pinned entry revalidates like any other…
-	if _, out, _ := c.Get(0, 9, 12); out != Stale {
-		t.Fatal("pinned entry within TTL not Stale")
+	for id := 0; id < 20; id++ {
+		want := Miss
+		if id >= 17 {
+			want = Hit
+		}
+		if _, out, _ := c.Get(0, id, 0); out != want {
+			t.Fatalf("entry %d: outcome %v, want %v", id, out, want)
+		}
 	}
-	// …but beyond it, the entry is dropped outright.
-	if _, out, _ := c.Get(0, 9, 13); out != Miss {
-		t.Fatal("pinned entry survived its TTL")
-	}
-}
-
-func TestHotnessSketch(t *testing.T) {
-	c := New(1, Options{HotThreshold: 3, HotWindow: 1000})
-	c.NoteFetchHit(0, 4)
-	c.NoteFetchHit(0, 4)
-	if got := c.HotPending(0); got != nil {
-		t.Fatalf("below threshold, pending = %v", got)
-	}
-	c.NoteFetchHit(0, 4)
-	c.NoteFetchHit(0, 7)
-	c.NoteFetchHit(0, 7)
-	c.NoteFetchHit(0, 7)
-	if got := c.HotPending(0); len(got) != 2 || got[0] != 4 || got[1] != 7 {
-		t.Fatalf("pending = %v, want [4 7]", got)
-	}
-	// Drained: a second call reports nothing until new crossings.
-	if got := c.HotPending(0); got != nil {
-		t.Fatalf("drained pending = %v", got)
-	}
-	// An already-pinned holder is not re-queued by further hits.
-	c.PutPinned(0, 4, view(4, 0), 0)
-	for i := 0; i < 10; i++ {
-		c.NoteFetchHit(0, 4)
-	}
-	if got := c.HotPending(0); got != nil {
-		t.Fatalf("pinned holder re-queued: %v", got)
-	}
-}
-
-func TestHotnessWindowDecay(t *testing.T) {
-	c := New(1, Options{HotThreshold: 100, HotWindow: 10})
-	// 10 hits fill the window; the decay halves the count, so the holder
-	// needs sustained demand — not all-time accumulation — to cross a high
-	// threshold.
-	for i := 0; i < 99; i++ {
-		c.NoteFetchHit(0, 1)
-	}
-	if got := c.HotPending(0); got != nil {
-		t.Fatalf("decayed sketch crossed threshold: %v", got)
+	if got := ctr.Get("cache.evict"); got != 1+17 {
+		t.Fatalf("evictions %v, want 18", got)
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(2, Options{Capacity: 16, HotThreshold: 4})
+	c := New(2, Options{Capacity: 16})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -164,20 +121,18 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					c.Get(l, id, uint64(i%3))
 				case 2:
-					c.NoteFetchHit(l, id)
+					c.PutSearch(l, []byte{byte(id)}, nil, i, uint64(i%3))
 				case 3:
 					c.Confirm(l, id, uint64(i%3))
 				default:
-					for _, h := range c.HotPending(l) {
-						c.PutPinned(l, h, view(h, 0), uint64(i%3))
-					}
+					c.GetSearch(l, []byte{byte(id)}, uint64(i%3))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	for l := 0; l < 2; l++ {
-		if n := c.Len(l); n > 16+24 {
+		if n := c.Len(l); n > 16 {
 			t.Fatalf("level %d holds %d entries", l, n)
 		}
 	}
@@ -207,11 +162,11 @@ func TestOutcomeString(t *testing.T) {
 	_ = fmt.Sprintf("%d", Hit)
 }
 
-// TestNegativeExpiryAfterRejoin covers the rejoin sequence the delegation
-// path leans on: a peer crashes (negative verdict cached), its zone is
-// taken over and the node later rejoins — each a membership event bumping
-// the epoch — and the first post-rejoin probe must be a clean Miss followed
-// by a normal install, not a lingering fail-fast.
+// TestNegativeExpiryAfterRejoin covers the rejoin sequence: a peer crashes
+// (negative verdict cached), its zone is taken over and the node later
+// rejoins — each a membership event bumping the epoch — and the first
+// post-rejoin probe must be a clean Miss followed by a normal install, not a
+// lingering fail-fast.
 func TestNegativeExpiryAfterRejoin(t *testing.T) {
 	var ctr sim.Counters
 	c := New(1, Options{Capacity: 8, Counters: &ctr})
@@ -240,109 +195,14 @@ func TestNegativeExpiryAfterRejoin(t *testing.T) {
 	}
 }
 
-// TestPinExemptionUnderFullCache runs LRU churn well beyond capacity with
-// pinned replicas present: pinned entries must never be evicted, must not
-// consume LRU capacity, and the unpinned population must evict in exact
-// least-recently-used order.
-func TestPinExemptionUnderFullCache(t *testing.T) {
-	var ctr sim.Counters
-	c := New(1, Options{Capacity: 3, Counters: &ctr})
-	c.PutPinned(0, 100, view(100, 1), 0)
-	c.PutPinned(0, 101, view(101, 1), 0)
-
-	// Churn 20 unpinned entries through a 3-slot LRU.
-	for id := 0; id < 20; id++ {
-		c.Put(0, id, view(id, 1), 0)
-	}
-	if got := c.Len(0); got != 5 { // 3 unpinned + 2 pinned
-		t.Fatalf("Len %d, want 5", got)
-	}
-	// The pinned replicas survived the churn.
-	for _, id := range []int{100, 101} {
-		v, out, _ := c.Get(0, id, 0)
-		if out != Hit || !v.Pinned {
-			t.Fatalf("pinned %d after churn: outcome %v pinned %v", id, out, v.Pinned)
-		}
-	}
-	// Exactly the 3 most recent unpinned entries remain; older ones were
-	// evicted least-recent-first.
-	for id := 0; id < 20; id++ {
-		want := Miss
-		if id >= 17 {
-			want = Hit
-		}
-		if _, out, _ := c.Get(0, id, 0); out != want {
-			t.Fatalf("unpinned %d: outcome %v, want %v", id, out, want)
-		}
-	}
-	if got := ctr.Get("cache.evict"); got != 17 {
-		t.Fatalf("evictions %v, want 17", got)
-	}
-	// Touching an old entry via Get moves it to the front: it must outlive
-	// a subsequently inserted entry's eviction round.
-	c.Get(0, 17, 0)              // LRU order now 17, 19, 18
-	c.Put(0, 50, view(50, 1), 0) // evicts 18
-	if _, out, _ := c.Get(0, 18, 0); out != Miss {
-		t.Fatal("LRU eviction ignored recency: 18 should be the victim")
-	}
-	if _, out, _ := c.Get(0, 17, 0); out != Hit {
-		t.Fatal("recently touched entry evicted out of order")
-	}
-}
-
-// TestPutRefresh covers the out-of-band install path used by delegation
-// piggybacks and warm pushes: pin preservation, version-regression drops,
-// and same-epoch negative verdicts standing their ground.
-func TestPutRefresh(t *testing.T) {
-	var ctr sim.Counters
-	c := New(1, Options{Capacity: 8, Counters: &ctr})
-
-	// Refresh over a pinned replica keeps it pinned (and updates the view).
-	c.PutPinned(0, 1, view(1, 5), 0)
-	c.PutRefresh(0, 1, view(1, 6), 1)
-	v, out, _ := c.Get(0, 1, 1)
-	if out != Hit || !v.Pinned || v.Version != 6 {
-		t.Fatalf("refreshed replica: outcome %v pinned %v version %d", out, v.Pinned, v.Version)
-	}
-
-	// A version regression (reordered in-flight older copy) is dropped.
-	c.PutRefresh(0, 1, view(1, 4), 1)
-	if v, _, _ := c.Get(0, 1, 1); v.Version != 6 {
-		t.Fatalf("version regressed to %d", v.Version)
-	}
-
-	// A same-epoch negative verdict is not overwritten...
-	dead := errors.New("peer unreachable")
-	c.PutNegative(0, 2, dead, 1)
-	c.PutRefresh(0, 2, view(2, 1), 1)
-	if _, out, _ := c.Get(0, 2, 1); out != NegHit {
-		t.Fatalf("same-epoch negative overwritten: outcome %v", out)
-	}
-	// ...but a stale one is: after an epoch bump the verdict is void.
-	c.PutRefresh(0, 2, view(2, 2), 2)
-	if v, out, _ := c.Get(0, 2, 2); out != Hit || v.Version != 2 {
-		t.Fatalf("refresh over stale negative: outcome %v view %+v", out, v)
-	}
-
-	// Plain install on a cold id works and is unpinned.
-	c.PutRefresh(0, 3, view(3, 9), 2)
-	if v, out, _ := c.Get(0, 3, 2); out != Hit || v.Pinned {
-		t.Fatalf("cold refresh: outcome %v pinned %v", out, v.Pinned)
-	}
-	if ctr.Get("cache.refresh") != 3 {
-		t.Fatalf("refresh count %v, want 3", ctr.Get("cache.refresh"))
-	}
-}
-
-// TestClear returns the cache to the cold-start state: views, negatives,
-// lookup memos, and hotness all gone, across every level.
+// TestClear returns the cache to the cold-start state: views, negatives and
+// lookup memos all gone, across every level.
 func TestClear(t *testing.T) {
-	c := New(2, Options{Capacity: 8, HotThreshold: 1})
+	c := New(2, Options{Capacity: 8})
 	c.Put(0, 1, view(1, 1), 0)
-	c.PutPinned(1, 2, view(2, 1), 0)
+	c.Put(1, 2, view(2, 1), 0)
 	c.PutNegative(0, 3, errors.New("dead"), 0)
 	c.PutSearch(0, []byte("q"), nil, 4, 0)
-	c.NoteFetchHit(0, 9)
 
 	c.Clear()
 	for l := 0; l < 2; l++ {
@@ -355,8 +215,5 @@ func TestClear(t *testing.T) {
 	}
 	if _, _, ok := c.GetSearch(0, []byte("q"), 0); ok {
 		t.Fatal("lookup memo survived Clear")
-	}
-	if got := c.HotPending(0); got != nil {
-		t.Fatalf("hot pending survived Clear: %v", got)
 	}
 }
