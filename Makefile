@@ -97,9 +97,12 @@ bench-mem-smoke:
 # tiling invariants under random churn schedules, the store_rec wire
 # round-trip (bounded-count decode: a corrupt length prefix must error, never
 # allocate), the delta-coded id sequence of range answers (round
-# trip; a corrupt count, varint or running sum must error), and both ends of
+# trip; a corrupt count, varint or running sum must error), both ends of
 # the can_search message (sphere list and length-prefixed view list: round
-# trip; a corrupt count, view length or trailing byte must error).
+# trip; a corrupt count, view length or trailing byte must error), and both
+# forms of the fetch_range / fetch_knn request (plain, and with the caching
+# coordinator's id: round trip; a prefix, trailing byte or wrong float count
+# must error).
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
@@ -108,3 +111,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz=FuzzSearchReqRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzSearchRespDecode -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzFetchReqRoundTrip -fuzztime=30s ./internal/node

@@ -122,7 +122,7 @@ type ServeBenchRow struct {
 	// coordinator answered from its own memo (no RPC at all), FetchMemoHits
 	// counts fetch RPCs the holder answered from its encoded-response memo
 	// (no scan), and FetchInvalidations counts publish-driven invalidation
-	// notifications processed by subscribers.
+	// notifications processed by the coordinators they were addressed to.
 	FetchLocalHits     float64 `json:"fetch_local_hits,omitempty"`
 	FetchMemoHits      float64 `json:"fetch_memo_hits,omitempty"`
 	FetchInvalidations float64 `json:"fetch_invalidations,omitempty"`

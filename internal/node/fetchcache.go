@@ -2,44 +2,85 @@ package node
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"hyperm/internal/transport"
 )
 
-// Coordinator-side fetch-result cache.
+// Fetch caching and its coherence: a directory at the holder.
 //
 // A fetch_range / fetch_knn answer is a pure function of the holder's item
-// store, which mutates only in Publish. The coordinator therefore memoizes the
-// raw response bodies per holder and keeps them coherent with a subscription
-// protocol instead of TTLs:
+// store, which mutates only in Publish. Both ends memoize it — the holder its
+// encoded response bodies, a caching coordinator the decoded values per holder
+// — and the holder's memo doubles as the directory of who was handed which
+// answer: each line is key → {resp, sharers}. A publish notifies the sharers
+// of the lines it changes and nobody else.
 //
-//   - Before caching anything from a holder, the coordinator registers with it
-//     (fetch_sub). Once the ack is back, every later store mutation at the
-//     holder is ordered after the registration.
-//   - Publish broadcasts invalidate_fetch to every registered coordinator and
-//     only returns once all live subscribers have dropped their entries, so in
-//     any serial order of operations a completed publish is visible to every
-//     later cached fetch.
-//   - A per-holder generation counter closes the publish/fetch race: the
-//     coordinator snapshots the generation before issuing a fetch and stores
-//     the response only if no invalidation arrived in between.
-//   - Any membership event (the per-level churn epochs folded into one
-//     signature) clears the whole cache and all subscriptions: a crashed
-//     holder lost its registry, and a recycled peer id must not serve another
-//     node's answers.
+// Invariant: whenever coordinator C holds an entry for (holder H, key K), C is
+// among the sharers of H's line for K.
 //
-// A subscriber whose transport fails is dropped from the holder's registry and
-// never notified again — the fail-stop assumption shared with the membership
-// layer (a peer that cannot be reached is treated as crashed; if it rejoins,
-// the epoch bump clears its cache anyway).
+// It holds, and makes every completed publish visible to every later cached
+// fetch in any serial order of operations, because of four orderings:
+//
+//   - Register before scan. A caching coordinator sends its peer id with the
+//     fetch itself, and the handler puts it on the line under fetchMu before it
+//     reads the store (a line nobody has filled yet is pending, resp == nil).
+//     So a store append either precedes the registration, and the scan sees
+//     it, or follows it, and its sweep sees the sharer.
+//   - Sweep after append. Publish appends, then takes fetchMu once: every line
+//     a new item can change (fetchEntryCovered, the exact complement of the
+//     scan predicates; a pending range line is decided from its key, a pending
+//     k-nn line has no k-th distance yet and counts as changed) gives up its
+//     sharers and is deleted. The line itself is the fill token: a handler
+//     fills only the pending line it registered on, so a scan that raced the
+//     append cannot enter the memo after the sweep removed its line.
+//   - Notify before ack. The collected sharers get one inval_fetch carrying
+//     the new items, and Publish returns only once all have answered; each
+//     drops exactly the entries the items change (the same predicate).
+//   - cliGen for the in-flight window. A notification can overtake the fetch
+//     response it concerns, so it bumps the coordinator's per-holder
+//     generation, and a response is stored only if the generation it was
+//     requested under still stands.
+//
+// Lost mark. The one way the directory forgets a line it still owes for is
+// dropping it wholesale — the fetchMemoCap reset and ClearCaches. That sets
+// fetchLost, under which the next publish notifies every coordinator ever
+// served with an empty item list, read by the receiver as "drop every entry of
+// this holder"; once that round is through with no further loss the mark
+// clears and publishes are targeted again.
+//
+// No callback. A holder registers only subscribers it can call back: an id its
+// address book cannot resolve (a joiner it has not met, a junk id) is refused
+// with detailNoCallback before anything is stored, and the coordinator answers
+// that refusal by fetching the plain way and caching nothing. Sharer lists are
+// de-duplicated, so the directory is bounded by fetchMemoCap × membership.
+//
+// A sharer whose notification fails is struck from every line and never
+// notified again — the fail-stop assumption shared with the membership layer
+// (a peer that cannot be reached is treated as crashed; if it rejoins, the
+// epoch bump clears its cache anyway). Any membership event (the per-level
+// churn epochs folded into one signature) clears the coordinator side whole: a
+// crashed holder lost its directory, and a recycled peer id must not serve
+// another node's answers.
 
-// cliFetchMemoCap bounds the coordinator-side memo; on overflow the cached
-// bodies reset while subscriptions (still registered at the holders) survive.
-const cliFetchMemoCap = 4096
+const (
+	// fetchMemoCap bounds the holder's directory; on overflow it resets whole
+	// under the lost mark (repeat-heavy workloads refill it in a handful of
+	// queries).
+	fetchMemoCap = 4096
+	// cliFetchMemoCap bounds the coordinator-side memo; on overflow the cached
+	// entries reset (the holders go on listing this node, which costs a
+	// notification that drops nothing).
+	cliFetchMemoCap = 4096
+	// detailNoCallback classifies a holder's refusal to register a subscriber
+	// it has no address for.
+	detailNoCallback = "node/no-callback"
+)
 
 // cliFetchEntry is one memoized fetch answer: the decoded value handed to the
 // engine on hits, plus the raw response body the knn invalidation filter
@@ -59,64 +100,30 @@ func (n *Node) epochSig() uint64 {
 	return sig
 }
 
-// cachedFetch serves one remote fetch RPC through the coordinator-side memo.
-// Values are stored decoded (the engine only reads fetch results, so the
-// cached slice is shared safely and hits cost one map lookup — no RPC, no
-// decode, no allocation). The raw response body is kept alongside for the
-// knn invalidation filter, which needs the recorded distances.
-// unavailable=true reports a dead or unreachable holder (the backend
-// contract: such peers contribute no items and no error, exactly like the
-// uncached path).
-func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method string, body []byte, decode func([]byte) (any, error)) (out any, unavailable bool, err error) {
-	sig := n.epochSig()
-	var kb [512]byte
-	key := fetchMemoKey(kb[:], tag, body)
-
-	n.cliMu.Lock()
-	if sig != n.cliEpochSig {
-		n.cliFetch, n.cliGen, n.cliSubbed = nil, nil, nil
-		n.cliCount = 0
-		n.cliEpochSig = sig
+// fetchKey writes the memo key of one fetch — a method tag ('r' or 'k'), then
+// the plain request body: the query vector and eps or k as raw bits (tail) —
+// into buf when it fits, so a lookup's key lives on the caller's stack.
+func fetchKey(buf []byte, tag byte, q []float64, tail uint64) []byte {
+	key := buf[:0]
+	if size := 1 + fetchReqSize(len(q)); size > cap(buf) {
+		key = make([]byte, 0, size)
 	}
-	if m := n.cliFetch[peer]; m != nil {
-		if e, ok := m[string(key)]; ok { // no-alloc map lookup
-			n.cliMu.Unlock()
-			n.count("cache.fetch_local_hit")
-			return e.val, false, nil
-		}
+	key = append(key, tag)
+	key = binary.BigEndian.AppendUint32(key, uint32(len(q)))
+	for _, x := range q {
+		key = binary.BigEndian.AppendUint64(key, math.Float64bits(x))
 	}
-	subbed := n.cliSubbed[peer]
-	n.cliMu.Unlock()
+	return binary.BigEndian.AppendUint64(key, tail)
+}
 
+// callFetch sends one fetch RPC to peer. unavailable=true reports a dead or
+// unreachable holder (the backend contract: such peers contribute no items
+// and no error — the answer the simulator oracle gives for a peer that left).
+func (n *Node) callFetch(ctx context.Context, peer int, method string, body []byte) (resp []byte, unavailable bool, err error) {
 	addr, err := n.peerAddr(peer)
 	if err != nil {
 		return nil, false, err
 	}
-	if !subbed {
-		// Register before fetching: only answers fetched after a registration
-		// ack may be cached, otherwise the holder could mutate its store
-		// without ever notifying us.
-		_, err := n.client.Call(ctx, addr, transport.Request{Method: methodFetchSub, Body: encodePeerReq(n.peer)})
-		if errors.Is(err, transport.ErrUnavailable) {
-			return nil, true, nil
-		}
-		if err != nil {
-			return nil, false, fmt.Errorf("node: fetch_sub peer %d: %w", peer, err)
-		}
-		n.cliMu.Lock()
-		if n.cliEpochSig == sig {
-			if n.cliSubbed == nil {
-				n.cliSubbed = make(map[int]bool)
-			}
-			n.cliSubbed[peer] = true
-		}
-		n.cliMu.Unlock()
-	}
-
-	n.cliMu.Lock()
-	g0 := n.cliGen[peer]
-	n.cliMu.Unlock()
-
 	r, err := n.client.Call(ctx, addr, transport.Request{Method: method, Body: body})
 	if errors.Is(err, transport.ErrUnavailable) {
 		return nil, true, nil
@@ -124,9 +131,52 @@ func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method strin
 	if err != nil {
 		return nil, false, fmt.Errorf("node: %s peer %d: %w", method, peer, err)
 	}
-	val, err := decode(r.Body)
-	if err != nil {
-		return nil, false, err
+	return r.Body, false, nil
+}
+
+// cachedFetch serves one remote fetch through the coordinator-side memo.
+// Values are stored decoded (the engine only reads fetch results, so the
+// cached slice is shared safely), and a hit costs one map lookup under a key
+// built on the stack — no RPC, no request body, no decode, no allocation. A
+// miss sends the key's plain body with this node's id appended, which puts it
+// on the holder's line before the holder scans. The raw response is kept
+// alongside the value for the knn invalidation filter.
+func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method string, q []float64, tail uint64, decode func([]byte) (any, error)) (out any, unavailable bool, err error) {
+	sig := n.epochSig()
+	var kb [512]byte
+	key := fetchKey(kb[:], tag, q, tail)
+
+	n.cliMu.Lock()
+	if sig != n.cliEpochSig {
+		n.cliFetch, n.cliGen = nil, nil
+		n.cliCount = 0
+		n.cliEpochSig = sig
+	}
+	if e, ok := n.cliFetch[peer][string(key)]; ok { // no-alloc map lookup
+		n.cliMu.Unlock()
+		n.count("cache.fetch_local_hit")
+		return e.val, false, nil
+	}
+	g0 := n.cliGen[peer]
+	n.cliMu.Unlock()
+
+	plain := key[1:]
+	body := make([]byte, len(plain), len(plain)+8)
+	copy(body, plain)
+	store := true
+	resp, unavailable, err := n.callFetch(ctx, peer, method, appendSubscriber(body, n.peer))
+	if transport.ErrorDetail(err) == detailNoCallback {
+		// The holder cannot reach this node, so it tracks nothing for it: take
+		// the answer the plain way and let it live for this one query.
+		store = false
+		resp, unavailable, err = n.callFetch(ctx, peer, method, body)
+	}
+	if unavailable || err != nil {
+		return nil, unavailable, err
+	}
+	val, err := decode(resp)
+	if err != nil || !store {
+		return val, false, err
 	}
 
 	n.cliMu.Lock()
@@ -146,11 +196,41 @@ func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method strin
 			m = make(map[string]cliFetchEntry)
 			n.cliFetch[peer] = m
 		}
-		m[string(key)] = cliFetchEntry{val: val, resp: r.Body}
+		m[string(key)] = cliFetchEntry{val: val, resp: resp}
 		n.cliCount++
 	}
 	n.cliMu.Unlock()
 	return val, false, nil
+}
+
+// invalidateFetch handles a holder's notification that items were published
+// there: bump its generation once (so in-flight fetches that may predate any
+// item of the publish are not cached) and drop exactly the entries whose
+// answer some new item can change. An empty list is the holder's lost-mark
+// fallback — it no longer knows what it handed out — and drops every entry of
+// that holder.
+func (n *Node) invalidateFetch(holder int, items [][]float64) {
+	n.cliMu.Lock()
+	if n.cliGen == nil {
+		n.cliGen = make(map[int]uint64)
+	}
+	n.cliGen[holder]++
+	if m := n.cliFetch[holder]; len(items) == 0 {
+		n.cliCount -= len(m)
+		delete(n.cliFetch, holder)
+	} else {
+		for key, e := range m {
+			for _, item := range items {
+				if fetchEntryCovered(key, e.resp, item) {
+					delete(m, key)
+					n.cliCount--
+					break
+				}
+			}
+		}
+	}
+	n.cliMu.Unlock()
+	n.count("cache.fetch_inval")
 }
 
 // keyU64 reads a big-endian uint64 straight out of a memo key, so the
@@ -205,72 +285,149 @@ func fetchEntryCovered(key string, resp []byte, item []float64) bool {
 	return true
 }
 
-// dropCoveredFetchEntries deletes every entry of m whose answer the new item
-// can change, returning how many were dropped.
-func dropCoveredFetchEntries(m map[string][]byte, item []float64) int {
-	dropped := 0
-	for key, resp := range m {
-		if fetchEntryCovered(key, resp, item) {
-			delete(m, key)
-			dropped++
+// fetchLine is one line of the holder's directory: a memoized response body
+// and the coordinators that were handed it. resp is nil while the line is
+// pending — registered by a handler that has not finished its scan.
+type fetchLine struct {
+	resp    []byte
+	sharers []int
+}
+
+// covered reports whether publishing items can change the line's answer.
+func (l *fetchLine) covered(key string, items [][]float64) bool {
+	if l.resp == nil && key[0] == 'k' {
+		return true // pending k-nn: no k-th distance to decide by yet
+	}
+	for _, item := range items {
+		if fetchEntryCovered(key, l.resp, item) {
+			return true
 		}
 	}
-	return dropped
+	return false
 }
 
-// registerFetchSub records one caching coordinator to notify on Publish.
-func (n *Node) registerFetchSub(peer int) {
-	n.subsMu.Lock()
-	if n.fetchSubs == nil {
-		n.fetchSubs = make(map[int]struct{})
+// serveFetch is the body of the fetch_range / fetch_knn handlers. A request in
+// the plain form at a node that keeps no memo is just the scan; any other goes
+// through the directory: register on the line (refusing a subscriber this node
+// cannot call back), answer from it if filled, else scan and fill.
+func (n *Node) serveFetch(tag byte, body []byte, scan func(plain []byte) ([]byte, error)) (transport.Response, error) {
+	plain, sub, caching, err := splitFetchReq(body, n.cfg.Dim)
+	if err != nil {
+		return transport.Response{}, err
 	}
-	n.fetchSubs[peer] = struct{}{}
-	n.subsMu.Unlock()
+	if !caching && !n.tuning.CacheViews {
+		resp, err := scan(plain)
+		return transport.Response{Body: resp}, err
+	}
+	if caching {
+		if _, err := n.peerAddr(sub); err != nil {
+			return transport.Response{}, transport.WithDetail(fmt.Errorf("node: fetch subscriber: %w", err), detailNoCallback)
+		}
+	}
+	var kb [512]byte
+	key := append(append(kb[:0], tag), plain...)
+	line, resp := n.registerFetch(key, sub, caching)
+	if resp != nil {
+		n.count("cache.fetch_hit")
+		return transport.Response{Body: resp}, nil
+	}
+	if resp, err = scan(plain); err != nil {
+		return transport.Response{}, err
+	}
+	n.fillFetch(key, line, resp)
+	return transport.Response{Body: resp}, nil
 }
 
-// invalidateFetch handles a holder's notification that a batch of items was
-// published there: bump its generation once (so in-flight fetches that may
-// predate any item of the publish are not cached) and drop exactly the
-// entries whose answer some new item can change. Subscriptions are untouched
-// — this node is still registered at the holder.
-func (n *Node) invalidateFetch(holder int, items [][]float64) {
-	n.cliMu.Lock()
-	if n.cliGen == nil {
-		n.cliGen = make(map[int]uint64)
+// registerFetch finds or opens the line of key, adds sub to its sharers when
+// the request is a caching one, and returns the line with its response (nil
+// while pending). Must run before the caller scans the store.
+func (n *Node) registerFetch(key []byte, sub int, caching bool) (*fetchLine, []byte) {
+	n.fetchMu.Lock()
+	defer n.fetchMu.Unlock()
+	line := n.fetchDir[string(key)] // no-alloc map lookup
+	if line == nil {
+		if len(n.fetchDir) >= fetchMemoCap {
+			n.loseFetchDirLocked()
+		}
+		if n.fetchDir == nil {
+			n.fetchDir = make(map[string]*fetchLine)
+		}
+		line = &fetchLine{}
+		n.fetchDir[string(key)] = line
 	}
-	n.cliGen[holder]++
-	for key, e := range n.cliFetch[holder] {
-		for _, item := range items {
-			if fetchEntryCovered(key, e.resp, item) {
-				delete(n.cliFetch[holder], key)
-				n.cliCount--
-				break
+	if caching && !slices.Contains(line.sharers, sub) {
+		line.sharers = append(line.sharers, sub)
+		if n.fetchServed == nil {
+			n.fetchServed = make(map[int]struct{})
+		}
+		n.fetchServed[sub] = struct{}{}
+	}
+	return line, line.resp
+}
+
+// fillFetch completes a pending line with the response scanned for it, unless
+// a sweep or a reset took the line away since registerFetch returned it — the
+// scan may predate the publish that did.
+func (n *Node) fillFetch(key []byte, line *fetchLine, resp []byte) {
+	n.fetchMu.Lock()
+	if line.resp == nil && n.fetchDir[string(key)] == line {
+		line.resp = resp
+	}
+	n.fetchMu.Unlock()
+}
+
+// loseFetchDirLocked drops the whole directory. If any coordinator was ever
+// served, lines it is still owed notifications for may be among the dropped:
+// the lost mark makes the next publish tell them all.
+func (n *Node) loseFetchDirLocked() {
+	n.fetchDir = nil
+	if len(n.fetchServed) > 0 {
+		n.fetchLost = true
+		n.fetchLostGen++
+	}
+}
+
+// sweepFetchDir is the coherence step of every publish, run after the store
+// append and before the acknowledgement: one sweep of the directory deletes
+// the lines the new items can change and collects their sharers, who are then
+// notified synchronously — one inval_fetch each, whatever the batch size — so
+// any later query anywhere sees the items. Under the lost mark the sweep still
+// cleans this node's own memo, but the notification goes to every coordinator
+// ever served, in the drop-all form.
+func (n *Node) sweepFetchDir(items [][]float64) {
+	n.fetchMu.Lock()
+	if len(n.fetchDir) == 0 && !n.fetchLost {
+		n.fetchMu.Unlock()
+		return
+	}
+	var targets []int
+	for key, line := range n.fetchDir {
+		if !line.covered(key, items) {
+			continue
+		}
+		for _, id := range line.sharers {
+			if !slices.Contains(targets, id) {
+				targets = append(targets, id)
 			}
 		}
+		delete(n.fetchDir, key)
 	}
-	n.cliMu.Unlock()
-	n.count("cache.fetch_inval")
-}
-
-// broadcastInvalidate synchronously notifies every registered coordinator
-// that a batch of items was published into this node's store — one message
-// per subscriber regardless of batch size. Subscribers whose transport fails
-// are dropped from the registry (fail-stop, see the comment above).
-func (n *Node) broadcastInvalidate(items [][]float64) {
-	n.subsMu.Lock()
-	subs := make([]int, 0, len(n.fetchSubs))
-	for id := range n.fetchSubs {
-		subs = append(subs, id)
+	lost, lostGen := n.fetchLost, n.fetchLostGen
+	if lost {
+		items, targets = nil, targets[:0]
+		for id := range n.fetchServed {
+			targets = append(targets, id)
+		}
 	}
-	n.subsMu.Unlock()
-	if len(subs) == 0 {
+	n.fetchMu.Unlock()
+	if len(targets) == 0 && !lost {
 		return
 	}
 
 	body := encodeInvalReq(n.peer, items)
-	dead := make([]bool, len(subs))
+	failed := make([]bool, len(targets))
 	var wg sync.WaitGroup
-	for i, id := range subs {
+	for i, id := range targets {
 		wg.Add(1)
 		go func(i, id int) {
 			defer wg.Done()
@@ -278,34 +435,40 @@ func (n *Node) broadcastInvalidate(items [][]float64) {
 			if err == nil {
 				_, err = n.client.Call(context.Background(), addr, transport.Request{Method: methodFetchInval, Body: body})
 			}
-			if err != nil {
-				dead[i] = true
-			}
+			failed[i] = err != nil
 		}(i, id)
 	}
 	wg.Wait()
 
-	n.subsMu.Lock()
-	for i, id := range subs {
-		if dead[i] {
-			delete(n.fetchSubs, id)
+	n.fetchMu.Lock()
+	for i, id := range targets {
+		if !failed[i] {
+			continue
+		}
+		delete(n.fetchServed, id)
+		for _, line := range n.fetchDir {
+			if at := slices.Index(line.sharers, id); at >= 0 {
+				line.sharers = slices.Delete(line.sharers, at, at+1)
+			}
 		}
 	}
-	n.subsMu.Unlock()
+	if lost && n.fetchLostGen == lostGen {
+		n.fetchLost = false
+	}
+	n.fetchMu.Unlock()
 }
 
 // ClearCaches drops every warm artifact this node holds — view cache,
-// lookup memos, holder- and coordinator-side fetch memos — returning it to
-// the cold-start state. The bench harness's cold phase uses it to measure
-// first-touch cost on an otherwise warm, quiesced cluster; not intended to
-// run concurrently with queries this node is coordinating.
+// lookup memos, the fetch directory and the coordinator-side fetch memo —
+// returning it to the cold-start state. The bench harness's cold phase uses it
+// to measure first-touch cost on an otherwise warm, quiesced cluster; not
+// intended to run concurrently with queries this node is coordinating.
 func (n *Node) ClearCaches() {
 	if n.cache != nil {
 		n.cache.Clear()
 	}
 	n.fetchMu.Lock()
-	n.fetchMemo = nil
-	n.fetchGen++
+	n.loseFetchDirLocked()
 	n.fetchMu.Unlock()
 	n.cliMu.Lock()
 	n.cliFetch = nil

@@ -140,79 +140,27 @@ type Node struct {
 	// cache is the per-level view cache (nil unless Tuning.CacheViews).
 	cache *viewcache.Cache
 
-	// fetchMemo caches encoded fetch_range/fetch_knn response bodies keyed by
-	// the raw request body (used only with Tuning.CacheViews; lazily built).
-	// Purely local coherence: the answers depend only on this node's item
-	// store, which mutates only in Publish — which clears the memo. Bounded
-	// by reset (see fetchMemoPut).
-	// fetchGen counts Publish invalidations: a response computed before a
-	// publish must not enter the memo after that publish filtered it, so
-	// handlers snapshot the generation before scanning the store and Put
-	// discards stale stores.
-	fetchMu   sync.Mutex
-	fetchMemo map[string][]byte
-	fetchGen  uint64
+	// Fetch caching, both ends; the coherence protocol is documented in
+	// fetchcache.go. Holder side: fetchDir is the directory — memoized
+	// fetch_range / fetch_knn response bodies with the coordinators that hold
+	// each (lazily built; used when this node has Tuning.CacheViews or the
+	// request names a subscriber), fetchServed every coordinator ever listed in
+	// it, fetchLost the mark that lines were dropped with sharers still owed
+	// (fetchLostGen counts such drops, so a publish clears only the mark it
+	// served). Coordinator side: cliFetch holds decoded answers per holder,
+	// cliGen the per-holder generation invalidations bump, cliEpochSig the
+	// membership signature the entries were fetched under.
+	fetchMu      sync.Mutex
+	fetchDir     map[string]*fetchLine
+	fetchServed  map[int]struct{}
+	fetchLost    bool
+	fetchLostGen uint64
 
-	// Coordinator-side fetch-result cache and the holder-side registry of
-	// caching coordinators; coherence protocol documented in fetchcache.go.
 	cliMu       sync.Mutex
 	cliFetch    map[int]map[string]cliFetchEntry
 	cliGen      map[int]uint64
-	cliSubbed   map[int]bool
 	cliCount    int
 	cliEpochSig uint64
-
-	subsMu    sync.Mutex
-	fetchSubs map[int]struct{}
-}
-
-// fetchMemoCap bounds the fetch memo; on overflow the whole memo resets
-// (repeat-heavy workloads refill it in a handful of queries).
-const fetchMemoCap = 4096
-
-// fetchMemoKey builds tag+body into buf when it fits (the common case, so the
-// per-RPC lookup key lives on the caller's stack) and heap-allocates otherwise.
-func fetchMemoKey(buf []byte, tag byte, body []byte) []byte {
-	var key []byte
-	if 1+len(body) <= cap(buf) {
-		key = buf[:1+len(body)]
-	} else {
-		key = make([]byte, 1+len(body))
-	}
-	key[0] = tag
-	copy(key[1:], body)
-	return key
-}
-
-// fetchMemoGet returns the memoized response body for one fetch RPC request,
-// keyed by a method tag plus the raw request body, along with the publish
-// generation a miss must hand back to fetchMemoPut.
-func (n *Node) fetchMemoGet(tag byte, body []byte) ([]byte, uint64, bool) {
-	var kb [512]byte
-	key := fetchMemoKey(kb[:], tag, body)
-	n.fetchMu.Lock()
-	out, ok := n.fetchMemo[string(key)] // no-alloc map lookup
-	gen := n.fetchGen
-	n.fetchMu.Unlock()
-	if ok {
-		n.count("cache.fetch_hit")
-	}
-	return out, gen, ok
-}
-
-// fetchMemoPut memoizes one encoded fetch response, unless a publish ran
-// since the caller snapshotted gen — the response may predate it.
-func (n *Node) fetchMemoPut(tag byte, body, resp []byte, gen uint64) {
-	var kb [512]byte
-	key := fetchMemoKey(kb[:], tag, body)
-	n.fetchMu.Lock()
-	if n.fetchGen == gen {
-		if n.fetchMemo == nil || len(n.fetchMemo) >= fetchMemoCap {
-			n.fetchMemo = make(map[string][]byte, fetchMemoCap)
-		}
-		n.fetchMemo[string(key)] = resp
-	}
-	n.fetchMu.Unlock()
 }
 
 // levelFromView converts a snapshot level into membership state. Neighbor
@@ -406,26 +354,18 @@ func (n *Node) Publish(id int, item []float64) error {
 	n.store.Append(id, item)
 	core.AbsorbInsert(n.published, item, n.cfg.Convention)
 	n.mu.Unlock()
-	// The item store changed: drop exactly the memoized fetch answers the new
-	// item can alter (fetchEntryCovered is the complement of the local scan
-	// predicates) and bump the generation so racing handlers don't re-insert
-	// answers computed against the pre-publish store.
-	n.fetchMu.Lock()
-	n.fetchGen++
-	dropCoveredFetchEntries(n.fetchMemo, item)
-	n.fetchMu.Unlock()
-	// Caching coordinators hold the same answers remotely: notify every
-	// registered subscriber and only then acknowledge the publish, so any
-	// later query anywhere sees the new item (see fetchcache.go).
-	n.broadcastInvalidate([][]float64{item})
+	// The item store changed: the fetch answers the new item can alter must go,
+	// here and at every coordinator holding one, before the publish is
+	// acknowledged (see fetchcache.go).
+	n.sweepFetchDir([][]float64{item})
 	return nil
 }
 
 // PublishBatch post-inserts a batch of items in order with one coherence
 // round: the store mutations happen under a single lock acquisition, the
-// fetch memo takes one generation bump with a per-item covered-entry sweep,
-// and every registered coordinator gets one invalidation message carrying the
-// whole batch instead of len(items) RPCs. The resulting store and summary
+// fetch directory takes one sweep, and every coordinator holding an answer
+// some item changes gets one invalidation message carrying the whole batch
+// instead of len(items) RPCs. The resulting store and summary
 // state is exactly a Publish-per-item sequence (oracle:
 // core.System.PostInsertBatch). With Tuning.StreamPublish the kernel must
 // interleave deltas with their announcements, so the batch runs as sequential
@@ -456,13 +396,7 @@ func (n *Node) PublishBatch(ids []int, items [][]float64) error {
 		core.AbsorbInsert(n.published, item, n.cfg.Convention)
 	}
 	n.mu.Unlock()
-	n.fetchMu.Lock()
-	n.fetchGen++
-	for _, item := range items {
-		dropCoveredFetchEntries(n.fetchMemo, item)
-	}
-	n.fetchMu.Unlock()
-	n.broadcastInvalidate(items)
+	n.sweepFetchDir(items)
 	return nil
 }
 
@@ -578,14 +512,6 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		}
 		return transport.Response{Body: encodeVersionResp(n.mgr.Version(level))}, nil
 
-	case methodFetchSub:
-		peer, err := decodePeerReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		n.registerFetchSub(peer)
-		return transport.Response{}, nil
-
 	case methodFetchInval:
 		holder, items, err := decodeInvalReq(req.Body)
 		if err != nil {
@@ -595,42 +521,22 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		return transport.Response{}, nil
 
 	case methodFetchRange:
-		var gen uint64
-		if n.tuning.CacheViews {
-			body, g, ok := n.fetchMemoGet('r', req.Body)
-			if ok {
-				return transport.Response{Body: body}, nil
+		return n.serveFetch('r', req.Body, func(plain []byte) ([]byte, error) {
+			q, eps, err := decodeFetchRangeReq(plain)
+			if err != nil {
+				return nil, err
 			}
-			gen = g
-		}
-		q, eps, err := decodeFetchRangeReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		body := encodeFetchRangeResp(n.localRange(q, eps))
-		if n.tuning.CacheViews {
-			n.fetchMemoPut('r', req.Body, body, gen)
-		}
-		return transport.Response{Body: body}, nil
+			return encodeFetchRangeResp(n.localRange(q, eps)), nil
+		})
 
 	case methodFetchKNN:
-		var gen uint64
-		if n.tuning.CacheViews {
-			body, g, ok := n.fetchMemoGet('k', req.Body)
-			if ok {
-				return transport.Response{Body: body}, nil
+		return n.serveFetch('k', req.Body, func(plain []byte) ([]byte, error) {
+			q, k, err := decodeFetchKNNReq(plain)
+			if err != nil {
+				return nil, err
 			}
-			gen = g
-		}
-		q, k, err := decodeFetchKNNReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		body := encodeFetchKNNResp(n.localKNN(q, k))
-		if n.tuning.CacheViews {
-			n.fetchMemoPut('k', req.Body, body, gen)
-		}
-		return transport.Response{Body: body}, nil
+			return encodeFetchKNNResp(n.localKNN(q, k)), nil
+		})
 
 	default: // membership.IsMethod held above
 		body, err := n.mgr.HandleRPC(ctx, req.Method, req.Body)

@@ -276,42 +276,29 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 	return b.n.searchSphere(context.Background(), level, key, radius)
 }
 
+// FetchRange and FetchKNN go straight to the scored peer's endpoint. With
+// Tuning.CacheViews they go through the coordinator-side memo, which builds
+// its key from the arguments and encodes a request only on a miss. A dead or
+// unreachable peer yields no items and no error (see callFetch).
 func (b *netBackend) FetchRange(from, peer int, q []float64, eps float64) ([]int, error) {
 	n := b.n
 	if peer == n.peer {
 		return n.localRange(q, eps), nil
 	}
-	body := encodeFetchRangeReq(q, eps)
 	if n.tuning.CacheViews {
-		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'r', methodFetchRange, body, func(b []byte) (any, error) {
+		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'r', methodFetchRange, q, math.Float64bits(eps), func(b []byte) (any, error) {
 			return decodeFetchRangeResp(b)
 		})
 		if unavailable || err != nil {
-			// Backend contract: a dead or unreachable peer yields no items
-			// and no error — the same answer the simulator oracle gives for
-			// a peer that left the deployment.
 			return nil, err
 		}
 		return v.([]int), nil
 	}
-	addr, err := n.peerAddr(peer)
-	if err != nil {
+	resp, unavailable, err := n.callFetch(context.Background(), peer, methodFetchRange, encodeFetchRangeReq(q, eps))
+	if unavailable || err != nil {
 		return nil, err
 	}
-	resp, err := n.client.Call(context.Background(), addr, transport.Request{
-		Method: methodFetchRange,
-		Body:   body,
-	})
-	if errors.Is(err, transport.ErrUnavailable) {
-		// Backend contract: a dead or unreachable peer yields no items and
-		// no error — the same answer the simulator oracle gives for a peer
-		// that left the deployment.
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("node: fetch_range peer %d: %w", peer, err)
-	}
-	return decodeFetchRangeResp(resp.Body)
+	return decodeFetchRangeResp(resp)
 }
 
 func (b *netBackend) FetchKNN(from, peer int, q []float64, k int) ([]core.ItemDist, error) {
@@ -319,31 +306,18 @@ func (b *netBackend) FetchKNN(from, peer int, q []float64, k int) ([]core.ItemDi
 	if peer == n.peer {
 		return n.localKNN(q, k), nil
 	}
-	body := encodeFetchKNNReq(q, k)
 	if n.tuning.CacheViews {
-		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'k', methodFetchKNN, body, func(b []byte) (any, error) {
+		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'k', methodFetchKNN, q, uint64(int64(k)), func(b []byte) (any, error) {
 			return decodeFetchKNNResp(b)
 		})
 		if unavailable || err != nil {
-			// See FetchRange: dead peers contribute nothing, as in the oracle.
 			return nil, err
 		}
 		return v.([]core.ItemDist), nil
 	}
-	addr, err := n.peerAddr(peer)
-	if err != nil {
+	resp, unavailable, err := n.callFetch(context.Background(), peer, methodFetchKNN, encodeFetchKNNReq(q, k))
+	if unavailable || err != nil {
 		return nil, err
 	}
-	resp, err := n.client.Call(context.Background(), addr, transport.Request{
-		Method: methodFetchKNN,
-		Body:   body,
-	})
-	if errors.Is(err, transport.ErrUnavailable) {
-		// See FetchRange: dead peers contribute nothing, as in the oracle.
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("node: fetch_knn peer %d: %w", peer, err)
-	}
-	return decodeFetchKNNResp(resp.Body)
+	return decodeFetchKNNResp(resp)
 }

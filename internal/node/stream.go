@@ -48,14 +48,10 @@ func (n *Node) publishStream(id int, item []float64) error {
 	n.published, n.pubSeqs = sp.Published, sp.PubSeqs
 	n.mu.Unlock()
 
-	// Same item-store coherence as the stale-publish path: the local fetch
-	// memo and every caching coordinator must forget answers the new item
-	// can change (see fetchcache.go).
-	n.fetchMu.Lock()
-	n.fetchGen++
-	dropCoveredFetchEntries(n.fetchMemo, item)
-	n.fetchMu.Unlock()
-	n.broadcastInvalidate([][]float64{item})
+	// Same item-store coherence as the stale-publish path: this node's fetch
+	// memo and every coordinator caching an answer the new item can change
+	// must forget it (see fetchcache.go).
+	n.sweepFetchDir([][]float64{item})
 
 	ctx := context.Background()
 	for _, d := range deltas {

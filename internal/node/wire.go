@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hyperm/internal/can"
@@ -21,8 +22,7 @@ const (
 	methodFetchRange   = "fetch_range"   // node → node: phase-two local range scan
 	methodFetchKNN     = "fetch_knn"     // node → node: phase-two local k-nn scan
 	methodViewVersion  = "view_version"  // node → node: cheap cache-revalidation version check
-	methodFetchSub     = "fetch_sub"     // node → node: register for fetch invalidations
-	methodFetchInval   = "inval_fetch"   // node → node: holder's item store changed, drop its entries
+	methodFetchInval   = "inval_fetch"   // node → node: holder's item store changed, drop the entries it names
 )
 
 // isMethod reports whether method is one of the node RPCs above (the
@@ -30,7 +30,7 @@ const (
 func isMethod(method string) bool {
 	switch method {
 	case methodRange, methodKNN, methodPublish, methodPublishBatch, methodCanSearch,
-		methodFetchRange, methodFetchKNN, methodViewVersion, methodFetchSub, methodFetchInval:
+		methodFetchRange, methodFetchKNN, methodViewVersion, methodFetchInval:
 		return true
 	}
 	return false
@@ -415,25 +415,13 @@ func decodeVersionResp(b []byte) (uint64, error) {
 	return v, d.Finish()
 }
 
-// ---- fetch_sub / inval_fetch ----
+// ---- inval_fetch ----
 
-// fetch_sub carries the registering coordinator's id.
-func encodePeerReq(peer int) []byte {
-	var e transport.Encoder
-	e.Int(peer)
-	return e.Bytes()
-}
-
-func decodePeerReq(b []byte) (int, error) {
-	d := transport.NewDecoder(b)
-	peer := d.Int()
-	return peer, d.Finish()
-}
-
-// inval_fetch carries the holder's id and the newly published items, so
-// subscribers drop exactly the cached answers those items can change. A
-// batched publish ships every item in one notification — one RPC and one
-// registry pass per subscriber instead of one per item.
+// inval_fetch carries the holder's id and the newly published items, so the
+// receiver drops exactly the cached answers those items can change. A batched
+// publish ships every item in one notification. No publish is empty, so an
+// empty list is free to mean the other thing a holder can have to say: drop
+// every answer of mine (the lost-mark fallback, see fetchcache.go).
 func encodeInvalReq(holder int, items [][]float64) []byte {
 	var e transport.Encoder
 	size := 12
@@ -463,7 +451,36 @@ func decodeInvalReq(b []byte) (holder int, items [][]float64, err error) {
 	return holder, items, d.Finish()
 }
 
-// ---- fetch_range ----
+// ---- fetch_range / fetch_knn ----
+
+// Both requests are a query vector followed by eps or k (the plain form), and
+// optionally the peer id of a caching coordinator: the subscriber the holder
+// lists on the answer's directory line and notifies when a publish changes it.
+
+// fetchReqSize is the wire size of a plain fetch request over dim coordinates.
+func fetchReqSize(dim int) int { return 4 + 8*dim + 8 }
+
+// appendSubscriber turns a plain fetch request into the caching form.
+func appendSubscriber(plain []byte, peer int) []byte {
+	return binary.BigEndian.AppendUint64(plain, uint64(int64(peer)))
+}
+
+// splitFetchReq cuts a fetch request over dim coordinates into its plain form
+// — the memo key, and what decodeFetchRangeReq / decodeFetchKNNReq read — and
+// the subscriber id, if one follows. A caching request is as long as a plain
+// one of a coordinate more, so the length alone cannot tell them apart: the
+// count must be the holder's dimension, and then anything but exactly zero or
+// eight bytes after the plain form is refused.
+func splitFetchReq(b []byte, dim int) (plain []byte, sub int, caching bool, err error) {
+	size := fetchReqSize(dim)
+	if len(b) < 4 || binary.BigEndian.Uint32(b) != uint32(dim) || (len(b) != size && len(b) != size+8) {
+		return nil, 0, false, fmt.Errorf("node: fetch request of %d bytes, want %d coordinates in %d or %d", len(b), dim, size, size+8)
+	}
+	if len(b) == size {
+		return b, 0, false, nil
+	}
+	return b[:size], int(int64(binary.BigEndian.Uint64(b[size:]))), true, nil
+}
 
 func encodeFetchRangeReq(q []float64, eps float64) []byte {
 	var e transport.Encoder
@@ -490,8 +507,6 @@ func decodeFetchRangeResp(b []byte) ([]int, error) {
 	ids := d.IntsDeltaShared()
 	return ids, d.Finish()
 }
-
-// ---- fetch_knn ----
 
 func encodeFetchKNNReq(q []float64, k int) []byte {
 	var e transport.Encoder

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -170,4 +171,105 @@ func FuzzSearchRespDecode(f *testing.F) {
 			t.Fatalf("can_search response round-trip not a fixed point (%v):\nfirst:  %x\nsecond: %x", err, b1, b2)
 		}
 	})
+}
+
+// A fetch request comes in two forms — plain, and plain followed by the id of
+// the caching coordinator to list on the answer's directory line. The handler
+// cuts it with splitFetchReq before anything is decoded, so that is where a
+// hostile length or count must stop.
+
+// checkFetchReq holds one well-formed request of either method to its
+// contract: it splits into the plain form and the subscriber it was built
+// from, the plain form decodes to the vector it carries, and nothing else of
+// it is accepted — no strict prefix but the plain form of a caching request,
+// no trailing byte, no float count but the holder's dimension.
+func checkFetchReq(t *testing.T, req []byte, dim int, sub int64, caching bool) {
+	t.Helper()
+	plain, gotSub, gotCaching, err := splitFetchReq(req, dim)
+	if err != nil {
+		t.Fatalf("well-formed request refused: %v", err)
+	}
+	if len(plain) != fetchReqSize(dim) || gotCaching != caching || (caching && int64(gotSub) != sub) {
+		t.Fatalf("split into %d plain bytes, subscriber %d (caching %v), want %d bytes, %d (%v)",
+			len(plain), gotSub, gotCaching, fetchReqSize(dim), sub, caching)
+	}
+	if q, _, err := decodeFetchRangeReq(plain); err != nil || len(q) != dim {
+		t.Fatalf("plain form decoded to %d coordinates (%v), want %d", len(q), err, dim)
+	}
+	for cut := 0; cut < len(req); cut++ {
+		p, _, c, err := splitFetchReq(req[:cut], dim)
+		if err == nil && !(caching && cut == len(plain) && !c && len(p) == cut) {
+			t.Fatalf("strict prefix of %d bytes (of %d) accepted", cut, len(req))
+		}
+	}
+	if _, _, _, err := splitFetchReq(append(bytes.Clone(req), 0), dim); err == nil {
+		t.Fatal("request with a trailing byte accepted")
+	}
+	// A caching request is as long as a plain one of a coordinate more, and a
+	// plain one as a caching one of a coordinate fewer: the count is what
+	// refuses them, whichever way the holder's dimension is off.
+	for _, wrong := range []int{dim - 1, dim + 1} {
+		if wrong < 0 {
+			continue
+		}
+		if _, _, _, err := splitFetchReq(req, wrong); err == nil {
+			t.Fatalf("request of %d coordinates accepted by a holder of %d", dim, wrong)
+		}
+		if _, _, _, err := splitFetchReq(withCount(req, uint32(wrong)), dim); err == nil {
+			t.Fatalf("float count %d accepted on a request carrying %d", wrong, dim)
+		}
+	}
+}
+
+func FuzzFetchReqRoundTrip(f *testing.F) {
+	f.Add([]byte{}, 0.5, int64(3), int64(7))
+	f.Add(bytes.Repeat([]byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 32), 1e-9, int64(1), int64(-1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, -0.0, int64(1<<40), int64(1<<62))
+	f.Fuzz(func(t *testing.T, raw []byte, eps float64, k, sub int64) {
+		q := make([]float64, len(raw)/8)
+		for i := range q {
+			q[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		}
+		for _, plain := range [][]byte{encodeFetchRangeReq(q, eps), encodeFetchKNNReq(q, int(k))} {
+			checkFetchReq(t, plain, len(q), 0, false)
+			checkFetchReq(t, appendSubscriber(bytes.Clone(plain), int(sub)), len(q), sub, true)
+		}
+		// Both codecs give back what went in, bit for bit.
+		q2, eps2, err := decodeFetchRangeReq(encodeFetchRangeReq(q, eps))
+		if err != nil || len(q2) != len(q) || math.Float64bits(eps2) != math.Float64bits(eps) {
+			t.Fatalf("fetch_range round trip: %d coordinates, eps %x (%v)", len(q2), math.Float64bits(eps2), err)
+		}
+		q3, k2, err := decodeFetchKNNReq(encodeFetchKNNReq(q, int(k)))
+		if err != nil || len(q3) != len(q) || int64(k2) != k {
+			t.Fatalf("fetch_knn round trip: %d coordinates, k %d (%v)", len(q3), k2, err)
+		}
+		for i := range q {
+			if math.Float64bits(q2[i]) != math.Float64bits(q[i]) || math.Float64bits(q3[i]) != math.Float64bits(q[i]) {
+				t.Fatalf("coordinate %d changed across the round trip", i)
+			}
+		}
+	})
+}
+
+// TestInvalReqEmptyListIsDropAll pins the one inval_fetch no publish sends —
+// a holder id and no items — as decodable, distinct from any real one, and
+// read by the receiver as "drop every entry of this holder".
+func TestInvalReqEmptyListIsDropAll(t *testing.T) {
+	holder, items, err := decodeInvalReq(encodeInvalReq(9, nil))
+	if err != nil || holder != 9 || len(items) != 0 {
+		t.Fatalf("empty inval_fetch decoded to holder %d, %d items (%v)", holder, len(items), err)
+	}
+	if _, items, err := decodeInvalReq(encodeInvalReq(9, [][]float64{{1, 2}})); err != nil || len(items) != 1 {
+		t.Fatalf("one-item inval_fetch decoded to %d items (%v)", len(items), err)
+	}
+
+	n := &Node{cliFetch: map[int]map[string]cliFetchEntry{
+		9: {"r-far": {}, "r-near": {}},
+		4: {"r-other": {}},
+	}, cliCount: 3}
+	n.invalidateFetch(9, nil)
+	if len(n.cliFetch[9]) != 0 || len(n.cliFetch[4]) != 1 || n.cliCount != 1 || n.cliGen[9] != 1 {
+		t.Errorf("drop-all left %d entries of the holder, %d of another, count %d, generation %d; want 0, 1, 1, 1",
+			len(n.cliFetch[9]), len(n.cliFetch[4]), n.cliCount, n.cliGen[9])
+	}
 }
