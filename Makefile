@@ -49,9 +49,9 @@ bench-kernels:
 # Serving-runtime load benchmark: 64 TCP nodes, 8k mixed closed-loop
 # requests plus an open-loop latency-under-load sweep, writes
 # BENCH_serve.json (fails on any request error). The second phase repeats the
-# run on a skewed (Zipf + repeat) stream with the view cache on, appending its
-# rows to the same artifact — the before/after pair the cache's speedup claim
-# is measured from. The uncached and cached skewed phases also run a
+# run on a skewed (Zipf + repeat) stream with the lookup memo and fetch caches
+# on (-cache-views), appending its rows to the same artifact — the
+# before/after pair the caches' speedup claim is measured from. The uncached and cached skewed phases also run a
 # cache-cleared cold phase (-cold): 500 distinct first-touch queries whose
 # "cold" row carries coordinator RPCs per query. BENCH_CPUS pins GOMAXPROCS
 # for reproducible numbers (recorded in the artifact's env stamp).
@@ -64,8 +64,9 @@ bench-serve:
 
 # Quick serving smoke for CI: a small 8-node TCP run that fails on any
 # request error — catches transport or coordinator regressions in seconds —
-# then the same run cache-on over a skewed stream (the cached-vs-uncached
-# differential smoke: both must come back clean).
+# then the same run over a skewed stream with the lookup memo and fetch caches
+# on, plus a cache-cleared cold phase (the cached-vs-uncached differential
+# smoke: both must come back clean).
 bench-serve-smoke:
 	$(GO) run ./cmd/hyperm-load -nodes 8 -requests 2000 -clients 8 -transport tcp
 	$(GO) run ./cmd/hyperm-load -nodes 8 -requests 2000 -clients 8 -transport tcp -zipf 1.5 -repeat 0.5 -cache-views -affinity -cold 200

@@ -90,28 +90,17 @@ type ServeBenchRow struct {
 	// requests that repeat the previous request's query.
 	ZipfS      float64 `json:"zipf_s,omitempty"`
 	RepeatFrac float64 `json:"repeat_frac,omitempty"`
-	// CacheViews/CacheSize record the view-cache tuning the cluster ran with,
-	// so every row names its configuration. Affinity records the client
-	// routing policy: queries hashed to a coordinator (true) vs uniformly
-	// random coordinators (false).
+	// CacheViews records whether the cluster ran with the lookup memo and
+	// fetch caches on, so every row names its configuration. Affinity records
+	// the client routing policy: queries hashed to a coordinator (true) vs
+	// uniformly random coordinators (false).
 	CacheViews bool `json:"cache_views,omitempty"`
-	CacheSize  int  `json:"cache_size,omitempty"`
 	Affinity   bool `json:"affinity,omitempty"`
-	// Cache telemetry, aggregated across all nodes for this row's phase
-	// (the main run or one sweep phase). Zero when caching is off.
-	CacheHits          float64 `json:"cache_hits,omitempty"`
-	CacheMisses        float64 `json:"cache_misses,omitempty"`
-	CacheRevalidations float64 `json:"cache_revalidations,omitempty"`
-	CacheEvictions     float64 `json:"cache_evictions,omitempty"`
-	CacheEpochStale    float64 `json:"cache_epoch_stale,omitempty"`
-	// CacheHitRate is the fraction of cache-mediated view probes served
-	// without any RPC: same-epoch hits over all probes.
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
+	// Cache telemetry is aggregated across all nodes for this row's phase
+	// (the main run or one sweep phase); zero when caching is off.
 	// PathHits/PathMisses count whole level searches served from the lookup
 	// memo (no machine run, no view probes at all) vs run live;
-	// LookupHitRate is their ratio — under query affinity this, not the
-	// per-view rate, is the cache's serving hit-rate, because a memo hit
-	// answers the entire search before a single view is probed.
+	// LookupHitRate is their ratio.
 	PathHits      float64 `json:"path_hits,omitempty"`
 	PathMisses    float64 `json:"path_misses,omitempty"`
 	LookupHitRate float64 `json:"lookup_hit_rate,omitempty"`
@@ -133,9 +122,9 @@ type ServeBenchRow struct {
 	FetchHitRate  float64 `json:"fetch_hit_rate,omitempty"`
 	FetchPerQuery float64 `json:"fetch_per_query,omitempty"`
 	// CoordPerQuery is the mean number of lookup-coordinator RPCs per request
-	// in this row's phase — can_search RPCs sent (messages, not views: an
-	// uncached query asks a peer about all of its levels in one, so this is
-	// below the row's overlay hops) + version probes.
+	// in this row's phase — can_search RPCs sent (messages, not views: a
+	// query asks a peer about all of its levels in one, so this is below the
+	// row's overlay hops).
 	CoordPerQuery float64 `json:"coord_per_query,omitempty"`
 	// StreamPublish/ReclusterEvery record the incremental-publish tuning the
 	// cluster ran with; PublishRate is the offered rate of the -publish-rate
@@ -245,8 +234,7 @@ func run() int {
 	sweepDur := flag.Duration("sweep-seconds", 5*time.Second, "duration of each sweep phase")
 	zipfS := flag.Float64("zipf", 0, "Zipf exponent s>1 for query-popularity skew (0 = uniform)")
 	repeatFrac := flag.Float64("repeat", 0, "fraction of requests repeating the previous request's query")
-	cacheViews := flag.Bool("cache-views", false, "enable the per-node view cache on the lookup path")
-	cacheSize := flag.Int("cache-size", 0, "view-cache capacity per level (0 = node default)")
+	cacheViews := flag.Bool("cache-views", false, "enable the per-node lookup memo and fetch caches")
 	affinity := flag.Bool("affinity", false, "route each query to a coordinator chosen by query hash so repeats land on warm caches (publishes stay random)")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish instead of stale summaries")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster a node's levels after this many streamed inserts (0 = never)")
@@ -321,7 +309,6 @@ func run() int {
 	tuning := node.Tuning{
 		Alpha:          *alpha,
 		CacheViews:     *cacheViews,
-		CacheSize:      *cacheSize,
 		StreamPublish:  *streamPublish,
 		ReclusterEvery: *reclusterEvery,
 	}
@@ -437,34 +424,17 @@ func run() int {
 	}
 	prevCC = clusterCC()
 
-	effCacheSize := *cacheSize
-	if *cacheViews && effCacheSize == 0 {
-		effCacheSize = node.DefaultCacheSize
-	}
 	// decorate stamps a row with the workload/tuning configuration and, when
 	// phase counters are given, the cache telemetry of that row's phase.
 	decorate := func(row *ServeBenchRow, cc map[string]float64, queries int) {
 		row.ZipfS, row.RepeatFrac = *zipfS, *repeatFrac
-		row.CacheViews, row.CacheSize = *cacheViews, effCacheSize
-		row.Affinity = *affinity
+		row.CacheViews, row.Affinity = *cacheViews, *affinity
 		row.StreamPublish, row.PublishRate = *streamPublish, *publishRate
 		if *streamPublish {
 			row.ReclusterEvery = *reclusterEvery
 		}
-		if !*cacheViews {
-			row.CacheSize = 0
-		}
 		if cc == nil {
 			return
-		}
-		row.CacheHits = cc["cache.hit"]
-		row.CacheMisses = cc["cache.miss"]
-		row.CacheRevalidations = cc["cache.revalidate"]
-		row.CacheEvictions = cc["cache.evict"]
-		row.CacheEpochStale = cc["cache.stale"]
-		probes := cc["cache.hit"] + cc["cache.revalidate_ok"] + cc["cache.revalidate_stale"] + cc["cache.miss"]
-		if probes > 0 {
-			row.CacheHitRate = cc["cache.hit"] / probes
 		}
 		row.PathHits = cc["cache.path_hit"]
 		row.PathMisses = cc["cache.path_miss"]
@@ -485,7 +455,7 @@ func run() int {
 			row.FetchPerQuery = fetchRPC / float64(queries)
 		}
 		if queries > 0 {
-			row.CoordPerQuery = (cc["coord.can_search"] + cc["coord.view_version"]) / float64(queries)
+			row.CoordPerQuery = cc["coord.can_search"] / float64(queries)
 		}
 	}
 
@@ -939,8 +909,8 @@ func run() int {
 		rows = append(rows, row)
 	}
 
-	// Cold phase: clear every node's caches — view cache, lookup memo, fetch
-	// memos, client fetch cache — then issue -cold distinct never-repeated
+	// Cold phase: clear every node's caches — lookup memo, fetch directory,
+	// client fetch cache — then issue -cold distinct never-repeated
 	// queries closed-loop. Every lookup is a first touch, so the row's
 	// CoordPerQuery is the Θ(N) first-touch cost, measured on the same cluster
 	// as the warm rows.
@@ -1021,7 +991,7 @@ func run() int {
 			row.QPS = float64(*cold) / coldSecs
 		}
 		decorate(&row, ccDelta(), *cold)
-		fmt.Printf("hyperm-load: cold path: %.2f coordinator RPCs/query (can_search+version)\n", row.CoordPerQuery)
+		fmt.Printf("hyperm-load: cold path: %.2f coordinator RPCs/query (can_search)\n", row.CoordPerQuery)
 		rows = append(rows, row)
 	}
 
@@ -1034,7 +1004,7 @@ func run() int {
 	}
 	cacheDesc := "off"
 	if *cacheViews {
-		cacheDesc = fmt.Sprintf("%d/level", effCacheSize)
+		cacheDesc = "on"
 	}
 	if *affinity {
 		workload += "+affinity"
@@ -1072,20 +1042,14 @@ func run() int {
 	}
 
 	if *cacheViews {
-		cc := mainCC
 		var allRow *ServeBenchRow
 		for i := range rows {
 			if rows[i].Op == "all" {
 				allRow = &rows[i]
 			}
 		}
-		fmt.Printf("\ncache: hits=%.0f misses=%.0f reval=%.0f (ok=%.0f ver_stale=%.0f) "+
-			"evict=%.0f neg_hits=%.0f hit-rate=%.1f%% can_search/query=%.2f\n",
-			cc["cache.hit"], cc["cache.miss"], cc["cache.revalidate"],
-			cc["cache.revalidate_ok"], cc["cache.revalidate_stale"], cc["cache.evict"], cc["cache.neg_hit"],
-			100*allRow.CacheHitRate, allRow.CanSearchPerQuery)
-		fmt.Printf("lookup-memo: hits=%.0f misses=%.0f hit-rate=%.1f%%\n",
-			allRow.PathHits, allRow.PathMisses, 100*allRow.LookupHitRate)
+		fmt.Printf("\nlookup-memo: hits=%.0f misses=%.0f hit-rate=%.1f%% can_search/query=%.2f\n",
+			allRow.PathHits, allRow.PathMisses, 100*allRow.LookupHitRate, allRow.CanSearchPerQuery)
 		fmt.Printf("fetch: local_hits=%.0f holder_memo_hits=%.0f invalidations=%.0f "+
 			"hit-rate=%.1f%% fetch-rpc/query=%.2f\n",
 			allRow.FetchLocalHits, allRow.FetchMemoHits, allRow.FetchInvalidations,

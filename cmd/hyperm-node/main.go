@@ -89,8 +89,7 @@ func run() int {
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a neighbor is declared dead")
 	graceful := flag.Bool("leave", false, "leave gracefully on shutdown: hand zones and records to neighbors")
 	alpha := flag.Int("alpha", 0, "concurrent can_search probes per lookup step (0 = default, 1 = serial)")
-	cacheViews := flag.Bool("cache-views", false, "cache peers' can_search views with churn-epoch invalidation")
-	cacheSize := flag.Int("cache-size", 0, "view-cache capacity per level (0 = default)")
+	cacheViews := flag.Bool("cache-views", false, "memoize whole lookups per churn epoch and cache phase-two fetch answers")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
 	publishRate := flag.Float64("publish-rate", 0, "self-ingest jittered workload items into this node at this rate (items/s) until shutdown; 0 disables")
@@ -180,7 +179,6 @@ func run() int {
 		Tuning: node.Tuning{
 			Alpha:          *alpha,
 			CacheViews:     *cacheViews,
-			CacheSize:      *cacheSize,
 			StreamPublish:  *streamPublish,
 			ReclusterEvery: *reclusterEvery,
 		},

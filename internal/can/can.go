@@ -144,14 +144,16 @@ func Build(cfg Config) (*Overlay, error) {
 	}
 	o.nodes = append(o.nodes, &node{id: 0, alive: true, zones: []Zone{full}})
 	for i := 1; i < cfg.Nodes; i++ {
-		o.join(cfg.Rng)
+		if err := o.join(cfg.Rng); err != nil {
+			return nil, err
+		}
 	}
 	return o, nil
 }
 
 // join adds one node: pick a random point, route to its owner from a random
 // alive bootstrap node, split the owner's zone.
-func (o *Overlay) join(rng *rand.Rand) {
+func (o *Overlay) join(rng *rand.Rand) error {
 	p := make([]float64, o.dim)
 	for i := range p {
 		p[i] = rng.Float64()
@@ -165,15 +167,15 @@ func (o *Overlay) join(rng *rand.Rand) {
 	}
 	owner, hops := o.route(start, p)
 	o.stats.JoinHops += hops
-
-	newNode := &node{id: len(o.nodes), alive: true}
-	o.nodes = append(o.nodes, newNode)
-	o.split(owner, newNode, p)
+	_, err := o.split(owner, p)
+	return err
 }
 
-// split halves owner's zone along its longest side; the half containing the
-// join point goes to the joiner. Stored entries are redistributed.
-func (o *Overlay) split(owner, joiner *node, joinPoint []float64) {
+// split admits a new node by halving owner's zone along its longest side; the
+// half containing the join point goes to the joiner. Stored entries are
+// redistributed. A zone too small to halve (route.ErrZoneTooSmall) admits
+// nobody and changes nothing.
+func (o *Overlay) split(owner *node, joinPoint []float64) (*node, error) {
 	zi := 0
 	for i, z := range owner.zones {
 		if z.Contains(joinPoint) {
@@ -185,9 +187,13 @@ func (o *Overlay) split(owner, joiner *node, joinPoint []float64) {
 	// near-cubical) and the record redistribution are the shared maintenance
 	// helpers' — the live membership protocol splits through the exact same
 	// code, which is what keeps it byte-identical to this simulator.
-	kept, taken := route.SplitZone(owner.zones[zi], joinPoint)
+	kept, taken, err := route.SplitZone(owner.zones[zi], joinPoint)
+	if err != nil {
+		return nil, fmt.Errorf("can: node %d cannot split %v for a join at %v: %w", owner.id, owner.zones[zi], joinPoint, err)
+	}
+	joiner := &node{id: len(o.nodes), alive: true, zones: []Zone{taken}}
+	o.nodes = append(o.nodes, joiner)
 	owner.zones[zi] = kept
-	joiner.zones = []Zone{taken}
 	owner.owned, owner.replicas, joiner.owned, joiner.replicas =
 		route.SplitRecords(owner.owned, owner.replicas, owner.zones, joiner.zones)
 
@@ -200,6 +206,7 @@ func (o *Overlay) split(owner, joiner *node, joinPoint []float64) {
 	for id := range affected {
 		o.recomputeNeighbors(o.nodes[id])
 	}
+	return joiner, nil
 }
 
 func oldNeighborsPlus(owner, joiner *node) []int {
@@ -680,10 +687,10 @@ func (o *Overlay) JoinNode(point []float64) (int, error) {
 			return 0, fmt.Errorf("can: join point %v outside the unit torus", point)
 		}
 	}
-	owner := o.ownerScan(point)
-	n := &node{id: len(o.nodes), alive: true}
-	o.nodes = append(o.nodes, n)
-	o.split(owner, n, point)
+	n, err := o.split(o.ownerScan(point), point)
+	if err != nil {
+		return 0, err
+	}
 	return n.id, nil
 }
 

@@ -1,6 +1,7 @@
 package can
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -56,7 +57,14 @@ func churnOps(t testing.TB, topoSeed int64, ops []byte) (*Overlay, []int, bool) 
 			for j := range point {
 				_, point[j] = math.Modf(float64(arg+1) * 0.61803398875 * float64(j+1))
 			}
-			if _, err := o.JoinNode(point); err != nil {
+			size := o.Size()
+			if _, err := o.JoinNode(point); errors.Is(err, route.ErrZoneTooSmall) {
+				// Joins piled into one zone until its side ran out of
+				// float64s: refused, nobody admitted.
+				if o.Size() != size {
+					t.Fatalf("refused JoinNode(%v) grew the overlay to %d nodes", point, o.Size())
+				}
+			} else if err != nil {
 				t.Fatalf("JoinNode(%v): %v", point, err)
 			}
 		case 2: // graceful leave
@@ -180,8 +188,44 @@ func TestZoneSplitTakeoverInvariants(t *testing.T) {
 	}
 }
 
+// TestJoinNodeRefusesZoneTooSmall joins at one point until the zone under it
+// has no float64 left to halve at: that join fails with route.ErrZoneTooSmall,
+// admits nobody, and leaves every invariant standing — as do joins elsewhere
+// afterwards.
+func TestJoinNodeRefusesZoneTooSmall(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	o, err := Build(Config{Nodes: 3, Dim: 2, Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []int
+	for i := 0; i < 10; i++ {
+		seqs = append(seqs, o.nextSeq)
+		o.InsertSphere(i%3, overlay.Entry{Key: randomKey(rng, 2), Radius: 0.2 * rng.Float64(), Payload: i})
+	}
+	point := []float64{0.7, 0.3}
+	for joins := 0; ; joins++ {
+		if joins > 256 {
+			t.Fatal("256 joins at one point were all granted")
+		}
+		size := o.Size()
+		if _, err = o.JoinNode(point); err != nil {
+			if !errors.Is(err, route.ErrZoneTooSmall) || o.Size() != size {
+				t.Fatalf("join %d: %v (overlay %d -> %d nodes)", joins, err, size, o.Size())
+			}
+			break
+		}
+	}
+	checkChurnInvariants(t, o, seqs, false)
+	if _, err := o.JoinNode([]float64{0.2, 0.9}); err != nil {
+		t.Fatalf("join elsewhere after the refusal: %v", err)
+	}
+	checkChurnInvariants(t, o, seqs, false)
+}
+
 // FuzzZoneSplitTakeover lets the fuzzer pick both the base topology and the
-// churn schedule.
+// churn schedule. testdata/fuzz/FuzzZoneSplitTakeover/split-at-float64-floor
+// is the schedule that joins ~57 times into one zone (see route.SplitZone).
 func FuzzZoneSplitTakeover(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 2, 1, 3, 0})
 	f.Add(int64(7), []byte{1, 200, 2, 5, 3, 5, 0, 9, 3, 1})

@@ -106,12 +106,10 @@ type Manager struct {
 	claims map[string]claim
 	// recovering counts in-flight post-takeover republishes (Busy).
 	recovering int
-	// versions[l] counts this node's own level-l state mutations — the
-	// revalidation token view caches compare (see internal/viewcache).
-	versions []uint64
 	// epochs[l] counts the level-l churn events this node has observed
 	// (its own mutations plus neighbor-table changes seen in probe
-	// responses); view caches trust entries only within their fetch epoch.
+	// responses); a coordinator's lookup memo and fetch cache trust an entry
+	// only within the epoch it was recorded at.
 	epochs []uint64
 
 	probeMu   sync.Mutex
@@ -127,18 +125,17 @@ func NewManager(self, size int, levels []LevelState, fabric Fabric, opts Options
 		size = self + 1
 	}
 	m := &Manager{
-		self:     self,
-		fabric:   fabric,
-		opts:     opts.withDefaults(),
-		levels:   make([]LevelState, len(levels)),
-		book:     map[int]string{},
-		size:     size,
-		dead:     map[int]bool{},
-		fails:    map[int]int{},
-		tables:   map[int][]LevelTable{},
-		claims:   map[string]claim{},
-		versions: make([]uint64, len(levels)),
-		epochs:   make([]uint64, len(levels)),
+		self:   self,
+		fabric: fabric,
+		opts:   opts.withDefaults(),
+		levels: make([]LevelState, len(levels)),
+		book:   map[int]string{},
+		size:   size,
+		dead:   map[int]bool{},
+		fails:  map[int]int{},
+		tables: map[int][]LevelTable{},
+		claims: map[string]claim{},
+		epochs: make([]uint64, len(levels)),
 	}
 	if opts.ProbeInterval <= 0 {
 		m.opts.ProbeInterval = 0
@@ -241,22 +238,16 @@ func (m *Manager) View(level int) LevelState {
 // zones and neighbors are shallow-copied and records are filtered under the
 // read lock, keeping owned and replicas separate and in storage order — the
 // hot serving path allocates record slices sized to the matches instead of
-// copying every stored record per hop. A nil match selects everything (the
-// full-view fetch a view cache stores, so the cached copy can answer *any*
-// later sphere: the searcher's own filter is idempotent). The returned
-// version is the level's state version at read time — the cache revalidation
-// token, read under the same lock as the state it stamps. match must not
-// retain or mutate its argument's slices beyond the protocol's shared-read
-// contract (see Clone).
-func (m *Manager) SearchView(level int, match func(route.RecordView) bool) (zones []route.Zone, nbs []Neighbor, owned, replicas []route.RecordView, version uint64) {
+// copying every stored record per hop. match must not retain or mutate its
+// argument's slices beyond the protocol's shared-read contract (see Clone).
+// The fifth result is always 0; the slot stays only because bench/layers.go
+// assigns five values (ROADMAP "Benchmark v2 (d)").
+func (m *Manager) SearchView(level int, match func(route.RecordView) bool) (zones []route.Zone, nbs []Neighbor, owned, replicas []route.RecordView, _ uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	ls := &m.levels[level]
 	zones = cloneZones(ls.Zones)
 	nbs = cloneNeighbors(ls.Neighbors)
-	if match == nil {
-		return zones, nbs, cloneRecords(ls.Owned), cloneRecords(ls.Replicas), m.versions[level]
-	}
 	filter := func(rs []route.RecordView) []route.RecordView {
 		var out []route.RecordView
 		for _, r := range rs {
@@ -271,7 +262,7 @@ func (m *Manager) SearchView(level int, match func(route.RecordView) bool) (zone
 		}
 		return out
 	}
-	return zones, nbs, filter(ls.Owned), filter(ls.Replicas), m.versions[level]
+	return zones, nbs, filter(ls.Owned), filter(ls.Replicas), 0
 }
 
 // ZonesIntersect reports whether the sphere (key, radius) touches a zone this
@@ -324,46 +315,20 @@ func (m *Manager) Busy() bool {
 	return m.recovering > 0
 }
 
-// Version returns this node's level-l state version: a counter bumped on
-// every mutation of its own zones, neighbor table, or records. It is the
-// token view_version exposes for cheap cache revalidation.
-func (m *Manager) Version(level int) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.versions[level]
-}
-
 // Epoch returns this node's level-l churn epoch: a counter bumped on every
 // membership event the node observes at that level — its own mutations and
-// neighbor-table changes heard in probe responses. A view cache trusts an
-// entry outright only while the epoch it was fetched at is still current.
+// neighbor-table changes heard in probe responses. A coordinator reuses a
+// memoized lookup only while the epoch it ran under is still current.
 func (m *Manager) Epoch(level int) uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.epochs[level]
 }
 
-// bumpLocked records a mutation of this node's own level-l state: both the
-// revalidation version and the observed-churn epoch advance. Callers hold mu.
+// bumpLocked records a level-l churn event this node observed — a mutation
+// of its own zones, neighbor table or records by the membership protocol, or
+// news of a neighbor's. Callers hold mu.
 func (m *Manager) bumpLocked(level int) {
-	m.versions[level]++
-	m.epochs[level]++
-}
-
-// bumpVersionLocked records a record-store mutation that is not churn: the
-// revalidation version advances (remote caches of this node's view must
-// refetch) but the churn epoch holds — zones and neighbor tables are
-// untouched, so topology-keyed trust is unaffected. Streaming publish is the
-// only caller; its coordinators compensate by never trusting a cached view
-// without revalidation (see node.Tuning.StreamPublish).
-func (m *Manager) bumpVersionLocked(level int) {
-	m.versions[level]++
-}
-
-// observeLocked records a churn event at level l that did not change this
-// node's own state (news about others): only the epoch advances, so local
-// caches revalidate while remote caches of *this* node's view stay valid.
-func (m *Manager) observeLocked(level int) {
 	m.epochs[level]++
 }
 
@@ -425,8 +390,9 @@ func (m *Manager) checkLevel(level int) error {
 // ApplyRecord applies one streamed record delta to this node's level state
 // through the shared rules (route.UpsertRecord/DeleteRecord), so the records
 // a live holder ends up with are byte-identical to the simulator node the
-// same delta sequence reached. Bumps the level's revalidation version only —
-// record churn is not membership churn (see bumpVersionLocked).
+// same delta sequence reached. The churn epoch holds: record churn is not
+// membership churn, which is why coordinators keep no lookup memo under
+// streaming publish (see node.Tuning.StreamPublish).
 func (m *Manager) ApplyRecord(level int, asOwner, del bool, rec route.RecordView) error {
 	if err := m.checkLevel(level); err != nil {
 		return err
@@ -439,7 +405,6 @@ func (m *Manager) ApplyRecord(level int, asOwner, del bool, rec route.RecordView
 	} else {
 		ls.Owned, ls.Replicas = route.UpsertRecord(ls.Owned, ls.Replicas, rec, asOwner)
 	}
-	m.bumpVersionLocked(level)
 	return nil
 }
 
@@ -565,7 +530,13 @@ func (m *Manager) handleJoin(req JoinReq) ([]byte, error) {
 
 	// Split geometry and record redistribution are the shared helpers' — the
 	// exact code the simulator oracle runs.
-	kept, taken := route.SplitZone(ls.Zones[zi], req.Point)
+	kept, taken, err := route.SplitZone(ls.Zones[zi], req.Point)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, transport.WithDetail(
+			fmt.Errorf("membership: node %d cannot split %v for a join at %v: %w", m.self, ls.Zones[zi], req.Point, err),
+			route.DetailZoneTooSmall)
+	}
 	newZones := cloneZones(ls.Zones)
 	newZones[zi] = kept
 	joinerZones := []route.Zone{taken}
@@ -997,7 +968,7 @@ func (m *Manager) noteProbe(id int, tables []LevelTable, err error) {
 			if prev, ok := m.tables[id]; ok {
 				for l := 0; l < len(m.levels); l++ {
 					if !levelTableEqual(tableAt(prev, l), tableAt(tables, l)) {
-						m.observeLocked(l)
+						m.bumpLocked(l)
 					}
 				}
 			}

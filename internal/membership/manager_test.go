@@ -2,8 +2,11 @@ package membership
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -381,5 +384,22 @@ func TestProtocolMatchesOracle(t *testing.T) {
 			waitIdle(t, f)
 			comparePair(t, "post-churn", o, f)
 		})
+	}
+}
+
+// TestJoinRefusedWhenZoneTooSmall asks an owner to split a zone one float64
+// wide: the join is refused with the route/zone-too-small detail token (what
+// the joiner sees across the wire) and the owner's state does not move.
+func TestJoinRefusedWhenZoneTooSmall(t *testing.T) {
+	lo := 0.7
+	zone := route.Zone{Lo: []float64{lo}, Hi: []float64{math.Nextafter(lo, 1)}}
+	m := NewManager(0, 1, []LevelState{{Zones: []route.Zone{zone}}}, nil, Options{})
+	body := encodeJoinReq(JoinReq{Level: 0, Joiner: 1, Addr: testAddr(1), Point: []float64{lo}})
+	_, err := m.HandleRPC(context.Background(), MethodJoin, body)
+	if !errors.Is(err, route.ErrZoneTooSmall) || transport.ErrorDetail(err) != route.DetailZoneTooSmall {
+		t.Fatalf("join into a one-float64 zone: err %v, detail %q", err, transport.ErrorDetail(err))
+	}
+	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || len(ls.Neighbors) != 0 || m.Epoch(0) != 0 {
+		t.Fatalf("refused join changed the owner: %+v, epoch %d", ls, m.Epoch(0))
 	}
 }

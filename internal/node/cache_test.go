@@ -19,12 +19,13 @@ import (
 	"hyperm/internal/vec"
 )
 
-// This file is the acceptance suite of the view cache (internal/viewcache):
-// the cache-on serving path must answer byte-identically to the uncached
-// serial reference on every topology churn can produce, while measurably
-// removing can_search RPCs. The differential test sweeps seeded churned
-// topologies; the takeover test aims a crash at a warm cache mid-query-stream
-// and proves stale views were revalidated, never trusted.
+// This file is the acceptance suite of the lookup memo (internal/viewcache)
+// and the fetch caches: the cache-on serving path must answer byte-identically
+// to the in-process oracle on every topology churn can produce, while
+// measurably removing can_search RPCs. The differential test sweeps seeded
+// churned topologies; the takeover test aims a crash at a warm memo
+// mid-query-stream and proves no lookup recorded under an older churn epoch
+// was ever served again.
 
 // cacheParams keeps each seeded topology small enough to sweep many of them.
 func cacheParams(seed int64) experiments.Params {
@@ -75,9 +76,20 @@ func sumCounter(cl *node.Cluster, name string) float64 {
 	return total
 }
 
+// memoDelta runs fn and reports what it did to coordinator nd's lookup memo
+// and how many can_search RPCs nd sent meanwhile.
+func memoDelta(nd *node.Node, fn func()) (hits, misses, sent float64) {
+	before := nd.Counters()
+	fn()
+	after := nd.Counters()
+	return after["cache.path_hit"] - before["cache.path_hit"],
+		after["cache.path_miss"] - before["cache.path_miss"],
+		after["coord.can_search"] - before["coord.can_search"]
+}
+
 // epochsAdvanced reports whether the coordinator observed churn at every
-// level since the given per-level epoch snapshot — the precondition under
-// which its cached views are provably coherent (see internal/viewcache).
+// level since the given per-level epoch snapshot — after which none of the
+// lookups it memoized before may be served (see viewcache.GetSearch).
 func epochsAdvanced(nd *node.Node, before []uint64) bool {
 	for l, e := range before {
 		if nd.Membership().Epoch(l) <= e {
@@ -96,10 +108,10 @@ func epochSnapshot(nd *node.Node, levels int) []uint64 {
 }
 
 // TestCacheDifferential sweeps seeded churned topologies and proves the core
-// invariant of the view cache: with caching on, every range and k-nn answer
-// is byte-identical to the in-process oracle — on a cold cache, on a warm
-// cache, and after live mid-stream churn — and the warm pass issues zero
-// can_search RPCs (every view probe served from cache).
+// invariant of the caches: with caching on, every range and k-nn answer is
+// byte-identical to the in-process oracle — cold, warm, and after live
+// mid-stream churn — and the warm pass issues zero can_search RPCs (every
+// level search served from the lookup memo).
 func TestCacheDifferential(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -128,7 +140,7 @@ func runCacheDifferential(t *testing.T, seed int64) {
 
 	// Pre-start churn: grow and shrink the oracle topology so the cluster
 	// snapshot includes split zones, handoff takeovers, and a wiped crash
-	// survivor — the shapes a cache must stay coherent over.
+	// survivor — the shapes the caches must stay coherent over.
 	rng := rand.New(rand.NewSource(seed * 31))
 	const protected = 4 // founders: query coordinators, join bootstrap
 	for i := 0; i < 2; i++ {
@@ -162,46 +174,46 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	ctx := context.Background()
 	qs, radii := queriesFor(t, sys, protected, 6)
 
+	checkOne := func(tag string, i, from int) {
+		t.Helper()
+		q := qs[i]
+		wantR := sys.RangeQuery(from, q, radii[i], core.RangeOptions{})
+		gotR, err := client.Range(ctx, cl.Addrs[from], q, radii[i], core.RangeOptions{})
+		if err != nil {
+			t.Fatalf("%s: range query %d from %d: %v", tag, i, from, err)
+		}
+		if !reflect.DeepEqual(normalizeRange(wantR), normalizeRange(gotR)) {
+			t.Errorf("%s: range query %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v",
+				tag, i, from, wantR, gotR)
+		}
+		wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
+		gotK, err := client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
+		if err != nil {
+			t.Fatalf("%s: knn query %d from %d: %v", tag, i, from, err)
+		}
+		if !reflect.DeepEqual(normalizeKNN(wantK), normalizeKNN(gotK)) {
+			t.Errorf("%s: knn query %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v",
+				tag, i, from, wantK, gotK)
+		}
+	}
 	check := func(tag string, froms []int) {
 		t.Helper()
-		for i, q := range qs {
-			from := froms[i%len(froms)]
-			wantR := sys.RangeQuery(from, q, radii[i], core.RangeOptions{})
-			gotR, err := client.Range(ctx, cl.Addrs[from], q, radii[i], core.RangeOptions{})
-			if err != nil {
-				t.Fatalf("%s: range query %d from %d: %v", tag, i, from, err)
-			}
-			if !reflect.DeepEqual(normalizeRange(wantR), normalizeRange(gotR)) {
-				t.Errorf("%s: range query %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v",
-					tag, i, from, wantR, gotR)
-			}
-			wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
-			gotK, err := client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
-			if err != nil {
-				t.Fatalf("%s: knn query %d from %d: %v", tag, i, from, err)
-			}
-			if !reflect.DeepEqual(normalizeKNN(wantK), normalizeKNN(gotK)) {
-				t.Errorf("%s: knn query %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v",
-					tag, i, from, wantK, gotK)
-			}
+		for i := range qs {
+			checkOne(tag, i, froms[i%len(froms)])
 		}
 	}
 
 	founders := []int{0, 1, 2, 3}
 	check("cold", founders)
 
-	// Warm pass: identical queries on the now-populated caches. Byte-identical
-	// again, and with no membership event in between every cached view is
-	// epoch-fresh — not one can_search RPC may cross the wire. Bit-identical
-	// repeat spheres short-circuit through the lookup memo before even
-	// touching the view cache.
+	// Warm pass: identical queries on the now-populated memo. Byte-identical
+	// again, and with no membership event in between every bit-identical
+	// repeat sphere is answered from the lookup memo — not one can_search RPC
+	// may cross the wire.
 	before := sumCounter(cl, "rpc.can_search")
 	check("warm", founders)
 	if delta := sumCounter(cl, "rpc.can_search") - before; delta != 0 {
-		t.Errorf("warm pass issued %v can_search RPCs, want 0 (all views cached)", delta)
-	}
-	if sumCounter(cl, "cache.hit") == 0 {
-		t.Error("warm pass recorded no cache hits")
+		t.Errorf("warm pass issued %v can_search RPCs, want 0 (every lookup memoized)", delta)
 	}
 	if sumCounter(cl, "cache.path_hit") == 0 {
 		t.Error("warm pass recorded no lookup-memo hits for repeat spheres")
@@ -248,8 +260,8 @@ func runCacheDifferential(t *testing.T, seed int64) {
 
 	// Live mid-stream churn: one protocol join and one graceful leave against
 	// the running cluster (the oracle replays both). Coordinators that
-	// observed the churn — epoch advanced at every level — must revalidate
-	// their stale entries and keep answering byte-identically.
+	// observed the churn — epoch advanced at every level — must drop every
+	// lookup they memoized before it and keep answering byte-identically.
 	pre := make(map[int][]uint64, len(founders))
 	for _, f := range founders {
 		pre[f] = epochSnapshot(cl.Nodes[f], params.Levels)
@@ -292,20 +304,37 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	}
 	t.Logf("mid-stream churn observed by founders %v", observers)
 	if len(observers) > 0 {
-		reval := sumCounter(cl, "cache.revalidate")
-		check("post-churn", observers)
-		if d := sumCounter(cl, "cache.revalidate") - reval; d == 0 {
-			t.Error("post-churn queries trusted stale views: no revalidations recorded")
+		// An observer's first repeat of a query it served warm in every pass
+		// above must run the machine again (a memo miss that sends can_search),
+		// never return the lookup recorded under the older epoch.
+		var sent float64
+		for _, f := range observers {
+			for i := range qs {
+				if founders[i%len(founders)] != f {
+					continue
+				}
+				hits, misses, s := memoDelta(cl.Nodes[f], func() { checkOne("post-churn-repeat", i, f) })
+				if hits != 0 || misses == 0 {
+					t.Errorf("post-churn repeat of query %d at observer %d: %v memo hits, %v misses — a lookup from the older epoch was served", i, f, hits, misses)
+				}
+				sent += s
+			}
 		}
+		if sent == 0 {
+			t.Error("post-churn repeats of warm queries sent no can_search")
+		}
+		check("post-churn", observers)
 	}
 }
 
-// TestCacheTakeoverMidStream crashes a node under a warm cache while a query
-// stream is running (satellite of the view-cache work): after the failure
-// detectors elect takeovers and the cluster quiesces, every coordinator that
-// observed the churn must answer byte-identically to the oracle that replayed
-// the same crash — and must have revalidated its stale cached views (counter
-// assertion: epochs advanced, so not one pre-crash view may be trusted as-is).
+// TestCacheTakeoverMidStream crashes a node under a warm memo while a query
+// stream is running: after the failure detectors elect takeovers and the
+// cluster quiesces, every coordinator that observed the churn must answer
+// byte-identically to the oracle that replayed the same crash — and must run
+// its warm lookups again (counter assertion: epochs advanced, so not one
+// pre-crash memo entry may be served). The stream is range queries only, so
+// the k-nn lookups warmed before the crash are repeated for the first time by
+// the acceptance sweep.
 func TestCacheTakeoverMidStream(t *testing.T) {
 	params := experiments.Params{Peers: 8, ItemsPerPeer: 30, Dim: 32, Levels: 3, ClustersPerPeer: 4, Seed: 7}
 	sys, err := experiments.BuildMarkovSystem(params)
@@ -345,9 +374,17 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 		if !reflect.DeepEqual(normalizeRange(want), normalizeRange(got)) {
 			t.Errorf("warmup range %d from peer %d diverged", i, from)
 		}
+		wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
+		gotK, err := client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
+		if err != nil {
+			t.Fatalf("warmup knn %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(normalizeKNN(wantK), normalizeKNN(gotK)) {
+			t.Errorf("warmup knn %d from peer %d diverged", i, from)
+		}
 	}
-	if sumCounter(cl, "cache.hit")+sumCounter(cl, "cache.miss") == 0 {
-		t.Fatal("warmup did not populate the cache")
+	if sumCounter(cl, "cache.path_miss") == 0 {
+		t.Fatal("warmup did not populate the lookup memo")
 	}
 	// Let the failure detectors refresh their cached self-reports from the
 	// running topology before the crash: takeover elections vote with probe-
@@ -359,11 +396,6 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 	for _, f := range founders {
 		pre[f] = epochSnapshot(cl.Nodes[f], params.Levels)
 	}
-	// Revalidation baseline taken before the crash: any query issued after
-	// the coordinators' epochs advance — mid-stream or in the acceptance
-	// sweep below — must revalidate its warm entries rather than trust them.
-	reval := sumCounter(cl, "cache.revalidate")
-
 	// Query stream flows through the crash window; mid-takeover failures are
 	// tolerated (a query can race the election), counted for the log.
 	alive := make([]bool, params.Peers)
@@ -414,6 +446,8 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 	}
 	t.Logf("crash observed by founders %v", observers)
 
+	var repeats int
+	var sent float64
 	for _, from := range observers {
 		for i, q := range qs {
 			wantR := sys.RangeQuery(from, q, radii[i], core.RangeOptions{})
@@ -425,16 +459,29 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 				t.Errorf("post-takeover range %d from peer %d diverged:\nsim:    %+v\nserved: %+v", i, from, wantR, gotR)
 			}
 			wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
-			gotK, err := client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
+			var gotK core.KNNResult
+			hits, misses, s := memoDelta(cl.Nodes[from], func() {
+				gotK, err = client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
+			})
 			if err != nil {
 				t.Fatalf("post-takeover knn %d from %d: %v", i, from, err)
 			}
 			if !reflect.DeepEqual(normalizeKNN(wantK), normalizeKNN(gotK)) {
 				t.Errorf("post-takeover knn %d from peer %d diverged:\nsim:    %+v\nserved: %+v", i, from, wantK, gotK)
 			}
+			if founders[i%len(founders)] != from {
+				continue
+			}
+			// This observer memoized exactly this k-nn before the crash and
+			// nothing has repeated it since.
+			repeats++
+			sent += s
+			if hits != 0 || misses == 0 {
+				t.Errorf("post-takeover repeat of knn %d at observer %d: %v memo hits, %v misses — a pre-crash lookup was served", i, from, hits, misses)
+			}
 		}
 	}
-	if d := sumCounter(cl, "cache.revalidate") - reval; d == 0 {
-		t.Error("queries after the crash trusted stale views: no revalidations recorded")
+	if repeats > 0 && sent == 0 {
+		t.Error("post-takeover repeats of warm lookups sent no can_search")
 	}
 }

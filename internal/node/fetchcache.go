@@ -458,14 +458,14 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 	n.fetchMu.Unlock()
 }
 
-// ClearCaches drops every warm artifact this node holds — view cache,
-// lookup memos, the fetch directory and the coordinator-side fetch memo —
-// returning it to the cold-start state. The bench harness's cold phase uses it
-// to measure first-touch cost on an otherwise warm, quiesced cluster; not
-// intended to run concurrently with queries this node is coordinating.
+// ClearCaches drops every warm artifact this node holds — the lookup memo,
+// the fetch directory and the coordinator-side fetch memo — returning it to
+// the cold-start state. The bench harness's cold phase uses it to measure
+// first-touch cost on an otherwise warm, quiesced cluster; not intended to run
+// concurrently with queries this node is coordinating.
 func (n *Node) ClearCaches() {
-	if n.cache != nil {
-		n.cache.Clear()
+	if n.memo != nil {
+		n.memo.Clear()
 	}
 	n.fetchMu.Lock()
 	n.loseFetchDirLocked()

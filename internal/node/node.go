@@ -41,17 +41,13 @@ type Config struct {
 // in flight per flood step (Kademlia's α).
 const DefaultAlpha = 3
 
-// DefaultCacheSize is the per-level view-cache capacity when Tuning.CacheViews
-// is on and no size is given.
-const DefaultCacheSize = 1024
-
 // Tuning bounds the coordinator's parallelism and caching. Every knob
 // preserves byte-identical answers (the concurrency never reaches the result
-// — see route.RunAlpha and core.Engine.SetParallelism — and cached views are
-// epoch-checked or revalidated before use, see internal/viewcache); they only
-// trade memory and in-flight RPCs for latency. Zero values mean defaults; use
-// a negative or 1 value for strictly serial behavior. Caching is off by
-// default — the zero Tuning is still the frozen uncached reference.
+// — see route.RunAlpha and core.Engine.SetParallelism — and a memoized lookup
+// is reused only within the churn epoch it ran under, see internal/viewcache);
+// they only trade memory and in-flight RPCs for latency. Zero values mean
+// defaults; use a negative or 1 value for strictly serial behavior. Caching is
+// off by default — the zero Tuning is still the frozen uncached reference.
 type Tuning struct {
 	// Alpha is the number of concurrent can_search probes per flood step.
 	// 0 → DefaultAlpha; <= 1 → serial.
@@ -62,13 +58,12 @@ type Tuning struct {
 	// FetchFanout is how many phase-two fetches run at once.
 	// 0 → 8; <= 1 → serial.
 	FetchFanout int
-	// CacheViews enables the per-level LRU cache of can_search views with
-	// churn-epoch invalidation: cached hops skip the RPC entirely, stale
-	// entries are revalidated with a view_version check, never trusted.
+	// CacheViews switches on the coordinator's caches: the whole-lookup memo
+	// keyed on the churn epoch (search.go; off again under StreamPublish,
+	// whose record deltas bump no epoch) and the fetch caches with their
+	// holder-side directory (fetchcache.go). The views a lookup runs over are
+	// never cached: every one comes from the query's probe table.
 	CacheViews bool
-	// CacheSize bounds the entries cached per level.
-	// 0 → 1024. Only meaningful with CacheViews.
-	CacheSize int
 	// StreamPublish enables streaming incremental publish: Publish runs the
 	// core stream kernel (absorb/grow/split, periodic re-cluster) against the
 	// published summaries and announces the O(changed clusters) record deltas
@@ -91,9 +86,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.FetchFanout == 0 {
 		t.FetchFanout = 8
-	}
-	if t.CacheViews && t.CacheSize == 0 {
-		t.CacheSize = DefaultCacheSize
 	}
 	return t
 }
@@ -137,8 +129,9 @@ type Node struct {
 
 	tuning   Tuning
 	counters sim.Counters
-	// cache is the per-level view cache (nil unless Tuning.CacheViews).
-	cache *viewcache.Cache
+	// memo is the per-level whole-lookup memo (nil unless Tuning.CacheViews
+	// without StreamPublish; see searchSphere).
+	memo *viewcache.Cache
 
 	// Fetch caching, both ends; the coherence protocol is documented in
 	// fetchcache.go. Holder side: fetchDir is the directory — memoized
@@ -220,11 +213,8 @@ func New(cfg Config) (*Node, error) {
 	// pipeline the per-level searches and the phase-two fetches.
 	engine.SetParallelism(n.tuning.LevelFanout, n.tuning.FetchFanout)
 	n.engine = engine
-	if n.tuning.CacheViews {
-		n.cache = viewcache.New(snap.Config.Levels, viewcache.Options{
-			Capacity: n.tuning.CacheSize,
-			Counters: &n.counters,
-		})
+	if n.tuning.CacheViews && !n.tuning.StreamPublish {
+		n.memo = viewcache.New(snap.Config.Levels, viewcache.Options{Counters: &n.counters})
 	}
 	return n, nil
 }
@@ -502,16 +492,6 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	case methodCanSearch:
 		return n.handleSearch(req.Body)
 
-	case methodViewVersion:
-		level, err := decodeLevelReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		if level < 0 || level >= n.mgr.NumLevels() {
-			return transport.Response{}, fmt.Errorf("node: no level %d", level)
-		}
-		return transport.Response{Body: encodeVersionResp(n.mgr.Version(level))}, nil
-
 	case methodFetchInval:
 		holder, items, err := decodeInvalReq(req.Body)
 		if err != nil {
@@ -569,12 +549,9 @@ func (n *Node) handleSearch(body []byte) (transport.Response, error) {
 		if r.Level < 0 || r.Level >= n.mgr.NumLevels() {
 			return transport.Response{}, fmt.Errorf("node: no level %d", r.Level)
 		}
-		switch {
-		case r.Full:
-			answers[i].View = n.localFullView(r.Level)
-		case r.Optional && !n.mgr.ZonesIntersect(r.Level, r.Key, r.Radius):
+		if r.Optional && !n.mgr.ZonesIntersect(r.Level, r.Key, r.Radius) {
 			answers[i].Skipped = true
-		default:
+		} else {
 			answers[i].View = n.localView(r.Level, r.Key, r.Radius)
 		}
 	}
@@ -589,21 +566,11 @@ func (n *Node) handleSearch(body []byte) (transport.Response, error) {
 // zones, neighbor table, and the stored records matching the query sphere in
 // storage order (owned first, then replicas) — the same order and match test
 // (can.TorusDist(key, center) <= recRadius+radius) as can.Overlay's collect.
-// The view carries the level's state version, read under the same lock as the
-// state it stamps, so caches revalidate against exactly what they stored.
 func (n *Node) localView(level int, key []float64, radius float64) searchView {
-	zones, nbs, owned, replicas, ver := n.mgr.SearchView(level, func(rec can.RecordView) bool {
+	zones, nbs, owned, replicas, _ := n.mgr.SearchView(level, func(rec can.RecordView) bool {
 		return can.TorusDist(rec.Entry.Key, key) <= rec.Entry.Radius+radius
 	})
-	return searchView{ID: n.peer, Version: ver, Zones: zones, Neighbors: nbs, Owned: owned, Replicas: replicas}
-}
-
-// localFullView is localView without the sphere filter: the complete record
-// stores, what a cache fill (can_search with the full flag) returns so the
-// cached copy can answer any later sphere.
-func (n *Node) localFullView(level int) searchView {
-	zones, nbs, owned, replicas, ver := n.mgr.SearchView(level, nil)
-	return searchView{ID: n.peer, Version: ver, Zones: zones, Neighbors: nbs, Owned: owned, Replicas: replicas}
+	return searchView{ID: n.peer, Zones: zones, Neighbors: nbs, Owned: owned, Replicas: replicas}
 }
 
 // netBackend implements core.Backend with peer-to-peer RPCs: the overlay

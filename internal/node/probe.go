@@ -125,13 +125,8 @@ type scopedBackend struct {
 	table *probeTable
 }
 
-// Scope shares one probe table between the level searches of a query. Cached
-// lookups resolve their views through the view cache, one level at a time, so
-// they keep the plain backend.
+// Scope shares one probe table between the level searches of a query.
 func (b *netBackend) Scope(spheres []core.Sphere) core.Backend {
-	if b.n.cache != nil {
-		return b
-	}
 	return &scopedBackend{b, b.n.newProbeTable(context.Background(), spheres)}
 }
 
@@ -140,7 +135,7 @@ func (b *netBackend) Scope(spheres []core.Sphere) core.Backend {
 func (b *scopedBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
 	for i, sp := range b.table.spheres {
 		if sp.Level == level && sp.Radius == radius && slices.Equal(sp.Key, key) {
-			return b.n.runSearch(probeViews{b.table, i}, level, key, radius)
+			return b.n.searchSphere(probeViews{b.table, i}, level, key, radius)
 		}
 	}
 	return b.netBackend.Search(from, level, key, radius)

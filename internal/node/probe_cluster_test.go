@@ -115,21 +115,14 @@ func TestProbeTableDifferential(t *testing.T) {
 	}
 }
 
-// coordRPCs totals the lookup-coordinator-attributed RPCs one node issued:
-// the cold-path budget metric (view fetches + revalidation probes; phase-two
-// fetches are a separate, result-sized cost).
-func coordRPCs(nd *node.Node) float64 {
-	c := nd.Counters()
-	return c["coord.can_search"] + c["coord.view_version"]
-}
-
 // TestColdLookupRPCBudget is the regression fence on the cold lookup's
 // number: on a 64-node, two-level cluster a first-touch (unmemoized) query
 // has its coordinator contact every sphere-intersecting owner directly —
 // Θ(N) can_search RPCs — but once for both levels, through the probe table
 // (97.7 per query before it, 60.3 after). Above the budget the levels no
 // longer share probes; below the floor the topology no longer exercises the
-// Θ(N) cost.
+// Θ(N) cost. Turning the caches on must not make a first touch dearer: a
+// memo miss runs over the same table.
 func TestColdLookupRPCBudget(t *testing.T) {
 	params := experiments.Params{Peers: 64, ItemsPerPeer: 8, Dim: 8, Levels: 2, ClustersPerPeer: 2, Seed: 42}
 	sys, err := experiments.BuildMarkovSystem(params)
@@ -141,38 +134,47 @@ func TestColdLookupRPCBudget(t *testing.T) {
 	if len(items) < 8 {
 		t.Fatalf("test corpus has only %d items", len(items))
 	}
-	tr := transport.NewChan()
-	defer tr.Close()
-	cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, node.Tuning{Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	client := node.NewClient(tr, transport.Policy{Timeout: 30e9})
-	ctx := context.Background()
-
-	// Distinct, never-repeated queries from peer 0: every lookup is a first
-	// touch.
-	const numQueries = 6
-	for i := 0; i < numQueries; i++ {
-		q := items[(i*17)%len(items)]
-		eps := vec.Dist(q, items[(i*31+7)%len(items)])
-		want := sys.RangeQuery(0, q, eps, core.RangeOptions{})
-		got, err := client.Range(ctx, cl.Addrs[0], q, eps, core.RangeOptions{})
+	// Levels and probes strictly serial, so which level first asks a peer —
+	// and with it the count of re-asked skipped levels — repeats exactly.
+	coldCost := func(tuning node.Tuning) float64 {
+		tr := transport.NewChan()
+		defer tr.Close()
+		cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, tuning)
 		if err != nil {
-			t.Fatalf("range query %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(normalizeRange(want), normalizeRange(got)) {
-			t.Errorf("range query %d diverged from oracle", i)
+		defer cl.Stop()
+		client := node.NewClient(tr, transport.Policy{Timeout: 30e9})
+		ctx := context.Background()
+
+		// Distinct, never-repeated queries from peer 0: every lookup is a
+		// first touch.
+		const numQueries = 6
+		for i := 0; i < numQueries; i++ {
+			q := items[(i*17)%len(items)]
+			eps := vec.Dist(q, items[(i*31+7)%len(items)])
+			want := sys.RangeQuery(0, q, eps, core.RangeOptions{})
+			got, err := client.Range(ctx, cl.Addrs[0], q, eps, core.RangeOptions{})
+			if err != nil {
+				t.Fatalf("range query %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(normalizeRange(want), normalizeRange(got)) {
+				t.Errorf("range query %d diverged from oracle", i)
+			}
 		}
+		sent, _ := searchRPCs(cl.Nodes[0])
+		return sent / numQueries
 	}
-	perQuery := coordRPCs(cl.Nodes[0]) / numQueries
+	perQuery := coldCost(node.Tuning{Alpha: 1, LevelFanout: 1})
 	t.Logf("%.1f coordinator RPCs per cold query", perQuery)
 	if perQuery > 65 {
 		t.Errorf("coordinator spent %.1f RPCs per cold query, budget 65: its levels no longer share probes", perQuery)
 	}
 	if perQuery < 40 {
 		t.Errorf("coordinator spent only %.1f RPCs per cold query — topology too small to exercise the Θ(N) cost", perQuery)
+	}
+	if cached := coldCost(node.Tuning{Alpha: 1, LevelFanout: 1, CacheViews: true}); cached > perQuery {
+		t.Errorf("a first-touch query cost %.1f coordinator RPCs with caches on, %.1f with them off", cached, perQuery)
 	}
 }
 

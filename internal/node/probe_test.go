@@ -244,7 +244,7 @@ func TestSearchHandlerRefusesBadRequests(t *testing.T) {
 	cl := startProbeCluster(t, 4)
 	nd := cl.Nodes[0]
 	ok := searchReq{Level: 0, Key: []float64{0.5}, Radius: 0.1}
-	if _, err := nd.handleSearch(encodeSearchReq([]searchReq{ok, {Level: 1, Full: true}})); err != nil {
+	if _, err := nd.handleSearch(encodeSearchReq([]searchReq{ok, {Level: 1, Key: zoneCenter(nd, 1), Optional: true}})); err != nil {
 		t.Fatalf("well-formed request: %v", err)
 	}
 	for name, reqs := range map[string][]searchReq{

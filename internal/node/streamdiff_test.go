@@ -25,8 +25,9 @@ import (
 // TestStreamDifferential sweeps seeded churned topologies, interleaving
 // streamed publishes (enough per holder to cross a re-cluster) and live
 // join/leave churn with byte-identity checks — through caching coordinators
-// (per-view revalidation) and through uncached ones (the probe table,
-// serve-ingest's configuration).
+// (fetch caches on; the lookup memo stays off under streaming) and through
+// uncached ones (serve-ingest's configuration). Both run every lookup over
+// the probe table.
 func TestStreamDifferential(t *testing.T) {
 	seeds := 20
 	if testing.Short() {

@@ -21,7 +21,6 @@ const (
 	methodCanSearch    = "can_search"    // node → node: one hop of an overlay lookup
 	methodFetchRange   = "fetch_range"   // node → node: phase-two local range scan
 	methodFetchKNN     = "fetch_knn"     // node → node: phase-two local k-nn scan
-	methodViewVersion  = "view_version"  // node → node: cheap cache-revalidation version check
 	methodFetchInval   = "inval_fetch"   // node → node: holder's item store changed, drop the entries it names
 )
 
@@ -30,7 +29,7 @@ const (
 func isMethod(method string) bool {
 	switch method {
 	case methodRange, methodKNN, methodPublish, methodPublishBatch, methodCanSearch,
-		methodFetchRange, methodFetchKNN, methodViewVersion, methodFetchInval:
+		methodFetchRange, methodFetchKNN, methodFetchInval:
 		return true
 	}
 	return false
@@ -195,20 +194,15 @@ type searchReq struct {
 	Level  int
 	Key    []float64
 	Radius float64
-	// Full asks for the node's complete record stores instead of the
-	// per-sphere filtered slice — what a view cache stores so the cached copy
-	// can answer any later sphere (the searcher's own filter is idempotent).
-	Full bool
 	// Optional marks a sphere the sender asked about on speculation: the
 	// responder skips it when the sphere misses its zones, where no flood
 	// would have claimed it.
 	Optional bool
 }
 
-const (
-	searchFlagFull     = 1 << 0
-	searchFlagOptional = 1 << 1
-)
+// searchFlagOptional is the one flag bit a sphere may carry (bit 0 is
+// retired); decodeSearchReq rejects any other.
+const searchFlagOptional = 1 << 1
 
 // searchReqMinSize is the wire size of a sphere with an empty key, the bound
 // Decoder.Count holds a request's count to.
@@ -227,9 +221,6 @@ func encodeSearchReq(reqs []searchReq) []byte {
 		e.Floats(r.Key)
 		e.F64(r.Radius)
 		var flags uint8
-		if r.Full {
-			flags |= searchFlagFull
-		}
 		if r.Optional {
 			flags |= searchFlagOptional
 		}
@@ -249,7 +240,9 @@ func decodeSearchReq(b []byte) ([]searchReq, error) {
 			r.Key = d.FloatsShared()
 			r.Radius = d.F64()
 			flags := d.U8()
-			r.Full = flags&searchFlagFull != 0
+			if d.Err() == nil && flags&^searchFlagOptional != 0 {
+				return nil, fmt.Errorf("node: can_search sphere %d has unknown flag bits %#x", i, flags)
+			}
 			r.Optional = flags&searchFlagOptional != 0
 		}
 	}
@@ -257,17 +250,14 @@ func decodeSearchReq(b []byte) ([]searchReq, error) {
 }
 
 // searchView is one node's answer to a can_search hop: its identity and
-// zones (routing), its per-level state version (the cache revalidation
-// token), its neighbor table (the coordinator's next-hop and flood decisions;
-// addresses included so coordinators learn how to reach peers that joined
-// after their address book was seeded), and its stored records — owned and
-// replicas kept separate, each in storage order, with their overlay sequence
-// numbers so the coordinator deduplicates replicas exactly like the
-// in-process flood. Filtered responses carry the records matching the query
-// sphere; full responses (cache fills) carry everything.
+// zones (routing), its neighbor table (the coordinator's next-hop and flood
+// decisions; addresses included so coordinators learn how to reach peers that
+// joined after their address book was seeded), and its stored records — owned
+// and replicas kept separate, each in storage order, with their overlay
+// sequence numbers so the coordinator deduplicates replicas exactly like the
+// in-process flood. Only the records matching the query sphere are carried.
 type searchView struct {
 	ID        int
-	Version   uint64
 	Zones     []can.Zone
 	Neighbors []membership.Neighbor
 	Owned     []can.RecordView
@@ -292,7 +282,7 @@ func searchRespSize(v searchView) int {
 		}
 		return n
 	}
-	n := 8 + 8 + zones(v.Zones) + 4
+	n := 8 + zones(v.Zones) + 4
 	for _, nb := range v.Neighbors {
 		n += 8 + 4 + len(nb.Addr) + zones(nb.Zones)
 	}
@@ -302,7 +292,6 @@ func searchRespSize(v searchView) int {
 // encodeSearchView appends one searchView to an encoder.
 func encodeSearchView(e *transport.Encoder, v searchView) error {
 	e.Int(v.ID)
-	e.U64(v.Version)
 	membership.EncodeZones(e, v.Zones)
 	membership.EncodeNeighbors(e, v.Neighbors)
 	if err := membership.EncodeRecords(e, v.Owned); err != nil {
@@ -317,7 +306,6 @@ func encodeSearchView(e *transport.Encoder, v searchView) error {
 func decodeSearchView(d *transport.Decoder) searchView {
 	var v searchView
 	v.ID = d.Int()
-	v.Version = d.U64()
 	v.Zones = membership.DecodeZones(d)
 	v.Neighbors = membership.DecodeNeighbors(d)
 	v.Owned = membership.DecodeRecords(d)
@@ -334,8 +322,8 @@ type searchAnswer struct {
 }
 
 // encodeSearchResp writes a count-prefixed list of length-prefixed views; a
-// skipped slot is a zero length and nothing else (a view is never empty: id,
-// version and four list counts alone take 32 bytes). The lengths let the
+// skipped slot is a zero length and nothing else (a view is never empty: id
+// and four list counts alone take 24 bytes). The lengths let the
 // receiver split the message without decoding a view it may never read.
 func encodeSearchResp(answers []searchAnswer) ([]byte, error) {
 	var e transport.Encoder
@@ -384,34 +372,6 @@ func splitSearchResp(b []byte) ([][]byte, error) {
 func decodeSearchSlot(b []byte) (searchView, error) {
 	d := transport.NewDecoder(b)
 	v := decodeSearchView(d)
-	return v, d.Finish()
-}
-
-// ---- view_version ----
-
-// The request names only a level; the answer is the responder's current state
-// version (8 bytes — the cheap revalidation probe).
-func encodeLevelReq(level int) []byte {
-	var e transport.Encoder
-	e.Int(level)
-	return e.Bytes()
-}
-
-func decodeLevelReq(b []byte) (int, error) {
-	d := transport.NewDecoder(b)
-	level := d.Int()
-	return level, d.Finish()
-}
-
-func encodeVersionResp(v uint64) []byte {
-	var e transport.Encoder
-	e.U64(v)
-	return e.Bytes()
-}
-
-func decodeVersionResp(b []byte) (uint64, error) {
-	d := transport.NewDecoder(b)
-	v := d.U64()
 	return v, d.Finish()
 }
 

@@ -19,7 +19,7 @@ import (
 // benchView builds a full searchView with records records across owned and
 // replica stores — the dominant response shape under query load.
 func benchView(records int) searchView {
-	v := searchView{ID: 7, Version: 42}
+	v := searchView{ID: 7}
 	v.Zones = []route.Zone{{Lo: []float64{0, 0}, Hi: []float64{0.5, 1}}}
 	v.Neighbors = []membership.Neighbor{
 		{ID: 3, Addr: "peer-3", Zones: []route.Zone{{Lo: []float64{0.5, 0}, Hi: []float64{1, 1}}}},

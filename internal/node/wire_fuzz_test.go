@@ -17,8 +17,16 @@ func searchReqSeed() []byte {
 	return encodeSearchReq([]searchReq{
 		{Level: 0, Key: []float64{0.25}, Radius: 0.1},
 		{Level: 1, Key: []float64{0.5, 0.75}, Radius: 0.2, Optional: true},
-		{Level: 2, Full: true},
+		{Level: 2},
 	})
+}
+
+// withLastFlags returns an encoded can_search request with the flag byte of
+// its last sphere — the message's last byte — replaced.
+func withLastFlags(b []byte, flags uint8) []byte {
+	out := bytes.Clone(b)
+	out[len(out)-1] = flags
+	return out
 }
 
 func searchRespSeed(t testing.TB) []byte {
@@ -56,6 +64,8 @@ func TestSearchWireRejectsCorruptPrefixes(t *testing.T) {
 		"request count one too few":        withCount(req, 2),
 		"request trailing byte":            append(bytes.Clone(req), 0),
 		"request truncated":                req[:len(req)-1],
+		"request retired full flag":        withLastFlags(req, 1<<0),
+		"request unknown flag beside ours": withLastFlags(req, searchFlagOptional|1<<7),
 	} {
 		if reqs, err := decodeSearchReq(b); err == nil {
 			t.Errorf("%s: decoded %d spheres, want an error", name, len(reqs))
@@ -92,10 +102,28 @@ func FuzzSearchReqRoundTrip(f *testing.F) {
 	f.Add(withCount(seed, 1<<31))
 	f.Add(append(bytes.Clone(seed), 0))
 	f.Add([]byte{})
+	f.Add(withLastFlags(seed, 1<<0))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		reqs, err := decodeSearchReq(raw)
 		if err != nil {
 			return // rejected input: nothing to round-trip
+		}
+		// A decoded request carries no flag bit but searchFlagOptional, and
+		// setting any other turns it into a rejected input. (The message ends
+		// on its last sphere's flag byte.)
+		if len(reqs) > 0 {
+			last := raw[len(raw)-1]
+			if last&^searchFlagOptional != 0 {
+				t.Fatalf("decoded a request whose last sphere has flags %#x", last)
+			}
+			for bit := uint8(1); bit != 0; bit <<= 1 {
+				if bit == searchFlagOptional {
+					continue
+				}
+				if _, err := decodeSearchReq(withLastFlags(raw, last|bit)); err == nil {
+					t.Fatalf("request with unknown flag bit %#x decoded", bit)
+				}
+			}
 		}
 		if len(reqs)*searchReqMinSize > len(raw) {
 			t.Fatalf("%d spheres decoded from %d bytes", len(reqs), len(raw))

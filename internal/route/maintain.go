@@ -1,6 +1,10 @@
 package route
 
-import "math"
+import (
+	"errors"
+	"math"
+	"math/big"
+)
 
 // Zone maintenance: the pure decision procedures behind CAN topology
 // changes — join splits, departure/crash takeovers, and the record
@@ -11,10 +15,19 @@ import "math"
 // Keeping them here, next to the routing machines, is what makes the
 // determinism oracle possible: topology decisions have one implementation.
 
+// ErrZoneTooSmall reports a join into a zone halved so often that its longest
+// side has no float64 strictly between its edges: a split there would hand
+// out an empty half and the zones would stop tiling the key space. The join
+// fails instead; DetailZoneTooSmall is its wire detail token.
+var ErrZoneTooSmall = errors.New("route: zone too small to split")
+
+const DetailZoneTooSmall = "route/zone-too-small"
+
 // SplitZone halves z along its longest side (lowest index on ties) and
 // returns the half that keeps the current owner (kept) and the half handed
-// to the joiner (taken — the one containing the join point).
-func SplitZone(z Zone, point []float64) (kept, taken Zone) {
+// to the joiner (taken — the one containing the join point), or
+// ErrZoneTooSmall when the midpoint is one of the side's edges.
+func SplitZone(z Zone, point []float64) (kept, taken Zone, err error) {
 	splitDim, best := 0, -1.0
 	for i := range z.Lo {
 		if ext := z.Hi[i] - z.Lo[i]; ext > best {
@@ -22,14 +35,17 @@ func SplitZone(z Zone, point []float64) (kept, taken Zone) {
 		}
 	}
 	mid := (z.Lo[splitDim] + z.Hi[splitDim]) / 2
+	if mid <= z.Lo[splitDim] || mid >= z.Hi[splitDim] {
+		return Zone{}, Zone{}, ErrZoneTooSmall
+	}
 	lower := Zone{Lo: cloneCoords(z.Lo), Hi: cloneCoords(z.Hi)}
 	upper := Zone{Lo: cloneCoords(z.Lo), Hi: cloneCoords(z.Hi)}
 	lower.Hi[splitDim] = mid
 	upper.Lo[splitDim] = mid
 	if point[splitDim] < mid {
-		return upper, lower
+		return upper, lower, nil
 	}
-	return lower, upper
+	return lower, upper, nil
 }
 
 // UnionBox returns the union of two zones when it forms a valid box: the
@@ -315,17 +331,26 @@ func dropSeq(recs []RecordView, seq int) []RecordView {
 }
 
 // VerifyTiling checks that the zone sets of the alive nodes exactly tile
-// the unit torus: total volume 1 (binary-split volumes are dyadic, so the
-// sum is exact in float64) and no positive-measure pairwise overlap.
-// Returns false when a gap or an overlap exists.
+// the unit torus: total volume 1 and no positive-measure pairwise overlap.
+// Returns false when a gap or an overlap exists. The volumes are summed as
+// exact rationals: a float64 sum rounds as soon as one zone is smaller than
+// 2^-53 of the space, which some fifty joins into the same spot produce.
 func VerifyTiling(zoneSets [][]Zone) bool {
 	var all []Zone
-	var total float64
+	total, lo, hi := new(big.Rat), new(big.Rat), new(big.Rat)
 	for _, zs := range zoneSets {
 		all = append(all, zs...)
-		total += ZonesVolume(zs)
+		for _, z := range zs {
+			vol := big.NewRat(1, 1)
+			for i := range z.Lo {
+				lo.SetFloat64(z.Lo[i])
+				hi.SetFloat64(z.Hi[i])
+				vol.Mul(vol, hi.Sub(hi, lo))
+			}
+			total.Add(total, vol)
+		}
 	}
-	if total != 1 {
+	if total.Cmp(big.NewRat(1, 1)) != 0 {
 		return false
 	}
 	for i := 0; i < len(all); i++ {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -383,5 +384,44 @@ func TestSearchSkipChargesHops(t *testing.T) {
 	}
 	if s.Hops() != total {
 		t.Fatalf("Hops() = %d, want %d (skips still charged)", s.Hops(), total)
+	}
+}
+
+// TestSplitZoneRefusesAtFloat64Floor halves one zone toward a fixed point
+// until SplitZone refuses: every split before that yields two non-empty
+// halves that re-form the zone around the join point, and the refusal comes
+// only once the side being split has no float64 strictly inside it.
+func TestSplitZoneRefusesAtFloat64Floor(t *testing.T) {
+	z := Zone{Lo: []float64{0, 0.25}, Hi: []float64{1, 0.5}}
+	point := []float64{0.7, 0.3}
+	for splits := 0; ; splits++ {
+		if splits > 256 {
+			t.Fatal("SplitZone never refused")
+		}
+		kept, taken, err := SplitZone(z, point)
+		if err != nil {
+			if !errors.Is(err, ErrZoneTooSmall) {
+				t.Fatalf("split %d: %v", splits, err)
+			}
+			d := 0 // the longest side, lowest index on ties
+			if z.Hi[1]-z.Lo[1] > z.Hi[0]-z.Lo[0] {
+				d = 1
+			}
+			if next := math.Nextafter(z.Lo[d], 2); next != z.Hi[d] {
+				t.Fatalf("refused %v, whose side %d still holds %v", z, d, next)
+			}
+			return
+		}
+		for _, h := range []Zone{kept, taken} {
+			for d := range h.Lo {
+				if !(h.Lo[d] < h.Hi[d]) {
+					t.Fatalf("split %d of %v produced the empty half %v", splits, z, h)
+				}
+			}
+		}
+		if u, ok := UnionBox(kept, taken); !ok || !reflect.DeepEqual(u, z) || !taken.Contains(point) {
+			t.Fatalf("split %d of %v: halves %v / %v do not re-form it around the join point", splits, z, kept, taken)
+		}
+		z = taken
 	}
 }

@@ -1,34 +1,15 @@
-// Package viewcache is the per-node cache of overlay views that turns repeat
-// lookups from O(hops·zones) RPCs into O(1): a per-level LRU of full
-// route.NodeViews keyed by node id, with churn-epoch invalidation and negative
-// caching for dead peers.
+// Package viewcache is a node's whole-lookup memo: per wavelet level, the
+// entries and hop count a level search produced for an exact query sphere,
+// LRU-bounded and valid only at the churn epoch it was recorded under
+// (GetSearch has the soundness argument). It is what turns a repeat query
+// from a flood of can_search RPCs into a map lookup; the views a lookup runs
+// over are never cached — every one comes from the query's probe table
+// (internal/node/probe.go).
 //
-// Soundness rests on one repo invariant: the overlay state a can_search view
-// carries — zones, neighbor table, owned/replica records — changes *only*
-// through membership events (join split, leave handoff, crash takeover, zone
-// broadcast, recovery merge). Publishing new items never touches it (the
-// paper's stale-summary semantics, core.System.PostInsert). So:
-//
-//   - every view is stamped with the responder's per-level state Version
-//     (bumped on each of its own mutations) and the coordinator's per-level
-//     churn Epoch (bumped on every membership event the coordinator observes);
-//   - a cached view whose epoch is current is trusted outright — no
-//     membership event was observed since it was fetched, so the responder's
-//     state cannot have changed in a way this node could ever learn about;
-//   - a view from an older epoch is *revalidated*, never trusted: a cheap
-//     view_version RPC compares the responder's current Version, refreshing
-//     the entry on a match and refetching on a mismatch.
-//
-// Either way the coordinator feeds the routing machines exactly the view a
-// direct can_search would return, so cached answers are byte-identical to the
-// uncached serial reference — stale entries can cost an extra RPC, never a
-// wrong result (the differential test in internal/node proves it across
-// seeded churned topologies).
-//
-// Negative entries memoize unreachable peers within a single epoch: a flood
-// that lost a wave to a crashed node should not re-dial it on the very next
-// query, but any membership event clears the verdict (the peer may have been
-// replaced).
+// View, Cache.Put and Cache.Get — a per-level LRU of node views, the layer
+// the memo used to sit on — are reached from nowhere in the serving stack and
+// stay only because bench/layers.go times them; the next benchmark PR retires
+// them with viewcache.get_hit_ns and viewcache.put_ns (ROADMAP "Benchmark v2").
 package viewcache
 
 import (
@@ -40,49 +21,19 @@ import (
 	"hyperm/internal/sim"
 )
 
-// Outcome classifies one cache probe.
-type Outcome int
-
-const (
-	// Miss: nothing cached (or the entry expired) — fetch the view.
-	Miss Outcome = iota
-	// Hit: a view cached at the current epoch — use it, no RPC.
-	Hit
-	// Stale: a view cached at an older epoch — revalidate its version
-	// before use, never trust it.
-	Stale
-	// NegHit: a failure cached at the current epoch — fail fast.
-	NegHit
-)
-
-// View is a cached node view plus the responder-side state version it was
-// fetched at (the revalidation token).
-type View struct {
-	route.NodeView
-	Version uint64
-}
-
 // Options tunes one cache. The zero value gets defaults from New.
 type Options struct {
-	// Capacity bounds the number of entries per level (LRU eviction beyond
+	// Capacity bounds the number of views per level (LRU eviction beyond
 	// it). Default 1024.
 	Capacity int
 	// PathCapacity bounds the per-level lookup memo (GetSearch/PutSearch),
 	// LRU-evicted beyond it. Default 4096.
 	PathCapacity int
-	// Counters receives the cache telemetry ("cache.hit", "cache.miss",
-	// "cache.stale", "cache.neg_hit", "cache.evict", "cache.path_hit",
-	// "cache.path_miss", "cache.path_evict").
+	// Counters receives the cache telemetry ("cache.path_hit",
+	// "cache.path_miss", "cache.path_evict" for the memo; "cache.hit",
+	// "cache.miss", "cache.stale", "cache.evict" for the view LRU).
 	// Optional.
 	Counters *sim.Counters
-}
-
-type entry struct {
-	id      int
-	view    View
-	err     error // non-nil: negative entry (view is zero)
-	epoch   uint64
-	lruElem *list.Element
 }
 
 // memoEntry is one memoized lookup: the full level-search result for an
@@ -95,17 +46,18 @@ type memoEntry struct {
 	lruElem *list.Element
 }
 
-// levelCache is one level's entries plus its lookup memo.
+// levelCache is one level's lookup memo plus its view LRU.
 type levelCache struct {
-	entries map[int]*entry
-	lru     *list.List // front = most recent
 	// memo caches whole level-search results by encoded (key, radius); see
 	// GetSearch for the epoch argument that makes this sound.
 	memo    map[string]*memoEntry
-	memoLRU *list.List
+	memoLRU *list.List // front = most recent
+
+	entries map[int]*entry
+	lru     *list.List
 }
 
-// Cache is a per-node, per-level view cache. Safe for concurrent use.
+// Cache is a per-node, per-level lookup memo. Safe for concurrent use.
 type Cache struct {
 	opts Options
 
@@ -132,70 +84,9 @@ func (c *Cache) count(name string) {
 	}
 }
 
-// Get probes the cache for node id's view at the coordinator's current churn
-// epoch. The returned error is only meaningful for NegHit (the memoized
-// failure); the View only for Hit and Stale.
-func (c *Cache) Get(level, id int, epoch uint64) (View, Outcome, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	e := lc.entries[id]
-	if e == nil {
-		c.count("cache.miss")
-		return View{}, Miss, nil
-	}
-	if e.err != nil {
-		// Negative entries are valid within their epoch only: any observed
-		// membership event may have replaced the dead peer's zone.
-		if e.epoch == epoch {
-			c.count("cache.neg_hit")
-			return View{}, NegHit, e.err
-		}
-		lc.remove(e)
-		c.count("cache.miss")
-		return View{}, Miss, nil
-	}
-	if e.epoch == epoch {
-		lc.lru.MoveToFront(e.lruElem)
-		c.count("cache.hit")
-		return e.view, Hit, nil
-	}
-	c.count("cache.stale")
-	return e.view, Stale, nil
-}
-
-// Confirm refreshes an entry after a successful version match (view_version
-// returned the cached Version): its epoch advances to the current one and the
-// view is returned for use. ok is false when the entry vanished concurrently
-// (evicted by another lookup) — treat as a miss.
-func (c *Cache) Confirm(level, id int, epoch uint64) (View, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	e := lc.entries[id]
-	if e == nil || e.err != nil {
-		return View{}, false
-	}
-	e.epoch = epoch
-	lc.lru.MoveToFront(e.lruElem)
-	return e.view, true
-}
-
-// Put installs a freshly fetched view at the given epoch, evicting the
-// least-recently-used entry beyond capacity.
-func (c *Cache) Put(level, id int, v View, epoch uint64) {
-	c.put(level, id, v, nil, epoch)
-}
-
-// PutNegative memoizes a fetch failure (an unreachable peer) at the given
-// epoch.
-func (c *Cache) PutNegative(level, id int, err error, epoch uint64) {
-	c.put(level, id, View{}, err, epoch)
-}
-
-// Clear drops every cached view, negative verdict and memoized lookup across
-// all levels — back to the cold-start state. The bench harness's cold phase
-// uses it to measure first-touch cost on an otherwise warm cluster.
+// Clear drops every memoized lookup (and cached view) across all levels —
+// back to the cold-start state. The bench harness's cold phase uses it to
+// measure first-touch cost on an otherwise warm cluster.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,56 +100,20 @@ func (c *Cache) Clear() {
 	}
 }
 
-func (c *Cache) put(level, id int, v View, err error, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	if e := lc.entries[id]; e != nil {
-		lc.remove(e)
-	}
-	e := &entry{id: id, view: v, err: err, epoch: epoch}
-	e.lruElem = lc.lru.PushFront(e)
-	lc.entries[id] = e
-	for lc.lru.Len() > c.opts.Capacity {
-		victim := lc.lru.Back().Value.(*entry)
-		lc.remove(victim)
-		c.count("cache.evict")
-	}
-}
-
-// Invalidate drops node id's entry (version mismatch, or an RPC observed the
-// peer in a state that contradicts the cache).
-func (c *Cache) Invalidate(level, id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lc := &c.levels[level]
-	if e := lc.entries[id]; e != nil {
-		lc.remove(e)
-	}
-}
-
-// remove unlinks an entry from the level (both index and LRU list).
-func (lc *levelCache) remove(e *entry) {
-	lc.lru.Remove(e.lruElem)
-	delete(lc.entries, e.id)
-}
-
-// Len returns the number of entries cached at a level.
-func (c *Cache) Len(level int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.levels[level].entries)
-}
-
 // GetSearch probes the lookup memo: the entries and hop count a full level
 // search produced for this exact encoded (key, radius), recorded at the
-// current epoch. Sound for the same reason same-epoch view hits are: a level
-// search is a deterministic function of the query sphere and the per-node
-// views, views mutate only through membership events, and every observable
-// membership event bumps the epoch — so within one epoch a repeat search
-// would walk the same path, collect the same records, and charge the same
-// hops. A memo recorded at an older epoch is dropped, never trusted (unlike
-// views there is no cheap single-peer revalidation for a whole path).
+// current epoch. Sound on one repo invariant: the overlay state a can_search
+// view carries — zones, neighbor table, owned/replica records — changes only
+// through membership events (join split, leave handoff, crash takeover, zone
+// broadcast, recovery merge); publishing items never touches it (the paper's
+// stale-summary semantics, core.System.PostInsert). A level search is a
+// deterministic function of the query sphere and the per-node views, and
+// every membership event the coordinator can observe bumps its epoch — so
+// within one epoch a repeat search would walk the same path, collect the same
+// records, and charge the same hops. A memo recorded at an older epoch is
+// dropped, never trusted. Streaming publish breaks the invariant (record
+// deltas without a membership event), which is why a node that streams keeps
+// no memo at all (node.Tuning.StreamPublish).
 //
 // Callers must treat the returned entries as read-only: the slice is shared
 // between every repeat of the query within the epoch.
@@ -304,4 +159,77 @@ func (c *Cache) PutSearch(level int, key []byte, entries []overlay.Entry, hops i
 func (lc *levelCache) removeMemo(m *memoEntry) {
 	lc.memoLRU.Remove(m.lruElem)
 	delete(lc.memo, m.key)
+}
+
+// ---- the view LRU bench/layers.go still times (see the package comment) ----
+
+// Outcome classifies one cache probe.
+type Outcome int
+
+const (
+	// Miss: nothing cached (or the entry expired) — fetch the view.
+	Miss Outcome = iota
+	// Hit: a view cached at the current epoch — use it, no RPC.
+	Hit
+	// Stale: a view cached at an older epoch — not to be trusted.
+	Stale
+)
+
+// View is a cached node view plus a responder-side state version.
+type View struct {
+	route.NodeView
+	Version uint64
+}
+
+type entry struct {
+	id      int
+	view    View
+	epoch   uint64
+	lruElem *list.Element
+}
+
+// Get probes the view LRU for node id's view at the given churn epoch. The
+// View is meaningful for Hit and Stale; the error is always nil (a slot
+// bench/layers.go still assigns).
+func (c *Cache) Get(level, id int, epoch uint64) (View, Outcome, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lc := &c.levels[level]
+	e := lc.entries[id]
+	if e == nil {
+		c.count("cache.miss")
+		return View{}, Miss, nil
+	}
+	if e.epoch == epoch {
+		lc.lru.MoveToFront(e.lruElem)
+		c.count("cache.hit")
+		return e.view, Hit, nil
+	}
+	c.count("cache.stale")
+	return e.view, Stale, nil
+}
+
+// Put installs a freshly fetched view at the given epoch, evicting the
+// least-recently-used entry beyond capacity.
+func (c *Cache) Put(level, id int, v View, epoch uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lc := &c.levels[level]
+	if e := lc.entries[id]; e != nil {
+		lc.remove(e)
+	}
+	e := &entry{id: id, view: v, epoch: epoch}
+	e.lruElem = lc.lru.PushFront(e)
+	lc.entries[id] = e
+	for lc.lru.Len() > c.opts.Capacity {
+		victim := lc.lru.Back().Value.(*entry)
+		lc.remove(victim)
+		c.count("cache.evict")
+	}
+}
+
+// remove unlinks an entry from the level (both index and LRU list).
+func (lc *levelCache) remove(e *entry) {
+	lc.lru.Remove(e.lruElem)
+	delete(lc.entries, e.id)
 }
