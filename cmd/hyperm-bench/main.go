@@ -6,7 +6,6 @@
 //
 //	hyperm-bench -run all                 # every figure, scaled-down
 //	hyperm-bench -run fig8b -scale paper  # one figure at publication scale
-//	hyperm-bench -run kernels -out BENCH_kernels.json
 //	hyperm-bench -list                    # list experiment ids
 //
 // Paper-scale runs (100 nodes × 1000 items × 512 dims) take minutes; the
@@ -21,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"hyperm/internal/experiments"
@@ -43,13 +41,12 @@ func run() int {
 	scale := flag.String("scale", "default", "workload scale: 'default' or 'paper'")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "worker parallelism: 0 = all cores, 1 = serial (results are identical either way)")
-	out := flag.String("out", "", "for -run publish/kernels: also write the rows to this path as JSON (e.g. BENCH_kernels.json)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this path")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
-	exps := registry(*seed, *parallel, *out)
+	exps := registry(*seed, *parallel)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-12s %s\n", e.id, e.desc)
@@ -113,7 +110,7 @@ func run() int {
 	return 0
 }
 
-func registry(seed int64, parallelism int, out string) []experiment {
+func registry(seed int64, parallelism int) []experiment {
 	params := func(scale string) experiments.Params {
 		p := experiments.DefaultParams()
 		if scale == "paper" {
@@ -199,33 +196,5 @@ func registry(seed int64, parallelism int, out string) []experiment {
 			rows, err := experiments.ExtScale(params(s), nil)
 			return experiments.RenderScale(rows), err
 		}},
-		{"publish", "publication throughput: PublishAll wall-clock, serial vs -parallel", func(s string) (string, error) {
-			// Serial baseline first, then the requested parallelism, so the
-			// speedup column is meaningful even with -parallel left at 0.
-			rows, err := experiments.PublishBench(params(s), []int{1, parallelism})
-			if err != nil {
-				return "", err
-			}
-			if out != "" {
-				if err := experiments.WritePublishBenchJSON(out, rows); err != nil {
-					return "", err
-				}
-			}
-			return experiments.RenderPublishBench(rows), nil
-		}},
-		{"kernels", "kernel speedups: optimized vs reference k-means and Eq 8 solver", func(s string) (string, error) {
-			rows, err := experiments.KernelBench(seed)
-			if err != nil {
-				return "", err
-			}
-			if out != "" {
-				if err := experiments.WriteKernelBenchJSON(out, rows); err != nil {
-					return "", err
-				}
-			}
-			return experiments.RenderKernelBench(rows), nil
-		}},
 	}
 }
-
-var _ = strings.TrimSpace // keep strings imported for future table tweaks

@@ -92,7 +92,6 @@ func run() int {
 	cacheViews := flag.Bool("cache-views", false, "memoize whole lookups per churn epoch and cache phase-two fetch answers")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
-	publishRate := flag.Float64("publish-rate", 0, "self-ingest jittered workload items into this node at this rate (items/s) until shutdown; 0 disables")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	flag.Parse()
 	if *configPath == "" {
@@ -222,72 +221,10 @@ func run() int {
 		fmt.Printf("hyperm-node: peer %d serving %d items on %s\n", cfg.Peer, nd.ItemCount(), nd.Addr())
 	}
 
-	// Self-ingest driver: publish jittered copies of the workload's items into
-	// this node at the offered rate until shutdown — the standing-load scenario
-	// a memory-scale deployment runs, with -stream-publish announcing each
-	// publish's changed records instead of letting the summaries go stale.
-	ingestStop := make(chan struct{})
-	ingestDone := make(chan struct{})
-	var ingested, ingestErrs int64
-	if *publishRate > 0 {
-		if *streamPublish && *joinAddr != "" {
-			fmt.Fprintln(os.Stderr, "hyperm-node: -publish-rate with -stream-publish needs a base clustering, which a joiner starts without")
-			nd.Stop()
-			return 2
-		}
-		basePeer := cfg.Peer % w.Peers
-		_, items := sys.PeerData(basePeer)
-		go func() {
-			defer close(ingestDone)
-			rng := rand.New(rand.NewSource(w.Seed + int64(cfg.Peer)*31 + 211))
-			// Per-node id space, disjoint from the corpus and from other nodes'
-			// drivers, so cluster-wide results never conflate two ingested items.
-			next := int64(cfg.Peer+1)<<32 | 1<<20
-			startT := time.Now()
-			for i := int64(0); ; i++ {
-				target := startT.Add(time.Duration(float64(i) / *publishRate * float64(time.Second)))
-				if d := time.Until(target); d > 0 {
-					select {
-					case <-ingestStop:
-						return
-					case <-time.After(d):
-					}
-				} else {
-					select {
-					case <-ingestStop:
-						return
-					default:
-					}
-				}
-				item := append([]float64(nil), items[rng.Intn(len(items))]...)
-				for d := range item {
-					item[d] += 0.01 * rng.Float64()
-				}
-				if err := nd.Publish(int(next), item); err != nil {
-					if ingestErrs == 0 {
-						fmt.Fprintf(os.Stderr, "hyperm-node: ingest publish: %v\n", err)
-					}
-					ingestErrs++
-				} else {
-					ingested++
-				}
-				next++
-			}
-		}()
-		fmt.Printf("hyperm-node: ingesting %.0f items/s (stream=%v)\n", *publishRate, *streamPublish)
-	} else {
-		close(ingestDone)
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nhyperm-node: shutting down")
-	close(ingestStop)
-	<-ingestDone
-	if *publishRate > 0 {
-		fmt.Printf("hyperm-node: ingested %d items (%d errors), now serving %d\n", ingested, ingestErrs, nd.ItemCount())
-	}
 	if *graceful {
 		if err := nd.Leave(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "hyperm-node: graceful leave: %v\n", err)

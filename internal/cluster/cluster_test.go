@@ -265,21 +265,6 @@ func TestPropOptimizedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompareKernels exercises the benchmark-support comparator (which also
-// re-verifies kernel identity on its workload).
-func TestCompareKernels(t *testing.T) {
-	refS, optS, err := CompareKernels(120, 6, 8, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refS <= 0 || optS <= 0 {
-		t.Errorf("non-positive timings: ref=%v opt=%v", refS, optS)
-	}
-	if _, _, err := CompareKernels(10, 2, 2, 0, 1); err == nil {
-		t.Error("rounds=0 should error")
-	}
-}
-
 // TestEmptyClusterRepairsDistinct drives the update step directly into the
 // two-empty-clusters state: three identical centroids over three distinct
 // points assign everything to centroid 0, so clusters 1 and 2 are both empty

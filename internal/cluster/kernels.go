@@ -1,17 +1,13 @@
 package cluster
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // MixtureData draws n points of dim dimensions from a comps-component
 // Gaussian mixture with centers uniform in [0,1]^dim and per-coordinate
 // sigma 0.05 — the clustered shape the publish pipeline feeds the k-means
 // kernel (wavelet coefficients of Markov-chain or histogram corpora), as
 // opposed to structureless uniform noise. Shared by the kernel benchmarks
-// and the `kernels` experiment.
+// here and in bench/.
 func MixtureData(n, dim, comps int, rng *rand.Rand) [][]float64 {
 	centers := make([][]float64, comps)
 	for c := range centers {
@@ -29,68 +25,4 @@ func MixtureData(n, dim, comps int, rng *rand.Rand) [][]float64 {
 		}
 	}
 	return data
-}
-
-// CompareKernels times the optimized KMeans against the retained naive
-// kmeansReference on one synthetic workload (n mixture-drawn points of dim
-// dimensions, clustered into k spheres, rounds repetitions with fresh
-// per-round seeds) and verifies on every round that both kernels return
-// identical results. It backs the `kernels` experiment of cmd/hyperm-bench;
-// the identity check makes the timing comparison double as a standing
-// regression test on real workload shapes.
-func CompareKernels(n, k, dim, rounds int, seed int64) (refSeconds, optSeconds float64, err error) {
-	if rounds < 1 {
-		return 0, 0, fmt.Errorf("cluster: CompareKernels needs rounds >= 1, got %d", rounds)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	data := MixtureData(n, dim, k, rng)
-	for r := 0; r < rounds; r++ {
-		s := rng.Int63()
-		start := time.Now()
-		ref := kmeansReference(data, Config{K: k, Rng: rand.New(rand.NewSource(s))})
-		refSeconds += time.Since(start).Seconds()
-		start = time.Now()
-		opt := KMeans(data, Config{K: k, Rng: rand.New(rand.NewSource(s))})
-		optSeconds += time.Since(start).Seconds()
-		if err := resultsIdentical(ref, opt); err != nil {
-			return 0, 0, fmt.Errorf("cluster: optimized kernel diverged from reference (n=%d k=%d dim=%d seed=%d): %w",
-				n, k, dim, s, err)
-		}
-	}
-	return refSeconds, optSeconds, nil
-}
-
-// resultsIdentical reports whether two k-means results are exactly equal —
-// bit-identical centroids and radii, equal assignments, counts and iteration
-// counts.
-func resultsIdentical(a, b Result) error {
-	if a.Iters != b.Iters {
-		return fmt.Errorf("iters %d vs %d", a.Iters, b.Iters)
-	}
-	if len(a.Clusters) != len(b.Clusters) {
-		return fmt.Errorf("%d vs %d clusters", len(a.Clusters), len(b.Clusters))
-	}
-	for i := range a.Clusters {
-		ca, cb := a.Clusters[i], b.Clusters[i]
-		if ca.Radius != cb.Radius || ca.Count != cb.Count {
-			return fmt.Errorf("cluster %d: radius/count %v/%d vs %v/%d", i, ca.Radius, ca.Count, cb.Radius, cb.Count)
-		}
-		if len(ca.Centroid) != len(cb.Centroid) {
-			return fmt.Errorf("cluster %d: centroid dim %d vs %d", i, len(ca.Centroid), len(cb.Centroid))
-		}
-		for j := range ca.Centroid {
-			if ca.Centroid[j] != cb.Centroid[j] {
-				return fmt.Errorf("cluster %d: centroid[%d] %v vs %v", i, j, ca.Centroid[j], cb.Centroid[j])
-			}
-		}
-	}
-	if len(a.Assign) != len(b.Assign) {
-		return fmt.Errorf("assign length %d vs %d", len(a.Assign), len(b.Assign))
-	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			return fmt.Errorf("assign[%d] %d vs %d", i, a.Assign[i], b.Assign[i])
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -12,7 +13,7 @@ import (
 // accumulator allocations every iteration. It is retained verbatim (modulo
 // the distinct-empty-repair fix, applied to both kernels) as the golden
 // oracle: the optimized KMeans must produce bit-identical results, which
-// TestPropOptimizedMatchesReference and cluster.CompareKernels verify.
+// TestPropOptimizedMatchesReference verifies.
 func kmeansReference(data [][]float64, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	dim := validateKMeansInput(data, cfg)
@@ -145,4 +146,39 @@ func farthestPointRef(data, centroids, extra [][]float64) int {
 		}
 	}
 	return best
+}
+
+// resultsIdentical reports whether two k-means results are exactly equal —
+// bit-identical centroids and radii, equal assignments, counts and iteration
+// counts.
+func resultsIdentical(a, b Result) error {
+	if a.Iters != b.Iters {
+		return fmt.Errorf("iters %d vs %d", a.Iters, b.Iters)
+	}
+	if len(a.Clusters) != len(b.Clusters) {
+		return fmt.Errorf("%d vs %d clusters", len(a.Clusters), len(b.Clusters))
+	}
+	for i := range a.Clusters {
+		ca, cb := a.Clusters[i], b.Clusters[i]
+		if ca.Radius != cb.Radius || ca.Count != cb.Count {
+			return fmt.Errorf("cluster %d: radius/count %v/%d vs %v/%d", i, ca.Radius, ca.Count, cb.Radius, cb.Count)
+		}
+		if len(ca.Centroid) != len(cb.Centroid) {
+			return fmt.Errorf("cluster %d: centroid dim %d vs %d", i, len(ca.Centroid), len(cb.Centroid))
+		}
+		for j := range ca.Centroid {
+			if ca.Centroid[j] != cb.Centroid[j] {
+				return fmt.Errorf("cluster %d: centroid[%d] %v vs %v", i, j, ca.Centroid[j], cb.Centroid[j])
+			}
+		}
+	}
+	if len(a.Assign) != len(b.Assign) {
+		return fmt.Errorf("assign length %d vs %d", len(a.Assign), len(b.Assign))
+	}
+	for i := range a.Assign {
+		if a.Assign[i] != b.Assign[i] {
+			return fmt.Errorf("assign[%d] %d vs %d", i, a.Assign[i], b.Assign[i])
+		}
+	}
+	return nil
 }

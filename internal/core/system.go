@@ -365,19 +365,6 @@ func (s *System) PostInsert(p int, id int, item []float64) {
 	AbsorbInsert(ps.published, item, s.cfg.Convention)
 }
 
-// PostInsertBatch is PostInsert over a batch, in order — the oracle for
-// node.PublishBatch (which batches only the coherence traffic, never the
-// store or summary mutations, so a batch and a per-item loop are the same
-// state transition).
-func (s *System) PostInsertBatch(p int, ids []int, items [][]float64) {
-	if len(ids) != len(items) {
-		panic(fmt.Sprintf("core: batch has %d ids for %d items", len(ids), len(items)))
-	}
-	for i := range items {
-		s.PostInsert(p, ids[i], items[i])
-	}
-}
-
 // FailPeer models device p crashing or walking out of radio range after
 // publication: it stops answering data fetches, and the index records its
 // overlay node stored (owned entries and replicas, across every level) are

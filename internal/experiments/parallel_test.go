@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"hyperm/internal/benchio"
 )
 
 // Driver determinism: running a sweep with concurrent cells must produce
@@ -53,91 +50,4 @@ func TestDriversSerialParallelIdentical(t *testing.T) {
 	check("ExtChurn",
 		func() (any, error) { return ExtChurn(serialE, []float64{0, 0.3}) },
 		func() (any, error) { return ExtChurn(parE, []float64{0, 0.3}) })
-}
-
-// The publish benchmark driver must keep hop counts identical across
-// parallelism settings (its own built-in check), report throughput, and
-// round-trip through the BENCH_publish.json writer.
-func TestPublishBench(t *testing.T) {
-	rows, err := PublishBench(tinyParams(), []int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	if rows[0].Parallelism != 1 || rows[0].Workers != 1 {
-		t.Errorf("serial row: %+v", rows[0])
-	}
-	for _, r := range rows {
-		if r.Items == 0 || r.Clusters == 0 || r.Hops == 0 {
-			t.Errorf("empty measurement: %+v", r)
-		}
-		if r.Seconds <= 0 || r.ItemsPerSecond <= 0 || r.Speedup <= 0 {
-			t.Errorf("missing timing: %+v", r)
-		}
-		if r.Hops != rows[0].Hops {
-			t.Errorf("hops diverged across parallelism: %+v vs %+v", rows[0], r)
-		}
-	}
-	if RenderPublishBench(rows) == "" {
-		t.Error("empty render")
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_publish.json")
-	if err := WritePublishBenchJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	var back []PublishBenchRow
-	if _, err := benchio.Read(path, "publish", &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) || back[0].Hops != rows[0].Hops {
-		t.Errorf("JSON round trip lost data: %+v", back)
-	}
-}
-
-// The kernel comparison driver must verify optimized-vs-reference agreement
-// internally, report positive timings and solver eval counts, and round-trip
-// through the BENCH_kernels.json writer.
-func TestKernelBench(t *testing.T) {
-	rows, err := KernelBench(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.RefSeconds <= 0 || r.OptSeconds <= 0 || r.Speedup <= 0 {
-			t.Errorf("missing timing: %+v", r)
-		}
-		switch r.Kernel {
-		case "kmeans":
-			if r.RefBetaEvals != 0 || r.OptBetaEvals != 0 {
-				t.Errorf("kmeans row carries solver eval counts: %+v", r)
-			}
-		case "solve_eps":
-			if r.RefBetaEvals <= 0 {
-				t.Errorf("solver row missing eval counts: %+v", r)
-			}
-		default:
-			t.Errorf("unknown kernel: %+v", r)
-		}
-	}
-	if RenderKernelBench(rows) == "" {
-		t.Error("empty render")
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
-	if err := WriteKernelBenchJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	var back []KernelBenchRow
-	if _, err := benchio.Read(path, "kernels", &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) || back[0].Kernel != rows[0].Kernel {
-		t.Errorf("JSON round trip lost data: %+v", back)
-	}
 }

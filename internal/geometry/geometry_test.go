@@ -349,25 +349,6 @@ func TestCapFractionPaperSeriesAllEvenD(t *testing.T) {
 	}
 }
 
-func TestCompareSolvers(t *testing.T) {
-	refSec, optSec, refEvals, optEvals, err := CompareSolvers(8, 50, 3, 100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refSec <= 0 || optSec <= 0 {
-		t.Errorf("non-positive timings: ref=%v opt=%v", refSec, optSec)
-	}
-	if refEvals <= 0 {
-		t.Errorf("non-positive reference eval count: %d", refEvals)
-	}
-	if optEvals*3 > refEvals {
-		t.Errorf("optimized solver used %d RegIncBeta evals, reference %d — expected >= 3x fewer", optEvals, refEvals)
-	}
-	if _, _, _, _, err := CompareSolvers(8, 50, 0, 100, 7); err == nil {
-		t.Error("rounds=0 should error")
-	}
-}
-
 func TestRegIncBetaKnown(t *testing.T) {
 	// I_x(1,1) = x (uniform CDF).
 	for _, x := range []float64{0.1, 0.5, 0.9} {

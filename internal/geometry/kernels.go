@@ -1,15 +1,10 @@
 package geometry
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // RandomSpheres draws n cluster spheres of the shape levelEps feeds the Eq 8
 // solver: centroid distances uniform in [0,5), radii in [0,1), and 1–50
-// items each. Shared by the solver benchmarks and the `kernels` experiment.
+// items each. Shared by the solver benchmarks here and in bench/.
 func RandomSpheres(n int, rng *rand.Rand) []SphereAt {
 	spheres := make([]SphereAt, n)
 	for i := range spheres {
@@ -20,69 +15,4 @@ func RandomSpheres(n int, rng *rand.Rand) []SphereAt {
 		}
 	}
 	return spheres
-}
-
-// CompareSolvers times the optimized SolveEpsForCount against the retained
-// Newton-iteration solveEpsReference over rounds random sphere sets of the
-// given size and dimension, at target count k. It returns total wall time and
-// continued-fraction RegIncBeta evaluations for each solver, and errors if
-// the two roots ever disagree (see solutionsAgree). It backs the `kernels`
-// experiment of cmd/hyperm-bench.
-func CompareSolvers(d, nSpheres, rounds int, k float64, seed int64) (refSeconds, optSeconds float64, refEvals, optEvals int64, err error) {
-	if rounds < 1 {
-		return 0, 0, 0, 0, fmt.Errorf("geometry: CompareSolvers needs rounds >= 1, got %d", rounds)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for r := 0; r < rounds; r++ {
-		spheres := RandomSpheres(nSpheres, rng)
-		hi := 0.0
-		for _, s := range spheres {
-			if reach := s.Dist + s.Radius; reach > hi {
-				hi = reach
-			}
-		}
-
-		evals0 := RegIncBetaEvals()
-		start := time.Now()
-		ref := solveEpsReference(d, k, spheres)
-		refSeconds += time.Since(start).Seconds()
-		refEvals += RegIncBetaEvals() - evals0
-
-		evals0 = RegIncBetaEvals()
-		start = time.Now()
-		opt := SolveEpsForCount(d, k, spheres)
-		optSeconds += time.Since(start).Seconds()
-		optEvals += RegIncBetaEvals() - evals0
-
-		if err := solutionsAgree(d, k, hi, ref, opt, spheres); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("geometry: solvers diverged (d=%d n=%d k=%g round=%d): %w",
-				d, nSpheres, k, r, err)
-		}
-	}
-	return refSeconds, optSeconds, refEvals, optEvals, nil
-}
-
-// solutionsAgree decides whether two Eq 8 roots are the same answer. Where
-// the expected-count curve has healthy slope the roots must coincide to
-// 1e-9 (relative to the bracket top hi). On flat plateaus — every sphere
-// fully covered or fully disjoint over a stretch of eps — any point of the
-// plateau satisfies the solver's |f| stopping tolerance, so two correct
-// solvers may legitimately stop at different eps; there the roots agree
-// when both reproduce the target count within (a small multiple of) that
-// same tolerance.
-func solutionsAgree(d int, k, hi, ref, opt float64, spheres []SphereAt) error {
-	diff := ref - opt
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff <= 1e-9*math.Max(1, hi) {
-		return nil
-	}
-	tol := 2e-9 * math.Max(1, k)
-	fr := math.Abs(ExpectedCount(d, ref, spheres) - k)
-	fo := math.Abs(ExpectedCount(d, opt, spheres) - k)
-	if fr <= tol && fo <= tol {
-		return nil
-	}
-	return fmt.Errorf("ref=%.15g (|f|=%g) opt=%.15g (|f|=%g)", ref, fr, opt, fo)
 }

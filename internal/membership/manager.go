@@ -514,6 +514,12 @@ func (m *Manager) handleJoin(req JoinReq) ([]byte, error) {
 		return nil, err
 	}
 	ls := &m.levels[req.Level]
+	// A point of another length is not in this level's key space; a short one
+	// would index out of range in Contains.
+	if len(ls.Zones) > 0 && len(req.Point) != len(ls.Zones[0].Lo) {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("membership: join point of %d coordinates at level %d, want %d", len(req.Point), req.Level, len(ls.Zones[0].Lo))
+	}
 	zi := -1
 	for i, z := range ls.Zones {
 		if z.Contains(req.Point) {

@@ -403,3 +403,23 @@ func TestJoinRefusedWhenZoneTooSmall(t *testing.T) {
 		t.Fatalf("refused join changed the owner: %+v, epoch %d", ls, m.Epoch(0))
 	}
 }
+
+// TestJoinRefusesWrongLengthPoint: a join point that is not a point of the
+// level's key space — a peer's bytes — is refused, not indexed.
+func TestJoinRefusesWrongLengthPoint(t *testing.T) {
+	zone := route.Zone{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
+	m := NewManager(0, 1, []LevelState{{Zones: []route.Zone{zone}}}, nil, Options{})
+	for name, point := range map[string][]float64{
+		"empty": nil,
+		"short": {0.5},
+		"long":  {0.5, 0.5, 0.5},
+	} {
+		body := encodeJoinReq(JoinReq{Level: 0, Joiner: 1, Addr: testAddr(1), Point: point})
+		if _, err := m.HandleRPC(context.Background(), MethodJoin, body); err == nil {
+			t.Errorf("%s point: join granted, want an error", name)
+		}
+	}
+	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || m.Epoch(0) != 0 {
+		t.Fatalf("refused joins changed the owner: %+v, epoch %d", ls, m.Epoch(0))
+	}
+}

@@ -96,7 +96,7 @@ func runChurnSoak(t *testing.T, tr transport.Transport, listen func(int) string)
 		ProbeTimeout:  150 * time.Millisecond,
 		FailAfter:     2,
 	}
-	cl, err := node.StartClusterOpts(sys, tr, listen, transport.Policy{Timeout: 30e9}, mopts)
+	cl, err := node.StartClusterTuned(sys, tr, listen, transport.Policy{Timeout: 30e9}, mopts, node.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}

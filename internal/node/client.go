@@ -8,8 +8,7 @@ import (
 	"hyperm/internal/transport"
 )
 
-// Client issues query and publish RPCs against serving nodes. It is the
-// front door used by cmd/hyperm-load and the integration tests; each call
+// Client issues query and publish RPCs against serving nodes. Each call
 // targets one node's address, and that node coordinates whatever multi-hop
 // work the request needs.
 type Client struct {

@@ -11,7 +11,7 @@ import (
 
 // Cluster is a set of serving nodes covering every peer of a deployment,
 // started together and wired to each other's addresses — the single-process
-// cluster used by the integration tests and the load harness.
+// cluster used by the integration tests.
 type Cluster struct {
 	Nodes []*Node
 	// Addrs[p] is peer p's serving address ("" for peers that have left).
@@ -26,27 +26,16 @@ type Cluster struct {
 	tuning Tuning
 }
 
-// StartCluster snapshots every peer of sys, starts one node per peer on the
-// transport (listen(p) supplies each listen address — "" for the chan
+// StartClusterTuned snapshots every peer of sys, starts one node per peer on
+// the transport (listen(p) supplies each listen address — "" for the chan
 // transport, "127.0.0.1:0" for TCP), and installs the full address book on
 // every node. On error, already-started nodes are stopped. Membership RPCs
-// are served but no liveness probes run; use StartClusterOpts for a cluster
-// that detects crashes.
-func StartCluster(sys *core.System, tr transport.Transport, listen func(peer int) string, retry transport.Policy) (*Cluster, error) {
-	return StartClusterOpts(sys, tr, listen, retry, membership.Options{})
-}
-
-// StartClusterOpts is StartCluster with the membership protocol tuned: a
-// positive ProbeInterval turns every node into a live failure detector that
-// takes over crashed neighbors' zones and republishes their records.
-func StartClusterOpts(sys *core.System, tr transport.Transport, listen func(peer int) string, retry transport.Policy, mopts membership.Options) (*Cluster, error) {
-	return StartClusterTuned(sys, tr, listen, retry, mopts, Tuning{})
-}
-
-// StartClusterTuned is StartClusterOpts with the lookup coordinator tuned
-// (α, level fanout, fetch fanout — see Tuning). The zero Tuning means the
-// defaults; Tuning{Alpha: 1, LevelFanout: 1, FetchFanout: 1} is the fully
-// serial coordinator.
+// are always served; a positive mopts.ProbeInterval also turns every node
+// into a live failure detector that takes over crashed neighbors' zones and
+// republishes their records. tuning sets the lookup coordinator (α, level
+// fanout, fetch fanout — see Tuning): the zero Tuning means the defaults;
+// Tuning{Alpha: 1, LevelFanout: 1, FetchFanout: 1} is the fully serial
+// coordinator.
 func StartClusterTuned(sys *core.System, tr transport.Transport, listen func(peer int) string, retry transport.Policy, mopts membership.Options, tuning Tuning) (*Cluster, error) {
 	snaps, err := ExtractAll(sys)
 	if err != nil {

@@ -253,11 +253,12 @@ func TestSnapshotErrors(t *testing.T) {
 
 // TestUnknownMethodsAreRefusedUncounted: a method name is a peer's bytes, so
 // it may not become a counter key until it is recognised — otherwise any peer
-// grows the counter map without bound. Junk names and the four methods a
+// grows the counter map without bound. Junk names and the five methods a
 // not-yet-upgraded peer may still send (three removed with delegated
 // aggregation, fetch_sub with the fetch directory — such a peer fails its
-// query on the refusal rather than caching answers nobody tracks) all come
-// back as the same classified refusal and count as rpc.unknown.
+// query on the refusal rather than caching answers nobody tracks — and
+// publish_batch, which never had a sender) all come back as the same
+// classified refusal and count as rpc.unknown.
 func TestUnknownMethodsAreRefusedUncounted(t *testing.T) {
 	for _, tc := range clusterTransports() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,11 +290,11 @@ func TestUnknownMethodsAreRefusedUncounted(t *testing.T) {
 			if len(after) != len(before) {
 				t.Errorf("1000 distinct unknown methods grew the counter map from %d to %d keys", len(before), len(after))
 			}
-			for _, method := range []string{"can_search_agg", "warm_views", "replicate_refs", "fetch_sub"} {
+			for _, method := range []string{"can_search_agg", "warm_views", "replicate_refs", "fetch_sub", "publish_batch"} {
 				call(method)
 			}
-			if got := cl.Nodes[0].Counters()["rpc.unknown"]; got != 1005 {
-				t.Errorf("rpc.unknown = %v, want 1005", got)
+			if got := cl.Nodes[0].Counters()["rpc.unknown"]; got != 1006 {
+				t.Errorf("rpc.unknown = %v, want 1006", got)
 			}
 		})
 	}

@@ -48,11 +48,11 @@ import (
 //     requested under still stands.
 //
 // Lost mark. The one way the directory forgets a line it still owes for is
-// dropping it wholesale — the fetchMemoCap reset and ClearCaches. That sets
-// fetchLost, under which the next publish notifies every coordinator ever
-// served with an empty item list, read by the receiver as "drop every entry of
-// this holder"; once that round is through with no further loss the mark
-// clears and publishes are targeted again.
+// dropping it wholesale — the fetchMemoCap reset. That sets fetchLost, under
+// which the next publish notifies every coordinator ever served with an empty
+// item list, read by the receiver as "drop every entry of this holder"; once
+// that round is through with no further loss the mark clears and publishes
+// are targeted again.
 //
 // No callback. A holder registers only subscribers it can call back: an id its
 // address book cannot resolve (a joiner it has not met, a junk id) is refused
@@ -277,7 +277,7 @@ func fetchEntryCovered(key string, resp []byte, item []float64) bool {
 	case 'k':
 		k := int(int64(tail))
 		items, err := decodeFetchKNNResp(resp)
-		if err != nil || len(items) < k {
+		if err != nil || len(items) < k || len(items) == 0 { // empty: a peer asked for k <= 0
 			return true
 		}
 		return d2 <= items[len(items)-1].Dist2
@@ -456,22 +456,4 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 		n.fetchLost = false
 	}
 	n.fetchMu.Unlock()
-}
-
-// ClearCaches drops every warm artifact this node holds — the lookup memo,
-// the fetch directory and the coordinator-side fetch memo — returning it to
-// the cold-start state. The bench harness's cold phase uses it to measure
-// first-touch cost on an otherwise warm, quiesced cluster; not intended to run
-// concurrently with queries this node is coordinating.
-func (n *Node) ClearCaches() {
-	if n.memo != nil {
-		n.memo.Clear()
-	}
-	n.fetchMu.Lock()
-	n.loseFetchDirLocked()
-	n.fetchMu.Unlock()
-	n.cliMu.Lock()
-	n.cliFetch = nil
-	n.cliCount = 0
-	n.cliMu.Unlock()
 }

@@ -193,7 +193,7 @@ func TestFetchDirPendingLines(t *testing.T) {
 }
 
 // TestFetchDirLostMark: when a holder's directory forgets lines it still owes
-// for — the fetchMemoCap reset, ClearCaches — the next publish falls back to
+// for — the fetchMemoCap reset — the next publish falls back to
 // telling every coordinator ever served to drop all it holds of that holder,
 // the mark clears, and the publish after is targeted again. Answers equal the
 // oracle throughout.
@@ -212,7 +212,6 @@ func TestFetchDirLostMark(t *testing.T) {
 				}
 			}
 		}},
-		{"clear", func(w *dirWorld, x []float64) { w.cl.Nodes[h].ClearCaches() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -14,6 +14,7 @@ import (
 	"hyperm/internal/store"
 	"hyperm/internal/transport"
 	"hyperm/internal/viewcache"
+	"hyperm/internal/wavelet"
 )
 
 // Config parameterizes one serving node.
@@ -351,45 +352,6 @@ func (n *Node) Publish(id int, item []float64) error {
 	return nil
 }
 
-// PublishBatch post-inserts a batch of items in order with one coherence
-// round: the store mutations happen under a single lock acquisition, the
-// fetch directory takes one sweep, and every coordinator holding an answer
-// some item changes gets one invalidation message carrying the whole batch
-// instead of len(items) RPCs. The resulting store and summary
-// state is exactly a Publish-per-item sequence (oracle:
-// core.System.PostInsertBatch). With Tuning.StreamPublish the kernel must
-// interleave deltas with their announcements, so the batch runs as sequential
-// streamed publishes.
-func (n *Node) PublishBatch(ids []int, items [][]float64) error {
-	if len(ids) != len(items) {
-		return fmt.Errorf("node: batch has %d ids for %d items", len(ids), len(items))
-	}
-	for i, item := range items {
-		if len(item) != n.cfg.Dim {
-			return fmt.Errorf("node: batch item %d dim %d, want %d", i, len(item), n.cfg.Dim)
-		}
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	if n.tuning.StreamPublish {
-		for i := range items {
-			if err := n.publishStream(ids[i], items[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n.mu.Lock()
-	for i, item := range items {
-		n.store.Append(ids[i], item)
-		core.AbsorbInsert(n.published, item, n.cfg.Convention)
-	}
-	n.mu.Unlock()
-	n.sweepFetchDir(items)
-	return nil
-}
-
 // localRange and localKNN scan this node's own store: the body of the
 // fetch_range / fetch_knn handlers and of the coordinator's fetch from itself.
 // They hold the read lock, and that is the only lock a scan may hold: the
@@ -415,19 +377,10 @@ func (n *Node) ItemCount() int {
 	return n.store.Len()
 }
 
-// StoreHeapBytes returns the heap footprint of this node's flat item store
-// (id column plus allocated block capacity) — the per-node number the
-// bench-mem harness sums into its heap telemetry.
-func (n *Node) StoreHeapBytes() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.store.HeapBytes()
-}
-
 // remoteErr classifies a query error for the wire: the routing-core stall
-// sentinels get their detail token attached so clients (hyperm-load) can
-// count routing stalls separately from transport failures; anything else
-// crosses unannotated.
+// sentinels get their detail token attached so clients can count routing
+// stalls separately from transport failures; anything else crosses
+// unannotated.
 func remoteErr(err error) error {
 	switch {
 	case errors.Is(err, route.ErrLoopLimit):
@@ -475,16 +428,6 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 			return transport.Response{}, err
 		}
 		if err := n.Publish(id, item); err != nil {
-			return transport.Response{}, err
-		}
-		return transport.Response{}, nil
-
-	case methodPublishBatch:
-		ids, items, err := decodePublishBatchReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		if err := n.PublishBatch(ids, items); err != nil {
 			return transport.Response{}, err
 		}
 		return transport.Response{}, nil
@@ -548,6 +491,11 @@ func (n *Node) handleSearch(body []byte) (transport.Response, error) {
 	for i, r := range reqs {
 		if r.Level < 0 || r.Level >= n.mgr.NumLevels() {
 			return transport.Response{}, fmt.Errorf("node: no level %d", r.Level)
+		}
+		// A key of another length would index out of range in the zone and
+		// record distance tests below.
+		if dim := wavelet.SubspaceDim(r.Level); len(r.Key) != dim {
+			return transport.Response{}, fmt.Errorf("node: can_search key of %d coordinates at level %d, want %d", len(r.Key), r.Level, dim)
 		}
 		if r.Optional && !n.mgr.ZonesIntersect(r.Level, r.Key, r.Radius) {
 			answers[i].Skipped = true

@@ -19,7 +19,7 @@ import (
 // with hand-picked spheres or a look at one lookup's level searches apart.
 // The end-to-end half is probe_cluster_test.go.
 
-func startProbeCluster(t *testing.T, peers int) *Cluster {
+func startProbeCluster(t testing.TB, peers int) *Cluster {
 	t.Helper()
 	sys, err := experiments.BuildMarkovSystem(experiments.Params{Peers: peers, ItemsPerPeer: 12, Dim: 16, Levels: 3, ClustersPerPeer: 3, Seed: 9})
 	if err != nil {
@@ -238,8 +238,9 @@ func TestProbeDeadPeerFailsEveryLevelAlike(t *testing.T) {
 }
 
 // TestSearchHandlerRefusesBadRequests covers what the codec cannot: a request
-// that decodes but asks for a level the node does not have, or for more
-// spheres than any query carries, is refused whole.
+// that decodes but asks for a level the node does not have, for more spheres
+// than any query carries, or about a key that is not a point of the level's
+// key space, is refused whole.
 func TestSearchHandlerRefusesBadRequests(t *testing.T) {
 	cl := startProbeCluster(t, 4)
 	nd := cl.Nodes[0]
@@ -251,6 +252,10 @@ func TestSearchHandlerRefusesBadRequests(t *testing.T) {
 		"level past the last": {ok, {Level: nd.mgr.NumLevels()}},
 		"negative level":      {{Level: -1, Optional: true}},
 		"more than the limit": make([]searchReq, maxSearchSpheres+1),
+		"empty optional key":  {{Level: 1, Optional: true}},
+		"empty required key":  {ok, {Level: 1}},
+		"short key":           {{Level: 2, Key: []float64{0.5}, Radius: 0.1, Optional: true}},
+		"long key":            {{Level: 0, Key: []float64{0.5, 0.5}, Radius: 0.1}},
 	} {
 		if resp, err := nd.handleSearch(encodeSearchReq(reqs)); err == nil {
 			t.Errorf("%s: answered with %d bytes, want an error", name, len(resp.Body))

@@ -14,21 +14,20 @@ import (
 // the transport codec; float64 values cross the wire bit-exactly, which the
 // determinism oracle depends on.
 const (
-	methodRange        = "range"         // client → node: run a range query as this peer
-	methodKNN          = "knn"           // client → node: run a k-nn query as this peer
-	methodPublish      = "publish"       // client → node: post-insert one item
-	methodPublishBatch = "publish_batch" // client → node: post-insert many items, one coherence round
-	methodCanSearch    = "can_search"    // node → node: one hop of an overlay lookup
-	methodFetchRange   = "fetch_range"   // node → node: phase-two local range scan
-	methodFetchKNN     = "fetch_knn"     // node → node: phase-two local k-nn scan
-	methodFetchInval   = "inval_fetch"   // node → node: holder's item store changed, drop the entries it names
+	methodRange      = "range"       // client → node: run a range query as this peer
+	methodKNN        = "knn"         // client → node: run a k-nn query as this peer
+	methodPublish    = "publish"     // client → node: post-insert one item
+	methodCanSearch  = "can_search"  // node → node: one hop of an overlay lookup
+	methodFetchRange = "fetch_range" // node → node: phase-two local range scan
+	methodFetchKNN   = "fetch_knn"   // node → node: phase-two local k-nn scan
+	methodFetchInval = "inval_fetch" // node → node: holder's item store changed, drop the entries it names
 )
 
 // isMethod reports whether method is one of the node RPCs above (the
 // membership layer's are membership.IsMethod).
 func isMethod(method string) bool {
 	switch method {
-	case methodRange, methodKNN, methodPublish, methodPublishBatch, methodCanSearch,
+	case methodRange, methodKNN, methodPublish, methodCanSearch,
 		methodFetchRange, methodFetchKNN, methodFetchInval:
 		return true
 	}
@@ -150,38 +149,6 @@ func decodePublishReq(b []byte) (id int, item []float64, err error) {
 	id = d.Int()
 	item = d.FloatsShared()
 	return id, item, d.Finish()
-}
-
-// ---- publish_batch ----
-
-func encodePublishBatchReq(ids []int, items [][]float64) []byte {
-	var e transport.Encoder
-	size := 4
-	for _, it := range items {
-		size += 8 + 4 + 8*len(it)
-	}
-	e.Grow(size)
-	e.U32(uint32(len(items)))
-	for i, it := range items {
-		e.Int(ids[i])
-		e.Floats(it)
-	}
-	return e.Bytes()
-}
-
-func decodePublishBatchReq(b []byte) (ids []int, items [][]float64, err error) {
-	d := transport.NewDecoder(b)
-	// An item costs at least 12 bytes (id + empty vector), which bounds a
-	// sane count against the message size.
-	if n := d.Count(12); d.Err() == nil && n > 0 {
-		ids = make([]int, n)
-		items = make([][]float64, n)
-		for i := range items {
-			ids[i] = d.Int()
-			items[i] = d.FloatsShared()
-		}
-	}
-	return ids, items, d.Finish()
 }
 
 // ---- can_search ----

@@ -2,9 +2,12 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"hyperm/internal/transport"
 )
 
 // The can_search message carries two count-prefixed lists a peer fills in: the
@@ -300,4 +303,46 @@ func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 		t.Errorf("drop-all left %d entries of the holder, %d of another, count %d, generation %d; want 0, 1, 1, 1",
 			len(n.cliFetch[9]), len(n.cliFetch[4]), n.cliCount, n.cliGen[9])
 	}
+}
+
+// FuzzNodeHandle is the handler-level sibling of the codec targets above: a
+// body that decodes can still name a level, a key length, a k or a subscriber
+// the node has nothing for, and no transport recovers a handler panic. Every
+// node → node method (and publish, whose body is a client's) must answer or
+// refuse whatever bytes arrive. The cluster is shared by all inputs, so an
+// accepted publish or a registered directory line stays for the next.
+func FuzzNodeHandle(f *testing.F) {
+	cl := startProbeCluster(f, 4)
+	nd := cl.Nodes[0]
+	q := make([]float64, nd.cfg.Dim)
+	targets := []struct {
+		method string
+		seeds  [][]byte
+	}{
+		{methodCanSearch, [][]byte{
+			searchReqSeed(), // level 1's key is one coordinate too long
+			encodeSearchReq([]searchReq{{Level: 1, Optional: true}}),
+			encodeSearchReq([]searchReq{{Level: 0, Key: []float64{0.5}, Radius: 0.1}, {Level: 2}}),
+			encodeSearchReq([]searchReq{{Level: 2, Key: zoneCenter(nd, 2), Radius: 0.3, Optional: true}}),
+		}},
+		{methodFetchRange, [][]byte{encodeFetchRangeReq(q, 0.5), appendSubscriber(encodeFetchRangeReq(q, 0.5), 1), encodeFetchRangeReq(q[:1], 0.5)}},
+		// k = 0 for a subscriber the node can call back leaves an empty line
+		// on the directory, which the publish seeds below then sweep.
+		{methodFetchKNN, [][]byte{encodeFetchKNNReq(q, 3), appendSubscriber(encodeFetchKNNReq(q, 0), 1), appendSubscriber(encodeFetchKNNReq(q, -1), 1<<40), encodeFetchKNNReq(nil, 1<<62)}},
+		{methodFetchInval, [][]byte{encodeInvalReq(1, nil), encodeInvalReq(1, [][]float64{q, q[:1], nil})}},
+		{methodPublish, [][]byte{encodePublishReq(7000, q), encodePublishReq(-1, q[:1])}},
+	}
+	for m, tg := range targets {
+		for _, b := range tg.seeds {
+			f.Add(uint8(m), b)
+		}
+		f.Add(uint8(m), []byte{})
+	}
+	f.Fuzz(func(t *testing.T, m uint8, body []byte) {
+		method := targets[int(m)%len(targets)].method
+		resp, err := nd.handle(context.Background(), transport.Request{Method: method, Body: body})
+		if err != nil && resp.Body != nil {
+			t.Fatalf("%s: refused (%v) with a %d-byte answer", method, err, len(resp.Body))
+		}
+	})
 }
