@@ -41,8 +41,8 @@ bench:
 
 # Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
 # the holder-side scans at 1k and 50k rows, and the coordinator's id merge
-# against concatenate + radix sort over the run shapes the workloads fetch),
-# 5 repetitions for benchstat-grade numbers.
+# against concatenate + radix sort and concatenate + comparison sort over the
+# run shapes the workloads fetch), 5 repetitions for benchstat-grade numbers.
 bench-kernels:
 	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
 

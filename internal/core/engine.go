@@ -24,12 +24,12 @@ type ItemDist struct {
 }
 
 // Backend is the data plane a query Engine drives: the per-level overlay
-// search of the scoring phase and the per-peer data fetches of the retrieval
-// phase. core.System implements it directly on its in-memory structures;
-// internal/node implements it with peer-to-peer RPCs over a transport. Both
-// must discover the same entries in the same order for the engine's answers
-// to be byte-identical — the serving runtime's determinism-oracle tests
-// check exactly that.
+// search of the scoring phase and the one retrieval call that fetches from
+// every selected peer. core.System implements it directly on its in-memory
+// structures; internal/node implements it with peer-to-peer RPCs over a
+// transport. Both must discover the same entries in the same order for the
+// engine's answers to be byte-identical — the serving runtime's
+// determinism-oracle tests check exactly that.
 type Backend interface {
 	// Scope announces the first search sphere of every level of one query,
 	// computed before the level fan-out, and returns the backend that query
@@ -45,16 +45,22 @@ type Backend interface {
 	// messages than that (see Scope). The entry order must match the
 	// overlay's deterministic flood order.
 	Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error)
-	// FetchRange asks peer for the ids of its items within eps of q, in
+	// FetchRange is the whole retrieval phase of a range query: it asks every
+	// peer of peers (score order) for the ids of its items within eps of q and
+	// returns the answers slot for slot. How many peers it asks at once is the
+	// backend's business — the engine reads the slots in order once the call
+	// returns, so no scheduling reaches the answer. Each answer is in
 	// LocalRange's order: ascending from an indexed store, row order from a
 	// small one (RangeQuery takes either, the ascending case is the cheap
-	// one). The slice may be shared with other callers and is read-only. A
-	// dead or unreachable peer yields no items and no error: the contact
-	// budget is spent either way.
-	FetchRange(from, peer int, q []float64, eps float64) ([]int, error)
-	// FetchKNN asks peer for its k locally nearest items with their squared
-	// distances (LocalKNN). Dead peers yield nothing, as in FetchRange.
-	FetchKNN(from, peer int, q []float64, k int) ([]ItemDist, error)
+	// one); it may be shared with other callers and is read-only. A dead or
+	// unreachable peer yields no items and no error: the contact budget is
+	// spent either way. errs is nil, or nil in every slot, when no fetch
+	// failed; else errs[i] is what peers[i]'s fetch returned.
+	FetchRange(from int, peers []int, q []float64, eps float64) (ids [][]int, errs []error)
+	// FetchKNN is the retrieval phase of a k-nn query: peers[i] is asked for
+	// its wants[i] locally nearest items with their squared distances
+	// (LocalKNN). Slots, dead peers and errs as in FetchRange.
+	FetchKNN(from int, peers, wants []int, q []float64) (items [][]ItemDist, errs []error)
 }
 
 // Sphere is one level's search sphere in overlay key space: the arguments of
@@ -77,12 +83,10 @@ type Engine struct {
 	mappers []keyMapper
 	backend Backend
 
-	// levelFanout and fetchFanout bound the coordinator's concurrency: how
-	// many per-level overlay searches and how many phase-two fetches run at
-	// once. <= 1 means strictly serial (the default — the simulator backend
-	// is not safe for concurrent calls). See SetParallelism.
+	// levelFanout bounds how many per-level overlay searches run at once.
+	// <= 1 means strictly serial (the default — the simulator backend is not
+	// safe for concurrent calls). See SetParallelism.
 	levelFanout int
-	fetchFanout int
 }
 
 // NewEngine builds an engine from a (possibly partial) Config, the per-level
@@ -107,16 +111,16 @@ func NewEngine(cfg Config, bounds []Bounds, b Backend) (*Engine, error) {
 	return &Engine{cfg: cfg, mappers: buildMappers(bounds), backend: b}, nil
 }
 
-// SetParallelism turns on the pipelined coordinator: up to levelFanout
-// per-level overlay searches and up to fetchFanout phase-two fetches in
-// flight at once (<= 1 for serial). The backend must be safe for concurrent
-// calls — the RPC backend is, the in-process simulator backend is not.
-// Results are byte-identical to the serial coordinator: per-level score
-// lanes, hop totals, and fetched items are merged in level/score order after
-// the concurrent calls return, so no scheduling order reaches the answer.
-func (e *Engine) SetParallelism(levelFanout, fetchFanout int) {
+// SetParallelism turns on the pipelined scoring phase: up to levelFanout
+// per-level overlay searches in flight at once (<= 1 for serial). The backend
+// must be safe for concurrent Search calls — the RPC backend is, the
+// in-process simulator backend is not. Results are byte-identical to the
+// serial coordinator: per-level score lanes and hop totals are merged in
+// level order after the concurrent calls return, so no scheduling order
+// reaches the answer. The retrieval phase is one Backend call either way; its
+// concurrency is the backend's own.
+func (e *Engine) SetParallelism(levelFanout int) {
 	e.levelFanout = levelFanout
-	e.fetchFanout = fetchFanout
 }
 
 // eachLevel runs f for every level, concurrently when levelFanout allows.
@@ -138,28 +142,6 @@ func (e *Engine) eachLevel(f func(l int)) {
 			defer func() { <-sem }()
 			f(l)
 		}(l)
-	}
-	wg.Wait()
-}
-
-// eachIndex runs f for i in [0, n), concurrently when fetchFanout allows.
-func (e *Engine) eachIndex(n int, f func(i int)) {
-	if e.fetchFanout <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, e.fetchFanout)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}(i)
 	}
 	wg.Wait()
 }
@@ -227,17 +209,13 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 	if opts.MaxPeers > 0 && opts.MaxPeers < limit {
 		limit = opts.MaxPeers
 	}
-	// Retrieval phase: one fetch per selected peer, up to fetchFanout in
-	// flight, results appended in score order. On a fetch failure the serial
+	// Retrieval phase: one backend call fetches from every selected peer and
+	// the slots are read in score order. On a fetch failure the serial
 	// coordinator stops after the failing peer — reproduced here by counting
 	// contacts and items only up to the first (lowest-ranked) failure.
-	fetchedIDs := make([][]int, limit)
-	fetchErrs := make([]error, limit)
-	e.eachIndex(limit, func(i int) {
-		fetchedIDs[i], fetchErrs[i] = b.FetchRange(from, res.Scores[i].Peer, q, eps)
-	})
-	for i := 0; i < limit; i++ {
-		if err := fetchErrs[i]; err != nil {
+	fetchedIDs, fetchErrs := b.FetchRange(from, scoredPeers(res.Scores[:limit]), q, eps)
+	for i, err := range fetchErrs {
+		if err != nil {
 			// The partial answer is what the better-ranked peers returned,
 			// in score order, unsorted.
 			res.PeersContacted = i + 1
@@ -345,30 +323,38 @@ func (e *Engine) KNNQuery(from int, q []float64, k int, opts KNNOptions) (KNNRes
 		return res, nil
 	}
 
-	// Steps 7–9: fetch a proportional share from each selected peer, up to
-	// fetchFanout in flight, merged in score order.
-	fetchedPer := make([][]ItemDist, p)
-	fetchErrs := make([]error, p)
-	e.eachIndex(p, func(i int) {
-		ps := res.Scores[i]
-		want := int(math.Ceil(c * float64(k) * ps.Score / sum))
-		if want < 1 {
-			want = 1
-		}
-		fetchedPer[i], fetchErrs[i] = b.FetchKNN(from, ps.Peer, q, want)
-	})
-	var fetched []ItemDist
-	for i := 0; i < p; i++ {
-		res.PeersContacted++
-		if err := fetchErrs[i]; err != nil {
+	// Steps 7–9: fetch a proportional share from each selected peer in one
+	// backend call, merged in score order.
+	wants := make([]int, p)
+	for i, ps := range res.Scores[:p] {
+		wants[i] = max(1, int(math.Ceil(c*float64(k)*ps.Score/sum)))
+	}
+	fetchedPer, fetchErrs := b.FetchKNN(from, scoredPeers(res.Scores[:p]), wants, q)
+	for i, err := range fetchErrs {
+		if err != nil {
+			res.PeersContacted = i + 1
 			return res, fmt.Errorf("core: fetch from peer %d: %w", res.Scores[i].Peer, err)
 		}
-		fetched = append(fetched, fetchedPer[i]...)
+	}
+	res.PeersContacted = p
+	var fetched []ItemDist
+	for _, items := range fetchedPer {
+		fetched = append(fetched, items...)
 	}
 
 	// Step 10: sort the merged result by true distance to the query.
 	res.Items = sortFetched(fetched)
 	return res, nil
+}
+
+// scoredPeers lists the peer ids of a score-ordered prefix, the form the
+// Backend fetch calls take it in.
+func scoredPeers(scores []PeerScore) []int {
+	peers := make([]int, len(scores))
+	for i, ps := range scores {
+		peers[i] = ps.Peer
+	}
+	return peers
 }
 
 // levelEps discovers the clusters reachable at level l and estimates the
@@ -482,18 +468,24 @@ func (b systemBackend) Search(from, level int, key []float64, radius float64) ([
 	return entries, hops, nil
 }
 
-func (b systemBackend) FetchRange(from, peer int, q []float64, eps float64) ([]int, error) {
-	ps := b.s.peers[peer]
-	if ps.dead {
-		return nil, nil // contact times out; the budget is still spent
+// FetchRange and FetchKNN scan the stores one after the other. A dead peer's
+// contact times out: its slot stays empty and the budget is still spent.
+func (b systemBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+	ids := make([][]int, len(peers))
+	for i, p := range peers {
+		if ps := b.s.peers[p]; !ps.dead {
+			ids[i] = LocalRange(q, eps, ps.store)
+		}
 	}
-	return LocalRange(q, eps, ps.store), nil
+	return ids, nil
 }
 
-func (b systemBackend) FetchKNN(from, peer int, q []float64, k int) ([]ItemDist, error) {
-	ps := b.s.peers[peer]
-	if ps.dead {
-		return nil, nil // contact times out; the budget is still spent
+func (b systemBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
+	items := make([][]ItemDist, len(peers))
+	for i, p := range peers {
+		if ps := b.s.peers[p]; !ps.dead {
+			items[i] = LocalKNN(q, wants[i], ps.store)
+		}
 	}
-	return LocalKNN(q, k, ps.store), nil
+	return items, nil
 }

@@ -337,8 +337,11 @@ func TestSortIDsMatchesSlicesSort(t *testing.T) {
 		"empty":  nil,
 		"single": {5},
 		"small":  {9, 1, 1<<28 + 3, 0, 7},
+		"zeros":  make([]int, 2*radixMinPerPass), // no digit at all: no pass
 	}
-	for _, n := range []int{radixMinLen - 1, radixMinLen, 5000, 120000} {
+	// Either side of the one-pass threshold (the duplicates, all below 50) and
+	// of the four-pass one (the wide ids), and far beyond both.
+	for _, n := range []int{radixMinPerPass - 1, radixMinPerPass, 4*radixMinPerPass - 1, 4 * radixMinPerPass, 120000} {
 		dense := rng.Perm(n)
 		cases[fmt.Sprintf("perm-%d", n)] = dense
 		cases[fmt.Sprintf("sorted-%d", n)] = sortedCopy(dense)

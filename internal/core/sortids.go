@@ -6,28 +6,47 @@ import (
 	"sync"
 )
 
-// radixMinLen is the length below which a comparison sort beats setting up
-// the radix passes.
-const radixMinLen = 256
+// radixMinPerPass is the length, per radix pass the largest id needs, from
+// which the radix sort beats the comparison sort: a pass costs a 2,048-bucket
+// histogram whatever the length, so the break-even grows with the pass count.
+// Read off BenchmarkMergeIDs' concat+radix and concat+sort paths over the
+// three-pass shapes of serve-skewed (a published id of 1<<24 or more among
+// 24 small answers): level at 0.24k ids, radix a quarter ahead at 0.4k and
+// twice as fast at 1.5k. The benchmark rotates its inputs; on one input
+// repeated the comparison sort looks three times cheaper than a coordinator
+// pays for it, and 1.5k ids seem to fall on its side.
+const radixMinPerPass = 128
 
-// sortIDs sorts item ids ascending in O(n): an LSD radix sort over 11-bit
+// sortIDs sorts item ids ascending: in O(n) by an LSD radix sort over 11-bit
 // digits, with as many passes as the largest id needs (two for ids below
-// 4M). A range answer over large stores concatenates ~10^5 ids, where the
-// comparison sort was the largest cost left after the holder scans. Short
-// inputs and inputs with a negative id go to slices.Sort.
+// 4M), when the input is long enough to pay for the passes. A range answer
+// over large stores concatenates ~10^5 ids, where the comparison sort was the
+// largest cost left after the holder scans. Shorter inputs and inputs with a
+// negative id go to slices.Sort.
 func sortIDs(ids []int) {
 	var or int
 	for _, v := range ids {
 		or |= v
 	}
-	if len(ids) < radixMinLen || or < 0 {
+	width := bits.Len(uint(or))
+	if passes := (width + radixDigitBits - 1) / radixDigitBits; or < 0 || len(ids) < radixMinPerPass*max(passes, 1) {
 		slices.Sort(ids)
 		return
 	}
-	const digitBits = 11
-	const mask = 1<<digitBits - 1
+	radixSortIDs(ids, width)
+}
+
+const radixDigitBits = 11
+
+// radixSortIDs sorts non-negative ids of at most width bits, one pass per
+// digit.
+func radixSortIDs(ids []int, width int) {
+	if len(ids) == 0 {
+		return
+	}
+	const digitBits, mask = radixDigitBits, 1<<radixDigitBits - 1
 	src, dst := ids, make([]int, len(ids))
-	for shift := 0; shift < bits.Len(uint(or)); shift += digitBits {
+	for shift := 0; shift < width; shift += digitBits {
 		var count [1 << digitBits]int
 		for _, v := range src {
 			count[v>>shift&mask]++
@@ -53,7 +72,7 @@ func sortIDs(ids []int) {
 // BenchmarkMergeIDs: up to four runs are two levels of two-way merges, which
 // beat the radix passes at every run length; a third level (five to eight
 // runs) already loses to them, and the 24- and 64-run fetches of small-store
-// clusters are far on the radix side.
+// clusters are far on the sorting side.
 const mergeMaxRuns = 4
 
 // mergeIDs returns the ascending multiset union of runs in a fresh slice: the

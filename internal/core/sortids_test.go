@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,54 +95,77 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeIDs is what mergeMaxRuns is read off: the shapes are the
-// fetches of serve-ingest (4 holders x 25k ids, bare and with the few ids
-// above 1<<28 its ingest stream adds, which cost the radix sort a third
-// pass), serve-uniform (24 x 40) and disseminate (64 x 250), and two shapes
-// either side of the limit — each through mergeIDs and through both of its
-// paths forced.
+// BenchmarkMergeIDs is what mergeMaxRuns and radixMinPerPass are read off: the
+// shapes are the fetches of serve-ingest (4 holders x 25k ids, bare and with
+// the few ids above 1<<28 its ingest stream adds, which cost the radix sort a
+// third pass), serve-uniform (24 x 40), serve-skewed (24 x 60 and two narrower
+// queries, with the ids above 1<<24 its publishes add: three passes over
+// 0.24k to 1.5k ids) and disseminate (64 x 250), and two shapes either side of the
+// merge limit — each through mergeIDs and through every one of its paths
+// forced. A short shape is drawn many times over and the draws take turns: a
+// comparison sort fed the same thousand ids every iteration runs on a branch
+// predictor that has learnt them, at a third of what it costs a coordinator.
 func BenchmarkMergeIDs(b *testing.B) {
 	shapes := []struct {
 		k, per int
-		ingest bool
-	}{{4, 25000, false}, {4, 25000, true}, {4, 250, false}, {8, 5000, false}, {24, 40, false}, {64, 250, false}}
-	for _, sh := range shapes {
-		name := fmt.Sprintf("%dx%d", sh.k, sh.per)
-		runs := ascendingRuns(rand.New(rand.NewSource(int64(sh.k))), sh.k, sh.per)
-		if sh.ingest {
-			name += "+ingest"
-			for i := 0; i < 200; i++ {
-				runs[i%sh.k] = append(runs[i%sh.k], 1<<28+i)
-			}
-		}
+		tag    string // "" or what the workload adds: extra ids from base up
+		extra  int
+		base   int
+	}{
+		{k: 4, per: 25000}, {4, 25000, "+ingest", 200, 1 << 28}, {k: 4, per: 250}, {k: 8, per: 5000},
+		{k: 24, per: 40}, {24, 8, "+publish", 48, 1 << 24}, {24, 15, "+publish", 48, 1 << 24},
+		{24, 60, "+publish", 48, 1 << 24}, {k: 64, per: 250},
+	}
+	concat := func(runs [][]int) (out []int, or int) {
 		total := 0
 		for _, r := range runs {
 			total += len(r)
 		}
-		paths := []struct {
-			name string
-			f    func([][]int) []int
-		}{
-			{"mergeIDs", mergeIDs},
-			{"merge", func(runs [][]int) []int {
-				out := make([]int, total)
-				mergeRuns(out, slices.Clone(runs))
-				return out
-			}},
-			{"concat+radix", func(runs [][]int) []int {
-				out := make([]int, 0, total)
-				for _, r := range runs {
-					out = append(out, r...)
-				}
-				sortIDs(out)
-				return out
-			}},
+		out = make([]int, 0, total)
+		for _, r := range runs {
+			out = append(out, r...)
+			for _, id := range r {
+				or |= id
+			}
+		}
+		return out, or
+	}
+	paths := []struct {
+		name string
+		f    func([][]int) []int
+	}{
+		{"mergeIDs", mergeIDs},
+		{"merge", func(runs [][]int) []int {
+			out, _ := concat(runs)
+			mergeRuns(out, slices.Clone(runs))
+			return out
+		}},
+		{"concat+radix", func(runs [][]int) []int {
+			out, or := concat(runs)
+			radixSortIDs(out, bits.Len(uint(or)))
+			return out
+		}},
+		{"concat+sort", func(runs [][]int) []int {
+			out, _ := concat(runs)
+			slices.Sort(out)
+			return out
+		}},
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("%dx%d", sh.k, sh.per) + sh.tag
+		rng := rand.New(rand.NewSource(int64(sh.k)))
+		draws := make([][][]int, max(1, 1<<17/(sh.k*sh.per)))
+		for d := range draws {
+			draws[d] = ascendingRuns(rng, sh.k, sh.per)
+			for i := 0; i < sh.extra; i++ {
+				draws[d][i%sh.k] = append(draws[d][i%sh.k], sh.base+i)
+			}
 		}
 		for _, p := range paths {
 			b.Run(name+"/"+p.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					benchSink += len(p.f(runs))
+					benchSink += len(p.f(draws[i%len(draws)]))
 				}
 			})
 		}

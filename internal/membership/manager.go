@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hyperm/internal/route"
@@ -109,8 +110,10 @@ type Manager struct {
 	// epochs[l] counts the level-l churn events this node has observed
 	// (its own mutations plus neighbor-table changes seen in probe
 	// responses); a coordinator's lookup memo and fetch cache trust an entry
-	// only within the epoch it was recorded at.
-	epochs []uint64
+	// only within the epoch it was recorded at. epochSum is their sum, kept
+	// beside them so "did anything happen at any level" is one atomic load.
+	epochs   []uint64
+	epochSum atomic.Uint64
 
 	probeMu   sync.Mutex
 	probeStop chan struct{}
@@ -330,7 +333,14 @@ func (m *Manager) Epoch(level int) uint64 {
 // news of a neighbor's. Callers hold mu.
 func (m *Manager) bumpLocked(level int) {
 	m.epochs[level]++
+	m.epochSum.Add(1)
 }
+
+// EpochSum returns the sum of the per-level churn epochs without taking the
+// lock. Every epoch only grows, so the sum moves exactly when some level's
+// epoch does: two equal readings bracket a span with no membership event at
+// any level — the coordinator fetch cache's reset signal.
+func (m *Manager) EpochSum() uint64 { return m.epochSum.Load() }
 
 // ---- RPC dispatch ----
 

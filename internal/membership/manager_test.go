@@ -280,6 +280,14 @@ func comparePair(t *testing.T, tag string, o *can.Overlay, f *fakeFabric) {
 		ls := m.View(0)
 		compareLevel(t, fmt.Sprintf("%s node %d", tag, m.Self()), o.View(m.Self()), ls)
 		tiles = append(tiles, ls.Zones)
+		// The lock-free sum the fetch memo resets on moves with every epoch.
+		var sum uint64
+		for l := 0; l < m.NumLevels(); l++ {
+			sum += m.Epoch(l)
+		}
+		if m.EpochSum() != sum {
+			t.Fatalf("%s node %d: EpochSum %d, the level epochs add up to %d", tag, m.Self(), m.EpochSum(), sum)
+		}
 	}
 	if !route.VerifyTiling(tiles) {
 		t.Fatalf("%s: live zones do not tile the torus", tag)

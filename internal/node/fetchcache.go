@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"hyperm/internal/core"
 	"hyperm/internal/transport"
 )
 
@@ -90,16 +91,6 @@ type cliFetchEntry struct {
 	resp []byte
 }
 
-// epochSig folds every level's churn epoch into one token so a single compare
-// detects "some membership event happened somewhere".
-func (n *Node) epochSig() uint64 {
-	var sig uint64
-	for l := 0; l < n.mgr.NumLevels(); l++ {
-		sig = sig*1000003 + n.mgr.Epoch(l)
-	}
-	return sig
-}
-
 // fetchKey writes the memo key of one fetch — a method tag ('r' or 'k'), then
 // the plain request body: the query vector and eps or k as raw bits (tail) —
 // into buf when it fits, so a lookup's key lives on the caller's stack.
@@ -134,56 +125,160 @@ func (n *Node) callFetch(ctx context.Context, peer int, method string, body []by
 	return r.Body, false, nil
 }
 
-// cachedFetch serves one remote fetch through the coordinator-side memo.
-// Values are stored decoded (the engine only reads fetch results, so the
-// cached slice is shared safely), and a hit costs one map lookup under a key
-// built on the stack — no RPC, no request body, no decode, no allocation. A
-// miss sends the key's plain body with this node's id appended, which puts it
-// on the holder's line before the holder scans. The raw response is kept
-// alongside the value for the knn invalidation filter.
-func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method string, q []float64, tail uint64, decode func([]byte) (any, error)) (out any, unavailable bool, err error) {
-	sig := n.epochSig()
-	var kb [512]byte
-	key := fetchKey(kb[:], tag, q, tail)
+// fetchKind is what tells the two fetch RPCs apart on the coordinator's side:
+// the memo tag, the method, this node's own scan and the response decoder.
+// tail is eps or k as the request carries it, raw bits.
+type fetchKind[T any] struct {
+	tag    byte
+	method string
+	local  func(n *Node, q []float64, tail uint64) T
+	decode func([]byte) (T, error)
+}
 
-	n.cliMu.Lock()
-	if sig != n.cliEpochSig {
-		n.cliFetch, n.cliGen = nil, nil
-		n.cliCount = 0
-		n.cliEpochSig = sig
-	}
-	if e, ok := n.cliFetch[peer][string(key)]; ok { // no-alloc map lookup
+var (
+	rangeFetch = fetchKind[[]int]{'r', methodFetchRange,
+		func(n *Node, q []float64, tail uint64) []int { return n.localRange(q, math.Float64frombits(tail)) },
+		decodeFetchRangeResp}
+	knnFetch = fetchKind[[]core.ItemDist]{'k', methodFetchKNN,
+		func(n *Node, q []float64, tail uint64) []core.ItemDist { return n.localKNN(q, int(int64(tail))) },
+		decodeFetchKNNResp}
+)
+
+// fetchMiss is one slot of a retrieval the memo pass left open: the peer's
+// rank, its request tail (kept here so the tail func stays off the heap: the
+// fan-out closure would capture it), and the holder's generation as the memo
+// pass read it.
+type fetchMiss struct {
+	slot int
+	tail uint64
+	gen  uint64
+}
+
+// fetchAll is the retrieval phase of one query (core.Backend.FetchRange /
+// FetchKNN): peers[i] is asked with tail(i), answers come back slot for slot.
+//
+// With Tuning.CacheViews the first pass runs on the calling goroutine and
+// fills every slot whose answer is resident: one load of the membership epoch
+// sum, one cliMu acquisition, one map lookup per peer under a key built once
+// on the stack (the peers of a query differ in the tail at most), one counter
+// add for all the hits together — no RPC, no request body, no decode, no
+// allocation per peer. Values are stored decoded; the engine only reads fetch
+// results, so the cached slice is shared safely. What is left — the peers with
+// nothing resident, this node's own store scan — fans out with at most
+// Tuning.FetchFanout in flight; with caching off that is every peer.
+func fetchAll[T any](n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
+	out := make([]T, len(peers))
+	var misses []fetchMiss
+	var sig uint64
+	if n.tuning.CacheViews {
+		var kb [512]byte
+		key := fetchKey(kb[:], kind.tag, q, 0)
+		sig = n.mgr.EpochSum()
+		hits := 0
+		n.cliMu.Lock()
+		if sig != n.cliEpochSig {
+			n.cliFetch, n.cliGen = nil, nil
+			n.cliCount = 0
+			n.cliEpochSig = sig
+		}
+		for i, p := range peers {
+			m := fetchMiss{slot: i, tail: tail(i)}
+			if p != n.peer {
+				binary.BigEndian.PutUint64(key[len(key)-8:], m.tail)
+				if e, ok := n.cliFetch[p][string(key)]; ok { // no-alloc map lookup
+					out[i] = e.val.(T)
+					hits++
+					continue
+				}
+				m.gen = n.cliGen[p]
+			}
+			misses = append(misses, m)
+		}
 		n.cliMu.Unlock()
-		n.count("cache.fetch_local_hit")
-		return e.val, false, nil
+		if hits > 0 {
+			n.counters.Add("cache.fetch_local_hit", float64(hits))
+		}
+	} else {
+		misses = make([]fetchMiss, len(peers))
+		for i := range peers {
+			misses[i] = fetchMiss{slot: i, tail: tail(i)}
+		}
 	}
-	g0 := n.cliGen[peer]
-	n.cliMu.Unlock()
+	if len(misses) == 0 {
+		return out, nil
+	}
+	errs := make([]error, len(peers))
+	fanOut(len(misses), n.tuning.FetchFanout, func(j int) {
+		m := misses[j]
+		out[m.slot], errs[m.slot] = fetchOne(n, kind, peers[m.slot], q, m.tail, m.gen, sig)
+	})
+	return out, errs
+}
 
-	plain := key[1:]
-	body := make([]byte, len(plain), len(plain)+8)
-	copy(body, plain)
-	store := true
-	resp, unavailable, err := n.callFetch(ctx, peer, method, appendSubscriber(body, n.peer))
-	if transport.ErrorDetail(err) == detailNoCallback {
+// fanOut runs f(0) … f(k-1) with at most fan of them in flight, the last one
+// on the calling goroutine: a retrieval whose only open slot is the
+// coordinator's own scan, or one RPC, starts no goroutine at all.
+func fanOut(k, fan int, f func(j int)) {
+	if fan > 1 && k > 1 {
+		sem := make(chan struct{}, fan-1)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		for j := 0; j < k-1; j++ {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(j int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				f(j)
+			}(j)
+		}
+		f(k - 1)
+		return
+	}
+	for j := 0; j < k; j++ {
+		f(j)
+	}
+}
+
+// fetchOne fills one open slot: this node's own scan, or one fetch RPC to the
+// scored peer's endpoint. A caching coordinator sends the plain request body
+// with its id appended, which puts it on the holder's line before the holder
+// scans, and memoizes the decoded answer with the raw response beside it for
+// the knn invalidation filter. A dead or unreachable peer yields the zero
+// answer and no error (see callFetch).
+func fetchOne[T any](n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, sig uint64) (val T, err error) {
+	if peer == n.peer {
+		return kind.local(n, q, tail), nil
+	}
+	ctx := context.Background()
+	var kb [512]byte
+	key := fetchKey(kb[:], kind.tag, q, tail)
+	body := make([]byte, len(key)-1, len(key)-1+8)
+	copy(body, key[1:])
+	var resp []byte
+	var unavailable bool
+	store := n.tuning.CacheViews
+	if store {
+		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, appendSubscriber(body, n.peer))
 		// The holder cannot reach this node, so it tracks nothing for it: take
 		// the answer the plain way and let it live for this one query.
-		store = false
-		resp, unavailable, err = n.callFetch(ctx, peer, method, body)
+		store = transport.ErrorDetail(err) != detailNoCallback
+	}
+	if !store {
+		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, body)
 	}
 	if unavailable || err != nil {
-		return nil, unavailable, err
+		return val, err
 	}
-	val, err := decode(resp)
-	if err != nil || !store {
-		return val, false, err
+	if val, err = kind.decode(resp); err != nil || !store {
+		return val, err
 	}
 
 	n.cliMu.Lock()
 	// Store only if no invalidation and no membership event raced the fetch:
 	// the response may predate a publish whose invalidation already ran here,
 	// and such an answer must not outlive this one query.
-	if n.cliEpochSig == sig && n.cliGen[peer] == g0 {
+	if n.cliEpochSig == sig && n.cliGen[peer] == gen {
 		if n.cliCount >= cliFetchMemoCap {
 			n.cliFetch = nil
 			n.cliCount = 0
@@ -191,16 +286,16 @@ func (n *Node) cachedFetch(ctx context.Context, peer int, tag byte, method strin
 		if n.cliFetch == nil {
 			n.cliFetch = make(map[int]map[string]cliFetchEntry)
 		}
-		m := n.cliFetch[peer]
-		if m == nil {
-			m = make(map[string]cliFetchEntry)
-			n.cliFetch[peer] = m
+		held := n.cliFetch[peer]
+		if held == nil {
+			held = make(map[string]cliFetchEntry)
+			n.cliFetch[peer] = held
 		}
-		m[string(key)] = cliFetchEntry{val: val, resp: resp}
+		held[string(key)] = cliFetchEntry{val: val, resp: resp}
 		n.cliCount++
 	}
 	n.cliMu.Unlock()
-	return val, false, nil
+	return val, nil
 }
 
 // invalidateFetch handles a holder's notification that items were published

@@ -365,28 +365,36 @@ func TestFetchDirJoinerCachesOnlyWhereListed(t *testing.T) {
 
 // TestFetchDirHitAndEmptySweepAllocNothing fences the two paths that run far
 // more often than any RPC: a coordinator-memo hit (about 22 per query on the
-// skewed workload) builds its key on the stack and encodes no request, and a
-// publish at a holder with no directory returns from the sweep untouched.
+// skewed workload) is one map lookup under a key built once per retrieval on
+// the stack — no request, no goroutine, nothing allocated per holder, only the
+// slice of answer slots the call returns — and a publish at a holder with no
+// directory returns from the sweep untouched.
 func TestFetchDirHitAndEmptySweepAllocNothing(t *testing.T) {
 	w := startDirWorld(t, 6, 6)
-	const h, c = 1, 0
-	x, _, eps, _ := w.spheres(h)
+	const c = 0
+	x, _, eps, _ := w.spheres(1)
 	b := &netBackend{n: w.cl.Nodes[c]}
+	holders, wants := []int{1, 2, 3, 4}, []int{5, 4, 3, 2}
 	fetch := func() {
-		if _, err := b.FetchRange(c, h, x, eps); err != nil {
-			t.Fatal(err)
+		if _, errs := b.FetchRange(c, holders, x, eps); errs != nil {
+			t.Fatal(errs)
 		}
-		if _, err := b.FetchKNN(c, h, x, 5); err != nil {
-			t.Fatal(err)
+		if _, errs := b.FetchKNN(c, holders, wants, x); errs != nil {
+			t.Fatal(errs)
 		}
 	}
-	fetch() // miss: fills the memo
+	if _, errs := b.FetchRange(c, holders, x, eps); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		t.Fatal(errs) // miss: fills the memo
+	}
+	if _, errs := b.FetchKNN(c, holders, wants, x); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		t.Fatal(errs)
+	}
 	hits := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"]
-	if allocs := testing.AllocsPerRun(100, fetch); allocs != 0 {
-		t.Errorf("a range and a k-nn coordinator-memo hit took %.0f allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, fetch); allocs != 2 {
+		t.Errorf("a range and a k-nn retrieval of four memo hits each took %.0f allocs, want 2 (the answer slots)", allocs)
 	}
-	if got := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"] - hits; got != 2*101 {
-		t.Errorf("%v memo hits in 101 runs of two fetches, want 202", got)
+	if got := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"] - hits; got != 2*4*101 {
+		t.Errorf("%v memo hits in 101 runs of two four-holder retrievals, want 808", got)
 	}
 
 	idle := w.cl.Nodes[5] // served nobody: empty directory, no lost mark

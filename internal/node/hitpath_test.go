@@ -1,0 +1,114 @@
+package node
+
+import (
+	"context"
+	"testing"
+
+	"hyperm/internal/core"
+)
+
+// Tests of the hit path (fetchAll, fetchcache.go): a query whose every fetch
+// answer is resident resolves its whole retrieval phase on the goroutine that
+// runs it, in one pass over the coordinator memo.
+
+// hitPathWorld is a 32-node cache-on cluster and a centre whose range queries
+// contact from a handful of peers to most of them as the radius grows.
+func hitPathWorld(t *testing.T) (w *dirWorld, x []float64, radii []float64) {
+	w = startDirWorld(t, 32, 3)
+	x, _, _, epsFar := w.spheres(1)
+	return w, x, []float64{epsFar / 8, epsFar, 4 * epsFar}
+}
+
+// fetchesServed totals the fetch RPCs the cluster's nodes have handled.
+func (w *dirWorld) fetchesServed() float64 {
+	var total float64
+	for _, nd := range w.cl.Nodes {
+		c := nd.Counters()
+		total += c["rpc.fetch_range"] + c["rpc.fetch_knn"]
+	}
+	return total
+}
+
+// TestHitPathAllocsPerQueryNotPerFetch fences a fully cached Node.RangeQuery:
+// what it allocates belongs to the query (the score table, the answer slots,
+// the merged ids), not to its fetches. Tripling the peers contacted may add
+// the odd allocation where a table grows, but nowhere near one per contact —
+// a goroutine per fetch costs at least its closure, a request body or a
+// boxed key one more (2.3 per contact before the retrieval pass).
+func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
+	w, x, radii := hitPathWorld(t)
+	nd, ctx := w.cl.Nodes[0], context.Background()
+	var contacts []int
+	var allocs []float64
+	for _, eps := range radii {
+		res, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{}) // miss: fills the memo
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := w.fetchesServed()
+		contacts = append(contacts, res.PeersContacted)
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { nd.RangeQuery(ctx, x, eps, core.RangeOptions{}) }))
+		if sent := w.fetchesServed() - served; sent != 0 {
+			t.Fatalf("repeats of a cached range query sent %v fetch RPCs: the query is not fully cached", sent)
+		}
+	}
+	t.Logf("contacts %v, allocations per cached query %v", contacts, allocs)
+	last := len(radii) - 1
+	if contacts[last] < 3*contacts[0] {
+		t.Fatalf("the widest query contacts %d peers, the narrowest %d: the fence needs them a factor apart", contacts[last], contacts[0])
+	}
+	if extra, peers := allocs[last]-allocs[0], float64(contacts[last]-contacts[0]); extra > peers/2 {
+		t.Errorf("%v more peers contacted cost a fully cached range query %v more allocations: something on the hit path allocates per fetch", peers, extra)
+	}
+}
+
+// TestHitPathCountsEveryHit: the retrieval pass adds its hits to
+// cache.fetch_local_hit in one go, and the sum must still be one per answer
+// served from the memo — every contact of a fully cached query but the
+// coordinator's own store, for both query kinds.
+func TestHitPathCountsEveryHit(t *testing.T) {
+	w, x, radii := hitPathWorld(t)
+	nd, ctx := w.cl.Nodes[0], context.Background()
+	remote := func(scores []core.PeerScore, contacted int) float64 {
+		n := 0
+		for _, ps := range scores[:contacted] {
+			if ps.Peer != nd.peer {
+				n++
+			}
+		}
+		return float64(n)
+	}
+	hitsOf := func(query func() float64) (hits, want float64) {
+		query() // miss: fills the memo
+		before, served := nd.Counters()["cache.fetch_local_hit"], w.fetchesServed()
+		want = query()
+		if sent := w.fetchesServed() - served; sent != 0 {
+			t.Fatalf("the repeat of a cached query sent %v fetch RPCs", sent)
+		}
+		return nd.Counters()["cache.fetch_local_hit"] - before, want
+	}
+	for _, eps := range radii {
+		hits, want := hitsOf(func() float64 {
+			res, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return remote(res.Scores, res.PeersContacted)
+		})
+		if hits != want || want == 0 {
+			t.Errorf("range query of radius %v: %v memo hits counted, %v remote peers contacted", eps, hits, want)
+		}
+	}
+	for _, k := range []int{1, 20, 200} {
+		hits, want := hitsOf(func() float64 {
+			res, err := nd.KNNQuery(ctx, x, k, core.KNNOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return remote(res.Scores, res.PeersContacted)
+		})
+		if hits != want || want == 0 {
+			t.Errorf("%d-nn query: %v memo hits counted, %v remote peers contacted", k, hits, want)
+		}
+	}
+}

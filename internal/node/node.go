@@ -44,11 +44,12 @@ const DefaultAlpha = 3
 
 // Tuning bounds the coordinator's parallelism and caching. Every knob
 // preserves byte-identical answers (the concurrency never reaches the result
-// — see route.RunAlpha and core.Engine.SetParallelism — and a memoized lookup
-// is reused only within the churn epoch it ran under, see internal/viewcache);
-// they only trade memory and in-flight RPCs for latency. Zero values mean
-// defaults; use a negative or 1 value for strictly serial behavior. Caching is
-// off by default — the zero Tuning is still the frozen uncached reference.
+// — see route.RunAlpha, core.Engine.SetParallelism and fetchAll — and a
+// memoized lookup is reused only within the churn epoch it ran under, see
+// internal/viewcache); they only trade memory and in-flight RPCs for latency.
+// Zero values mean defaults; use a negative or 1 value for strictly serial
+// behavior. Caching is off by default — the zero Tuning is still the frozen
+// uncached reference.
 type Tuning struct {
 	// Alpha is the number of concurrent can_search probes per flood step.
 	// 0 → DefaultAlpha; <= 1 → serial.
@@ -56,8 +57,10 @@ type Tuning struct {
 	// LevelFanout is how many per-level overlay searches run at once.
 	// 0 → 8 (effectively all levels); <= 1 → serial.
 	LevelFanout int
-	// FetchFanout is how many phase-two fetches run at once.
-	// 0 → 8; <= 1 → serial.
+	// FetchFanout is how many phase-two fetch RPCs (and the coordinator's own
+	// store scan) are in flight at once. Answers resident in the coordinator's
+	// fetch memo are read on the query's own goroutine before anything fans
+	// out and do not count. 0 → 8; <= 1 → serial.
 	FetchFanout int
 	// CacheViews switches on the coordinator's caches: the whole-lookup memo
 	// keyed on the churn epoch (search.go; off again under StreamPublish,
@@ -107,7 +110,7 @@ type Node struct {
 	client *transport.Client
 	listen string
 
-	mu sync.RWMutex // guards store, published, pubSeqs, stream (publish vs fetch)
+	mu sync.RWMutex // guards store, published, pubSeqs, stream, announced (publish vs fetch)
 	// store is the node's flat item store (see internal/store): the serving
 	// path scans it in place; Publish appends to it (the explicit copy point).
 	store *store.Store
@@ -124,6 +127,10 @@ type Node struct {
 	pubSeqs [][]int
 	stream  *core.StreamState
 	mappers []core.KeyMapper
+	// announced is closed once the latest streamed publish has announced its
+	// record deltas; the next one swaps in its own under mu and waits on this
+	// one outside it, so announces leave in kernel order (publishStream).
+	announced chan struct{}
 
 	srvMu sync.Mutex
 	srv   transport.Server
@@ -210,9 +217,9 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	// The RPC backend is safe for concurrent calls, so the coordinator can
-	// pipeline the per-level searches and the phase-two fetches.
-	engine.SetParallelism(n.tuning.LevelFanout, n.tuning.FetchFanout)
+	// The RPC backend is safe for concurrent calls, so the engine can pipeline
+	// the per-level searches; the phase-two fan-out is the backend's own.
+	engine.SetParallelism(n.tuning.LevelFanout)
 	n.engine = engine
 	if n.tuning.CacheViews && !n.tuning.StreamPublish {
 		n.memo = viewcache.New(snap.Config.Levels, viewcache.Options{Counters: &n.counters})
@@ -522,7 +529,8 @@ func (n *Node) localView(level int, key []float64, radius float64) searchView {
 }
 
 // netBackend implements core.Backend with peer-to-peer RPCs: the overlay
-// search runs the coordinator-driven CAN lookup of search.go, and fetches go
-// straight to the scored peer's endpoint (one RPC each, like the paper's
-// phase-two contact). Methods live in search.go and fetch.go.
+// search runs the coordinator-driven CAN lookup of search.go, and the
+// retrieval pass goes straight to each scored peer's endpoint (one RPC each,
+// like the paper's phase-two contact) unless the answer is already here.
+// Methods live in search.go, probe.go and fetchcache.go.
 type netBackend struct{ n *Node }

@@ -34,11 +34,13 @@ type probeTable struct {
 	n       *Node
 	ctx     context.Context
 	spheres []core.Sphere
-	// bodies[i] is the request that names sphere i as the one needed and the
-	// rest as optional.
-	bodies [][]byte
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// bodies[i] is the request that names sphere i as the one needed and the
+	// rest as optional, encoded when the first probe on behalf of sphere i
+	// leaves; probes is as lazy. A query whose every level the lookup memo
+	// answers builds neither.
+	bodies [][]byte
 	probes map[int]*probe
 }
 
@@ -50,15 +52,31 @@ type probe struct {
 }
 
 func (n *Node) newProbeTable(ctx context.Context, spheres []core.Sphere) *probeTable {
-	t := &probeTable{n: n, ctx: ctx, spheres: spheres, bodies: make([][]byte, len(spheres)), probes: make(map[int]*probe)}
-	reqs := make([]searchReq, len(spheres))
-	for i := range spheres {
-		for j, sp := range spheres {
+	return &probeTable{n: n, ctx: ctx, spheres: spheres}
+}
+
+// claim returns peer id's probe and, to the first caller to ask for it, the
+// request body to send on behalf of sphere i (nil to everyone after).
+func (t *probeTable) claim(id, i int) (p *probe, body []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p = t.probes[id]; p != nil {
+		return p, nil
+	}
+	if t.probes == nil {
+		t.probes = make(map[int]*probe)
+		t.bodies = make([][]byte, len(t.spheres))
+	}
+	if t.bodies[i] == nil {
+		reqs := make([]searchReq, len(t.spheres))
+		for j, sp := range t.spheres {
 			reqs[j] = searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius, Optional: j != i}
 		}
 		t.bodies[i] = encodeSearchReq(reqs)
 	}
-	return t
+	p = &probe{done: make(chan struct{})}
+	t.probes[id] = p
+	return p, t.bodies[i]
 }
 
 // sphereViews is the RPC-fetching ViewSource of a lookup nobody shares: a
@@ -83,16 +101,9 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 	if id == n.peer {
 		return n.toNodeView(n.localView(sp.Level, sp.Key, sp.Radius)), nil
 	}
-	t.mu.Lock()
-	p := t.probes[id]
-	first := p == nil
-	if first {
-		p = &probe{done: make(chan struct{})}
-		t.probes[id] = p
-	}
-	t.mu.Unlock()
-	if first {
-		p.views, p.err = n.callSearch(t.ctx, id, t.bodies[s.i], len(t.spheres))
+	p, body := t.claim(id, s.i)
+	if body != nil {
+		p.views, p.err = n.callSearch(t.ctx, id, body, len(t.spheres))
 		close(p.done)
 	} else {
 		<-p.done

@@ -151,48 +151,14 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 	return b.n.searchSphere(b.n.sphereViews(context.Background(), level, key, radius), level, key, radius)
 }
 
-// FetchRange and FetchKNN go straight to the scored peer's endpoint. With
-// Tuning.CacheViews they go through the coordinator-side memo, which builds
-// its key from the arguments and encodes a request only on a miss. A dead or
-// unreachable peer yields no items and no error (see callFetch).
-func (b *netBackend) FetchRange(from, peer int, q []float64, eps float64) ([]int, error) {
-	n := b.n
-	if peer == n.peer {
-		return n.localRange(q, eps), nil
-	}
-	if n.tuning.CacheViews {
-		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'r', methodFetchRange, q, math.Float64bits(eps), func(b []byte) (any, error) {
-			return decodeFetchRangeResp(b)
-		})
-		if unavailable || err != nil {
-			return nil, err
-		}
-		return v.([]int), nil
-	}
-	resp, unavailable, err := n.callFetch(context.Background(), peer, methodFetchRange, encodeFetchRangeReq(q, eps))
-	if unavailable || err != nil {
-		return nil, err
-	}
-	return decodeFetchRangeResp(resp)
+// FetchRange and FetchKNN are each one retrieval pass over the query's scored
+// peers (fetchAll, fetchcache.go): the backend, not the engine, decides what
+// goes on the wire and how much of it at once.
+func (b *netBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+	tail := math.Float64bits(eps)
+	return fetchAll(b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
 }
 
-func (b *netBackend) FetchKNN(from, peer int, q []float64, k int) ([]core.ItemDist, error) {
-	n := b.n
-	if peer == n.peer {
-		return n.localKNN(q, k), nil
-	}
-	if n.tuning.CacheViews {
-		v, unavailable, err := n.cachedFetch(context.Background(), peer, 'k', methodFetchKNN, q, uint64(int64(k)), func(b []byte) (any, error) {
-			return decodeFetchKNNResp(b)
-		})
-		if unavailable || err != nil {
-			return nil, err
-		}
-		return v.([]core.ItemDist), nil
-	}
-	resp, unavailable, err := n.callFetch(context.Background(), peer, methodFetchKNN, encodeFetchKNNReq(q, k))
-	if unavailable || err != nil {
-		return nil, err
-	}
-	return decodeFetchKNNResp(resp)
+func (b *netBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]core.ItemDist, []error) {
+	return fetchAll(b.n, knnFetch, peers, q, func(i int) uint64 { return uint64(int64(wants[i])) })
 }

@@ -46,13 +46,24 @@ func (n *Node) publishStream(id int, item []float64) error {
 	}
 	deltas := sp.Insert(item, n.store)
 	n.published, n.pubSeqs = sp.Published, sp.PubSeqs
+	// Take this publish's place in the announce order while the kernel's lock
+	// still fixes it: a holder applies a record delta last-writer-wins
+	// (route.UpsertRecord carries no version), so two publishes racing here
+	// must announce in the order the kernel ran them, or an older Items/Radius
+	// lands on top of a newer one and stays.
+	prev, mine := n.announced, make(chan struct{})
+	n.announced = mine
 	n.mu.Unlock()
+	defer close(mine)
 
 	// Same item-store coherence as the stale-publish path: this node's fetch
 	// memo and every coordinator caching an answer the new item can change
 	// must forget it (see fetchcache.go).
 	n.sweepFetchDir([][]float64{item})
 
+	if prev != nil {
+		<-prev
+	}
 	ctx := context.Background()
 	for _, d := range deltas {
 		if err := n.announceDelta(ctx, d); err != nil {

@@ -212,3 +212,55 @@ func runStreamDifferential(t *testing.T, seed int64, cached bool) {
 		check("post-churn", observers)
 	}
 }
+
+// TestConcurrentStreamPublishMatchesOracle races streamed publishes at one
+// holder. Every one of them changes the same records (the item sits inside a
+// published cluster at every level, so each insert is one absorb per level),
+// and a holder applies a record last-writer-wins: the announces must leave in
+// the order the kernel produced them, or some holder is left with an older
+// item count than the publisher's and every later query scores the peer
+// wrong. The oracle takes the same inserts one after the other. Run under
+// -race by `make race`.
+func TestConcurrentStreamPublishMatchesOracle(t *testing.T) {
+	params := experiments.Params{Peers: 8, ItemsPerPeer: 20, Dim: 16, Levels: 2, ClustersPerPeer: 3, Seed: 11}
+	const holder, from, publishes = 0, 1, 16
+	for round := 0; round < 4; round++ {
+		sys, err := experiments.BuildMarkovSystem(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.PublishAll()
+		tr := transport.NewChan()
+		cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, node.Tuning{StreamPublish: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, items := sys.PeerData(holder)
+		item := items[round%len(items)]
+
+		errs := make(chan error, publishes)
+		for i := 0; i < publishes; i++ {
+			go func(id int) { errs <- cl.Nodes[holder].Publish(id, item) }(9000 + i)
+		}
+		for i := 0; i < publishes; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: streamed publish: %v", round, err)
+			}
+			sys.StreamInsert(holder, 9000+i, item)
+		}
+
+		want := sys.KNNQuery(from, item, 5, core.KNNOptions{})
+		got, err := cl.Nodes[from].KNNQuery(context.Background(), item, 5, core.KNNOptions{})
+		if err != nil {
+			t.Fatalf("round %d: knn: %v", round, err)
+		}
+		// The racing publishes took their ids in any order, so the items of the
+		// answer may differ in which of the sixteen copies they name; what every
+		// interleaving must agree on is what the overlay says of each peer.
+		if !reflect.DeepEqual(want.Scores, got.Scores) || !reflect.DeepEqual(want.EpsPerLevel, got.EpsPerLevel) {
+			t.Errorf("round %d: scores after %d racing publishes diverged from the oracle:\nsim:    %+v\nserved: %+v", round, publishes, want.Scores, got.Scores)
+		}
+		cl.Stop()
+		tr.Close()
+	}
+}

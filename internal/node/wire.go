@@ -409,6 +409,10 @@ func splitFetchReq(b []byte, dim int) (plain []byte, sub int, caching bool, err 
 	return b[:size], int(int64(binary.BigEndian.Uint64(b[size:]))), true, nil
 }
 
+// The request encoders are the codec's statement of the plain form. A
+// coordinator writes the same bytes through fetchKey (fetchcache.go), whose
+// output doubles as the memo key; TestFetchDirKeyIsTaggedPlainRequest holds the
+// two together.
 func encodeFetchRangeReq(q []float64, eps float64) []byte {
 	var e transport.Encoder
 	e.Floats(q)
