@@ -57,7 +57,8 @@ bench-kernels:
 # forms of the fetch_range / fetch_knn request (plain, and with the caching
 # coordinator's id: round trip; a prefix, trailing byte or wrong float count
 # must error), and the handlers behind them: arbitrary bodies to Node.handle
-# on a started cluster must be answered or refused, never panic.
+# on a started cache-on cluster — the query methods through the answer memo
+# included — must be answered or refused, never panic.
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -37,8 +38,9 @@ type Backend interface {
 	// level (the RPC backend) returns a per-query value that asks each peer
 	// about all of them at once; one with nothing to share returns itself.
 	// The result must still answer a Search for a sphere it was not told
-	// about — a k-nn level that widens past its first radius issues one.
-	Scope(spheres []Sphere) Backend
+	// about — a k-nn level that widens past its first radius issues one. ctx
+	// is the query's: every message the returned backend sends carries it.
+	Scope(ctx context.Context, spheres []Sphere) Backend
 	// Search returns every published entry whose sphere intersects the query
 	// sphere at the given wavelet level, plus the overlay hops spent: one per
 	// view fed to the lookup machine, which a backend may obtain with fewer
@@ -148,8 +150,8 @@ func (e *Engine) eachLevel(f func(l int)) {
 
 // RangeQuery runs the §4.1 protocol against the backend. See
 // System.RangeQuery for semantics; the error reports a backend failure
-// (impossible in-process, a transport fault when serving).
-func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOptions) (RangeResult, error) {
+// (impossible in-process, a transport fault or ctx's end when serving).
+func (e *Engine) RangeQuery(ctx context.Context, from int, q []float64, eps float64, opts RangeOptions) (RangeResult, error) {
 	if len(q) != e.cfg.Dim {
 		panic(fmt.Sprintf("core: query dim %d, want %d", len(q), e.cfg.Dim))
 	}
@@ -175,7 +177,7 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 		epsL := eps * wavelet.RadiusScale(e.cfg.Convention, e.cfg.Dim, wavelet.SubspaceDim(l))
 		spheres[l] = Sphere{Level: l, Key: e.mappers[l].mapPoint(dec.Subspace(l)), Radius: slacken(e.mappers[l].mapRadius(epsL))}
 	}
-	b := e.backend.Scope(spheres)
+	b := e.backend.Scope(ctx, spheres)
 	outs := make([]levelOut, e.cfg.Levels)
 	e.eachLevel(func(l int) {
 		entries, hops, err := b.Search(from, l, spheres[l].Key, spheres[l].Radius)
@@ -240,7 +242,7 @@ func (e *Engine) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 
 // KNNQuery runs the Figure 5 heuristic against the backend. See
 // System.KNNQuery for semantics.
-func (e *Engine) KNNQuery(from int, q []float64, k int, opts KNNOptions) (KNNResult, error) {
+func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opts KNNOptions) (KNNResult, error) {
 	if len(q) != e.cfg.Dim {
 		panic(fmt.Sprintf("core: query dim %d, want %d", len(q), e.cfg.Dim))
 	}
@@ -270,7 +272,7 @@ func (e *Engine) KNNQuery(from int, q []float64, k int, opts KNNOptions) (KNNRes
 	for l := range spheres {
 		spheres[l] = Sphere{Level: l, Key: e.mappers[l].mapPoint(dec.Subspace(l)), Radius: e.searchRadius(l, e.startRadius(l))}
 	}
-	b := e.backend.Scope(spheres)
+	b := e.backend.Scope(ctx, spheres)
 	outs := make([]levelOut, e.cfg.Levels)
 	e.eachLevel(func(l int) {
 		epsL, refs, hops, err := e.levelEps(b, from, l, dec.Subspace(l), spheres[l].Key, float64(k))
@@ -461,7 +463,7 @@ type systemBackend struct{ s *System }
 
 // Scope is the identity: an in-process search reads the overlay directly, so
 // there is nothing for the levels to share.
-func (b systemBackend) Scope([]Sphere) Backend { return b }
+func (b systemBackend) Scope(context.Context, []Sphere) Backend { return b }
 
 func (b systemBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
 	entries, hops := b.s.overlays[level].SearchSphere(from, key, radius)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -24,7 +25,7 @@ type fetchBackend struct {
 	calls    *int
 }
 
-func (b fetchBackend) Scope([]Sphere) Backend { return b }
+func (b fetchBackend) Scope(context.Context, []Sphere) Backend { return b }
 
 func (b fetchBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
 	entries := make([]overlay.Entry, len(b.runs))
@@ -150,7 +151,7 @@ func sortedUnion(runs [][]int) []int {
 // ids, as the append loop this replaced left it.
 func TestRangeQueryFetchOutcomes(t *testing.T) {
 	checkFetchOutcomes(t, func(e *Engine) ([]int, int, error) {
-		res, err := e.RangeQuery(0, make([]float64, 4), 0.5, RangeOptions{})
+		res, err := e.RangeQuery(context.Background(), 0, make([]float64, 4), 0.5, RangeOptions{})
 		return res.Items, res.PeersContacted, err
 	}, func(tc fetchCase) []int {
 		if tc.fail < 0 {
@@ -177,7 +178,7 @@ func TestRangeQueryFetchOutcomes(t *testing.T) {
 func TestKNNQueryFetchOutcomes(t *testing.T) {
 	checkFetchOutcomes(t, func(e *Engine) ([]int, int, error) {
 		peers := len(e.backend.(fetchBackend).runs)
-		res, err := e.KNNQuery(0, make([]float64, 4), peers*(peers+1)/2, KNNOptions{C: 4})
+		res, err := e.KNNQuery(context.Background(), 0, make([]float64, 4), peers*(peers+1)/2, KNNOptions{C: 4})
 		return res.Items, res.PeersContacted, err
 	}, func(tc fetchCase) []int {
 		if tc.fail < 0 {
@@ -195,7 +196,7 @@ type scopeRecorder struct {
 	searched []Sphere
 }
 
-func (b *scopeRecorder) Scope(spheres []Sphere) Backend {
+func (b *scopeRecorder) Scope(_ context.Context, spheres []Sphere) Backend {
 	b.scoped = append(b.scoped, spheres)
 	return b
 }
@@ -229,7 +230,7 @@ func TestEngineScopesFirstSpheres(t *testing.T) {
 	}
 
 	q := data[3]
-	gotR, err := e.RangeQuery(0, q, 0.3, RangeOptions{})
+	gotR, err := e.RangeQuery(context.Background(), 0, q, 0.3, RangeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestEngineScopesFirstSpheres(t *testing.T) {
 	// k near the corpus size: 5% of the span cannot hold it, so levels widen.
 	rec.scoped, rec.searched = nil, nil
 	k := len(data) * 3 / 4
-	gotK, err := e.KNNQuery(0, q, k, KNNOptions{})
+	gotK, err := e.KNNQuery(context.Background(), 0, q, k, KNNOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

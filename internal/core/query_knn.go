@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 )
 
@@ -42,7 +43,7 @@ func (s *System) KNNQuery(from int, q []float64, k int, opts KNNOptions) KNNResu
 	if s.peers[from].dead {
 		panic(fmt.Sprintf("core: peer %d has left the network and cannot query", from))
 	}
-	res, err := s.engine.KNNQuery(from, q, k, opts)
+	res, err := s.engine.KNNQuery(context.Background(), from, q, k, opts)
 	if err != nil {
 		// The in-memory backend never fails; an error here is a bug.
 		panic(fmt.Sprintf("core: in-process k-nn query failed: %v", err))

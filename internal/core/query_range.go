@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"hyperm/internal/geometry"
@@ -43,7 +44,7 @@ func (s *System) RangeQuery(from int, q []float64, eps float64, opts RangeOption
 	if s.peers[from].dead {
 		panic(fmt.Sprintf("core: peer %d has left the network and cannot query", from))
 	}
-	res, err := s.engine.RangeQuery(from, q, eps, opts)
+	res, err := s.engine.RangeQuery(context.Background(), from, q, eps, opts)
 	if err != nil {
 		// The in-memory backend never fails; an error here is a bug.
 		panic(fmt.Sprintf("core: in-process range query failed: %v", err))

@@ -22,15 +22,9 @@ const (
 	MethodStoreRec = "m.store_rec" // stream publisher → holder: apply one record delta (upsert/delete)
 )
 
-// IsMethod reports whether method is a membership RPC (node daemons dispatch
-// these to their Manager).
-func IsMethod(method string) bool {
-	switch method {
-	case MethodJoin, MethodHandoff, MethodPing, MethodTakeover, MethodZones, MethodStoreRec:
-		return true
-	}
-	return false
-}
+// Methods lists the membership RPCs (node daemons dispatch these to their
+// Manager). Read-only.
+var Methods = []string{MethodJoin, MethodHandoff, MethodPing, MethodTakeover, MethodZones, MethodStoreRec}
 
 // DetailNotOwner is the wire detail token attached when a join request lands
 // on a node that does not own the join point (stale routing during churn);

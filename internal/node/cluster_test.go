@@ -299,3 +299,38 @@ func TestUnknownMethodsAreRefusedUncounted(t *testing.T) {
 		})
 	}
 }
+
+// TestCancelledQuerySendsNothing: a query runs under its caller's ctx — the
+// one a handler gets from the transport — from the first can_search to the
+// last fetch. One whose ctx is already cancelled fails with an error wrapping
+// context.Canceled, and no peer serves a single lookup or fetch RPC for it,
+// with the caches off and on.
+func TestCancelledQuerySendsNothing(t *testing.T) {
+	for _, tuning := range []node.Tuning{{}, {CacheViews: true}} {
+		t.Run(fmt.Sprintf("cache=%v", tuning.CacheViews), func(t *testing.T) {
+			sys := buildPublishedSystem(t)
+			tr := transport.NewChan()
+			defer tr.Close()
+			cl, err := node.StartClusterTuned(sys, tr, func(int) string { return "" }, transport.Policy{Timeout: 30e9}, membership.Options{}, tuning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Stop()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			nd := cl.Nodes[0]
+			q := make([]float64, testParams().Dim)
+			if _, err := nd.RangeQuery(ctx, q, 1e9, core.RangeOptions{}); !errors.Is(err, context.Canceled) {
+				t.Errorf("range query under a cancelled ctx: err = %v, want context.Canceled", err)
+			}
+			if _, err := nd.KNNQuery(ctx, q, 5, core.KNNOptions{}); !errors.Is(err, context.Canceled) {
+				t.Errorf("k-nn query under a cancelled ctx: err = %v, want context.Canceled", err)
+			}
+			for _, name := range []string{"rpc.can_search", "rpc.fetch_range", "rpc.fetch_knn"} {
+				if got := sumCounter(cl, name); got != 0 {
+					t.Errorf("the cluster served %v %s for cancelled queries", got, name)
+				}
+			}
+		})
+	}
+}

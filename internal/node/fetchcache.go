@@ -166,7 +166,7 @@ type fetchMiss struct {
 // results, so the cached slice is shared safely. What is left — the peers with
 // nothing resident, this node's own store scan — fans out with at most
 // Tuning.FetchFanout in flight; with caching off that is every peer.
-func fetchAll[T any](n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
+func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
 	out := make([]T, len(peers))
 	var misses []fetchMiss
 	var sig uint64
@@ -210,7 +210,7 @@ func fetchAll[T any](n *Node, kind fetchKind[T], peers []int, q []float64, tail 
 	errs := make([]error, len(peers))
 	fanOut(len(misses), n.tuning.FetchFanout, func(j int) {
 		m := misses[j]
-		out[m.slot], errs[m.slot] = fetchOne(n, kind, peers[m.slot], q, m.tail, m.gen, sig)
+		out[m.slot], errs[m.slot] = fetchOne(ctx, n, kind, peers[m.slot], q, m.tail, m.gen, sig)
 	})
 	return out, errs
 }
@@ -246,11 +246,10 @@ func fanOut(k, fan int, f func(j int)) {
 // scans, and memoizes the decoded answer with the raw response beside it for
 // the knn invalidation filter. A dead or unreachable peer yields the zero
 // answer and no error (see callFetch).
-func fetchOne[T any](n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, sig uint64) (val T, err error) {
+func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, sig uint64) (val T, err error) {
 	if peer == n.peer {
 		return kind.local(n, q, tail), nil
 	}
-	ctx := context.Background()
 	var kb [512]byte
 	key := fetchKey(kb[:], kind.tag, q, tail)
 	body := make([]byte, len(key)-1, len(key)-1+8)
@@ -267,35 +266,48 @@ func fetchOne[T any](n *Node, kind fetchKind[T], peer int, q []float64, tail, ge
 	if !store {
 		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, body)
 	}
-	if unavailable || err != nil {
+	if err != nil {
 		return val, err
 	}
-	if val, err = kind.decode(resp); err != nil || !store {
-		return val, err
+	if !unavailable {
+		if val, err = kind.decode(resp); err != nil {
+			return val, err
+		}
 	}
-
-	n.cliMu.Lock()
-	// Store only if no invalidation and no membership event raced the fetch:
-	// the response may predate a publish whose invalidation already ran here,
-	// and such an answer must not outlive this one query.
-	if n.cliEpochSig == sig && n.cliGen[peer] == gen {
-		if n.cliCount >= cliFetchMemoCap {
-			n.cliFetch = nil
-			n.cliCount = 0
-		}
-		if n.cliFetch == nil {
-			n.cliFetch = make(map[int]map[string]cliFetchEntry)
-		}
-		held := n.cliFetch[peer]
-		if held == nil {
-			held = make(map[string]cliFetchEntry)
-			n.cliFetch[peer] = held
-		}
-		held[string(key)] = cliFetchEntry{val: val, resp: resp}
-		n.cliCount++
+	if unavailable || !store || !n.putFetch(peer, key, val, resp, gen, sig) {
+		// No line at the holder lists this node for what was just read, so no
+		// notification will say when it changes: no answer built on it may be
+		// memoized.
+		n.dropAnswers(peer)
 	}
-	n.cliMu.Unlock()
 	return val, nil
+}
+
+// putFetch memoizes one fetched answer and reports whether it did. It does
+// not if an invalidation or a membership event raced the fetch: the response
+// may predate a publish whose invalidation already ran here, and such an
+// answer must not outlive this one query.
+func (n *Node) putFetch(peer int, key []byte, val any, resp []byte, gen, sig uint64) bool {
+	n.cliMu.Lock()
+	defer n.cliMu.Unlock()
+	if n.cliEpochSig != sig || n.cliGen[peer] != gen {
+		return false
+	}
+	if n.cliCount >= cliFetchMemoCap {
+		n.cliFetch = nil
+		n.cliCount = 0
+	}
+	if n.cliFetch == nil {
+		n.cliFetch = make(map[int]map[string]cliFetchEntry)
+	}
+	held := n.cliFetch[peer]
+	if held == nil {
+		held = make(map[string]cliFetchEntry)
+		n.cliFetch[peer] = held
+	}
+	held[string(key)] = cliFetchEntry{val: val, resp: resp}
+	n.cliCount++
+	return true
 }
 
 // invalidateFetch handles a holder's notification that items were published
@@ -325,6 +337,7 @@ func (n *Node) invalidateFetch(holder int, items [][]float64) {
 		}
 	}
 	n.cliMu.Unlock()
+	n.dropAnswers(holder)
 	n.count("cache.fetch_inval")
 }
 
@@ -528,6 +541,10 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 			defer wg.Done()
 			addr, err := n.peerAddr(id)
 			if err == nil {
+				// Never a caller's ctx (context.WithoutCancel of one, should
+				// Publish ever take it): a notification cut short strikes a
+				// live sharer from every line below, and it then serves stale
+				// answers for as long as it runs.
 				_, err = n.client.Call(context.Background(), addr, transport.Request{Method: methodFetchInval, Body: body})
 			}
 			failed[i] = err != nil
@@ -551,4 +568,108 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 		n.fetchLost = false
 	}
 	n.fetchMu.Unlock()
+}
+
+// The answer memo: a coordinator's whole range or k-nn answer, by request.
+//
+// An answer is a pure function of three inputs: the lookup entries, fixed
+// within a membership epoch (searchSphere has the argument); the stores of the
+// holders its retrieval phase contacted; and this node's own store, when it
+// contacted itself. So an answer recorded under the current Manager.EpochSum
+// stays right until one of three events, and each drops or fences it:
+//
+//   - A notification from a contacted holder. By the directory invariant every
+//     change to a line this node read arrives as one, and invalidateFetch drops
+//     every answer that contacted the holder. Dropping more than the answers
+//     that read a changed line is sound (a miss recomputes) and keeps an entry
+//     to a list of peer ids instead of references to every line it read.
+//   - A publish here: Publish drops every answer that contacted this node.
+//   - Either of them while an answer is being computed. ansSeq counts them,
+//     and so does every fetch whose slot no holder line lists (an unavailable
+//     holder, a no-callback refusal, a response the cliGen guard kept out of
+//     the fetch memo): nothing will say when that slot changes. An answer is
+//     stored only if ansSeq and the epoch sum still read what they did before
+//     its lookup began.
+//
+// Like the lookup memo it is off under StreamPublish, whose record deltas
+// change lookup entries without an epoch bump.
+
+const (
+	// answerMemoCap bounds the answer memo; on overflow it resets whole, like
+	// the fetch memos. Its heap is at most this many encoded responses.
+	answerMemoCap = 1024
+	ctrAnswerHit  = "cache.answer_hit"
+	ctrAnswerMiss = "cache.answer_miss"
+)
+
+// answerEntry is one memoized answer: the encoded response and the peers the
+// query contacted in its retrieval phase.
+type answerEntry struct {
+	resp  []byte
+	peers []int
+}
+
+// answer serves one range or k-nn request — tag 'r' or 'k' and the raw body,
+// together the memo key — through the answer memo when the node keeps one. A
+// hit returns the stored bytes: no lookup, no scoring, no fetch, no encode.
+// run is the engine path; it returns the encoded response and the score
+// prefix it contacted.
+func (n *Node) answer(tag byte, body []byte, run func() ([]byte, []core.PeerScore, error)) (transport.Response, error) {
+	if n.memo == nil {
+		resp, _, err := run()
+		return transport.Response{Body: resp}, err
+	}
+	var kb [512]byte
+	key := append(append(kb[:0], tag), body...)
+	n.ansMu.Lock()
+	// Read under the lock, so the memo's epoch only moves forward.
+	sig := n.mgr.EpochSum()
+	if sig != n.ansEpoch {
+		n.answers, n.ansEpoch = nil, sig
+	}
+	e, hit := n.answers[string(key)] // no-alloc map lookup
+	seq := n.ansSeq
+	n.ansMu.Unlock()
+	if hit {
+		n.count(ctrAnswerHit)
+		return transport.Response{Body: e.resp}, nil
+	}
+	n.count(ctrAnswerMiss)
+	resp, contacted, err := run()
+	if err != nil {
+		return transport.Response{}, err
+	}
+	n.ansMu.Lock()
+	if n.ansSeq == seq && n.mgr.EpochSum() == sig {
+		if len(n.answers) >= answerMemoCap {
+			n.answers = nil
+		}
+		if n.answers == nil {
+			n.answers = make(map[string]answerEntry)
+		}
+		peers := make([]int, len(contacted))
+		for i, ps := range contacted {
+			peers[i] = ps.Peer
+		}
+		n.answers[string(key)] = answerEntry{resp: resp, peers: peers}
+	}
+	n.ansMu.Unlock()
+	return transport.Response{Body: resp}, nil
+}
+
+// dropAnswers handles an event that may change what peer contributes to an
+// answer: every memoized answer that contacted peer goes, and the ansSeq bump
+// keeps one computed across the event out of the memo.
+func (n *Node) dropAnswers(peer int) {
+	if n.memo == nil {
+		return
+	}
+	n.ansMu.Lock()
+	n.ansSeq++
+	for key, e := range n.answers {
+		if slices.Contains(e.peers, peer) {
+			delete(n.answers, key)
+		}
+	}
+	n.ansMu.Unlock()
 }

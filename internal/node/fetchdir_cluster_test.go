@@ -146,8 +146,8 @@ func TestJoinedCoordinatorSeesPublishes(t *testing.T) {
 
 // TestFetchDirTargeting: a publish notifies the coordinators holding an answer
 // it changes and nobody else. C1 caches a range answer of holder H around x,
-// C2 one of H far from x; publishing x at H reaches C1 only, C2's entry goes on
-// serving hits, and both keep matching the oracle.
+// C2 one of H far from x; publishing x at H reaches C1 only, C2's repeat asks
+// H for nothing, and both keep matching the oracle.
 func TestFetchDirTargeting(t *testing.T) {
 	params := experiments.Params{Peers: 8, ItemsPerPeer: 20, Dim: 16, Levels: 2, ClustersPerPeer: 3, Seed: 3}
 	d := startDirCluster(t, params)
@@ -167,7 +167,6 @@ func TestFetchDirTargeting(t *testing.T) {
 	d.checkRange("c2 cold", c2, far, epsFar)
 
 	inv1, inv2 := d.invalsAt(c1), d.invalsAt(c2)
-	hits2 := d.cl.Nodes[c2].Counters()["cache.fetch_local_hit"]
 	d.publish(h, near(x, rand.New(rand.NewSource(1)), epsNear/100))
 	if got := d.invalsAt(c1) - inv1; got != 1 {
 		t.Errorf("publish inside C1's sphere sent it %v inval_fetch, want 1", got)
@@ -181,9 +180,10 @@ func TestFetchDirTargeting(t *testing.T) {
 		}
 	}
 	d.checkRange("c1 after", c1, x, epsNear)
+	served := d.cl.Nodes[h].Counters()["rpc.fetch_range"]
 	d.checkRange("c2 after", c2, far, epsFar)
-	if d.cl.Nodes[c2].Counters()["cache.fetch_local_hit"] == hits2 {
-		t.Error("C2's untouched entries served no hit after the publish")
+	if got := d.cl.Nodes[h].Counters()["rpc.fetch_range"] - served; got != 0 {
+		t.Errorf("C2's repeat after a publish outside its sphere sent H %v fetch_range, want 0", got)
 	}
 }
 

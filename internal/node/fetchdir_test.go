@@ -373,7 +373,7 @@ func TestFetchDirHitAndEmptySweepAllocNothing(t *testing.T) {
 	w := startDirWorld(t, 6, 6)
 	const c = 0
 	x, _, eps, _ := w.spheres(1)
-	b := &netBackend{n: w.cl.Nodes[c]}
+	b := &netBackend{n: w.cl.Nodes[c], ctx: context.Background()}
 	holders, wants := []int{1, 2, 3, 4}, []int{5, 4, 3, 2}
 	fetch := func() {
 		if _, errs := b.FetchRange(c, holders, x, eps); errs != nil {

@@ -2,9 +2,14 @@ package node
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"hyperm/internal/core"
+	"hyperm/internal/experiments"
+	"hyperm/internal/membership"
+	"hyperm/internal/transport"
+	"hyperm/internal/vec"
 )
 
 // Tests of the hit path (fetchAll, fetchcache.go): a query whose every fetch
@@ -109,6 +114,59 @@ func TestHitPathCountsEveryHit(t *testing.T) {
 		})
 		if hits != want || want == 0 {
 			t.Errorf("%d-nn query: %v memo hits counted, %v remote peers contacted", k, hits, want)
+		}
+	}
+}
+
+// TestHitPathRepeatAllocsConstant fences the answer memo's hit path: a repeat
+// range request through Node.handle is a counter add, a key built on the stack,
+// one map lookup and the stored bytes, so it allocates nothing, whether the
+// answer holds 10 ids or 1,000.
+func TestHitPathRepeatAllocsConstant(t *testing.T) {
+	sys, err := experiments.BuildMarkovSystem(experiments.Params{Peers: 16, ItemsPerPeer: 80, Dim: 16, Levels: 2, ClustersPerPeer: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.PublishAll()
+	tr := transport.NewChan()
+	t.Cleanup(func() { tr.Close() })
+	cl, err := StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, Tuning{CacheViews: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+
+	nd, ctx := cl.Nodes[0], context.Background()
+	_, items := sys.PeerData(0)
+	q := items[0]
+	var dists []float64
+	for p := 0; p < 16; p++ {
+		_, items := sys.PeerData(p)
+		for _, it := range items {
+			dists = append(dists, vec.Dist(q, it))
+		}
+	}
+	slices.Sort(dists)
+	for _, n := range []int{10, 1000} {
+		req := transport.Request{Method: methodRange, Body: encodeRangeReq(q, (dists[n-1]+dists[n])/2, core.RangeOptions{})}
+		resp, err := nd.handle(ctx, req) // miss: fills the memo
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := decodeRangeResp(resp.Body); err != nil || len(res.Items) != n {
+			t.Fatalf("the answer of the %d nearest holds %d ids (%v)", n, len(res.Items), err)
+		}
+		hits := nd.Counters()[ctrAnswerHit]
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := nd.handle(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := nd.Counters()[ctrAnswerHit] - hits; got != 101 {
+			t.Fatalf("%v answer-memo hits in 101 repeats", got)
+		}
+		if allocs != 0 {
+			t.Errorf("a repeat range request answering %d ids took %v allocations, want 0", n, allocs)
 		}
 	}
 }

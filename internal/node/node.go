@@ -62,11 +62,13 @@ type Tuning struct {
 	// fetch memo are read on the query's own goroutine before anything fans
 	// out and do not count. 0 → 8; <= 1 → serial.
 	FetchFanout int
-	// CacheViews switches on the coordinator's caches: the whole-lookup memo
-	// keyed on the churn epoch (search.go; off again under StreamPublish,
-	// whose record deltas bump no epoch) and the fetch caches with their
-	// holder-side directory (fetchcache.go). The views a lookup runs over are
-	// never cached: every one comes from the query's probe table.
+	// CacheViews switches on the coordinator's caches: the answer memo of
+	// whole range and k-nn answers and the whole-lookup memo under it, both
+	// keyed on the churn epoch (fetchcache.go, search.go; both off again
+	// under StreamPublish, whose record deltas bump no epoch), and the fetch
+	// caches with their holder-side directory (fetchcache.go), whose
+	// notifications also retire memoized answers. The views a lookup runs
+	// over are never cached: every one comes from the query's probe table.
 	CacheViews bool
 	// StreamPublish enables streaming incremental publish: Publish runs the
 	// core stream kernel (absorb/grow/split, periodic re-cluster) against the
@@ -138,7 +140,8 @@ type Node struct {
 	tuning   Tuning
 	counters sim.Counters
 	// memo is the per-level whole-lookup memo (nil unless Tuning.CacheViews
-	// without StreamPublish; see searchSphere).
+	// without StreamPublish; see searchSphere). The answer memo is kept under
+	// the same condition.
 	memo *viewcache.Cache
 
 	// Fetch caching, both ends; the coherence protocol is documented in
@@ -162,6 +165,15 @@ type Node struct {
 	cliGen      map[int]uint64
 	cliCount    int
 	cliEpochSig uint64
+
+	// The answer memo (fetchcache.go): encoded range and k-nn responses by
+	// method tag and request body, valid at the membership epoch sum
+	// ansEpoch; ansSeq counts the events that may change an answer while it
+	// is being computed.
+	ansMu    sync.Mutex
+	answers  map[string]answerEntry
+	ansEpoch uint64
+	ansSeq   uint64
 }
 
 // levelFromView converts a snapshot level into membership state. Neighbor
@@ -213,7 +225,7 @@ func New(cfg Config) (*Node, error) {
 		levels[l] = levelFromView(v)
 	}
 	n.mgr = membership.NewManager(snap.Peer, snap.ClusterSize, levels, n, cfg.Membership)
-	engine, err := core.NewEngine(snap.Config, snap.Bounds, &netBackend{n: n})
+	engine, err := core.NewEngine(snap.Config, snap.Bounds, &netBackend{n: n, ctx: context.Background()})
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -322,7 +334,7 @@ func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts co
 	if eps < 0 {
 		return core.RangeResult{}, fmt.Errorf("node: negative query radius")
 	}
-	return n.engine.RangeQuery(n.peer, q, eps, opts)
+	return n.engine.RangeQuery(ctx, n.peer, q, eps, opts)
 }
 
 // KNNQuery answers a k-nn query with this node as the querying peer.
@@ -333,7 +345,7 @@ func (n *Node) KNNQuery(ctx context.Context, q []float64, k int, opts core.KNNOp
 	if k < 1 {
 		return core.KNNResult{}, fmt.Errorf("node: k must be >= 1, got %d", k)
 	}
-	return n.engine.KNNQuery(n.peer, q, k, opts)
+	return n.engine.KNNQuery(ctx, n.peer, q, k, opts)
 }
 
 // Publish post-inserts one item into this node's local store and absorbs it
@@ -352,9 +364,10 @@ func (n *Node) Publish(id int, item []float64) error {
 	n.store.Append(id, item)
 	core.AbsorbInsert(n.published, item, n.cfg.Convention)
 	n.mu.Unlock()
-	// The item store changed: the fetch answers the new item can alter must go,
-	// here and at every coordinator holding one, before the publish is
-	// acknowledged (see fetchcache.go).
+	// The item store changed: the answers that read it must go, here and at
+	// every coordinator holding one, before the publish is acknowledged (see
+	// fetchcache.go).
+	n.dropAnswers(n.peer)
 	n.sweepFetchDir([][]float64{item})
 	return nil
 }
@@ -398,36 +411,54 @@ func remoteErr(err error) error {
 	return err
 }
 
+// rpcCounters maps every method handle serves — the node RPCs and the
+// membership layer's — to its handler-side counter, named once: a name built
+// per request would be allocated per request, since the counter map keeps it.
+var rpcCounters = func() map[string]string {
+	m := make(map[string]string)
+	for _, method := range append([]string{methodRange, methodKNN, methodPublish, methodCanSearch,
+		methodFetchRange, methodFetchKNN, methodFetchInval}, membership.Methods...) {
+		m[method] = "rpc." + method
+	}
+	return m
+}()
+
 // handle dispatches one RPC. The method name is a peer's bytes: it becomes a
 // counter key only once recognised, so junk names cannot grow the counter map.
+// Range and k-nn requests go through the answer memo (see answer).
 func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Response, error) {
-	if !isMethod(req.Method) && !membership.IsMethod(req.Method) {
+	name, ok := rpcCounters[req.Method]
+	if !ok {
 		n.count("rpc.unknown")
 		return transport.Response{}, fmt.Errorf("node: unknown method %q", req.Method)
 	}
-	n.count("rpc." + req.Method)
+	n.count(name)
 	switch req.Method {
 	case methodRange:
-		q, eps, opts, err := decodeRangeReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		res, err := n.RangeQuery(ctx, q, eps, opts)
-		if err != nil {
-			return transport.Response{}, remoteErr(err)
-		}
-		return transport.Response{Body: encodeRangeResp(res)}, nil
+		return n.answer('r', req.Body, func() ([]byte, []core.PeerScore, error) {
+			q, eps, opts, err := decodeRangeReq(req.Body)
+			if err != nil {
+				return nil, nil, err
+			}
+			res, err := n.RangeQuery(ctx, q, eps, opts)
+			if err != nil {
+				return nil, nil, remoteErr(err)
+			}
+			return encodeRangeResp(res), res.Scores[:res.PeersContacted], nil
+		})
 
 	case methodKNN:
-		q, k, opts, err := decodeKNNReq(req.Body)
-		if err != nil {
-			return transport.Response{}, err
-		}
-		res, err := n.KNNQuery(ctx, q, k, opts)
-		if err != nil {
-			return transport.Response{}, remoteErr(err)
-		}
-		return transport.Response{Body: encodeKNNResp(res)}, nil
+		return n.answer('k', req.Body, func() ([]byte, []core.PeerScore, error) {
+			q, k, opts, err := decodeKNNReq(req.Body)
+			if err != nil {
+				return nil, nil, err
+			}
+			res, err := n.KNNQuery(ctx, q, k, opts)
+			if err != nil {
+				return nil, nil, remoteErr(err)
+			}
+			return encodeKNNResp(res), res.Scores[:res.PeersContacted], nil
+		})
 
 	case methodPublish:
 		id, item, err := decodePublishReq(req.Body)
@@ -468,7 +499,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 			return encodeFetchKNNResp(n.localKNN(q, k)), nil
 		})
 
-	default: // membership.IsMethod held above
+	default: // a membership method: rpcCounters holds no other
 		body, err := n.mgr.HandleRPC(ctx, req.Method, req.Body)
 		if err != nil {
 			return transport.Response{}, err
@@ -532,5 +563,11 @@ func (n *Node) localView(level int, key []float64, radius float64) searchView {
 // search runs the coordinator-driven CAN lookup of search.go, and the
 // retrieval pass goes straight to each scored peer's endpoint (one RPC each,
 // like the paper's phase-two contact) unless the answer is already here.
-// Methods live in search.go, probe.go and fetchcache.go.
-type netBackend struct{ n *Node }
+// The engine's own backend belongs to no query; Scope gives each query one
+// that sends every message under the query's ctx and shares one probe table
+// between its level searches. Methods live in search.go and probe.go.
+type netBackend struct {
+	n     *Node
+	ctx   context.Context
+	table *probeTable // nil outside a query
+}

@@ -2,11 +2,9 @@ package node
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"hyperm/internal/core"
-	"hyperm/internal/overlay"
 	"hyperm/internal/route"
 )
 
@@ -129,25 +127,8 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 	return n.toNodeView(sv), nil
 }
 
-// scopedBackend is the netBackend of one query (core.Backend.Scope): its
-// level searches go through one probe table.
-type scopedBackend struct {
-	*netBackend
-	table *probeTable
-}
-
-// Scope shares one probe table between the level searches of a query.
-func (b *netBackend) Scope(spheres []core.Sphere) core.Backend {
-	return &scopedBackend{b, b.n.newProbeTable(context.Background(), spheres)}
-}
-
-// Search runs a scoped sphere over the shared table and any other — a k-nn
-// level widening past its first radius — as a lookup of its own.
-func (b *scopedBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
-	for i, sp := range b.table.spheres {
-		if sp.Level == level && sp.Radius == radius && slices.Equal(sp.Key, key) {
-			return b.n.searchSphere(probeViews{b.table, i}, level, key, radius)
-		}
-	}
-	return b.netBackend.Search(from, level, key, radius)
+// Scope gives one query a backend of its own: it carries the query's ctx,
+// and its level searches go through one probe table.
+func (b *netBackend) Scope(ctx context.Context, spheres []core.Sphere) core.Backend {
+	return &netBackend{n: b.n, ctx: ctx, table: b.n.newProbeTable(ctx, spheres)}
 }

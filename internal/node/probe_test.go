@@ -19,7 +19,7 @@ import (
 // with hand-picked spheres or a look at one lookup's level searches apart.
 // The end-to-end half is probe_cluster_test.go.
 
-func startProbeCluster(t testing.TB, peers int) *Cluster {
+func startProbeCluster(t testing.TB, peers int, tuning Tuning) *Cluster {
 	t.Helper()
 	sys, err := experiments.BuildMarkovSystem(experiments.Params{Peers: peers, ItemsPerPeer: 12, Dim: 16, Levels: 3, ClustersPerPeer: 3, Seed: 9})
 	if err != nil {
@@ -28,7 +28,7 @@ func startProbeCluster(t testing.TB, peers int) *Cluster {
 	sys.PublishAll()
 	tr := transport.NewChan()
 	t.Cleanup(func() { tr.Close() })
-	cl, err := StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, Tuning{})
+	cl, err := StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, tuning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func sameView(a, b route.NodeView) bool {
 // gets it from a second, required can_search: the same view a lookup of its
 // own would have fetched. A peer both spheres touch answers both in one.
 func TestProbeSkippedSphereIsAskedAgain(t *testing.T) {
-	cl := startProbeCluster(t, 16)
+	cl := startProbeCluster(t, 16, Tuning{})
 	coord := cl.Nodes[0]
 	const radius = 0.01
 	// x owns the centre of sphere 0; sphere 1 sits in the middle of another
@@ -155,7 +155,7 @@ func TestProbeSkippedSphereIsAskedAgain(t *testing.T) {
 // whose machines reach the dead peer fail on the one classified error, the
 // others are not disturbed by sharing probes with them.
 func TestProbeDeadPeerFailsEveryLevelAlike(t *testing.T) {
-	cl := startProbeCluster(t, 16)
+	cl := startProbeCluster(t, 16, Tuning{})
 	coord, victim := cl.Nodes[0], 5
 	spheres := make([]core.Sphere, 3)
 	for l := range spheres {
@@ -189,11 +189,11 @@ func TestProbeDeadPeerFailsEveryLevelAlike(t *testing.T) {
 		wg.Wait()
 		return outs
 	}
-	nb := &netBackend{n: coord}
+	nb := &netBackend{n: coord, ctx: context.Background()}
 	check := func(tag string, wantFailed int) {
 		t.Helper()
 		apart := run(nb, false)
-		shared := run(nb.Scope(spheres), true)
+		shared := run(nb.Scope(context.Background(), spheres), true)
 		failed := 0
 		for l := range spheres {
 			a, s := apart[l], shared[l]
@@ -217,7 +217,7 @@ func TestProbeDeadPeerFailsEveryLevelAlike(t *testing.T) {
 	}
 	check("all alive", 0)
 	before := coord.Counters()[ctrCoordSearch]
-	run(nb.Scope(spheres), true)
+	run(nb.Scope(context.Background(), spheres), true)
 	if sent := coord.Counters()[ctrCoordSearch] - before; sent > float64(len(cl.Nodes)-1+len(spheres)) {
 		t.Errorf("three levels through one table cost %v can_search on %d peers", sent, len(cl.Nodes))
 	}
@@ -242,7 +242,7 @@ func TestProbeDeadPeerFailsEveryLevelAlike(t *testing.T) {
 // than any query carries, or about a key that is not a point of the level's
 // key space, is refused whole.
 func TestSearchHandlerRefusesBadRequests(t *testing.T) {
-	cl := startProbeCluster(t, 4)
+	cl := startProbeCluster(t, 4, Tuning{})
 	nd := cl.Nodes[0]
 	ok := searchReq{Level: 0, Key: []float64{0.5}, Radius: 0.1}
 	if _, err := nd.handleSearch(encodeSearchReq([]searchReq{ok, {Level: 1, Key: zoneCenter(nd, 1), Optional: true}})); err != nil {

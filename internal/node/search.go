@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"hyperm/internal/core"
 	"hyperm/internal/overlay"
@@ -147,8 +148,18 @@ func (n *Node) runSearch(src route.ViewSource, level int, key []float64, radius 
 	return entries, hops, nil
 }
 
+// Search runs a sphere the query announced to Scope over the query's shared
+// probe table, and any other — a k-nn level widening past its first radius —
+// as a lookup of its own.
 func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
-	return b.n.searchSphere(b.n.sphereViews(context.Background(), level, key, radius), level, key, radius)
+	if t := b.table; t != nil {
+		for i, sp := range t.spheres {
+			if sp.Level == level && sp.Radius == radius && slices.Equal(sp.Key, key) {
+				return b.n.searchSphere(probeViews{t, i}, level, key, radius)
+			}
+		}
+	}
+	return b.n.searchSphere(b.n.sphereViews(b.ctx, level, key, radius), level, key, radius)
 }
 
 // FetchRange and FetchKNN are each one retrieval pass over the query's scored
@@ -156,9 +167,9 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 // goes on the wire and how much of it at once.
 func (b *netBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
 	tail := math.Float64bits(eps)
-	return fetchAll(b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
+	return fetchAll(b.ctx, b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
 }
 
 func (b *netBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]core.ItemDist, []error) {
-	return fetchAll(b.n, knnFetch, peers, q, func(i int) uint64 { return uint64(int64(wants[i])) })
+	return fetchAll(b.ctx, b.n, knnFetch, peers, q, func(i int) uint64 { return uint64(int64(wants[i])) })
 }

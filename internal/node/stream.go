@@ -64,6 +64,9 @@ func (n *Node) publishStream(id int, item []float64) error {
 	if prev != nil {
 		<-prev
 	}
+	// Never a caller's ctx (context.WithoutCancel of one, should Publish ever
+	// take it): an announce cut short leaves the record's holders half
+	// updated, and nothing sends the rest.
 	ctx := context.Background()
 	for _, d := range deltas {
 		if err := n.announceDelta(ctx, d); err != nil {

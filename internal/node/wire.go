@@ -23,17 +23,6 @@ const (
 	methodFetchInval = "inval_fetch" // node → node: holder's item store changed, drop the entries it names
 )
 
-// isMethod reports whether method is one of the node RPCs above (the
-// membership layer's are membership.IsMethod).
-func isMethod(method string) bool {
-	switch method {
-	case methodRange, methodKNN, methodPublish, methodCanSearch,
-		methodFetchRange, methodFetchKNN, methodFetchInval:
-		return true
-	}
-	return false
-}
-
 // ---- range ----
 
 func encodeRangeReq(q []float64, eps float64, opts core.RangeOptions) []byte {

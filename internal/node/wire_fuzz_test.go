@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"hyperm/internal/core"
 	"hyperm/internal/transport"
 )
 
@@ -306,19 +307,38 @@ func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 }
 
 // FuzzNodeHandle is the handler-level sibling of the codec targets above: a
-// body that decodes can still name a level, a key length, a k or a subscriber
-// the node has nothing for, and no transport recovers a handler panic. Every
-// node → node method (and publish, whose body is a client's) must answer or
-// refuse whatever bytes arrive. The cluster is shared by all inputs, so an
-// accepted publish or a registered directory line stays for the next.
+// body that decodes can still name a level, a key length, a k, a radius or a
+// subscriber the node has nothing for, and no transport recovers a handler
+// panic. Every method a node serves but the membership layer's must answer or
+// refuse whatever bytes arrive. The node keeps its caches, so query requests
+// reach the answer memo as raw bytes. The cluster is shared by all inputs, so
+// an accepted publish, a registered directory line or a memoized answer stays
+// for the next.
 func FuzzNodeHandle(f *testing.F) {
-	cl := startProbeCluster(f, 4)
+	cl := startProbeCluster(f, 4, Tuning{CacheViews: true})
 	nd := cl.Nodes[0]
 	q := make([]float64, nd.cfg.Dim)
+	nan, inf := math.NaN(), math.Inf(1)
+	nanKey := append([]float64{nan}, q[1:]...)
 	targets := []struct {
 		method string
 		seeds  [][]byte
 	}{
+		{methodRange, [][]byte{
+			encodeRangeReq(q, 0.5, core.RangeOptions{}),
+			encodeRangeReq(q, nan, core.RangeOptions{}),
+			encodeRangeReq(q, inf, core.RangeOptions{MaxPeers: -1}),
+			encodeRangeReq(nanKey, 0.5, core.RangeOptions{MaxPeers: 1}),
+			encodeRangeReq(q[:1], 0.5, core.RangeOptions{}),
+		}},
+		{methodKNN, [][]byte{
+			encodeKNNReq(q, 3, core.KNNOptions{}),
+			encodeKNNReq(q, 1<<40, core.KNNOptions{}),
+			encodeKNNReq(nanKey, 3, core.KNNOptions{C: nan}),
+			encodeKNNReq(q, 3, core.KNNOptions{C: -1, MaxPeers: -5}),
+			encodeKNNReq(q, 2, core.KNNOptions{C: inf}),
+			encodeKNNReq(q, 0, core.KNNOptions{}),
+		}},
 		{methodCanSearch, [][]byte{
 			searchReqSeed(), // level 1's key is one coordinate too long
 			encodeSearchReq([]searchReq{{Level: 1, Optional: true}}),

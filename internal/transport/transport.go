@@ -196,7 +196,11 @@ func NewClient(tr Transport, p Policy) *Client {
 // Call performs req against addr, retrying retryable failures with
 // exponential backoff + jitter until the policy's attempt budget or the
 // deadline runs out. The last transport error is wrapped in the final error.
+// A ctx already done sends nothing.
 func (c *Client) Call(ctx context.Context, addr string, req Request) (Response, error) {
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
 	if _, ok := ctx.Deadline(); !ok && c.p.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.p.Timeout)
