@@ -58,7 +58,10 @@ bench-kernels:
 # coordinator's id: round trip; a prefix, trailing byte or wrong float count
 # must error), and the handlers behind them: arbitrary bodies to Node.handle
 # on a started cache-on cluster — the query methods through the answer memo
-# included — must be answered or refused, never panic.
+# included — must be answered or refused, never panic; arbitrary bodies to
+# the six membership methods on a fresh 4-node cluster per input must leave
+# every zone of the level's dimension and every neighbor table id-sorted,
+# duplicate-free and without a self entry.
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
@@ -69,3 +72,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzSearchRespDecode -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzFetchReqRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzNodeHandle -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzMembershipHandle -fuzztime=30s ./internal/membership

@@ -30,6 +30,8 @@ type fakeFabric struct {
 	// delay, when set for an address, stalls calls until the context dies —
 	// the slow-but-alive peer of the probe edge-case tests.
 	delay map[string]bool
+	// tap, when set, sees every call before it is delivered.
+	tap func(addr, method string, body []byte)
 }
 
 func newFakeFabric() *fakeFabric {
@@ -47,6 +49,9 @@ func (f *fakeFabric) lookup(addr string) (*Manager, bool, bool) {
 }
 
 func (f *fakeFabric) Call(ctx context.Context, addr, method string, body []byte) ([]byte, error) {
+	if f.tap != nil {
+		f.tap(addr, method, body)
+	}
 	m, up, delayed := f.lookup(addr)
 	if delayed {
 		<-ctx.Done()
@@ -138,7 +143,7 @@ func probeRound(f *fakeFabric) {
 	}
 }
 
-func waitIdle(t *testing.T, f *fakeFabric) {
+func waitIdle(t testing.TB, f *fakeFabric) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -174,7 +179,7 @@ func insertSpheres(o *can.Overlay, rng *rand.Rand, n int) {
 
 // buildPair constructs a simulator overlay and a live manager per node
 // initialized from its view — the starting point of every parity test.
-func buildPair(t *testing.T, seed int64, nodes, dim, spheres int, opts Options) (*can.Overlay, *fakeFabric, map[int]*Manager) {
+func buildPair(t testing.TB, seed int64, nodes, dim, spheres int, opts Options) (*can.Overlay, *fakeFabric, map[int]*Manager) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	o, err := can.Build(can.Config{Nodes: nodes, Dim: dim, Rng: rng})
@@ -297,10 +302,14 @@ func comparePair(t *testing.T, tag string, o *can.Overlay, f *fakeFabric) {
 // TestProtocolMatchesOracle replays a mixed churn schedule — joins at chosen
 // points, graceful leaves, crashes detected via probes — through both the
 // live protocol (fake fabric, real codecs) and the simulator, and requires
-// every surviving node's zones, neighbor tables, and record stores to come
-// out byte-identical.
+// every surviving node's zones, neighbor tables, and record stores to be
+// byte-identical after every step, over 20 seeds.
 func TestProtocolMatchesOracle(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
+	seeds := []int64{42}
+	for s := int64(1); s < 20; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			const nodes, dim = 10, 2
@@ -388,9 +397,9 @@ func TestProtocolMatchesOracle(t *testing.T) {
 				}
 				// Keep detector tables as fresh as a live probe ticker would.
 				probeRound(f)
+				waitIdle(t, f)
+				comparePair(t, fmt.Sprintf("step %d", step), o, f)
 			}
-			waitIdle(t, f)
-			comparePair(t, "post-churn", o, f)
 		})
 	}
 }
@@ -410,6 +419,104 @@ func TestJoinRefusedWhenZoneTooSmall(t *testing.T) {
 	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || len(ls.Neighbors) != 0 || m.Epoch(0) != 0 {
 		t.Fatalf("refused join changed the owner: %+v, epoch %d", ls, m.Epoch(0))
 	}
+}
+
+// TestMembershipRefusesWrongDimensionZones sends a 2-d level each
+// zone-carrying message with one zone (or record key) of the wrong shape —
+// too few coordinates, or Lo and Hi of different lengths. Each must be
+// refused before anything moves: no panic in the adjacency geometry, no
+// silently installed zone, the level state and its epoch untouched.
+func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
+	short := route.Zone{Lo: []float64{0.5}, Hi: []float64{0.75}}
+	ragged := route.Zone{Lo: []float64{0.5, 0.5}, Hi: []float64{0.75}}
+	shortKey := route.RecordView{Seq: 1 << 20, Entry: overlay.Entry{
+		Key: []float64{0.5}, Radius: 0.1,
+		Payload: core.ClusterRef{Center: []float64{0.5}, Radius: 0.1, Items: 1},
+	}}
+	type env struct {
+		nb, other Neighbor // two of node 0's neighbors
+		ls        LevelState
+	}
+	rows := []struct {
+		name, method string
+		body         func(e env) []byte
+	}{
+		{"zones/update-short", MethodZones, func(e env) []byte {
+			return encodeZoneUpdate(ZoneUpdate{Updates: []Neighbor{{ID: e.nb.ID, Addr: e.nb.Addr, Zones: []route.Zone{short}}}})
+		}},
+		{"zones/update-ragged", MethodZones, func(e env) []byte {
+			return encodeZoneUpdate(ZoneUpdate{Updates: []Neighbor{{ID: 9, Addr: testAddr(9), Zones: []route.Zone{ragged}}}})
+		}},
+		{"zones/removal-beside-bad-update", MethodZones, func(e env) []byte {
+			return encodeZoneUpdate(ZoneUpdate{Removed: []int{e.nb.ID}, Updates: []Neighbor{{ID: e.other.ID, Addr: e.other.Addr, Zones: []route.Zone{short}}}})
+		}},
+		{"takeover/zone-short", MethodTakeover, func(e env) []byte {
+			return encodeTakeoverMsg(TakeoverMsg{Crashed: e.nb.ID, Zone: short, Taker: e.other.ID, TakerAddr: e.other.Addr, TakerZones: e.other.Zones})
+		}},
+		{"takeover/taker-zones-short", MethodTakeover, func(e env) []byte {
+			return encodeTakeoverMsg(TakeoverMsg{Crashed: e.nb.ID, Zone: e.nb.Zones[0], Taker: e.other.ID, TakerAddr: e.other.Addr, TakerZones: []route.Zone{short}})
+		}},
+		{"takeover/taker-zones-ragged", MethodTakeover, func(e env) []byte {
+			return encodeTakeoverMsg(TakeoverMsg{Crashed: e.nb.ID, Zone: e.nb.Zones[0], Taker: e.other.ID, TakerAddr: e.other.Addr, TakerZones: append(cloneZones(e.other.Zones), ragged)})
+		}},
+		{"handoff/assign-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: short}}})
+		}},
+		{"handoff/merge-with-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: e.nb.Zones[0], Merge: true, MergeWith: short}}})
+		}},
+		{"handoff/neighbors-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: e.nb.Zones[0]}},
+				Neighbors: []Neighbor{{ID: e.other.ID, Addr: e.other.Addr, Zones: []route.Zone{short}}}})
+		}},
+		{"handoff/takers-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: e.nb.Zones[0]}},
+				Takers: []Neighbor{{ID: 0, Addr: testAddr(0), Zones: []route.Zone{ragged}}}})
+		}},
+		{"handoff/owned-key-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: e.nb.Zones[0]}}, Owned: []route.RecordView{shortKey}})
+		}},
+		{"handoff/replica-key-short", MethodHandoff, func(e env) []byte {
+			return handoffBody(HandoffReq{Leaver: e.nb.ID, Assigns: []ZoneAssign{{Zone: e.nb.Zones[0]}}, Replicas: []route.RecordView{shortKey}})
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			_, _, mgrs := buildPair(t, 3, 4, 2, 12, Options{})
+			m := mgrs[0]
+			e := env{ls: m.View(0)}
+			if len(e.ls.Neighbors) < 2 {
+				t.Fatalf("node 0 has %d neighbors, want two", len(e.ls.Neighbors))
+			}
+			e.nb, e.other = e.ls.Neighbors[0], e.ls.Neighbors[1]
+			epoch := m.Epoch(0)
+			err := func() error {
+				defer func() {
+					if p := recover(); p != nil {
+						// The manager may still hold its lock: stop here.
+						t.Fatalf("handler panicked: %v", p)
+					}
+				}()
+				_, err := m.HandleRPC(context.Background(), row.method, row.body(e))
+				return err
+			}()
+			if err == nil {
+				t.Errorf("accepted, want a refusal")
+			}
+			if got := m.View(0); !reflect.DeepEqual(got, e.ls) || m.Epoch(0) != epoch || m.IsDead(e.nb.ID) {
+				t.Fatalf("refusal moved the level: epoch %d -> %d, dead(%d) %v\n before %+v\n after  %+v",
+					epoch, m.Epoch(0), e.nb.ID, m.IsDead(e.nb.ID), e.ls, got)
+			}
+		})
+	}
+}
+
+func handoffBody(req HandoffReq) []byte {
+	b, err := encodeHandoffReq(req)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // TestJoinRefusesWrongLengthPoint: a join point that is not a point of the

@@ -16,6 +16,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 
 	"hyperm/internal/route"
 )
@@ -93,28 +94,22 @@ func removeNeighbor(ns []Neighbor, id int) []Neighbor {
 }
 
 // candidates converts a sorted neighbor table into the takeover-candidate
-// list route.ElectTakers expects, skipping ids the skip predicate rejects
-// (departed or suspected-dead peers).
-func candidates(ns []Neighbor, skip func(id int) bool) []route.Candidate {
+// list route.ElectTakers expects, skipping departed peers.
+func candidates(ns []Neighbor, dead map[int]bool) []route.Candidate {
 	out := make([]route.Candidate, 0, len(ns))
 	for _, nb := range ns {
-		if skip != nil && skip(nb.ID) {
-			continue
+		if !dead[nb.ID] {
+			out = append(out, route.Candidate{ID: nb.ID, Zones: nb.Zones})
 		}
-		out = append(out, route.Candidate{ID: nb.ID, Zones: nb.Zones})
 	}
 	return out
 }
 
-// assignment is one zone handover decision in wire-transferable form: the
-// zone, its elected taker, and — for a box merge — the taker's pre-merge
-// zone, identified by value so the taker can locate it without sharing index
-// space with the elector.
+// assignment is one zone handover decision: the zone in the form a taker
+// receives it, and the taker elected for it.
 type assignment struct {
-	Taker     int
-	Zone      route.Zone
-	Merge     bool
-	MergeWith route.Zone
+	Taker int
+	ZoneAssign
 }
 
 // replayElection expands an ElectTakers result into per-zone assignments and
@@ -129,7 +124,7 @@ func replayElection(zones []route.Zone, cands []route.Candidate, tks []route.Tak
 	assigns = make([]assignment, 0, len(zones))
 	for i, z := range zones {
 		tk := tks[i]
-		a := assignment{Taker: tk.Taker, Zone: z}
+		a := assignment{Taker: tk.Taker, ZoneAssign: ZoneAssign{Zone: z}}
 		zs := local[tk.Taker]
 		if tk.Merge >= 0 {
 			a.Merge = true
@@ -162,39 +157,15 @@ func tableAt(ts []LevelTable, l int) LevelTable {
 // level state: equal zone sets and equal neighbor tables (id, address, and
 // zones — a changed entry in either means churn happened near the reporter).
 func levelTableEqual(a, b LevelTable) bool {
-	if len(a.Zones) != len(b.Zones) || len(a.Neighbors) != len(b.Neighbors) {
-		return false
-	}
-	for i := range a.Zones {
-		if !zoneEqual(a.Zones[i], b.Zones[i]) {
-			return false
-		}
-	}
-	for i := range a.Neighbors {
-		na, nb := a.Neighbors[i], b.Neighbors[i]
-		if na.ID != nb.ID || na.Addr != nb.Addr || len(na.Zones) != len(nb.Zones) {
-			return false
-		}
-		for j := range na.Zones {
-			if !zoneEqual(na.Zones[j], nb.Zones[j]) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Zones, b.Zones, zoneEqual) &&
+		slices.EqualFunc(a.Neighbors, b.Neighbors, func(x, y Neighbor) bool {
+			return x.ID == y.ID && x.Addr == y.Addr && slices.EqualFunc(x.Zones, y.Zones, zoneEqual)
+		})
 }
 
 // zoneEqual reports exact box equality.
 func zoneEqual(a, b route.Zone) bool {
-	if len(a.Lo) != len(b.Lo) {
-		return false
-	}
-	for i := range a.Lo {
-		if a.Lo[i] != b.Lo[i] || a.Hi[i] != b.Hi[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi)
 }
 
 // indexOfZone returns the index of the zone equal to z, or -1.

@@ -39,14 +39,6 @@ type BookEntry struct {
 	Addr string
 }
 
-// NodeZones is one node's id, address, and current zone set — the unit of a
-// ZoneUpdate and of the taker lists in handoffs.
-type NodeZones struct {
-	ID    int
-	Addr  string
-	Zones []route.Zone
-}
-
 // LevelTable is one level of a peer's self-reported state, carried in ping
 // responses. Crash detectors elect takers from the crashed node's last table,
 // so every detector that probed it reaches the same election.
@@ -151,27 +143,6 @@ func DecodeRecords(d *transport.Decoder) []route.RecordView {
 	return out
 }
 
-func encodeNodeZones(e *transport.Encoder, us []NodeZones) {
-	e.U32(uint32(len(us)))
-	for _, u := range us {
-		e.Int(u.ID)
-		e.String(u.Addr)
-		EncodeZones(e, u.Zones)
-	}
-}
-
-func decodeNodeZones(d *transport.Decoder) []NodeZones {
-	n := d.Count(16) // id + address prefix + zone count minimum
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]NodeZones, n)
-	for i := range out {
-		out[i] = NodeZones{ID: d.Int(), Addr: d.String(), Zones: DecodeZones(d)}
-	}
-	return out
-}
-
 // ---- m.join ----
 
 // JoinReq asks the owner of Point at Level to split its zone with the joiner.
@@ -266,7 +237,7 @@ type HandoffReq struct {
 	Owned     []route.RecordView
 	Replicas  []route.RecordView
 	Neighbors []Neighbor
-	Takers    []NodeZones
+	Takers    []Neighbor
 }
 
 func encodeHandoffReq(r HandoffReq) ([]byte, error) {
@@ -292,7 +263,7 @@ func encodeHandoffReq(r HandoffReq) ([]byte, error) {
 		return nil, err
 	}
 	EncodeNeighbors(&e, r.Neighbors)
-	encodeNodeZones(&e, r.Takers)
+	EncodeNeighbors(&e, r.Takers)
 	return e.Bytes(), nil
 }
 
@@ -312,7 +283,7 @@ func decodeHandoffReq(b []byte) (HandoffReq, error) {
 	r.Owned = DecodeRecords(d)
 	r.Replicas = DecodeRecords(d)
 	r.Neighbors = DecodeNeighbors(d)
-	r.Takers = decodeNodeZones(d)
+	r.Takers = DecodeNeighbors(d)
 	return r, d.Finish()
 }
 
@@ -476,26 +447,26 @@ func DecodeStoreRecResp(b []byte) (StoreRecResp, error) {
 // ---- m.zones ----
 
 // ZoneUpdate carries zone-set news to a neighbor: Removed lists peers that
-// departed (gracefully or by crash); Updates carries current zone sets. The
-// receiver removes departed entries and upserts each update into its table
-// iff adjacent — the same message serves join notices, leave notices, and
-// post-takeover rebroadcasts.
+// departed (gracefully or by crash); Updates carries current zone sets, as
+// neighbor-table entries. The receiver removes departed entries and upserts
+// each update into its table iff adjacent — the same message serves join
+// notices, leave notices, and post-takeover rebroadcasts.
 type ZoneUpdate struct {
 	Level   int
 	Removed []int
-	Updates []NodeZones
+	Updates []Neighbor
 }
 
 func encodeZoneUpdate(u ZoneUpdate) []byte {
 	var e transport.Encoder
 	e.Int(u.Level)
 	e.Ints(u.Removed)
-	encodeNodeZones(&e, u.Updates)
+	EncodeNeighbors(&e, u.Updates)
 	return e.Bytes()
 }
 
 func decodeZoneUpdate(b []byte) (ZoneUpdate, error) {
 	d := transport.NewDecoder(b)
-	u := ZoneUpdate{Level: d.Int(), Removed: d.Ints(), Updates: decodeNodeZones(d)}
+	u := ZoneUpdate{Level: d.Int(), Removed: d.Ints(), Updates: DecodeNeighbors(d)}
 	return u, d.Finish()
 }
