@@ -88,7 +88,6 @@ func run() int {
 	probeTimeout := flag.Duration("probe-timeout", 250*time.Millisecond, "per-probe response deadline")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a neighbor is declared dead")
 	graceful := flag.Bool("leave", false, "leave gracefully on shutdown: hand zones and records to neighbors")
-	alpha := flag.Int("alpha", 0, "concurrent can_search probes per lookup step (0 = default, 1 = serial)")
 	cacheViews := flag.Bool("cache-views", false, "memoize whole lookups per churn epoch and cache phase-two fetch answers")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
@@ -176,7 +175,6 @@ func run() int {
 			FailAfter:     *failAfter,
 		},
 		Tuning: node.Tuning{
-			Alpha:          *alpha,
 			CacheViews:     *cacheViews,
 			StreamPublish:  *streamPublish,
 			ReclusterEvery: *reclusterEvery,

@@ -20,69 +20,18 @@
 //
 // Item vectors must all share the configured power-of-two dimensionality;
 // item ids are caller-chosen and must be globally unique.
+// The network is the paper's configuration: CAN overlays, min-score
+// aggregation, averaging Haar; internal/core's Config runs the ablations.
 package hyperm
 
 import (
 	"fmt"
 	"math/rand"
 
-	"hyperm/internal/baton"
 	"hyperm/internal/can"
 	"hyperm/internal/core"
 	"hyperm/internal/overlay"
-	"hyperm/internal/ring"
 	"hyperm/internal/wavelet"
-)
-
-// OverlayKind selects the structured overlay substrate.
-type OverlayKind int
-
-const (
-	// CAN is the paper's substrate: a d-torus Content-Addressable Network
-	// per wavelet level.
-	CAN OverlayKind = iota
-	// Ring is a Chord-style ring with a z-order key mapping, demonstrating
-	// Hyper-M's overlay independence (§5).
-	Ring
-	// Baton is a BATON-style balanced-tree overlay (Jagadish et al., VLDB
-	// 2005) with the same z-order mapping — the first alternative substrate
-	// the paper names.
-	Baton
-)
-
-// String names the overlay kind.
-func (k OverlayKind) String() string {
-	switch k {
-	case CAN:
-		return "CAN"
-	case Ring:
-		return "ring"
-	case Baton:
-		return "BATON"
-	default:
-		return fmt.Sprintf("OverlayKind(%d)", int(k))
-	}
-}
-
-// Aggregation re-exports the score-aggregation policy (§3.2).
-type Aggregation = core.Aggregation
-
-// Score aggregation policies. AggMin is the paper's default.
-const (
-	AggMin  = core.AggMin
-	AggSum  = core.AggSum
-	AggMean = core.AggMean
-)
-
-// Wavelet re-exports the multiresolution convention.
-type Wavelet = wavelet.Convention
-
-// Wavelet conventions. HaarAveraging is the paper's default; Daubechies4
-// compacts smooth signals better at identical retrieval guarantees.
-const (
-	HaarAveraging   = wavelet.Averaging
-	HaarOrthonormal = wavelet.Orthonormal
-	Daubechies4     = wavelet.Daubechies4
 )
 
 // PeerScore re-exports the scored-peer pair returned by queries.
@@ -99,16 +48,6 @@ type Options struct {
 	Levels int
 	// ClustersPerPeer is K_p, the per-level summary budget (default 10).
 	ClustersPerPeer int
-	// C is the k-nn over-fetch knob (default 1; the paper recommends
-	// values in [1, 2]).
-	C float64
-	// Aggregation is the score-combination policy (default AggMin).
-	Aggregation Aggregation
-	// Overlay selects the substrate (default CAN).
-	Overlay OverlayKind
-	// Wavelet selects the multiresolution convention (default
-	// HaarAveraging, the paper's).
-	Wavelet Wavelet
 	// Seed drives every random choice; equal seeds give identical networks.
 	Seed int64
 	// Parallelism bounds the worker goroutines used for the per-peer
@@ -172,7 +111,7 @@ type KNNAnswer struct {
 	OverlayHops    int
 }
 
-// New builds the per-level overlays and an empty network.
+// New builds the per-level CAN overlays and an empty network.
 func New(opts Options) (*Network, error) {
 	if opts.Levels == 0 {
 		opts.Levels = 4
@@ -185,43 +124,19 @@ func New(opts Options) (*Network, error) {
 	if opts.ClustersPerPeer == 0 {
 		opts.ClustersPerPeer = 10
 	}
-	var factory core.OverlayFactory
-	switch opts.Overlay {
-	case CAN:
-		factory = func(level, keyDim, peers int) (overlay.Network, error) {
-			return can.Build(can.Config{
-				Nodes: peers, Dim: keyDim,
-				Rng: rand.New(rand.NewSource(opts.Seed*7919 + int64(level))),
-			})
-		}
-	case Ring:
-		factory = func(level, keyDim, peers int) (overlay.Network, error) {
-			return ring.Build(ring.Config{
-				Nodes: peers, Dim: keyDim,
-				Rng: rand.New(rand.NewSource(opts.Seed*7919 + int64(level))),
-			})
-		}
-	case Baton:
-		factory = func(level, keyDim, peers int) (overlay.Network, error) {
-			return baton.Build(baton.Config{
-				Nodes: peers, Dim: keyDim,
-				Rng: rand.New(rand.NewSource(opts.Seed*7919 + int64(level))),
-			})
-		}
-	default:
-		return nil, fmt.Errorf("hyperm: unknown overlay kind %v", opts.Overlay)
-	}
 	sys, err := core.NewSystem(core.Config{
 		Peers:           opts.Peers,
 		Dim:             opts.Dim,
 		Levels:          opts.Levels,
 		ClustersPerPeer: opts.ClustersPerPeer,
-		C:               opts.C,
-		Aggregation:     opts.Aggregation,
-		Convention:      opts.Wavelet,
-		Factory:         factory,
-		Rng:             rand.New(rand.NewSource(opts.Seed + 1)),
-		Parallelism:     opts.Parallelism,
+		Factory: func(level, keyDim, peers int) (overlay.Network, error) {
+			return can.Build(can.Config{
+				Nodes: peers, Dim: keyDim,
+				Rng: rand.New(rand.NewSource(opts.Seed*7919 + int64(level))),
+			})
+		},
+		Rng:         rand.New(rand.NewSource(opts.Seed + 1)),
+		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hyperm: %w", err)
@@ -374,8 +289,8 @@ func (n *Network) KNN(fromPeer int, query []float64, k int) (KNNAnswer, error) {
 	return n.KNNWithC(fromPeer, query, k, 0)
 }
 
-// KNNWithC is KNN with an explicit over-fetch knob C (0 uses the network
-// default). Larger C trades bandwidth and precision for recall.
+// KNNWithC is KNN with an explicit over-fetch knob C (0 uses the default 1).
+// Larger C trades bandwidth and precision for recall.
 func (n *Network) KNNWithC(fromPeer int, query []float64, k int, c float64) (KNNAnswer, error) {
 	if err := n.checkQuery(fromPeer, query); err != nil {
 		return KNNAnswer{}, err

@@ -11,11 +11,11 @@ import (
 
 // buildNet creates a small published network over ALOI-like data and returns
 // it with the corpus.
-func buildNet(t testing.TB, kind OverlayKind) (*Network, [][]float64) {
+func buildNet(t testing.TB) (*Network, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	data, labels := dataset.ALOI(dataset.ALOIConfig{Objects: 30, Views: 8, Bins: 32}, rng)
-	net, err := New(Options{Peers: 10, Dim: 32, Levels: 3, ClustersPerPeer: 4, Overlay: kind, Seed: 5})
+	net, err := New(Options{Peers: 10, Dim: 32, Levels: 3, ClustersPerPeer: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Peers: 2, Dim: 33}); err == nil {
 		t.Error("expected error for non-pow2 dim")
-	}
-	if _, err := New(Options{Peers: 2, Dim: 32, Overlay: OverlayKind(9)}); err == nil {
-		t.Error("expected error for unknown overlay")
 	}
 }
 
@@ -120,43 +117,41 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestEndToEndRangeAndKNN runs both query kinds through the facade; the
+// other substrates and conventions run the same queries in internal/core.
 func TestEndToEndRangeAndKNN(t *testing.T) {
-	for _, kind := range []OverlayKind{CAN, Ring, Baton} {
-		t.Run(kind.String(), func(t *testing.T) {
-			net, data := buildNet(t, kind)
-			q := data[17]
-			ans, err := net.Range(0, q, 0.08)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sort.IntsAreSorted(ans.Items) {
-				t.Error("Range items not sorted")
-			}
-			found := false
-			for _, id := range ans.Items {
-				if id == 17 {
-					found = true
-				}
-			}
-			if !found {
-				t.Error("Range missed the query item itself")
-			}
-			knn, err := net.KNN(0, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(knn.Items) == 0 || knn.Items[0] != 17 {
-				t.Errorf("KNN top hit = %v, want item 17", knn.Items)
-			}
-			if knn.PeersContacted < 1 || ans.PeersContacted < 1 {
-				t.Error("queries should contact at least one peer")
-			}
-		})
+	net, data := buildNet(t)
+	q := data[17]
+	ans, err := net.Range(0, q, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sort.IntsAreSorted(ans.Items) {
+		t.Error("Range items not sorted")
+	}
+	found := false
+	for _, id := range ans.Items {
+		if id == 17 {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("Range missed the query item itself")
+	}
+	knn, err := net.KNN(0, q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(knn.Items) == 0 || knn.Items[0] != 17 {
+		t.Errorf("KNN top hit = %v, want item 17", knn.Items)
+	}
+	if knn.PeersContacted < 1 || ans.PeersContacted < 1 {
+		t.Error("queries should contact at least one peer")
 	}
 }
 
 func TestPublishReport(t *testing.T) {
-	net, _ := buildNet(t, CAN)
+	net, _ := buildNet(t)
 	// buildNet already published; rebuild to capture the report.
 	net2, data := func() (*Network, [][]float64) {
 		rng := rand.New(rand.NewSource(6))
@@ -196,7 +191,7 @@ func TestPublishReport(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []int {
-		net, data := buildNet(t, CAN)
+		net, data := buildNet(t)
 		ans, err := net.Range(0, data[3], 0.1)
 		if err != nil {
 			t.Fatal(err)
@@ -206,12 +201,6 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("same seed gave different answers: %v vs %v", a, b)
-	}
-}
-
-func TestOverlayKindString(t *testing.T) {
-	if CAN.String() != "CAN" || Ring.String() != "ring" || Baton.String() != "BATON" || OverlayKind(7).String() == "" {
-		t.Error("OverlayKind String broken")
 	}
 }
 
@@ -241,43 +230,8 @@ func ExampleNew() {
 	// Output: [0 2]
 }
 
-func TestWaveletOptionEndToEnd(t *testing.T) {
-	for _, w := range []Wavelet{HaarAveraging, HaarOrthonormal, Daubechies4} {
-		t.Run(w.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			data, labels := dataset.ALOI(dataset.ALOIConfig{Objects: 20, Views: 6, Bins: 32}, rng)
-			net, err := New(Options{Peers: 8, Dim: 32, Levels: 3, ClustersPerPeer: 4,
-				Wavelet: w, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, x := range data {
-				if err := net.AddItems(labels[i]%8, []int{i}, [][]float64{x}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := net.Publish(); err != nil {
-				t.Fatal(err)
-			}
-			ans, err := net.Range(0, data[5], 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, id := range ans.Items {
-				if id == 5 {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("convention %v missed the query item", w)
-			}
-		})
-	}
-}
-
 func TestFailPeer(t *testing.T) {
-	net, data := buildNet(t, CAN)
+	net, data := buildNet(t)
 	if net.AlivePeers() != 10 {
 		t.Fatalf("AlivePeers = %d", net.AlivePeers())
 	}
@@ -323,7 +277,7 @@ func TestFailPeerBeforePublishErrors(t *testing.T) {
 }
 
 func TestLeavePeerGraceful(t *testing.T) {
-	net, data := buildNet(t, CAN)
+	net, data := buildNet(t)
 	msgs, err := net.LeavePeer(4)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +316,7 @@ func TestLeavePeerGraceful(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	net, data := buildNet(t, CAN)
+	net, data := buildNet(t)
 	ids, err := net.Lookup(0, data[9])
 	if err != nil {
 		t.Fatal(err)

@@ -37,29 +37,21 @@ func (c Cluster) Contains(x []float64) bool {
 	return vec.Dist(c.Centroid, x) <= c.Radius+1e-12
 }
 
+// Lloyd iterations stop after maxIter rounds, or once no centroid moves
+// more than tol.
+const (
+	maxIter = 50
+	tol     = 1e-6
+)
+
 // Config tunes the k-means run.
 type Config struct {
 	// K is the number of clusters requested. If K exceeds the number of
 	// points, every point becomes its own cluster.
 	K int
-	// MaxIter bounds Lloyd iterations. Zero means the default (50).
-	MaxIter int
-	// Tol stops iteration when no centroid moves more than Tol. Zero means
-	// the default (1e-6).
-	Tol float64
 	// Rng drives k-means++ seeding and empty-cluster reseeding. Must be
 	// non-nil: all randomness in this repository is explicitly seeded.
 	Rng *rand.Rand
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 50
-	}
-	if cfg.Tol == 0 {
-		cfg.Tol = 1e-6
-	}
-	return cfg
 }
 
 // Result is the output of a k-means run.
@@ -112,7 +104,6 @@ func validateKMeansInput(data [][]float64, cfg Config) int {
 // whose outcome is already decided); TestPropOptimizedMatchesReference
 // checks exact equality.
 func KMeans(data [][]float64, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	dim := validateKMeansInput(data, cfg)
 	k := cfg.K
 	if k > len(data) {
@@ -122,10 +113,10 @@ func KMeans(data [][]float64, cfg Config) Result {
 	st.seed(data, cfg.Rng)
 	iters := 0
 	fullScan := true
-	for ; iters < cfg.MaxIter; iters++ {
+	for ; iters < maxIter; iters++ {
 		st.assignStep(data, fullScan)
 		fullScan = false
-		if st.updateStep(data) <= cfg.Tol {
+		if st.updateStep(data) <= tol {
 			iters++
 			break
 		}

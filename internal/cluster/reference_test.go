@@ -15,7 +15,6 @@ import (
 // oracle: the optimized KMeans must produce bit-identical results, which
 // TestPropOptimizedMatchesReference verifies.
 func kmeansReference(data [][]float64, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	dim := validateKMeansInput(data, cfg)
 	k := cfg.K
 	if k > len(data) {
@@ -26,7 +25,7 @@ func kmeansReference(data [][]float64, cfg Config) Result {
 	assign := make([]int, len(data))
 	counts := make([]int, k)
 	iters := 0
-	for ; iters < cfg.MaxIter; iters++ {
+	for ; iters < maxIter; iters++ {
 		// Assignment step.
 		for i, x := range data {
 			assign[i] = nearestCentroidRef(x, centroids)
@@ -62,7 +61,7 @@ func kmeansReference(data [][]float64, cfg Config) Result {
 			}
 		}
 		centroids = next
-		if moved <= cfg.Tol {
+		if moved <= tol {
 			iters++
 			break
 		}

@@ -21,23 +21,17 @@ import (
 // live node ships them as store_rec RPCs — so both sides replay the identical
 // op sequence and stay byte-identical.
 
+// growSlack is how far past a cluster's radius an insert may land and still
+// grow the cluster instead of founding a new one, as a multiple of the
+// current radius.
+const growSlack = 1.25
+
 // StreamTuning configures the incremental publish kernel.
 type StreamTuning struct {
-	// GrowSlack is how far past a cluster's radius an insert may land and
-	// still grow the cluster instead of founding a new one, as a multiple of
-	// the current radius (default 1.25; must be >= 1 when set).
-	GrowSlack float64
 	// ReclusterEvery re-runs the full per-level k-means after this many
 	// streamed inserts, collapsing accumulated grow/split drift back to the
 	// batch-publish quality. 0 disables periodic re-clustering.
 	ReclusterEvery int
-}
-
-func (t StreamTuning) withDefaults() StreamTuning {
-	if t.GrowSlack == 0 {
-		t.GrowSlack = 1.25
-	}
-	return t
 }
 
 // StreamDelta is one overlay record operation produced by the kernel: an
@@ -63,7 +57,7 @@ type StreamState struct {
 // NewStreamState builds the kernel state for a publisher with the given
 // number of wavelet levels.
 func NewStreamState(t StreamTuning, levels int) *StreamState {
-	return &StreamState{tuning: t.withDefaults(), nextIdx: make([]int, levels)}
+	return &StreamState{tuning: t, nextIdx: make([]int, levels)}
 }
 
 // streamSeq derives the identity of a stream-created record. Overlay-assigned
@@ -130,7 +124,7 @@ type StreamPublisher struct {
 // store st) and returns the ordered record deltas to announce. Per level, the
 // item joins the nearest published cluster by centroid distance (ties to the
 // lowest index): within the radius it is absorbed (count bump), within
-// GrowSlack of the radius the cluster grows to cover it, and otherwise it
+// growSlack of the radius the cluster grows to cover it, and otherwise it
 // founds a new singleton cluster. Every ReclusterEvery-th insert instead
 // rebuilds the whole clustering from st. Each path announces only the
 // changed records — one upsert per level in the steady state.
@@ -154,7 +148,7 @@ func (sp *StreamPublisher) Insert(item []float64, st *store.Store) []StreamDelta
 		case best >= 0 && bestD <= refs[best].Radius:
 			refs[best].Items++
 			deltas = append(deltas, sp.upsertDelta(l, best, false))
-		case best >= 0 && refs[best].Radius > 0 && bestD <= sp.State.tuning.GrowSlack*refs[best].Radius:
+		case best >= 0 && refs[best].Radius > 0 && bestD <= growSlack*refs[best].Radius:
 			refs[best].Radius = bestD
 			refs[best].Items++
 			deltas = append(deltas, sp.upsertDelta(l, best, false))

@@ -24,27 +24,19 @@ import (
 	"hyperm/internal/cluster"
 )
 
+// A Markov vector starts from a value drawn uniformly below maxStart and
+// steps by at most a per-vector maximum drawn uniformly below maxStepCeil.
+const (
+	maxStart    = 100
+	maxStepCeil = 5
+)
+
 // MarkovConfig parameterizes the synthetic dissemination dataset.
 type MarkovConfig struct {
 	// N is the number of feature vectors (the paper uses 100,000).
 	N int
 	// Dim is the vector dimensionality (the paper uses 512).
 	Dim int
-	// MaxStart bounds the uniformly drawn starting value (default 100).
-	MaxStart float64
-	// MaxStepCeil bounds the uniformly drawn per-vector maximum step
-	// (default 5).
-	MaxStepCeil float64
-}
-
-func (c MarkovConfig) withDefaults() MarkovConfig {
-	if c.MaxStart == 0 {
-		c.MaxStart = 100
-	}
-	if c.MaxStepCeil == 0 {
-		c.MaxStepCeil = 5
-	}
-	return c
 }
 
 // Markov generates cfg.N vectors of cfg.Dim dimensions following §5.1:
@@ -52,7 +44,6 @@ func (c MarkovConfig) withDefaults() MarkovConfig {
 // p2 = p1 + x with x uniform in [-0.05, 0.05], and random start value,
 // initial state, step and maximum step. Values are floored at zero.
 func Markov(cfg MarkovConfig, rng *rand.Rand) [][]float64 {
-	cfg = cfg.withDefaults()
 	if cfg.N < 0 || cfg.Dim < 1 {
 		panic(fmt.Sprintf("dataset: invalid Markov config N=%d Dim=%d", cfg.N, cfg.Dim))
 	}
@@ -61,12 +52,12 @@ func Markov(cfg MarkovConfig, rng *rand.Rand) [][]float64 {
 	}
 	data := make([][]float64, cfg.N)
 	for i := range data {
-		data[i] = markovVector(cfg, rng)
+		data[i] = markovVector(cfg.Dim, rng)
 	}
 	return data
 }
 
-func markovVector(cfg MarkovConfig, rng *rand.Rand) []float64 {
+func markovVector(dim int, rng *rand.Rand) []float64 {
 	// p1: probability of switching out of Increasing;
 	// p2 = p1 + x: probability of switching out of Decreasing.
 	p1 := rng.Float64() * 0.5
@@ -78,9 +69,9 @@ func markovVector(cfg MarkovConfig, rng *rand.Rand) []float64 {
 		p2 = 1
 	}
 	increasing := rng.Intn(2) == 0
-	value := rng.Float64() * cfg.MaxStart
-	maxStep := rng.Float64() * cfg.MaxStepCeil
-	v := make([]float64, cfg.Dim)
+	value := rng.Float64() * maxStart
+	maxStep := rng.Float64() * maxStepCeil
+	v := make([]float64, dim)
 	for j := range v {
 		step := rng.Float64() * maxStep
 		if increasing {
@@ -110,29 +101,19 @@ type ALOIConfig struct {
 	// 12 gives the paper's 12,000 items at 1,000 objects).
 	Views int
 	// Bins is the color-histogram dimensionality; must be a power of two
-	// for the wavelet hierarchy (default 64).
+	// for the wavelet hierarchy.
 	Bins int
-	// Peaks bounds the number of dominant colors per object (default 4).
-	Peaks int
 }
 
-func (c ALOIConfig) withDefaults() ALOIConfig {
-	if c.Bins == 0 {
-		c.Bins = 64
-	}
-	if c.Peaks == 0 {
-		c.Peaks = 4
-	}
-	return c
-}
+// maxPeaks bounds the number of dominant colors per object.
+const maxPeaks = 4
 
 // ALOI generates Objects*Views color histograms (each row sums to 1) and a
 // parallel label slice giving the object id of each row. Views of an object
 // are perturbations — bin shift (viewing angle), intensity rescale
 // (illumination) and multiplicative noise — of the object's base histogram.
 func ALOI(cfg ALOIConfig, rng *rand.Rand) (data [][]float64, labels []int) {
-	cfg = cfg.withDefaults()
-	if cfg.Objects < 1 || cfg.Views < 1 {
+	if cfg.Objects < 1 || cfg.Views < 1 || cfg.Bins < 1 {
 		panic(fmt.Sprintf("dataset: invalid ALOI config %+v", cfg))
 	}
 	if rng == nil {
@@ -141,7 +122,7 @@ func ALOI(cfg ALOIConfig, rng *rand.Rand) (data [][]float64, labels []int) {
 	data = make([][]float64, 0, cfg.Objects*cfg.Views)
 	labels = make([]int, 0, cfg.Objects*cfg.Views)
 	for obj := 0; obj < cfg.Objects; obj++ {
-		base := baseHistogram(cfg, rng)
+		base := baseHistogram(cfg.Bins, rng)
 		for v := 0; v < cfg.Views; v++ {
 			data = append(data, perturbView(base, rng))
 			labels = append(labels, obj)
@@ -150,14 +131,14 @@ func ALOI(cfg ALOIConfig, rng *rand.Rand) (data [][]float64, labels []int) {
 	return data, labels
 }
 
-// baseHistogram builds an object's signature: a mixture of 2..Peaks Gaussian
-// color peaks over the bins, normalized to unit mass.
-func baseHistogram(cfg ALOIConfig, rng *rand.Rand) []float64 {
-	h := make([]float64, cfg.Bins)
-	peaks := 2 + rng.Intn(cfg.Peaks-1)
+// baseHistogram builds an object's signature: a mixture of 2..maxPeaks
+// Gaussian color peaks over the bins, normalized to unit mass.
+func baseHistogram(bins int, rng *rand.Rand) []float64 {
+	h := make([]float64, bins)
+	peaks := 2 + rng.Intn(maxPeaks-1)
 	for p := 0; p < peaks; p++ {
-		center := rng.Float64() * float64(cfg.Bins)
-		width := 1 + rng.Float64()*float64(cfg.Bins)/8
+		center := rng.Float64() * float64(bins)
+		width := 1 + rng.Float64()*float64(bins)/8
 		weight := 0.2 + rng.Float64()
 		for b := range h {
 			d := (float64(b) - center) / width
@@ -230,13 +211,6 @@ type AssignConfig struct {
 	// Clusters is the number of k-means interest clusters (default
 	// Peers/8+2, so that 8–10 peers per cluster roughly covers the network).
 	Clusters int
-	// MinSpread and MaxSpread bound how many peers share one cluster
-	// (defaults 8 and 10, per §5.1).
-	MinSpread, MaxSpread int
-	// SampleCap bounds the number of items used to fit the k-means
-	// centroids (the full corpus is then assigned to the nearest centroid).
-	// Zero means the default (4,096). Keeps 100k×512 workloads tractable.
-	SampleCap int
 	// KeepClusters, when positive, keeps only the items of that many
 	// clusters — the intentional skew of the Figure 9 experiment
 	// ("we cluster our original data and select only a fixed number of
@@ -244,42 +218,33 @@ type AssignConfig struct {
 	KeepClusters int
 }
 
-func (c AssignConfig) withDefaults() AssignConfig {
-	if c.Clusters == 0 {
-		c.Clusters = c.Peers/8 + 2
-	}
-	if c.MinSpread == 0 {
-		c.MinSpread = 8
-	}
-	if c.MaxSpread == 0 {
-		c.MaxSpread = 10
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 4096
-	}
-	return c
-}
+// Each interest cluster is spread over minSpread..maxSpread peers (§5.1). The
+// k-means centroids are fitted on at most sampleCap items, which keeps
+// 100k×512 workloads tractable; every item then joins its nearest centroid.
+const (
+	minSpread, maxSpread = 8, 10
+	sampleCap            = 4096
+)
 
 // AssignToPeers reproduces §5.1's data placement: k-means the corpus in the
-// original space, then redistribute each cluster among MinSpread..MaxSpread
+// original space, then redistribute each cluster among minSpread..maxSpread
 // randomly chosen peers. Every peer therefore holds items from a limited set
 // of interest clusters, simulating users with focused collections.
 func AssignToPeers(data [][]float64, cfg AssignConfig, rng *rand.Rand) Assignment {
-	cfg = cfg.withDefaults()
+	if cfg.Clusters == 0 {
+		cfg.Clusters = cfg.Peers/8 + 2
+	}
 	if cfg.Peers < 1 {
 		panic("dataset: need at least one peer")
 	}
 	if rng == nil {
 		panic("dataset: rng must be non-nil")
 	}
-	if cfg.MinSpread > cfg.MaxSpread {
-		panic("dataset: MinSpread > MaxSpread")
-	}
 
 	// Fit centroids on a sample, then assign every item.
 	sample := data
-	if len(data) > cfg.SampleCap {
-		sample = make([][]float64, cfg.SampleCap)
+	if len(data) > sampleCap {
+		sample = make([][]float64, sampleCap)
 		perm := rng.Perm(len(data))
 		for i := range sample {
 			sample[i] = data[perm[i]]
@@ -319,7 +284,7 @@ func AssignToPeers(data [][]float64, cfg AssignConfig, rng *rand.Rand) Assignmen
 		if !keep[c] || len(items) == 0 {
 			continue
 		}
-		spread := cfg.MinSpread + rng.Intn(cfg.MaxSpread-cfg.MinSpread+1)
+		spread := minSpread + rng.Intn(maxSpread-minSpread+1)
 		if spread > cfg.Peers {
 			spread = cfg.Peers
 		}

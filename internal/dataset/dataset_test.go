@@ -211,7 +211,6 @@ func TestAssignPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { AssignToPeers(data, AssignConfig{Peers: 0}, rng) },
 		func() { AssignToPeers(data, AssignConfig{Peers: 2}, nil) },
-		func() { AssignToPeers(data, AssignConfig{Peers: 2, MinSpread: 5, MaxSpread: 3}, rng) },
 	} {
 		func() {
 			defer func() {

@@ -41,21 +41,21 @@ type EnergyParams struct {
 	// ArenaSide and Range describe the deployment (§1's conference hall:
 	// 50 m arena, Bluetooth-class 15 m radios by default).
 	ArenaSide, Range float64
-	// MessageBytes is the modeled size of one overlay message (default 256:
-	// a cluster summary or routed item key plus headers).
-	MessageBytes int
-	// HopLatencySeconds is the per-physical-hop latency (default 20 ms).
-	HopLatencySeconds float64
 }
+
+// Every overlay message is modeled as messageBytes (a cluster summary or
+// routed item key plus headers) and every physical hop as hopLatencySeconds.
+const (
+	messageBytes      = 256
+	hopLatencySeconds = 0.02
+)
 
 // DefaultEnergyParams returns a scaled-down energy experiment configuration.
 func DefaultEnergyParams() EnergyParams {
 	return EnergyParams{
-		Params:            DefaultParams(),
-		ArenaSide:         50,
-		Range:             15,
-		MessageBytes:      256,
-		HopLatencySeconds: 0.02,
+		Params:    DefaultParams(),
+		ArenaSide: 50,
+		Range:     15,
 	}
 }
 
@@ -65,12 +65,6 @@ func DefaultEnergyParams() EnergyParams {
 // parallel per-peer publication with the discrete-event engine to obtain
 // makespans.
 func ExtEnergy(p EnergyParams) ([]EnergyRow, error) {
-	if p.MessageBytes == 0 {
-		p.MessageBytes = 256
-	}
-	if p.HopLatencySeconds == 0 {
-		p.HopLatencySeconds = 0.02
-	}
 	phys, err := manet.New(manet.Config{
 		Nodes:     p.Peers,
 		ArenaSide: p.ArenaSide,
@@ -89,7 +83,7 @@ func ExtEnergy(p EnergyParams) ([]EnergyRow, error) {
 	}
 	newObserver := func(acc *account) overlay.Observer {
 		return func(from, to int) {
-			cost := phys.Cost(from, to, p.MessageBytes, manet.DefaultEnergy, p.HopLatencySeconds)
+			cost := phys.Cost(from, to, messageBytes, manet.DefaultEnergy, hopLatencySeconds)
 			acc.msgs++
 			acc.transmissions += cost.PhysHops
 			acc.joules += cost.Joules
@@ -133,7 +127,7 @@ func ExtEnergy(p EnergyParams) ([]EnergyRow, error) {
 		engine.Schedule(0, func() {
 			before := hyperAcc.transmissions
 			sys.PublishPeer(peer)
-			dur := float64(hyperAcc.transmissions-before) * p.HopLatencySeconds
+			dur := float64(hyperAcc.transmissions-before) * hopLatencySeconds
 			engine.Schedule(dur, func() {
 				if engine.Now() > hyperMakespan {
 					hyperMakespan = engine.Now()
@@ -165,7 +159,7 @@ func ExtEnergy(p EnergyParams) ([]EnergyRow, error) {
 			for _, id := range ids {
 				cn.InsertSphere(peer, overlay.Entry{Key: m.key(data[id]), Payload: id})
 			}
-			dur := float64(canAcc.transmissions-before) * p.HopLatencySeconds
+			dur := float64(canAcc.transmissions-before) * hopLatencySeconds
 			canEngine.Schedule(dur, func() {
 				if canEngine.Now() > canMakespan {
 					canMakespan = canEngine.Now()

@@ -37,17 +37,11 @@ type Config struct {
 	ArenaSide float64
 	// Range is the radio range in meters (Bluetooth class 2 ≈ 10 m).
 	Range float64
-	// MaxPlacementTries bounds the rejection sampling used to find a
-	// connected placement. Zero means the default (200).
-	MaxPlacementTries int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxPlacementTries == 0 {
-		c.MaxPlacementTries = 200
-	}
-	return c
-}
+// maxPlacementTries bounds the rejection sampling used to find a connected
+// placement.
+const maxPlacementTries = 200
 
 // DefaultEnergy is a Bluetooth-class energy model: roughly 100 nJ/byte to
 // transmit, 50 nJ/byte to receive, plus fixed per-message radio wake costs.
@@ -87,7 +81,7 @@ type Network struct {
 }
 
 // ErrDisconnected is returned by New when no connected placement was found
-// within the configured number of tries.
+// within maxPlacementTries.
 type ErrDisconnected struct{ Tries int }
 
 func (e ErrDisconnected) Error() string {
@@ -98,7 +92,6 @@ func (e ErrDisconnected) Error() string {
 // until the disk graph is connected, and precomputes all-pairs physical hop
 // counts. All randomness comes from rng.
 func New(cfg Config, rng *rand.Rand) (*Network, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("manet: need at least 1 node, got %d", cfg.Nodes)
 	}
@@ -108,7 +101,7 @@ func New(cfg Config, rng *rand.Rand) (*Network, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("manet: rng must be non-nil")
 	}
-	for try := 0; try < cfg.MaxPlacementTries; try++ {
+	for try := 0; try < maxPlacementTries; try++ {
 		pos := make([]Position, cfg.Nodes)
 		for i := range pos {
 			pos[i] = Position{X: rng.Float64() * cfg.ArenaSide, Y: rng.Float64() * cfg.ArenaSide}
@@ -120,7 +113,7 @@ func New(cfg Config, rng *rand.Rand) (*Network, error) {
 			return n, nil
 		}
 	}
-	return nil, ErrDisconnected{Tries: cfg.MaxPlacementTries}
+	return nil, ErrDisconnected{Tries: maxPlacementTries}
 }
 
 func (n *Network) buildAdjacency() {

@@ -86,7 +86,7 @@ func TestSingleNode(t *testing.T) {
 func TestDisconnectedError(t *testing.T) {
 	// 2 nodes in a huge arena with tiny range: connection is effectively
 	// impossible, New must give up with ErrDisconnected.
-	_, err := New(Config{Nodes: 2, ArenaSide: 1e6, Range: 0.001, MaxPlacementTries: 5},
+	_, err := New(Config{Nodes: 2, ArenaSide: 1e6, Range: 0.001},
 		rand.New(rand.NewSource(1)))
 	if err == nil {
 		t.Fatal("expected error for impossible placement")

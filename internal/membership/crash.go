@@ -122,7 +122,8 @@ func (m *Manager) handlePing(req PingReq) ([]byte, error) {
 }
 
 // noteProbe feeds one probe outcome into the failure detector. A remote
-// (application-level) error still proves the peer alive. FailAfter
+// (application-level) error still proves the peer alive, and so does a
+// self-report that fails checkDims (the previous one is kept). FailAfter
 // consecutive failures declare the peer dead and trigger the takeover.
 func (m *Manager) noteProbe(id int, tables []LevelTable, err error) {
 	var re *transport.RemoteError
@@ -134,7 +135,7 @@ func (m *Manager) noteProbe(id int, tables []LevelTable, err error) {
 	}
 	if alive {
 		m.fails[id] = 0
-		if err == nil {
+		if err == nil && m.tablesFitLocked(tables) {
 			// Probing doubles as churn observation: a neighbor whose
 			// self-report changed since the last round mutated (someone
 			// joined, left, or crashed near it), so any view cached from it
@@ -162,6 +163,17 @@ func (m *Manager) noteProbe(id int, tables []LevelTable, err error) {
 	m.mu.Unlock()
 	m.sendAll(outs)
 	go m.runRecoveries(plans)
+}
+
+// tablesFitLocked reports whether every level of a self-report passes
+// checkDims: the crash election annexes its zones and adopts its neighbors.
+func (m *Manager) tablesFitLocked(tables []LevelTable) bool {
+	for l := 0; l < len(m.levels) && l < len(tables); l++ {
+		if checkDims(&m.levels[l], append(tableZones(tables[l].Neighbors), tables[l].Zones...)) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // declareDeadLocked runs the crash takeover for peer c: per level, elect

@@ -47,7 +47,7 @@ func (m *Manager) Join(ctx context.Context, bootstrap string, points [][]float64
 			}
 			grant, err := decodeJoinGrant(resp)
 			if err == nil {
-				m.installGrant(l, grant)
+				err = m.installGrant(l, grant, len(p))
 			}
 			return false, err
 		})
@@ -58,7 +58,12 @@ func (m *Manager) Join(ctx context.Context, bootstrap string, points [][]float64
 	return nil
 }
 
-func (m *Manager) installGrant(level int, g JoinGrant) {
+// installGrant takes the joiner's state at level from the owner's grant,
+// refused unless it is all of the join point's dimension (CheckView).
+func (m *Manager) installGrant(level int, g JoinGrant, dim int) error {
+	if err := CheckView(dim, g.Zones, g.Neighbors, g.Owned, g.Replicas); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	ls := &m.levels[level]
 	ls.Zones = g.Zones
@@ -76,6 +81,7 @@ func (m *Manager) installGrant(level int, g JoinGrant) {
 	}
 	m.bumpLocked(level)
 	m.mu.Unlock()
+	return nil
 }
 
 // handleJoin serves m.join as the owner: split the zone containing the

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyperm/internal/core"
 	"hyperm/internal/route"
 )
 
@@ -429,19 +430,37 @@ func (m *Manager) apply(level int, zones []route.Zone, fn func(ls *LevelState) (
 }
 
 // checkDims refuses zones that are not boxes of the level's dimension — that
-// of this node's own zones there; a point is checked as a zone of no extent.
-// The adjacency, merge and containment geometry index both operands by the
-// same coordinates, so a short zone from a peer would panic it and a long one
-// would install a zone of another space. A level where this node holds no
-// zone has nothing to check against, and nothing for a zone to adjoin.
+// of this node's own zones there (CheckView); a point is checked as a zone of
+// no extent. A level where this node holds no zone has nothing to check
+// against, and nothing for a zone to adjoin.
 func checkDims(ls *LevelState, zones []route.Zone) error {
 	if len(ls.Zones) == 0 {
 		return nil
 	}
-	dim := len(ls.Zones[0].Lo)
+	return CheckView(len(ls.Zones[0].Lo), zones, nil)
+}
+
+// CheckView refuses what a peer says about a level of dimension dim unless
+// every zone, neighbor zone, record key and record center in it has dim
+// coordinates. The geometry that routes, floods, merges and scores indexes
+// both operands by the same coordinates, so a vector of another length
+// either panics it or brings a zone of another space into play.
+func CheckView(dim int, zones []route.Zone, nbs []Neighbor, recs ...[]route.RecordView) error {
+	for _, nb := range nbs {
+		if err := CheckView(dim, nb.Zones, nil); err != nil {
+			return err
+		}
+	}
 	for _, z := range zones {
 		if len(z.Lo) != dim || len(z.Hi) != dim {
 			return fmt.Errorf("membership: a zone of %d/%d coordinates at a level of dimension %d", len(z.Lo), len(z.Hi), dim)
+		}
+	}
+	for _, rs := range recs {
+		for _, r := range rs {
+			if ref, _ := r.Entry.Payload.(core.ClusterRef); len(r.Entry.Key) != dim || len(ref.Center) != dim {
+				return fmt.Errorf("membership: a record of %d/%d key/center coordinates at a level of dimension %d", len(r.Entry.Key), len(ref.Center), dim)
+			}
 		}
 	}
 	return nil

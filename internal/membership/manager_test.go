@@ -32,6 +32,8 @@ type fakeFabric struct {
 	delay map[string]bool
 	// tap, when set, sees every call before it is delivered.
 	tap func(addr, method string, body []byte)
+	// respond, when set, rewrites every response before the caller sees it.
+	respond func(method string, resp []byte) []byte
 }
 
 func newFakeFabric() *fakeFabric {
@@ -65,6 +67,9 @@ func (f *fakeFabric) Call(ctx context.Context, addr, method string, body []byte)
 		// Mirror the real transport: handler refusals arrive as remote
 		// errors carrying the machine-readable detail token.
 		return nil, &transport.RemoteError{Msg: err.Error(), Detail: transport.ErrorDetail(err)}
+	}
+	if f.respond != nil {
+		resp = f.respond(method, resp)
 	}
 	return resp, nil
 }
@@ -506,6 +511,97 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 			if got := m.View(0); !reflect.DeepEqual(got, e.ls) || m.Epoch(0) != epoch || m.IsDead(e.nb.ID) {
 				t.Fatalf("refusal moved the level: epoch %d -> %d, dead(%d) %v\n before %+v\n after  %+v",
 					epoch, m.Epoch(0), e.nb.ID, m.IsDead(e.nb.ID), e.ls, got)
+			}
+		})
+	}
+
+	// What node 0 hears back as a caller: a probed neighbor's self-report, and
+	// an owner's grant to a joiner. A bad self-report is dropped and the
+	// previous one kept, the peer still alive — so when it then crashes, its
+	// detector elects from the last good report and annexes no zone of another
+	// space. A bad grant fails the join and leaves the joiner empty.
+	plusShort := func(zs []route.Zone) []route.Zone { return append(cloneZones(zs), short) }
+	for _, row := range []struct {
+		name  string
+		spoil func(tables []LevelTable)
+	}{
+		{"ping/self-report-zone-short", func(tables []LevelTable) { tables[0].Zones = plusShort(tables[0].Zones) }},
+		{"ping/self-report-neighbor-ragged", func(tables []LevelTable) {
+			tables[0].Neighbors = append(cloneNeighbors(tables[0].Neighbors), Neighbor{ID: 9, Addr: testAddr(9), Zones: []route.Zone{ragged}})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			_, f, mgrs := buildPair(t, 3, 4, 2, 12, Options{})
+			m, nb := mgrs[0], mgrs[0].View(0).Neighbors[0]
+			probe := func() []LevelTable {
+				resp, err := f.Call(context.Background(), nb.Addr, MethodPing, encodePingReq(PingReq{From: 0, Addr: testAddr(0)}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables, err := decodePingResp(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tables
+			}
+			m.noteProbe(nb.ID, probe(), nil)
+			good, epoch := m.Table(nb.ID), m.Epoch(0)
+			bad := probe()
+			row.spoil(bad)
+			m.noteProbe(nb.ID, bad, nil)
+			if !reflect.DeepEqual(m.Table(nb.ID), good) || m.Epoch(0) != epoch || m.IsDead(nb.ID) {
+				t.Fatalf("a bad self-report was taken: table %+v, epoch %d -> %d, dead %v", m.Table(nb.ID), epoch, m.Epoch(0), m.IsDead(nb.ID))
+			}
+			f.crash(nb.Addr)
+			for i := 0; i < 3; i++ {
+				m.noteProbe(nb.ID, nil, transport.ErrUnavailable)
+			}
+			waitIdle(t, f)
+			if !m.IsDead(nb.ID) {
+				t.Fatal("the crashed peer was not declared dead")
+			}
+			for _, z := range m.View(0).Zones {
+				if len(z.Lo) != 2 || len(z.Hi) != 2 {
+					t.Fatalf("the takeover annexed %v at a 2-d level", z)
+				}
+			}
+		})
+	}
+	for _, row := range []struct {
+		name  string
+		spoil func(g *JoinGrant)
+	}{
+		{"join/grant-zone-short", func(g *JoinGrant) { g.Zones = plusShort(g.Zones) }},
+		{"join/grant-neighbor-short", func(g *JoinGrant) {
+			g.Neighbors = append(g.Neighbors, Neighbor{ID: 9, Addr: testAddr(9), Zones: []route.Zone{short}})
+		}},
+		{"join/grant-key-short", func(g *JoinGrant) { g.Owned = append(g.Owned, shortKey) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			_, f, mgrs := buildPair(t, 3, 4, 2, 12, Options{})
+			f.respond = func(method string, resp []byte) []byte {
+				if method != MethodJoin {
+					return resp
+				}
+				g, err := decodeJoinGrant(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row.spoil(&g)
+				if resp, err = encodeJoinGrant(g); err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			j := NewManager(4, 5, []LevelState{{}}, f, Options{})
+			j.SetSelfAddr(testAddr(4))
+			f.add(testAddr(4), j)
+			point := zoneCenter(mgrs[1].View(0).Zones[0])
+			if err := j.Join(context.Background(), testAddr(1), [][]float64{point}); err == nil {
+				t.Error("the joiner installed a grant of the wrong dimension")
+			}
+			if ls := j.View(0); len(ls.Zones)+len(ls.Neighbors)+len(ls.Owned)+len(ls.Replicas) != 0 || j.Epoch(0) != 0 {
+				t.Fatalf("a refused grant moved the joiner: %+v, epoch %d", ls, j.Epoch(0))
 			}
 		})
 	}

@@ -32,10 +32,8 @@ type Cluster struct {
 // every node. On error, already-started nodes are stopped. Membership RPCs
 // are always served; a positive mopts.ProbeInterval also turns every node
 // into a live failure detector that takes over crashed neighbors' zones and
-// republishes their records. tuning sets the lookup coordinator (α, level
-// fanout, fetch fanout — see Tuning): the zero Tuning means the defaults;
-// Tuning{Alpha: 1, LevelFanout: 1, FetchFanout: 1} is the fully serial
-// coordinator.
+// republishes their records. tuning sets every node's caches and publish path
+// (see Tuning).
 func StartClusterTuned(sys *core.System, tr transport.Transport, listen func(peer int) string, retry transport.Policy, mopts membership.Options, tuning Tuning) (*Cluster, error) {
 	snaps, err := ExtractAll(sys)
 	if err != nil {

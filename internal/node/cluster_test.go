@@ -104,8 +104,8 @@ func oracleTunings() []struct {
 		name   string
 		tuning node.Tuning
 	}{
-		{name: "alpha=1", tuning: node.Tuning{Alpha: 1, LevelFanout: 1, FetchFanout: 1}},
-		{name: "alpha=3", tuning: node.Tuning{Alpha: 3}},
+		{name: "alpha=1", tuning: node.SerialTuning(node.Tuning{})},
+		{name: "alpha=3", tuning: node.Tuning{}},
 	}
 }
 

@@ -35,7 +35,11 @@ func (n *Node) fetchViewAddr(ctx context.Context, addr string, level int, key []
 	if err != nil {
 		return searchView{}, fmt.Errorf("node: can_search %s: %w", addr, err)
 	}
-	return decodeSearchSlot(views[0])
+	sv, err := decodeSearchSlot(views[0])
+	if err == nil {
+		err = checkView(level, sv)
+	}
+	return sv, err
 }
 
 // RouteOwner greedily routes from the bootstrap address to the owner of key

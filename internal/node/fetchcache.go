@@ -165,7 +165,7 @@ type fetchMiss struct {
 // allocation per peer. Values are stored decoded; the engine only reads fetch
 // results, so the cached slice is shared safely. What is left — the peers with
 // nothing resident, this node's own store scan — fans out with at most
-// Tuning.FetchFanout in flight; with caching off that is every peer.
+// fetchFanout in flight; with caching off that is every peer.
 func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
 	out := make([]T, len(peers))
 	var misses []fetchMiss
@@ -208,7 +208,7 @@ func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []in
 		return out, nil
 	}
 	errs := make([]error, len(peers))
-	fanOut(len(misses), n.tuning.FetchFanout, func(j int) {
+	fanOut(len(misses), n.tuning.fan(fetchFanout), func(j int) {
 		m := misses[j]
 		out[m.slot], errs[m.slot] = fetchOne(ctx, n, kind, peers[m.slot], q, m.tail, m.gen, sig)
 	})

@@ -33,35 +33,25 @@ type Config struct {
 	// Membership tunes the live membership protocol. The zero value serves
 	// join/leave/handoff RPCs but runs no liveness probes (static clusters).
 	Membership membership.Options
-	// Tuning configures the parallel lookup coordinator. The zero value
-	// enables the defaults (α=3, all levels pipelined); see Tuning.
+	// Tuning switches the coordinator's caches and streaming publish; the zero
+	// value is the uncached reference. See Tuning.
 	Tuning Tuning
 }
 
-// DefaultAlpha is the number of concurrent can_search probes a lookup keeps
-// in flight per flood step (Kademlia's α).
-const DefaultAlpha = 3
+// The coordinator's concurrency, each measured against serial in
+// EXPERIMENTS.md "Leave-one-out: the coordinator's concurrency knobs". None of
+// it reaches an answer (route.RunAlpha, core.Engine.SetParallelism, fetchAll).
+const (
+	lookupAlpha = 3 // can_search probes in flight per flood step (Kademlia's α)
+	levelFanout = 8 // level searches at once: effectively all levels
+	fetchFanout = 8 // phase-two fetches in flight, the coordinator's own scan included
+)
 
-// Tuning bounds the coordinator's parallelism and caching. Every knob
-// preserves byte-identical answers (the concurrency never reaches the result
-// — see route.RunAlpha, core.Engine.SetParallelism and fetchAll — and a
-// memoized lookup is reused only within the churn epoch it ran under, see
-// internal/viewcache); they only trade memory and in-flight RPCs for latency.
-// Zero values mean defaults; use a negative or 1 value for strictly serial
-// behavior. Caching is off by default — the zero Tuning is still the frozen
-// uncached reference.
+// Tuning switches the coordinator's caching and the publish path. Caching
+// preserves byte-identical answers (a memoized lookup is reused only within
+// the churn epoch it ran under, see internal/viewcache); it only trades
+// memory for latency. The zero Tuning is the frozen uncached reference.
 type Tuning struct {
-	// Alpha is the number of concurrent can_search probes per flood step.
-	// 0 → DefaultAlpha; <= 1 → serial.
-	Alpha int
-	// LevelFanout is how many per-level overlay searches run at once.
-	// 0 → 8 (effectively all levels); <= 1 → serial.
-	LevelFanout int
-	// FetchFanout is how many phase-two fetch RPCs (and the coordinator's own
-	// store scan) are in flight at once. Answers resident in the coordinator's
-	// fetch memo are read on the query's own goroutine before anything fans
-	// out and do not count. 0 → 8; <= 1 → serial.
-	FetchFanout int
 	// CacheViews switches on the coordinator's caches: the answer memo of
 	// whole range and k-nn answers and the whole-lookup memo under it, both
 	// keyed on the churn epoch (fetchcache.go, search.go; both off again
@@ -78,22 +68,20 @@ type Tuning struct {
 	// Changes the answer by design (fresher summaries), byte-identically to
 	// the simulator's StreamInsert oracle.
 	StreamPublish bool
-	// ReclusterEvery forwards to core.StreamTuning (0 → kernel default).
-	// Only meaningful with StreamPublish.
+	// ReclusterEvery forwards to core.StreamTuning: re-cluster after this many
+	// streamed inserts, 0 never. Only meaningful with StreamPublish.
 	ReclusterEvery int
+	// serial runs the coordinator one RPC at a time (every fan-out 1): the
+	// reference the tests count exact RPCs against.
+	serial bool
 }
 
-func (t Tuning) withDefaults() Tuning {
-	if t.Alpha == 0 {
-		t.Alpha = DefaultAlpha
+// fan is n, or 1 for the serial coordinator.
+func (t Tuning) fan(n int) int {
+	if t.serial {
+		return 1
 	}
-	if t.LevelFanout == 0 {
-		t.LevelFanout = 8
-	}
-	if t.FetchFanout == 0 {
-		t.FetchFanout = 8
-	}
-	return t
+	return n
 }
 
 // Node hosts one peer: its items, published summaries, and per-level CAN
@@ -215,7 +203,7 @@ func New(cfg Config) (*Node, error) {
 		store:     st,
 		published: snap.Published,
 		pubSeqs:   snap.PubSeqs,
-		tuning:    cfg.Tuning.withDefaults(),
+		tuning:    cfg.Tuning,
 	}
 	if n.tuning.StreamPublish {
 		n.mappers = core.BuildKeyMappers(snap.Bounds)
@@ -231,7 +219,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	// The RPC backend is safe for concurrent calls, so the engine can pipeline
 	// the per-level searches; the phase-two fan-out is the backend's own.
-	engine.SetParallelism(n.tuning.LevelFanout)
+	engine.SetParallelism(n.tuning.fan(levelFanout))
 	n.engine = engine
 	if n.tuning.CacheViews && !n.tuning.StreamPublish {
 		n.memo = viewcache.New(snap.Config.Levels, viewcache.Options{Counters: &n.counters})

@@ -121,6 +121,9 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 		raw = views[0]
 	}
 	sv, err := decodeSearchSlot(raw)
+	if err == nil {
+		err = checkView(sp.Level, sv)
+	}
 	if err != nil {
 		return route.NodeView{}, err
 	}

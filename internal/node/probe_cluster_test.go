@@ -77,7 +77,7 @@ func searchRPCs(nd *node.Node) (sent, required float64) {
 func TestProbeTableDifferential(t *testing.T) {
 	p := probeParams()
 	sys, cl, client := startProbeDeployment(t, node.Tuning{})
-	_, serialCl, serialClient := startProbeDeployment(t, node.Tuning{Alpha: 1, LevelFanout: 1})
+	_, serialCl, serialClient := startProbeDeployment(t, node.SerialTuning(node.Tuning{}))
 	ctx := context.Background()
 	items := corpus(sys, p.Peers)
 	var hops int
@@ -182,7 +182,7 @@ func TestColdLookupRPCBudget(t *testing.T) {
 		sent, _ := searchRPCs(cl.Nodes[0])
 		return sent / numQueries
 	}
-	perQuery := coldCost(node.Tuning{Alpha: 1, LevelFanout: 1})
+	perQuery := coldCost(node.SerialTuning(node.Tuning{}))
 	t.Logf("%.1f coordinator RPCs per cold query", perQuery)
 	if perQuery > 65 {
 		t.Errorf("coordinator spent %.1f RPCs per cold query, budget 65: its levels no longer share probes", perQuery)
@@ -190,7 +190,7 @@ func TestColdLookupRPCBudget(t *testing.T) {
 	if perQuery < 40 {
 		t.Errorf("coordinator spent only %.1f RPCs per cold query — topology too small to exercise the Θ(N) cost", perQuery)
 	}
-	if cached := coldCost(node.Tuning{Alpha: 1, LevelFanout: 1, CacheViews: true}); cached > perQuery {
+	if cached := coldCost(node.SerialTuning(node.Tuning{CacheViews: true})); cached > perQuery {
 		t.Errorf("a first-touch query cost %.1f coordinator RPCs with caches on, %.1f with them off", cached, perQuery)
 	}
 }
@@ -203,7 +203,7 @@ func TestColdLookupRPCBudget(t *testing.T) {
 // has to ask again. The answers still match the oracle, hop for hop.
 func TestProbeRequiredFallbackOnRoute(t *testing.T) {
 	p := probeParams()
-	sys, cl, client := startProbeDeployment(t, node.Tuning{Alpha: 1, LevelFanout: 1, FetchFanout: 1})
+	sys, cl, client := startProbeDeployment(t, node.SerialTuning(node.Tuning{}))
 	ctx := context.Background()
 	items := corpus(sys, p.Peers)
 	var required, sent float64

@@ -8,9 +8,11 @@ import (
 	"slices"
 
 	"hyperm/internal/core"
+	"hyperm/internal/membership"
 	"hyperm/internal/overlay"
 	"hyperm/internal/route"
 	"hyperm/internal/transport"
+	"hyperm/internal/wavelet"
 )
 
 // This file adapts the routing core (internal/route) to the serving runtime.
@@ -84,6 +86,13 @@ func (n *Node) callSearchAddr(ctx context.Context, addr string, body []byte, wan
 	return views, err
 }
 
+// checkView refuses a peer's view of level unless it is all of the level's
+// dimension (membership.CheckView): before a route machine or the engine sees
+// a view, so a hostile one fails the query instead of panicking the node.
+func checkView(level int, v searchView) error {
+	return membership.CheckView(wavelet.SubspaceDim(level), v.Zones, v.Neighbors, v.Owned, v.Replicas)
+}
+
 // hopLimit mirrors the simulator's routing bound (8*nodes+16) using the
 // cluster size as this node currently knows it (grown by joins it hears of).
 func (n *Node) hopLimit() int { return 8*n.mgr.Size() + 16 }
@@ -141,7 +150,7 @@ func (n *Node) runSearch(src route.ViewSource, level int, key []float64, radius 
 		return nil, 0, err
 	}
 	s := route.NewSearch(start, key, radius, n.hopLimit())
-	entries, hops, err := route.RunAlpha(s, src, n.tuning.Alpha)
+	entries, hops, err := route.RunAlpha(s, src, n.tuning.fan(lookupAlpha))
 	if err != nil {
 		return nil, hops, fmt.Errorf("node: level %d search at %v: %w", level, key, err)
 	}

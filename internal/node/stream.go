@@ -154,8 +154,12 @@ func (n *Node) applyRec(ctx context.Context, d core.StreamDelta, id int, asOwner
 		return route.NodeView{}, err
 	}
 	v, err := membership.DecodeStoreRecResp(resp.Body)
+	sv := searchView{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors}
+	if err == nil {
+		err = checkView(d.Level, sv)
+	}
 	if err != nil {
 		return route.NodeView{}, err
 	}
-	return n.toNodeView(searchView{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors}), nil
+	return n.toNodeView(sv), nil
 }

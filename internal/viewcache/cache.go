@@ -21,14 +21,16 @@ import (
 	"hyperm/internal/sim"
 )
 
-// Options tunes one cache. The zero value gets defaults from New.
+// Per level, the view LRU holds at most viewCapacity views and the lookup
+// memo (GetSearch/PutSearch) at most memoCapacity searches, the least
+// recently used evicted beyond them.
+const (
+	viewCapacity = 1024
+	memoCapacity = 4096
+)
+
+// Options tunes one cache. The zero value is ready.
 type Options struct {
-	// Capacity bounds the number of views per level (LRU eviction beyond
-	// it). Default 1024.
-	Capacity int
-	// PathCapacity bounds the per-level lookup memo (GetSearch/PutSearch),
-	// LRU-evicted beyond it. Default 4096.
-	PathCapacity int
 	// Counters receives the cache telemetry ("cache.path_hit",
 	// "cache.path_miss", "cache.path_evict" for the memo; "cache.hit",
 	// "cache.miss", "cache.stale", "cache.evict" for the view LRU).
@@ -59,7 +61,8 @@ type levelCache struct {
 
 // Cache is a per-node, per-level lookup memo. Safe for concurrent use.
 type Cache struct {
-	opts Options
+	opts             Options
+	viewCap, memoCap int // viewCapacity and memoCapacity; tests shrink them
 
 	mu     sync.Mutex
 	levels []levelCache
@@ -67,13 +70,7 @@ type Cache struct {
 
 // New builds a cache with one slot set per CAN level.
 func New(levels int, opts Options) *Cache {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 1024
-	}
-	if opts.PathCapacity <= 0 {
-		opts.PathCapacity = 4096
-	}
-	c := &Cache{opts: opts, levels: make([]levelCache, levels)}
+	c := &Cache{opts: opts, viewCap: viewCapacity, memoCap: memoCapacity, levels: make([]levelCache, levels)}
 	c.Clear()
 	return c
 }
@@ -149,7 +146,7 @@ func (c *Cache) PutSearch(level int, key []byte, entries []overlay.Entry, hops i
 	m := &memoEntry{key: string(key), entries: entries, hops: hops, epoch: epoch}
 	m.lruElem = lc.memoLRU.PushFront(m)
 	lc.memo[m.key] = m
-	for lc.memoLRU.Len() > c.opts.PathCapacity {
+	for lc.memoLRU.Len() > c.memoCap {
 		victim := lc.memoLRU.Back().Value.(*memoEntry)
 		lc.removeMemo(victim)
 		c.count("cache.path_evict")
@@ -221,7 +218,7 @@ func (c *Cache) Put(level, id int, v View, epoch uint64) {
 	e := &entry{id: id, view: v, epoch: epoch}
 	e.lruElem = lc.lru.PushFront(e)
 	lc.entries[id] = e
-	for lc.lru.Len() > c.opts.Capacity {
+	for lc.lru.Len() > c.viewCap {
 		victim := lc.lru.Back().Value.(*entry)
 		lc.remove(victim)
 		c.count("cache.evict")

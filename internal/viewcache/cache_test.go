@@ -10,13 +10,20 @@ import (
 	"hyperm/internal/sim"
 )
 
+// capped is a cache whose levels hold views views and memos lookups.
+func capped(levels, views, memos int, ctr *sim.Counters) *Cache {
+	c := New(levels, Options{Counters: ctr})
+	c.viewCap, c.memoCap = views, memos
+	return c
+}
+
 func view(id int, version uint64) View {
 	return View{NodeView: route.NodeView{ID: id}, Version: version}
 }
 
 func TestHitStale(t *testing.T) {
 	var ctr sim.Counters
-	c := New(2, Options{Capacity: 8, Counters: &ctr})
+	c := New(2, Options{Counters: &ctr})
 
 	if _, out, _ := c.Get(0, 3, 0); out != Miss {
 		t.Fatalf("empty cache: outcome %v, want Miss", out)
@@ -46,7 +53,7 @@ func TestHitStale(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	var ctr sim.Counters
-	c := New(1, Options{Capacity: 2, Counters: &ctr})
+	c := capped(1, 2, memoCapacity, &ctr)
 	c.Put(0, 1, view(1, 0), 0)
 	c.Put(0, 2, view(2, 0), 0)
 	c.Get(0, 1, 0) // touch 1: now 2 is the LRU victim
@@ -65,7 +72,7 @@ func TestLRUEviction(t *testing.T) {
 
 	// Churn well beyond capacity: exactly the most recent entries remain, the
 	// older ones evicted least-recent-first.
-	c = New(1, Options{Capacity: 3, Counters: &ctr})
+	c = capped(1, 3, memoCapacity, &ctr)
 	for id := 0; id < 20; id++ {
 		c.Put(0, id, view(id, 1), 0)
 	}
@@ -84,7 +91,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(2, Options{Capacity: 16})
+	c := capped(2, 16, memoCapacity, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -119,8 +126,8 @@ func TestCapacityDefaults(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		c.Put(0, i, view(i, 0), 0)
 	}
-	if n := len(c.levels[0].entries); n != 1024 {
-		t.Fatalf("default capacity held %d entries, want 1024", n)
+	if n := len(c.levels[0].entries); n != viewCapacity {
+		t.Fatalf("default capacity held %d entries, want %d", n, viewCapacity)
 	}
 }
 
@@ -140,7 +147,7 @@ func TestOutcomeString(t *testing.T) {
 // again), and the memo is LRU-bounded.
 func TestLookupMemoIsEpochKeyed(t *testing.T) {
 	var ctr sim.Counters
-	c := New(2, Options{PathCapacity: 2, Counters: &ctr})
+	c := capped(2, viewCapacity, 2, &ctr)
 	want := []overlay.Entry{{Key: []float64{0.5}, Radius: 0.1}}
 	c.PutSearch(0, []byte("q"), want, 7, 3)
 	got, hops, ok := c.GetSearch(0, []byte("q"), 3)
@@ -173,7 +180,7 @@ func TestLookupMemoIsEpochKeyed(t *testing.T) {
 // TestClear returns the cache to the cold-start state: views and lookup memos
 // all gone, across every level.
 func TestClear(t *testing.T) {
-	c := New(2, Options{Capacity: 8})
+	c := New(2, Options{})
 	c.Put(0, 1, view(1, 1), 0)
 	c.Put(1, 2, view(2, 1), 0)
 	c.PutSearch(0, []byte("q"), nil, 4, 0)
