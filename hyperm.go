@@ -51,14 +51,17 @@ type Options struct {
 	// Seed drives every random choice; equal seeds give identical networks.
 	Seed int64
 	// Parallelism bounds the worker goroutines used for the per-peer
-	// publication math (wavelet decomposition and clustering). 0 uses all
-	// cores, 1 forces serial execution. The published network is
-	// byte-identical for every setting — parallelism changes wall-clock
-	// time only, never results.
+	// publication math (wavelet decomposition and clustering) and, within
+	// one query, for its per-level overlay searches and its peer store
+	// scans. 0 uses all cores, 1 forces serial execution. The published
+	// network and every answer are byte-identical for every setting —
+	// parallelism changes wall-clock time only, never results.
 	Parallelism int
 }
 
-// Network is a simulated Hyper-M deployment.
+// Network is a simulated Hyper-M deployment. It is not safe for concurrent
+// use: one call at a time, though a single Publish, Range or KNN call may
+// use several cores (Options.Parallelism).
 type Network struct {
 	sys       *core.System
 	opts      Options
@@ -179,7 +182,7 @@ func (n *Network) AddItems(peer int, ids []int, vectors [][]float64) error {
 
 // Publish runs the Hyper-M insertion pipeline (Fig 2) for every peer:
 // wavelet decomposition, per-level k-means, and overlay insertion of the
-// cluster summaries.
+// cluster summaries. The key-space bounds come from the same decompositions.
 func (n *Network) Publish() (PublishReport, error) {
 	if n.published {
 		return PublishReport{}, fmt.Errorf("hyperm: already published")
@@ -187,7 +190,6 @@ func (n *Network) Publish() (PublishReport, error) {
 	if n.sys.TotalItems() == 0 {
 		return PublishReport{}, fmt.Errorf("hyperm: no items added")
 	}
-	n.sys.DeriveBounds()
 	st := n.sys.PublishAll()
 	n.published = true
 	return PublishReport{

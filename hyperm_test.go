@@ -2,7 +2,9 @@ package hyperm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,6 +14,16 @@ import (
 // buildNet creates a small published network over ALOI-like data and returns
 // it with the corpus.
 func buildNet(t testing.TB) (*Network, [][]float64) {
+	t.Helper()
+	net, data := unpublishedNet(t)
+	if _, err := net.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	return net, data
+}
+
+// unpublishedNet is buildNet before its Publish.
+func unpublishedNet(t testing.TB) (*Network, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	data, labels := dataset.ALOI(dataset.ALOIConfig{Objects: 30, Views: 8, Bins: 32}, rng)
@@ -23,9 +35,6 @@ func buildNet(t testing.TB) (*Network, [][]float64) {
 		if err := net.AddItems(labels[i]%10, []int{i}, [][]float64{x}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := net.Publish(); err != nil {
-		t.Fatal(err)
 	}
 	return net, data
 }
@@ -187,6 +196,44 @@ func TestPublishReport(t *testing.T) {
 		t.Error("empty report HopsPerItem should be 0")
 	}
 	_ = net
+}
+
+// Publish decomposes each item once, reading the key-space bounds off the
+// decompositions it clusters; the network must be bit for bit the one that
+// DeriveBounds followed by PublishAll builds on the same seed.
+func TestPublishDerivesBoundsFromItsDecompositions(t *testing.T) {
+	net, data := unpublishedNet(t)
+	rep, err := net.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := unpublishedNet(t)
+	ref.sys.DeriveBounds()
+	st := ref.sys.PublishAll()
+	ref.published = true
+
+	got, want := net.sys.Bounds(), ref.sys.Bounds()
+	if len(got) != len(want) {
+		t.Fatalf("%d levels of bounds, want %d", len(got), len(want))
+	}
+	for l := range want {
+		if math.Float64bits(got[l].Lo) != math.Float64bits(want[l].Lo) || math.Float64bits(got[l].Hi) != math.Float64bits(want[l].Hi) {
+			t.Fatalf("level %d bounds %v, DeriveBounds gave %v", l, got[l], want[l])
+		}
+	}
+	if rep.Clusters != st.ClustersPublished || rep.OverlayHops != st.Hops || !reflect.DeepEqual(rep.HopsPerLevel, st.HopsPerLevel) {
+		t.Fatalf("report %+v, DeriveBounds + PublishAll %+v", rep, st)
+	}
+	for p := 0; p < net.Peers(); p++ {
+		if !reflect.DeepEqual(net.sys.PublishedAll(p), ref.sys.PublishedAll(p)) || !reflect.DeepEqual(net.sys.PublishedSeqs(p), ref.sys.PublishedSeqs(p)) {
+			t.Fatalf("peer %d published different summaries", p)
+		}
+	}
+	a, errA := net.Range(0, data[3], 0.1)
+	b, errB := ref.Range(0, data[3], 0.1)
+	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+		t.Fatalf("range answers differ: %+v vs %+v", a, b)
+	}
 }
 
 func TestDeterminism(t *testing.T) {

@@ -46,6 +46,12 @@ func (a Aggregation) String() string {
 // dimensionality of that level's subspace, peers the network size. Hyper-M
 // is overlay-agnostic (§5): the CAN factory is the paper's configuration,
 // the ring factory exercises the independence claim.
+//
+// Overlays of different levels must share no mutable state: one query
+// searches its levels concurrently (Config.Parallelism), each on its own
+// overlay. An Observer or a loss FailRng shared across levels is a bug in
+// the factory; ExtEnergy's shared observer is sound only because that
+// experiment publishes and never queries.
 type OverlayFactory func(level, keyDim, peers int) (overlay.Network, error)
 
 // Config parameterizes a Hyper-M deployment.
@@ -80,10 +86,13 @@ type Config struct {
 	Rng *rand.Rand
 	// Parallelism bounds the worker goroutines used for the embarrassingly
 	// parallel per-peer math — wavelet decomposition and per-subspace
-	// k-means during DeriveBounds/PublishAll. 0 (the default) uses
-	// GOMAXPROCS; 1 forces fully serial execution. Overlay mutation is
-	// always serialized, so every setting produces byte-identical systems
-	// (see DESIGN.md "Concurrency model").
+	// k-means during DeriveBounds/PublishAll — and, within one query, for
+	// the per-level overlay searches and the selected peers' store scans.
+	// 0 (the default) uses GOMAXPROCS; 1 forces fully serial execution.
+	// Overlay mutation is always serialized and query results merge in level
+	// and score order, so every setting produces byte-identical systems and
+	// answers (see DESIGN.md "Concurrency model"). A System still serves one
+	// call at a time.
 	Parallelism int
 }
 

@@ -215,7 +215,7 @@ func (b *scopeRecorder) Search(from, level int, key []float64, radius float64) (
 // unwrapped system either way.
 func TestEngineScopesFirstSpheres(t *testing.T) {
 	sys, data, _ := testSystem(t, 8, 20, 4, 16, 3, 3, 5)
-	rec := &scopeRecorder{Backend: systemBackend{sys}}
+	rec := &scopeRecorder{Backend: systemBackend{s: sys}}
 	e := &Engine{cfg: sys.cfg, mappers: sys.mappers, backend: rec}
 	levels := sys.cfg.Levels
 	firstPerLevel := func() []Sphere {

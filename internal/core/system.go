@@ -130,46 +130,65 @@ func (s *System) TotalItems() int {
 // mapping. In a deployment these bounds follow from the shared feature
 // domain (e.g. normalized color histograms); computing them from the
 // simulated corpus is equivalent and avoids key-space clamping.
-// Must be called after data is added and before publishing or querying.
+// Must be called after data is added and before querying or PublishPeer;
+// PublishAll derives the same bounds itself when none are installed.
 //
 // The per-peer reductions run on the Config.Parallelism worker pool: each
-// peer decomposes only its own items, and the min/max merge is
-// order-independent, so the result is identical for every worker count.
+// peer decomposes only its own items, and the min/max merge runs in peer
+// order, so the result is identical for every worker count.
 func (s *System) DeriveBounds() {
-	newBounds := func() []Bounds {
-		b := make([]Bounds, s.cfg.Levels)
-		for l := range b {
-			b[l] = Bounds{Lo: math.Inf(1), Hi: math.Inf(-1)}
-		}
-		return b
-	}
-	parts, _ := parallel.Map(nil, s.cfg.Parallelism, len(s.peers), func(p int) ([]Bounds, error) {
-		pb := newBounds()
+	parts, _ := parallel.Map(nil, s.cfg.Parallelism, len(s.peers), func(p int) (extrema, error) {
+		x := newExtrema(s.cfg.Levels)
 		st := s.peers[p].store
 		for i := 0; i < st.Len(); i++ {
-			dec := wavelet.Decompose(st.Vec(i), s.cfg.Convention)
-			for l := 0; l < s.cfg.Levels; l++ {
-				for _, c := range dec.Subspace(l) {
-					if c < pb[l].Lo {
-						pb[l].Lo = c
-					}
-					if c > pb[l].Hi {
-						pb[l].Hi = c
-					}
-				}
-			}
+			x.add(wavelet.Decompose(st.Vec(i), s.cfg.Convention))
 		}
-		return pb, nil
+		return x, nil
 	})
-	merged := newBounds()
-	for _, pb := range parts {
-		for l := range merged {
-			if pb[l].Lo < merged[l].Lo {
-				merged[l].Lo = pb[l].Lo
-			}
-			if pb[l].Hi > merged[l].Hi {
-				merged[l].Hi = pb[l].Hi
-			}
+	s.installExtrema(parts)
+}
+
+// extrema accumulates each level's coefficient range; a level with no
+// coefficient yet holds {+Inf, -Inf}.
+type extrema []Bounds
+
+func newExtrema(levels int) extrema {
+	x := make(extrema, levels)
+	for l := range x {
+		x[l] = Bounds{Lo: math.Inf(1), Hi: math.Inf(-1)}
+	}
+	return x
+}
+
+// add widens x by every coefficient of one decomposed item.
+func (x extrema) add(dec *wavelet.Decomposition) {
+	for l := range x {
+		for _, c := range dec.Subspace(l) {
+			x.widen(l, c, c)
+		}
+	}
+}
+
+// widen extends level l's range to cover [lo, hi]. Plain comparisons, not
+// the min/max builtins: a NaN coefficient is skipped and a zero keeps the
+// sign it was first seen with.
+func (x extrema) widen(l int, lo, hi float64) {
+	if lo < x[l].Lo {
+		x[l].Lo = lo
+	}
+	if hi > x[l].Hi {
+		x[l].Hi = hi
+	}
+}
+
+// installExtrema merges per-peer extrema (nil for a peer without items) and
+// installs the result as the bounds. Parts merge in peer order, so the bounds
+// do not depend on which pipeline or worker count produced them.
+func (s *System) installExtrema(parts []extrema) {
+	merged := newExtrema(s.cfg.Levels)
+	for _, x := range parts {
+		for l, b := range x {
+			merged.widen(l, b.Lo, b.Hi)
 		}
 	}
 	s.bounds = make([]Bounds, s.cfg.Levels)
@@ -191,9 +210,13 @@ func (s *System) SetBounds(b []Bounds) {
 	s.installBounds()
 }
 
+// installBounds builds the key mapping and the query engine. One query runs
+// its level searches and its store scans on up to Config.Parallelism
+// goroutines; with 1 both are the serial loops.
 func (s *System) installBounds() {
 	s.mappers = buildMappers(s.bounds)
-	s.engine = &Engine{cfg: s.cfg, mappers: s.mappers, backend: systemBackend{s}}
+	workers := parallel.Workers(s.cfg.Parallelism)
+	s.engine = &Engine{cfg: s.cfg, mappers: s.mappers, backend: systemBackend{s, workers}, levelFanout: workers}
 }
 
 // Bounds returns a copy of the installed per-level coefficient bounds
@@ -238,6 +261,9 @@ type PublishStats struct {
 type preparedPeer struct {
 	// levels[l] holds the level-l cluster spheres, nil for an empty peer.
 	levels [][]cluster.Cluster
+	// extrema is the peer's share of DeriveBounds, read off the same
+	// decompositions (nil for an empty peer).
+	extrema extrema
 }
 
 // clusterSeed draws the clustering seed for the next peer preparation from
@@ -255,7 +281,10 @@ func (s *System) preparePeer(p int, seed int64) preparedPeer {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	decs := wavelet.DecomposeAll(ps.store.Rows(), s.cfg.Convention)
-	prep := preparedPeer{levels: make([][]cluster.Cluster, s.cfg.Levels)}
+	prep := preparedPeer{levels: make([][]cluster.Cluster, s.cfg.Levels), extrema: newExtrema(s.cfg.Levels)}
+	for _, dec := range decs {
+		prep.extrema.add(dec)
+	}
 	for l := 0; l < s.cfg.Levels; l++ {
 		coeffs := wavelet.SubspaceMatrix(decs, l)
 		res := cluster.KMeans(coeffs, cluster.Config{K: s.cfg.ClustersPerPeer, Rng: rng})
@@ -323,7 +352,9 @@ func (s *System) PublishPeer(p int) PublishStats {
 	return s.commitPeer(p, s.preparePeer(p, s.clusterSeed()))
 }
 
-// PublishAll publishes every peer and returns the summed statistics.
+// PublishAll publishes every peer and returns the summed statistics. Without
+// installed bounds it first derives them, exactly as DeriveBounds would, from
+// the decompositions it clusters — each item is decomposed once.
 //
 // The per-peer preparation (decomposition + clustering, the dominant cost)
 // fans out across the Config.Parallelism worker pool; per-peer clustering
@@ -331,7 +362,6 @@ func (s *System) PublishPeer(p int) PublishStats {
 // afterwards in peer order, so the published summaries, hop counts, and
 // overlay states are byte-identical to a fully serial run.
 func (s *System) PublishAll() PublishStats {
-	s.requireBounds()
 	seeds := make([]int64, len(s.peers))
 	for p := range seeds {
 		seeds[p] = s.clusterSeed()
@@ -339,6 +369,13 @@ func (s *System) PublishAll() PublishStats {
 	preps, _ := parallel.Map(nil, s.cfg.Parallelism, len(s.peers), func(p int) (preparedPeer, error) {
 		return s.preparePeer(p, seeds[p]), nil
 	})
+	if s.mappers == nil {
+		parts := make([]extrema, len(preps))
+		for p, prep := range preps {
+			parts[p] = prep.extrema
+		}
+		s.installExtrema(parts)
+	}
 	total := PublishStats{HopsPerLevel: make([]int, s.cfg.Levels)}
 	for p := range s.peers {
 		st := s.commitPeer(p, preps[p])

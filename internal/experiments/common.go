@@ -38,10 +38,11 @@ type Params struct {
 	Seed int64
 	// Parallelism bounds the worker goroutines used to run independent
 	// simulation cells of a sweep concurrently, and is forwarded to
-	// core.Config.Parallelism for the per-peer publication math. 0 uses
-	// GOMAXPROCS; 1 restores fully serial execution. Results are identical
-	// for every setting: each cell builds its own System from its own seeds,
-	// and rows are merged in sweep order.
+	// core.Config.Parallelism for the per-peer publication math and each
+	// query's level searches and store scans. 0 uses GOMAXPROCS; 1 restores
+	// fully serial execution. Results are identical for every setting: each
+	// cell builds its own System from its own seeds, and rows are merged in
+	// sweep order.
 	Parallelism int
 }
 
@@ -75,7 +76,8 @@ type EffectivenessParams struct {
 	// Seed makes the run reproducible.
 	Seed int64
 	// Parallelism bounds the worker goroutines for independent simulation
-	// cells and per-peer publication math, exactly as Params.Parallelism.
+	// cells, per-peer publication math and query fan-out, exactly as
+	// Params.Parallelism.
 	Parallelism int
 }
 

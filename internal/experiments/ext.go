@@ -232,7 +232,6 @@ func ExtOverlayIndependence(p EffectivenessParams) ([]OverlayIndepRow, error) {
 		for i, x := range data {
 			sys.AddPeerData(labels[i]%p.Peers, []int{i}, [][]float64{x})
 		}
-		sys.DeriveBounds()
 		st := sys.PublishAll()
 
 		truth := flatindexOf(data)
@@ -300,7 +299,6 @@ func ExtAggregation(p EffectivenessParams) ([]AggRow, error) {
 		for i, x := range data {
 			sys.AddPeerData(labels[i]%p.Peers, []int{i}, [][]float64{x})
 		}
-		sys.DeriveBounds()
 		sys.PublishAll()
 
 		truth := flatindexOf(data)

@@ -146,7 +146,6 @@ func ExtWavelet(p EffectivenessParams) ([]WaveletRow, error) {
 		for i, x := range data {
 			sys.AddPeerData(labels[i]%p.Peers, []int{i}, [][]float64{x})
 		}
-		sys.DeriveBounds()
 		st := sys.PublishAll()
 
 		truth := flatindexOf(data)

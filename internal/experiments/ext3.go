@@ -62,7 +62,6 @@ func ExtLoss(p EffectivenessParams, dropRates []float64) ([]LossRow, error) {
 		for i, x := range data {
 			sys.AddPeerData(labels[i]%p.Peers, []int{i}, [][]float64{x})
 		}
-		sys.DeriveBounds()
 		st := sys.PublishAll()
 
 		truth := flatindexOf(data)

@@ -78,7 +78,6 @@ func extChurnCell(p EffectivenessParams, frac float64, fi int, mode string) (Chu
 		peerOf[i] = labels[i] % p.Peers
 		sys.AddPeerData(peerOf[i], []int{i}, [][]float64{x})
 	}
-	sys.DeriveBounds()
 	sys.PublishAll()
 
 	// Kill a random subset of peers.

@@ -36,7 +36,6 @@ func aloiSystem(p EffectivenessParams, clustersPerPeer int) (*core.System, [][]f
 		peer := labels[i] % p.Peers
 		sys.AddPeerData(peer, []int{i}, [][]float64{x})
 	}
-	sys.DeriveBounds()
 	sys.PublishAll()
 	return sys, data, flatindex.New(data), nil
 }
@@ -239,7 +238,6 @@ func Fig10c(p EffectivenessParams, fractions []float64) ([]Fig10cRow, error) {
 		for _, i := range baseIdx {
 			sys.AddPeerData(labels[i]%p.Peers, []int{i}, [][]float64{data[i]})
 		}
-		sys.DeriveBounds()
 		sys.PublishAll()
 
 		nNew := int(frac * float64(len(baseIdx)))

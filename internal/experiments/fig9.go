@@ -71,7 +71,6 @@ func Fig9(p Params, keepClusters int) ([]Fig9Row, error) {
 			return Fig9Row{}, err
 		}
 		loadAssignment(sys, data, asg)
-		sys.DeriveBounds()
 		sys.PublishAll()
 
 		loads := make([]int, pl.Peers)

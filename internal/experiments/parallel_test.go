@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Driver determinism: running a sweep with concurrent cells must produce
-// exactly the rows of the serial run — every cell builds its own system from
-// its own seeds and Map merges rows in sweep order.
+// Driver determinism: running a sweep with concurrent cells, whose queries
+// fan out their level searches and store scans, must produce exactly the rows
+// of the serial run — every cell builds its own system from its own seeds,
+// Map merges rows in sweep order and a query merges in level and score order.
 func TestDriversSerialParallelIdentical(t *testing.T) {
 	serialP, parP := tinyParams(), tinyParams()
 	serialP.Parallelism, parP.Parallelism = 1, 4
@@ -38,6 +39,12 @@ func TestDriversSerialParallelIdentical(t *testing.T) {
 	check("Fig9",
 		func() (any, error) { return Fig9(serialP, 3) },
 		func() (any, error) { return Fig9(parP, 3) })
+	check("Fig10a",
+		func() (any, error) { return Fig10a(serialE, []int{1, 3, 0}) },
+		func() (any, error) { return Fig10a(parE, []int{1, 3, 0}) })
+	check("Fig10b",
+		func() (any, error) { return Fig10b(serialE, []int{3, 5}, []float64{1, 2}) },
+		func() (any, error) { return Fig10b(parE, []int{3, 5}, []float64{1, 2}) })
 	check("Fig10c",
 		func() (any, error) { return Fig10c(serialE, []float64{0, 0.3}) },
 		func() (any, error) { return Fig10c(parE, []float64{0, 0.3}) })
@@ -50,4 +57,10 @@ func TestDriversSerialParallelIdentical(t *testing.T) {
 	check("ExtChurn",
 		func() (any, error) { return ExtChurn(serialE, []float64{0, 0.3}) },
 		func() (any, error) { return ExtChurn(parE, []float64{0, 0.3}) })
+	check("ExtLoss",
+		func() (any, error) { return ExtLoss(serialE, []float64{0, 0.2}) },
+		func() (any, error) { return ExtLoss(parE, []float64{0, 0.2}) })
+	check("ExtOverlayIndependence",
+		func() (any, error) { return ExtOverlayIndependence(serialE) },
+		func() (any, error) { return ExtOverlayIndependence(parE) })
 }

@@ -32,7 +32,7 @@ func (m *Manager) StartProbing() {
 	if m.probeStop != nil {
 		return
 	}
-	stop := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
 	m.probeStop = stop
 	m.probeWG.Add(1)
 	go func() {
@@ -41,17 +41,17 @@ func (m *Manager) StartProbing() {
 		defer ticker.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				m.probeOnce(context.Background())
+				m.probeOnce(ctx)
 			}
 		}
 	}()
 }
 
-// StopProbing halts the probe loop and waits for the in-flight round.
-// Idempotent.
+// StopProbing halts the probe loop, cutting short the pings of the round in
+// flight, and waits for that round. Idempotent.
 func (m *Manager) StopProbing() {
 	m.probeMu.Lock()
 	stop := m.probeStop
@@ -60,12 +60,13 @@ func (m *Manager) StopProbing() {
 	if stop == nil {
 		return
 	}
-	close(stop)
+	stop()
 	m.probeWG.Wait()
 }
 
 // probeOnce pings every current neighbor (union across levels) once, in
-// parallel, and feeds the results into the failure detector.
+// parallel, and feeds the results into the failure detector. A ping that
+// fails because ctx ended says nothing about the neighbor and is not fed.
 func (m *Manager) probeOnce(ctx context.Context) {
 	m.mu.RLock()
 	if m.left {
@@ -92,6 +93,9 @@ func (m *Manager) probeOnce(ctx context.Context) {
 			cctx, cancel := context.WithTimeout(ctx, m.opts.ProbeTimeout)
 			defer cancel()
 			resp, err := m.fabric.Call(cctx, tg.Addr, MethodPing, body)
+			if err != nil && ctx.Err() != nil {
+				return // the loop is stopping, not the neighbor
+			}
 			var tables []LevelTable
 			if err == nil {
 				tables, err = decodePingResp(resp)

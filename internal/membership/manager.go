@@ -107,7 +107,7 @@ type Manager struct {
 	epochSum atomic.Uint64
 
 	probeMu   sync.Mutex
-	probeStop chan struct{}
+	probeStop context.CancelFunc // ends the probe loop's context
 	probeWG   sync.WaitGroup
 }
 

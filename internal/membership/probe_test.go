@@ -2,6 +2,7 @@ package membership
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,5 +251,44 @@ func TestConflictingTakeoversConverge(t *testing.T) {
 	}
 	if !route.VerifyTiling(tiles) {
 		t.Fatal("zones do not tile after conflict resolution")
+	}
+}
+
+// TestStopProbingCutsPingsShort: a probe round runs under the loop's stop, so
+// StopProbing ends the pings to a blackholed neighborhood at once instead of
+// waiting out ProbeTimeout, and a ping it cut short is no evidence against
+// the neighbor — with FailAfter 1, one counted failure would declare it dead.
+func TestStopProbingCutsPingsShort(t *testing.T) {
+	const nodes, dim = 8, 2
+	opts := Options{ProbeInterval: time.Millisecond, ProbeTimeout: 5 * time.Second, FailAfter: 1}
+	_, f, mgrs := buildPair(t, 3, nodes, dim, 20, opts)
+	pinged := make(chan struct{})
+	var once sync.Once
+	f.tap = func(addr, method string, body []byte) {
+		if method == MethodPing {
+			once.Do(func() { close(pinged) })
+		}
+	}
+	for id := 0; id < nodes; id++ {
+		f.setDelay(testAddr(id), true) // every ping blocks until its ctx ends
+	}
+	m := mgrs[0]
+	m.StartProbing()
+	select {
+	case <-pinged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the probe loop sent no ping")
+	}
+	start := time.Now()
+	m.StopProbing()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("StopProbing took %v: it waited out the %v probe timeout", d, opts.ProbeTimeout)
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for id := 1; id < nodes; id++ {
+		if m.dead[id] || m.fails[id] != 0 {
+			t.Fatalf("neighbor %d suspected during shutdown: dead %v, %d failures", id, m.dead[id], m.fails[id])
+		}
 	}
 }
