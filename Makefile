@@ -48,12 +48,13 @@ bench-kernels:
 
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
 # the frozen pre-extraction sphere-search reference, the zone split/takeover
-# tiling invariants under random churn schedules, the store_rec wire
-# round-trip (bounded-count decode: a corrupt length prefix must error, never
-# allocate), the delta-coded id sequence of range answers (round
-# trip; a corrupt count, varint or running sum must error), both ends of
-# the can_search message (sphere list and length-prefixed view list: round
-# trip; a corrupt count, view length or trailing byte must error), both
+# tiling invariants under random churn schedules, every wire body of the
+# membership and node layers (the first input byte picks the message: a body
+# the decoder accepts must re-encode to itself, and no strict prefix,
+# trailing byte or count beyond the message may be accepted), the
+# delta-coded id sequence of range answers (round trip; a corrupt count,
+# varint or running sum must error), the split of a can_search response into
+# views (a corrupt count, view length or trailing byte must error), both
 # forms of the fetch_range / fetch_knn request (plain, and with the caching
 # coordinator's id: round trip; a prefix, trailing byte or wrong float count
 # must error), and the handlers behind them: arbitrary bodies to Node.handle
@@ -66,9 +67,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
-	$(GO) test -fuzz=FuzzStoreRecRoundTrip -fuzztime=30s ./internal/membership
+	$(GO) test -fuzz=FuzzMembershipWire -fuzztime=30s ./internal/membership
+	$(GO) test -fuzz=FuzzNodeWire -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport
-	$(GO) test -fuzz=FuzzSearchReqRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzSearchRespDecode -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzFetchReqRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzNodeHandle -fuzztime=30s ./internal/node

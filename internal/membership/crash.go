@@ -84,7 +84,7 @@ func (m *Manager) probeOnce(ctx context.Context) {
 	selfAddr := m.selfAddr
 	m.mu.RUnlock()
 
-	body := encodePingReq(PingReq{From: m.self, Addr: selfAddr})
+	body := transport.Encode(&PingReq{From: m.self, Addr: selfAddr}, walkPingReq)
 	var wg sync.WaitGroup
 	for _, tg := range targets {
 		wg.Add(1)
@@ -98,7 +98,7 @@ func (m *Manager) probeOnce(ctx context.Context) {
 			}
 			var tables []LevelTable
 			if err == nil {
-				tables, err = decodePingResp(resp)
+				tables, err = transport.Decode(resp, walkPingResp)
 			}
 			m.noteProbe(tg.ID, tables, err)
 		}(tg)
@@ -122,7 +122,7 @@ func (m *Manager) handlePing(req PingReq) ([]byte, error) {
 			Neighbors: cloneNeighbors(m.levels[l].Neighbors),
 		}
 	}
-	return encodePingResp(tables), nil
+	return transport.Encode(&tables, walkPingResp), nil
 }
 
 // noteProbe feeds one probe outcome into the failure detector. A remote
@@ -231,10 +231,10 @@ func (m *Manager) declareDeadLocked(c int) ([]outMsg, []recoveryPlan) {
 		m.inheritLocked(ls, cnbs, finals)
 		// Announce each claim to c's neighborhood and our own.
 		for _, z := range claimed {
-			body := encodeTakeoverMsg(TakeoverMsg{
+			body := transport.Encode(&TakeoverMsg{
 				Level: l, Crashed: c, Zone: z,
 				Taker: m.self, TakerAddr: m.selfAddr, TakerZones: cloneZones(ls.Zones),
-			})
+			}, walkTakeoverMsg)
 			outs = append(outs, m.sendLocked(append(cloneNeighbors(cnbs), ls.Neighbors...), nil, MethodTakeover, body)...)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"hyperm/internal/core"
 	"hyperm/internal/overlay"
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // FuzzMembershipHandle sends arbitrary bodies to every membership method
@@ -59,7 +60,7 @@ func FuzzMembershipHandle(f *testing.F) {
 	// A join that names the owner itself as the joiner once made the owner
 	// its own neighbor.
 	if s, ok := seeds[MethodJoin]; ok {
-		req, err := decodeJoinReq(s.body)
+		req, err := transport.Decode(s.body, walkJoinReq)
 		if err != nil {
 			f.Fatal(err)
 		}

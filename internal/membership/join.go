@@ -34,7 +34,7 @@ func (m *Manager) Join(ctx context.Context, bootstrap string, points [][]float64
 		return fmt.Errorf("membership: node %d has no serving address yet", m.self)
 	}
 	for l, p := range points {
-		body := encodeJoinReq(JoinReq{Level: l, Joiner: m.self, Addr: selfAddr, Point: p})
+		body := transport.Encode(&JoinReq{Level: l, Joiner: m.self, Addr: selfAddr, Point: p}, walkJoinReq)
 		err := retry(ctx, 25*time.Millisecond, func() (bool, error) {
 			_, ownerAddr, err := m.fabric.RouteOwner(ctx, l, bootstrap, p)
 			if err != nil {
@@ -45,7 +45,7 @@ func (m *Manager) Join(ctx context.Context, bootstrap string, points [][]float64
 				// A not-owner refusal means routing raced a zone change: re-route.
 				return transport.ErrorDetail(err) == DetailNotOwner || errors.Is(err, transport.ErrUnavailable), err
 			}
-			grant, err := decodeJoinGrant(resp)
+			grant, err := transport.Decode(resp, walkJoinGrant)
 			if err == nil {
 				err = m.installGrant(l, grant, len(p))
 			}
@@ -141,10 +141,10 @@ func (m *Manager) handleJoin(req JoinReq) ([]byte, error) {
 			{ID: m.self, Addr: m.selfAddr, Zones: newZones},
 			{ID: req.Joiner, Addr: req.Addr, Zones: joinerZones},
 		}}
-		return m.sendLocked(old, upd.Updates, MethodZones, encodeZoneUpdate(upd)), nil, nil
+		return m.sendLocked(old, upd.Updates, MethodZones, transport.Encode(&upd, walkZoneUpdate)), nil, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return encodeJoinGrant(grant)
+	return transport.Encode(&grant, walkJoinGrant), nil
 }

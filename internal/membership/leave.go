@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // Graceful leave: a leaver hands each of its zones, level by level, to the
@@ -84,16 +85,12 @@ func (m *Manager) Leave(ctx context.Context) error {
 			}
 		}
 		for _, id := range takerOrder {
-			body, err := encodeHandoffReq(*perTaker[id])
-			if err != nil {
-				m.mu.Unlock()
-				return err
-			}
+			body := transport.Encode(perTaker[id], walkHandoffReq)
 			handoffs = append(handoffs, outMsg{addr: m.book[id], method: MethodHandoff, body: body})
 		}
 
 		upd := ZoneUpdate{Level: l, Removed: []int{m.self}, Updates: takers}
-		notices = append(notices, m.sendLocked(ls.Neighbors, takers, MethodZones, encodeZoneUpdate(upd))...)
+		notices = append(notices, m.sendLocked(ls.Neighbors, takers, MethodZones, transport.Encode(&upd, walkZoneUpdate))...)
 	}
 	m.left = true
 	m.mu.Unlock()

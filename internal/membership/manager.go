@@ -10,6 +10,7 @@ import (
 
 	"hyperm/internal/core"
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // The manager speaks one file per transition — join.go, leave.go (graceful
@@ -339,37 +340,37 @@ func (m *Manager) EpochSum() uint64 { return m.epochSum.Load() }
 func (m *Manager) HandleRPC(ctx context.Context, method string, body []byte) ([]byte, error) {
 	switch method {
 	case MethodJoin:
-		req, err := decodeJoinReq(body)
+		req, err := transport.Decode(body, walkJoinReq)
 		if err != nil {
 			return nil, err
 		}
 		return m.handleJoin(req)
 	case MethodHandoff:
-		req, err := decodeHandoffReq(body)
+		req, err := transport.Decode(body, walkHandoffReq)
 		if err != nil {
 			return nil, err
 		}
 		return nil, m.handleHandoff(req)
 	case MethodPing:
-		req, err := decodePingReq(body)
+		req, err := transport.Decode(body, walkPingReq)
 		if err != nil {
 			return nil, err
 		}
 		return m.handlePing(req)
 	case MethodTakeover:
-		msg, err := decodeTakeoverMsg(body)
+		msg, err := transport.Decode(body, walkTakeoverMsg)
 		if err != nil {
 			return nil, err
 		}
 		return nil, m.handleTakeover(msg)
 	case MethodZones:
-		upd, err := decodeZoneUpdate(body)
+		upd, err := transport.Decode(body, walkZoneUpdate)
 		if err != nil {
 			return nil, err
 		}
 		return nil, m.handleZoneUpdate(upd)
 	case MethodStoreRec:
-		req, err := DecodeStoreRecReq(body)
+		req, err := transport.Decode(body, WalkStoreRecReq)
 		if err != nil {
 			return nil, err
 		}

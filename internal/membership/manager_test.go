@@ -538,7 +538,7 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tables, err := decodePingResp(resp)
+				tables, err := transport.Decode(resp, walkPingResp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -583,7 +583,7 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 				if method != MethodJoin {
 					return resp
 				}
-				g, err := decodeJoinGrant(resp)
+				g, err := transport.Decode(resp, walkJoinGrant)
 				if err != nil {
 					t.Fatal(err)
 				}

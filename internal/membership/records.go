@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // Records: m.store_rec applies one streamed record delta to a holder, and
@@ -56,7 +57,7 @@ func (m *Manager) handleStoreRec(req StoreRecReq) ([]byte, error) {
 		Neighbors: cloneNeighbors(m.levels[req.Level].Neighbors),
 	}
 	m.mu.RUnlock()
-	return EncodeStoreRecResp(resp), nil
+	return transport.Encode(&resp, WalkStoreRecResp), nil
 }
 
 // recoveryPlan is one pending republish: after taking over zone at level,

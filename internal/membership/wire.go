@@ -9,10 +9,12 @@ import (
 	"hyperm/internal/transport"
 )
 
-// Membership RPC methods, served by a Node alongside its query RPCs. Bodies
-// are binary messages built with the transport codec; zone coordinates and
-// record keys cross the wire bit-exactly (the determinism oracle depends on
-// it).
+// Membership RPC methods, served by a Node alongside its query RPCs. Each body
+// is stated once, as a walker (transport.Coder) that sizes, encodes and
+// decodes it; zone coordinates and record keys cross the wire bit-exactly
+// (the determinism oracle depends on it). Decoded vectors share the message's
+// arena, so holders retain them under the shared-read contract: what writes
+// to a zone (annex, route.SplitZone, route.UnionBox) copies it first.
 const (
 	MethodJoin     = "m.join"      // joiner → owner: split your zone, hand my half over
 	MethodHandoff  = "m.handoff"   // leaver → taker: take these zones and records
@@ -31,12 +33,29 @@ var Methods = []string{MethodJoin, MethodHandoff, MethodPing, MethodTakeover, Me
 // the joiner re-routes and retries.
 const DetailNotOwner = "membership/not-owner"
 
-// ---- shared shapes ----
+// The least wire size of one element of each list: the count fence
+// transport.List holds a decoded count to.
+var (
+	zoneSize     = transport.Size(new(route.Zone), walkZone)
+	neighborSize = transport.Size(new(Neighbor), walkNeighbor)
+	recordSize   = transport.Size(&route.RecordView{Entry: overlay.Entry{Payload: core.ClusterRef{}}}, walkRecord)
+	bookSize     = transport.Size(new(BookEntry), walkBookEntry)
+	assignSize   = transport.Size(new(ZoneAssign), walkZoneAssign)
+	tableSize    = transport.Size(new(LevelTable), walkLevelTable)
+)
+
+// ---- shared shapes (exported walkers: internal/node's can_search views
+// carry them) ----
 
 // BookEntry is one address-book entry shipped in a join grant.
 type BookEntry struct {
 	ID   int
 	Addr string
+}
+
+func walkBookEntry(c *transport.Coder, be *BookEntry) {
+	c.Int(&be.ID)
+	c.String(&be.Addr)
 }
 
 // LevelTable is one level of a peer's self-reported state, carried in ping
@@ -47,100 +66,78 @@ type LevelTable struct {
 	Neighbors []Neighbor
 }
 
-// ---- primitive codecs (exported: internal/node reuses them for its
-// can_search views) ----
+func walkLevelTable(c *transport.Coder, t *LevelTable) {
+	WalkZones(c, &t.Zones)
+	WalkNeighbors(c, &t.Neighbors)
+}
 
-// EncodeZones appends a zone list.
-func EncodeZones(e *transport.Encoder, zs []route.Zone) {
-	e.U32(uint32(len(zs)))
-	for _, z := range zs {
-		e.Floats(z.Lo)
-		e.Floats(z.Hi)
+func walkZone(c *transport.Coder, z *route.Zone) {
+	c.Floats(&z.Lo)
+	c.Floats(&z.Hi)
+}
+
+// WalkZones walks a zone list.
+func WalkZones(c *transport.Coder, zs *[]route.Zone) {
+	l := transport.List(c, zs, zoneSize)
+	for i := range l {
+		walkZone(c, &l[i])
 	}
 }
 
-// DecodeZones reads a zone list. Coordinate vectors land in the decoder's
-// shared arena (one block allocation per message instead of two per zone);
-// holders may retain them under the shared-read contract.
-func DecodeZones(d *transport.Decoder) []route.Zone {
-	n := d.Count(8) // two length-prefixed vectors minimum
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]route.Zone, n)
-	for i := range out {
-		out[i] = route.Zone{Lo: d.FloatsShared(), Hi: d.FloatsShared()}
-	}
-	return out
+func walkNeighbor(c *transport.Coder, nb *Neighbor) {
+	c.Int(&nb.ID)
+	c.String(&nb.Addr)
+	WalkZones(c, &nb.Zones)
 }
 
-// EncodeNeighbors appends a neighbor table (ids, addresses, zones).
-func EncodeNeighbors(e *transport.Encoder, ns []Neighbor) {
-	e.U32(uint32(len(ns)))
-	for _, nb := range ns {
-		e.Int(nb.ID)
-		e.String(nb.Addr)
-		EncodeZones(e, nb.Zones)
+// WalkNeighbors walks a neighbor table (ids, addresses, zones).
+func WalkNeighbors(c *transport.Coder, ns *[]Neighbor) {
+	l := transport.List(c, ns, neighborSize)
+	for i := range l {
+		walkNeighbor(c, &l[i])
 	}
 }
 
-// DecodeNeighbors reads a neighbor table.
-func DecodeNeighbors(d *transport.Decoder) []Neighbor {
-	n := d.Count(16) // id + address prefix + zone count minimum
-	if d.Err() != nil || n == 0 {
-		return nil
+// walkRecord walks one record. Its payload is a core.ClusterRef, the only one
+// the serving runtime stores: records come from a core.System or from this
+// decoder, so any other is a bug, and encoding it panics (Coder.Fail).
+func walkRecord(c *transport.Coder, rec *route.RecordView) {
+	ref, ok := rec.Entry.Payload.(core.ClusterRef)
+	if !ok && !c.Decoding() {
+		c.Fail(fmt.Errorf("membership: record payload is %T, want core.ClusterRef", rec.Entry.Payload))
 	}
-	out := make([]Neighbor, n)
-	for i := range out {
-		out[i] = Neighbor{ID: d.Int(), Addr: d.String(), Zones: DecodeZones(d)}
+	c.Int(&rec.Seq)
+	c.Floats(&rec.Entry.Key)
+	c.F64(&rec.Entry.Radius)
+	c.Int(&ref.Peer)
+	c.Int(&ref.Level)
+	c.Int(&ref.Index)
+	c.Floats(&ref.Center)
+	c.F64(&ref.Radius)
+	c.Int(&ref.Items)
+	if c.Decoding() {
+		rec.Entry.Payload = ref
 	}
-	return out
 }
 
-// EncodeRecords appends a record list. Payloads must be core.ClusterRef —
-// the only payload the serving runtime stores.
+// WalkRecords walks a record list.
+func WalkRecords(c *transport.Coder, recs *[]route.RecordView) {
+	l := transport.List(c, recs, recordSize)
+	for i := range l {
+		walkRecord(c, &l[i])
+	}
+}
+
+// EncodeRecords appends a record list (WalkRecords) to e. It returns no error:
+// a payload other than a core.ClusterRef panics (walkRecord).
 func EncodeRecords(e *transport.Encoder, recs []route.RecordView) error {
-	e.U32(uint32(len(recs)))
-	for _, rec := range recs {
-		ref, ok := rec.Entry.Payload.(core.ClusterRef)
-		if !ok {
-			return fmt.Errorf("membership: record payload is %T, want core.ClusterRef", rec.Entry.Payload)
-		}
-		e.Int(rec.Seq)
-		e.Floats(rec.Entry.Key)
-		e.F64(rec.Entry.Radius)
-		e.Int(ref.Peer)
-		e.Int(ref.Level)
-		e.Int(ref.Index)
-		e.Floats(ref.Center)
-		e.F64(ref.Radius)
-		e.Int(ref.Items)
-	}
+	transport.Append(e, &recs, WalkRecords)
 	return nil
 }
 
-// DecodeRecords reads a record list. Key and centroid vectors decode into
-// the decoder's shared arena (see DecodeZones): a view carrying hundreds of
-// records costs a few block allocations, not two slices per record.
+// DecodeRecords reads a record list (WalkRecords) from d.
 func DecodeRecords(d *transport.Decoder) []route.RecordView {
-	n := d.Count(64) // seq + entry + cluster-ref scalars minimum
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]route.RecordView, n)
-	for i := range out {
-		out[i].Seq = d.Int()
-		out[i].Entry = overlay.Entry{Key: d.FloatsShared(), Radius: d.F64()}
-		out[i].Entry.Payload = core.ClusterRef{
-			Peer:   d.Int(),
-			Level:  d.Int(),
-			Index:  d.Int(),
-			Center: d.FloatsShared(),
-			Radius: d.F64(),
-			Items:  d.Int(),
-		}
-	}
-	return out
+	return transport.Read(d, WalkRecords)
 }
 
 // ---- m.join ----
@@ -153,19 +150,11 @@ type JoinReq struct {
 	Point  []float64
 }
 
-func encodeJoinReq(r JoinReq) []byte {
-	var e transport.Encoder
-	e.Int(r.Level)
-	e.Int(r.Joiner)
-	e.String(r.Addr)
-	e.Floats(r.Point)
-	return e.Bytes()
-}
-
-func decodeJoinReq(b []byte) (JoinReq, error) {
-	d := transport.NewDecoder(b)
-	r := JoinReq{Level: d.Int(), Joiner: d.Int(), Addr: d.String(), Point: d.Floats()}
-	return r, d.Finish()
+func walkJoinReq(c *transport.Coder, r *JoinReq) {
+	c.Int(&r.Level)
+	c.Int(&r.Joiner)
+	c.String(&r.Addr)
+	c.Floats(&r.Point)
 }
 
 // JoinGrant is the owner's reply: the joiner's new zone(s), its initial
@@ -180,40 +169,16 @@ type JoinGrant struct {
 	Book      []BookEntry
 }
 
-func encodeJoinGrant(g JoinGrant) ([]byte, error) {
-	var e transport.Encoder
-	EncodeZones(&e, g.Zones)
-	EncodeNeighbors(&e, g.Neighbors)
-	if err := EncodeRecords(&e, g.Owned); err != nil {
-		return nil, err
+func walkJoinGrant(c *transport.Coder, g *JoinGrant) {
+	WalkZones(c, &g.Zones)
+	WalkNeighbors(c, &g.Neighbors)
+	WalkRecords(c, &g.Owned)
+	WalkRecords(c, &g.Replicas)
+	c.Int(&g.Size)
+	book := transport.List(c, &g.Book, bookSize)
+	for i := range book {
+		walkBookEntry(c, &book[i])
 	}
-	if err := EncodeRecords(&e, g.Replicas); err != nil {
-		return nil, err
-	}
-	e.Int(g.Size)
-	e.U32(uint32(len(g.Book)))
-	for _, be := range g.Book {
-		e.Int(be.ID)
-		e.String(be.Addr)
-	}
-	return e.Bytes(), nil
-}
-
-func decodeJoinGrant(b []byte) (JoinGrant, error) {
-	d := transport.NewDecoder(b)
-	var g JoinGrant
-	g.Zones = DecodeZones(d)
-	g.Neighbors = DecodeNeighbors(d)
-	g.Owned = DecodeRecords(d)
-	g.Replicas = DecodeRecords(d)
-	g.Size = d.Int()
-	if n := d.Count(12); d.Err() == nil && n > 0 {
-		g.Book = make([]BookEntry, n)
-		for i := range g.Book {
-			g.Book[i] = BookEntry{ID: d.Int(), Addr: d.String()}
-		}
-	}
-	return g, d.Finish()
 }
 
 // ---- m.handoff ----
@@ -224,6 +189,23 @@ type ZoneAssign struct {
 	Zone      route.Zone
 	Merge     bool
 	MergeWith route.Zone
+}
+
+// walkZoneAssign carries Merge as a byte, 1 or 0; any other is refused.
+func walkZoneAssign(c *transport.Coder, a *ZoneAssign) {
+	walkZone(c, &a.Zone)
+	var merge uint8
+	if a.Merge {
+		merge = 1
+	}
+	c.U8(&merge)
+	if merge > 1 {
+		c.Fail(fmt.Errorf("membership: handoff merge byte %d, want 0 or 1", merge))
+	}
+	if c.Decoding() {
+		a.Merge = merge == 1
+	}
+	walkZone(c, &a.MergeWith)
 }
 
 // HandoffReq is a graceful leaver's transfer to one taker: the zones it was
@@ -240,51 +222,17 @@ type HandoffReq struct {
 	Takers    []Neighbor
 }
 
-func encodeHandoffReq(r HandoffReq) ([]byte, error) {
-	var e transport.Encoder
-	e.Int(r.Level)
-	e.Int(r.Leaver)
-	e.U32(uint32(len(r.Assigns)))
-	for _, a := range r.Assigns {
-		e.Floats(a.Zone.Lo)
-		e.Floats(a.Zone.Hi)
-		if a.Merge {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-		e.Floats(a.MergeWith.Lo)
-		e.Floats(a.MergeWith.Hi)
+func walkHandoffReq(c *transport.Coder, r *HandoffReq) {
+	c.Int(&r.Level)
+	c.Int(&r.Leaver)
+	as := transport.List(c, &r.Assigns, assignSize)
+	for i := range as {
+		walkZoneAssign(c, &as[i])
 	}
-	if err := EncodeRecords(&e, r.Owned); err != nil {
-		return nil, err
-	}
-	if err := EncodeRecords(&e, r.Replicas); err != nil {
-		return nil, err
-	}
-	EncodeNeighbors(&e, r.Neighbors)
-	EncodeNeighbors(&e, r.Takers)
-	return e.Bytes(), nil
-}
-
-func decodeHandoffReq(b []byte) (HandoffReq, error) {
-	d := transport.NewDecoder(b)
-	var r HandoffReq
-	r.Level = d.Int()
-	r.Leaver = d.Int()
-	if n := d.Count(17); d.Err() == nil && n > 0 {
-		r.Assigns = make([]ZoneAssign, n)
-		for i := range r.Assigns {
-			r.Assigns[i].Zone = route.Zone{Lo: d.Floats(), Hi: d.Floats()}
-			r.Assigns[i].Merge = d.U8() == 1
-			r.Assigns[i].MergeWith = route.Zone{Lo: d.Floats(), Hi: d.Floats()}
-		}
-	}
-	r.Owned = DecodeRecords(d)
-	r.Replicas = DecodeRecords(d)
-	r.Neighbors = DecodeNeighbors(d)
-	r.Takers = DecodeNeighbors(d)
-	return r, d.Finish()
+	WalkRecords(c, &r.Owned)
+	WalkRecords(c, &r.Replicas)
+	WalkNeighbors(c, &r.Neighbors)
+	WalkNeighbors(c, &r.Takers)
 }
 
 // ---- m.ping ----
@@ -295,39 +243,17 @@ type PingReq struct {
 	Addr string
 }
 
-func encodePingReq(r PingReq) []byte {
-	var e transport.Encoder
-	e.Int(r.From)
-	e.String(r.Addr)
-	return e.Bytes()
+func walkPingReq(c *transport.Coder, r *PingReq) {
+	c.Int(&r.From)
+	c.String(&r.Addr)
 }
 
-func decodePingReq(b []byte) (PingReq, error) {
-	d := transport.NewDecoder(b)
-	r := PingReq{From: d.Int(), Addr: d.String()}
-	return r, d.Finish()
-}
-
-func encodePingResp(tables []LevelTable) []byte {
-	var e transport.Encoder
-	e.U32(uint32(len(tables)))
-	for _, t := range tables {
-		EncodeZones(&e, t.Zones)
-		EncodeNeighbors(&e, t.Neighbors)
+// walkPingResp walks the probed node's self-report, one table per level.
+func walkPingResp(c *transport.Coder, tables *[]LevelTable) {
+	l := transport.List(c, tables, tableSize)
+	for i := range l {
+		walkLevelTable(c, &l[i])
 	}
-	return e.Bytes()
-}
-
-func decodePingResp(b []byte) ([]LevelTable, error) {
-	d := transport.NewDecoder(b)
-	var tables []LevelTable
-	if n := d.Count(8); d.Err() == nil && n > 0 {
-		tables = make([]LevelTable, n)
-		for i := range tables {
-			tables[i] = LevelTable{Zones: DecodeZones(d), Neighbors: DecodeNeighbors(d)}
-		}
-	}
-	return tables, d.Finish()
 }
 
 // ---- m.takeover ----
@@ -344,28 +270,13 @@ type TakeoverMsg struct {
 	TakerZones []route.Zone
 }
 
-func encodeTakeoverMsg(msg TakeoverMsg) []byte {
-	var e transport.Encoder
-	e.Int(msg.Level)
-	e.Int(msg.Crashed)
-	e.Floats(msg.Zone.Lo)
-	e.Floats(msg.Zone.Hi)
-	e.Int(msg.Taker)
-	e.String(msg.TakerAddr)
-	EncodeZones(&e, msg.TakerZones)
-	return e.Bytes()
-}
-
-func decodeTakeoverMsg(b []byte) (TakeoverMsg, error) {
-	d := transport.NewDecoder(b)
-	var msg TakeoverMsg
-	msg.Level = d.Int()
-	msg.Crashed = d.Int()
-	msg.Zone = route.Zone{Lo: d.Floats(), Hi: d.Floats()}
-	msg.Taker = d.Int()
-	msg.TakerAddr = d.String()
-	msg.TakerZones = DecodeZones(d)
-	return msg, d.Finish()
+func walkTakeoverMsg(c *transport.Coder, msg *TakeoverMsg) {
+	c.Int(&msg.Level)
+	c.Int(&msg.Crashed)
+	walkZone(c, &msg.Zone)
+	c.Int(&msg.Taker)
+	c.String(&msg.TakerAddr)
+	WalkZones(c, &msg.TakerZones)
 }
 
 // ---- m.store_rec ----
@@ -381,42 +292,37 @@ type StoreRecReq struct {
 	Rec     route.RecordView
 }
 
-// EncodeStoreRecReq builds the request body (exported: the stream publisher
-// in internal/node issues these).
-func EncodeStoreRecReq(r StoreRecReq) ([]byte, error) {
-	var e transport.Encoder
-	e.Int(r.Level)
-	flags := uint8(0)
+// The flag bits of a store_rec request; a request with any other is refused.
+const (
+	storeRecDel     = 1 << 0
+	storeRecAsOwner = 1 << 1
+)
+
+// WalkStoreRecReq walks a store_rec request (exported: the stream publisher
+// in internal/node issues these). Rec travels as a record list of exactly one.
+func WalkStoreRecReq(c *transport.Coder, r *StoreRecReq) {
+	c.Int(&r.Level)
+	var flags uint8
 	if r.Del {
-		flags |= 1
+		flags |= storeRecDel
 	}
 	if r.AsOwner {
-		flags |= 2
+		flags |= storeRecAsOwner
 	}
-	e.U8(flags)
-	if err := EncodeRecords(&e, []route.RecordView{r.Rec}); err != nil {
-		return nil, err
+	c.U8(&flags)
+	if flags&^(storeRecDel|storeRecAsOwner) != 0 {
+		c.Fail(fmt.Errorf("membership: store_rec has unknown flag bits %#x", flags))
 	}
-	return e.Bytes(), nil
-}
-
-// DecodeStoreRecReq reads a store_rec request body.
-func DecodeStoreRecReq(b []byte) (StoreRecReq, error) {
-	d := transport.NewDecoder(b)
-	var r StoreRecReq
-	r.Level = d.Int()
-	flags := d.U8()
-	r.Del = flags&1 != 0
-	r.AsOwner = flags&2 != 0
-	recs := DecodeRecords(d)
-	if err := d.Finish(); err != nil {
-		return StoreRecReq{}, err
+	recs := []route.RecordView{r.Rec}
+	WalkRecords(c, &recs)
+	if c.Decoding() {
+		r.Del, r.AsOwner = flags&storeRecDel != 0, flags&storeRecAsOwner != 0
+		if len(recs) != 1 {
+			c.Fail(fmt.Errorf("membership: store_rec carries %d records, want 1", len(recs)))
+			return
+		}
+		r.Rec = recs[0]
 	}
-	if len(recs) != 1 {
-		return StoreRecReq{}, fmt.Errorf("membership: store_rec carries %d records, want 1", len(recs))
-	}
-	r.Rec = recs[0]
-	return r, nil
 }
 
 // StoreRecResp is the holder's acknowledgement: its id, zones, and neighbor
@@ -428,20 +334,11 @@ type StoreRecResp struct {
 	Neighbors []Neighbor
 }
 
-// EncodeStoreRecResp builds the response body.
-func EncodeStoreRecResp(r StoreRecResp) []byte {
-	var e transport.Encoder
-	e.Int(r.ID)
-	EncodeZones(&e, r.Zones)
-	EncodeNeighbors(&e, r.Neighbors)
-	return e.Bytes()
-}
-
-// DecodeStoreRecResp reads a store_rec response body.
-func DecodeStoreRecResp(b []byte) (StoreRecResp, error) {
-	d := transport.NewDecoder(b)
-	r := StoreRecResp{ID: d.Int(), Zones: DecodeZones(d), Neighbors: DecodeNeighbors(d)}
-	return r, d.Finish()
+// WalkStoreRecResp walks a store_rec acknowledgement.
+func WalkStoreRecResp(c *transport.Coder, r *StoreRecResp) {
+	c.Int(&r.ID)
+	WalkZones(c, &r.Zones)
+	WalkNeighbors(c, &r.Neighbors)
 }
 
 // ---- m.zones ----
@@ -457,16 +354,8 @@ type ZoneUpdate struct {
 	Updates []Neighbor
 }
 
-func encodeZoneUpdate(u ZoneUpdate) []byte {
-	var e transport.Encoder
-	e.Int(u.Level)
-	e.Ints(u.Removed)
-	EncodeNeighbors(&e, u.Updates)
-	return e.Bytes()
-}
-
-func decodeZoneUpdate(b []byte) (ZoneUpdate, error) {
-	d := transport.NewDecoder(b)
-	u := ZoneUpdate{Level: d.Int(), Removed: d.Ints(), Updates: DecodeNeighbors(d)}
-	return u, d.Finish()
+func walkZoneUpdate(c *transport.Coder, u *ZoneUpdate) {
+	c.Int(&u.Level)
+	c.Ints(&u.Removed)
+	WalkNeighbors(c, &u.Updates)
 }

@@ -1,5 +1,7 @@
 package membership
 
+import "hyperm/internal/transport"
+
 // Zone news: m.zones tells a neighbor which peers departed (Removed) and
 // which zones peers hold now (Updates); a node whose zones changed
 // rebroadcasts its zone set to its whole table.
@@ -29,5 +31,5 @@ func (m *Manager) rebroadcastLocked(level int, removed []int) []outMsg {
 	upd := ZoneUpdate{Level: level, Removed: removed, Updates: []Neighbor{
 		{ID: m.self, Addr: m.selfAddr, Zones: cloneZones(ls.Zones)},
 	}}
-	return m.sendLocked(ls.Neighbors, nil, MethodZones, encodeZoneUpdate(upd))
+	return m.sendLocked(ls.Neighbors, nil, MethodZones, transport.Encode(&upd, walkZoneUpdate))
 }

@@ -24,26 +24,26 @@ func NewClient(tr transport.Transport, p transport.Policy) *Client {
 // Range runs a range query on the node at addr, which acts as the querying
 // peer.
 func (c *Client) Range(ctx context.Context, addr string, q []float64, eps float64, opts core.RangeOptions) (core.RangeResult, error) {
-	resp, err := c.c.Call(ctx, addr, transport.Request{Method: methodRange, Body: encodeRangeReq(q, eps, opts)})
+	resp, err := c.c.Call(ctx, addr, transport.Request{Method: methodRange, Body: transport.Encode(&rangeReq{q, eps, opts}, walkRangeReq)})
 	if err != nil {
 		return core.RangeResult{}, fmt.Errorf("node: range via %s: %w", addr, err)
 	}
-	return decodeRangeResp(resp.Body)
+	return transport.Decode(resp.Body, walkRangeResp)
 }
 
 // KNN runs a k-nn query on the node at addr.
 func (c *Client) KNN(ctx context.Context, addr string, q []float64, k int, opts core.KNNOptions) (core.KNNResult, error) {
-	resp, err := c.c.Call(ctx, addr, transport.Request{Method: methodKNN, Body: encodeKNNReq(q, k, opts)})
+	resp, err := c.c.Call(ctx, addr, transport.Request{Method: methodKNN, Body: transport.Encode(&knnReq{q, k, opts}, walkKNNReq)})
 	if err != nil {
 		return core.KNNResult{}, fmt.Errorf("node: knn via %s: %w", addr, err)
 	}
-	return decodeKNNResp(resp.Body)
+	return transport.Decode(resp.Body, walkKNNResp)
 }
 
 // Publish post-inserts one item on the node at addr (PostInsert semantics:
 // the node's overlay summaries go stale, Fig 10c).
 func (c *Client) Publish(ctx context.Context, addr string, id int, item []float64) error {
-	_, err := c.c.Call(ctx, addr, transport.Request{Method: methodPublish, Body: encodePublishReq(id, item)})
+	_, err := c.c.Call(ctx, addr, transport.Request{Method: methodPublish, Body: transport.Encode(&publishReq{id, item}, walkPublishReq)})
 	if err != nil {
 		return fmt.Errorf("node: publish via %s: %w", addr, err)
 	}

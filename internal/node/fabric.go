@@ -31,11 +31,11 @@ func (n *Node) Call(ctx context.Context, addr, method string, body []byte) ([]by
 // address — the bootstrap contact of a join, before any id is known.
 func (n *Node) fetchViewAddr(ctx context.Context, addr string, level int, key []float64, radius float64) (searchView, error) {
 	req := searchReq{Level: level, Key: key, Radius: radius}
-	views, err := n.callSearchAddr(ctx, addr, encodeSearchReq([]searchReq{req}), 1)
+	views, err := n.callSearchAddr(ctx, addr, transport.Encode(&[]searchReq{req}, walkSearchReq), 1)
 	if err != nil {
 		return searchView{}, fmt.Errorf("node: can_search %s: %w", addr, err)
 	}
-	sv, err := decodeSearchSlot(views[0])
+	sv, err := transport.Decode(views[0], walkSearchView)
 	if err == nil {
 		err = checkView(level, sv)
 	}

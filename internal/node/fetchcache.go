@@ -138,10 +138,10 @@ type fetchKind[T any] struct {
 var (
 	rangeFetch = fetchKind[[]int]{'r', methodFetchRange,
 		func(n *Node, q []float64, tail uint64) []int { return n.localRange(q, math.Float64frombits(tail)) },
-		decodeFetchRangeResp}
+		func(b []byte) ([]int, error) { return transport.Decode(b, walkFetchRangeResp) }}
 	knnFetch = fetchKind[[]core.ItemDist]{'k', methodFetchKNN,
 		func(n *Node, q []float64, tail uint64) []core.ItemDist { return n.localKNN(q, int(int64(tail))) },
-		decodeFetchKNNResp}
+		func(b []byte) ([]core.ItemDist, error) { return transport.Decode(b, walkFetchKNNResp) }}
 )
 
 // fetchMiss is one slot of a retrieval the memo pass left open: the peer's
@@ -384,7 +384,7 @@ func fetchEntryCovered(key string, resp []byte, item []float64) bool {
 		return d2 <= eps*eps
 	case 'k':
 		k := int(int64(tail))
-		items, err := decodeFetchKNNResp(resp)
+		items, err := transport.Decode(resp, walkFetchKNNResp)
 		if err != nil || len(items) < k || len(items) == 0 { // empty: a peer asked for k <= 0
 			return true
 		}
@@ -532,7 +532,7 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 		return
 	}
 
-	body := encodeInvalReq(n.peer, items)
+	body := transport.Encode(&invalReq{n.peer, items}, walkInvalReq)
 	failed := make([]bool, len(targets))
 	var wg sync.WaitGroup
 	for i, id := range targets {

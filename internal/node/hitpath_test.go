@@ -153,7 +153,7 @@ func TestHitPathRepeatAllocsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := decodeRangeResp(resp.Body); err != nil || len(res.Items) != n {
+		if res, err := transport.Decode(resp.Body, walkRangeResp); err != nil || len(res.Items) != n {
 			t.Fatalf("the answer of the %d nearest holds %d ids (%v)", n, len(res.Items), err)
 		}
 		hits := nd.Counters()[ctrAnswerHit]

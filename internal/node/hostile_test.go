@@ -40,7 +40,7 @@ func (h *hostileTransport) Call(ctx context.Context, addr string, req transport.
 			if answers[i].Skipped = raw == nil; raw == nil {
 				continue
 			}
-			if answers[i].View, err = decodeSearchSlot(raw); err != nil {
+			if answers[i].View, err = transport.Decode(raw, walkSearchView); err != nil {
 				return resp, err
 			}
 			h.edits.Add(int64(h.edit(&answers[i].View)))
@@ -48,13 +48,13 @@ func (h *hostileTransport) Call(ctx context.Context, addr string, req transport.
 		resp.Body, err = encodeSearchResp(answers)
 		return resp, err
 	case membership.MethodStoreRec:
-		ack, err := membership.DecodeStoreRecResp(resp.Body)
+		ack, err := transport.Decode(resp.Body, membership.WalkStoreRecResp)
 		if err != nil {
 			return resp, err
 		}
 		v := searchView{ID: ack.ID, Zones: ack.Zones, Neighbors: ack.Neighbors}
 		h.edits.Add(int64(h.edit(&v)))
-		resp.Body = membership.EncodeStoreRecResp(membership.StoreRecResp{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors})
+		resp.Body = transport.Encode(&membership.StoreRecResp{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors}, membership.WalkStoreRecResp)
 	}
 	return resp, err
 }

@@ -424,36 +424,36 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	switch req.Method {
 	case methodRange:
 		return n.answer('r', req.Body, func() ([]byte, []core.PeerScore, error) {
-			q, eps, opts, err := decodeRangeReq(req.Body)
+			r, err := transport.Decode(req.Body, walkRangeReq)
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := n.RangeQuery(ctx, q, eps, opts)
+			res, err := n.RangeQuery(ctx, r.Q, r.Eps, r.Opts)
 			if err != nil {
 				return nil, nil, remoteErr(err)
 			}
-			return encodeRangeResp(res), res.Scores[:res.PeersContacted], nil
+			return transport.Encode(&res, walkRangeResp), res.Scores[:res.PeersContacted], nil
 		})
 
 	case methodKNN:
 		return n.answer('k', req.Body, func() ([]byte, []core.PeerScore, error) {
-			q, k, opts, err := decodeKNNReq(req.Body)
+			r, err := transport.Decode(req.Body, walkKNNReq)
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := n.KNNQuery(ctx, q, k, opts)
+			res, err := n.KNNQuery(ctx, r.Q, r.K, r.Opts)
 			if err != nil {
 				return nil, nil, remoteErr(err)
 			}
-			return encodeKNNResp(res), res.Scores[:res.PeersContacted], nil
+			return transport.Encode(&res, walkKNNResp), res.Scores[:res.PeersContacted], nil
 		})
 
 	case methodPublish:
-		id, item, err := decodePublishReq(req.Body)
+		r, err := transport.Decode(req.Body, walkPublishReq)
 		if err != nil {
 			return transport.Response{}, err
 		}
-		if err := n.Publish(id, item); err != nil {
+		if err := n.Publish(r.ID, r.Item); err != nil {
 			return transport.Response{}, err
 		}
 		return transport.Response{}, nil
@@ -462,29 +462,31 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		return n.handleSearch(req.Body)
 
 	case methodFetchInval:
-		holder, items, err := decodeInvalReq(req.Body)
+		r, err := transport.Decode(req.Body, walkInvalReq)
 		if err != nil {
 			return transport.Response{}, err
 		}
-		n.invalidateFetch(holder, items)
+		n.invalidateFetch(r.Holder, r.Items)
 		return transport.Response{}, nil
 
 	case methodFetchRange:
 		return n.serveFetch('r', req.Body, func(plain []byte) ([]byte, error) {
-			q, eps, err := decodeFetchRangeReq(plain)
+			r, err := transport.Decode(plain, walkFetchRangeReq)
 			if err != nil {
 				return nil, err
 			}
-			return encodeFetchRangeResp(n.localRange(q, eps)), nil
+			ids := n.localRange(r.Q, r.Eps)
+			return transport.Encode(&ids, walkFetchRangeResp), nil
 		})
 
 	case methodFetchKNN:
 		return n.serveFetch('k', req.Body, func(plain []byte) ([]byte, error) {
-			q, k, err := decodeFetchKNNReq(plain)
+			r, err := transport.Decode(plain, walkFetchKNNReq)
 			if err != nil {
 				return nil, err
 			}
-			return encodeFetchKNNResp(n.localKNN(q, k)), nil
+			items := n.localKNN(r.Q, r.K)
+			return transport.Encode(&items, walkFetchKNNResp), nil
 		})
 
 	default: // a membership method: rpcCounters holds no other
@@ -506,7 +508,7 @@ const maxSearchSpheres = 64
 // zones is skipped — its sender asked on speculation, and no flood claims a
 // node its sphere does not touch.
 func (n *Node) handleSearch(body []byte) (transport.Response, error) {
-	reqs, err := decodeSearchReq(body)
+	reqs, err := transport.Decode(body, walkSearchReq)
 	if err != nil {
 		return transport.Response{}, err
 	}
@@ -529,11 +531,7 @@ func (n *Node) handleSearch(body []byte) (transport.Response, error) {
 			answers[i].View = n.localView(r.Level, r.Key, r.Radius)
 		}
 	}
-	resp, err := encodeSearchResp(answers)
-	if err != nil {
-		return transport.Response{}, err
-	}
-	return transport.Response{Body: resp}, nil
+	return transport.Response{Body: transport.Encode(&answers, walkSearchResp)}, nil
 }
 
 // localView answers one can_search hop from this node's own slice: identity,

@@ -6,6 +6,7 @@ import (
 
 	"hyperm/internal/core"
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // One probe per peer per query.
@@ -70,7 +71,7 @@ func (t *probeTable) claim(id, i int) (p *probe, body []byte) {
 		for j, sp := range t.spheres {
 			reqs[j] = searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius, Optional: j != i}
 		}
-		t.bodies[i] = encodeSearchReq(reqs)
+		t.bodies[i] = transport.Encode(&reqs, walkSearchReq)
 	}
 	p = &probe{done: make(chan struct{})}
 	t.probes[id] = p
@@ -114,13 +115,13 @@ func (s probeViews) View(id int) (route.NodeView, error) {
 	if raw == nil {
 		n.count(ctrCoordRequire)
 		req := searchReq{Level: sp.Level, Key: sp.Key, Radius: sp.Radius}
-		views, err := n.callSearch(t.ctx, id, encodeSearchReq([]searchReq{req}), 1)
+		views, err := n.callSearch(t.ctx, id, transport.Encode(&[]searchReq{req}, walkSearchReq), 1)
 		if err != nil {
 			return route.NodeView{}, err
 		}
 		raw = views[0]
 	}
-	sv, err := decodeSearchSlot(raw)
+	sv, err := transport.Decode(raw, walkSearchView)
 	if err == nil {
 		err = checkView(sp.Level, sv)
 	}

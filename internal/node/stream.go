@@ -142,18 +142,15 @@ func (n *Node) applyRec(ctx context.Context, d core.StreamDelta, id int, asOwner
 	if err != nil {
 		return route.NodeView{}, err
 	}
-	body, err := membership.EncodeStoreRecReq(membership.StoreRecReq{
+	body := transport.Encode(&membership.StoreRecReq{
 		Level: d.Level, Del: d.Del, AsOwner: asOwner, Rec: d.Rec,
-	})
-	if err != nil {
-		return route.NodeView{}, err
-	}
+	}, membership.WalkStoreRecReq)
 	n.count(ctrStreamRec)
 	resp, err := n.client.Call(ctx, addr, transport.Request{Method: membership.MethodStoreRec, Body: body})
 	if err != nil {
 		return route.NodeView{}, err
 	}
-	v, err := membership.DecodeStoreRecResp(resp.Body)
+	v, err := transport.Decode(resp.Body, membership.WalkStoreRecResp)
 	sv := searchView{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors}
 	if err == nil {
 		err = checkView(d.Level, sv)

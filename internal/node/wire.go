@@ -10,9 +10,9 @@ import (
 	"hyperm/internal/transport"
 )
 
-// RPC methods served by a Node. The bodies are binary messages built with
-// the transport codec; float64 values cross the wire bit-exactly, which the
-// determinism oracle depends on.
+// RPC methods served by a Node. Each body is stated once, as a walker
+// (transport.Coder) that sizes, encodes and decodes it; float64 values cross
+// the wire bit-exactly, which the determinism oracle depends on.
 const (
 	methodRange      = "range"       // client → node: run a range query as this peer
 	methodKNN        = "knn"         // client → node: run a k-nn query as this peer
@@ -23,121 +23,85 @@ const (
 	methodFetchInval = "inval_fetch" // node → node: holder's item store changed, drop the entries it names
 )
 
+// The least wire size of one element of each list, the count fence
+// transport.List holds a decoded count to, and of a plain fetch request.
+var (
+	scoreSize     = transport.Size(new(core.PeerScore), walkScore)
+	sphereSize    = transport.Size(new(searchReq), walkSphere)
+	answerSize    = transport.Size(&searchAnswer{Skipped: true}, walkSearchAnswer)
+	invalItemSize = transport.Size(new([]float64), (*transport.Coder).Floats)
+	itemDistSize  = transport.Size(new(core.ItemDist), walkItemDist)
+	fetchReqMin   = transport.Size(new(fetchRangeReq), walkFetchRangeReq)
+)
+
 // ---- range ----
 
-func encodeRangeReq(q []float64, eps float64, opts core.RangeOptions) []byte {
-	var e transport.Encoder
-	e.Floats(q)
-	e.F64(eps)
-	e.Int(opts.MaxPeers)
-	return e.Bytes()
+type rangeReq struct {
+	Q    []float64
+	Eps  float64
+	Opts core.RangeOptions
 }
 
-func decodeRangeReq(b []byte) (q []float64, eps float64, opts core.RangeOptions, err error) {
-	d := transport.NewDecoder(b)
-	q = d.FloatsShared()
-	eps = d.F64()
-	opts.MaxPeers = d.Int()
-	return q, eps, opts, d.Finish()
+func walkRangeReq(c *transport.Coder, r *rangeReq) {
+	c.Floats(&r.Q)
+	c.F64(&r.Eps)
+	c.Int(&r.Opts.MaxPeers)
 }
 
-func encodeScores(e *transport.Encoder, scores []core.PeerScore) {
-	e.Grow(4 + 16*len(scores))
-	e.U32(uint32(len(scores)))
-	for _, s := range scores {
-		e.Int(s.Peer)
-		e.F64(s.Score)
-	}
+func walkScore(c *transport.Coder, s *core.PeerScore) {
+	c.Int(&s.Peer)
+	c.F64(&s.Score)
 }
 
-func decodeScores(d *transport.Decoder) []core.PeerScore {
-	n := d.Count(16)
-	if d.Err() != nil || n == 0 {
-		return nil
+func walkScores(c *transport.Coder, scores *[]core.PeerScore) {
+	l := transport.List(c, scores, scoreSize)
+	for i := range l {
+		walkScore(c, &l[i])
 	}
-	out := make([]core.PeerScore, n)
-	for i := range out {
-		out[i] = core.PeerScore{Peer: d.Int(), Score: d.F64()}
-	}
-	return out
 }
 
 // Range answers (here and in fetch_range) are ascending id runs, so they
 // travel delta-coded; kNN answers are in distance order and stay fixed-width.
-func encodeRangeResp(res core.RangeResult) []byte {
-	var e transport.Encoder
-	e.IntsDelta(res.Items)
-	encodeScores(&e, res.Scores)
-	e.Int(res.PeersContacted)
-	e.Int(res.OverlayHops)
-	return e.Bytes()
-}
-
-func decodeRangeResp(b []byte) (core.RangeResult, error) {
-	d := transport.NewDecoder(b)
-	var res core.RangeResult
-	res.Items = d.IntsDeltaShared()
-	res.Scores = decodeScores(d)
-	res.PeersContacted = d.Int()
-	res.OverlayHops = d.Int()
-	return res, d.Finish()
+func walkRangeResp(c *transport.Coder, res *core.RangeResult) {
+	c.IntsDelta(&res.Items)
+	walkScores(c, &res.Scores)
+	c.Int(&res.PeersContacted)
+	c.Int(&res.OverlayHops)
 }
 
 // ---- knn ----
 
-func encodeKNNReq(q []float64, k int, opts core.KNNOptions) []byte {
-	var e transport.Encoder
-	e.Floats(q)
-	e.Int(k)
-	e.Int(opts.MaxPeers)
-	e.F64(opts.C)
-	return e.Bytes()
+type knnReq struct {
+	Q    []float64
+	K    int
+	Opts core.KNNOptions
 }
 
-func decodeKNNReq(b []byte) (q []float64, k int, opts core.KNNOptions, err error) {
-	d := transport.NewDecoder(b)
-	q = d.FloatsShared()
-	k = d.Int()
-	opts.MaxPeers = d.Int()
-	opts.C = d.F64()
-	return q, k, opts, d.Finish()
+func walkKNNReq(c *transport.Coder, r *knnReq) {
+	c.Floats(&r.Q)
+	c.Int(&r.K)
+	c.Int(&r.Opts.MaxPeers)
+	c.F64(&r.Opts.C)
 }
 
-func encodeKNNResp(res core.KNNResult) []byte {
-	var e transport.Encoder
-	e.Ints(res.Items)
-	encodeScores(&e, res.Scores)
-	e.Floats(res.EpsPerLevel)
-	e.Int(res.PeersContacted)
-	e.Int(res.OverlayHops)
-	return e.Bytes()
-}
-
-func decodeKNNResp(b []byte) (core.KNNResult, error) {
-	d := transport.NewDecoder(b)
-	var res core.KNNResult
-	res.Items = d.IntsShared()
-	res.Scores = decodeScores(d)
-	res.EpsPerLevel = d.FloatsShared()
-	res.PeersContacted = d.Int()
-	res.OverlayHops = d.Int()
-	return res, d.Finish()
+func walkKNNResp(c *transport.Coder, res *core.KNNResult) {
+	c.Ints(&res.Items)
+	walkScores(c, &res.Scores)
+	c.Floats(&res.EpsPerLevel)
+	c.Int(&res.PeersContacted)
+	c.Int(&res.OverlayHops)
 }
 
 // ---- publish ----
 
-func encodePublishReq(id int, item []float64) []byte {
-	var e transport.Encoder
-	e.Int(id)
-	e.Floats(item)
-	return e.Bytes()
+type publishReq struct {
+	ID   int
+	Item []float64
 }
 
-func decodePublishReq(b []byte) (id int, item []float64, err error) {
-	d := transport.NewDecoder(b)
-	id = d.Int()
-	item = d.FloatsShared()
-	return id, item, d.Finish()
+func walkPublishReq(c *transport.Coder, r *publishReq) {
+	c.Int(&r.ID)
+	c.Floats(&r.Item)
 }
 
 // ---- can_search ----
@@ -157,52 +121,31 @@ type searchReq struct {
 }
 
 // searchFlagOptional is the one flag bit a sphere may carry (bit 0 is
-// retired); decodeSearchReq rejects any other.
+// retired); walkSphere refuses any other.
 const searchFlagOptional = 1 << 1
 
-// searchReqMinSize is the wire size of a sphere with an empty key, the bound
-// Decoder.Count holds a request's count to.
-const searchReqMinSize = 8 + 4 + 8 + 1
-
-func encodeSearchReq(reqs []searchReq) []byte {
-	var e transport.Encoder
-	size := 4
-	for _, r := range reqs {
-		size += searchReqMinSize + 8*len(r.Key)
+func walkSphere(c *transport.Coder, r *searchReq) {
+	c.Int(&r.Level)
+	c.Floats(&r.Key)
+	c.F64(&r.Radius)
+	var flags uint8
+	if r.Optional {
+		flags = searchFlagOptional
 	}
-	e.Grow(size)
-	e.U32(uint32(len(reqs)))
-	for _, r := range reqs {
-		e.Int(r.Level)
-		e.Floats(r.Key)
-		e.F64(r.Radius)
-		var flags uint8
-		if r.Optional {
-			flags |= searchFlagOptional
-		}
-		e.U8(flags)
+	c.U8(&flags)
+	if flags&^searchFlagOptional != 0 {
+		c.Fail(fmt.Errorf("node: can_search sphere has unknown flag bits %#x", flags))
 	}
-	return e.Bytes()
+	if c.Decoding() {
+		r.Optional = flags&searchFlagOptional != 0
+	}
 }
 
-func decodeSearchReq(b []byte) ([]searchReq, error) {
-	d := transport.NewDecoder(b)
-	var reqs []searchReq
-	if n := d.Count(searchReqMinSize); d.Err() == nil && n > 0 {
-		reqs = make([]searchReq, n)
-		for i := range reqs {
-			r := &reqs[i]
-			r.Level = d.Int()
-			r.Key = d.FloatsShared()
-			r.Radius = d.F64()
-			flags := d.U8()
-			if d.Err() == nil && flags&^searchFlagOptional != 0 {
-				return nil, fmt.Errorf("node: can_search sphere %d has unknown flag bits %#x", i, flags)
-			}
-			r.Optional = flags&searchFlagOptional != 0
-		}
+func walkSearchReq(c *transport.Coder, reqs *[]searchReq) {
+	l := transport.List(c, reqs, sphereSize)
+	for i := range l {
+		walkSphere(c, &l[i])
 	}
-	return reqs, d.Finish()
 }
 
 // searchView is one node's answer to a can_search hop: its identity and
@@ -220,53 +163,12 @@ type searchView struct {
 	Replicas  []can.RecordView
 }
 
-// searchRespSize is the exact wire size of encodeSearchView's output, so the
-// hot can_search reply path allocates its buffer once (records' cluster-ref
-// centers share the key's dimensionality).
-func searchRespSize(v searchView) int {
-	zones := func(zs []can.Zone) int {
-		n := 4
-		for _, z := range zs {
-			n += 8 + 8*(len(z.Lo)+len(z.Hi))
-		}
-		return n
-	}
-	recs := func(rs []can.RecordView) int {
-		n := 4
-		for _, rec := range rs {
-			n += 8 + 4 + 8*len(rec.Entry.Key) + 8 + 24 + 4 + 8*len(rec.Entry.Key) + 8 + 8
-		}
-		return n
-	}
-	n := 8 + zones(v.Zones) + 4
-	for _, nb := range v.Neighbors {
-		n += 8 + 4 + len(nb.Addr) + zones(nb.Zones)
-	}
-	return n + recs(v.Owned) + recs(v.Replicas)
-}
-
-// encodeSearchView appends one searchView to an encoder.
-func encodeSearchView(e *transport.Encoder, v searchView) error {
-	e.Int(v.ID)
-	membership.EncodeZones(e, v.Zones)
-	membership.EncodeNeighbors(e, v.Neighbors)
-	if err := membership.EncodeRecords(e, v.Owned); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	if err := membership.EncodeRecords(e, v.Replicas); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	return nil
-}
-
-func decodeSearchView(d *transport.Decoder) searchView {
-	var v searchView
-	v.ID = d.Int()
-	v.Zones = membership.DecodeZones(d)
-	v.Neighbors = membership.DecodeNeighbors(d)
-	v.Owned = membership.DecodeRecords(d)
-	v.Replicas = membership.DecodeRecords(d)
-	return v
+func walkSearchView(c *transport.Coder, v *searchView) {
+	c.Int(&v.ID)
+	membership.WalkZones(c, &v.Zones)
+	membership.WalkNeighbors(c, &v.Neighbors)
+	membership.WalkRecords(c, &v.Owned)
+	membership.WalkRecords(c, &v.Replicas)
 }
 
 // searchAnswer is one slot of a can_search response, in request order: the
@@ -277,34 +179,27 @@ type searchAnswer struct {
 	Skipped bool
 }
 
-// encodeSearchResp writes a count-prefixed list of length-prefixed views; a
-// skipped slot is a zero length and nothing else (a view is never empty: id
-// and four list counts alone take 24 bytes). The lengths let the
-// receiver split the message without decoding a view it may never read.
-func encodeSearchResp(answers []searchAnswer) ([]byte, error) {
-	var e transport.Encoder
-	size := 4
-	for _, a := range answers {
-		size += 4
-		if !a.Skipped {
-			size += searchRespSize(a.View)
-		}
+// walkSearchAnswer puts a byte length in front of the view, so the receiver
+// can split the response without decoding a view it may never read
+// (splitSearchResp). A skipped slot is a zero length and nothing else: a view
+// is never empty (id and four list counts alone take 24 bytes).
+func walkSearchAnswer(c *transport.Coder, a *searchAnswer) {
+	present := !a.Skipped
+	mark := c.Begin(&present)
+	if c.Decoding() {
+		a.Skipped = !present
 	}
-	e.Grow(size)
-	e.U32(uint32(len(answers)))
-	for _, a := range answers {
-		if a.Skipped {
-			e.U32(0)
-			continue
-		}
-		at := e.Len()
-		e.U32(0)
-		if err := encodeSearchView(&e, a.View); err != nil {
-			return nil, err
-		}
-		e.SetU32(at, uint32(e.Len()-at-4))
+	if present {
+		walkSearchView(c, &a.View)
+		c.End(mark)
 	}
-	return e.Bytes(), nil
+}
+
+func walkSearchResp(c *transport.Coder, answers *[]searchAnswer) {
+	l := transport.List(c, answers, answerSize)
+	for i := range l {
+		walkSearchAnswer(c, &l[i])
+	}
 }
 
 // splitSearchResp cuts a can_search response into its encoded views without
@@ -315,20 +210,13 @@ func encodeSearchResp(answers []searchAnswer) ([]byte, error) {
 func splitSearchResp(b []byte) ([][]byte, error) {
 	d := transport.NewDecoder(b)
 	var out [][]byte
-	if n := d.Count(4); d.Err() == nil && n > 0 {
+	if n := d.Count(answerSize); n > 0 {
 		out = make([][]byte, n)
 		for i := range out {
 			out[i] = d.Bytes()
 		}
 	}
 	return out, d.Finish()
-}
-
-// decodeSearchSlot decodes one view cut out by splitSearchResp.
-func decodeSearchSlot(b []byte) (searchView, error) {
-	d := transport.NewDecoder(b)
-	v := decodeSearchView(d)
-	return v, d.Finish()
 }
 
 // ---- inval_fetch ----
@@ -338,33 +226,17 @@ func decodeSearchSlot(b []byte) (searchView, error) {
 // publish ships every item in one notification. No publish is empty, so an
 // empty list is free to mean the other thing a holder can have to say: drop
 // every answer of mine (the lost-mark fallback, see fetchcache.go).
-func encodeInvalReq(holder int, items [][]float64) []byte {
-	var e transport.Encoder
-	size := 12
-	for _, it := range items {
-		size += 4 + 8*len(it)
-	}
-	e.Grow(size)
-	e.Int(holder)
-	e.U32(uint32(len(items)))
-	for _, it := range items {
-		e.Floats(it)
-	}
-	return e.Bytes()
+type invalReq struct {
+	Holder int
+	Items  [][]float64
 }
 
-func decodeInvalReq(b []byte) (holder int, items [][]float64, err error) {
-	d := transport.NewDecoder(b)
-	holder = d.Int()
-	// An item costs at least 4 bytes (empty vector length prefix), which
-	// bounds a sane count against the message size.
-	if n := d.Count(4); d.Err() == nil && n > 0 {
-		items = make([][]float64, n)
-		for i := range items {
-			items[i] = d.FloatsShared()
-		}
+func walkInvalReq(c *transport.Coder, r *invalReq) {
+	c.Int(&r.Holder)
+	l := transport.List(c, &r.Items, invalItemSize)
+	for i := range l {
+		c.Floats(&l[i])
 	}
-	return holder, items, d.Finish()
 }
 
 // ---- fetch_range / fetch_knn ----
@@ -374,7 +246,7 @@ func decodeInvalReq(b []byte) (holder int, items [][]float64, err error) {
 // lists on the answer's directory line and notifies when a publish changes it.
 
 // fetchReqSize is the wire size of a plain fetch request over dim coordinates.
-func fetchReqSize(dim int) int { return 4 + 8*dim + 8 }
+func fetchReqSize(dim int) int { return fetchReqMin + 8*dim }
 
 // appendSubscriber turns a plain fetch request into the caching form.
 func appendSubscriber(plain []byte, peer int) []byte {
@@ -382,7 +254,7 @@ func appendSubscriber(plain []byte, peer int) []byte {
 }
 
 // splitFetchReq cuts a fetch request over dim coordinates into its plain form
-// — the memo key, and what decodeFetchRangeReq / decodeFetchKNNReq read — and
+// — the memo key, and what walkFetchRangeReq / walkFetchKNNReq read — and
 // the subscriber id, if one follows. A caching request is as long as a plain
 // one of a coordinate more, so the length alone cannot tell them apart: the
 // count must be the holder's dimension, and then anything but exactly zero or
@@ -398,69 +270,40 @@ func splitFetchReq(b []byte, dim int) (plain []byte, sub int, caching bool, err 
 	return b[:size], int(int64(binary.BigEndian.Uint64(b[size:]))), true, nil
 }
 
-// The request encoders are the codec's statement of the plain form. A
+// The request walkers are the codec's statement of the plain form. A
 // coordinator writes the same bytes through fetchKey (fetchcache.go), whose
 // output doubles as the memo key; TestFetchDirKeyIsTaggedPlainRequest holds the
 // two together.
-func encodeFetchRangeReq(q []float64, eps float64) []byte {
-	var e transport.Encoder
-	e.Floats(q)
-	e.F64(eps)
-	return e.Bytes()
+type fetchRangeReq struct {
+	Q   []float64
+	Eps float64
 }
 
-func decodeFetchRangeReq(b []byte) (q []float64, eps float64, err error) {
-	d := transport.NewDecoder(b)
-	q = d.FloatsShared()
-	eps = d.F64()
-	return q, eps, d.Finish()
+func walkFetchRangeReq(c *transport.Coder, r *fetchRangeReq) {
+	c.Floats(&r.Q)
+	c.F64(&r.Eps)
 }
 
-func encodeFetchRangeResp(ids []int) []byte {
-	var e transport.Encoder
-	e.IntsDelta(ids)
-	return e.Bytes()
+func walkFetchRangeResp(c *transport.Coder, ids *[]int) { c.IntsDelta(ids) }
+
+type fetchKNNReq struct {
+	Q []float64
+	K int
 }
 
-func decodeFetchRangeResp(b []byte) ([]int, error) {
-	d := transport.NewDecoder(b)
-	ids := d.IntsDeltaShared()
-	return ids, d.Finish()
+func walkFetchKNNReq(c *transport.Coder, r *fetchKNNReq) {
+	c.Floats(&r.Q)
+	c.Int(&r.K)
 }
 
-func encodeFetchKNNReq(q []float64, k int) []byte {
-	var e transport.Encoder
-	e.Floats(q)
-	e.Int(k)
-	return e.Bytes()
+func walkItemDist(c *transport.Coder, it *core.ItemDist) {
+	c.Int(&it.ID)
+	c.F64(&it.Dist2)
 }
 
-func decodeFetchKNNReq(b []byte) (q []float64, k int, err error) {
-	d := transport.NewDecoder(b)
-	q = d.FloatsShared()
-	k = d.Int()
-	return q, k, d.Finish()
-}
-
-func encodeFetchKNNResp(items []core.ItemDist) []byte {
-	var e transport.Encoder
-	e.Grow(4 + 16*len(items))
-	e.U32(uint32(len(items)))
-	for _, it := range items {
-		e.Int(it.ID)
-		e.F64(it.Dist2)
+func walkFetchKNNResp(c *transport.Coder, items *[]core.ItemDist) {
+	l := transport.List(c, items, itemDistSize)
+	for i := range l {
+		walkItemDist(c, &l[i])
 	}
-	return e.Bytes()
-}
-
-func decodeFetchKNNResp(b []byte) ([]core.ItemDist, error) {
-	d := transport.NewDecoder(b)
-	var items []core.ItemDist
-	if n := d.Count(16); d.Err() == nil && n > 0 {
-		items = make([]core.ItemDist, n)
-		for i := range items {
-			items[i] = core.ItemDist{ID: d.Int(), Dist2: d.F64()}
-		}
-	}
-	return items, d.Finish()
 }

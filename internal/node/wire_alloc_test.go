@@ -7,6 +7,7 @@ import (
 	"hyperm/internal/membership"
 	"hyperm/internal/overlay"
 	"hyperm/internal/route"
+	"hyperm/internal/transport"
 )
 
 // Allocation fences for the serving path's hot wire decoders. A can_search
@@ -71,7 +72,7 @@ func TestSearchRespDecodeAllocFence(t *testing.T) {
 			len(slots), slots[0] == nil, slots[1] == nil, slots[2] == nil)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		v, err := decodeSearchSlot(slots[0])
+		v, err := transport.Decode(slots[0], walkSearchView)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +80,12 @@ func TestSearchRespDecodeAllocFence(t *testing.T) {
 			t.Fatalf("decoded %d records, want %d", len(v.Owned)+len(v.Replicas), records)
 		}
 	})
-	t.Logf("decodeSearchSlot with %d records: %.0f allocs", records, allocs)
+	t.Logf("view decode with %d records: %.0f allocs", records, allocs)
 	// One boxing per record is structural (Entry.Payload is an interface);
 	// everything else — vectors, zone coordinates — must come from the arena.
 	// The old per-vector decode sat at >= 3x records.
 	if allocs > records+32 {
-		t.Errorf("decodeSearchSlot with %d records took %.0f allocs, want <= %d (boxing + arena blocks)",
+		t.Errorf("view decode with %d records took %.0f allocs, want <= %d (boxing + arena blocks)",
 			records, allocs, records+32)
 	}
 }
@@ -107,7 +108,7 @@ func TestFetchRespDecodeAllocFence(t *testing.T) {
 		t.Errorf("encodeFetchRangeResp took %.0f allocs, want 1", allocs)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		got, err := decodeFetchRangeResp(body)
+		got, err := transport.Decode(body, walkFetchRangeResp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestFetchRespDecodeAllocFence(t *testing.T) {
 	})
 	t.Logf("fetch_range answer of %d ids: %d bytes, decode %.0f allocs", len(ids), len(body), allocs)
 	if allocs > 4 {
-		t.Errorf("decodeFetchRangeResp took %.0f allocs, want <= 4 (decoder + id array)", allocs)
+		t.Errorf("fetch_range answer decode took %.0f allocs, want <= 4 (decoder + id array)", allocs)
 	}
 }
 
@@ -126,19 +127,14 @@ func TestFetchRespDecodeAllocFence(t *testing.T) {
 // small constant.
 func TestStoreRecRoundTripAllocFence(t *testing.T) {
 	v := benchView(1)
-	body, err := membership.EncodeStoreRecReq(membership.StoreRecReq{
-		Level: 1, Del: false, AsOwner: true, Rec: v.Owned[0],
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := transport.Encode(&membership.StoreRecReq{Level: 1, AsOwner: true, Rec: v.Owned[0]}, membership.WalkStoreRecReq)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := membership.DecodeStoreRecReq(body); err != nil {
+		if _, err := transport.Decode(body, membership.WalkStoreRecReq); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("DecodeStoreRecReq: %.0f allocs", allocs)
+	t.Logf("store_rec request decode: %.0f allocs", allocs)
 	if allocs > 8 {
-		t.Errorf("DecodeStoreRecReq took %.0f allocs, want <= 8", allocs)
+		t.Errorf("store_rec request decode took %.0f allocs, want <= 8", allocs)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"hyperm/internal/core"
 	"hyperm/internal/transport"
+	"hyperm/internal/transport/wiretest"
 )
 
 // The can_search message carries two count-prefixed lists a peer fills in: the
@@ -48,9 +50,125 @@ func withCount(b []byte, n uint32) []byte {
 	return out
 }
 
+// wireMessages lists every node body with its walker, the call that encodes
+// it, and seed values: TestWireConforms checks each, and FuzzNodeWire picks
+// from them by index.
+func wireMessages() []wiretest.Message {
+	q := []float64{0.25, -1.5}
+	scores := []core.PeerScore{{Peer: 2, Score: 0.5}, {Peer: 5, Score: math.Inf(1)}}
+	return []wiretest.Message{
+		wiretest.Of("range request", walkRangeReq,
+			func(r *rangeReq) []byte { return transport.Encode(r, walkRangeReq) },
+			rangeReq{}, rangeReq{Q: q, Eps: 0.125, Opts: core.RangeOptions{MaxPeers: 3}}),
+		wiretest.Of("range response", walkRangeResp,
+			func(r *core.RangeResult) []byte { return transport.Encode(r, walkRangeResp) },
+			core.RangeResult{}, core.RangeResult{Items: []int{3, 4, 9, 300, 299, -1 << 40}, Scores: scores, PeersContacted: 2, OverlayHops: 7}),
+		wiretest.Of("knn request", walkKNNReq,
+			func(r *knnReq) []byte { return transport.Encode(r, walkKNNReq) },
+			knnReq{}, knnReq{Q: q, K: 4, Opts: core.KNNOptions{MaxPeers: 2, C: 1.5}}),
+		wiretest.Of("knn response", walkKNNResp,
+			func(r *core.KNNResult) []byte { return transport.Encode(r, walkKNNResp) },
+			core.KNNResult{}, core.KNNResult{Items: []int{9, -3}, Scores: scores, EpsPerLevel: []float64{0.1, math.NaN()}, PeersContacted: 1, OverlayHops: 4}),
+		wiretest.Of("publish request", walkPublishReq,
+			func(r *publishReq) []byte { return transport.Encode(r, walkPublishReq) },
+			publishReq{}, publishReq{ID: 7001, Item: q}),
+		wiretest.Of("can_search request", walkSearchReq,
+			func(reqs *[]searchReq) []byte { return transport.Encode(reqs, walkSearchReq) },
+			nil, []searchReq{{Level: 0, Key: []float64{0.25}, Radius: 0.1}, {Level: 1, Key: q, Optional: true}, {}}),
+		wiretest.Of("can_search response", walkSearchResp,
+			func(answers *[]searchAnswer) []byte { return transport.Encode(answers, walkSearchResp) },
+			nil, []searchAnswer{{Skipped: true}, {}}, []searchAnswer{{View: benchView(3)}, {Skipped: true}, {View: benchView(0)}}),
+		wiretest.Of("inval_fetch", walkInvalReq,
+			func(r *invalReq) []byte { return transport.Encode(r, walkInvalReq) },
+			invalReq{Holder: 5}, invalReq{Holder: 5, Items: [][]float64{q, nil, {1}}}),
+		wiretest.Of("fetch_range request", walkFetchRangeReq,
+			func(r *fetchRangeReq) []byte { return transport.Encode(r, walkFetchRangeReq) },
+			fetchRangeReq{}, fetchRangeReq{Q: q, Eps: 0.125}),
+		wiretest.Of("fetch_range response", walkFetchRangeResp,
+			func(ids *[]int) []byte { return transport.Encode(ids, walkFetchRangeResp) },
+			nil, []int{1, 2, 40, 41, 1 << 20, 1<<20 + 1}),
+		wiretest.Of("fetch_knn request", walkFetchKNNReq,
+			func(r *fetchKNNReq) []byte { return transport.Encode(r, walkFetchKNNReq) },
+			fetchKNNReq{}, fetchKNNReq{Q: q, K: 3}),
+		wiretest.Of("fetch_knn response", walkFetchKNNResp,
+			func(items *[]core.ItemDist) []byte { return transport.Encode(items, walkFetchKNNResp) },
+			nil, []core.ItemDist{{ID: 8, Dist2: 0.5}, {ID: 2, Dist2: 0.75}}),
+	}
+}
+
+func TestWireConforms(t *testing.T) { wiretest.Check(t, wireMessages()) }
+
+// TestWireListFences pins the count fence of every node list, worked out from
+// its element walker, to the wire size of the list's least element, and the
+// plain fetch request of either method to one size (splitFetchReq cuts both).
+func TestWireListFences(t *testing.T) {
+	for name, c := range map[string]struct{ got, want int }{
+		"sphere":                  {sphereSize, 21},
+		"score":                   {scoreSize, 16},
+		"item-dist":               {itemDistSize, 16},
+		"inval item":              {invalItemSize, 4},
+		"skipped can_search slot": {answerSize, 4},
+		"plain fetch_range":       {fetchReqMin, 12},
+		"plain fetch_knn":         {transport.Size(new(fetchKNNReq), walkFetchKNNReq), fetchReqMin},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: least wire size %d, want %d", name, c.got, c.want)
+		}
+	}
+}
+
+// FuzzNodeWire holds every node body to the codec's contract
+// (wiretest.Conforms): the first input byte picks the message, the rest is its
+// body. The can_search request is also seeded with a corrupt count, a
+// trailing byte and a retired flag bit, and every one accepted goes through
+// checkSearchFlags.
+func FuzzNodeWire(f *testing.F) {
+	msgs := wireMessages()
+	search := byte(slices.IndexFunc(msgs, func(m wiretest.Message) bool { return m.Name == "can_search request" }))
+	seed := searchReqSeed()
+	for _, b := range [][]byte{seed, withCount(seed, 1<<31), append(bytes.Clone(seed), 0), {}, withLastFlags(seed, 1<<0)} {
+		f.Add(append([]byte{search}, b...))
+	}
+	for _, b := range wiretest.Seeds(msgs) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		wiretest.Fuzz(t, msgs, raw)
+		if len(raw) > 0 && raw[0]%byte(len(msgs)) == search {
+			checkSearchFlags(t, raw[1:])
+		}
+	})
+}
+
+// checkSearchFlags holds an accepted can_search request to its flag byte: it
+// carries no bit but searchFlagOptional, and setting any other makes the
+// request one that is refused. (The message ends on its last sphere's flag
+// byte.)
+func checkSearchFlags(t *testing.T, body []byte) {
+	reqs, err := transport.Decode(body, walkSearchReq)
+	if err != nil || len(reqs) == 0 {
+		return
+	}
+	last := body[len(body)-1]
+	if last&^searchFlagOptional != 0 {
+		t.Fatalf("decoded a request whose last sphere has flags %#x", last)
+	}
+	for bit := uint8(1); bit != 0; bit <<= 1 {
+		if bit == searchFlagOptional {
+			continue
+		}
+		if _, err := transport.Decode(withLastFlags(body, last|bit), walkSearchReq); err == nil {
+			t.Fatalf("request with unknown flag bit %#x decoded", bit)
+		}
+	}
+	if len(reqs)*sphereSize > len(body) {
+		t.Fatalf("%d spheres decoded from %d bytes", len(reqs), len(body))
+	}
+}
+
 func TestSearchWireRejectsCorruptPrefixes(t *testing.T) {
 	req, resp := searchReqSeed(), searchRespSeed(t)
-	if _, err := decodeSearchReq(req); err != nil {
+	if _, err := transport.Decode(req, walkSearchReq); err != nil {
 		t.Fatalf("seed request: %v", err)
 	}
 	if _, err := splitSearchResp(resp); err != nil {
@@ -71,7 +189,7 @@ func TestSearchWireRejectsCorruptPrefixes(t *testing.T) {
 		"request retired full flag":        withLastFlags(req, 1<<0),
 		"request unknown flag beside ours": withLastFlags(req, searchFlagOptional|1<<7),
 	} {
-		if reqs, err := decodeSearchReq(b); err == nil {
+		if reqs, err := transport.Decode(b, walkSearchReq); err == nil {
 			t.Errorf("%s: decoded %d spheres, want an error", name, len(reqs))
 		}
 	}
@@ -91,59 +209,13 @@ func TestSearchWireRejectsCorruptPrefixes(t *testing.T) {
 	// A length that cuts a view one byte short shifts every later prefix: the
 	// split fails, or yields a first slot that does not decode.
 	if slots, err := splitSearchResp(shortView); err == nil {
-		if _, err := decodeSearchSlot(slots[0]); err == nil {
+		if _, err := transport.Decode(slots[0], walkSearchView); err == nil {
 			t.Error("a view cut one byte short decoded")
 		}
 	}
-	if _, err := decodeSearchSlot(nil); err == nil {
+	if _, err := transport.Decode(nil, walkSearchView); err == nil {
 		t.Error("a skipped slot decoded as a view")
 	}
-}
-
-func FuzzSearchReqRoundTrip(f *testing.F) {
-	seed := searchReqSeed()
-	f.Add(seed)
-	f.Add(withCount(seed, 1<<31))
-	f.Add(append(bytes.Clone(seed), 0))
-	f.Add([]byte{})
-	f.Add(withLastFlags(seed, 1<<0))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		reqs, err := decodeSearchReq(raw)
-		if err != nil {
-			return // rejected input: nothing to round-trip
-		}
-		// A decoded request carries no flag bit but searchFlagOptional, and
-		// setting any other turns it into a rejected input. (The message ends
-		// on its last sphere's flag byte.)
-		if len(reqs) > 0 {
-			last := raw[len(raw)-1]
-			if last&^searchFlagOptional != 0 {
-				t.Fatalf("decoded a request whose last sphere has flags %#x", last)
-			}
-			for bit := uint8(1); bit != 0; bit <<= 1 {
-				if bit == searchFlagOptional {
-					continue
-				}
-				if _, err := decodeSearchReq(withLastFlags(raw, last|bit)); err == nil {
-					t.Fatalf("request with unknown flag bit %#x decoded", bit)
-				}
-			}
-		}
-		if len(reqs)*searchReqMinSize > len(raw) {
-			t.Fatalf("%d spheres decoded from %d bytes", len(reqs), len(raw))
-		}
-		b1 := encodeSearchReq(reqs)
-		reqs2, err := decodeSearchReq(b1)
-		if err != nil {
-			t.Fatalf("re-encoded request failed to decode: %v", err)
-		}
-		if b2 := encodeSearchReq(reqs2); !bytes.Equal(b1, b2) {
-			t.Fatalf("can_search request round-trip not a fixed point:\nfirst:  %x\nsecond: %x", b1, b2)
-		}
-		if len(reqs2) != len(reqs) {
-			t.Fatalf("%d spheres became %d", len(reqs), len(reqs2))
-		}
-	})
 }
 
 func FuzzSearchRespDecode(f *testing.F) {
@@ -172,7 +244,7 @@ func FuzzSearchRespDecode(f *testing.F) {
 				answers[i].Skipped = true
 				continue
 			}
-			v, err := decodeSearchSlot(s)
+			v, err := transport.Decode(s, walkSearchView)
 			if err != nil {
 				return // a view that does not decode: nothing to round-trip
 			}
@@ -193,7 +265,7 @@ func FuzzSearchRespDecode(f *testing.F) {
 			if s == nil {
 				continue
 			}
-			v, err := decodeSearchSlot(s)
+			v, err := transport.Decode(s, walkSearchView)
 			if err != nil {
 				t.Fatalf("slot %d of the re-encoded response failed to decode: %v", i, err)
 			}
@@ -225,8 +297,8 @@ func checkFetchReq(t *testing.T, req []byte, dim int, sub int64, caching bool) {
 		t.Fatalf("split into %d plain bytes, subscriber %d (caching %v), want %d bytes, %d (%v)",
 			len(plain), gotSub, gotCaching, fetchReqSize(dim), sub, caching)
 	}
-	if q, _, err := decodeFetchRangeReq(plain); err != nil || len(q) != dim {
-		t.Fatalf("plain form decoded to %d coordinates (%v), want %d", len(q), err, dim)
+	if r, err := transport.Decode(plain, walkFetchRangeReq); err != nil || len(r.Q) != dim {
+		t.Fatalf("plain form decoded to %d coordinates (%v), want %d", len(r.Q), err, dim)
 	}
 	for cut := 0; cut < len(req); cut++ {
 		p, _, c, err := splitFetchReq(req[:cut], dim)
@@ -267,16 +339,16 @@ func FuzzFetchReqRoundTrip(f *testing.F) {
 			checkFetchReq(t, appendSubscriber(bytes.Clone(plain), int(sub)), len(q), sub, true)
 		}
 		// Both codecs give back what went in, bit for bit.
-		q2, eps2, err := decodeFetchRangeReq(encodeFetchRangeReq(q, eps))
-		if err != nil || len(q2) != len(q) || math.Float64bits(eps2) != math.Float64bits(eps) {
-			t.Fatalf("fetch_range round trip: %d coordinates, eps %x (%v)", len(q2), math.Float64bits(eps2), err)
+		r, err := transport.Decode(encodeFetchRangeReq(q, eps), walkFetchRangeReq)
+		if err != nil || len(r.Q) != len(q) || math.Float64bits(r.Eps) != math.Float64bits(eps) {
+			t.Fatalf("fetch_range round trip: %d coordinates, eps %x (%v)", len(r.Q), math.Float64bits(r.Eps), err)
 		}
-		q3, k2, err := decodeFetchKNNReq(encodeFetchKNNReq(q, int(k)))
-		if err != nil || len(q3) != len(q) || int64(k2) != k {
-			t.Fatalf("fetch_knn round trip: %d coordinates, k %d (%v)", len(q3), k2, err)
+		rk, err := transport.Decode(encodeFetchKNNReq(q, int(k)), walkFetchKNNReq)
+		if err != nil || len(rk.Q) != len(q) || int64(rk.K) != k {
+			t.Fatalf("fetch_knn round trip: %d coordinates, k %d (%v)", len(rk.Q), rk.K, err)
 		}
 		for i := range q {
-			if math.Float64bits(q2[i]) != math.Float64bits(q[i]) || math.Float64bits(q3[i]) != math.Float64bits(q[i]) {
+			if math.Float64bits(r.Q[i]) != math.Float64bits(q[i]) || math.Float64bits(rk.Q[i]) != math.Float64bits(q[i]) {
 				t.Fatalf("coordinate %d changed across the round trip", i)
 			}
 		}
@@ -287,12 +359,12 @@ func FuzzFetchReqRoundTrip(f *testing.F) {
 // a holder id and no items — as decodable, distinct from any real one, and
 // read by the receiver as "drop every entry of this holder".
 func TestInvalReqEmptyListIsDropAll(t *testing.T) {
-	holder, items, err := decodeInvalReq(encodeInvalReq(9, nil))
-	if err != nil || holder != 9 || len(items) != 0 {
-		t.Fatalf("empty inval_fetch decoded to holder %d, %d items (%v)", holder, len(items), err)
+	r, err := transport.Decode(encodeInvalReq(9, nil), walkInvalReq)
+	if err != nil || r.Holder != 9 || len(r.Items) != 0 {
+		t.Fatalf("empty inval_fetch decoded to holder %d, %d items (%v)", r.Holder, len(r.Items), err)
 	}
-	if _, items, err := decodeInvalReq(encodeInvalReq(9, [][]float64{{1, 2}})); err != nil || len(items) != 1 {
-		t.Fatalf("one-item inval_fetch decoded to %d items (%v)", len(items), err)
+	if r, err := transport.Decode(encodeInvalReq(9, [][]float64{{1, 2}}), walkInvalReq); err != nil || len(r.Items) != 1 {
+		t.Fatalf("one-item inval_fetch decoded to %d items (%v)", len(r.Items), err)
 	}
 
 	n := &Node{cliFetch: map[int]map[string]cliFetchEntry{

@@ -8,8 +8,27 @@ import (
 	"testing"
 )
 
-// Tests of the delta-coded id sequence (Encoder.IntsDelta /
+// Tests of the delta-coded id sequence (Coder.IntsDelta /
 // Decoder.IntsDeltaShared), the one variable-width format on the wire.
+
+// deltaBytes encodes one delta-coded id sequence.
+func deltaBytes(ids []int) []byte {
+	return Encode(&ids, func(c *Coder, v *[]int) { c.IntsDelta(v) })
+}
+
+// deltaMsg is a message with two id sequences between fixed-width fields.
+type deltaMsg struct {
+	lead   uint8
+	a, b   []int
+	trails int
+}
+
+func walkDeltaMsg(c *Coder, m *deltaMsg) {
+	c.U8(&m.lead)
+	c.IntsDelta(&m.a)
+	c.IntsDelta(&m.b)
+	c.Int(&m.trails)
+}
 
 func TestIntsDeltaRoundTrip(t *testing.T) {
 	dense := make([]int, 3*arenaBlock) // beyond a block: a dedicated allocation
@@ -29,28 +48,23 @@ func TestIntsDeltaRoundTrip(t *testing.T) {
 		"dense":      dense,
 	}
 	for name, ids := range cases {
-		var e Encoder
-		e.U8(9)
-		e.IntsDelta(ids)
-		e.IntsDelta(ids) // a second sequence restarts from zero
-		e.Int(-1)
-		d := NewDecoder(e.Bytes())
-		if d.U8() != 9 {
-			t.Fatalf("%s: leading field lost", name)
+		// The second sequence restarts from zero.
+		body := Encode(&deltaMsg{lead: 9, a: ids, b: ids, trails: -1}, walkDeltaMsg)
+		got, err := Decode(body, walkDeltaMsg)
+		if err != nil || got.lead != 9 || got.trails != -1 {
+			t.Fatalf("%s: fixed fields lost: %+v (%v)", name, got, err)
 		}
-		for pass := 0; pass < 2; pass++ {
-			if got := d.IntsDeltaShared(); !slices.Equal(got, ids) || (len(ids) == 0 && got != nil) {
-				t.Errorf("%s: sequence %d decoded to %d ids, want %d (err %v)", name, pass, len(got), len(ids), d.Err())
+		for pass, seq := range [][]int{got.a, got.b} {
+			if !slices.Equal(seq, ids) || (len(ids) == 0 && seq != nil) {
+				t.Errorf("%s: sequence %d decoded to %d ids, want %d", name, pass, len(seq), len(ids))
 			}
 		}
-		if d.Int() != -1 || d.Finish() != nil {
-			t.Errorf("%s: trailing field lost or bytes left over: %v", name, d.Finish())
+		if len(body) != 1+Size(&ids, func(c *Coder, v *[]int) { c.IntsDelta(v) })*2+8 || cap(body) != len(body) {
+			t.Errorf("%s: sized %d bytes, encoded %d", name, cap(body), len(body))
 		}
 	}
 
-	var e Encoder
-	e.IntsDelta(dense)
-	if perID := float64(len(e.Bytes())) / float64(len(dense)); perID > 1.01 {
+	if perID := float64(len(deltaBytes(dense))) / float64(len(dense)); perID > 1.01 {
 		t.Errorf("dense ascending run costs %.2f B/id, want ~1", perID)
 	}
 }
@@ -62,22 +76,25 @@ func TestIntsDeltaRejectsCorruptInput(t *testing.T) {
 	zigzag := func(d int64) []byte {
 		return binary.AppendUvarint(nil, uint64(d<<1)^uint64(d>>63))
 	}
-	var apart Encoder
-	apart.IntsDelta([]int{math.MinInt, math.MaxInt}) // a step no int64 holds
+	apart := deltaBytes([]int{math.MinInt, math.MaxInt}) // a step no int64 holds
 	cases := map[string][]byte{
 		"count-exceeds-bytes": seq(5, 1, 1, 1, 1),
 		"huge-count":          seq(1<<31, 1),
 		"missing-prefix":      {0, 0},
 		"truncated-varint":    seq(2, 2, 0x80),
 		"overlong-varint":     seq(1, bytes.Repeat([]byte{0x80}, 10)...),
+		// 0 padded to two bytes: IntsDelta writes it as one, so the body would
+		// not re-encode to itself.
+		"non-minimal-varint":  seq(1, 0x80, 0x00),
+		"non-minimal-step":    seq(2, 2, 0x82, 0x80, 0x00),
 		"sum-overflows-up":    seq(2, append(zigzag(math.MaxInt64), zigzag(1)...)...),
 		"sum-overflows-down":  seq(2, append(zigzag(math.MinInt64), zigzag(-1)...)...),
-		"steps-too-far-apart": apart.Bytes(),
+		"steps-too-far-apart": apart,
 	}
 	for name, msg := range cases {
 		d := NewDecoder(msg)
-		if got := d.IntsDeltaShared(); got != nil || d.Err() == nil {
-			t.Errorf("%s: decoded %v, err %v; want nil and an error", name, got, d.Err())
+		if got := d.IntsDeltaShared(); got != nil || d.err == nil {
+			t.Errorf("%s: decoded %v, err %v; want nil and an error", name, got, d.err)
 		}
 		if d.Int() != 0 || d.IntsDeltaShared() != nil || d.Finish() == nil {
 			t.Errorf("%s: the error did not stick", name)
@@ -90,15 +107,14 @@ func TestIntsDeltaRejectsCorruptInput(t *testing.T) {
 
 func TestIntsDeltaSharedAllocFence(t *testing.T) {
 	const lists, n = 100, 10
-	var e Encoder
+	var msg []byte
 	for i := 0; i < lists; i++ {
 		v := make([]int, n)
 		for j := range v {
 			v[j] = i*n + j
 		}
-		e.IntsDelta(v)
+		msg = append(msg, deltaBytes(v)...)
 	}
-	msg := e.Bytes()
 	allocs := testing.AllocsPerRun(50, func() {
 		d := NewDecoder(msg)
 		for i := 0; i < lists; i++ {
@@ -137,28 +153,24 @@ func stepsFit(ids []int) bool {
 // are more than an int64 apart — an error, never different ids.
 func FuzzIntsDeltaRoundTrip(f *testing.F) {
 	for _, ids := range [][]int{nil, {1, 2, 3}, {1 << 28, 5, -9}, {math.MinInt, math.MaxInt}} {
-		var e Encoder
-		e.IntsDelta(ids)
-		f.Add(e.Bytes())
+		f.Add(deltaBytes(ids))
 	}
 	f.Add([]byte{0, 0, 0, 2, 0x80, 0x80})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d := NewDecoder(raw)
 		ids := d.IntsDeltaShared()
-		if d.Err() != nil {
-			if ids != nil || d.IntsDeltaShared() != nil || d.Err() == nil {
+		if d.err != nil {
+			if ids != nil || d.IntsDeltaShared() != nil || d.err == nil {
 				t.Fatalf("rejected input still decoded: %v", ids)
 			}
 		} else {
 			if len(ids) > len(raw) || cap(d.iarena) > max(len(raw), len(ids)) {
 				t.Fatalf("%d-byte message decoded to %d ids in a %d-int arena", len(raw), len(ids), cap(d.iarena))
 			}
-			var e1, e2 Encoder
-			e1.IntsDelta(ids)
-			again := NewDecoder(e1.Bytes()).IntsDeltaShared()
-			e2.IntsDelta(again)
-			if !slices.Equal(again, ids) || !bytes.Equal(e1.Bytes(), e2.Bytes()) {
+			b1 := deltaBytes(ids)
+			again := NewDecoder(b1).IntsDeltaShared()
+			if !slices.Equal(again, ids) || !bytes.Equal(b1, deltaBytes(again)) {
 				t.Fatalf("decoded ids do not survive re-encoding: %v vs %v", ids, again)
 			}
 		}
@@ -167,9 +179,7 @@ func FuzzIntsDeltaRoundTrip(f *testing.F) {
 		for i := range ids {
 			ids[i] = int(int64(binary.BigEndian.Uint64(raw[8*i:])))
 		}
-		var e Encoder
-		e.IntsDelta(ids)
-		d = NewDecoder(e.Bytes())
+		d = NewDecoder(deltaBytes(ids))
 		got := d.IntsDeltaShared()
 		if err := d.Finish(); stepsFit(ids) {
 			if err != nil || !slices.Equal(got, ids) {

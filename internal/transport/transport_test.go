@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -231,68 +234,79 @@ func TestFailureModes(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	var e Encoder
-	e.U8(7)
-	e.U64(1<<63 + 9)
-	e.Int(-42)
-	e.F64(3.14159)
-	e.Floats([]float64{1.5, -2.5, 0})
-	e.Ints([]int{10, -20})
-	e.Floats(nil)
-	e.String("hello")
+// codecMsg carries one field of every kind a Coder walks.
+type codecMsg struct {
+	u8     uint8
+	i      int
+	f      float64
+	fs     []float64
+	is     []int
+	empty  []float64
+	s      string
+	ids    []int
+	strs   []string
+	absent bool
+}
 
-	d := NewDecoder(e.Bytes())
-	if v := d.U8(); v != 7 {
-		t.Fatalf("U8 = %d", v)
+func walkCodecMsg(c *Coder, m *codecMsg) {
+	c.U8(&m.u8)
+	c.Int(&m.i)
+	c.F64(&m.f)
+	c.Floats(&m.fs)
+	c.Ints(&m.is)
+	c.Floats(&m.empty)
+	c.String(&m.s)
+	c.IntsDelta(&m.ids)
+	l := List(c, &m.strs, 4)
+	for i := range l {
+		c.String(&l[i])
 	}
-	if v := d.U64(); v != 1<<63+9 {
-		t.Fatalf("U64 = %d", v)
+	present := !m.absent
+	mark := c.Begin(&present)
+	if c.Decoding() {
+		m.absent = !present
 	}
-	if v := d.Int(); v != -42 {
-		t.Fatalf("Int = %d", v)
+	if present {
+		c.String(&m.s)
+		c.End(mark)
 	}
-	if v := d.F64(); v != 3.14159 {
-		t.Fatalf("F64 = %v", v)
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	in := codecMsg{u8: 7, i: -42, f: 3.14159, fs: []float64{1.5, -2.5, 0}, is: []int{10, -20},
+		s: "hello", ids: []int{3, 4, 300, -1}, strs: []string{"a", "", "bc"}}
+	body := Encode(&in, walkCodecMsg)
+	if cap(body) != len(body) || len(body) != Size(&in, walkCodecMsg) {
+		t.Fatalf("sized %d bytes, encoded %d", cap(body), len(body))
 	}
-	f := d.Floats()
-	if len(f) != 3 || f[0] != 1.5 || f[1] != -2.5 || f[2] != 0 {
-		t.Fatalf("Floats = %v", f)
+	got, err := Decode(body, walkCodecMsg)
+	if err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("round trip: %+v (%v), want %+v", got, err, in)
 	}
-	i := d.Ints()
-	if len(i) != 2 || i[0] != 10 || i[1] != -20 {
-		t.Fatalf("Ints = %v", i)
-	}
-	if v := d.Floats(); v != nil {
-		t.Fatalf("empty Floats = %v", v)
-	}
-	if v := d.String(); v != "hello" {
-		t.Fatalf("String = %q", v)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
+	in.absent = true
+	if got, err := Decode(Encode(&in, walkCodecMsg), walkCodecMsg); err != nil || !got.absent {
+		t.Fatalf("absent sub-message decoded as %+v (%v)", got, err)
 	}
 
 	// Truncation is caught, errors are sticky, and Finish rejects leftovers.
-	d = NewDecoder(e.Bytes()[:3])
-	d.U8()
-	d.Int()
-	if d.Err() == nil {
-		t.Fatal("truncated decode not detected")
+	d := NewDecoder(body[:3])
+	if got := Read(d, walkCodecMsg); d.Finish() == nil || got.i != 0 || got.fs != nil {
+		t.Fatalf("truncated decode read %+v (%v)", got, d.Finish())
 	}
-	if d.Int() != 0 || d.Floats() != nil {
-		t.Fatal("sticky error did not zero later reads")
-	}
-	d = NewDecoder(e.Bytes())
-	d.U8()
-	if err := d.Finish(); err == nil {
+	if _, err := Decode(append(body, 0), walkCodecMsg); err == nil {
 		t.Fatal("trailing bytes not detected")
+	}
+	// A sub-message whose length disagrees with its body is refused.
+	short := bytes.Clone(body)
+	binary.BigEndian.PutUint32(short[len(short)-4-len(in.s)-4:], uint32(len(in.s)+5))
+	if _, err := Decode(short, walkCodecMsg); err == nil {
+		t.Fatal("sub-message length beyond its body accepted")
 	}
 	// A corrupt length prefix must not force a huge allocation.
 	var bad Encoder
 	bad.U32(1 << 30)
 	d = NewDecoder(bad.Bytes())
-	if d.Floats() != nil || d.Err() == nil {
+	if d.FloatsShared() != nil || d.Finish() == nil {
 		t.Fatal("oversized sequence accepted")
 	}
 }
