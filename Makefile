@@ -40,14 +40,17 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
-# the holder-side scans at 1k and 50k rows, and the coordinator's id merge
+# the holder-side scans at 1k and 50k rows plus a rotation over four 50k-row
+# Markov stores that finds each out of cache, and the coordinator's id merge
 # against concatenate + radix sort and concatenate + comparison sort over the
 # run shapes the workloads fetch), 5 repetitions for benchstat-grade numbers.
 bench-kernels:
 	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
 
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
-# the frozen pre-extraction sphere-search reference, the zone split/takeover
+# the frozen pre-extraction sphere-search reference, the holder-side scans
+# (sketch bounds and all) vs their frozen reference bodies on indexed stores
+# of fuzz-chosen dim, scale and offset, the zone split/takeover
 # tiling invariants under random churn schedules, every wire body of the
 # membership and node layers (the first input byte picks the message: a body
 # the decoder accepts must re-encode to itself, and no strict prefix,
@@ -67,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
+	$(GO) test -fuzz=FuzzLocalScans -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzMembershipWire -fuzztime=30s ./internal/membership
 	$(GO) test -fuzz=FuzzNodeWire -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport

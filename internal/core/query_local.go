@@ -46,6 +46,8 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 	// square that overflowed (or a NaN) disables them instead of disagreeing
 	// with the per-row test.
 	r := math.Sqrt(eps2)
+	qs := newQuerySketch(q)
+	qs.ok = qs.ok && r <= math.MaxFloat64 // an infinite or NaN radius settles nothing
 	for gi := range groups {
 		g := &groups[gi]
 		// A member at distance m from the centroid, itself d from q, lies
@@ -62,8 +64,28 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 				accepted[row>>6] |= 1 << (row & 63)
 			}
 		}
-		for _, row := range g.Rows[lo:hi] {
-			candidate[row>>6] |= 1 << (row & 63)
+		window := g.Rows[lo:hi]
+		if !qs.ok || g.Sketch == nil {
+			for _, row := range window {
+				candidate[row>>6] |= 1 << (row & 63)
+			}
+			continue
+		}
+		// The window's sketches settle most of its rows: outside the ball by
+		// their lower bound, inside by their upper one, each with a slack
+		// over the sketch's float32 rounding. The rest are candidates.
+		s := qs.slack(d, g, r)
+		outer, inner := r+s, max(r-s, 0)
+		outer2, inner2 := outer*outer, inner*inner
+		sketch := g.Sketch[lo:hi]
+		for i, row := range window {
+			switch lo2, hi2 := qs.bounds(&sketch[i]); {
+			case lo2 > outer2:
+			case hi2 < inner2:
+				accepted[row>>6] |= 1 << (row & 63)
+			default:
+				candidate[row>>6] |= 1 << (row & 63)
+			}
 		}
 	}
 	// Candidates pay their distance in ascending row order, which reads the
@@ -151,6 +173,7 @@ func LocalKNN(q []float64, k int, st *store.Store) []ItemDist {
 		order[gi] = groupDist{d: vec.Dist(q, groups[gi].Centroid), group: gi}
 	}
 	slices.SortFunc(order, func(a, b groupDist) int { return cmp.Compare(a.d, b.d) })
+	qs := newQuerySketch(q)
 	for _, o := range order {
 		g := &groups[o.group]
 		// Only rows within the k-th distance r of q can still enter: by the
@@ -159,7 +182,26 @@ func LocalKNN(q []float64, k int, st *store.Store) []ItemDist {
 		r := math.Sqrt(top.limit)
 		slack := boundSlack * (o.d + r)
 		lo, hi := g.Window(o.d-r-slack, o.d+r+slack)
-		for _, row := range g.Rows[lo:hi] {
+		var sketch []store.Sketch
+		if qs.ok && g.Sketch != nil {
+			sketch = g.Sketch[lo:hi]
+		}
+		// A row whose sketch's lower bound clears the k-th distance by the
+		// slack is strictly farther than the heap root and cannot enter. The
+		// cut follows the root as it moves.
+		limit, cut := math.NaN(), 0.0 // the root cut was computed for (NaN: none yet)
+		for i, row := range g.Rows[lo:hi] {
+			if sketch != nil {
+				if top.limit != limit {
+					limit = top.limit
+					r := math.Sqrt(limit)
+					c := r + qs.slack(o.d, g, r)
+					cut = c * c
+				}
+				if lo2, _ := qs.bounds(&sketch[i]); lo2 > cut {
+					continue
+				}
+			}
 			if d := vec.Dist2Capped(q, st.Vec(int(row)), top.bound); d <= top.limit {
 				top.offer(ids[row], d)
 			}
@@ -172,6 +214,65 @@ func LocalKNN(q []float64, k int, st *store.Store) []ItemDist {
 	}
 	return top.sorted()
 }
+
+// querySketch is the query's side of the sketch bounds (store.Sketch): its
+// block sums and deviation norm in float64, its norm for the slack, and
+// 1/(dim/SketchBlocks). ok is false when the store's rows have no sketch
+// (dim not a multiple of SketchBlocks) or when any of these is not finite:
+// such a query reads every window row, as the scans did before sketches.
+type querySketch struct {
+	sk         [store.SketchBlocks + 1]float64
+	norm, invH float64
+	ok         bool
+}
+
+func newQuerySketch(q []float64) querySketch {
+	if len(q)%store.SketchBlocks != 0 {
+		return querySketch{}
+	}
+	qs := querySketch{sk: store.SketchOf(q), norm: vec.Norm(q), invH: store.SketchBlocks / float64(len(q))}
+	qs.ok = !math.IsInf(qs.norm, 0) && !math.IsNaN(qs.norm)
+	for _, v := range qs.sk {
+		qs.ok = qs.ok && !math.IsInf(v, 0) && !math.IsNaN(v)
+	}
+	return qs
+}
+
+// bounds returns a lower and an upper bound on the squared distance from the
+// query to a row with sketch x, each exact but for rounding (see slack).
+func (qs *querySketch) bounds(x *store.Sketch) (lo2, hi2 float64) {
+	var p2 float64
+	for b := range store.SketchBlocks {
+		d := qs.sk[b] - float64(x[b])
+		p2 += d * d
+	}
+	p2 *= qs.invH
+	dq, dx := qs.sk[store.SketchBlocks], float64(x[store.SketchBlocks])
+	return p2 + (dq-dx)*(dq-dx), p2 + (dq+dx)*(dq+dx)
+}
+
+// slack is how far the square roots of the bounds may be from the exact ones
+// for the members of g, which lies d from the query, against a radius r. It
+// scales with the norms of query and row; a member's norm is at most the
+// centroid's, itself at most the query's plus d, plus the group radius.
+func (qs *querySketch) slack(d float64, g *store.Group, r float64) float64 {
+	radius := g.Shells[len(g.Shells)-1]
+	return sketchSlack*(2*qs.norm+d+radius+r) + sketchFloor
+}
+
+// sketchSlack and sketchFloor are the relative and absolute slack on the
+// sketch bounds. A sketch is float32: each of its values is off by up to
+// 2^-24 of its size plus float32's subnormal spacing 2^-149, so a bound's
+// square root is off by at most about 2^-24·√2·(‖q‖ + ‖x‖) + 2^-147 (the
+// float64 arithmetic adds orders of magnitude less). sketchSlack is over a
+// hundred times that relative error; sketchFloor is far above the subnormal
+// spacing and above 1.5e-154, under which a float64 square underflows. A row
+// is decided from its sketch only when it clears the boundary by both, and
+// then also clears it by far more than the exact path's own rounding.
+const (
+	sketchSlack = 1e-5
+	sketchFloor = 1e-30
+)
 
 type groupDist struct {
 	d     float64

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"hyperm/internal/dataset"
 	"hyperm/internal/store"
 	"hyperm/internal/vec"
 )
@@ -90,6 +91,36 @@ func latticeRows(rng *rand.Rand, n, dim int) [][]float64 {
 		rows[i] = make([]float64, dim)
 		for j := range rows[i] {
 			rows[i][j] = c[j] + float64(rng.Intn(3)-1)
+		}
+	}
+	return rows
+}
+
+// offsetRows are clusteredRows moved by 1e6 along every axis: norms dwarf
+// distances, so the float32 rounding of a row's sketch (a block sum near
+// 1.6e7 is off by up to 1) is larger than the gaps between the rows a scan
+// must tell apart. Every third row is flattened to its means over the
+// sketch's blocks: between two such rows both sketch bounds equal the
+// distance, so rounding alone decides which side of a radius they fall.
+func offsetRows(rng *rand.Rand, n, dim int) [][]float64 {
+	rows := clusteredRows(rng, n, dim)
+	h := dim / store.SketchBlocks
+	for i, r := range rows {
+		rows[i] = make([]float64, dim)
+		for j, v := range r {
+			rows[i][j] = v + 1e6
+		}
+		if i%3 == 0 {
+			for b := range store.SketchBlocks {
+				block := rows[i][b*h : (b+1)*h]
+				var sum float64
+				for _, v := range block {
+					sum += v
+				}
+				for j := range block {
+					block[j] = sum / float64(h)
+				}
+			}
 		}
 	}
 	return rows
@@ -190,6 +221,10 @@ func TestLocalScansMatchReference(t *testing.T) {
 		{"clustered32", 32, clusteredRows, shuffledIDs},
 		{"clustered13", 13, clusteredRows, shuffledIDs}, // not a multiple of Dist2Capped's 8-wide step
 		{"lattice16", 16, latticeRows, shuffledIDs},
+		// The sketch's shapes: 32-d rows on the lattice (on-boundary rows and
+		// ties everywhere) and far from the origin (rounding past the gaps).
+		{"lattice32", 32, latticeRows, shuffledIDs},
+		{"offset32", 32, offsetRows, shuffledIDs},
 		// One and two dimensions make the triangle inequality tight: rows sit
 		// on the line through query and centroid, right at the window edges.
 		{"clustered1", 1, clusteredRows, shuffledIDs},
@@ -372,6 +407,68 @@ func TestSortIDsMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// FuzzLocalScans runs both scans against the frozen reference bodies on an
+// indexed store built from the input: dim 8, 16 or 32, clustered or lattice
+// rows scaled by 2^(4·scaleExp) and moved by ±2^(4·offExp) (far enough either
+// way for float32 to overflow or flush a sketch to zero, and for float64
+// squares to underflow), a tail of rows appended after the build, a query at
+// or near a stored row, eps from raw bits and as the distances to three
+// stored rows, and any k.
+func FuzzLocalScans(f *testing.F) {
+	f.Add(int64(1), uint8(2), int8(-128), int8(0), math.Float64bits(0.3), 5)
+	f.Add(int64(2), uint8(5), int8(-128), int8(0), math.Float64bits(2), 10)
+	f.Add(int64(3), uint8(0), int8(5), int8(0), math.Float64bits(0.1), 1)
+	f.Add(int64(4), uint8(7), int8(0), int8(-15), math.Float64bits(1e-18), 50)
+	f.Add(int64(5), uint8(8), int8(32), int8(28), math.Float64bits(1e30), 3)
+	f.Add(int64(6), uint8(2), int8(-128), int8(-128), math.Float64bits(0), 2000)
+	f.Add(int64(7), uint8(11), int8(-128), int8(-35), math.Float64bits(math.Inf(1)), -1)
+	f.Add(int64(8), uint8(14), int8(127), int8(120), math.Float64bits(math.MaxFloat64), 7)
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, offExp, scaleExp int8, epsBits uint64, k int) {
+		dim := []int{8, 16, 32}[shape%3]
+		gen := clusteredRows
+		if shape/3%2 == 1 {
+			gen = latticeRows
+		}
+		off, scale := math.Ldexp(1, 4*int(offExp)), math.Ldexp(1, 4*int(scaleExp))
+		if shape/6%2 == 1 {
+			off = -off
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := store.IndexMinRows + rng.Intn(store.IndexMinRows/8)
+		perm := rng.Perm(n)
+		st := store.New(dim)
+		for i, r := range gen(rng, n, dim) {
+			if i == store.IndexMinRows {
+				LocalKNN(r, 1, st) // build the index; the rest is its tail
+			}
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = r[j]*scale + off
+			}
+			st.Append(perm[i], v)
+		}
+		q := vec.Clone(st.Vec(rng.Intn(n)))
+		if rng.Intn(2) == 0 {
+			for j := range q {
+				q[j] += 0.05 * scale * rng.NormFloat64()
+			}
+		}
+		epss := []float64{math.Float64frombits(epsBits)}
+		for range 3 {
+			epss = append(epss, vec.Dist(q, st.Vec(rng.Intn(n))))
+		}
+		for _, eps := range epss {
+			got, want := LocalRange(q, eps, st), sortedCopy(referenceLocalRange(q, eps, st))
+			if !slices.Equal(got, want) {
+				t.Fatalf("eps %v: LocalRange returned %d ids (ascending: %v), reference %d", eps, len(got), slices.IsSorted(got), len(want))
+			}
+		}
+		if got, want := LocalKNN(q, k, st), referenceLocalKNN(q, k, st); !slices.Equal(got, want) {
+			t.Fatalf("k %d: LocalKNN diverges from reference\n got %v\nwant %v", k, head(got), head(want))
+		}
+	})
+}
+
 // benchStore is a deterministic store of n 32-d rows from the clustered
 // generator, shared by the fences and the microbenchmarks.
 func benchStore(n int) *store.Store {
@@ -399,6 +496,39 @@ func benchScan(b *testing.B, n int, scan func(q []float64, st *store.Store) int)
 	}
 }
 
+// benchRotating times scan over four 50k-row stores of §5.1 Markov rows (the
+// serving benchmark's corpus) in turn, so each scan finds its store's rows,
+// sketches and bitmaps out of cache as a holder with several stores (or
+// other work between fetches) does. Queries are stored rows and each radius
+// the distance from its query to another stored row.
+func benchRotating(b *testing.B, scan func(q []float64, eps float64, st *store.Store) int) {
+	const stores, n, perStore = 4, 50000, 64
+	type query struct {
+		q   []float64
+		eps float64
+	}
+	sts := make([]*store.Store, stores)
+	queries := make([][]query, stores)
+	rng := rand.New(rand.NewSource(1))
+	for s := range sts {
+		sts[s] = store.New(32)
+		for i, r := range dataset.Markov(dataset.MarkovConfig{N: n, Dim: 32}, rng) {
+			sts[s].Append(i, r)
+		}
+		for range perStore {
+			q := sts[s].Vec(rng.Intn(n))
+			queries[s] = append(queries[s], query{q, vec.Dist(q, sts[s].Vec(rng.Intn(n)))})
+		}
+		scan(queries[s][0].q, 0, sts[s]) // index build is set-up, not scan time
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % stores
+		qu := queries[s][i/stores%perStore]
+		benchSink += scan(qu.q, qu.eps, sts[s])
+	}
+}
+
 func BenchmarkLocalRange(b *testing.B) {
 	for _, n := range []int{1000, 50000} {
 		b.Run(fmt.Sprintf("new/%d", n), func(b *testing.B) {
@@ -408,6 +538,9 @@ func BenchmarkLocalRange(b *testing.B) {
 			benchScan(b, n, func(q []float64, st *store.Store) int { return len(referenceLocalRange(q, 0.15, st)) })
 		})
 	}
+	b.Run("new/4x50000-rotating", func(b *testing.B) {
+		benchRotating(b, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+	})
 }
 
 func BenchmarkLocalKNN(b *testing.B) {
@@ -419,4 +552,7 @@ func BenchmarkLocalKNN(b *testing.B) {
 			benchScan(b, n, func(q []float64, st *store.Store) int { return len(referenceLocalKNN(q, 5, st)) })
 		})
 	}
+	b.Run("new/4x50000-rotating", func(b *testing.B) {
+		benchRotating(b, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
+	})
 }

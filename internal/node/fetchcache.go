@@ -423,6 +423,9 @@ func (n *Node) serveFetch(tag byte, body []byte, scan func(plain []byte) ([]byte
 	if err != nil {
 		return transport.Response{}, err
 	}
+	if err := checkFetchTail(tag, binary.BigEndian.Uint64(plain[len(plain)-8:])); err != nil {
+		return transport.Response{}, err
+	}
 	if !caching && !n.tuning.CacheViews {
 		resp, err := scan(plain)
 		return transport.Response{Body: resp}, err
@@ -444,6 +447,22 @@ func (n *Node) serveFetch(tag byte, body []byte, scan func(plain []byte) ([]byte
 	}
 	n.fillFetch(key, line, resp)
 	return transport.Response{Body: resp}, nil
+}
+
+// checkFetchTail refuses the eps or k a fetch request ends with (tail, raw
+// bits) where RangeQuery and KNNQuery would refuse it: a negative or NaN eps,
+// which the scan would square into a radius, and a k below 1.
+func checkFetchTail(tag byte, tail uint64) error {
+	if tag == 'r' {
+		if eps := math.Float64frombits(tail); !(eps >= 0) {
+			return fmt.Errorf("node: fetch radius %v, want >= 0", eps)
+		}
+		return nil
+	}
+	if k := int64(tail); k < 1 {
+		return fmt.Errorf("node: fetch k %d, want >= 1", k)
+	}
+	return nil
 }
 
 // registerFetch finds or opens the line of key, adds sub to its sharers when

@@ -319,8 +319,8 @@ func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts co
 	if len(q) != n.cfg.Dim {
 		return core.RangeResult{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
 	}
-	if eps < 0 {
-		return core.RangeResult{}, fmt.Errorf("node: negative query radius")
+	if !(eps >= 0) {
+		return core.RangeResult{}, fmt.Errorf("node: query radius %v, want >= 0", eps)
 	}
 	return n.engine.RangeQuery(ctx, n.peer, q, eps, opts)
 }

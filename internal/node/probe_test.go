@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -260,5 +261,43 @@ func TestSearchHandlerRefusesBadRequests(t *testing.T) {
 		if resp, err := nd.handleSearch(encodeSearchReq(reqs)); err == nil {
 			t.Errorf("%s: answered with %d bytes, want an error", name, len(resp.Body))
 		}
+	}
+}
+
+// TestFetchHandlersRefuseBadTails: the eps or k that ends a fetch request is a
+// peer's bytes. A negative eps used to be answered as its square's root and a
+// k below 1 with an empty list; like RangeQuery and KNNQuery, the handlers
+// refuse them and a NaN eps, in both request forms and before a caching
+// request is listed on the directory.
+func TestFetchHandlersRefuseBadTails(t *testing.T) {
+	cl := startProbeCluster(t, 4, Tuning{CacheViews: true})
+	nd := cl.Nodes[0]
+	q := make([]float64, nd.cfg.Dim)
+	ask := func(method string, body []byte) error {
+		_, err := nd.handle(context.Background(), transport.Request{Method: method, Body: body})
+		return err
+	}
+	if err := ask(methodFetchRange, encodeFetchRangeReq(q, 0)); err != nil {
+		t.Fatalf("eps 0: %v", err)
+	}
+	if err := ask(methodFetchKNN, appendSubscriber(encodeFetchKNNReq(q, 1), 1)); err != nil {
+		t.Fatalf("k 1: %v", err)
+	}
+	lines := len(nd.fetchDir)
+	for name, req := range map[string]transport.Request{
+		"negative eps":         {Method: methodFetchRange, Body: encodeFetchRangeReq(q, -0.5)},
+		"negative eps caching": {Method: methodFetchRange, Body: appendSubscriber(encodeFetchRangeReq(q, -0.5), 1)},
+		"NaN eps":              {Method: methodFetchRange, Body: encodeFetchRangeReq(q, math.NaN())},
+		"-Inf eps caching":     {Method: methodFetchRange, Body: appendSubscriber(encodeFetchRangeReq(q, math.Inf(-1)), 1)},
+		"k 0":                  {Method: methodFetchKNN, Body: encodeFetchKNNReq(q, 0)},
+		"k 0 caching":          {Method: methodFetchKNN, Body: appendSubscriber(encodeFetchKNNReq(q, 0), 1)},
+		"negative k":           {Method: methodFetchKNN, Body: encodeFetchKNNReq(q, -3)},
+	} {
+		if err := ask(req.Method, req.Body); err == nil {
+			t.Errorf("%s: answered, want an error", name)
+		}
+	}
+	if len(nd.fetchDir) != lines {
+		t.Errorf("refused requests left %d directory lines, want %d", len(nd.fetchDir), lines)
 	}
 }

@@ -417,10 +417,13 @@ func FuzzNodeHandle(f *testing.F) {
 			encodeSearchReq([]searchReq{{Level: 0, Key: []float64{0.5}, Radius: 0.1}, {Level: 2}}),
 			encodeSearchReq([]searchReq{{Level: 2, Key: zoneCenter(nd, 2), Radius: 0.3, Optional: true}}),
 		}},
-		{methodFetchRange, [][]byte{encodeFetchRangeReq(q, 0.5), appendSubscriber(encodeFetchRangeReq(q, 0.5), 1), encodeFetchRangeReq(q[:1], 0.5)}},
-		// k = 0 for a subscriber the node can call back leaves an empty line
-		// on the directory, which the publish seeds below then sweep.
-		{methodFetchKNN, [][]byte{encodeFetchKNNReq(q, 3), appendSubscriber(encodeFetchKNNReq(q, 0), 1), appendSubscriber(encodeFetchKNNReq(q, -1), 1<<40), encodeFetchKNNReq(nil, 1<<62)}},
+		{methodFetchRange, [][]byte{encodeFetchRangeReq(q, 0.5), appendSubscriber(encodeFetchRangeReq(q, 0.5), 1), encodeFetchRangeReq(q[:1], 0.5),
+			encodeFetchRangeReq(q, -0.5), appendSubscriber(encodeFetchRangeReq(q, nan), 1)}},
+		// A k below 1 is refused before its line reaches the directory, even
+		// for a subscriber the node can call back; k = 3 opens a line the
+		// publish seeds below then sweep.
+		{methodFetchKNN, [][]byte{encodeFetchKNNReq(q, 3), appendSubscriber(encodeFetchKNNReq(q, 0), 1), appendSubscriber(encodeFetchKNNReq(q, -1), 1<<40), encodeFetchKNNReq(nil, 1<<62),
+			encodeFetchKNNReq(q, -3)}},
 		{methodFetchInval, [][]byte{encodeInvalReq(1, nil), encodeInvalReq(1, [][]float64{q, q[:1], nil})}},
 		{methodPublish, [][]byte{encodePublishReq(7000, q), encodePublishReq(-1, q[:1])}},
 	}

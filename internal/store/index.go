@@ -32,6 +32,47 @@ const indexTailDiv = 8
 // granularity instead of one radius per group.
 const ShellRows = 16
 
+// SketchBlocks is how many equal runs of coordinates a row's sketch sums
+// (see Sketch). The block sums span the row's first SketchBlocks orthonormal
+// Haar coefficients. Each block costs 4 bytes per row and settles more rows;
+// two blocks (12 bytes with the deviation norm) keep the index's memory
+// within the benchmark's bound.
+const SketchBlocks = 2
+
+// Sketch summarises one row for the scans' distance bounds: the sums of its
+// coordinates over SketchBlocks equal blocks, then the norm of the row's
+// deviation from its block means, rounded to float32.
+//
+// The block means are the row's orthogonal projection onto the vectors
+// constant on each block, so a squared distance splits into that projection's
+// part, P² = Σ_b (S_b(q) − S_b(x))² / (dim/SketchBlocks), and the distance of
+// the two deviations, which lies between the difference and the sum of their
+// norms ρ: P² + (ρq − ρx)² ≤ ‖q − x‖² ≤ P² + (ρq + ρx)².
+type Sketch [SketchBlocks + 1]float32
+
+// SketchOf returns v's sketch in float64: the block sums, then the norm of
+// the deviation from the block means. len(v) must be a multiple of
+// SketchBlocks.
+func SketchOf(v []float64) (sk [SketchBlocks + 1]float64) {
+	h := len(v) / SketchBlocks
+	var dev float64
+	for b := range SketchBlocks {
+		block := v[b*h : (b+1)*h]
+		var sum float64
+		for _, x := range block {
+			sum += x
+		}
+		mean := sum / float64(h)
+		for _, x := range block {
+			d := x - mean
+			dev += d * d
+		}
+		sk[b] = sum
+	}
+	sk[SketchBlocks] = math.Sqrt(dev)
+	return sk
+}
+
 // Group is one pivot group of the scan index: the rows closer to this group's
 // pivot than to any other, ordered by their distance from the group mean so
 // that a sphere around a query cuts them into contiguous runs.
@@ -45,6 +86,11 @@ type Group struct {
 	// from Centroid. Nil when some member distance is not finite: such a
 	// group promises nothing and Window returns all of it.
 	Shells []float64
+	// Sketch[i] is the sketch of row Rows[i], so the window Rows[lo:hi] reads
+	// the contiguous run Sketch[lo:hi] instead of the scattered rows. Nil when
+	// the store's dim is not a multiple of SketchBlocks, when the group has no
+	// Shells, or when some member's sketch is not finite in float32.
+	Sketch []Sketch
 }
 
 // Window returns the run Rows[lo:hi] that may hold rows whose distance from
@@ -119,9 +165,9 @@ func (s *Store) indexStale(ix *scanIndex) bool {
 // Pivots are rows at an even stride (arrival order is as good a sample as
 // any and keeps the build deterministic); one capped-distance pass assigns
 // each row to its nearest pivot; a second pass over the members gives each
-// group its mean and sorts the members by distance from it. No Lloyd
-// iterations: grouping quality only moves how many rows a scan can decide
-// without a distance, never what it returns.
+// group its mean, sorts the members by distance from it and lays out their
+// sketches in that order. No Lloyd iterations: grouping quality only moves
+// how many rows a scan can decide without a distance, never what it returns.
 func (s *Store) buildIndex() *scanIndex {
 	n, dim := s.n, s.dim
 	g := n / BlockRows
@@ -162,20 +208,35 @@ func (s *Store) buildIndex() *scanIndex {
 	}
 
 	type member struct {
-		row  int32
-		dist float64
+		row    int32
+		dist   float64
+		sketch Sketch
 	}
 	members := make([]member, 0, largest)
 	shells := make([]float64, 0, n/ShellRows+2*g)
+	var sketches []Sketch
+	if dim%SketchBlocks == 0 {
+		sketches = make([]Sketch, n)
+	}
 	kept := groups[:0]
+	off = 0 // where the group's rows start in rows, and its sketches in sketches
 	for _, grp := range groups {
 		if len(grp.Rows) == 0 {
 			continue // a duplicate of an earlier pivot attracts nothing
 		}
 		vec.Scale(grp.Centroid, 1/float64(len(grp.Rows)))
 		members = members[:0]
+		finite := sketches != nil
 		for _, r := range grp.Rows {
-			members = append(members, member{r, vec.Dist(grp.Centroid, s.Vec(int(r)))})
+			m := member{row: r, dist: vec.Dist(grp.Centroid, s.Vec(int(r)))}
+			if finite {
+				for b, v := range SketchOf(s.Vec(int(r))) {
+					m.sketch[b] = float32(v)
+					f := float64(m.sketch[b])
+					finite = finite && !math.IsInf(f, 0) && !math.IsNaN(f)
+				}
+			}
+			members = append(members, m)
 		}
 		// cmp.Compare orders NaN first and +Inf last, so the two ends tell
 		// whether every distance is finite.
@@ -196,12 +257,20 @@ func (s *Store) buildIndex() *scanIndex {
 			}
 			shells = append(shells, last)
 			grp.Shells = shells[start:len(shells):len(shells)]
+			if finite {
+				grp.Sketch = sketches[off : off+len(members) : off+len(members)]
+				for i, m := range members {
+					grp.Sketch[i] = m.sketch
+				}
+			}
 		}
+		off += len(members)
 		kept = append(kept, grp)
 	}
 	byID := s.rowsByID(n)
-	const groupBytes = 3 * 3 * 8 // three slice headers
-	bytes := cap(groups)*groupBytes + cap(centroids)*8 + cap(rows)*4 + cap(shells)*8 + cap(byID)*4
+	const groupBytes = 4 * 3 * 8 // four slice headers
+	bytes := cap(groups)*groupBytes + cap(centroids)*8 + cap(rows)*4 + cap(shells)*8 + cap(byID)*4 +
+		cap(sketches)*4*(SketchBlocks+1)
 	return &scanIndex{groups: kept, byID: byID, bytes: bytes}
 }
 

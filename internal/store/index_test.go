@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hyperm/internal/vec"
 )
@@ -26,8 +27,9 @@ func appendRandom(s *Store, rng *rand.Rand, n int) {
 }
 
 // checkIndex asserts what scans rely on: the groups partition exactly the
-// rows [0, indexed), each group's rows ascend in centroid distance, and the
-// sampled shells bracket the rows they stand for.
+// rows [0, indexed), each group's rows ascend in centroid distance, the
+// sampled shells bracket the rows they stand for, and a group's sketches are
+// its rows' own, in its row order.
 func checkIndex(t *testing.T, s *Store, groups []Group, indexed int) {
 	t.Helper()
 	if indexed > s.Len() {
@@ -42,8 +44,18 @@ func checkIndex(t *testing.T, s *Store, groups []Group, indexed int) {
 		if want := (len(g.Rows)+ShellRows-1)/ShellRows + 1; len(g.Shells) != want {
 			t.Fatalf("group %d: %d shell edges for %d rows, want %d", gi, len(g.Shells), len(g.Rows), want)
 		}
+		if g.Sketch != nil && len(g.Sketch) != len(g.Rows) {
+			t.Fatalf("group %d: %d sketches for %d rows", gi, len(g.Sketch), len(g.Rows))
+		}
 		prev := 0.0
 		for i, r := range g.Rows {
+			if g.Sketch != nil {
+				for b, v := range SketchOf(s.Vec(int(r))) {
+					if g.Sketch[i][b] != float32(v) {
+						t.Fatalf("group %d row %d: sketch %v, row's is %v", gi, i, g.Sketch[i], SketchOf(s.Vec(int(r))))
+					}
+				}
+			}
 			if int(r) >= indexed || seen[r] {
 				t.Fatalf("group %d: row %d out of range or in two groups", gi, r)
 			}
@@ -105,6 +117,47 @@ func TestScanIndexLifecycle(t *testing.T) {
 	checkIndex(t, s, groups, rebuilt)
 	if _, ci := c.ScanGroups(); ci != indexed {
 		t.Fatal("rebuild of the original reached the clone")
+	}
+	t.Run("sketch-at-dim32", checkSketchCost)
+}
+
+// checkSketchCost fences the index at the shipped shape, dim 32, where every
+// row also gets a sketch: the parts fenced above stay within their bound, the
+// sketch costs exactly 4·(SketchBlocks+1) B/row, HeapBytes counts both, and a
+// clone shares the sketch with the index. A dim-31 store of the same size has
+// no sketch and one centroid coordinate less per group.
+func checkSketchCost(t *testing.T) {
+	const n, groups = IndexMinRows, IndexMinRows / BlockRows
+	build := func(dim int) (*Store, []Group, int) {
+		s := randomStore(rand.New(rand.NewSource(5)), dim, n)
+		plain := s.HeapBytes()
+		g, indexed := s.ScanGroups()
+		if len(g) != groups || indexed != n {
+			t.Fatalf("dim %d: %d groups over %d rows", dim, len(g), indexed)
+		}
+		checkIndex(t, s, g, indexed)
+		return s, g, s.HeapBytes() - plain
+	}
+	s32, g32, cost32 := build(32)
+	_, g31, cost31 := build(31)
+	for gi := range g32 {
+		if g32[gi].Sketch == nil || g31[gi].Sketch != nil {
+			t.Fatalf("group %d: sketch at dim 32 %v, at dim 31 %v", gi, g32[gi].Sketch != nil, g31[gi].Sketch != nil)
+		}
+	}
+	const sketchBytes = 4 * (SketchBlocks + 1)
+	if size := unsafe.Sizeof(Sketch{}); size != sketchBytes {
+		t.Fatalf("a sketch is %d bytes, want %d", size, sketchBytes)
+	}
+	if got := cost32 - cost31 - groups*8; got != sketchBytes*n {
+		t.Errorf("sketch costs %d bytes in HeapBytes over %d rows, want %d", got, n, sketchBytes*n)
+	}
+	if perRow := float64(cost32-sketchBytes*n) / n; perRow > 10 {
+		t.Errorf("index without its sketch costs %.2f B/row, want <= 10", perRow)
+	}
+	c := s32.Clone()
+	if cg, _ := c.ScanGroups(); &cg[0].Sketch[0] != &g32[0].Sketch[0] {
+		t.Fatal("clone does not share the sketch")
 	}
 }
 
