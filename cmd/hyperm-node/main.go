@@ -88,7 +88,7 @@ func run() int {
 	probeTimeout := flag.Duration("probe-timeout", 250*time.Millisecond, "per-probe response deadline")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a neighbor is declared dead")
 	graceful := flag.Bool("leave", false, "leave gracefully on shutdown: hand zones and records to neighbors")
-	cacheViews := flag.Bool("cache-views", false, "memoize whole lookups per churn epoch and cache phase-two fetch answers")
+	cacheViews := flag.Bool("cache-views", false, "keep each range/k-nn request's plan for the churn epoch and its answer until a contacted holder publishes (answer memo), and cache fetch answers kept coherent by a directory at each holder")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")

@@ -31,6 +31,7 @@ import (
 	"hyperm/internal/can"
 	"hyperm/internal/core"
 	"hyperm/internal/overlay"
+	"hyperm/internal/vec"
 	"hyperm/internal/wavelet"
 )
 
@@ -166,8 +167,8 @@ func (n *Network) AddItems(peer int, ids []int, vectors [][]float64) error {
 		return fmt.Errorf("hyperm: network already published; use Insert for late additions")
 	}
 	for i, v := range vectors {
-		if len(v) != n.opts.Dim {
-			return fmt.Errorf("hyperm: vector %d has dim %d, want %d", i, len(v), n.opts.Dim)
+		if err := vec.Check(v, n.opts.Dim, false); err != nil {
+			return fmt.Errorf("hyperm: vector %d: %w", i, err)
 		}
 		if n.usedIDs[ids[i]] {
 			return fmt.Errorf("hyperm: duplicate item id %d", ids[i])
@@ -210,8 +211,8 @@ func (n *Network) Insert(peer, id int, vector []float64) error {
 	if !n.published {
 		return fmt.Errorf("hyperm: not yet published; use AddItems")
 	}
-	if len(vector) != n.opts.Dim {
-		return fmt.Errorf("hyperm: vector has dim %d, want %d", len(vector), n.opts.Dim)
+	if err := vec.Check(vector, n.opts.Dim, false); err != nil {
+		return fmt.Errorf("hyperm: vector: %w", err)
 	}
 	if n.usedIDs[id] {
 		return fmt.Errorf("hyperm: duplicate item id %d", id)
@@ -273,8 +274,8 @@ func (n *Network) RangeBudget(fromPeer int, query []float64, radius float64, max
 	if err := n.checkQuery(fromPeer, query); err != nil {
 		return RangeAnswer{}, err
 	}
-	if radius < 0 {
-		return RangeAnswer{}, fmt.Errorf("hyperm: negative radius")
+	if !(radius >= 0) {
+		return RangeAnswer{}, fmt.Errorf("hyperm: radius %v, want >= 0", radius)
 	}
 	res := n.sys.RangeQuery(fromPeer, query, radius, core.RangeOptions{MaxPeers: maxPeers})
 	return RangeAnswer{
@@ -326,8 +327,8 @@ func (n *Network) checkQuery(fromPeer int, query []float64) error {
 	if !n.published {
 		return fmt.Errorf("hyperm: not yet published")
 	}
-	if len(query) != n.opts.Dim {
-		return fmt.Errorf("hyperm: query has dim %d, want %d", len(query), n.opts.Dim)
+	if err := vec.Check(query, n.opts.Dim, true); err != nil {
+		return fmt.Errorf("hyperm: query: %w", err)
 	}
 	return nil
 }

@@ -378,3 +378,60 @@ func TestLookup(t *testing.T) {
 		t.Errorf("Lookup missed exact item: %v", ids)
 	}
 }
+
+// TestFacadeRefusesNonFinite: an item with a NaN or ±Inf coordinate would put
+// a NaN into its wavelet keys, and a query with a NaN coordinate does, which
+// the overlay refuses with a panic. The facade refuses both up front, and a
+// NaN radius with them, instead of panicking on a worker or answering nothing.
+// A query point at infinity stays a query: it is far from every item.
+func TestFacadeRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	at := func(i int, x float64) []float64 {
+		v := make([]float64, 32)
+		v[i] = x
+		return v
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(net *Network, fresh *Network) error
+	}{
+		{"AddItems NaN", func(_, fresh *Network) error { return fresh.AddItems(0, []int{-1}, [][]float64{at(3, nan)}) }},
+		{"AddItems +Inf", func(_, fresh *Network) error { return fresh.AddItems(0, []int{-1}, [][]float64{at(0, inf)}) }},
+		{"Insert NaN", func(net, _ *Network) error { return net.Insert(0, -1, at(31, nan)) }},
+		{"Insert -Inf", func(net, _ *Network) error { return net.Insert(0, -1, at(7, -inf)) }},
+		{"Range NaN coordinate", func(net, _ *Network) error { _, err := net.Range(0, at(5, nan), 0.1); return err }},
+		{"Range NaN radius", func(net, _ *Network) error { _, err := net.Range(0, at(5, 0), nan); return err }},
+		{"RangeBudget NaN radius", func(net, _ *Network) error { _, err := net.RangeBudget(0, at(5, 0), nan, 3); return err }},
+		{"Lookup NaN coordinate", func(net, _ *Network) error { _, err := net.Lookup(0, at(0, nan)); return err }},
+		{"KNN NaN coordinate", func(net, _ *Network) error { _, err := net.KNN(0, at(9, nan), 3); return err }},
+		{"KNNWithC NaN coordinate", func(net, _ *Network) error { _, err := net.KNNWithC(0, at(9, nan), 3, 2); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, _ := buildNet(t)
+			fresh, _ := unpublishedNet(t)
+			items := net.Items()
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err = tc.run(net, fresh)
+			}()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if net.Items() != items || fresh.Items() != items {
+				t.Errorf("a refused call changed the item count: %d and %d, want %d", net.Items(), fresh.Items(), items)
+			}
+		})
+	}
+	net, _ := buildNet(t)
+	if _, err := net.Range(0, at(2, inf), 0.1); err != nil {
+		t.Errorf("a query point at infinity was refused: %v", err)
+	}
+	if _, err := net.KNN(0, at(2, -inf), 3); err != nil {
+		t.Errorf("a k-nn query point at infinity was refused: %v", err)
+	}
+}

@@ -35,13 +35,14 @@ type ItemDist struct {
 // determinism-oracle tests check exactly that.
 type Backend interface {
 	// Scope announces the first search sphere of every level of one query,
-	// computed before the level fan-out, and returns the backend that query
-	// runs through. A backend whose searches contact the same peers at every
-	// level (the RPC backend) returns a per-query value that asks each peer
-	// about all of them at once; one with nothing to share returns itself.
-	// The result must still answer a Search for a sphere it was not told
-	// about — a k-nn level that widens past its first radius issues one. ctx
-	// is the query's: every message the returned backend sends carries it.
+	// computed before the level fan-out, and returns the backend that query's
+	// lookups run through. A backend whose searches contact the same peers at
+	// every level (the RPC backend) returns a per-query value that asks each
+	// peer about all of them at once; one with nothing to share returns
+	// itself. The result must still answer a Search for a sphere it was not
+	// told about — a k-nn level that widens past its first radius issues one.
+	// ctx is the query's: every message the returned backend's Search sends
+	// carries it.
 	Scope(ctx context.Context, spheres []Sphere) Backend
 	// Search returns every published entry whose sphere intersects the query
 	// sphere at the given wavelet level, plus the overlay hops spent: one per
@@ -59,12 +60,13 @@ type Backend interface {
 	// one); it may be shared with other callers and is read-only. A dead or
 	// unreachable peer yields no items and no error: the contact budget is
 	// spent either way. errs is nil, or nil in every slot, when no fetch
-	// failed; else errs[i] is what peers[i]'s fetch returned.
-	FetchRange(from int, peers []int, q []float64, eps float64) (ids [][]int, errs []error)
+	// failed; else errs[i] is what peers[i]'s fetch returned. Every message
+	// the call sends carries ctx.
+	FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) (ids [][]int, errs []error)
 	// FetchKNN is the retrieval phase of a k-nn query: peers[i] is asked for
 	// its wants[i] locally nearest items with their squared distances
 	// (LocalKNN). Slots, dead peers and errs as in FetchRange.
-	FetchKNN(from int, peers, wants []int, q []float64) (items [][]ItemDist, errs []error)
+	FetchKNN(ctx context.Context, from int, peers, wants []int, q []float64) (items [][]ItemDist, errs []error)
 }
 
 // Sphere is one level's search sphere in overlay key space: the arguments of
@@ -144,24 +146,63 @@ func (e *Engine) eachLevel(f func(l int)) {
 	})
 }
 
-// RangeQuery runs the §4.1 protocol against the backend. See
-// System.RangeQuery for semantics; the error reports a backend failure
-// (impossible in-process, a transport fault or ctx's end when serving).
+// RangePlan is the scoring phase of one range query (§4.1): what the level
+// lookups found, scored and aggregated, and the peers the retrieval phase
+// contacts. It is a pure function of the overlay entries the lookups
+// returned, so while they stand it can be retrieved over again.
+type RangePlan struct {
+	// Scores lists candidate peers by descending aggregated relevance.
+	Scores []PeerScore
+	// Peers is the prefix of Scores the retrieval contacts, in score order.
+	Peers []int
+	// OverlayHops is the overlay cost of the lookups.
+	OverlayHops int
+}
+
+// KNNPlan is the scoring phase of one k-nn query (Fig 5 steps 1–6 and the
+// per-peer shares of step 7): the Eq 8 radii, the scores, the peers the
+// retrieval contacts and how many items each is asked for. Peers is empty
+// when no peer scored or the selected scores sum to nothing; the retrieval
+// then contacts nobody. Like RangePlan, a pure function of the entries.
+type KNNPlan struct {
+	Scores      []PeerScore
+	EpsPerLevel []float64
+	Peers       []int
+	Wants       []int
+	OverlayHops int
+}
+
+// RangeQuery runs the §4.1 protocol against the backend: PlanRange, then
+// RetrieveRange. See System.RangeQuery for semantics; the error reports a
+// backend failure (impossible in-process, a transport fault or ctx's end when
+// serving).
 func (e *Engine) RangeQuery(ctx context.Context, from int, q []float64, eps float64, opts RangeOptions) (RangeResult, error) {
-	if len(q) != e.cfg.Dim {
-		panic(fmt.Sprintf("core: query dim %d, want %d", len(q), e.cfg.Dim))
+	plan, err := e.PlanRange(ctx, from, q, eps, opts)
+	if err != nil {
+		return RangeResult{OverlayHops: plan.OverlayHops}, err
 	}
-	if eps < 0 {
-		panic("core: negative query radius")
+	return e.RetrieveRange(ctx, from, q, eps, plan)
+}
+
+// PlanRange runs the scoring phase of a range query: the level lookups
+// through the backend, Eq 1 scoring, aggregation and the MaxPeers cut. It
+// refuses a query checkQuery refuses and a negative or NaN eps. On a lookup
+// failure the plan holds the hops of the levels before the failing one.
+func (e *Engine) PlanRange(ctx context.Context, from int, q []float64, eps float64, opts RangeOptions) (RangePlan, error) {
+	if err := e.checkQuery(q); err != nil {
+		return RangePlan{}, err
+	}
+	if !(eps >= 0) {
+		return RangePlan{}, fmt.Errorf("core: query radius %v, want >= 0", eps)
 	}
 
 	dec := wavelet.Decompose(q, e.cfg.Convention)
 	scores := make(map[int][]float64)
-	var res RangeResult
+	var plan RangePlan
 
-	// Scoring phase: the L per-level sphere searches are independent floods,
-	// so they run with up to levelFanout in flight; the merge below walks the
-	// slots in level order, which keeps hop totals and per-level score lanes
+	// The L per-level sphere searches are independent floods, so they run
+	// with up to levelFanout in flight; the merge below walks the slots in
+	// level order, which keeps hop totals and per-level score lanes
 	// byte-identical to the serial walk regardless of completion order.
 	type levelOut struct {
 		entries []overlay.Entry
@@ -181,12 +222,12 @@ func (e *Engine) RangeQuery(ctx context.Context, from int, q []float64, eps floa
 	})
 	for l := 0; l < e.cfg.Levels; l++ {
 		if err := outs[l].err; err != nil {
-			return res, fmt.Errorf("core: level %d search: %w", l, err)
+			return plan, fmt.Errorf("core: level %d search: %w", l, err)
 		}
 		qc := dec.Subspace(l)
 		m := wavelet.SubspaceDim(l)
 		epsL := eps * wavelet.RadiusScale(e.cfg.Convention, e.cfg.Dim, m)
-		res.OverlayHops += outs[l].hops
+		plan.OverlayHops += outs[l].hops
 		for _, en := range outs[l].entries {
 			ref := en.Payload.(ClusterRef)
 			frac := clusterFraction(m, ref, qc, epsL)
@@ -202,16 +243,24 @@ func (e *Engine) RangeQuery(ctx context.Context, from int, q []float64, eps floa
 		}
 	}
 
-	res.Scores = sortScores(scores, e.cfg.Aggregation)
-	limit := len(res.Scores)
+	plan.Scores = sortScores(scores, e.cfg.Aggregation)
+	limit := len(plan.Scores)
 	if opts.MaxPeers > 0 && opts.MaxPeers < limit {
 		limit = opts.MaxPeers
 	}
-	// Retrieval phase: one backend call fetches from every selected peer and
-	// the slots are read in score order. On a fetch failure the serial
-	// coordinator stops after the failing peer — reproduced here by counting
-	// contacts and items only up to the first (lowest-ranked) failure.
-	fetchedIDs, fetchErrs := b.FetchRange(from, scoredPeers(res.Scores[:limit]), q, eps)
+	plan.Peers = scoredPeers(plan.Scores[:limit])
+	return plan, nil
+}
+
+// RetrieveRange is the retrieval phase of a range query over plan, which
+// PlanRange built for the same q and eps: one backend call fetches from every
+// selected peer and the slots are read in score order. The result shares the
+// plan's Scores. On a fetch failure the serial coordinator stops after the
+// failing peer — reproduced here by counting contacts and items only up to
+// the first (lowest-ranked) failure.
+func (e *Engine) RetrieveRange(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, error) {
+	res := RangeResult{Scores: plan.Scores, OverlayHops: plan.OverlayHops}
+	fetchedIDs, fetchErrs := e.backend.FetchRange(ctx, from, plan.Peers, q, eps)
 	for i, err := range fetchErrs {
 		if err != nil {
 			// The partial answer is what the better-ranked peers returned,
@@ -227,23 +276,34 @@ func (e *Engine) RangeQuery(ctx context.Context, from int, q []float64, eps floa
 			for _, ids := range fetchedIDs[:i] {
 				res.Items = append(res.Items, ids...)
 			}
-			return res, fmt.Errorf("core: fetch from peer %d: %w", res.Scores[i].Peer, err)
+			return res, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
 		}
 	}
-	res.PeersContacted = limit
+	res.PeersContacted = len(plan.Peers)
 	// Indexed holders answer in ascending id order, so the union is a merge.
 	res.Items = mergeIDs(fetchedIDs)
 	return res, nil
 }
 
-// KNNQuery runs the Figure 5 heuristic against the backend. See
-// System.KNNQuery for semantics.
+// KNNQuery runs the Figure 5 heuristic against the backend: PlanKNN, then
+// RetrieveKNN. See System.KNNQuery for semantics.
 func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opts KNNOptions) (KNNResult, error) {
-	if len(q) != e.cfg.Dim {
-		panic(fmt.Sprintf("core: query dim %d, want %d", len(q), e.cfg.Dim))
+	plan, err := e.PlanKNN(ctx, from, q, k, opts)
+	if err != nil {
+		return KNNResult{EpsPerLevel: plan.EpsPerLevel, OverlayHops: plan.OverlayHops}, err
+	}
+	return e.RetrieveKNN(ctx, from, q, plan)
+}
+
+// PlanKNN runs Fig 5 steps 1–6 and sizes step 7's fetches. It refuses a
+// query checkQuery refuses and a k below 1. On a lookup failure the plan
+// holds the radii and hops of the levels before the failing one.
+func (e *Engine) PlanKNN(ctx context.Context, from int, q []float64, k int, opts KNNOptions) (KNNPlan, error) {
+	if err := e.checkQuery(q); err != nil {
+		return KNNPlan{}, err
 	}
 	if k < 1 {
-		panic("core: k must be >= 1")
+		return KNNPlan{}, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	c := opts.C
 	if c == 0 {
@@ -252,12 +312,12 @@ func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opt
 
 	dec := wavelet.Decompose(q, e.cfg.Convention)
 	scores := make(map[int][]float64)
-	res := KNNResult{EpsPerLevel: make([]float64, e.cfg.Levels)}
+	plan := KNNPlan{EpsPerLevel: make([]float64, e.cfg.Levels)}
 
 	// Steps 1–3: per-level radius estimation and range queries. Each level's
 	// geometric widening loop is independent of the others, so the levels run
 	// with up to levelFanout in flight and merge in level order (see
-	// RangeQuery for the determinism argument).
+	// PlanRange for the determinism argument).
 	type levelOut struct {
 		epsL float64
 		refs []ClusterRef
@@ -276,12 +336,12 @@ func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opt
 	})
 	for l := 0; l < e.cfg.Levels; l++ {
 		if err := outs[l].err; err != nil {
-			return res, fmt.Errorf("core: level %d radius estimation: %w", l, err)
+			return plan, fmt.Errorf("core: level %d radius estimation: %w", l, err)
 		}
 		qc := dec.Subspace(l)
 		m := wavelet.SubspaceDim(l)
-		res.OverlayHops += outs[l].hops
-		res.EpsPerLevel[l] = outs[l].epsL
+		plan.OverlayHops += outs[l].hops
+		plan.EpsPerLevel[l] = outs[l].epsL
 		for _, ref := range outs[l].refs {
 			frac := clusterFraction(m, ref, qc, outs[l].epsL)
 			if frac <= 0 {
@@ -297,44 +357,56 @@ func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opt
 	}
 
 	// Step 4: merge.
-	res.Scores = sortScores(scores, e.cfg.Aggregation)
-	if len(res.Scores) == 0 {
-		return res, nil
+	plan.Scores = sortScores(scores, e.cfg.Aggregation)
+	if len(plan.Scores) == 0 {
+		return plan, nil
 	}
 
 	// Steps 5–6: choose P — the smallest score-ordered prefix whose summed
 	// expected item mass reaches k — and the normalizing sum.
 	p := 0
 	var sum float64
-	for p < len(res.Scores) && sum < float64(k) {
-		sum += res.Scores[p].Score
+	for p < len(plan.Scores) && sum < float64(k) {
+		sum += plan.Scores[p].Score
 		p++
 	}
 	if opts.MaxPeers > 0 && opts.MaxPeers < p {
 		p = opts.MaxPeers
 		sum = 0
-		for _, ps := range res.Scores[:p] {
+		for _, ps := range plan.Scores[:p] {
 			sum += ps.Score
 		}
 	}
 	if sum <= 0 {
-		return res, nil
+		return plan, nil
 	}
 
-	// Steps 7–9: fetch a proportional share from each selected peer in one
-	// backend call, merged in score order.
-	wants := make([]int, p)
-	for i, ps := range res.Scores[:p] {
-		wants[i] = max(1, int(math.Ceil(c*float64(k)*ps.Score/sum)))
+	// Step 7's shares: a proportional number of items from each selected peer.
+	plan.Peers = scoredPeers(plan.Scores[:p])
+	plan.Wants = make([]int, p)
+	for i, ps := range plan.Scores[:p] {
+		plan.Wants[i] = max(1, int(math.Ceil(c*float64(k)*ps.Score/sum)))
 	}
-	fetchedPer, fetchErrs := b.FetchKNN(from, scoredPeers(res.Scores[:p]), wants, q)
+	return plan, nil
+}
+
+// RetrieveKNN is Fig 5 steps 7–10 over plan, which PlanKNN built for the same
+// q: fetch every selected peer's share in one backend call, merge in score
+// order, sort by true distance. A plan with no peers contacts nobody and
+// answers no items. The result shares the plan's Scores and EpsPerLevel.
+func (e *Engine) RetrieveKNN(ctx context.Context, from int, q []float64, plan KNNPlan) (KNNResult, error) {
+	res := KNNResult{Scores: plan.Scores, EpsPerLevel: plan.EpsPerLevel, OverlayHops: plan.OverlayHops}
+	if len(plan.Peers) == 0 {
+		return res, nil
+	}
+	fetchedPer, fetchErrs := e.backend.FetchKNN(ctx, from, plan.Peers, plan.Wants, q)
 	for i, err := range fetchErrs {
 		if err != nil {
 			res.PeersContacted = i + 1
-			return res, fmt.Errorf("core: fetch from peer %d: %w", res.Scores[i].Peer, err)
+			return res, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
 		}
 	}
-	res.PeersContacted = p
+	res.PeersContacted = len(plan.Peers)
 	var fetched []ItemDist
 	for _, items := range fetchedPer {
 		fetched = append(fetched, items...)
@@ -343,6 +415,16 @@ func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opt
 	// Step 10: sort the merged result by true distance to the query.
 	res.Items = sortFetched(fetched)
 	return res, nil
+}
+
+// checkQuery refuses a query vector of the wrong dimension or with a NaN
+// coordinate, whose wavelet keys would be NaN. A coordinate at ±Inf is a
+// point far from every item, and is answered.
+func (e *Engine) checkQuery(q []float64) error {
+	if err := vec.Check(q, e.cfg.Dim, true); err != nil {
+		return fmt.Errorf("core: query: %w", err)
+	}
+	return nil
 }
 
 // scoredPeers lists the peer ids of a score-ordered prefix, the form the
@@ -474,13 +556,13 @@ func (b systemBackend) Search(from, level int, key []float64, radius float64) ([
 // FetchRange and FetchKNN scan the selected stores (see eachStore). A dead
 // peer's contact times out: its slot stays empty and the budget is still
 // spent.
-func (b systemBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+func (b systemBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
 	ids := make([][]int, len(peers))
 	b.eachStore(peers, func(i int, st *store.Store) { ids[i] = LocalRange(q, eps, st) })
 	return ids, nil
 }
 
-func (b systemBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
+func (b systemBackend) FetchKNN(_ context.Context, from int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
 	items := make([][]ItemDist, len(peers))
 	b.eachStore(peers, func(i int, st *store.Store) { items[i] = LocalKNN(q, wants[i], st) })
 	return items, nil

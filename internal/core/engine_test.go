@@ -54,7 +54,7 @@ func (b fetchBackend) fill(peers []int, set func(i, peer int)) {
 	}
 }
 
-func (b fetchBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+func (b fetchBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
 	ids, errs := make([][]int, len(peers)), make([]error, len(peers))
 	b.fill(peers, func(i, p int) { ids[i], errs[i] = b.runs[p], b.errs[p] })
 	return ids, errs
@@ -62,7 +62,7 @@ func (b fetchBackend) FetchRange(from int, peers []int, q []float64, eps float64
 
 // FetchKNN hands out each run as items at distance id from the query, cut to
 // what the peer was asked for.
-func (b fetchBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
+func (b fetchBackend) FetchKNN(_ context.Context, from int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
 	items, errs := make([][]ItemDist, len(peers)), make([]error, len(peers))
 	b.fill(peers, func(i, p int) {
 		for _, id := range b.runs[p][:min(wants[i], len(b.runs[p]))] {
@@ -262,5 +262,76 @@ func TestEngineScopesFirstSpheres(t *testing.T) {
 	}
 	if len(rec.searched) <= levels {
 		t.Errorf("k-nn query for %d of %d items searched only %d spheres: no level widened", k, len(data), len(rec.searched))
+	}
+}
+
+// TestPlanThenRetrieve pins the split of a query into its two phases:
+// RangeQuery and KNNQuery are their plan followed by its retrieval, and a
+// plan kept and retrieved over again answers the same without one more
+// lookup — what a serving coordinator's answer memo resumes on. The k-nn
+// cases include an early return (a query far from every cluster scores no
+// peer), whose plan contacts nobody and whose answer holds no item slice.
+func TestPlanThenRetrieve(t *testing.T) {
+	sys, data, _ := testSystem(t, 8, 20, 4, 16, 3, 3, 5)
+	rec := &scopeRecorder{Backend: systemBackend{s: sys}}
+	e := &Engine{cfg: sys.cfg, mappers: sys.mappers, backend: rec}
+	ctx := context.Background()
+	far := make([]float64, len(data[0]))
+	for i := range far {
+		far[i] = 1e9
+	}
+	empty := 0
+	for _, q := range [][]float64{data[3], data[40], far} {
+		for _, eps := range []float64{0, 0.3, 2} {
+			plan, err := e.PlanRange(ctx, 0, q, eps, RangeOptions{MaxPeers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sys.RangeQuery(0, q, eps, RangeOptions{MaxPeers: 3})
+			rec.searched = nil
+			for i := 0; i < 2; i++ {
+				got, err := e.RetrieveRange(ctx, 0, q, eps, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("range eps %v: retrieval %d over a kept plan answered %+v, the query %+v", eps, i, got, want)
+				}
+			}
+			if len(rec.searched) != 0 {
+				t.Errorf("range eps %v: retrievals searched %d spheres, want none", eps, len(rec.searched))
+			}
+		}
+		for _, k := range []int{1, 5, 400} {
+			for _, opts := range []KNNOptions{{}, {MaxPeers: 2, C: 2}} {
+				plan, err := e.PlanKNN(ctx, 0, q, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := sys.KNNQuery(0, q, k, opts)
+				if len(plan.Peers) != want.PeersContacted || len(plan.Wants) != len(plan.Peers) {
+					t.Errorf("%d-nn: plan selects %d peers with %d shares, the query contacted %d", k, len(plan.Peers), len(plan.Wants), want.PeersContacted)
+				}
+				if len(plan.Peers) == 0 {
+					empty++
+				}
+				rec.searched = nil
+				for i := 0; i < 2; i++ {
+					got, err := e.RetrieveKNN(ctx, 0, q, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d-nn %+v: retrieval %d over a kept plan answered %+v, the query %+v", k, opts, i, got, want)
+					}
+				}
+				if len(rec.searched) != 0 {
+					t.Errorf("%d-nn: retrievals searched %d spheres, want none", k, len(rec.searched))
+				}
+			}
+		}
+	}
+	if empty == 0 {
+		t.Error("no k-nn plan took an early return")
 	}
 }

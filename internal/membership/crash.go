@@ -149,7 +149,8 @@ func (m *Manager) noteProbe(id int, tables []LevelTable, err error) {
 			if prev, ok := m.tables[id]; ok {
 				for l := 0; l < len(m.levels); l++ {
 					if !levelTableEqual(tableAt(prev, l), tableAt(tables, l)) {
-						m.bumpLocked(l)
+						m.bumpLocked()
+						break
 					}
 				}
 			}
@@ -197,7 +198,7 @@ func (m *Manager) declareDeadLocked(c int) ([]outMsg, []recoveryPlan) {
 		}
 		// Every branch below mutates this level (at minimum the crashed
 		// neighbor is dropped), so the takeover is one churn event here.
-		m.bumpLocked(l)
+		m.bumpLocked()
 		czones := ls.Neighbors[idx].Zones
 		ls.Neighbors = removeNeighbor(ls.Neighbors, c)
 		ct := tableAt(table, l)

@@ -79,7 +79,7 @@ func (m *Manager) installGrant(level int, g JoinGrant, dim int) error {
 	for _, nb := range ls.Neighbors {
 		m.learnLocked(nb.ID, nb.Addr)
 	}
-	m.bumpLocked(level)
+	m.bumpLocked()
 	m.mu.Unlock()
 	return nil
 }

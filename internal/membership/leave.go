@@ -105,8 +105,8 @@ func (m *Manager) Leave(ctx context.Context) error {
 	m.mu.Lock()
 	for l := range m.levels {
 		m.levels[l] = LevelState{}
-		m.bumpLocked(l)
 	}
+	m.bumpLocked()
 	m.mu.Unlock()
 	return nil
 }

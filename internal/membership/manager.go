@@ -99,13 +99,11 @@ type Manager struct {
 	claims map[string][]route.Zone
 	// recovering counts in-flight post-takeover republishes (Busy).
 	recovering int
-	// epochs[l] counts the level-l churn events this node has observed
-	// (its own mutations plus neighbor-table changes seen in probe
-	// responses); a coordinator's lookup memo and fetch cache trust an entry
-	// only within the epoch it was recorded at. epochSum is their sum, kept
-	// beside them so "did anything happen at any level" is one atomic load.
-	epochs   []uint64
-	epochSum atomic.Uint64
+	// epoch counts the churn events this node has observed at any level (its
+	// own mutations plus neighbor-table changes seen in probe responses); a
+	// coordinator's answer memo and fetch memo trust an entry only within the
+	// epoch it was recorded at. Atomic, so the read is one load, lock-free.
+	epoch atomic.Uint64
 
 	probeMu   sync.Mutex
 	probeStop context.CancelFunc // ends the probe loop's context
@@ -130,7 +128,6 @@ func NewManager(self, size int, levels []LevelState, fabric Fabric, opts Options
 		fails:  map[int]int{},
 		tables: map[int][]LevelTable{},
 		claims: map[string][]route.Zone{},
-		epochs: make([]uint64, len(levels)),
 	}
 	if opts.ProbeInterval <= 0 {
 		m.opts.ProbeInterval = 0
@@ -310,29 +307,16 @@ func (m *Manager) Busy() bool {
 	return m.recovering > 0
 }
 
-// Epoch returns this node's level-l churn epoch: a counter bumped on every
-// membership event the node observes at that level — its own mutations and
-// neighbor-table changes heard in probe responses. A coordinator reuses a
-// memoized lookup only while the epoch it ran under is still current.
-func (m *Manager) Epoch(level int) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epochs[level]
-}
+// bumpLocked records a churn event this node observed at some level — a
+// mutation of its own zones, neighbor table or records by the membership
+// protocol, or news of a neighbor's. Callers hold mu.
+func (m *Manager) bumpLocked() { m.epoch.Add(1) }
 
-// bumpLocked records a level-l churn event this node observed — a mutation
-// of its own zones, neighbor table or records by the membership protocol, or
-// news of a neighbor's. Callers hold mu.
-func (m *Manager) bumpLocked(level int) {
-	m.epochs[level]++
-	m.epochSum.Add(1)
-}
-
-// EpochSum returns the sum of the per-level churn epochs without taking the
-// lock. Every epoch only grows, so the sum moves exactly when some level's
-// epoch does: two equal readings bracket a span with no membership event at
-// any level — the coordinator fetch cache's reset signal.
-func (m *Manager) EpochSum() uint64 { return m.epochSum.Load() }
+// Epoch returns this node's churn epoch without taking the lock: a counter
+// that moves on every membership event the node observes, at any level. It
+// only grows, so two equal readings bracket a span with no membership event —
+// the signal the coordinator's answer memo and fetch memo reset on.
+func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
 
 // ---- RPC dispatch ----
 
@@ -420,7 +404,7 @@ func (m *Manager) apply(level int, zones []route.Zone, fn func(ls *LevelState) (
 		outs, plans, err = fn(&m.levels[level])
 	}
 	if err == nil {
-		m.bumpLocked(level)
+		m.bumpLocked()
 	}
 	m.mu.Unlock()
 	m.sendAll(outs)

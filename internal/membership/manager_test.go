@@ -34,6 +34,63 @@ type fakeFabric struct {
 	tap func(addr, method string, body []byte)
 	// respond, when set, rewrites every response before the caller sees it.
 	respond func(method string, resp []byte) []byte
+	// seen is what checkEpoch last saw of each node.
+	seen map[int]epochSeen
+}
+
+// epochSeen is one reading of a node's churn epoch with the part of its state
+// the epoch must move with: per level, its zones and its neighbors' ids and
+// zones (addresses are learnt without a membership event).
+type epochSeen struct {
+	epoch uint64
+	topo  [][][]route.Zone
+}
+
+// seeEpoch reads m's epoch, then its topology: a topology change after the
+// reading can only move the epoch further.
+func seeEpoch(m *Manager) epochSeen {
+	s := epochSeen{epoch: m.Epoch()}
+	for l := 0; l < m.NumLevels(); l++ {
+		ls := m.View(l)
+		zones := [][]route.Zone{ls.Zones}
+		for _, nb := range ls.Neighbors {
+			zones = append(zones, append([]route.Zone{{Lo: []float64{float64(nb.ID)}}}, nb.Zones...))
+		}
+		s.topo = append(s.topo, zones)
+	}
+	return s
+}
+
+// checkEpochMoved holds m's churn epoch to its contract since an earlier
+// reading: it never falls, and it has moved if the node's zones or neighbor
+// table did.
+func checkEpochMoved(t *testing.T, tag string, m *Manager, before epochSeen) {
+	t.Helper()
+	now := seeEpoch(m)
+	if now.epoch < before.epoch {
+		t.Fatalf("%s node %d: epoch fell from %d to %d", tag, m.Self(), before.epoch, now.epoch)
+	}
+	if now.epoch == before.epoch && !reflect.DeepEqual(now.topo, before.topo) {
+		t.Fatalf("%s node %d: zones or neighbor table changed with the epoch standing at %d", tag, m.Self(), now.epoch)
+	}
+}
+
+// checkEpoch runs checkEpochMoved against what the last check of m saw.
+func (f *fakeFabric) checkEpoch(t *testing.T, tag string, m *Manager) {
+	t.Helper()
+	f.mu.Lock()
+	before, ok := f.seen[m.Self()]
+	f.mu.Unlock()
+	if ok {
+		checkEpochMoved(t, tag, m, before)
+	}
+	now := seeEpoch(m)
+	f.mu.Lock()
+	if f.seen == nil {
+		f.seen = map[int]epochSeen{}
+	}
+	f.seen[m.Self()] = now
+	f.mu.Unlock()
 }
 
 func newFakeFabric() *fakeFabric {
@@ -290,14 +347,7 @@ func comparePair(t *testing.T, tag string, o *can.Overlay, f *fakeFabric) {
 		ls := m.View(0)
 		compareLevel(t, fmt.Sprintf("%s node %d", tag, m.Self()), o.View(m.Self()), ls)
 		tiles = append(tiles, ls.Zones)
-		// The lock-free sum the fetch memo resets on moves with every epoch.
-		var sum uint64
-		for l := 0; l < m.NumLevels(); l++ {
-			sum += m.Epoch(l)
-		}
-		if m.EpochSum() != sum {
-			t.Fatalf("%s node %d: EpochSum %d, the level epochs add up to %d", tag, m.Self(), m.EpochSum(), sum)
-		}
+		f.checkEpoch(t, tag, m)
 	}
 	if !route.VerifyTiling(tiles) {
 		t.Fatalf("%s: live zones do not tile the torus", tag)
@@ -421,8 +471,8 @@ func TestJoinRefusedWhenZoneTooSmall(t *testing.T) {
 	if !errors.Is(err, route.ErrZoneTooSmall) || transport.ErrorDetail(err) != route.DetailZoneTooSmall {
 		t.Fatalf("join into a one-float64 zone: err %v, detail %q", err, transport.ErrorDetail(err))
 	}
-	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || len(ls.Neighbors) != 0 || m.Epoch(0) != 0 {
-		t.Fatalf("refused join changed the owner: %+v, epoch %d", ls, m.Epoch(0))
+	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || len(ls.Neighbors) != 0 || m.Epoch() != 0 {
+		t.Fatalf("refused join changed the owner: %+v, epoch %d", ls, m.Epoch())
 	}
 }
 
@@ -494,7 +544,7 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 				t.Fatalf("node 0 has %d neighbors, want two", len(e.ls.Neighbors))
 			}
 			e.nb, e.other = e.ls.Neighbors[0], e.ls.Neighbors[1]
-			epoch := m.Epoch(0)
+			epoch := m.Epoch()
 			err := func() error {
 				defer func() {
 					if p := recover(); p != nil {
@@ -508,9 +558,9 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 			if err == nil {
 				t.Errorf("accepted, want a refusal")
 			}
-			if got := m.View(0); !reflect.DeepEqual(got, e.ls) || m.Epoch(0) != epoch || m.IsDead(e.nb.ID) {
+			if got := m.View(0); !reflect.DeepEqual(got, e.ls) || m.Epoch() != epoch || m.IsDead(e.nb.ID) {
 				t.Fatalf("refusal moved the level: epoch %d -> %d, dead(%d) %v\n before %+v\n after  %+v",
-					epoch, m.Epoch(0), e.nb.ID, m.IsDead(e.nb.ID), e.ls, got)
+					epoch, m.Epoch(), e.nb.ID, m.IsDead(e.nb.ID), e.ls, got)
 			}
 		})
 	}
@@ -545,12 +595,12 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 				return tables
 			}
 			m.noteProbe(nb.ID, probe(), nil)
-			good, epoch := m.Table(nb.ID), m.Epoch(0)
+			good, epoch := m.Table(nb.ID), m.Epoch()
 			bad := probe()
 			row.spoil(bad)
 			m.noteProbe(nb.ID, bad, nil)
-			if !reflect.DeepEqual(m.Table(nb.ID), good) || m.Epoch(0) != epoch || m.IsDead(nb.ID) {
-				t.Fatalf("a bad self-report was taken: table %+v, epoch %d -> %d, dead %v", m.Table(nb.ID), epoch, m.Epoch(0), m.IsDead(nb.ID))
+			if !reflect.DeepEqual(m.Table(nb.ID), good) || m.Epoch() != epoch || m.IsDead(nb.ID) {
+				t.Fatalf("a bad self-report was taken: table %+v, epoch %d -> %d, dead %v", m.Table(nb.ID), epoch, m.Epoch(), m.IsDead(nb.ID))
 			}
 			f.crash(nb.Addr)
 			for i := 0; i < 3; i++ {
@@ -600,8 +650,8 @@ func TestMembershipRefusesWrongDimensionZones(t *testing.T) {
 			if err := j.Join(context.Background(), testAddr(1), [][]float64{point}); err == nil {
 				t.Error("the joiner installed a grant of the wrong dimension")
 			}
-			if ls := j.View(0); len(ls.Zones)+len(ls.Neighbors)+len(ls.Owned)+len(ls.Replicas) != 0 || j.Epoch(0) != 0 {
-				t.Fatalf("a refused grant moved the joiner: %+v, epoch %d", ls, j.Epoch(0))
+			if ls := j.View(0); len(ls.Zones)+len(ls.Neighbors)+len(ls.Owned)+len(ls.Replicas) != 0 || j.Epoch() != 0 {
+				t.Fatalf("a refused grant moved the joiner: %+v, epoch %d", ls, j.Epoch())
 			}
 		})
 	}
@@ -630,7 +680,7 @@ func TestJoinRefusesWrongLengthPoint(t *testing.T) {
 			t.Errorf("%s point: join granted, want an error", name)
 		}
 	}
-	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || m.Epoch(0) != 0 {
-		t.Fatalf("refused joins changed the owner: %+v, epoch %d", ls, m.Epoch(0))
+	if ls := m.View(0); len(ls.Zones) != 1 || !reflect.DeepEqual(ls.Zones[0], zone) || m.Epoch() != 0 {
+		t.Fatalf("refused joins changed the owner: %+v, epoch %d", ls, m.Epoch())
 	}
 }

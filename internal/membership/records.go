@@ -23,7 +23,7 @@ import (
 // a live holder ends up with are byte-identical to the simulator node the
 // same delta sequence reached. A record whose key is not of the level's
 // dimension is refused (checkDims). The churn epoch holds: record churn is
-// not membership churn, which is why coordinators keep no lookup memo under
+// not membership churn, which is why coordinators keep no answer memo under
 // streaming publish (see node.Tuning.StreamPublish).
 func (m *Manager) ApplyRecord(level int, asOwner, del bool, rec route.RecordView) error {
 	if err := m.checkLevel(level); err != nil {
@@ -109,7 +109,7 @@ func (m *Manager) recoverZone(p recoveryPlan) {
 	// Only merge if we still hold the zone (a conflict may have taken it).
 	if route.ZonesContain(ls.Zones, zoneCenter(p.zone)) {
 		ls.Owned, ls.Replicas, _ = route.ApplyRecovery(ls.Zones, p.zone, ls.Owned, ls.Replicas, dedup)
-		m.bumpLocked(p.level)
+		m.bumpLocked()
 	}
 	m.mu.Unlock()
 }

@@ -22,11 +22,14 @@ import (
 // a range or k-nn request is served from the memo exactly when no input of its
 // answer can have changed — no notification from a holder it contacted, no
 // publish at the coordinator when it contacted itself, no membership event —
-// and every answer, memoized or not, equals the core.System oracle.
+// it resumes at retrieval over the kept plan, sending no can_search, exactly
+// when only the stores changed, and every answer, memoized or not, equals the
+// core.System oracle.
 
 const (
-	ctrAnswerHit  = "cache.answer_hit"
-	ctrAnswerMiss = "cache.answer_miss"
+	ctrAnswerHit    = "cache.answer_hit"
+	ctrAnswerMiss   = "cache.answer_miss"
+	ctrAnswerResume = "cache.answer_resume"
 )
 
 // answerKind names the two query kinds a request can be.
@@ -40,12 +43,21 @@ const (
 func (k answerKind) String() string { return [...]string{"range", "knn"}[k] }
 
 // memoQuery is one (query, kind) of the suite and what its coordinator knew
-// when it last answered it: the peers it contacted and its epoch sum.
+// when it last answered it: the peers it contacted, its epoch, and whether
+// the epoch held through the asking (so the plan was kept).
 type memoQuery struct {
 	i         int
 	kind      answerKind
 	contacted []int
 	epoch     uint64
+	planned   bool
+}
+
+// asked is what one asking did at its coordinator: served from the memo,
+// resumed over a kept plan, and how many can_search RPCs the coordinator sent.
+type asked struct {
+	hit, resume bool
+	sent        float64
 }
 
 // stored reports whether the last answer can have entered the memo: not if it
@@ -108,15 +120,14 @@ func startAnswerWorld(t *testing.T, seed int64) *answerWorld {
 func (w *answerWorld) coord(m *memoQuery) int { return m.i % w.founders }
 
 // ask serves m once from its coordinator, checks the answer against the
-// oracle unless told not to, and reports whether the coordinator's answer
-// memo served it.
-func (w *answerWorld) ask(tag string, m *memoQuery, oracle bool) bool {
+// oracle, and reports what the coordinator's answer memo did with it.
+func (w *answerWorld) ask(tag string, m *memoQuery) asked {
 	w.t.Helper()
 	c := w.coord(m)
 	nd := w.cl.Nodes[c]
 	q, ctx := w.qs[m.i], context.Background()
 	before := nd.Counters()
-	epoch := nd.Membership().EpochSum()
+	epoch := nd.Membership().Epoch()
 	var scores []core.PeerScore
 	var contacted int
 	switch m.kind {
@@ -126,7 +137,7 @@ func (w *answerWorld) ask(tag string, m *memoQuery, oracle bool) bool {
 		if err != nil {
 			w.t.Fatalf("%s: range %d from %d: %v", tag, m.i, c, err)
 		}
-		if oracle && (!slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted || want.OverlayHops != got.OverlayHops) {
+		if !slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted || want.OverlayHops != got.OverlayHops {
 			w.t.Errorf("%s: range %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v", tag, m.i, c, want, got)
 		}
 		scores, contacted = got.Scores, got.PeersContacted
@@ -136,22 +147,45 @@ func (w *answerWorld) ask(tag string, m *memoQuery, oracle bool) bool {
 		if err != nil {
 			w.t.Fatalf("%s: knn %d from %d: %v", tag, m.i, c, err)
 		}
-		if oracle && (!slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted || want.OverlayHops != got.OverlayHops) {
+		if !slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted || want.OverlayHops != got.OverlayHops {
 			w.t.Errorf("%s: knn %d from peer %d diverged from oracle:\nsim:    %+v\nserved: %+v", tag, m.i, c, want, got)
 		}
 		scores, contacted = got.Scores, got.PeersContacted
 	}
 	after := nd.Counters()
 	hits, misses := after[ctrAnswerHit]-before[ctrAnswerHit], after[ctrAnswerMiss]-before[ctrAnswerMiss]
-	if hits+misses != 1 {
-		w.t.Fatalf("%s: %s %d counted %v answer-memo hits and %v misses, want one of them", tag, m.kind, m.i, hits, misses)
+	resumes := after[ctrAnswerResume] - before[ctrAnswerResume]
+	if hits+misses != 1 || resumes > misses {
+		w.t.Fatalf("%s: %s %d counted %v answer-memo hits, %v misses and %v resumes, want one hit or one miss", tag, m.kind, m.i, hits, misses, resumes)
 	}
 	m.contacted = m.contacted[:0]
 	for _, ps := range scores[:contacted] {
 		m.contacted = append(m.contacted, ps.Peer)
 	}
-	m.epoch = epoch
-	return hits == 1
+	m.epoch, m.planned = epoch, nd.Membership().Epoch() == epoch
+	return asked{hit: hits == 1, resume: resumes == 1, sent: after["coord.can_search"] - before["coord.can_search"]}
+}
+
+// kept reports whether m's coordinator still holds the plan of m's last
+// asking: the epoch held through that asking and has not moved since.
+func (w *answerWorld) kept(m *memoQuery) bool {
+	return m.planned && w.cl.Nodes[w.coord(m)].Membership().Epoch() == m.epoch
+}
+
+// checkAsked holds one asking to the rule: a hit exactly when hit says so,
+// otherwise a resume exactly when the plan was kept, and a resume sends no
+// can_search.
+func (w *answerWorld) checkAsked(tag string, m *memoQuery, got asked, hit, kept bool) {
+	w.t.Helper()
+	c := w.coord(m)
+	switch {
+	case got.hit != hit:
+		w.t.Errorf("%s: %s %d at coordinator %d (contacted %v): answer-memo hit %v, want %v", tag, m.kind, m.i, c, m.contacted, got.hit, hit)
+	case !hit && got.resume != kept:
+		w.t.Errorf("%s: %s %d at coordinator %d (contacted %v): resumed over a kept plan %v, want %v", tag, m.kind, m.i, c, m.contacted, got.resume, kept)
+	case got.resume && got.sent != 0:
+		w.t.Errorf("%s: %s %d at coordinator %d resumed over its plan and still sent %v can_search", tag, m.kind, m.i, c, got.sent)
+	}
 }
 
 // event is what a step did to the coordinators' inputs: the peer that
@@ -169,7 +203,7 @@ type event struct {
 func (w *answerWorld) sound(m *memoQuery, ev event) bool {
 	c := w.coord(m)
 	switch {
-	case !m.stored(w.alive), w.cl.Nodes[c].Membership().EpochSum() != m.epoch:
+	case !m.stored(w.alive), w.cl.Nodes[c].Membership().Epoch() != m.epoch:
 		return false
 	case ev.holder == c:
 		return !slices.Contains(m.contacted, c)
@@ -179,26 +213,25 @@ func (w *answerWorld) sound(m *memoQuery, ev event) bool {
 	return true
 }
 
-// pass asks every query of the founders in from twice, holding the answers of
-// those in oracle to the oracle (nil: everyone everywhere). The first asking
-// must hit exactly when sound says so, the repeat exactly when the first was
-// stored.
-func (w *answerWorld) pass(tag string, ev event, from, oracle map[int]bool) {
+// pass asks every query of the founders in from (nil: all) twice, holding
+// every answer to the oracle. The first asking must hit exactly when sound
+// says so and otherwise resume exactly when the plan was kept; the repeat must
+// hit exactly when the first was stored and otherwise resume. It returns the
+// can_search RPCs the first askings sent.
+func (w *answerWorld) pass(tag string, ev event, from map[int]bool) (sent float64) {
 	w.t.Helper()
 	for _, m := range w.queries {
-		c := w.coord(m)
-		if from != nil && !from[c] {
+		if from != nil && !from[w.coord(m)] {
 			continue
 		}
-		check := oracle == nil || oracle[c]
-		want := w.sound(m, ev)
-		if hit := w.ask(tag, m, check); hit != want {
-			w.t.Errorf("%s: %s %d at coordinator %d (contacted %v): answer-memo hit %v, want %v", tag, m.kind, m.i, c, m.contacted, hit, want)
-		}
-		if want := m.stored(w.alive); w.ask(tag+" repeat", m, check) != want {
-			w.t.Errorf("%s: the repeat of %s %d at coordinator %d (contacted %v): answer-memo hit %v", tag, m.kind, m.i, c, m.contacted, !want)
-		}
+		hit, kept := w.sound(m, ev), w.kept(m)
+		got := w.ask(tag, m)
+		w.checkAsked(tag, m, got, hit, kept)
+		sent += got.sent
+		hit, kept = m.stored(w.alive), w.kept(m)
+		w.checkAsked(tag+" repeat", m, w.ask(tag+" repeat", m), hit, kept)
 	}
+	return sent
 }
 
 // publish post-inserts item at holder on both sides and returns the event,
@@ -273,12 +306,8 @@ func runAnswerMemoDifferential(t *testing.T, seed int64) {
 	w := startAnswerWorld(t, seed)
 	rng := rand.New(rand.NewSource(seed * 71))
 	for _, m := range w.queries {
-		if w.ask("cold", m, true) {
-			t.Errorf("cold: %s %d hit an empty answer memo", m.kind, m.i)
-		}
-		if !w.ask("cold repeat", m, true) {
-			t.Errorf("cold: the repeat of %s %d missed the answer memo", m.kind, m.i)
-		}
+		w.checkAsked("cold", m, w.ask("cold", m), false, false)
+		w.checkAsked("cold repeat", m, w.ask("cold repeat", m), true, false)
 	}
 
 	// Inside the sphere at a contacted holder: the holder notifies the
@@ -288,7 +317,7 @@ func runAnswerMemoDifferential(t *testing.T, seed int64) {
 	if !ev.notified[w.coord(m)] {
 		t.Errorf("a publish inside range %d's sphere at contacted holder %d did not notify coordinator %d", m.i, h, w.coord(m))
 	}
-	w.pass("inside at a contacted holder", ev, nil, nil)
+	w.pass("inside at a contacted holder", ev, nil)
 
 	// Outside every sphere at a contacted holder: nobody is notified, and
 	// every answer stands.
@@ -303,7 +332,7 @@ func runAnswerMemoDifferential(t *testing.T, seed int64) {
 			t.Errorf("a publish outside every sphere at holder %d notified founder %d", h, f)
 		}
 	}
-	w.pass("outside at a contacted holder", ev, nil, nil)
+	w.pass("outside at a contacted holder", ev, nil)
 
 	// At the coordinator itself, which contacted its own store.
 	m, h = w.target("a coordinator that contacted itself", func(m *memoQuery) int {
@@ -312,7 +341,7 @@ func runAnswerMemoDifferential(t *testing.T, seed int64) {
 		}
 		return -1
 	})
-	w.pass("at the coordinator", w.publish(h, near(w.qs[m.i], rng, w.radii[m.i]/100)), nil, nil)
+	w.pass("at the coordinator", w.publish(h, near(w.qs[m.i], rng, w.radii[m.i]/100)), nil)
 
 	// Inside the sphere at a node the query did not contact.
 	m, u := w.target("an uncontacted live peer", func(m *memoQuery) int {
@@ -323,30 +352,31 @@ func runAnswerMemoDifferential(t *testing.T, seed int64) {
 		}
 		return -1
 	})
-	w.pass("at an uncontacted node", w.publish(u, near(w.qs[m.i], rng, w.radii[m.i]/100)), nil, nil)
+	w.pass("at an uncontacted node", w.publish(u, near(w.qs[m.i], rng, w.radii[m.i]/100)), nil)
 
-	// Churn. A coordinator whose epoch sum moved may serve nothing it
-	// memoized before. As in TestCacheDifferential, only the coordinators
-	// that observed the event at every level are held to the oracle: one
-	// that saw some levels change and not others runs its lookup memo on a
-	// mix of old and new lookups, with or without an answer memo on top.
+	// Churn. A coordinator whose epoch moved may serve nothing it memoized
+	// before, bytes or plan: every one of them plans afresh, and each is held
+	// to the oracle.
 	ctx := context.Background()
 	levels := w.sys.Config().Levels
 	churn := func(tag string, do func()) {
 		t.Helper()
-		sums, pre := make([]uint64, w.founders), make([][]uint64, w.founders)
-		for f := range sums {
-			sums[f], pre[f] = w.cl.Nodes[f].Membership().EpochSum(), epochSnapshot(w.cl.Nodes[f], levels)
+		epochs := make([]uint64, w.founders)
+		for f := range epochs {
+			epochs[f] = w.cl.Nodes[f].Membership().Epoch()
 		}
 		do()
 		waitClusterQuiesce(t, tag, w.cl, w.alive, levels, w.mopts.ProbeInterval)
-		moved, everyLevel := map[int]bool{}, map[int]bool{}
-		for f := range sums {
-			moved[f] = w.cl.Nodes[f].Membership().EpochSum() != sums[f]
-			everyLevel[f] = epochsAdvanced(w.cl.Nodes[f], pre[f])
+		moved := map[int]bool{}
+		for f := range epochs {
+			if w.cl.Nodes[f].Membership().Epoch() != epochs[f] {
+				moved[f] = true
+			}
 		}
-		t.Logf("%s moved the epoch sum of founders %v, every level of %v", tag, moved, everyLevel)
-		w.pass(tag, event{holder: -1}, moved, everyLevel)
+		t.Logf("%s moved the epoch of founders %v", tag, moved)
+		if sent := w.pass(tag, event{holder: -1}, moved); len(moved) > 0 && sent == 0 {
+			t.Errorf("%s: the first askings after the epoch moved sent no can_search", tag)
+		}
 	}
 	churn("join", func() {
 		points := joinPoints(t, w.sys, rng)
@@ -453,6 +483,105 @@ func TestAnswerMemoRepeatUnderPublish(t *testing.T) {
 	}
 }
 
+// TestAnswerMemoConcurrentResume runs range and k-nn repeats from several
+// goroutines, one coordinator each, while a publish stream goes into a holder
+// every range query contacts: answers drop their bytes, keep their plans and
+// resume, concurrently with asking, storing and dropping. A range answer asked
+// after a publish was acknowledged must hold its item; once the stream is
+// over every answer must equal the oracle that took the same publishes.
+func TestAnswerMemoConcurrentResume(t *testing.T) {
+	d := startDirCluster(t, cacheParams(6))
+	const coords, publishes = 4, 24
+	qs, radii := queriesFor(t, d.sys, coords, coords)
+	// The holder: a peer every query's range retrieval contacts besides its
+	// coordinator, so every publish below reaches every range answer.
+	h := -1
+	for p := 0; p < len(d.cl.Nodes) && h < 0; p++ {
+		h = p
+		for i, q := range qs {
+			res := d.sys.RangeQuery(i, q, radii[i], core.RangeOptions{})
+			if p == i || !slices.ContainsFunc(res.Scores[:res.PeersContacted], func(ps core.PeerScore) bool { return ps.Peer == p }) {
+				h = -1
+				break
+			}
+		}
+	}
+	if h < 0 {
+		t.Fatal("no holder is contacted by every query")
+	}
+
+	ctx := context.Background()
+	items := make([][]float64, publishes)
+	rng := rand.New(rand.NewSource(11))
+	for i := range items {
+		items[i] = near(qs[i%coords], rng, radii[i%coords]/100)
+	}
+	// Warm every coordinator's memo: the stream then finds answers to drop.
+	for c := 0; c < coords; c++ {
+		d.checkRange("warm", c, qs[c], radii[c])
+		d.checkKNN("warm", c, qs[c], 5)
+	}
+	var acked atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i, item := range items {
+			if err := d.client.Publish(ctx, d.cl.Addrs[h], 9000+i, item); err != nil {
+				t.Errorf("publish %d: %v", i, err)
+				return
+			}
+			acked.Store(int64(i + 1))
+		}
+	}()
+	for c := 0; c < coords; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round, finished := 0, false; !finished; round++ {
+				select {
+				case <-done:
+					finished = round >= 3
+				default:
+				}
+				seen := int(acked.Load())
+				res, err := d.client.Range(ctx, d.cl.Addrs[c], qs[c], radii[c], core.RangeOptions{})
+				if err != nil {
+					t.Errorf("range at %d: %v", c, err)
+					return
+				}
+				for i := c; i < seen; i += coords {
+					if !slices.Contains(res.Items, 9000+i) {
+						t.Errorf("a range query at %d sent after %d acknowledged publishes lacks item %d", c, seen, 9000+i)
+						return
+					}
+				}
+				if _, err := d.client.KNN(ctx, d.cl.Addrs[c], qs[c], 5, core.KNNOptions{}); err != nil {
+					t.Errorf("knn at %d: %v", c, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i, item := range items {
+		d.sys.PostInsert(h, 9000+i, item)
+	}
+	for c := 0; c < coords; c++ {
+		d.checkRange("after the stream", c, qs[c], radii[c])
+		d.checkKNN("after the stream", c, qs[c], 5)
+	}
+	if sumCounter(d.cl, ctrAnswerResume) == 0 {
+		t.Error("no asking resumed over a kept plan under the publish stream")
+	}
+}
+
 // hookTransport runs a hook once: after the first call it matches has
 // returned, before its caller sees the response.
 type hookTransport struct {
@@ -488,15 +617,18 @@ func (h *hookTransport) Call(ctx context.Context, addr string, req transport.Req
 // comes and goes, and the response predates it — or a join splits the
 // coordinator's own zones and a second request resets the memo to the new
 // epoch. The first answer is returned, as its request predates both; it must
-// not be memoized: the next asking misses and equals the oracle.
+// not be memoized: the next asking misses and equals the oracle. Its plan
+// stands across the publish, so that asking resumes over it, and falls with
+// the join.
 func TestAnswerMemoPutGuard(t *testing.T) {
 	const c, id = 0, 9000
 	for _, tc := range []struct {
-		name  string
-		stage func(w *guardWorld)
-		check func(w *guardWorld, first core.RangeResult)
+		name   string
+		resume bool
+		stage  func(w *guardWorld)
+		check  func(w *guardWorld, first core.RangeResult)
 	}{
-		{"publish at the holder", func(w *guardWorld) {
+		{"publish at the holder", true, func(w *guardWorld) {
 			w.sys.PostInsert(w.h, id, w.item)
 			if err := w.cl.Nodes[w.h].Publish(id, w.item); err != nil {
 				w.t.Errorf("publish at holder %d: %v", w.h, err)
@@ -506,8 +638,8 @@ func TestAnswerMemoPutGuard(t *testing.T) {
 				w.t.Error("the first answer already holds the item: the publish did not land inside the query")
 			}
 		}},
-		{"join at the coordinator", func(w *guardWorld) {
-			epoch := w.cl.Nodes[c].Membership().EpochSum()
+		{"join at the coordinator", false, func(w *guardWorld) {
+			epoch := w.cl.Nodes[c].Membership().Epoch()
 			points := make([][]float64, w.sys.Config().Levels)
 			for l := range points {
 				z := w.cl.Nodes[c].Membership().View(l).Zones[0]
@@ -522,8 +654,8 @@ func TestAnswerMemoPutGuard(t *testing.T) {
 			if _, err := w.cl.Join(context.Background(), w.sys, w.addrs[c], points); err != nil {
 				w.t.Errorf("live join: %v", err)
 			}
-			if w.cl.Nodes[c].Membership().EpochSum() == epoch {
-				w.t.Error("a join splitting the coordinator's zones left its epoch sum alone")
+			if w.cl.Nodes[c].Membership().Epoch() == epoch {
+				w.t.Error("a join splitting the coordinator's zones left its epoch alone")
 			}
 			// Any request resets the memo to the new epoch; one refused for
 			// its dimension does so and leaves ansSeq alone.
@@ -543,7 +675,7 @@ func TestAnswerMemoPutGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.check(w, first)
-			misses := w.cl.Nodes[c].Counters()[ctrAnswerMiss]
+			before := w.cl.Nodes[c].Counters()
 			got, err := w.client.Range(ctx, w.addrs[c], w.qs[0], w.radii[0], core.RangeOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -551,8 +683,12 @@ func TestAnswerMemoPutGuard(t *testing.T) {
 			if want := w.sys.RangeQuery(c, w.qs[0], w.radii[0], core.RangeOptions{}); !reflect.DeepEqual(normalizeRange(want), normalizeRange(got)) {
 				t.Errorf("the asking after the race diverged from the oracle:\nsim:    %+v\nserved: %+v", want, got)
 			}
-			if w.cl.Nodes[c].Counters()[ctrAnswerMiss] != misses+1 {
+			after := w.cl.Nodes[c].Counters()
+			if after[ctrAnswerMiss] != before[ctrAnswerMiss]+1 {
 				t.Error("the asking after the race hit the answer memo: the answer built across it was kept")
+			}
+			if resumed := after[ctrAnswerResume] > before[ctrAnswerResume]; resumed != tc.resume {
+				t.Errorf("the asking after the race resumed over a kept plan: %v, want %v", resumed, tc.resume)
 			}
 		})
 	}

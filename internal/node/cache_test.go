@@ -19,13 +19,13 @@ import (
 	"hyperm/internal/vec"
 )
 
-// This file is the acceptance suite of the lookup memo (internal/viewcache)
-// and the fetch caches: the cache-on serving path must answer byte-identically
-// to the in-process oracle on every topology churn can produce, while
-// measurably removing can_search RPCs. The differential test sweeps seeded
-// churned topologies; the takeover test aims a crash at a warm memo
-// mid-query-stream and proves no lookup recorded under an older churn epoch
-// was ever served again.
+// This file is the acceptance suite of the coordinator caches — the answer
+// memo with its kept plans, and the fetch caches: the cache-on serving path
+// must answer byte-identically to the in-process oracle on every topology
+// churn can produce, while measurably removing can_search RPCs. The
+// differential test sweeps seeded churned topologies; the takeover test aims
+// a crash at a warm memo mid-query-stream and proves no plan built under an
+// older churn epoch was ever served again.
 
 // cacheParams keeps each seeded topology small enough to sweep many of them.
 func cacheParams(seed int64) experiments.Params {
@@ -76,33 +76,55 @@ func sumCounter(cl *node.Cluster, name string) float64 {
 	return total
 }
 
-// memoDelta runs fn and reports what it did to coordinator nd's lookup memo
-// and how many can_search RPCs nd sent meanwhile.
-func memoDelta(nd *node.Node, fn func()) (hits, misses, sent float64) {
+// answerDelta runs fn and reports what it did to coordinator nd's answer memo
+// — hits, and misses that resumed over a kept plan — and how many can_search
+// RPCs nd sent meanwhile.
+func answerDelta(nd *node.Node, fn func()) (hits, resumes, sent float64) {
 	before := nd.Counters()
 	fn()
 	after := nd.Counters()
-	return after["cache.path_hit"] - before["cache.path_hit"],
-		after["cache.path_miss"] - before["cache.path_miss"],
+	return after[ctrAnswerHit] - before[ctrAnswerHit],
+		after[ctrAnswerResume] - before[ctrAnswerResume],
 		after["coord.can_search"] - before["coord.can_search"]
 }
 
-// epochsAdvanced reports whether the coordinator observed churn at every
-// level since the given per-level epoch snapshot — after which none of the
-// lookups it memoized before may be served (see viewcache.GetSearch).
-func epochsAdvanced(nd *node.Node, before []uint64) bool {
-	for l, e := range before {
-		if nd.Membership().Epoch(l) <= e {
-			return false
-		}
-	}
-	return true
+// memoTally sums answerDelta over a stretch of askings: the hits, the resumes
+// and what they sent, and what the askings that planned afresh sent.
+type memoTally struct {
+	hits, resumes, resumeSent, fresh, freshSent float64
 }
 
-func epochSnapshot(nd *node.Node, levels int) []uint64 {
-	out := make([]uint64, levels)
-	for l := range out {
-		out[l] = nd.Membership().Epoch(l)
+func (tl *memoTally) add(nd *node.Node, fn func()) {
+	hits, resumes, sent := answerDelta(nd, fn)
+	switch {
+	case hits > 0:
+		tl.hits += hits
+	case resumes > 0:
+		tl.resumes += resumes
+		tl.resumeSent += sent
+	default:
+		tl.fresh++
+		tl.freshSent += sent
+	}
+}
+
+// moved lists the nodes of ids whose churn epoch is no longer the one in
+// before.
+func moved(cl *node.Cluster, ids []int, before map[int]uint64) []int {
+	var out []int
+	for _, f := range ids {
+		if cl.Nodes[f].Membership().Epoch() != before[f] {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// epochs reads the churn epoch of every node of ids.
+func epochs(cl *node.Cluster, ids []int) map[int]uint64 {
+	out := make(map[int]uint64, len(ids))
+	for _, f := range ids {
+		out[f] = cl.Nodes[f].Membership().Epoch()
 	}
 	return out
 }
@@ -110,8 +132,9 @@ func epochSnapshot(nd *node.Node, levels int) []uint64 {
 // TestCacheDifferential sweeps seeded churned topologies and proves the core
 // invariant of the caches: with caching on, every range and k-nn answer is
 // byte-identical to the in-process oracle — cold, warm, and after live
-// mid-stream churn — and the warm pass issues zero can_search RPCs (every
-// level search served from the lookup memo).
+// mid-stream churn — the warm pass issues zero can_search RPCs (every answer
+// served from the answer memo), an answer a publish retired resumes over its
+// plan without one, and after an epoch change no plan is resumed.
 func TestCacheDifferential(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -174,11 +197,15 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	ctx := context.Background()
 	qs, radii := queriesFor(t, sys, protected, 6)
 
+	// tl tallies what the coordinators' answer memos do with every asking.
+	var tl memoTally
 	checkOne := func(tag string, i, from int) {
 		t.Helper()
 		q := qs[i]
 		wantR := sys.RangeQuery(from, q, radii[i], core.RangeOptions{})
-		gotR, err := client.Range(ctx, cl.Addrs[from], q, radii[i], core.RangeOptions{})
+		var gotR core.RangeResult
+		var err error
+		tl.add(cl.Nodes[from], func() { gotR, err = client.Range(ctx, cl.Addrs[from], q, radii[i], core.RangeOptions{}) })
 		if err != nil {
 			t.Fatalf("%s: range query %d from %d: %v", tag, i, from, err)
 		}
@@ -187,7 +214,8 @@ func runCacheDifferential(t *testing.T, seed int64) {
 				tag, i, from, wantR, gotR)
 		}
 		wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
-		gotK, err := client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
+		var gotK core.KNNResult
+		tl.add(cl.Nodes[from], func() { gotK, err = client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{}) })
 		if err != nil {
 			t.Fatalf("%s: knn query %d from %d: %v", tag, i, from, err)
 		}
@@ -207,16 +235,17 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	check("cold", founders)
 
 	// Warm pass: identical queries on the now-populated memo. Byte-identical
-	// again, and with no membership event in between every bit-identical
-	// repeat sphere is answered from the lookup memo — not one can_search RPC
-	// may cross the wire.
+	// again, and with no membership event or publish in between every repeat
+	// is answered from the answer memo, or resumed over its plan where a
+	// contacted peer is gone — not one can_search RPC may cross the wire.
 	before := sumCounter(cl, "rpc.can_search")
+	tl = memoTally{}
 	check("warm", founders)
 	if delta := sumCounter(cl, "rpc.can_search") - before; delta != 0 {
-		t.Errorf("warm pass issued %v can_search RPCs, want 0 (every lookup memoized)", delta)
+		t.Errorf("warm pass issued %v can_search RPCs, want 0 (every answer memoized)", delta)
 	}
-	if sumCounter(cl, "cache.path_hit") == 0 {
-		t.Error("warm pass recorded no lookup-memo hits for repeat spheres")
+	if tl.hits+tl.resumes == 0 || tl.fresh != 0 || tl.resumeSent != 0 {
+		t.Errorf("warm pass: %v answer-memo hits, %v resumes sending %v can_search, %v fresh plans; want no fresh plan and none sent", tl.hits, tl.resumes, tl.resumeSent, tl.fresh)
 	}
 
 	// Publish-interleaved passes: post-insert items near the query centers at
@@ -225,8 +254,11 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	// protocol (subscription + synchronous broadcast + generation guard, see
 	// fetchcache.go) can keep the memoized phase-two answers honest. Each new
 	// item lands inside existing query spheres, so a stale cached fetch would
-	// diverge from the oracle immediately.
+	// diverge from the oracle immediately. A notified coordinator keeps the
+	// plans of the answers it drops, so their next asking resumes at
+	// retrieval: no can_search.
 	fetchHits := sumCounter(cl, "cache.fetch_local_hit")
+	tl = memoTally{}
 	pubRng := rand.New(rand.NewSource(seed * 57))
 	// Holders: any peer both sides agree is serving data — not the departed
 	// one (off the network) and not the crash survivor (the oracle models a
@@ -257,15 +289,15 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	if sumCounter(cl, "cache.fetch_inval") == 0 {
 		t.Error("publishes notified no fetch-cache subscribers")
 	}
+	if tl.resumes == 0 || tl.resumeSent != 0 || tl.fresh != 0 {
+		t.Errorf("publish-interleaved passes: %v resumes sending %v can_search, %v fresh plans; want resumes, none sent, no fresh plan", tl.resumes, tl.resumeSent, tl.fresh)
+	}
 
 	// Live mid-stream churn: one protocol join and one graceful leave against
 	// the running cluster (the oracle replays both). Coordinators that
-	// observed the churn — epoch advanced at every level — must drop every
-	// lookup they memoized before it and keep answering byte-identically.
-	pre := make(map[int][]uint64, len(founders))
-	for _, f := range founders {
-		pre[f] = epochSnapshot(cl.Nodes[f], params.Levels)
-	}
+	// observed the churn — their epoch moved — must drop every answer and plan
+	// they memoized before it and keep answering byte-identically.
+	pre := epochs(cl, founders)
 	points := joinPoints(t, sys, rng)
 	id, err := sys.JoinPeer(points)
 	if err != nil {
@@ -296,31 +328,24 @@ func runCacheDifferential(t *testing.T, seed int64) {
 	}
 	cl.Nodes[victim].Stop()
 
-	var observers []int
-	for _, f := range founders {
-		if epochsAdvanced(cl.Nodes[f], pre[f]) {
-			observers = append(observers, f)
-		}
-	}
+	observers := moved(cl, founders, pre)
 	t.Logf("mid-stream churn observed by founders %v", observers)
 	if len(observers) > 0 {
 		// An observer's first repeat of a query it served warm in every pass
-		// above must run the machine again (a memo miss that sends can_search),
-		// never return the lookup recorded under the older epoch.
-		var sent float64
+		// above must plan afresh (a miss that sends can_search), never return
+		// an answer or resume a plan from the older epoch.
+		tl = memoTally{}
 		for _, f := range observers {
 			for i := range qs {
-				if founders[i%len(founders)] != f {
-					continue
+				if founders[i%len(founders)] == f {
+					checkOne("post-churn-repeat", i, f)
 				}
-				hits, misses, s := memoDelta(cl.Nodes[f], func() { checkOne("post-churn-repeat", i, f) })
-				if hits != 0 || misses == 0 {
-					t.Errorf("post-churn repeat of query %d at observer %d: %v memo hits, %v misses — a lookup from the older epoch was served", i, f, hits, misses)
-				}
-				sent += s
 			}
 		}
-		if sent == 0 {
+		if tl.hits != 0 || tl.resumes != 0 {
+			t.Errorf("post-churn repeats at observers %v: %v answer-memo hits, %v resumes — an answer or plan from the older epoch was served", observers, tl.hits, tl.resumes)
+		}
+		if tl.freshSent == 0 {
 			t.Error("post-churn repeats of warm queries sent no can_search")
 		}
 		check("post-churn", observers)
@@ -330,11 +355,11 @@ func runCacheDifferential(t *testing.T, seed int64) {
 // TestCacheTakeoverMidStream crashes a node under a warm memo while a query
 // stream is running: after the failure detectors elect takeovers and the
 // cluster quiesces, every coordinator that observed the churn must answer
-// byte-identically to the oracle that replayed the same crash — and must run
-// its warm lookups again (counter assertion: epochs advanced, so not one
-// pre-crash memo entry may be served). The stream is range queries only, so
-// the k-nn lookups warmed before the crash are repeated for the first time by
-// the acceptance sweep.
+// byte-identically to the oracle that replayed the same crash — and must plan
+// its warm queries again (counter assertion: its epoch moved, so not one
+// pre-crash answer or plan may be served). The stream is range queries only,
+// so the k-nn answers warmed before the crash are repeated for the first time
+// by the acceptance sweep.
 func TestCacheTakeoverMidStream(t *testing.T) {
 	params := experiments.Params{Peers: 8, ItemsPerPeer: 30, Dim: 32, Levels: 3, ClustersPerPeer: 4, Seed: 7}
 	sys, err := experiments.BuildMarkovSystem(params)
@@ -383,8 +408,8 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 			t.Errorf("warmup knn %d from peer %d diverged", i, from)
 		}
 	}
-	if sumCounter(cl, "cache.path_miss") == 0 {
-		t.Fatal("warmup did not populate the lookup memo")
+	if sumCounter(cl, ctrAnswerMiss) == 0 {
+		t.Fatal("warmup did not populate the answer memo")
 	}
 	// Let the failure detectors refresh their cached self-reports from the
 	// running topology before the crash: takeover elections vote with probe-
@@ -392,10 +417,7 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 	// the electorate still ignorant (the soak quiesces between events for the
 	// same reason).
 	time.Sleep(20 * mopts.ProbeInterval)
-	pre := make(map[int][]uint64, len(founders))
-	for _, f := range founders {
-		pre[f] = epochSnapshot(cl.Nodes[f], params.Levels)
-	}
+	pre := epochs(cl, founders)
 	// Query stream flows through the crash window; mid-takeover failures are
 	// tolerated (a query can race the election), counted for the log.
 	alive := make([]bool, params.Peers)
@@ -435,14 +457,9 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 	wg.Wait()
 	t.Logf("query stream over crash: %d issued, %d failed mid-takeover", issued.Load(), failed.Load())
 
-	var observers []int
-	for _, f := range founders {
-		if epochsAdvanced(cl.Nodes[f], pre[f]) {
-			observers = append(observers, f)
-		}
-	}
+	observers := moved(cl, founders, pre)
 	if len(observers) == 0 {
-		t.Fatal("no founder observed the crash at every level — takeover did not propagate")
+		t.Fatal("no founder's epoch moved — takeover did not propagate")
 	}
 	t.Logf("crash observed by founders %v", observers)
 
@@ -460,7 +477,7 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 			}
 			wantK := sys.KNNQuery(from, q, 5, core.KNNOptions{})
 			var gotK core.KNNResult
-			hits, misses, s := memoDelta(cl.Nodes[from], func() {
+			hits, resumes, s := answerDelta(cl.Nodes[from], func() {
 				gotK, err = client.KNN(ctx, cl.Addrs[from], q, 5, core.KNNOptions{})
 			})
 			if err != nil {
@@ -476,8 +493,8 @@ func TestCacheTakeoverMidStream(t *testing.T) {
 			// nothing has repeated it since.
 			repeats++
 			sent += s
-			if hits != 0 || misses == 0 {
-				t.Errorf("post-takeover repeat of knn %d at observer %d: %v memo hits, %v misses — a pre-crash lookup was served", i, from, hits, misses)
+			if hits != 0 || resumes != 0 {
+				t.Errorf("post-takeover repeat of knn %d at observer %d: %v answer-memo hits, %v resumes — a pre-crash answer or plan was served", i, from, hits, resumes)
 			}
 		}
 	}

@@ -64,10 +64,9 @@ import (
 // A sharer whose notification fails is struck from every line and never
 // notified again — the fail-stop assumption shared with the membership layer
 // (a peer that cannot be reached is treated as crashed; if it rejoins, the
-// epoch bump clears its cache anyway). Any membership event (the per-level
-// churn epochs folded into one signature) clears the coordinator side whole: a
-// crashed holder lost its directory, and a recycled peer id must not serve
-// another node's answers.
+// epoch move clears its cache anyway). Any membership event (a move of
+// Manager.Epoch) clears the coordinator side whole: a crashed holder lost its
+// directory, and a recycled peer id must not serve another node's answers.
 
 const (
 	// fetchMemoCap bounds the holder's directory; on overflow it resets whole
@@ -158,8 +157,8 @@ type fetchMiss struct {
 // FetchKNN): peers[i] is asked with tail(i), answers come back slot for slot.
 //
 // With Tuning.CacheViews the first pass runs on the calling goroutine and
-// fills every slot whose answer is resident: one load of the membership epoch
-// sum, one cliMu acquisition, one map lookup per peer under a key built once
+// fills every slot whose answer is resident: one load of the membership
+// epoch, one cliMu acquisition, one map lookup per peer under a key built once
 // on the stack (the peers of a query differ in the tail at most), one counter
 // add for all the hits together — no RPC, no request body, no decode, no
 // allocation per peer. Values are stored decoded; the engine only reads fetch
@@ -169,17 +168,17 @@ type fetchMiss struct {
 func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
 	out := make([]T, len(peers))
 	var misses []fetchMiss
-	var sig uint64
+	var epoch uint64
 	if n.tuning.CacheViews {
 		var kb [512]byte
 		key := fetchKey(kb[:], kind.tag, q, 0)
-		sig = n.mgr.EpochSum()
+		epoch = n.mgr.Epoch()
 		hits := 0
 		n.cliMu.Lock()
-		if sig != n.cliEpochSig {
+		if epoch != n.cliEpoch {
 			n.cliFetch, n.cliGen = nil, nil
 			n.cliCount = 0
-			n.cliEpochSig = sig
+			n.cliEpoch = epoch
 		}
 		for i, p := range peers {
 			m := fetchMiss{slot: i, tail: tail(i)}
@@ -210,7 +209,7 @@ func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []in
 	errs := make([]error, len(peers))
 	fanOut(len(misses), n.tuning.fan(fetchFanout), func(j int) {
 		m := misses[j]
-		out[m.slot], errs[m.slot] = fetchOne(ctx, n, kind, peers[m.slot], q, m.tail, m.gen, sig)
+		out[m.slot], errs[m.slot] = fetchOne(ctx, n, kind, peers[m.slot], q, m.tail, m.gen, epoch)
 	})
 	return out, errs
 }
@@ -246,7 +245,7 @@ func fanOut(k, fan int, f func(j int)) {
 // scans, and memoizes the decoded answer with the raw response beside it for
 // the knn invalidation filter. A dead or unreachable peer yields the zero
 // answer and no error (see callFetch).
-func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, sig uint64) (val T, err error) {
+func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, epoch uint64) (val T, err error) {
 	if peer == n.peer {
 		return kind.local(n, q, tail), nil
 	}
@@ -274,7 +273,7 @@ func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, 
 			return val, err
 		}
 	}
-	if unavailable || !store || !n.putFetch(peer, key, val, resp, gen, sig) {
+	if unavailable || !store || !n.putFetch(peer, key, val, resp, gen, epoch) {
 		// No line at the holder lists this node for what was just read, so no
 		// notification will say when it changes: no answer built on it may be
 		// memoized.
@@ -287,10 +286,10 @@ func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, 
 // not if an invalidation or a membership event raced the fetch: the response
 // may predate a publish whose invalidation already ran here, and such an
 // answer must not outlive this one query.
-func (n *Node) putFetch(peer int, key []byte, val any, resp []byte, gen, sig uint64) bool {
+func (n *Node) putFetch(peer int, key []byte, val any, resp []byte, gen, epoch uint64) bool {
 	n.cliMu.Lock()
 	defer n.cliMu.Unlock()
-	if n.cliEpochSig != sig || n.cliGen[peer] != gen {
+	if n.cliEpoch != epoch || n.cliGen[peer] != gen {
 		return false
 	}
 	if n.cliCount >= cliFetchMemoCap {
@@ -589,105 +588,129 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 	n.fetchMu.Unlock()
 }
 
-// The answer memo: a coordinator's whole range or k-nn answer, by request.
+// The answer memo: a coordinator's range or k-nn request, by request body,
+// kept as its plan and its encoded answer.
 //
-// An answer is a pure function of three inputs: the lookup entries, fixed
-// within a membership epoch (searchSphere has the argument); the stores of the
-// holders its retrieval phase contacted; and this node's own store, when it
-// contacted itself. So an answer recorded under the current Manager.EpochSum
-// stays right until one of three events, and each drops or fences it:
+// A query has the paper's two phases (§4.1, Fig 5), and the memo keeps each
+// as long as its inputs stand. The plan — level lookups, scores, Eq 8 radii,
+// selected peers, k-nn shares (core.RangePlan, core.KNNPlan) — is a function
+// of the overlay entries the lookups return, and those change only through
+// membership events, each of which moves Manager.Epoch: a plan built while the
+// epoch held is right until it moves. The answer adds the stores of the
+// holders the retrieval contacted, this node's own when it contacted itself.
+// So an entry's bytes are right until one of three events, and each drops or
+// fences them:
 //
 //   - A notification from a contacted holder. By the directory invariant every
 //     change to a line this node read arrives as one, and invalidateFetch drops
-//     every answer that contacted the holder. Dropping more than the answers
-//     that read a changed line is sound (a miss recomputes) and keeps an entry
-//     to a list of peer ids instead of references to every line it read.
-//   - A publish here: Publish drops every answer that contacted this node.
+//     the bytes of every answer that contacted the holder. Dropping more than
+//     the answers that read a changed line is sound (a miss recomputes) and
+//     keeps an entry to a list of peer ids instead of references to every line
+//     it read.
+//   - A publish here: Publish drops the bytes of every answer that contacted
+//     this node.
 //   - Either of them while an answer is being computed. ansSeq counts them,
 //     and so does every fetch whose slot no holder line lists (an unavailable
 //     holder, a no-callback refusal, a response the cliGen guard kept out of
-//     the fetch memo): nothing will say when that slot changes. An answer is
-//     stored only if ansSeq and the epoch sum still read what they did before
-//     its lookup began.
+//     the fetch memo): nothing will say when that slot changes.
 //
-// Like the lookup memo it is off under StreamPublish, whose record deltas
-// change lookup entries without an epoch bump.
+// Dropping the bytes keeps the plan, so the next asking resumes at retrieval:
+// no lookup, no scoring, no can_search. An epoch change drops both. A plan is
+// stored if the epoch still reads, when the answer is done, what it read
+// before the plan was built (it only grows, so it held throughout); the bytes
+// also need ansSeq unchanged.
+//
+// The memo is off under StreamPublish, whose record deltas change lookup
+// entries without an epoch move.
 
 const (
 	// answerMemoCap bounds the answer memo; on overflow it resets whole, like
-	// the fetch memos. Its heap is at most this many encoded responses.
-	answerMemoCap = 1024
-	ctrAnswerHit  = "cache.answer_hit"
-	ctrAnswerMiss = "cache.answer_miss"
+	// the fetch memos. Its heap is at most this many plans and encoded
+	// responses.
+	answerMemoCap   = 1024
+	ctrAnswerHit    = "cache.answer_hit"
+	ctrAnswerMiss   = "cache.answer_miss"
+	ctrAnswerResume = "cache.answer_resume"
 )
 
-// answerEntry is one memoized answer: the encoded response and the peers the
-// query contacted in its retrieval phase.
+// answerEntry is one memoized request: its plan (a core.RangePlan or
+// core.KNNPlan), the peers that plan's retrieval contacts, and the encoded
+// response — nil once a notification or a publish here dropped it.
 type answerEntry struct {
-	resp  []byte
+	plan  any
 	peers []int
+	resp  []byte
 }
+
+// answerRun computes one answer: over plan when the memo holds one for the
+// request, else over a plan of its own. It returns the encoded response, the
+// plan it retrieved over and that plan's contacted peers.
+type answerRun func(plan any) (resp []byte, used any, peers []int, err error)
 
 // answer serves one range or k-nn request — tag 'r' or 'k' and the raw body,
 // together the memo key — through the answer memo when the node keeps one. A
-// hit returns the stored bytes: no lookup, no scoring, no fetch, no encode.
-// run is the engine path; it returns the encoded response and the score
-// prefix it contacted.
-func (n *Node) answer(tag byte, body []byte, run func() ([]byte, []core.PeerScore, error)) (transport.Response, error) {
-	if n.memo == nil {
-		resp, _, err := run()
+// hit returns the stored bytes: no lookup, no scoring, no fetch, no encode. A
+// resume runs the retrieval over the stored plan; a miss runs both phases.
+func (n *Node) answer(tag byte, body []byte, run answerRun) (transport.Response, error) {
+	if !n.memoize {
+		resp, _, _, err := run(nil)
 		return transport.Response{Body: resp}, err
 	}
 	var kb [512]byte
 	key := append(append(kb[:0], tag), body...)
 	n.ansMu.Lock()
 	// Read under the lock, so the memo's epoch only moves forward.
-	sig := n.mgr.EpochSum()
-	if sig != n.ansEpoch {
-		n.answers, n.ansEpoch = nil, sig
+	epoch := n.mgr.Epoch()
+	if epoch != n.ansEpoch {
+		n.answers, n.ansEpoch = nil, epoch
 	}
-	e, hit := n.answers[string(key)] // no-alloc map lookup
+	e, held := n.answers[string(key)] // no-alloc map lookup
 	seq := n.ansSeq
 	n.ansMu.Unlock()
-	if hit {
+	if e.resp != nil {
 		n.count(ctrAnswerHit)
 		return transport.Response{Body: e.resp}, nil
 	}
 	n.count(ctrAnswerMiss)
-	resp, contacted, err := run()
+	if held {
+		n.count(ctrAnswerResume)
+	}
+	resp, plan, peers, err := run(e.plan)
 	if err != nil {
 		return transport.Response{}, err
 	}
 	n.ansMu.Lock()
-	if n.ansSeq == seq && n.mgr.EpochSum() == sig {
+	if n.mgr.Epoch() == epoch {
 		if len(n.answers) >= answerMemoCap {
 			n.answers = nil
 		}
 		if n.answers == nil {
 			n.answers = make(map[string]answerEntry)
 		}
-		peers := make([]int, len(contacted))
-		for i, ps := range contacted {
-			peers[i] = ps.Peer
+		e = answerEntry{plan: plan, peers: peers}
+		if n.ansSeq == seq {
+			e.resp = resp
 		}
-		n.answers[string(key)] = answerEntry{resp: resp, peers: peers}
+		n.answers[string(key)] = e
 	}
 	n.ansMu.Unlock()
 	return transport.Response{Body: resp}, nil
 }
 
 // dropAnswers handles an event that may change what peer contributes to an
-// answer: every memoized answer that contacted peer goes, and the ansSeq bump
-// keeps one computed across the event out of the memo.
+// answer: every memoized answer that contacted peer loses its bytes and keeps
+// its plan, and the ansSeq bump keeps bytes computed across the event out of
+// the memo.
 func (n *Node) dropAnswers(peer int) {
-	if n.memo == nil {
+	if !n.memoize {
 		return
 	}
 	n.ansMu.Lock()
 	n.ansSeq++
 	for key, e := range n.answers {
-		if slices.Contains(e.peers, peer) {
-			delete(n.answers, key)
+		if e.resp != nil && slices.Contains(e.peers, peer) {
+			e.resp = nil
+			n.answers[key] = e
 		}
 	}
 	n.ansMu.Unlock()

@@ -373,20 +373,20 @@ func TestFetchDirHitAndEmptySweepAllocNothing(t *testing.T) {
 	w := startDirWorld(t, 6, 6)
 	const c = 0
 	x, _, eps, _ := w.spheres(1)
-	b := &netBackend{n: w.cl.Nodes[c], ctx: context.Background()}
+	b, ctx := &netBackend{n: w.cl.Nodes[c], ctx: context.Background()}, context.Background()
 	holders, wants := []int{1, 2, 3, 4}, []int{5, 4, 3, 2}
 	fetch := func() {
-		if _, errs := b.FetchRange(c, holders, x, eps); errs != nil {
+		if _, errs := b.FetchRange(ctx, c, holders, x, eps); errs != nil {
 			t.Fatal(errs)
 		}
-		if _, errs := b.FetchKNN(c, holders, wants, x); errs != nil {
+		if _, errs := b.FetchKNN(ctx, c, holders, wants, x); errs != nil {
 			t.Fatal(errs)
 		}
 	}
-	if _, errs := b.FetchRange(c, holders, x, eps); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+	if _, errs := b.FetchRange(ctx, c, holders, x, eps); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
 		t.Fatal(errs) // miss: fills the memo
 	}
-	if _, errs := b.FetchKNN(c, holders, wants, x); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+	if _, errs := b.FetchKNN(ctx, c, holders, wants, x); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
 		t.Fatal(errs)
 	}
 	hits := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"]

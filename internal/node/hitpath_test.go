@@ -34,8 +34,9 @@ func (w *dirWorld) fetchesServed() float64 {
 	return total
 }
 
-// TestHitPathAllocsPerQueryNotPerFetch fences a fully cached Node.RangeQuery:
-// what it allocates belongs to the query (the score table, the answer slots,
+// TestHitPathAllocsPerQueryNotPerFetch fences a fully cached retrieval — what
+// an answer-memo resume runs: RetrieveRange over a kept plan with every fetch
+// answer resident. What it allocates belongs to the query (the answer slots,
 // the merged ids), not to its fetches. Tripling the peers contacted may add
 // the odd allocation where a table grows, but nowhere near one per contact —
 // a goroutine per fetch costs at least its closure, a request body or a
@@ -46,24 +47,27 @@ func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 	var contacts []int
 	var allocs []float64
 	for _, eps := range radii {
-		res, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{}) // miss: fills the memo
+		if _, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{}); err != nil { // miss: fills the memo
+			t.Fatal(err)
+		}
+		plan, err := nd.engine.PlanRange(ctx, nd.peer, x, eps, core.RangeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		served := w.fetchesServed()
-		contacts = append(contacts, res.PeersContacted)
-		allocs = append(allocs, testing.AllocsPerRun(50, func() { nd.RangeQuery(ctx, x, eps, core.RangeOptions{}) }))
+		contacts = append(contacts, len(plan.Peers))
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { nd.engine.RetrieveRange(ctx, nd.peer, x, eps, plan) }))
 		if sent := w.fetchesServed() - served; sent != 0 {
-			t.Fatalf("repeats of a cached range query sent %v fetch RPCs: the query is not fully cached", sent)
+			t.Fatalf("retrievals over a cached range query's plan sent %v fetch RPCs: the query is not fully cached", sent)
 		}
 	}
-	t.Logf("contacts %v, allocations per cached query %v", contacts, allocs)
+	t.Logf("contacts %v, allocations per cached retrieval %v", contacts, allocs)
 	last := len(radii) - 1
 	if contacts[last] < 3*contacts[0] {
 		t.Fatalf("the widest query contacts %d peers, the narrowest %d: the fence needs them a factor apart", contacts[last], contacts[0])
 	}
 	if extra, peers := allocs[last]-allocs[0], float64(contacts[last]-contacts[0]); extra > peers/2 {
-		t.Errorf("%v more peers contacted cost a fully cached range query %v more allocations: something on the hit path allocates per fetch", peers, extra)
+		t.Errorf("%v more peers contacted cost a fully cached retrieval %v more allocations: something on the hit path allocates per fetch", peers, extra)
 	}
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -156,5 +157,50 @@ func TestCoordinatorRefusesWrongDimensionViews(t *testing.T) {
 			}
 			t.Logf("refused: %v", err)
 		})
+	}
+}
+
+// TestNodeRefusesNonFinite: a query with a NaN coordinate, or an item with a
+// NaN or ±Inf one, has no oracle answer to match — the in-process System
+// panics on it — so a node refuses it, through its methods and through the
+// handler alike, before the engine or the store sees it.
+func TestNodeRefusesNonFinite(t *testing.T) {
+	w := startDirWorld(t, 6, 6)
+	nd, ctx := w.cl.Nodes[0], context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	at := func(i int, x float64) []float64 {
+		v := make([]float64, nd.cfg.Dim)
+		v[i] = x
+		return v
+	}
+	handle := func(method string, body []byte) error {
+		_, err := nd.handle(ctx, transport.Request{Method: method, Body: body})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RangeQuery NaN coordinate", func() error { _, err := nd.RangeQuery(ctx, at(3, nan), 0.1, core.RangeOptions{}); return err }},
+		{"KNNQuery NaN coordinate", func() error { _, err := nd.KNNQuery(ctx, at(0, nan), 3, core.KNNOptions{}); return err }},
+		{"Publish NaN", func() error { return nd.Publish(9000, at(15, nan)) }},
+		{"Publish +Inf", func() error { return nd.Publish(9001, at(1, inf)) }},
+		{"Publish -Inf", func() error { return nd.Publish(9002, at(1, -inf)) }},
+		{"range request NaN coordinate", func() error { return handle(methodRange, encodeRangeReq(at(2, nan), 0.1, core.RangeOptions{})) }},
+		{"knn request NaN coordinate", func() error { return handle(methodKNN, encodeKNNReq(at(2, nan), 3, core.KNNOptions{})) }},
+		{"publish request +Inf", func() error { return handle(methodPublish, encodePublishReq(9003, at(4, inf))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := nd.ItemCount()
+			if err := tc.run(); err == nil {
+				t.Error("accepted")
+			}
+			if nd.ItemCount() != items {
+				t.Errorf("a refused call changed the store: %d items, want %d", nd.ItemCount(), items)
+			}
+		})
+	}
+	if _, err := nd.RangeQuery(ctx, at(3, inf), 0.1, core.RangeOptions{}); err != nil {
+		t.Errorf("a query point at infinity was refused: %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"hyperm/internal/sim"
 	"hyperm/internal/store"
 	"hyperm/internal/transport"
-	"hyperm/internal/viewcache"
+	"hyperm/internal/vec"
 	"hyperm/internal/wavelet"
 )
 
@@ -48,17 +48,19 @@ const (
 )
 
 // Tuning switches the coordinator's caching and the publish path. Caching
-// preserves byte-identical answers (a memoized lookup is reused only within
-// the churn epoch it ran under, see internal/viewcache); it only trades
-// memory for latency. The zero Tuning is the frozen uncached reference.
+// preserves byte-identical answers (a memoized plan is reused only within the
+// churn epoch it was built under, see the answer memo in fetchcache.go); it
+// only trades memory for latency. The zero Tuning is the frozen uncached
+// reference.
 type Tuning struct {
-	// CacheViews switches on the coordinator's caches: the answer memo of
-	// whole range and k-nn answers and the whole-lookup memo under it, both
-	// keyed on the churn epoch (fetchcache.go, search.go; both off again
-	// under StreamPublish, whose record deltas bump no epoch), and the fetch
-	// caches with their holder-side directory (fetchcache.go), whose
-	// notifications also retire memoized answers. The views a lookup runs
-	// over are never cached: every one comes from the query's probe table.
+	// CacheViews switches on the coordinator's caches: the answer memo, which
+	// keeps each range and k-nn request's plan (lookups, scores, selected
+	// peers) for the churn epoch and its encoded answer until a contacted
+	// holder's store changes (off under StreamPublish, whose record deltas
+	// bump no epoch), and the fetch caches with their holder-side directory,
+	// whose notifications also retire memoized answers (all in
+	// fetchcache.go). The views a lookup runs over are never cached: every one
+	// comes from the query's probe table.
 	CacheViews bool
 	// StreamPublish enables streaming incremental publish: Publish runs the
 	// core stream kernel (absorb/grow/split, periodic re-cluster) against the
@@ -127,10 +129,8 @@ type Node struct {
 
 	tuning   Tuning
 	counters sim.Counters
-	// memo is the per-level whole-lookup memo (nil unless Tuning.CacheViews
-	// without StreamPublish; see searchSphere). The answer memo is kept under
-	// the same condition.
-	memo *viewcache.Cache
+	// memoize keeps the answer memo: Tuning.CacheViews without StreamPublish.
+	memoize bool
 
 	// Fetch caching, both ends; the coherence protocol is documented in
 	// fetchcache.go. Holder side: fetchDir is the directory — memoized
@@ -140,22 +140,22 @@ type Node struct {
 	// it, fetchLost the mark that lines were dropped with sharers still owed
 	// (fetchLostGen counts such drops, so a publish clears only the mark it
 	// served). Coordinator side: cliFetch holds decoded answers per holder,
-	// cliGen the per-holder generation invalidations bump, cliEpochSig the
-	// membership signature the entries were fetched under.
+	// cliGen the per-holder generation invalidations bump, cliEpoch the
+	// membership epoch the entries were fetched under.
 	fetchMu      sync.Mutex
 	fetchDir     map[string]*fetchLine
 	fetchServed  map[int]struct{}
 	fetchLost    bool
 	fetchLostGen uint64
 
-	cliMu       sync.Mutex
-	cliFetch    map[int]map[string]cliFetchEntry
-	cliGen      map[int]uint64
-	cliCount    int
-	cliEpochSig uint64
+	cliMu    sync.Mutex
+	cliFetch map[int]map[string]cliFetchEntry
+	cliGen   map[int]uint64
+	cliCount int
+	cliEpoch uint64
 
-	// The answer memo (fetchcache.go): encoded range and k-nn responses by
-	// method tag and request body, valid at the membership epoch sum
+	// The answer memo (fetchcache.go): range and k-nn plans and encoded
+	// responses by method tag and request body, valid at the membership epoch
 	// ansEpoch; ansSeq counts the events that may change an answer while it
 	// is being computed.
 	ansMu    sync.Mutex
@@ -204,6 +204,7 @@ func New(cfg Config) (*Node, error) {
 		published: snap.Published,
 		pubSeqs:   snap.PubSeqs,
 		tuning:    cfg.Tuning,
+		memoize:   cfg.Tuning.CacheViews && !cfg.Tuning.StreamPublish,
 	}
 	if n.tuning.StreamPublish {
 		n.mappers = core.BuildKeyMappers(snap.Bounds)
@@ -221,9 +222,6 @@ func New(cfg Config) (*Node, error) {
 	// the per-level searches; the phase-two fan-out is the backend's own.
 	engine.SetParallelism(n.tuning.fan(levelFanout))
 	n.engine = engine
-	if n.tuning.CacheViews && !n.tuning.StreamPublish {
-		n.memo = viewcache.New(snap.Config.Levels, viewcache.Options{Counters: &n.counters})
-	}
 	return n, nil
 }
 
@@ -314,25 +312,15 @@ func (n *Node) count(name string) { n.counters.Add(name, 1) }
 
 // RangeQuery answers a range query with this node as the querying peer,
 // driving the overlay lookups peer-to-peer. Byte-identical to the source
-// System's RangeQuery from the same state.
+// System's RangeQuery from the same state. The engine refuses a query of the
+// wrong dimension or with a NaN coordinate, and a negative or NaN radius.
 func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts core.RangeOptions) (core.RangeResult, error) {
-	if len(q) != n.cfg.Dim {
-		return core.RangeResult{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
-	}
-	if !(eps >= 0) {
-		return core.RangeResult{}, fmt.Errorf("node: query radius %v, want >= 0", eps)
-	}
 	return n.engine.RangeQuery(ctx, n.peer, q, eps, opts)
 }
 
-// KNNQuery answers a k-nn query with this node as the querying peer.
+// KNNQuery answers a k-nn query with this node as the querying peer; the
+// engine refuses bad queries as for RangeQuery, and a k below 1.
 func (n *Node) KNNQuery(ctx context.Context, q []float64, k int, opts core.KNNOptions) (core.KNNResult, error) {
-	if len(q) != n.cfg.Dim {
-		return core.KNNResult{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
-	}
-	if k < 1 {
-		return core.KNNResult{}, fmt.Errorf("node: k must be >= 1, got %d", k)
-	}
 	return n.engine.KNNQuery(ctx, n.peer, q, k, opts)
 }
 
@@ -340,10 +328,11 @@ func (n *Node) KNNQuery(ctx context.Context, q []float64, k int, opts core.KNNOp
 // into the nearest published cluster per level — core.System.PostInsert
 // semantics: the overlay summaries stay stale (Fig 10c). With
 // Tuning.StreamPublish the insert instead runs the incremental publish kernel
-// and announces the changed records (see stream.go).
+// and announces the changed records (see stream.go). An item of the wrong
+// dimension or with a NaN or ±Inf coordinate is refused.
 func (n *Node) Publish(id int, item []float64) error {
-	if len(item) != n.cfg.Dim {
-		return fmt.Errorf("node: item dim %d, want %d", len(item), n.cfg.Dim)
+	if err := vec.Check(item, n.cfg.Dim, false); err != nil {
+		return fmt.Errorf("node: item: %w", err)
 	}
 	if n.tuning.StreamPublish {
 		return n.publishStream(id, item)
@@ -413,7 +402,8 @@ var rpcCounters = func() map[string]string {
 
 // handle dispatches one RPC. The method name is a peer's bytes: it becomes a
 // counter key only once recognised, so junk names cannot grow the counter map.
-// Range and k-nn requests go through the answer memo (see answer).
+// Range and k-nn requests go through the answer memo (see answer), which
+// hands each its plan when it holds one.
 func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Response, error) {
 	name, ok := rpcCounters[req.Method]
 	if !ok {
@@ -423,29 +413,43 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	n.count(name)
 	switch req.Method {
 	case methodRange:
-		return n.answer('r', req.Body, func() ([]byte, []core.PeerScore, error) {
+		return n.answer('r', req.Body, func(plan any) ([]byte, any, []int, error) {
 			r, err := transport.Decode(req.Body, walkRangeReq)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			res, err := n.RangeQuery(ctx, r.Q, r.Eps, r.Opts)
+			p, ok := plan.(core.RangePlan)
+			if !ok {
+				if p, err = n.engine.PlanRange(ctx, n.peer, r.Q, r.Eps, r.Opts); err != nil {
+					return nil, nil, nil, remoteErr(err)
+				}
+				plan = p
+			}
+			res, err := n.engine.RetrieveRange(ctx, n.peer, r.Q, r.Eps, p)
 			if err != nil {
-				return nil, nil, remoteErr(err)
+				return nil, nil, nil, remoteErr(err)
 			}
-			return transport.Encode(&res, walkRangeResp), res.Scores[:res.PeersContacted], nil
+			return transport.Encode(&res, walkRangeResp), plan, p.Peers, nil
 		})
 
 	case methodKNN:
-		return n.answer('k', req.Body, func() ([]byte, []core.PeerScore, error) {
+		return n.answer('k', req.Body, func(plan any) ([]byte, any, []int, error) {
 			r, err := transport.Decode(req.Body, walkKNNReq)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			res, err := n.KNNQuery(ctx, r.Q, r.K, r.Opts)
+			p, ok := plan.(core.KNNPlan)
+			if !ok {
+				if p, err = n.engine.PlanKNN(ctx, n.peer, r.Q, r.K, r.Opts); err != nil {
+					return nil, nil, nil, remoteErr(err)
+				}
+				plan = p
+			}
+			res, err := n.engine.RetrieveKNN(ctx, n.peer, r.Q, p)
 			if err != nil {
-				return nil, nil, remoteErr(err)
+				return nil, nil, nil, remoteErr(err)
 			}
-			return transport.Encode(&res, walkKNNResp), res.Scores[:res.PeersContacted], nil
+			return transport.Encode(&res, walkKNNResp), plan, p.Peers, nil
 		})
 
 	case methodPublish:
@@ -550,8 +554,9 @@ func (n *Node) localView(level int, key []float64, radius float64) searchView {
 // retrieval pass goes straight to each scored peer's endpoint (one RPC each,
 // like the paper's phase-two contact) unless the answer is already here.
 // The engine's own backend belongs to no query; Scope gives each query one
-// that sends every message under the query's ctx and shares one probe table
-// between its level searches. Methods live in search.go and probe.go.
+// that sends every lookup message under the query's ctx and shares one probe
+// table between its level searches. The retrieval calls take the query's ctx
+// as an argument. Methods live in search.go and probe.go.
 type netBackend struct {
 	n     *Node
 	ctx   context.Context

@@ -37,8 +37,8 @@ type probeTable struct {
 	mu sync.Mutex
 	// bodies[i] is the request that names sphere i as the one needed and the
 	// rest as optional, encoded when the first probe on behalf of sphere i
-	// leaves; probes is as lazy. A query whose every level the lookup memo
-	// answers builds neither.
+	// leaves; probes is as lazy. A query whose every lookup stays in this
+	// node's own zones builds neither.
 	bodies [][]byte
 	probes map[int]*probe
 }

@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -97,49 +96,6 @@ func checkView(level int, v searchView) error {
 // cluster size as this node currently knows it (grown by joins it hears of).
 func (n *Node) hopLimit() int { return 8*n.mgr.Size() + 16 }
 
-// memoKey encodes a query sphere for the lookup memo: the raw bits of the
-// radius and every key coordinate, so only bit-identical spheres collide.
-// Returned as a byte slice so the hit path can look it up without the
-// string-copy allocation (the cache only materialises a string on store).
-func memoKey(key []float64, radius float64) []byte {
-	buf := make([]byte, 8*(len(key)+1))
-	binary.BigEndian.PutUint64(buf, math.Float64bits(radius))
-	for i, x := range key {
-		binary.BigEndian.PutUint64(buf[8*(i+1):], math.Float64bits(x))
-	}
-	return buf
-}
-
-// searchSphere runs one level's lookup over src, behind the whole-lookup memo
-// when the node has one: a repeat of a bit-identical query sphere within one
-// churn epoch skips the machine and returns the recorded entries and hops. A
-// level search is a deterministic function of the sphere and the views it is
-// fed, and the views change only through membership events, each of which
-// bumps the epoch the memo is keyed on (see viewcache.GetSearch). Streamed
-// record deltas change answers without an epoch bump, so under StreamPublish
-// there is no memo and every lookup runs the machine.
-func (n *Node) searchSphere(src route.ViewSource, level int, key []float64, radius float64) ([]overlay.Entry, int, error) {
-	if n.memo == nil {
-		return n.runSearch(src, level, key, radius)
-	}
-	mk := memoKey(key, radius)
-	epoch := n.mgr.Epoch(level)
-	if entries, hops, ok := n.memo.GetSearch(level, mk, epoch); ok {
-		return entries, hops, nil
-	}
-	entries, hops, err := n.runSearch(src, level, key, radius)
-	if err != nil {
-		return nil, hops, err
-	}
-	// Memoize only runs whose epoch held steady end to end: an epoch bump
-	// mid-search may have mixed views from two topologies, and such a result
-	// must not outlive the lookup that produced it.
-	if n.mgr.Epoch(level) == epoch {
-		n.memo.PutSearch(level, mk, entries, hops, epoch)
-	}
-	return entries, hops, nil
-}
-
 // runSearch drives one level's route.Search machine to completion over src,
 // starting from this node's own view, with up to α can_search probes in
 // flight per flood step (probeViews is safe for the concurrent View calls
@@ -164,21 +120,21 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 	if t := b.table; t != nil {
 		for i, sp := range t.spheres {
 			if sp.Level == level && sp.Radius == radius && slices.Equal(sp.Key, key) {
-				return b.n.searchSphere(probeViews{t, i}, level, key, radius)
+				return b.n.runSearch(probeViews{t, i}, level, key, radius)
 			}
 		}
 	}
-	return b.n.searchSphere(b.n.sphereViews(b.ctx, level, key, radius), level, key, radius)
+	return b.n.runSearch(b.n.sphereViews(b.ctx, level, key, radius), level, key, radius)
 }
 
 // FetchRange and FetchKNN are each one retrieval pass over the query's scored
 // peers (fetchAll, fetchcache.go): the backend, not the engine, decides what
 // goes on the wire and how much of it at once.
-func (b *netBackend) FetchRange(from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+func (b *netBackend) FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
 	tail := math.Float64bits(eps)
-	return fetchAll(b.ctx, b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
+	return fetchAll(ctx, b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
 }
 
-func (b *netBackend) FetchKNN(from int, peers, wants []int, q []float64) ([][]core.ItemDist, []error) {
-	return fetchAll(b.ctx, b.n, knnFetch, peers, q, func(i int) uint64 { return uint64(int64(wants[i])) })
+func (b *netBackend) FetchKNN(ctx context.Context, from int, peers, wants []int, q []float64) ([][]core.ItemDist, []error) {
+	return fetchAll(ctx, b.n, knnFetch, peers, q, func(i int) uint64 { return uint64(int64(wants[i])) })
 }

@@ -25,7 +25,7 @@ import (
 // TestStreamDifferential sweeps seeded churned topologies, interleaving
 // streamed publishes (enough per holder to cross a re-cluster) and live
 // join/leave churn with byte-identity checks — through caching coordinators
-// (fetch caches on; the lookup memo stays off under streaming) and through
+// (fetch caches on; the answer memo stays off under streaming) and through
 // uncached ones (serve-ingest's configuration). Both run every lookup over
 // the probe table.
 func TestStreamDifferential(t *testing.T) {
@@ -164,10 +164,7 @@ func runStreamDifferential(t *testing.T, seed int64, cached bool) {
 	// summaries carry stream-epoch records, then another publish burst — the
 	// handoff must move stream-created records exactly like built ones, and
 	// announces must route over the post-churn topology.
-	pre := make(map[int][]uint64, len(founders))
-	for _, f := range founders {
-		pre[f] = epochSnapshot(cl.Nodes[f], params.Levels)
-	}
+	pre := epochs(cl, founders)
 	points := joinPoints(t, sys, rng)
 	id, err := sys.JoinPeer(points)
 	if err != nil {
@@ -201,12 +198,7 @@ func runStreamDifferential(t *testing.T, seed int64, cached bool) {
 	for k := 0; k < every+1; k++ {
 		publish(founders[k%len(founders)])
 	}
-	var observers []int
-	for _, f := range founders {
-		if epochsAdvanced(cl.Nodes[f], pre[f]) {
-			observers = append(observers, f)
-		}
-	}
+	observers := moved(cl, founders, pre)
 	t.Logf("mid-stream churn observed by founders %v", observers)
 	if len(observers) > 0 {
 		check("post-churn", observers)

@@ -185,3 +185,20 @@ func ApproxEqual(a, b []float64, tol float64) bool {
 	}
 	return true
 }
+
+// Check refuses a vector that is not dim long or has a NaN coordinate, and
+// one with a ±Inf coordinate unless infOK: the one test of what may enter the
+// system as a query (infOK: a point at infinity is far from every item) or as
+// an item (not: its wavelet keys would leave the unit torus). Callers prefix
+// the error with what the vector is.
+func Check(v []float64, dim int, infOK bool) error {
+	if len(v) != dim {
+		return fmt.Errorf("dim %d, want %d", len(v), dim)
+	}
+	for i, x := range v {
+		if math.IsNaN(x) || !infOK && math.IsInf(x, 0) {
+			return fmt.Errorf("coordinate %d is %v", i, x)
+		}
+	}
+	return nil
+}

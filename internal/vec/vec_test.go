@@ -203,3 +203,25 @@ func TestDist2CappedMismatchPanics(t *testing.T) {
 	}()
 	Dist2Capped([]float64{1, 2}, []float64{1}, 10)
 }
+
+func TestCheck(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		v     []float64
+		infOK bool
+		ok    bool
+	}{
+		{[]float64{0, 1, -2}, false, true},
+		{[]float64{0, 1}, true, false},
+		{[]float64{0, nan, 1}, true, false},
+		{[]float64{0, nan, 1}, false, false},
+		{[]float64{inf, 0, 1}, true, true},
+		{[]float64{0, 0, -inf}, true, true},
+		{[]float64{inf, 0, 1}, false, false},
+		{[]float64{0, 0, -inf}, false, false},
+	} {
+		if err := Check(tc.v, 3, tc.infOK); (err == nil) != tc.ok {
+			t.Errorf("Check(%v, 3, infOK %v) = %v, want ok %v", tc.v, tc.infOK, err, tc.ok)
+		}
+	}
+}

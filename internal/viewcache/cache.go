@@ -1,15 +1,15 @@
-// Package viewcache is a node's whole-lookup memo: per wavelet level, the
+// Package viewcache was a node's whole-lookup memo: per wavelet level, the
 // entries and hop count a level search produced for an exact query sphere,
 // LRU-bounded and valid only at the churn epoch it was recorded under
-// (GetSearch has the soundness argument). It is what turns a repeat query
-// from a flood of can_search RPCs into a map lookup; the views a lookup runs
-// over are never cached — every one comes from the query's probe table
-// (internal/node/probe.go).
+// (GetSearch has the soundness argument). The serving stack no longer uses
+// it: a coordinator's answer memo keeps each query's whole plan instead
+// (internal/node/fetchcache.go), and the views a lookup runs over come from
+// the query's probe table (internal/node/probe.go).
 //
-// View, Cache.Put and Cache.Get — a per-level LRU of node views, the layer
-// the memo used to sit on — are reached from nowhere in the serving stack and
-// stay only because bench/layers.go times them; the next benchmark PR retires
-// them with viewcache.get_hit_ns and viewcache.put_ns (ROADMAP "Benchmark v2").
+// Only bench/layers.go imports the package — it times Get, Put and GetSearch
+// as viewcache.get_hit_ns, viewcache.put_ns and viewcache.get_search_ns — so
+// it stays until the next benchmark PR retires those metrics and deletes it
+// (ROADMAP "Benchmark v2").
 package viewcache
 
 import (
