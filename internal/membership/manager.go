@@ -101,8 +101,8 @@ type Manager struct {
 	recovering int
 	// epoch counts the churn events this node has observed at any level (its
 	// own mutations plus neighbor-table changes seen in probe responses); a
-	// coordinator's answer memo and fetch memo trust an entry only within the
-	// epoch it was recorded at. Atomic, so the read is one load, lock-free.
+	// coordinator's answer memo trusts an entry only within the epoch it was
+	// recorded at. Atomic, so the read is one load, lock-free.
 	epoch atomic.Uint64
 
 	probeMu   sync.Mutex
@@ -315,7 +315,7 @@ func (m *Manager) bumpLocked() { m.epoch.Add(1) }
 // Epoch returns this node's churn epoch without taking the lock: a counter
 // that moves on every membership event the node observes, at any level. It
 // only grows, so two equal readings bracket a span with no membership event —
-// the signal the coordinator's answer memo and fetch memo reset on.
+// the signal the coordinator's answer memo resets on.
 func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
 
 // ---- RPC dispatch ----

@@ -19,13 +19,13 @@ import (
 	"hyperm/internal/vec"
 )
 
-// This file is the acceptance suite of the coordinator caches — the answer
-// memo with its kept plans, and the fetch caches: the cache-on serving path
-// must answer byte-identically to the in-process oracle on every topology
-// churn can produce, while measurably removing can_search RPCs. The
-// differential test sweeps seeded churned topologies; the takeover test aims
-// a crash at a warm memo mid-query-stream and proves no plan built under an
-// older churn epoch was ever served again.
+// This file is the acceptance suite of the coordinator's cache — the answer
+// memo with its kept plans and fetched slots, kept coherent by the holders'
+// directories: the cache-on serving path must answer byte-identically to the
+// in-process oracle on every topology churn can produce, while measurably
+// removing can_search RPCs. The differential test sweeps seeded churned
+// topologies; the takeover test aims a crash at a warm memo mid-query-stream
+// and proves no plan built under an older churn epoch was ever served again.
 
 // cacheParams keeps each seeded topology small enough to sweep many of them.
 func cacheParams(seed int64) experiments.Params {
@@ -250,13 +250,12 @@ func runCacheDifferential(t *testing.T, seed int64) {
 
 	// Publish-interleaved passes: post-insert items near the query centers at
 	// live holders between cached passes. No membership event fires, so the
-	// epoch machinery is no help here — only the fetch-cache invalidation
-	// protocol (subscription + synchronous broadcast + generation guard, see
-	// fetchcache.go) can keep the memoized phase-two answers honest. Each new
-	// item lands inside existing query spheres, so a stale cached fetch would
-	// diverge from the oracle immediately. A notified coordinator keeps the
-	// plans of the answers it drops, so their next asking resumes at
-	// retrieval: no can_search.
+	// epoch machinery is no help here — only the directory's notifications
+	// and the in-flight guard (fetchcache.go) can keep the kept slots honest.
+	// Each new item lands inside existing query spheres, so a stale slot
+	// would diverge from the oracle immediately. A notified coordinator keeps
+	// the plans of the answers it drops and the slots the items leave alone,
+	// so their next asking resumes at retrieval: no can_search.
 	fetchHits := sumCounter(cl, "cache.fetch_local_hit")
 	tl = memoTally{}
 	pubRng := rand.New(rand.NewSource(seed * 57))
@@ -284,10 +283,10 @@ func runCacheDifferential(t *testing.T, seed int64) {
 		check(fmt.Sprintf("post-publish-%d", pi), founders)
 	}
 	if sumCounter(cl, "cache.fetch_local_hit") == fetchHits {
-		t.Error("publish-interleaved passes never hit the coordinator fetch memo")
+		t.Error("publish-interleaved passes never served a fetch from a kept slot")
 	}
 	if sumCounter(cl, "cache.fetch_inval") == 0 {
-		t.Error("publishes notified no fetch-cache subscribers")
+		t.Error("publishes notified no sharer of a holder's directory")
 	}
 	if tl.resumes == 0 || tl.resumeSent != 0 || tl.fresh != 0 {
 		t.Errorf("publish-interleaved passes: %v resumes sending %v can_search, %v fresh plans; want resumes, none sent, no fresh plan", tl.resumes, tl.resumeSent, tl.fresh)

@@ -16,14 +16,15 @@ import (
 // Fetch caching and its coherence: a directory at the holder.
 //
 // A fetch_range / fetch_knn answer is a pure function of the holder's item
-// store, which mutates only in Publish. Both ends memoize it — the holder its
-// encoded response bodies, a caching coordinator the decoded values per holder
+// store, which mutates only in Publish. Both ends keep it — the holder its
+// encoded response bodies, a caching coordinator the decoded value as a slot
+// of the answer-memo entry whose retrieval read it (see the answer memo below)
 // — and the holder's memo doubles as the directory of who was handed which
 // answer: each line is key → {resp, sharers}. A publish notifies the sharers
 // of the lines it changes and nobody else.
 //
-// Invariant: whenever coordinator C holds an entry for (holder H, key K), C is
-// among the sharers of H's line for K.
+// Invariant: whenever an answer entry of coordinator C holds a slot for
+// (holder H, key K), C is among the sharers of H's line for K.
 //
 // It holds, and makes every completed publish visible to every later cached
 // fetch in any serial order of operations, because of four orderings:
@@ -42,57 +43,43 @@ import (
 //     append cannot enter the memo after the sweep removed its line.
 //   - Notify before ack. The collected sharers get one inval_fetch carrying
 //     the new items, and Publish returns only once all have answered; each
-//     drops exactly the entries the items change (the same predicate).
-//   - cliGen for the in-flight window. A notification can overtake the fetch
-//     response it concerns, so it bumps the coordinator's per-holder
-//     generation, and a response is stored only if the generation it was
-//     requested under still stands.
+//     drops exactly the slots the items change (the same predicate).
+//   - The in-flight guard. A notification can overtake the fetch response it
+//     concerns, so while a fetch to the holder is in flight (ansFlight) it
+//     bumps the holder's generation there, and a fetched slot is stored only
+//     if the generation it was asked under still stands when its entry is.
 //
 // Lost mark. The one way the directory forgets a line it still owes for is
-// dropping it wholesale — the fetchMemoCap reset. That sets fetchLost, under
-// which the next publish notifies every coordinator ever served with an empty
-// item list, read by the receiver as "drop every entry of this holder"; once
-// that round is through with no further loss the mark clears and publishes
-// are targeted again.
+// the fetchMemoCap reset. That sets fetchLost, under which the next publish
+// notifies every coordinator ever served with an empty item list — "drop every
+// slot of this holder" — and the mark clears once that round is through with
+// no further loss.
 //
 // No callback. A holder registers only subscribers it can call back: an id its
 // address book cannot resolve (a joiner it has not met, a junk id) is refused
 // with detailNoCallback before anything is stored, and the coordinator answers
-// that refusal by fetching the plain way and caching nothing. Sharer lists are
+// that refusal by fetching the plain way and keeping nothing. Sharer lists are
 // de-duplicated, so the directory is bounded by fetchMemoCap × membership.
 //
 // A sharer whose notification fails is struck from every line and never
-// notified again — the fail-stop assumption shared with the membership layer
-// (a peer that cannot be reached is treated as crashed; if it rejoins, the
-// epoch move clears its cache anyway). Any membership event (a move of
-// Manager.Epoch) clears the coordinator side whole: a crashed holder lost its
-// directory, and a recycled peer id must not serve another node's answers.
+// notified again — the fail-stop assumption of the membership layer. Any
+// membership event (a move of Manager.Epoch) clears the coordinator side
+// whole: a crashed holder lost its directory, and a recycled peer id must not
+// serve another node's answers.
 
 const (
 	// fetchMemoCap bounds the holder's directory; on overflow it resets whole
 	// under the lost mark (repeat-heavy workloads refill it in a handful of
 	// queries).
 	fetchMemoCap = 4096
-	// cliFetchMemoCap bounds the coordinator-side memo; on overflow the cached
-	// entries reset (the holders go on listing this node, which costs a
-	// notification that drops nothing).
-	cliFetchMemoCap = 4096
 	// detailNoCallback classifies a holder's refusal to register a subscriber
 	// it has no address for.
 	detailNoCallback = "node/no-callback"
 )
 
-// cliFetchEntry is one memoized fetch answer: the decoded value handed to the
-// engine on hits, plus the raw response body the knn invalidation filter
-// decodes (it needs the recorded k-th distance).
-type cliFetchEntry struct {
-	val  any
-	resp []byte
-}
-
-// fetchKey writes the memo key of one fetch — a method tag ('r' or 'k'), then
-// the plain request body: the query vector and eps or k as raw bits (tail) —
-// into buf when it fits, so a lookup's key lives on the caller's stack.
+// fetchKey writes the directory key of one fetch — a method tag ('r' or 'k'),
+// then the plain request body: the query vector and eps or k as raw bits
+// (tail) — into buf when it fits, so the key lives on the caller's stack.
 func fetchKey(buf []byte, tag byte, q []float64, tail uint64) []byte {
 	key := buf[:0]
 	if size := 1 + fetchReqSize(len(q)); size > cap(buf) {
@@ -125,7 +112,7 @@ func (n *Node) callFetch(ctx context.Context, peer int, method string, body []by
 }
 
 // fetchKind is what tells the two fetch RPCs apart on the coordinator's side:
-// the memo tag, the method, this node's own scan and the response decoder.
+// the key tag, the method, this node's own scan and the response decoder.
 // tail is eps or k as the request carries it, raw bits.
 type fetchKind[T any] struct {
 	tag    byte
@@ -143,74 +130,62 @@ var (
 		func(b []byte) ([]core.ItemDist, error) { return transport.Decode(b, walkFetchKNNResp) }}
 )
 
-// fetchMiss is one slot of a retrieval the memo pass left open: the peer's
-// rank, its request tail (kept here so the tail func stays off the heap: the
-// fan-out closure would capture it), and the holder's generation as the memo
-// pass read it.
-type fetchMiss struct {
-	slot int
-	tail uint64
-	gen  uint64
-}
-
 // fetchAll is the retrieval phase of one query (core.Backend.FetchRange /
 // FetchKNN): peers[i] is asked with tail(i), answers come back slot for slot.
 //
-// With Tuning.CacheViews the first pass runs on the calling goroutine and
-// fills every slot whose answer is resident: one load of the membership
-// epoch, one cliMu acquisition, one map lookup per peer under a key built once
-// on the stack (the peers of a query differ in the tail at most), one counter
-// add for all the hits together — no RPC, no request body, no decode, no
-// allocation per peer. Values are stored decoded; the engine only reads fetch
-// results, so the cached slice is shared safely. What is left — the peers with
-// nothing resident, this node's own store scan — fans out with at most
-// fetchFanout in flight; with caching off that is every peer.
+// A request served through the answer memo carries its slot table in ctx. A
+// remote peer the table holds a slot of for the same tail is answered from it
+// on the calling goroutine: no RPC, no decode, no lock, nothing allocated per
+// peer, one counter add for all the hits (values are kept decoded; the engine
+// only reads them). The rest — this node's own scan included — fans out with
+// at most fetchFanout in flight, the remote misses registered in flight first
+// under one ansMu acquisition; every remote peer read goes into the table.
+// Without a table every peer is asked the plain way and nothing is kept.
 func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []int, q []float64, tail func(i int) uint64) ([]T, []error) {
 	out := make([]T, len(peers))
-	var misses []fetchMiss
-	var epoch uint64
-	if n.tuning.CacheViews {
-		var kb [512]byte
-		key := fetchKey(kb[:], kind.tag, q, 0)
-		epoch = n.mgr.Epoch()
-		hits := 0
-		n.cliMu.Lock()
-		if epoch != n.cliEpoch {
-			n.cliFetch, n.cliGen = nil, nil
-			n.cliCount = 0
-			n.cliEpoch = epoch
+	t, _ := ctx.Value(slotsKey{}).(*slotTable)
+	var held []answerSlot
+	if t != nil {
+		held, t.read = t.held, make([]slotRead, 0, len(peers)) // one call per retrieval (core.Backend)
+	}
+	var misses []slotRead
+	for i, p := range peers {
+		r := slotRead{answerSlot: answerSlot{peer: p, tail: tail(i)}, rank: i, fly: t != nil && p != n.peer}
+		if s, ok := findSlot(held, p, r.tail); ok && r.fly {
+			out[i] = s.val.(T)
+			t.read = append(t.read, slotRead{answerSlot: s})
+			continue
 		}
-		for i, p := range peers {
-			m := fetchMiss{slot: i, tail: tail(i)}
-			if p != n.peer {
-				binary.BigEndian.PutUint64(key[len(key)-8:], m.tail)
-				if e, ok := n.cliFetch[p][string(key)]; ok { // no-alloc map lookup
-					out[i] = e.val.(T)
-					hits++
-					continue
-				}
-				m.gen = n.cliGen[p]
-			}
-			misses = append(misses, m)
-		}
-		n.cliMu.Unlock()
-		if hits > 0 {
-			n.counters.Add("cache.fetch_local_hit", float64(hits))
-		}
-	} else {
-		misses = make([]fetchMiss, len(peers))
-		for i := range peers {
-			misses[i] = fetchMiss{slot: i, tail: tail(i)}
-		}
+		misses = append(misses, r)
+	}
+	if t != nil && len(t.read) > 0 {
+		n.counters.Add("cache.fetch_local_hit", float64(len(t.read)))
 	}
 	if len(misses) == 0 {
 		return out, nil
 	}
+	if t != nil {
+		n.ansMu.Lock()
+		for j, r := range misses {
+			if r.fly {
+				f := n.ansFlight[r.peer]
+				f.n++
+				n.ansFlight[r.peer], misses[j].gen = f, f.gen
+			}
+		}
+		n.ansMu.Unlock()
+	}
 	errs := make([]error, len(peers))
 	fanOut(len(misses), n.tuning.fan(fetchFanout), func(j int) {
-		m := misses[j]
-		out[m.slot], errs[m.slot] = fetchOne(ctx, n, kind, peers[m.slot], q, m.tail, m.gen, epoch)
+		r := &misses[j]
+		out[r.rank], r.resp, r.keep, errs[r.rank] = fetchOne(ctx, n, kind, r.peer, q, r.tail, t != nil)
 	})
+	for _, r := range misses {
+		if r.fly {
+			r.val = out[r.rank]
+			t.read = append(t.read, r)
+		}
+	}
 	return out, errs
 }
 
@@ -240,156 +215,131 @@ func fanOut(k, fan int, f func(j int)) {
 }
 
 // fetchOne fills one open slot: this node's own scan, or one fetch RPC to the
-// scored peer's endpoint. A caching coordinator sends the plain request body
-// with its id appended, which puts it on the holder's line before the holder
-// scans, and memoizes the decoded answer with the raw response beside it for
-// the knn invalidation filter. A dead or unreachable peer yields the zero
-// answer and no error (see callFetch).
-func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail, gen, epoch uint64) (val T, err error) {
+// scored peer's endpoint. With subscribe — the request keeps slots — the plain
+// request body goes out with this node's id appended, which puts it on the
+// holder's line before the holder scans; keep reports that a line lists this
+// node for the answer returned, with the raw response beside it for the k-nn
+// invalidation filter. A dead or unreachable peer yields the zero answer and
+// no error (see callFetch).
+func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail uint64, subscribe bool) (val T, resp []byte, keep bool, err error) {
 	if peer == n.peer {
-		return kind.local(n, q, tail), nil
+		return kind.local(n, q, tail), nil, false, nil
 	}
-	var kb [512]byte
-	key := fetchKey(kb[:], kind.tag, q, tail)
-	body := make([]byte, len(key)-1, len(key)-1+8)
-	copy(body, key[1:])
-	var resp []byte
+	// The plain request body, with room for the subscriber id.
+	body := fetchKey(make([]byte, 0, 1+fetchReqSize(len(q))+8), kind.tag, q, tail)[1:]
 	var unavailable bool
-	store := n.tuning.CacheViews
-	if store {
+	if subscribe {
 		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, appendSubscriber(body, n.peer))
 		// The holder cannot reach this node, so it tracks nothing for it: take
 		// the answer the plain way and let it live for this one query.
-		store = transport.ErrorDetail(err) != detailNoCallback
+		keep = transport.ErrorDetail(err) != detailNoCallback
 	}
-	if !store {
+	if !keep {
 		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, body)
 	}
+	if err == nil && !unavailable {
+		val, err = kind.decode(resp)
+	}
 	if err != nil {
-		return val, err
+		return val, nil, false, err
 	}
-	if !unavailable {
-		if val, err = kind.decode(resp); err != nil {
-			return val, err
-		}
-	}
-	if unavailable || !store || !n.putFetch(peer, key, val, resp, gen, epoch) {
+	if keep = keep && !unavailable; subscribe && !keep {
 		// No line at the holder lists this node for what was just read, so no
-		// notification will say when it changes: no answer built on it may be
-		// memoized.
+		// notification will say when it changes: no answer on it may be kept.
 		n.dropAnswers(peer)
 	}
-	return val, nil
-}
-
-// putFetch memoizes one fetched answer and reports whether it did. It does
-// not if an invalidation or a membership event raced the fetch: the response
-// may predate a publish whose invalidation already ran here, and such an
-// answer must not outlive this one query.
-func (n *Node) putFetch(peer int, key []byte, val any, resp []byte, gen, epoch uint64) bool {
-	n.cliMu.Lock()
-	defer n.cliMu.Unlock()
-	if n.cliEpoch != epoch || n.cliGen[peer] != gen {
-		return false
-	}
-	if n.cliCount >= cliFetchMemoCap {
-		n.cliFetch = nil
-		n.cliCount = 0
-	}
-	if n.cliFetch == nil {
-		n.cliFetch = make(map[int]map[string]cliFetchEntry)
-	}
-	held := n.cliFetch[peer]
-	if held == nil {
-		held = make(map[string]cliFetchEntry)
-		n.cliFetch[peer] = held
-	}
-	held[string(key)] = cliFetchEntry{val: val, resp: resp}
-	n.cliCount++
-	return true
+	return val, resp, keep, nil
 }
 
 // invalidateFetch handles a holder's notification that items were published
-// there: bump its generation once (so in-flight fetches that may predate any
-// item of the publish are not cached) and drop exactly the entries whose
-// answer some new item can change. An empty list is the holder's lost-mark
-// fallback — it no longer knows what it handed out — and drops every entry of
-// that holder.
+// there: fetches to it in flight get their generation bumped (the response may
+// predate the publish), every answer that contacted it drops its bytes, and
+// every slot of it the items can change goes — all of them for an empty list,
+// the lost-mark fallback. A holder nothing is in flight to leaves no trace, so
+// ids this node never asked grow nothing.
 func (n *Node) invalidateFetch(holder int, items [][]float64) {
-	n.cliMu.Lock()
-	if n.cliGen == nil {
-		n.cliGen = make(map[int]uint64)
+	n.ansMu.Lock()
+	if f, ok := n.ansFlight[holder]; ok {
+		f.gen++
+		n.ansFlight[holder] = f
 	}
-	n.cliGen[holder]++
-	if m := n.cliFetch[holder]; len(items) == 0 {
-		n.cliCount -= len(m)
-		delete(n.cliFetch, holder)
-	} else {
-		for key, e := range m {
-			for _, item := range items {
-				if fetchEntryCovered(key, e.resp, item) {
-					delete(m, key)
-					n.cliCount--
-					break
-				}
-			}
+	n.ansSeq++
+	for key, e := range n.answers {
+		if slices.Contains(e.peers, holder) {
+			e.resp = nil
 		}
+		// A stored slot slice is copied, never written.
+		gone := func(s answerSlot) bool { return s.peer == holder && fetchEntryCovered(key, s.tail, s.resp, items) }
+		if slices.ContainsFunc(e.slots, gone) {
+			e.slots = slices.DeleteFunc(slices.Clone(e.slots), gone)
+		}
+		n.answers[key] = e
 	}
-	n.cliMu.Unlock()
-	n.dropAnswers(holder)
+	n.ansMu.Unlock()
 	n.count("cache.fetch_inval")
 }
 
-// keyU64 reads a big-endian uint64 straight out of a memo key, so the
-// invalidation filter walks the encoded query without converting the map key
-// back to a byte slice or materializing the float vector.
+// keyU64 reads a big-endian uint64 straight out of a key, so the
+// invalidation filter walks the encoded query without converting the key back
+// to a byte slice or materializing the float vector.
 func keyU64(s string, off int) uint64 {
 	return uint64(s[off])<<56 | uint64(s[off+1])<<48 | uint64(s[off+2])<<40 |
 		uint64(s[off+3])<<32 | uint64(s[off+4])<<24 | uint64(s[off+5])<<16 |
 		uint64(s[off+6])<<8 | uint64(s[off+7])
 }
 
-// fetchEntryCovered reports whether publishing item at the holder can change
-// the memoized answer for one fetch entry — the exact complement of the local
-// scan predicates (core.LocalRange / core.LocalKNN):
+// fetchEntryCovered reports whether publishing items at the holder can change
+// one fetch answer — the exact complement of the local scan predicates
+// (core.LocalRange / core.LocalKNN):
 //
-//   - range: the new item joins the answer iff it lies within eps of q;
+//   - range: a new item joins the answer iff it lies within eps of q;
 //     anything outside leaves the response bytes untouched.
-//   - knn: the new item enters the top-k iff it ties or beats the current
-//     k-th distance (ties resolve by id, so <= is the safe test), or the
-//     holder had fewer than k items to give.
+//   - knn: a new item enters the top-k iff it ties or beats the current k-th
+//     distance (ties resolve by id, so <= is the safe test), or the holder had
+//     fewer than k items to give.
 //
-// The key is tag byte + encoded request (U32 count, count float64s, then
-// eps or k); the query distance is accumulated in the same term order as
-// vec.Dist2 so the predicate matches the local scan bit for bit. Malformed
-// entries report covered, erring on the side of dropping.
-func fetchEntryCovered(key string, resp []byte, item []float64) bool {
-	if len(key) < 1+4+8 {
+// key starts with the tag byte and the encoded query (U32 count, count
+// float64s), as directory and answer-memo keys do; tail is eps or k, raw bits;
+// a k-nn resp carries the k-th distance (a pending line has none: changed).
+// The distance is summed in vec.Dist2's term order, so the predicate matches
+// the scan bit for bit. An empty list (the lost-mark fallback) and malformed
+// keys report covered, erring on the side of dropping.
+func fetchEntryCovered(key string, tail uint64, resp []byte, items [][]float64) bool {
+	if len(items) == 0 || len(key) < 1+4 {
 		return true
 	}
 	n := int(uint32(key[1])<<24 | uint32(key[2])<<16 | uint32(key[3])<<8 | uint32(key[4]))
-	if n != len(item) || len(key) != 1+4+8*n+8 {
+	if len(key) < 1+4+8*n {
 		return true
 	}
-	var d2 float64
-	for i := 0; i < n; i++ {
-		d := math.Float64frombits(keyU64(key, 5+8*i)) - item[i]
-		d2 += d * d
-	}
-	tail := keyU64(key, 5+8*n)
+	var bound float64
 	switch key[0] {
 	case 'r':
 		eps := math.Float64frombits(tail)
-		return d2 <= eps*eps
+		bound = eps * eps
 	case 'k':
-		k := int(int64(tail))
-		items, err := transport.Decode(resp, walkFetchKNNResp)
-		if err != nil || len(items) < k || len(items) == 0 { // empty: a peer asked for k <= 0
+		held, err := transport.Decode(resp, walkFetchKNNResp)
+		if err != nil || len(held) < int(int64(tail)) || len(held) == 0 { // empty: a peer asked for k <= 0
 			return true
 		}
-		return d2 <= items[len(items)-1].Dist2
+		bound = held[len(held)-1].Dist2
+	default:
+		return true
 	}
-	return true
+	for _, item := range items {
+		if len(item) != n {
+			return true
+		}
+		var d2 float64
+		for i, x := range item {
+			d := math.Float64frombits(keyU64(key, 5+8*i)) - x
+			d2 += d * d
+		}
+		if d2 <= bound {
+			return true
+		}
+	}
+	return false
 }
 
 // fetchLine is one line of the holder's directory: a memoized response body
@@ -398,19 +348,6 @@ func fetchEntryCovered(key string, resp []byte, item []float64) bool {
 type fetchLine struct {
 	resp    []byte
 	sharers []int
-}
-
-// covered reports whether publishing items can change the line's answer.
-func (l *fetchLine) covered(key string, items [][]float64) bool {
-	if l.resp == nil && key[0] == 'k' {
-		return true // pending k-nn: no k-th distance to decide by yet
-	}
-	for _, item := range items {
-		if fetchEntryCovered(key, l.resp, item) {
-			return true
-		}
-	}
-	return false
 }
 
 // serveFetch is the body of the fetch_range / fetch_knn handlers. A request in
@@ -528,7 +465,7 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 	}
 	var targets []int
 	for key, line := range n.fetchDir {
-		if !line.covered(key, items) {
+		if !fetchEntryCovered(key, keyU64(key, len(key)-8), line.resp, items) {
 			continue
 		}
 		for _, id := range line.sharers {
@@ -589,44 +526,39 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 }
 
 // The answer memo: a coordinator's range or k-nn request, by request body,
-// kept as its plan and its encoded answer.
+// kept as its plan, the slots its retrieval fetched and its encoded answer.
 //
 // A query has the paper's two phases (§4.1, Fig 5), and the memo keeps each
 // as long as its inputs stand. The plan — level lookups, scores, Eq 8 radii,
 // selected peers, k-nn shares (core.RangePlan, core.KNNPlan) — is a function
-// of the overlay entries the lookups return, and those change only through
-// membership events, each of which moves Manager.Epoch: a plan built while the
-// epoch held is right until it moves. The answer adds the stores of the
-// holders the retrieval contacted, this node's own when it contacted itself.
-// So an entry's bytes are right until one of three events, and each drops or
-// fences them:
+// of the overlay entries the lookups return, which change only through
+// membership events, each of which moves Manager.Epoch. A slot — one remote
+// holder's answer; the coordinator's own scan is never kept — stands until the
+// holder notifies a change its items can make to it. The bytes stand until
+// one of three events:
 //
-//   - A notification from a contacted holder. By the directory invariant every
-//     change to a line this node read arrives as one, and invalidateFetch drops
-//     the bytes of every answer that contacted the holder. Dropping more than
-//     the answers that read a changed line is sound (a miss recomputes) and
-//     keeps an entry to a list of peer ids instead of references to every line
-//     it read.
+//   - A notification from a contacted holder (invalidateFetch): by the
+//     directory invariant every change to a line this node read arrives as
+//     one. It drops the bytes of every answer that contacted the holder, and
+//     of its slots those the items can change.
 //   - A publish here: Publish drops the bytes of every answer that contacted
 //     this node.
 //   - Either of them while an answer is being computed. ansSeq counts them,
 //     and so does every fetch whose slot no holder line lists (an unavailable
-//     holder, a no-callback refusal, a response the cliGen guard kept out of
-//     the fetch memo): nothing will say when that slot changes.
+//     holder, a no-callback refusal): nothing will say when that slot changes.
 //
-// Dropping the bytes keeps the plan, so the next asking resumes at retrieval:
-// no lookup, no scoring, no can_search. An epoch change drops both. A plan is
-// stored if the epoch still reads, when the answer is done, what it read
-// before the plan was built (it only grows, so it held throughout); the bytes
-// also need ansSeq unchanged.
-//
-// The memo is off under StreamPublish, whose record deltas change lookup
-// entries without an epoch move.
+// So the next asking of an answer whose bytes went resumes at retrieval: no
+// lookup, no scoring, no can_search, and a fetch only where a slot went. An
+// epoch move drops whole entries. A finished answer is stored if the epoch
+// still reads what it read before the plan was built (it only grows, so it
+// held throughout); its bytes only if ansSeq did too; its slots as landLocked
+// says. Under StreamPublish, whose record deltas change lookup entries without
+// an epoch move, an entry keeps slots only: every asking plans afresh, and a
+// re-plan that picks a holder with the same tail reads its slot.
 
 const (
-	// answerMemoCap bounds the answer memo; on overflow it resets whole, like
-	// the fetch memos. Its heap is at most this many plans and encoded
-	// responses.
+	// answerMemoCap bounds the answer memo; on overflow it resets whole. Its
+	// heap is at most this many plans, slot lists and encoded responses.
 	answerMemoCap   = 1024
 	ctrAnswerHit    = "cache.answer_hit"
 	ctrAnswerMiss   = "cache.answer_miss"
@@ -634,26 +566,70 @@ const (
 )
 
 // answerEntry is one memoized request: its plan (a core.RangePlan or
-// core.KNNPlan), the peers that plan's retrieval contacts, and the encoded
-// response — nil once a notification or a publish here dropped it.
+// core.KNNPlan), the peers that plan's retrieval contacts, the remote
+// holders' slots — a stored slice is never written, as retrievals read it
+// without ansMu — and the encoded response, nil once dropped.
 type answerEntry struct {
 	plan  any
 	peers []int
+	slots []answerSlot
 	resp  []byte
 }
 
-// answerRun computes one answer: over plan when the memo holds one for the
-// request, else over a plan of its own. It returns the encoded response, the
-// plan it retrieved over and that plan's contacted peers.
-type answerRun func(plan any) (resp []byte, used any, peers []int, err error)
+// answerSlot is one remote holder's answer, asked with tail (eps or k, raw
+// bits): decoded, and as the raw body the k-nn invalidation filter reads.
+type answerSlot struct {
+	peer int
+	tail uint64
+	val  any
+	resp []byte
+}
+
+func findSlot(slots []answerSlot, peer int, tail uint64) (answerSlot, bool) {
+	for _, s := range slots {
+		if s.peer == peer && s.tail == tail {
+			return s, true
+		}
+	}
+	return answerSlot{}, false
+}
+
+// slotsKey is the ctx key under which answer hands a request's slot table to
+// its retrieval: the slots its entry held, and what the retrieval read.
+type slotsKey struct{}
+
+type slotTable struct {
+	held []answerSlot
+	read []slotRead
+}
+
+// slotRead is one peer a retrieval read, at rank in its peers: served from a
+// held slot, or fetched — when fly, registered in ansFlight under gen until
+// answer stores the entry; keep says a holder line lists this node for it.
+type slotRead struct {
+	answerSlot
+	rank      int
+	fly, keep bool
+	gen       uint64
+}
+
+// flight counts the fetches in flight to one holder, and the notifications
+// from it since the first of them left.
+type flight struct {
+	n   int
+	gen uint64
+}
 
 // answer serves one range or k-nn request — tag 'r' or 'k' and the raw body,
 // together the memo key — through the answer memo when the node keeps one. A
-// hit returns the stored bytes: no lookup, no scoring, no fetch, no encode. A
-// resume runs the retrieval over the stored plan; a miss runs both phases.
-func (n *Node) answer(tag byte, body []byte, run answerRun) (transport.Response, error) {
-	if !n.memoize {
-		resp, _, _, err := run(nil)
+// hit returns the stored bytes: no lookup, no scoring, no fetch, no encode.
+// Otherwise run computes the answer under a ctx carrying the request's slot
+// table, over the stored plan if there is one (a resume), and returns the
+// encoded response, the plan it retrieved over and that plan's peers.
+func (n *Node) answer(ctx context.Context, tag byte, body []byte,
+	run func(ctx context.Context, plan any) (resp []byte, used any, peers []int, err error)) (transport.Response, error) {
+	if !n.tuning.CacheViews {
+		resp, _, _, err := run(ctx, nil)
 		return transport.Response{Body: resp}, err
 	}
 	var kb [512]byte
@@ -664,7 +640,7 @@ func (n *Node) answer(tag byte, body []byte, run answerRun) (transport.Response,
 	if epoch != n.ansEpoch {
 		n.answers, n.ansEpoch = nil, epoch
 	}
-	e, held := n.answers[string(key)] // no-alloc map lookup
+	e := n.answers[string(key)] // no-alloc map lookup
 	seq := n.ansSeq
 	n.ansMu.Unlock()
 	if e.resp != nil {
@@ -672,37 +648,66 @@ func (n *Node) answer(tag byte, body []byte, run answerRun) (transport.Response,
 		return transport.Response{Body: e.resp}, nil
 	}
 	n.count(ctrAnswerMiss)
-	if held {
+	if e.plan != nil {
 		n.count(ctrAnswerResume)
 	}
-	resp, plan, peers, err := run(e.plan)
-	if err != nil {
-		return transport.Response{}, err
-	}
+	t := &slotTable{held: e.slots}
+	resp, plan, peers, err := run(context.WithValue(ctx, slotsKey{}, t), e.plan)
 	n.ansMu.Lock()
-	if n.mgr.Epoch() == epoch {
+	slots := n.landLocked(t, n.answers[string(key)].slots)
+	if err == nil && n.mgr.Epoch() == epoch {
 		if len(n.answers) >= answerMemoCap {
 			n.answers = nil
 		}
 		if n.answers == nil {
 			n.answers = make(map[string]answerEntry)
 		}
-		e = answerEntry{plan: plan, peers: peers}
-		if n.ansSeq == seq {
-			e.resp = resp
+		e = answerEntry{slots: slots}
+		if !n.tuning.StreamPublish {
+			e.plan, e.peers = plan, peers
+			if n.ansSeq == seq {
+				e.resp = resp
+			}
 		}
 		n.answers[string(key)] = e
 	}
 	n.ansMu.Unlock()
-	return transport.Response{Body: resp}, nil
+	return transport.Response{Body: resp}, err
+}
+
+// landLocked ends t's retrieval: every fetch it sent leaves ansFlight, and it
+// returns the slots the entry keeps. Of each remote peer read, that is the
+// slot cur — the entry as it stands now — holds for the same tail (a held slot
+// cur lost was dropped by a notification since), else the fetched answer if a
+// line lists this node for it and no notification from its holder came while
+// it was in flight.
+func (n *Node) landLocked(t *slotTable, cur []answerSlot) []answerSlot {
+	slots := make([]answerSlot, 0, len(t.read))
+	for _, r := range t.read {
+		ok := false
+		if r.fly {
+			f := n.ansFlight[r.peer]
+			ok = r.keep && f.gen == r.gen
+			if f.n--; f.n == 0 {
+				delete(n.ansFlight, r.peer)
+			} else {
+				n.ansFlight[r.peer] = f
+			}
+		}
+		if s, held := findSlot(cur, r.peer, r.tail); held {
+			slots = append(slots, s)
+		} else if ok {
+			slots = append(slots, r.answerSlot)
+		}
+	}
+	return slots
 }
 
 // dropAnswers handles an event that may change what peer contributes to an
-// answer: every memoized answer that contacted peer loses its bytes and keeps
-// its plan, and the ansSeq bump keeps bytes computed across the event out of
-// the memo.
+// answer: every memoized answer that contacted peer loses its bytes, and the
+// ansSeq bump keeps bytes computed across the event out of the memo.
 func (n *Node) dropAnswers(peer int) {
-	if !n.memoize {
+	if !n.tuning.CacheViews {
 		return
 	}
 	n.ansMu.Lock()

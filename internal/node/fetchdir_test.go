@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -44,13 +46,25 @@ func startDirWorld(t *testing.T, peers int, seed int64) *dirWorld {
 	return &dirWorld{t: t, sys: sys, cl: cl, nextID: 9000}
 }
 
-// checkRange compares one served range answer with the oracle's.
+// ask sends one request to from's handler, so a query runs through the answer
+// memo and keeps slots, and returns the response body.
+func (w *dirWorld) ask(tag string, from int, method string, body []byte) []byte {
+	w.t.Helper()
+	resp, err := w.cl.Nodes[from].handle(context.Background(), transport.Request{Method: method, Body: body})
+	if err != nil {
+		w.t.Fatalf("%s: %s from %d: %v", tag, method, from, err)
+	}
+	return resp.Body
+}
+
+// checkRange compares one range answer, asked over the wire, with the
+// oracle's.
 func (w *dirWorld) checkRange(tag string, from int, q []float64, eps float64) {
 	w.t.Helper()
 	want := w.sys.RangeQuery(from, q, eps, core.RangeOptions{})
-	got, err := w.cl.Nodes[from].RangeQuery(context.Background(), q, eps, core.RangeOptions{})
+	got, err := transport.Decode(w.ask(tag, from, methodRange, encodeRangeReq(q, eps, core.RangeOptions{})), walkRangeResp)
 	if err != nil {
-		w.t.Fatalf("%s: range from %d: %v", tag, from, err)
+		w.t.Fatal(err)
 	}
 	if !slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted || want.OverlayHops != got.OverlayHops {
 		w.t.Errorf("%s: range from peer %d diverged from oracle: want %d items got %d", tag, from, len(want.Items), len(got.Items))
@@ -60,9 +74,9 @@ func (w *dirWorld) checkRange(tag string, from int, q []float64, eps float64) {
 func (w *dirWorld) checkKNN(tag string, from int, q []float64, k int) {
 	w.t.Helper()
 	want := w.sys.KNNQuery(from, q, k, core.KNNOptions{})
-	got, err := w.cl.Nodes[from].KNNQuery(context.Background(), q, k, core.KNNOptions{})
+	got, err := transport.Decode(w.ask(tag, from, methodKNN, encodeKNNReq(q, k, core.KNNOptions{})), walkKNNResp)
 	if err != nil {
-		w.t.Fatalf("%s: knn from %d: %v", tag, from, err)
+		w.t.Fatal(err)
 	}
 	if !slices.Equal(want.Items, got.Items) || want.PeersContacted != got.PeersContacted {
 		w.t.Errorf("%s: knn from peer %d diverged from oracle: want %v got %v", tag, from, want.Items, got.Items)
@@ -84,25 +98,43 @@ func (w *dirWorld) invalsAt(peer int) float64 {
 }
 
 // checkInvariant asserts the directory invariant on a quiescent cluster:
-// whenever coordinator C holds an entry for (holder H, key K), C is among the
-// sharers of H's line for K. A holder under the lost mark is exempt — the mark
-// is what stands in for the lines it dropped.
+// whenever an answer entry of coordinator C holds a slot for (holder H, key
+// K), C is among the sharers of H's line for K. A holder under the lost mark
+// is exempt — the mark is what stands in for the lines it dropped.
 func (w *dirWorld) checkInvariant(tag string) {
 	w.t.Helper()
 	for _, c := range w.cl.Nodes {
-		c.cliMu.Lock()
-		for h, entries := range c.cliFetch {
-			holder := w.cl.Nodes[h]
-			holder.fetchMu.Lock()
-			for key := range entries {
-				if line := holder.fetchDir[key]; !holder.fetchLost && (line == nil || !slices.Contains(line.sharers, c.peer)) {
-					w.t.Errorf("%s: coordinator %d holds an entry of holder %d (%c, %d bytes) that lists it nowhere", tag, c.peer, h, key[0], len(key))
+		c.ansMu.Lock()
+		for key, e := range c.answers {
+			for _, s := range e.slots {
+				holder := w.cl.Nodes[s.peer]
+				query := key[:5+8*binary.BigEndian.Uint32([]byte(key[1:5]))] // a request body starts with its query
+				line := binary.BigEndian.AppendUint64([]byte(query), s.tail)
+				holder.fetchMu.Lock()
+				if l := holder.fetchDir[string(line)]; !holder.fetchLost && (l == nil || !slices.Contains(l.sharers, c.peer)) {
+					w.t.Errorf("%s: coordinator %d holds a slot of holder %d (%c, %d bytes) that lists it nowhere", tag, c.peer, s.peer, line[0], len(line))
 				}
+				holder.fetchMu.Unlock()
 			}
-			holder.fetchMu.Unlock()
 		}
-		c.cliMu.Unlock()
+		c.ansMu.Unlock()
 	}
+}
+
+// slotsOf counts the slots of holder h (of every holder, for h < 0) in nd's
+// answer memo.
+func slotsOf(nd *Node, h int) int {
+	nd.ansMu.Lock()
+	defer nd.ansMu.Unlock()
+	n := 0
+	for _, e := range nd.answers {
+		for _, s := range e.slots {
+			if h < 0 || s.peer == h {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // spheres picks, among holder h's items, a centre x and the item farthest from
@@ -241,8 +273,8 @@ func TestFetchDirLostMark(t *testing.T) {
 				t.Errorf("publish under the lost mark notified C1 %v times and C2 %v times, want 1 and 1", d1, d2)
 			}
 			for _, c := range []int{c1, c2} {
-				if left := len(w.cl.Nodes[c].cliFetch[h]); left != 0 {
-					t.Errorf("coordinator %d kept %d entries of holder %d through a drop-all", c, left, h)
+				if left := slotsOf(w.cl.Nodes[c], h); left != 0 {
+					t.Errorf("coordinator %d kept %d slots of holder %d through a drop-all", c, left, h)
 				}
 			}
 			if holder.fetchLost {
@@ -314,6 +346,42 @@ func TestFetchDirRefusesUnknownSubscribers(t *testing.T) {
 	}
 }
 
+// TestFetchDirIgnoresUnknownHolders is the coordinator twin of
+// TestFetchDirRefusesUnknownSubscribers: the holder id of a notification is a
+// peer's bytes too. 1,000 notifications naming distinct ids this node never
+// asked — at a caching coordinator and at an uncached one — are each answered
+// with a nil error (an error would make a real holder strike a live sharer
+// from every line), leave no per-holder state behind, and drop no answer.
+func TestFetchDirIgnoresUnknownHolders(t *testing.T) {
+	for _, tuning := range []Tuning{{CacheViews: true}, {}} {
+		t.Run(fmt.Sprintf("cache=%v", tuning.CacheViews), func(t *testing.T) {
+			nd, ctx := startProbeCluster(t, 4, tuning).Nodes[0], context.Background()
+			q := zoneCenter(nd, 0)
+			q = append(q, make([]float64, nd.cfg.Dim-len(q))...)
+			query := transport.Request{Method: methodRange, Body: encodeRangeReq(q, 0.5, core.RangeOptions{})}
+			if _, err := nd.handle(ctx, query); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 1000; i++ {
+				req := transport.Request{Method: methodFetchInval, Body: encodeInvalReq(1<<20+i, [][]float64{q})}
+				if _, err := nd.handle(ctx, req); err != nil {
+					t.Fatalf("notification from unknown holder %d: %v", 1<<20+i, err)
+				}
+			}
+			if len(nd.ansFlight) != 0 {
+				t.Errorf("1000 notifications from unknown holders left state for %d holders", len(nd.ansFlight))
+			}
+			hits := nd.Counters()[ctrAnswerHit]
+			if _, err := nd.handle(ctx, query); err != nil {
+				t.Fatal(err)
+			}
+			if got := nd.Counters()[ctrAnswerHit] - hits; tuning.CacheViews && got != 1 {
+				t.Errorf("notifications from holders the query never contacted dropped its answer")
+			}
+		})
+	}
+}
+
 // TestFetchDirJoinerCachesOnlyWhereListed is the invariant on the topology
 // that used to break it: after a live join, the joiner caches answers of the
 // holders that know its address and serves the rest uncached.
@@ -351,50 +419,63 @@ func TestFetchDirJoinerCachesOnlyWhereListed(t *testing.T) {
 			continue
 		}
 		strangers++
-		if n := len(joiner.cliFetch[h]); n != 0 {
+		if n := slotsOf(joiner, h); n != 0 {
 			t.Errorf("joiner caches %d answers of holder %d, which has no address for it", n, h)
 		}
 	}
 	if strangers == 0 {
 		t.Fatal("every founder knows the joiner's address: the test exercises nothing")
 	}
-	if joiner.cliCount == 0 {
+	if slotsOf(joiner, -1) == 0 {
 		t.Error("joiner cached nothing, not even from its neighbours")
 	}
 }
 
 // TestFetchDirHitAndEmptySweepAllocNothing fences the two paths that run far
-// more often than any RPC: a coordinator-memo hit (about 22 per query on the
-// skewed workload) is one map lookup under a key built once per retrieval on
-// the stack — no request, no goroutine, nothing allocated per holder, only the
-// slice of answer slots the call returns — and a publish at a holder with no
-// directory returns from the sweep untouched.
+// more often than any RPC: a slot hit (about 22 per resumed query on the
+// skewed workload) is a look through the request's slot table — no request,
+// no goroutine, no lock, nothing allocated per holder, only the slice of
+// answer slots the call returns and the table's list of what it read — and a
+// publish at a holder with no directory returns from the sweep untouched.
 func TestFetchDirHitAndEmptySweepAllocNothing(t *testing.T) {
 	w := startDirWorld(t, 6, 6)
 	const c = 0
+	nd, ctx := w.cl.Nodes[c], context.Background()
 	x, _, eps, _ := w.spheres(1)
-	b, ctx := &netBackend{n: w.cl.Nodes[c], ctx: context.Background()}, context.Background()
-	holders, wants := []int{1, 2, 3, 4}, []int{5, 4, 3, 2}
+	// A range and a k-nn request over the wire store their slots; the
+	// retrievals below ask exactly the holders those slots are of.
+	entry := func(method string, tag byte, body []byte) *slotTable {
+		w.ask("fill", c, method, body)
+		return &slotTable{held: nd.answers[string(append([]byte{tag}, body...))].slots}
+	}
+	rt := entry(methodRange, 'r', encodeRangeReq(x, eps, core.RangeOptions{}))
+	kt := entry(methodKNN, 'k', encodeKNNReq(x, 5, core.KNNOptions{}))
+	var rangeHolders, knnHolders, wants []int
+	for _, s := range rt.held {
+		rangeHolders = append(rangeHolders, s.peer)
+	}
+	for _, s := range kt.held {
+		knnHolders, wants = append(knnHolders, s.peer), append(wants, int(int64(s.tail)))
+	}
+	if len(rangeHolders) < 2 || len(knnHolders) < 2 {
+		t.Fatalf("the requests kept %d and %d slots: the fence needs several", len(rangeHolders), len(knnHolders))
+	}
+	b := &netBackend{n: nd, ctx: ctx}
+	rctx, kctx := context.WithValue(ctx, slotsKey{}, rt), context.WithValue(ctx, slotsKey{}, kt)
 	fetch := func() {
-		if _, errs := b.FetchRange(ctx, c, holders, x, eps); errs != nil {
+		if _, errs := b.FetchRange(rctx, c, rangeHolders, x, eps); errs != nil {
 			t.Fatal(errs)
 		}
-		if _, errs := b.FetchKNN(ctx, c, holders, wants, x); errs != nil {
+		if _, errs := b.FetchKNN(kctx, c, knnHolders, wants, x); errs != nil {
 			t.Fatal(errs)
 		}
 	}
-	if _, errs := b.FetchRange(ctx, c, holders, x, eps); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
-		t.Fatal(errs) // miss: fills the memo
+	hits := nd.Counters()["cache.fetch_local_hit"]
+	if allocs := testing.AllocsPerRun(100, fetch); allocs != 4 {
+		t.Errorf("a range and a k-nn retrieval served from %d and %d slots took %.0f allocs, want 4 (the answer slots and the read lists)", len(rangeHolders), len(knnHolders), allocs)
 	}
-	if _, errs := b.FetchKNN(ctx, c, holders, wants, x); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
-		t.Fatal(errs)
-	}
-	hits := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"]
-	if allocs := testing.AllocsPerRun(100, fetch); allocs != 2 {
-		t.Errorf("a range and a k-nn retrieval of four memo hits each took %.0f allocs, want 2 (the answer slots)", allocs)
-	}
-	if got := w.cl.Nodes[c].Counters()["cache.fetch_local_hit"] - hits; got != 2*4*101 {
-		t.Errorf("%v memo hits in 101 runs of two four-holder retrievals, want 808", got)
+	if got, want := nd.Counters()["cache.fetch_local_hit"]-hits, float64(101*(len(rangeHolders)+len(knnHolders))); got != want {
+		t.Errorf("%v slot hits in 101 runs of the two retrievals, want %v", got, want)
 	}
 
 	idle := w.cl.Nodes[5] // served nobody: empty directory, no lost mark

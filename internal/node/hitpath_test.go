@@ -13,8 +13,8 @@ import (
 )
 
 // Tests of the hit path (fetchAll, fetchcache.go): a query whose every fetch
-// answer is resident resolves its whole retrieval phase on the goroutine that
-// runs it, in one pass over the coordinator memo.
+// answer is a slot of its answer-memo entry resolves its whole retrieval phase
+// on the goroutine that runs it, in one pass over the request's slot table.
 
 // hitPathWorld is a 32-node cache-on cluster and a centre whose range queries
 // contact from a handful of peers to most of them as the radius grows.
@@ -34,31 +34,49 @@ func (w *dirWorld) fetchesServed() float64 {
 	return total
 }
 
+// dropBytes drops the encoded answer of every entry nd memoized and keeps the
+// plans and slots, as notifications that change no slot would: the next asking
+// of each resumes at retrieval, served from its slots.
+func dropBytes(nd *Node) {
+	nd.ansMu.Lock()
+	for key, e := range nd.answers {
+		e.resp = nil
+		nd.answers[key] = e
+	}
+	nd.ansMu.Unlock()
+}
+
 // TestHitPathAllocsPerQueryNotPerFetch fences a fully cached retrieval — what
-// an answer-memo resume runs: RetrieveRange over a kept plan with every fetch
-// answer resident. What it allocates belongs to the query (the answer slots,
-// the merged ids), not to its fetches. Tripling the peers contacted may add
-// the odd allocation where a table grows, but nowhere near one per contact —
-// a goroutine per fetch costs at least its closure, a request body or a
-// boxed key one more (2.3 per contact before the retrieval pass).
+// an answer-memo resume runs: a range request through Node.handle whose entry
+// kept its plan and every slot. What it allocates belongs to the query (the
+// answer slots, the merged ids, the slot table), not to its fetches. Tripling
+// the peers contacted may add the odd allocation where a table grows, but
+// nowhere near one per contact — a goroutine per fetch costs at least its
+// closure, a request body or a boxed key one more (2.3 per contact before the
+// retrieval pass).
 func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 	w, x, radii := hitPathWorld(t)
 	nd, ctx := w.cl.Nodes[0], context.Background()
 	var contacts []int
 	var allocs []float64
 	for _, eps := range radii {
-		if _, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{}); err != nil { // miss: fills the memo
+		req := transport.Request{Method: methodRange, Body: encodeRangeReq(x, eps, core.RangeOptions{})}
+		if _, err := nd.handle(ctx, req); err != nil { // miss: stores the plan and the slots
 			t.Fatal(err)
 		}
-		plan, err := nd.engine.PlanRange(ctx, nd.peer, x, eps, core.RangeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := w.fetchesServed()
-		contacts = append(contacts, len(plan.Peers))
-		allocs = append(allocs, testing.AllocsPerRun(50, func() { nd.engine.RetrieveRange(ctx, nd.peer, x, eps, plan) }))
+		served, resumes := w.fetchesServed(), nd.Counters()[ctrAnswerResume]
+		contacts = append(contacts, len(nd.answers[string(append([]byte{'r'}, req.Body...))].peers))
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			dropBytes(nd)
+			if _, err := nd.handle(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}))
 		if sent := w.fetchesServed() - served; sent != 0 {
-			t.Fatalf("retrievals over a cached range query's plan sent %v fetch RPCs: the query is not fully cached", sent)
+			t.Fatalf("resumes of a cached range request sent %v fetch RPCs: the query is not fully cached", sent)
+		}
+		if got := nd.Counters()[ctrAnswerResume] - resumes; got != 51 {
+			t.Fatalf("%v resumes in 51 askings with the bytes dropped", got)
 		}
 	}
 	t.Logf("contacts %v, allocations per cached retrieval %v", contacts, allocs)
@@ -71,13 +89,13 @@ func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 	}
 }
 
-// TestHitPathCountsEveryHit: the retrieval pass adds its hits to
+// TestHitPathCountsEveryHit: the retrieval pass adds its slot hits to
 // cache.fetch_local_hit in one go, and the sum must still be one per answer
-// served from the memo — every contact of a fully cached query but the
+// served from a slot — every contact of a resumed request but the
 // coordinator's own store, for both query kinds.
 func TestHitPathCountsEveryHit(t *testing.T) {
 	w, x, radii := hitPathWorld(t)
-	nd, ctx := w.cl.Nodes[0], context.Background()
+	nd := w.cl.Nodes[0]
 	remote := func(scores []core.PeerScore, contacted int) float64 {
 		n := 0
 		for _, ps := range scores[:contacted] {
@@ -88,36 +106,37 @@ func TestHitPathCountsEveryHit(t *testing.T) {
 		return float64(n)
 	}
 	hitsOf := func(query func() float64) (hits, want float64) {
-		query() // miss: fills the memo
+		query() // miss: stores the plan and the slots
+		dropBytes(nd)
 		before, served := nd.Counters()["cache.fetch_local_hit"], w.fetchesServed()
 		want = query()
 		if sent := w.fetchesServed() - served; sent != 0 {
-			t.Fatalf("the repeat of a cached query sent %v fetch RPCs", sent)
+			t.Fatalf("the resume of a cached request sent %v fetch RPCs", sent)
 		}
 		return nd.Counters()["cache.fetch_local_hit"] - before, want
 	}
 	for _, eps := range radii {
 		hits, want := hitsOf(func() float64 {
-			res, err := nd.RangeQuery(ctx, x, eps, core.RangeOptions{})
+			res, err := transport.Decode(w.ask("range", 0, methodRange, encodeRangeReq(x, eps, core.RangeOptions{})), walkRangeResp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return remote(res.Scores, res.PeersContacted)
 		})
 		if hits != want || want == 0 {
-			t.Errorf("range query of radius %v: %v memo hits counted, %v remote peers contacted", eps, hits, want)
+			t.Errorf("range query of radius %v: %v slot hits counted, %v remote peers contacted", eps, hits, want)
 		}
 	}
 	for _, k := range []int{1, 20, 200} {
 		hits, want := hitsOf(func() float64 {
-			res, err := nd.KNNQuery(ctx, x, k, core.KNNOptions{})
+			res, err := transport.Decode(w.ask("knn", 0, methodKNN, encodeKNNReq(x, k, core.KNNOptions{})), walkKNNResp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return remote(res.Scores, res.PeersContacted)
 		})
 		if hits != want || want == 0 {
-			t.Errorf("%d-nn query: %v memo hits counted, %v remote peers contacted", k, hits, want)
+			t.Errorf("%d-nn query: %v slot hits counted, %v remote peers contacted", k, hits, want)
 		}
 	}
 }

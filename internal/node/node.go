@@ -53,14 +53,14 @@ const (
 // only trades memory for latency. The zero Tuning is the frozen uncached
 // reference.
 type Tuning struct {
-	// CacheViews switches on the coordinator's caches: the answer memo, which
-	// keeps each range and k-nn request's plan (lookups, scores, selected
-	// peers) for the churn epoch and its encoded answer until a contacted
-	// holder's store changes (off under StreamPublish, whose record deltas
-	// bump no epoch), and the fetch caches with their holder-side directory,
-	// whose notifications also retire memoized answers (all in
-	// fetchcache.go). The views a lookup runs over are never cached: every one
-	// comes from the query's probe table.
+	// CacheViews switches on the coordinator's one cache, the answer memo
+	// (fetchcache.go): a range or k-nn request asked over the wire keeps its
+	// plan (lookups, scores, selected peers) for the churn epoch, each remote
+	// holder's answer as a slot, and its encoded answer, the last two until
+	// the holder's directory reports a change to them. Under StreamPublish,
+	// whose record deltas bump no epoch, it keeps slots only. The views a
+	// lookup runs over are never cached: every one comes from the query's
+	// probe table.
 	CacheViews bool
 	// StreamPublish enables streaming incremental publish: Publish runs the
 	// core stream kernel (absorb/grow/split, periodic re-cluster) against the
@@ -129,39 +129,31 @@ type Node struct {
 
 	tuning   Tuning
 	counters sim.Counters
-	// memoize keeps the answer memo: Tuning.CacheViews without StreamPublish.
-	memoize bool
 
-	// Fetch caching, both ends; the coherence protocol is documented in
-	// fetchcache.go. Holder side: fetchDir is the directory — memoized
-	// fetch_range / fetch_knn response bodies with the coordinators that hold
-	// each (lazily built; used when this node has Tuning.CacheViews or the
-	// request names a subscriber), fetchServed every coordinator ever listed in
-	// it, fetchLost the mark that lines were dropped with sharers still owed
-	// (fetchLostGen counts such drops, so a publish clears only the mark it
-	// served). Coordinator side: cliFetch holds decoded answers per holder,
-	// cliGen the per-holder generation invalidations bump, cliEpoch the
-	// membership epoch the entries were fetched under.
+	// The holder's side of fetch caching; the coherence protocol is documented
+	// in fetchcache.go. fetchDir is the directory — memoized fetch_range /
+	// fetch_knn response bodies with the coordinators that hold each (lazily
+	// built; used when this node has Tuning.CacheViews or the request names a
+	// subscriber), fetchServed every coordinator ever listed in it, fetchLost
+	// the mark that lines were dropped with sharers still owed (fetchLostGen
+	// counts such drops, so a publish clears only the mark it served).
 	fetchMu      sync.Mutex
 	fetchDir     map[string]*fetchLine
 	fetchServed  map[int]struct{}
 	fetchLost    bool
 	fetchLostGen uint64
 
-	cliMu    sync.Mutex
-	cliFetch map[int]map[string]cliFetchEntry
-	cliGen   map[int]uint64
-	cliCount int
-	cliEpoch uint64
-
-	// The answer memo (fetchcache.go): range and k-nn plans and encoded
-	// responses by method tag and request body, valid at the membership epoch
-	// ansEpoch; ansSeq counts the events that may change an answer while it
-	// is being computed.
-	ansMu    sync.Mutex
-	answers  map[string]answerEntry
-	ansEpoch uint64
-	ansSeq   uint64
+	// The answer memo (fetchcache.go), the coordinator's one cache: range and
+	// k-nn plans, fetched slots and encoded responses by method tag and
+	// request body, valid at the membership epoch ansEpoch; ansSeq counts the
+	// events that may change an answer while it is being computed, and
+	// ansFlight the fetches in flight to each holder with the notifications
+	// from it since they left.
+	ansMu     sync.Mutex
+	answers   map[string]answerEntry
+	ansEpoch  uint64
+	ansSeq    uint64
+	ansFlight map[int]flight
 }
 
 // levelFromView converts a snapshot level into membership state. Neighbor
@@ -204,7 +196,7 @@ func New(cfg Config) (*Node, error) {
 		published: snap.Published,
 		pubSeqs:   snap.PubSeqs,
 		tuning:    cfg.Tuning,
-		memoize:   cfg.Tuning.CacheViews && !cfg.Tuning.StreamPublish,
+		ansFlight: make(map[int]flight),
 	}
 	if n.tuning.StreamPublish {
 		n.mappers = core.BuildKeyMappers(snap.Bounds)
@@ -311,9 +303,10 @@ func (n *Node) Counters() map[string]float64 {
 func (n *Node) count(name string) { n.counters.Add(name, 1) }
 
 // RangeQuery answers a range query with this node as the querying peer,
-// driving the overlay lookups peer-to-peer. Byte-identical to the source
-// System's RangeQuery from the same state. The engine refuses a query of the
-// wrong dimension or with a NaN coordinate, and a negative or NaN radius.
+// driving the overlay lookups peer-to-peer, uncached (the answer memo serves
+// the wire). Byte-identical to the source System's RangeQuery from the same
+// state. The engine refuses a query of the wrong dimension or with a NaN
+// coordinate, and a negative or NaN radius.
 func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts core.RangeOptions) (core.RangeResult, error) {
 	return n.engine.RangeQuery(ctx, n.peer, q, eps, opts)
 }
@@ -413,7 +406,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	n.count(name)
 	switch req.Method {
 	case methodRange:
-		return n.answer('r', req.Body, func(plan any) ([]byte, any, []int, error) {
+		return n.answer(ctx, 'r', req.Body, func(ctx context.Context, plan any) ([]byte, any, []int, error) {
 			r, err := transport.Decode(req.Body, walkRangeReq)
 			if err != nil {
 				return nil, nil, nil, err
@@ -433,7 +426,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		})
 
 	case methodKNN:
-		return n.answer('k', req.Body, func(plan any) ([]byte, any, []int, error) {
+		return n.answer(ctx, 'k', req.Body, func(ctx context.Context, plan any) ([]byte, any, []int, error) {
 			r, err := transport.Decode(req.Body, walkKNNReq)
 			if err != nil {
 				return nil, nil, nil, err

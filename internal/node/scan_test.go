@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestFetchEntryCoveredAgreesWithLocalRange(t *testing.T) {
 			const id = 1 << 20
 			st.Append(id, tc.item)
 			got := slices.Contains(core.LocalRange(q, eps, st), id)
-			covered := fetchEntryCovered(key, nil, tc.item)
+			covered := fetchEntryCovered(key, math.Float64bits(eps), nil, [][]float64{tc.item})
 			if got != tc.inside || covered != tc.inside {
 				t.Errorf("%s (%d rows): LocalRange returns it = %v, fetchEntryCovered = %v, want both %v",
 					tc.name, rows, got, covered, tc.inside)

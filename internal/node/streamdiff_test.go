@@ -25,8 +25,8 @@ import (
 // TestStreamDifferential sweeps seeded churned topologies, interleaving
 // streamed publishes (enough per holder to cross a re-cluster) and live
 // join/leave churn with byte-identity checks — through caching coordinators
-// (fetch caches on; the answer memo stays off under streaming) and through
-// uncached ones (serve-ingest's configuration). Both run every lookup over
+// (answer entries keep fetched slots only under streaming: no plan, no bytes)
+// and through uncached ones (serve-ingest's configuration). Both run every lookup over
 // the probe table.
 func TestStreamDifferential(t *testing.T) {
 	seeds := 20
@@ -211,48 +211,77 @@ func runStreamDifferential(t *testing.T, seed int64, cached bool) {
 // and a holder applies a record last-writer-wins: the announces must leave in
 // the order the kernel produced them, or some holder is left with an older
 // item count than the publisher's and every later query scores the peer
-// wrong. The oracle takes the same inserts one after the other. Run under
-// -race by `make race`.
+// wrong. The oracle takes the same inserts one after the other. With caching
+// on, a coordinator asks the query over the wire throughout, so its answer
+// entry — slots only under streaming — is stored, notified and refilled while
+// the publishes race. Run under -race by `make race`.
 func TestConcurrentStreamPublishMatchesOracle(t *testing.T) {
 	params := experiments.Params{Peers: 8, ItemsPerPeer: 20, Dim: 16, Levels: 2, ClustersPerPeer: 3, Seed: 11}
 	const holder, from, publishes = 0, 1, 16
-	for round := 0; round < 4; round++ {
-		sys, err := experiments.BuildMarkovSystem(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.PublishAll()
-		tr := transport.NewChan()
-		cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, node.Tuning{StreamPublish: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, items := sys.PeerData(holder)
-		item := items[round%len(items)]
-
-		errs := make(chan error, publishes)
-		for i := 0; i < publishes; i++ {
-			go func(id int) { errs <- cl.Nodes[holder].Publish(id, item) }(9000 + i)
-		}
-		for i := 0; i < publishes; i++ {
-			if err := <-errs; err != nil {
-				t.Fatalf("round %d: streamed publish: %v", round, err)
+	for _, tuning := range []node.Tuning{{StreamPublish: true}, {StreamPublish: true, CacheViews: true}} {
+		for round := 0; round < 4; round++ {
+			sys, err := experiments.BuildMarkovSystem(params)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sys.StreamInsert(holder, 9000+i, item)
-		}
+			sys.PublishAll()
+			tr := transport.NewChan()
+			cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, tuning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, items := sys.PeerData(holder)
+			item := items[round%len(items)]
+			client, ctx := node.NewClient(tr, transport.Policy{Timeout: 30e9}), context.Background()
+			ask := func() (core.KNNResult, error) { return client.KNN(ctx, cl.Addrs[from], item, 5, core.KNNOptions{}) }
+			if _, err := ask(); err != nil {
+				t.Fatalf("%+v round %d: knn: %v", tuning, round, err)
+			}
 
-		want := sys.KNNQuery(from, item, 5, core.KNNOptions{})
-		got, err := cl.Nodes[from].KNNQuery(context.Background(), item, 5, core.KNNOptions{})
-		if err != nil {
-			t.Fatalf("round %d: knn: %v", round, err)
+			stop, asked := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for {
+					select {
+					case <-stop:
+						asked <- nil
+						return
+					default:
+					}
+					if _, err := ask(); err != nil {
+						asked <- err
+						return
+					}
+				}
+			}()
+			errs := make(chan error, publishes)
+			for i := 0; i < publishes; i++ {
+				go func(id int) { errs <- cl.Nodes[holder].Publish(id, item) }(9000 + i)
+			}
+			for i := 0; i < publishes; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("%+v round %d: streamed publish: %v", tuning, round, err)
+				}
+				sys.StreamInsert(holder, 9000+i, item)
+			}
+			close(stop)
+			if err := <-asked; err != nil {
+				t.Fatalf("%+v round %d: knn during the publishes: %v", tuning, round, err)
+			}
+
+			want := sys.KNNQuery(from, item, 5, core.KNNOptions{})
+			got, err := ask()
+			if err != nil {
+				t.Fatalf("%+v round %d: knn: %v", tuning, round, err)
+			}
+			// The racing publishes took their ids in any order, so the items of
+			// the answer may differ in which of the sixteen copies they name;
+			// what every interleaving must agree on is what the overlay says of
+			// each peer.
+			if !reflect.DeepEqual(want.Scores, got.Scores) || !reflect.DeepEqual(want.EpsPerLevel, got.EpsPerLevel) {
+				t.Errorf("%+v round %d: scores after %d racing publishes diverged from the oracle:\nsim:    %+v\nserved: %+v", tuning, round, publishes, want.Scores, got.Scores)
+			}
+			cl.Stop()
+			tr.Close()
 		}
-		// The racing publishes took their ids in any order, so the items of the
-		// answer may differ in which of the sixteen copies they name; what every
-		// interleaving must agree on is what the overlay says of each peer.
-		if !reflect.DeepEqual(want.Scores, got.Scores) || !reflect.DeepEqual(want.EpsPerLevel, got.EpsPerLevel) {
-			t.Errorf("round %d: scores after %d racing publishes diverged from the oracle:\nsim:    %+v\nserved: %+v", round, publishes, want.Scores, got.Scores)
-		}
-		cl.Stop()
-		tr.Close()
 	}
 }

@@ -357,7 +357,8 @@ func FuzzFetchReqRoundTrip(f *testing.F) {
 
 // TestInvalReqEmptyListIsDropAll pins the one inval_fetch no publish sends —
 // a holder id and no items — as decodable, distinct from any real one, and
-// read by the receiver as "drop every entry of this holder".
+// read by the receiver as "drop every slot of this holder", and the bytes of
+// every answer that contacted it.
 func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 	r, err := transport.Decode(encodeInvalReq(9, nil), walkInvalReq)
 	if err != nil || r.Holder != 9 || len(r.Items) != 0 {
@@ -367,14 +368,15 @@ func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 		t.Fatalf("one-item inval_fetch decoded to %d items (%v)", len(r.Items), err)
 	}
 
-	n := &Node{cliFetch: map[int]map[string]cliFetchEntry{
-		9: {"r-far": {}, "r-near": {}},
-		4: {"r-other": {}},
-	}, cliCount: 3}
+	n := &Node{answers: map[string]answerEntry{
+		"r-both":  {peers: []int{9, 4}, slots: []answerSlot{{peer: 9, tail: 1}, {peer: 4}, {peer: 9, tail: 2}}, resp: []byte{1}},
+		"r-other": {peers: []int{4}, slots: []answerSlot{{peer: 4}}, resp: []byte{1}},
+	}, ansFlight: map[int]flight{9: {n: 1}}}
 	n.invalidateFetch(9, nil)
-	if len(n.cliFetch[9]) != 0 || len(n.cliFetch[4]) != 1 || n.cliCount != 1 || n.cliGen[9] != 1 {
-		t.Errorf("drop-all left %d entries of the holder, %d of another, count %d, generation %d; want 0, 1, 1, 1",
-			len(n.cliFetch[9]), len(n.cliFetch[4]), n.cliCount, n.cliGen[9])
+	both, other := n.answers["r-both"], n.answers["r-other"]
+	if len(both.slots) != 1 || both.slots[0].peer != 4 || both.resp != nil || len(other.slots) != 1 || other.resp == nil || n.ansFlight[9].gen != 1 {
+		t.Errorf("drop-all left slots %v and bytes %v through the holder, slots %v and bytes %v elsewhere, in-flight generation %d; want [4], none, [4], kept, 1",
+			both.slots, both.resp != nil, other.slots, other.resp != nil, n.ansFlight[9].gen)
 	}
 }
 
