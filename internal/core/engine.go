@@ -54,15 +54,15 @@ type Backend interface {
 	// peer of peers (score order) for the ids of its items within eps of q and
 	// returns the answers slot for slot. How many peers it asks at once is the
 	// backend's business — the engine reads the slots in order once the call
-	// returns, so no scheduling reaches the answer. Each answer is in
-	// LocalRange's order: ascending from an indexed store, row order from a
+	// returns, so no scheduling reaches the answer. Each answer is
+	// LocalRangeIDs' form: ascending from an indexed store, row order from a
 	// small one (RangeQuery takes either, the ascending case is the cheap
 	// one); it may be shared with other callers and is read-only. A dead or
 	// unreachable peer yields no items and no error: the contact budget is
 	// spent either way. errs is nil, or nil in every slot, when no fetch
 	// failed; else errs[i] is what peers[i]'s fetch returned. Every message
 	// the call sends carries ctx.
-	FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) (ids [][]int, errs []error)
+	FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) (ids []RangeIDs, errs []error)
 	// FetchKNN is the retrieval phase of a k-nn query: peers[i] is asked for
 	// its wants[i] locally nearest items with their squared distances
 	// (LocalKNN). Slots, dead peers and errs as in FetchRange.
@@ -259,30 +259,38 @@ func (e *Engine) PlanRange(ctx context.Context, from int, q []float64, eps float
 // failing peer — reproduced here by counting contacts and items only up to
 // the first (lowest-ranked) failure.
 func (e *Engine) RetrieveRange(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, error) {
+	res, ids, err := e.RetrieveRangeIDs(ctx, from, q, eps, plan)
+	res.Items = ids.Items()
+	return res, err
+}
+
+// RetrieveRangeIDs is RetrieveRange with Items left nil and the answer
+// returned in its dense form instead, the form a serving node sends it in. On
+// a fetch failure the form holds the partial answer as one list: what the
+// better-ranked peers returned, in score order, unsorted — non-nil exactly
+// when any slot holds ids.
+func (e *Engine) RetrieveRangeIDs(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, RangeIDs, error) {
 	res := RangeResult{Scores: plan.Scores, OverlayHops: plan.OverlayHops}
-	fetchedIDs, fetchErrs := e.backend.FetchRange(ctx, from, plan.Peers, q, eps)
+	fetched, fetchErrs := e.backend.FetchRange(ctx, from, plan.Peers, q, eps)
 	for i, err := range fetchErrs {
 		if err != nil {
-			// The partial answer is what the better-ranked peers returned,
-			// in score order, unsorted.
 			res.PeersContacted = i + 1
 			total := 0
-			for _, ids := range fetchedIDs {
-				total += len(ids)
+			for _, ids := range fetched {
+				total += ids.Len()
 			}
+			var partial []int
 			if total > 0 {
-				res.Items = make([]int, 0, total)
+				partial = make([]int, 0, total)
 			}
-			for _, ids := range fetchedIDs[:i] {
-				res.Items = append(res.Items, ids...)
+			for _, ids := range fetched[:i] {
+				partial = ids.appendItems(partial)
 			}
-			return res, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
+			return res, RangeIDs{List: partial}, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
 		}
 	}
 	res.PeersContacted = len(plan.Peers)
-	// Indexed holders answer in ascending id order, so the union is a merge.
-	res.Items = mergeIDs(fetchedIDs)
-	return res, nil
+	return res, mergeIDs(fetched), nil
 }
 
 // KNNQuery runs the Figure 5 heuristic against the backend: PlanKNN, then
@@ -556,9 +564,9 @@ func (b systemBackend) Search(from, level int, key []float64, radius float64) ([
 // FetchRange and FetchKNN scan the selected stores (see eachStore). A dead
 // peer's contact times out: its slot stays empty and the budget is still
 // spent.
-func (b systemBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
-	ids := make([][]int, len(peers))
-	b.eachStore(peers, func(i int, st *store.Store) { ids[i] = LocalRange(q, eps, st) })
+func (b systemBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([]RangeIDs, []error) {
+	ids := make([]RangeIDs, len(peers))
+	b.eachStore(peers, func(i int, st *store.Store) { ids[i] = LocalRangeIDs(q, eps, st) })
 	return ids, nil
 }
 

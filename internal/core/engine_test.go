@@ -54,9 +54,9 @@ func (b fetchBackend) fill(peers []int, set func(i, peer int)) {
 	}
 }
 
-func (b fetchBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
-	ids, errs := make([][]int, len(peers)), make([]error, len(peers))
-	b.fill(peers, func(i, p int) { ids[i], errs[i] = b.runs[p], b.errs[p] })
+func (b fetchBackend) FetchRange(_ context.Context, from int, peers []int, q []float64, eps float64) ([]RangeIDs, []error) {
+	ids, errs := make([]RangeIDs, len(peers)), make([]error, len(peers))
+	b.fill(peers, func(i, p int) { ids[i], errs[i] = RangeIDsOf(b.runs[p]), b.errs[p] })
 	return ids, errs
 }
 

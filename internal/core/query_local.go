@@ -13,21 +13,25 @@ import (
 )
 
 // LocalRange is the second query phase on a contacted peer: an exact scan of
-// its flat item store, returning the ids of every item within eps of q.
-// Exported so serving nodes (internal/node) answer fetch RPCs with the exact
-// same rule as the in-process simulation. An indexed store (store.IndexMinRows
-// rows or more) answers in ascending id order, so the answer delta-codes to
-// about a byte per id and Engine.RangeQuery merges instead of sorting; a
-// smaller store answers in row order.
+// its flat item store, returning the ids of every item within eps of q. An
+// indexed store (store.IndexMinRows rows or more) answers in ascending id
+// order, a smaller store in row order. It materialises LocalRangeIDs.
 func LocalRange(q []float64, eps float64, st *store.Store) []int {
+	return LocalRangeIDs(q, eps, st).Items()
+}
+
+// LocalRangeIDs is LocalRange's answer in its dense form (RangeIDs), fresh
+// memory. Exported so serving nodes (internal/node) answer fetch RPCs with the
+// exact same rule as the in-process simulation; the form is what the fetch
+// carries and what Engine.RangeQuery unions.
+func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	eps2 := eps * eps
 	// Dist2Capped exits on ">= bound"; membership is "<= eps2". Capping one
 	// ulp above eps2 makes the early exit mean "> eps2", so a row sitting
 	// exactly on the boundary still gets its full distance and is kept.
 	bound := math.Nextafter(eps2, math.Inf(1))
 	ids := st.IDs()
-	groups, byID := st.ScanIndex()
-	indexed := len(byID)
+	groups, indexed := st.ScanGroups()
 	if indexed == 0 {
 		var out []int
 		for i := range ids {
@@ -35,7 +39,7 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 				out = append(out, ids[i])
 			}
 		}
-		return out
+		return RangeIDsOf(out)
 	}
 
 	sc := rangeScratchPool.Get().(*rangeScratch)
@@ -90,7 +94,6 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 	}
 	// Candidates pay their distance in ascending row order, which reads the
 	// store's blocks front to back instead of in centroid-distance order.
-	hits := 0
 	for w, word := range candidate {
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
@@ -98,10 +101,10 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 				accepted[w] |= 1 << b
 			}
 		}
-		hits += bits.OnesCount64(accepted[w])
 	}
-	// The tail is short (the index is rebuilt before it reaches an eighth of
-	// the store), so it is sorted on its own and merged in.
+	// The hits' ids, the tail's included, go straight into chunk bitmaps,
+	// which hand them out ascending. An id on two rows, or ids across more
+	// chunks than the scratch holds, and they are sorted instead.
 	tail := sc.tail[:0]
 	for i := indexed; i < len(ids); i++ {
 		if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
@@ -109,35 +112,40 @@ func LocalRange(q []float64, eps float64, st *store.Store) []int {
 		}
 	}
 	sc.tail = tail
-	if hits+len(tail) == 0 {
-		return nil
+	cs := chunkSetPool.Get().(*chunkSet)
+	defer cs.release()
+	if setHits(cs, accepted, ids, tail) {
+		return cs.form()
 	}
-	slices.Sort(tail)
-
-	// Every covered row appears once in byID, so walking it until all hits
-	// are out emits them in id order with no branch on the hit bit: each step
-	// writes the row's id at the cursor and advances the cursor by that bit.
-	out := make([]int, hits+len(tail))
-	n := 0
-	for p := 0; n < hits; p++ {
-		row := byID[p]
-		out[n] = ids[row]
-		n += int(accepted[row>>6] >> (row & 63) & 1)
-	}
-	// Merge the tail in from the back; out[:hits] is its own merge input.
-	for i, j, k := hits-1, len(tail)-1, len(out)-1; j >= 0; k-- {
-		if i >= 0 && out[i] > tail[j] {
-			out[k] = out[i]
-			i--
-		} else {
-			out[k] = tail[j]
-			j--
+	out := slices.Clone(tail)
+	for w, word := range accepted {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, ids[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
-	return out
+	sortIDs(out)
+	return RangeIDsOf(out)
 }
 
-// rangeScratch is LocalRange's per-call working memory, pooled: two bitmaps
+// setHits adds the ids of the accepted rows and the tail's hits to cs; false
+// as soon as one does not go in.
+func setHits(cs *chunkSet, accepted []uint64, ids, tail []int) bool {
+	for w, word := range accepted {
+		for ; word != 0; word &= word - 1 {
+			if !cs.add(ids[w<<6|bits.TrailingZeros64(word)]) {
+				return false
+			}
+		}
+	}
+	for _, id := range tail {
+		if !cs.add(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeScratch is LocalRangeIDs' per-call working memory, pooled: two bitmaps
 // over the indexed row numbers and the tail's hits.
 type rangeScratch struct {
 	words []uint64

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // radixMinPerPass is the length, per radix pass the largest id needs, from
@@ -66,114 +65,4 @@ func radixSortIDs(ids []int, width int) {
 	if &src[0] != &ids[0] {
 		copy(ids, src)
 	}
-}
-
-// mergeMaxRuns is the most runs mergeIDs merges instead of sorting. Read off
-// BenchmarkMergeIDs: up to four runs are two levels of two-way merges, which
-// beat the radix passes at every run length; a third level (five to eight
-// runs) already loses to them, and the 24- and 64-run fetches of small-store
-// clusters are far on the sorting side.
-const mergeMaxRuns = 4
-
-// mergeIDs returns the ascending multiset union of runs in a fresh slice: the
-// runs may be shared (the fetch memo hands out its cached slices) and are
-// only read. A few runs — the answers of large, indexed holders, ascending
-// already — are merged pairwise; the result is ascending exactly when every
-// run was, and is sorted like any other shape when it is not. Many runs are
-// concatenated and radix-sorted.
-func mergeIDs(runs [][]int) []int {
-	total := 0
-	var held [mergeMaxRuns][]int
-	live, many := held[:0], false
-	for _, r := range runs {
-		total += len(r)
-		switch {
-		case len(r) == 0:
-		case len(live) < mergeMaxRuns:
-			live = append(live, r)
-		default:
-			many = true
-		}
-	}
-	if total == 0 {
-		return nil // keep Items nil when nothing matched
-	}
-	out := make([]int, total)
-	if !many {
-		mergeRuns(out, live)
-		if slices.IsSorted(out) {
-			return out
-		}
-		// Some run did not ascend; out is still a permutation of the union.
-	} else {
-		n := 0
-		for _, r := range runs {
-			n += copy(out[n:], r)
-		}
-	}
-	sortIDs(out)
-	return out
-}
-
-// mergeRuns merges the non-empty runs into out, whose length is their total,
-// by levels of two-way merges over neighbouring runs. The levels alternate
-// between out and a pooled scratch buffer of the same size, ending in out;
-// runs is overwritten with the intermediate results.
-func mergeRuns(out []int, runs [][]int) {
-	levels := bits.Len(uint(len(runs) - 1))
-	var scratch []int
-	if levels > 1 {
-		sp := mergeScratchPool.Get().(*[]int)
-		defer mergeScratchPool.Put(sp)
-		if cap(*sp) < len(out) {
-			*sp = make([]int, len(out))
-		}
-		scratch = (*sp)[:len(out)]
-	}
-	for level := max(levels, 1); level > 0; level-- {
-		dst := out
-		if level%2 == 0 {
-			dst = scratch
-		}
-		merged := runs[:0]
-		for i := 0; i < len(runs); i += 2 {
-			a, b := runs[i], []int(nil)
-			if i+1 < len(runs) {
-				b = runs[i+1] // an odd run out is copied down a level
-			}
-			d := dst[:len(a)+len(b)]
-			dst = dst[len(d):]
-			mergeTwo(d, a, b)
-			merged = append(merged, d)
-		}
-		runs = merged
-	}
-}
-
-// mergeScratchPool holds mergeRuns' second buffer between calls.
-var mergeScratchPool = sync.Pool{New: func() any { return new([]int) }}
-
-// mergeTwo merges a and b into dst, len(dst) == len(a)+len(b): ascending when
-// both are, a permutation of them otherwise. The inner loop runs for as many
-// steps as neither input can run out in, so it carries no exhaustion test,
-// and the pick compiles to conditional moves: ids interleaved across holders
-// would mispredict a branch every other step.
-func mergeTwo(dst, a, b []int) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		steps := dst[k : k+min(len(a)-i, len(b)-j)]
-		for s := range steps {
-			x, y := a[i], b[j]
-			v, fromA := y, 0
-			if x <= y {
-				v, fromA = x, 1
-			}
-			steps[s] = v
-			i += fromA
-			j += 1 - fromA
-		}
-		k += len(steps)
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -21,8 +22,18 @@ func ascendingRuns(rng *rand.Rand, k, per int) [][]int {
 	return runs
 }
 
+// forms returns the dense form of each run, as holders send them.
+func forms(runs [][]int) []RangeIDs {
+	out := make([]RangeIDs, len(runs))
+	for i, r := range runs {
+		out[i] = RangeIDsOf(r)
+	}
+	return out
+}
+
 // TestMergeIDsMatchesSort: whatever the shape of the runs, mergeIDs returns
-// the sorted concatenation, in memory of its own, and leaves the runs alone.
+// the sorted concatenation in its canonical form, in memory of its own, and
+// leaves the runs alone.
 func TestMergeIDsMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const long = 3000
@@ -36,10 +47,19 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 		"empty-trailing": append(ascendingRuns(rng, 3, long), nil, []int{}),
 		"empty-between":  {{1, 4}, nil, {2, 3}, {}, {0}},
 		"short-and-long": append(ascendingRuns(rng, 2, long), []int{-7, 12, 1 << 40}),
+		// Dense chunks: one run's bitmap overlapping another's, and a list id
+		// inside another run's bitmap chunk.
+		"dense-overlap":     {span(0, 6000), span(5999, 12000)},
+		"dense-list-inside": {span(0, 6000), {3, 5000, 70000}},
+		"dense-disjoint":    {span(0, 6000), span(6000, 12000), {1 << 24, 1<<24 + 1}},
+		"too-many-chunks":   spread(2 * maxChunks),
 	}
-	for _, k := range []int{1, 2, 3, mergeMaxRuns, mergeMaxRuns + 1, 24, 64} {
-		for _, per := range []int{40, 250, long} {
+	for _, k := range []int{1, 2, 3, 4, 5, 24, 64} {
+		for _, per := range []int{40, 250, long, 25000} {
 			name := fmt.Sprintf("%dx%d", k, per)
+			if k*per > 200000 {
+				continue
+			}
 			cases[name] = ascendingRuns(rng, k, per)
 
 			// The same ids in every run: duplicates across runs, and within.
@@ -75,7 +95,8 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 			before[i] = slices.Clone(r)
 		}
 		slices.Sort(want)
-		got := mergeIDs(runs)
+		merged := mergeIDs(forms(runs))
+		got := merged.Items()
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: mergeIDs differs from the sorted concatenation (%d ids, want %d)", name, len(got), len(want))
 			continue
@@ -83,9 +104,15 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 		if len(want) == 0 && got != nil {
 			t.Errorf("%s: empty union is %v, want nil", name, got)
 		}
+		if canon := RangeIDsOf(want); !sameForm(merged, canon) || merged.Check() != nil {
+			t.Errorf("%s: union is not in its canonical form (%d chunks, want %d; check: %v)", name, len(merged.Keys), len(canon.Keys), merged.Check())
+		}
 		// Overwrite the result: a run that changes shares memory with it.
-		for i := range got {
-			got[i] = ^got[i]
+		for i := range merged.List {
+			merged.List[i] = ^merged.List[i]
+		}
+		for i := range merged.Words {
+			merged.Words[i] = ^merged.Words[i]
 		}
 		for i, r := range runs {
 			if !slices.Equal(r, before[i]) {
@@ -95,26 +122,140 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeIDs is what mergeMaxRuns and radixMinPerPass are read off: the
-// shapes are the fetches of serve-ingest (4 holders x 25k ids, bare and with
-// the few ids above 1<<28 its ingest stream adds, which cost the radix sort a
-// third pass), serve-uniform (24 x 40), serve-skewed (24 x 60 and two narrower
-// queries, with the ids above 1<<24 its publishes add: three passes over
-// 0.24k to 1.5k ids) and disseminate (64 x 250), and two shapes either side of the
-// merge limit — each through mergeIDs and through every one of its paths
-// forced. A short shape is drawn many times over and the draws take turns: a
+// span returns the ids [lo, hi).
+func span(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		out = append(out, id)
+	}
+	return out
+}
+
+// spread returns n runs of one id each, every id in a chunk of its own.
+func spread(n int) [][]int {
+	out := make([][]int, n)
+	for i := range out {
+		out[i] = []int{i << chunkShift}
+	}
+	return out
+}
+
+// sameForm reports whether two forms are equal field by field (nil and empty
+// alike).
+func sameForm(a, b RangeIDs) bool {
+	return slices.Equal(a.List, b.List) && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Words, b.Words)
+}
+
+// TestRangeIDsForm pins the form at its cuts: a chunk of 4096 ascending ids
+// stays a list and one of 4097 becomes a bitmap; an answer that repeats an
+// id or does not ascend stays one list in its own order; ids straddling a
+// 2^16 boundary, negative ids and ids far above a dense chunk each land in
+// their own chunk; and every form Items materialises to the ids it was built
+// from.
+func TestRangeIDsForm(t *testing.T) {
+	withDup := span(0, 6000)
+	withDup[100] = withDup[99]
+	descending := span(0, 6000)
+	slices.Reverse(descending)
+	cases := []struct {
+		name  string
+		ids   []int
+		dense []int // the chunk keys that must be bitmaps
+	}{
+		{"empty", nil, nil},
+		{"4096", span(0, 4096), nil},
+		{"4097", span(0, 4097), []int{0}},
+		{"4097-beside-4096", append(span(0, 4097), span(1<<16, 1<<16+4096)...), []int{0}},
+		{"straddles-2^16", span(1<<16-5000, 1<<16+5000), []int{0, 1}},
+		{"negative", span(-8000, 3), []int{-1}},
+		{"far-above-dense", append(span(0, 5000), 1<<24, 1<<28+7, math.MaxInt), []int{0}},
+		{"below-dense", append([]int{math.MinInt, -1}, span(0, 5000)...), []int{0}},
+		{"duplicate", withDup, nil},
+		{"descending", descending, nil},
+	}
+	for _, c := range cases {
+		f := RangeIDsOf(c.ids)
+		if !slices.Equal(f.Keys, c.dense) {
+			t.Errorf("%s: bitmap chunks %v, want %v", c.name, f.Keys, c.dense)
+		}
+		if err := f.Check(); err != nil {
+			t.Errorf("%s: the form is refused: %v", c.name, err)
+		}
+		if got := f.Items(); !slices.Equal(got, c.ids) || f.Len() != len(c.ids) {
+			t.Errorf("%s: materialises to %d ids (Len %d), want the %d it was built from", c.name, len(got), f.Len(), len(c.ids))
+		}
+	}
+}
+
+// TestRangeIDsCheckRefusesNonCanonical: every form RangeIDsOf never returns
+// is refused, each one beside a neighbour that is accepted.
+func TestRangeIDsCheckRefusesNonCanonical(t *testing.T) {
+	good := RangeIDsOf(append(span(0, 5000), span(1<<16, 1<<16+5000)...))
+	good.List = []int{1 << 20}
+	if err := good.Check(); err != nil {
+		t.Fatalf("the accepted neighbour is refused: %v", err)
+	}
+	bitmap4096 := RangeIDsOf(span(0, 4097)).Words
+	bitmap4096[0] &^= 1
+	edit := func(f func(r *RangeIDs)) RangeIDs {
+		r := RangeIDs{List: slices.Clone(good.List), Keys: slices.Clone(good.Keys), Words: slices.Clone(good.Words)}
+		f(&r)
+		return r
+	}
+	for name, r := range map[string]RangeIDs{
+		"sparse bitmap": edit(func(r *RangeIDs) {
+			for i := range r.Words[:chunkWords] {
+				r.Words[i] = 0
+			}
+			r.Words[0] = 1
+		}),
+		"4096 bits":                {Keys: []int{0}, Words: bitmap4096},
+		"keys descend":             edit(func(r *RangeIDs) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
+		"keys repeat":              edit(func(r *RangeIDs) { r.Keys[1] = r.Keys[0] }),
+		"key too wide":             edit(func(r *RangeIDs) { r.Keys[1] = maxKey + 1 }),
+		"list inside":              edit(func(r *RangeIDs) { r.List = []int{70000} }),
+		"list descends":            edit(func(r *RangeIDs) { r.List = []int{1 << 21, 1 << 20} }),
+		"list repeats":             edit(func(r *RangeIDs) { r.List = []int{1 << 20, 1 << 20} }),
+		"words short":              edit(func(r *RangeIDs) { r.Words = r.Words[:len(r.Words)-1] }),
+		"words long":               edit(func(r *RangeIDs) { r.Words = append(r.Words, 0) }),
+		"dense list":               {List: span(0, 4097)},
+		"dense list beside bitmap": edit(func(r *RangeIDs) { r.List = span(1<<20, 1<<20+4097) }),
+	} {
+		if r.Check() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The 4096-bit bitmap above, with one bit more, is a form.
+	r := RangeIDs{Keys: []int{0}, Words: slices.Clone(bitmap4096)}
+	r.Words[0] |= 1
+	if r.Check() != nil || len(r.Keys) != 1 {
+		t.Errorf("4097 bits: %d chunks, check %v", len(r.Keys), r.Check())
+	}
+}
+
+// BenchmarkMergeIDs times the coordinator's union, materialised as Items, over
+// the fetches of serve-ingest (4 holders x 25k ids; with the ids above 1<<24
+// its request-mix publishes add and the ids above 1<<28 its ingest stream
+// adds), serve-uniform (24 x 40), serve-skewed (24 x 60 and two narrower
+// queries, with the ids above 1<<24 its publishes add: three passes over 0.24k
+// to 1.5k ids) and disseminate (64 x 250), and two shapes either side of four
+// runs — each through mergeIDs and through concatenate + radix sort and
+// concatenate + comparison sort. Each run arrives as its holder's dense form.
+// A short shape is drawn many times over and the draws take turns: a
 // comparison sort fed the same thousand ids every iteration runs on a branch
 // predictor that has learnt them, at a third of what it costs a coordinator.
 func BenchmarkMergeIDs(b *testing.B) {
+	type extra struct{ n, base int }
 	shapes := []struct {
 		k, per int
 		tag    string // "" or what the workload adds: extra ids from base up
-		extra  int
-		base   int
+		extras []extra
 	}{
-		{k: 4, per: 25000}, {4, 25000, "+ingest", 200, 1 << 28}, {k: 4, per: 250}, {k: 8, per: 5000},
-		{k: 24, per: 40}, {24, 8, "+publish", 48, 1 << 24}, {24, 15, "+publish", 48, 1 << 24},
-		{24, 60, "+publish", 48, 1 << 24}, {k: 64, per: 250},
+		{k: 4, per: 25000}, {4, 25000, "+ingest", []extra{{200, 1 << 28}}},
+		{4, 25000, "+serve-ingest", []extra{{40, 1 << 24}, {200, 1 << 28}}},
+		{k: 4, per: 250}, {k: 8, per: 5000},
+		{k: 24, per: 40}, {24, 8, "+publish", []extra{{48, 1 << 24}}}, {24, 15, "+publish", []extra{{48, 1 << 24}}},
+		{24, 60, "+publish", []extra{{48, 1 << 24}}}, {k: 64, per: 250},
 	}
 	concat := func(runs [][]int) (out []int, or int) {
 		total := 0
@@ -130,23 +271,22 @@ func BenchmarkMergeIDs(b *testing.B) {
 		}
 		return out, or
 	}
+	type draw struct {
+		runs  [][]int
+		forms []RangeIDs
+	}
 	paths := []struct {
 		name string
-		f    func([][]int) []int
+		f    func(draw) []int
 	}{
-		{"mergeIDs", mergeIDs},
-		{"merge", func(runs [][]int) []int {
-			out, _ := concat(runs)
-			mergeRuns(out, slices.Clone(runs))
-			return out
-		}},
-		{"concat+radix", func(runs [][]int) []int {
-			out, or := concat(runs)
+		{"mergeIDs", func(d draw) []int { return mergeIDs(d.forms).Items() }},
+		{"concat+radix", func(d draw) []int {
+			out, or := concat(d.runs)
 			radixSortIDs(out, bits.Len(uint(or)))
 			return out
 		}},
-		{"concat+sort", func(runs [][]int) []int {
-			out, _ := concat(runs)
+		{"concat+sort", func(d draw) []int {
+			out, _ := concat(d.runs)
 			slices.Sort(out)
 			return out
 		}},
@@ -154,12 +294,17 @@ func BenchmarkMergeIDs(b *testing.B) {
 	for _, sh := range shapes {
 		name := fmt.Sprintf("%dx%d", sh.k, sh.per) + sh.tag
 		rng := rand.New(rand.NewSource(int64(sh.k)))
-		draws := make([][][]int, max(1, 1<<17/(sh.k*sh.per)))
+		draws := make([]draw, max(1, 1<<17/(sh.k*sh.per)))
 		for d := range draws {
-			draws[d] = ascendingRuns(rng, sh.k, sh.per)
-			for i := 0; i < sh.extra; i++ {
-				draws[d][i%sh.k] = append(draws[d][i%sh.k], sh.base+i)
+			runs := ascendingRuns(rng, sh.k, sh.per)
+			i := 0
+			for _, x := range sh.extras {
+				for j := range x.n {
+					runs[i%sh.k] = append(runs[i%sh.k], x.base+j)
+					i++
+				}
 			}
+			draws[d] = draw{runs, forms(runs)}
 		}
 		for _, p := range paths {
 			b.Run(name+"/"+p.name, func(b *testing.B) {

@@ -48,7 +48,7 @@ func (w *dirWorld) askSlots(tag string, c, h int, sq slotQuery) (resumed bool, f
 	}
 	var items []int
 	if sq.method == methodRange {
-		res, err := transport.Decode(resp.Body, walkRangeResp)
+		res, err := decodeRangeResp(resp.Body)
 		if err != nil {
 			w.t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func (c *Client) Range(ctx context.Context, addr string, q []float64, eps float6
 	if err != nil {
 		return core.RangeResult{}, fmt.Errorf("node: range via %s: %w", addr, err)
 	}
-	return transport.Decode(resp.Body, walkRangeResp)
+	return decodeRangeResp(resp.Body)
 }
 
 // KNN runs a k-nn query on the node at addr.

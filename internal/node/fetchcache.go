@@ -122,9 +122,11 @@ type fetchKind[T any] struct {
 }
 
 var (
-	rangeFetch = fetchKind[[]int]{'r', methodFetchRange,
-		func(n *Node, q []float64, tail uint64) []int { return n.localRange(q, math.Float64frombits(tail)) },
-		func(b []byte) ([]int, error) { return transport.Decode(b, walkFetchRangeResp) }}
+	rangeFetch = fetchKind[core.RangeIDs]{'r', methodFetchRange,
+		func(n *Node, q []float64, tail uint64) core.RangeIDs {
+			return n.localRange(q, math.Float64frombits(tail))
+		},
+		func(b []byte) (core.RangeIDs, error) { return transport.Decode(b, walkRangeIDs) }}
 	knnFetch = fetchKind[[]core.ItemDist]{'k', methodFetchKNN,
 		func(n *Node, q []float64, tail uint64) []core.ItemDist { return n.localKNN(q, int(int64(tail))) },
 		func(b []byte) ([]core.ItemDist, error) { return transport.Decode(b, walkFetchKNNResp) }}

@@ -62,7 +62,7 @@ func (w *dirWorld) ask(tag string, from int, method string, body []byte) []byte 
 func (w *dirWorld) checkRange(tag string, from int, q []float64, eps float64) {
 	w.t.Helper()
 	want := w.sys.RangeQuery(from, q, eps, core.RangeOptions{})
-	got, err := transport.Decode(w.ask(tag, from, methodRange, encodeRangeReq(q, eps, core.RangeOptions{})), walkRangeResp)
+	got, err := decodeRangeResp(w.ask(tag, from, methodRange, encodeRangeReq(q, eps, core.RangeOptions{})))
 	if err != nil {
 		w.t.Fatal(err)
 	}

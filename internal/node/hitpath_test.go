@@ -117,7 +117,7 @@ func TestHitPathCountsEveryHit(t *testing.T) {
 	}
 	for _, eps := range radii {
 		hits, want := hitsOf(func() float64 {
-			res, err := transport.Decode(w.ask("range", 0, methodRange, encodeRangeReq(x, eps, core.RangeOptions{})), walkRangeResp)
+			res, err := decodeRangeResp(w.ask("range", 0, methodRange, encodeRangeReq(x, eps, core.RangeOptions{})))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestHitPathRepeatAllocsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := transport.Decode(resp.Body, walkRangeResp); err != nil || len(res.Items) != n {
+		if res, err := decodeRangeResp(resp.Body); err != nil || len(res.Items) != n {
 			t.Fatalf("the answer of the %d nearest holds %d ids (%v)", n, len(res.Items), err)
 		}
 		hits := nd.Counters()[ctrAnswerHit]

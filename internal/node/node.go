@@ -348,10 +348,10 @@ func (n *Node) Publish(id int, item []float64) error {
 // first scan to find the store's index missing or outgrown builds it inside
 // the call (store.ScanGroups), which concurrent readers tolerate and the
 // writers in Publish, excluded by the lock, never pay for.
-func (n *Node) localRange(q []float64, eps float64) []int {
+func (n *Node) localRange(q []float64, eps float64) core.RangeIDs {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return core.LocalRange(q, eps, n.store)
+	return core.LocalRangeIDs(q, eps, n.store)
 }
 
 func (n *Node) localKNN(q []float64, k int) []core.ItemDist {
@@ -418,11 +418,11 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 				}
 				plan = p
 			}
-			res, err := n.engine.RetrieveRange(ctx, n.peer, r.Q, r.Eps, p)
+			res, ids, err := n.engine.RetrieveRangeIDs(ctx, n.peer, r.Q, r.Eps, p)
 			if err != nil {
 				return nil, nil, nil, remoteErr(err)
 			}
-			return transport.Encode(&res, walkRangeResp), plan, p.Peers, nil
+			return transport.Encode(&rangeResp{ids, res}, walkRangeResp), plan, p.Peers, nil
 		})
 
 	case methodKNN:
@@ -473,7 +473,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 				return nil, err
 			}
 			ids := n.localRange(r.Q, r.Eps)
-			return transport.Encode(&ids, walkFetchRangeResp), nil
+			return transport.Encode(&ids, walkRangeIDs), nil
 		})
 
 	case methodFetchKNN:

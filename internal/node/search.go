@@ -130,7 +130,7 @@ func (b *netBackend) Search(from, level int, key []float64, radius float64) ([]o
 // FetchRange and FetchKNN are each one retrieval pass over the query's scored
 // peers (fetchAll, fetchcache.go): the backend, not the engine, decides what
 // goes on the wire and how much of it at once.
-func (b *netBackend) FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) ([][]int, []error) {
+func (b *netBackend) FetchRange(ctx context.Context, from int, peers []int, q []float64, eps float64) ([]core.RangeIDs, []error) {
 	tail := math.Float64bits(eps)
 	return fetchAll(ctx, b.n, rangeFetch, peers, q, func(int) uint64 { return tail })
 }

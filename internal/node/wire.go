@@ -60,13 +60,42 @@ func walkScores(c *transport.Coder, scores *[]core.PeerScore) {
 	}
 }
 
-// Range answers (here and in fetch_range) are ascending id runs, so they
-// travel delta-coded; kNN answers are in distance order and stay fixed-width.
-func walkRangeResp(c *transport.Coder, res *core.RangeResult) {
-	c.IntsDelta(&res.Items)
-	walkScores(c, &res.Scores)
-	c.Int(&res.PeersContacted)
-	c.Int(&res.OverlayHops)
+// walkRangeIDs walks a range answer, here and in fetch_range, in its dense
+// form (core.RangeIDs): the list delta-coded, then the bitmap chunks' keys
+// delta-coded and their words. A body in any other form than the one the ids
+// decide is refused. kNN answers are in distance order and stay fixed-width.
+func walkRangeIDs(c *transport.Coder, r *core.RangeIDs) {
+	c.IntsDelta(&r.List)
+	c.IntsDelta(&r.Keys)
+	c.Words(&r.Words)
+	if c.Decoding() {
+		if err := r.Check(); err != nil {
+			c.Fail(err)
+		}
+	}
+}
+
+// rangeResp is a range response: the result, with its Items carried in IDs.
+type rangeResp struct {
+	IDs core.RangeIDs
+	Res core.RangeResult // Items is not read
+}
+
+func walkRangeResp(c *transport.Coder, r *rangeResp) {
+	walkRangeIDs(c, &r.IDs)
+	walkScores(c, &r.Res.Scores)
+	c.Int(&r.Res.PeersContacted)
+	c.Int(&r.Res.OverlayHops)
+}
+
+// decodeRangeResp reads a range response into the result it carries.
+func decodeRangeResp(b []byte) (core.RangeResult, error) {
+	r, err := transport.Decode(b, walkRangeResp)
+	if err != nil {
+		return core.RangeResult{}, err
+	}
+	r.Res.Items = r.IDs.Items()
+	return r.Res, nil
 }
 
 // ---- knn ----
@@ -283,8 +312,6 @@ func walkFetchRangeReq(c *transport.Coder, r *fetchRangeReq) {
 	c.Floats(&r.Q)
 	c.F64(&r.Eps)
 }
-
-func walkFetchRangeResp(c *transport.Coder, ids *[]int) { c.IntsDelta(ids) }
 
 type fetchKNNReq struct {
 	Q []float64

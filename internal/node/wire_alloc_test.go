@@ -92,33 +92,34 @@ func TestSearchRespDecodeAllocFence(t *testing.T) {
 
 // TestFetchRespDecodeAllocFence bounds both ends of a large fetch_range
 // answer — 10^5 ids ascending two or three apart, what an indexed holder
-// returns to a wide query: the delta coding must keep it under 2 bytes per
-// id, allocated once, and the decode must stay at the decoder plus the id
-// array.
+// returns to a wide query: in its dense form it must stay under 2 bytes per
+// id (a third of a byte as bitmaps), allocated once, and the decode must stay
+// at the decoder, the list, the keys and the words.
 func TestFetchRespDecodeAllocFence(t *testing.T) {
 	ids := make([]int, 100000)
 	for i := range ids {
 		ids[i] = i*5/2 + 7
 	}
-	body := encodeFetchRangeResp(ids)
+	form := core.RangeIDsOf(ids)
+	body := encodeFetchRangeResp(form)
 	if perID := float64(cap(body)) / float64(len(ids)); perID > 2 {
 		t.Errorf("encodeFetchRangeResp holds %.2f B/id (%d bytes encoded), want <= 2", perID, len(body))
 	}
-	if allocs := testing.AllocsPerRun(10, func() { encodeFetchRangeResp(ids) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(10, func() { encodeFetchRangeResp(form) }); allocs > 1 {
 		t.Errorf("encodeFetchRangeResp took %.0f allocs, want 1", allocs)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		got, err := transport.Decode(body, walkFetchRangeResp)
+		got, err := transport.Decode(body, walkRangeIDs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(ids) || got[len(got)-1] != ids[len(ids)-1] {
-			t.Fatalf("decoded %d ids, want %d", len(got), len(ids))
+		if got.Len() != len(ids) || len(got.Keys) != len(form.Keys) {
+			t.Fatalf("decoded %d ids in %d chunks, want %d in %d", got.Len(), len(got.Keys), len(ids), len(form.Keys))
 		}
 	})
 	t.Logf("fetch_range answer of %d ids: %d bytes, decode %.0f allocs", len(ids), len(body), allocs)
 	if allocs > 4 {
-		t.Errorf("fetch_range answer decode took %.0f allocs, want <= 4 (decoder + id array)", allocs)
+		t.Errorf("fetch_range answer decode took %.0f allocs, want <= 4 (decoder, list, keys, words)", allocs)
 	}
 }
 

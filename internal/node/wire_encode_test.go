@@ -14,7 +14,9 @@ func encodeRangeReq(q []float64, eps float64, opts core.RangeOptions) []byte {
 	return transport.Encode(&rangeReq{q, eps, opts}, walkRangeReq)
 }
 
-func encodeRangeResp(res core.RangeResult) []byte { return transport.Encode(&res, walkRangeResp) }
+func encodeRangeResp(res core.RangeResult) []byte {
+	return transport.Encode(&rangeResp{core.RangeIDsOf(res.Items), res}, walkRangeResp)
+}
 
 func encodeKNNReq(q []float64, k int, opts core.KNNOptions) []byte {
 	return transport.Encode(&knnReq{q, k, opts}, walkKNNReq)
@@ -47,7 +49,7 @@ func encodeFetchKNNReq(q []float64, k int) []byte {
 	return transport.Encode(&fetchKNNReq{q, k}, walkFetchKNNReq)
 }
 
-func encodeFetchRangeResp(ids []int) []byte { return transport.Encode(&ids, walkFetchRangeResp) }
+func encodeFetchRangeResp(ids core.RangeIDs) []byte { return transport.Encode(&ids, walkRangeIDs) }
 
 func encodeFetchKNNResp(items []core.ItemDist) []byte {
 	return transport.Encode(&items, walkFetchKNNResp)

@@ -61,8 +61,9 @@ func wireMessages() []wiretest.Message {
 			func(r *rangeReq) []byte { return transport.Encode(r, walkRangeReq) },
 			rangeReq{}, rangeReq{Q: q, Eps: 0.125, Opts: core.RangeOptions{MaxPeers: 3}}),
 		wiretest.Of("range response", walkRangeResp,
-			func(r *core.RangeResult) []byte { return transport.Encode(r, walkRangeResp) },
-			core.RangeResult{}, core.RangeResult{Items: []int{3, 4, 9, 300, 299, -1 << 40}, Scores: scores, PeersContacted: 2, OverlayHops: 7}),
+			func(r *rangeResp) []byte { return transport.Encode(r, walkRangeResp) },
+			rangeResp{}, rangeResp{IDs: core.RangeIDsOf([]int{3, 4, 9, 300, 299, -1 << 40}), Res: core.RangeResult{Scores: scores, PeersContacted: 2, OverlayHops: 7}},
+			rangeResp{IDs: denseIDs(), Res: core.RangeResult{Scores: scores[:1], PeersContacted: 1}}),
 		wiretest.Of("knn request", walkKNNReq,
 			func(r *knnReq) []byte { return transport.Encode(r, walkKNNReq) },
 			knnReq{}, knnReq{Q: q, K: 4, Opts: core.KNNOptions{MaxPeers: 2, C: 1.5}}),
@@ -84,9 +85,9 @@ func wireMessages() []wiretest.Message {
 		wiretest.Of("fetch_range request", walkFetchRangeReq,
 			func(r *fetchRangeReq) []byte { return transport.Encode(r, walkFetchRangeReq) },
 			fetchRangeReq{}, fetchRangeReq{Q: q, Eps: 0.125}),
-		wiretest.Of("fetch_range response", walkFetchRangeResp,
-			func(ids *[]int) []byte { return transport.Encode(ids, walkFetchRangeResp) },
-			nil, []int{1, 2, 40, 41, 1 << 20, 1<<20 + 1}),
+		wiretest.Of("fetch_range response", walkRangeIDs,
+			func(ids *core.RangeIDs) []byte { return transport.Encode(ids, walkRangeIDs) },
+			core.RangeIDs{}, core.RangeIDsOf([]int{1, 2, 40, 41, 1 << 20, 1<<20 + 1}), denseIDs()),
 		wiretest.Of("fetch_knn request", walkFetchKNNReq,
 			func(r *fetchKNNReq) []byte { return transport.Encode(r, walkFetchKNNReq) },
 			fetchKNNReq{}, fetchKNNReq{Q: q, K: 3}),
@@ -97,6 +98,78 @@ func wireMessages() []wiretest.Message {
 }
 
 func TestWireConforms(t *testing.T) { wiretest.Check(t, wireMessages()) }
+
+// denseIDs is a range answer with a bitmap chunk: 4097 ids of chunk 1, one
+// more than a list may hold, beside list ids below it (a negative one
+// included) and above it (a publish id).
+func denseIDs() core.RangeIDs {
+	ids := []int{-5, 3}
+	for id := 1 << 16; id < 1<<16+2*4097; id += 2 {
+		ids = append(ids, id)
+	}
+	return core.RangeIDsOf(append(ids, 1<<24))
+}
+
+// walkRangeIDsPermissive is walkRangeIDs without its form check: it reads
+// any list, keys and words the fields can hold.
+func walkRangeIDsPermissive(c *transport.Coder, r *core.RangeIDs) {
+	c.IntsDelta(&r.List)
+	c.IntsDelta(&r.Keys)
+	c.Words(&r.Words)
+}
+
+// TestRangeIDsWireRefusesNonCanonical: each body below is well-formed field by
+// field — a permissive decoder reads it — but carries a form no encoder
+// writes for its ids, and walkRangeIDs refuses it.
+func TestRangeIDsWireRefusesNonCanonical(t *testing.T) {
+	good := denseIDs()
+	if len(good.Keys) != 1 || len(good.List) != 3 {
+		t.Fatalf("seed answer has %d chunks and %d list ids, want 1 and 3", len(good.Keys), len(good.List))
+	}
+	edit := func(f func(r *core.RangeIDs)) core.RangeIDs {
+		r := core.RangeIDs{List: slices.Clone(good.List), Keys: slices.Clone(good.Keys), Words: slices.Clone(good.Words)}
+		f(&r)
+		return r
+	}
+	second := func(r *core.RangeIDs) { // a second chunk, 2, as full as the first
+		r.Keys = append(r.Keys, 2)
+		r.Words = append(r.Words, good.Words...)
+		r.List = r.List[:2]
+	}
+	for name, hostile := range map[string]core.RangeIDs{
+		"bitmap chunk of 4096 ids": edit(func(r *core.RangeIDs) { r.Words[0] &= r.Words[0] - 1 }),
+		"bitmap chunk of one id": edit(func(r *core.RangeIDs) {
+			clear(r.Words)
+			r.Words[0] = 1
+		}),
+		"chunk keys descend":             edit(func(r *core.RangeIDs) { second(r); r.Keys[0], r.Keys[1] = 2, 1 }),
+		"chunk keys repeat":              edit(func(r *core.RangeIDs) { second(r); r.Keys[1] = 1 }),
+		"list id inside a dense chunk":   edit(func(r *core.RangeIDs) { r.List[2] = 1<<16 + 1 }),
+		"list descends beside chunks":    edit(func(r *core.RangeIDs) { r.List[0], r.List[1] = r.List[1], r.List[0] }),
+		"list repeats beside chunks":     edit(func(r *core.RangeIDs) { r.List[0] = r.List[1] }),
+		"word count short of the chunks": edit(func(r *core.RangeIDs) { r.Words = r.Words[:len(r.Words)-1] }),
+		"word count past the chunks":     edit(func(r *core.RangeIDs) { r.Words = append(r.Words, 0) }),
+		"words without a chunk":          edit(func(r *core.RangeIDs) { r.Keys = nil }),
+		"dense chunk left in the list":   {List: good.Items()},
+	} {
+		body := transport.Encode(&hostile, walkRangeIDsPermissive)
+		if _, err := transport.Decode(body, walkRangeIDsPermissive); err != nil {
+			t.Errorf("%s: the permissive decoder refuses it too: %v", name, err)
+		}
+		if got, err := transport.Decode(body, walkRangeIDs); err == nil {
+			t.Errorf("%s: decoded to %d ids in %d chunks, want an error", name, got.Len(), len(got.Keys))
+		}
+		resp := transport.Encode(&rangeResp{IDs: hostile}, func(c *transport.Coder, r *rangeResp) {
+			walkRangeIDsPermissive(c, &r.IDs)
+			walkScores(c, &r.Res.Scores)
+			c.Int(&r.Res.PeersContacted)
+			c.Int(&r.Res.OverlayHops)
+		})
+		if got, err := decodeRangeResp(resp); err == nil {
+			t.Errorf("%s: range response decoded to %d items, want an error", name, len(got.Items))
+		}
+	}
+}
 
 // TestWireListFences pins the count fence of every node list, worked out from
 // its element walker, to the wire size of the list's least element, and the

@@ -56,7 +56,7 @@ func TestWireGoldenBytes(t *testing.T) {
 		{"inval_fetch, empty (drop all)", goldenInvalDropAll, encodeInvalReq(5, nil)},
 		{"fetch_range request", goldenFetchRangeReq, encodeFetchRangeReq(q, 0.125)},
 		{"fetch_range request, caching", goldenFetchRangeReqCaching, appendSubscriber(encodeFetchRangeReq(q, 0.125), 6)},
-		{"fetch_range response", goldenFetchRangeResp, encodeFetchRangeResp([]int{1, 2, 40, 41})},
+		{"fetch_range response", goldenFetchRangeResp, encodeFetchRangeResp(core.RangeIDsOf([]int{1, 2, 40, 41}))},
 		{"fetch_knn request", goldenFetchKNNReq, encodeFetchKNNReq(q, 3)},
 		{"fetch_knn request, caching", goldenFetchKNNReqCaching, appendSubscriber(encodeFetchKNNReq(q, 3), 6)},
 		{"fetch_knn response", goldenFetchKNNResp, encodeFetchKNNResp([]core.ItemDist{{ID: 8, Dist2: 0.5}, {ID: 2, Dist2: 0.75}})},

@@ -157,6 +157,30 @@ func (c *Coder) Ints(v *[]int) {
 	}
 }
 
+// Words walks a length-prefixed []uint64 of fixed-width big-endian words
+// (decoded into a fresh slice, nil when empty): bitmaps, which no varint
+// shortens.
+func (c *Coder) Words(v *[]uint64) {
+	switch {
+	case c.d != nil:
+		*v = nil
+		if n := c.d.Count(8); n > 0 {
+			w, b := make([]uint64, n), c.d.take(8*n)
+			for i := range w {
+				w[i] = binary.BigEndian.Uint64(b[8*i:])
+			}
+			*v = w
+		}
+	case c.sizing:
+		c.n += 4 + 8*len(*v)
+	default:
+		c.e.U32(uint32(len(*v)))
+		for _, x := range *v {
+			c.e.b = binary.BigEndian.AppendUint64(c.e.b, x)
+		}
+	}
+}
+
 // IntsDelta walks a []int as a count followed by one zig-zag uvarint per
 // element, each the difference from the element before it (the first from
 // zero). An ascending run of nearby ids — a range answer — costs about one
