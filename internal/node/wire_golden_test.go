@@ -1,6 +1,7 @@
 package node
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 
 // TestWireGoldenBytes pins the body of every node RPC, both directions, to
 // bytes captured before the codecs were rewritten as walkers: a peer running
-// either version must read the other. The membership twin
+// either version must read the other. The two range answers were captured
+// again when they gained bitmap chunks (each 8 bytes longer for its empty key
+// and word lists); a peer from before then cannot read them. The membership twin
 // (internal/membership) pins the bodies of that layer, including the record
 // and neighbor lists a can_search view reuses.
 func TestWireGoldenBytes(t *testing.T) {
@@ -65,11 +68,19 @@ func TestWireGoldenBytes(t *testing.T) {
 			t.Errorf("%s body changed on the wire:\n got  %s\n want %s", c.name, got, c.want)
 		}
 	}
+	// A bitmap chunk is 8 KB, so the dense answer is pinned by its head —
+	// list, keys, word count — and the digest of the whole body.
+	dense := encodeFetchRangeResp(denseIDs())
+	sum := sha256.Sum256(dense)
+	if head, digest := hex.EncodeToString(dense[:27]), hex.EncodeToString(sum[:]); len(dense) != 8211 || head != goldenDenseHead || digest != goldenDenseSHA256 {
+		t.Errorf("dense fetch_range response changed on the wire: %d bytes, head %s, sha256 %s; want 8211, %s, %s",
+			len(dense), head, digest, goldenDenseHead, goldenDenseSHA256)
+	}
 }
 
 const (
 	goldenRangeReq             = "000000023fd0000000000000bff80000000000003fc00000000000000000000000000003"
-	goldenRangeResp            = "0000000506020ac604010000000200000000000000023fe000000000000000000000000000053ff400000000000000000000000000020000000000000007"
+	goldenRangeResp            = "0000000506020ac6040100000000000000000000000200000000000000023fe000000000000000000000000000053ff400000000000000000000000000020000000000000007"
 	goldenKNNReq               = "000000023fd0000000000000bff8000000000000000000000000000400000000000000023ff8000000000000"
 	goldenKNNResp              = "000000020000000000000009fffffffffffffffd0000000200000000000000023fe000000000000000000000000000053ff4000000000000000000023fb999999999999a3fc999999999999a00000000000000010000000000000004"
 	goldenPublishReq           = "0000000000001b59000000023fd0000000000000bff8000000000000"
@@ -79,7 +90,9 @@ const (
 	goldenInvalDropAll         = "000000000000000500000000"
 	goldenFetchRangeReq        = "000000023fd0000000000000bff80000000000003fc0000000000000"
 	goldenFetchRangeReqCaching = "000000023fd0000000000000bff80000000000003fc00000000000000000000000000006"
-	goldenFetchRangeResp       = "0000000402024c02"
+	goldenFetchRangeResp       = "0000000402024c020000000000000000"
+	goldenDenseHead            = "000000030910faffff0f0000000102000004005555555555555555"
+	goldenDenseSHA256          = "b9b288c0409f7ad2d4a654561791de72aac243fa4d1c781c8a49031a4e0bae31"
 	goldenFetchKNNReq          = "000000023fd0000000000000bff80000000000000000000000000003"
 	goldenFetchKNNReqCaching   = "000000023fd0000000000000bff800000000000000000000000000030000000000000006"
 	goldenFetchKNNResp         = "0000000200000000000000083fe000000000000000000000000000023fe8000000000000"
