@@ -41,11 +41,12 @@ bench:
 
 # Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
 # the holder-side scans at 1k and 50k rows plus a rotation over four 50k-row
-# Markov stores that finds each out of cache, and the coordinator's id merge
+# Markov stores that finds each out of cache, the coordinator's id union
 # against concatenate + radix sort and concatenate + comparison sort over the
-# run shapes the workloads fetch), 5 repetitions for benchstat-grade numbers.
+# run shapes the workloads fetch, and the range answer's encode and decode at
+# 25k and 100k ids), 5 repetitions for benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core ./internal/node
 
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
 # the frozen pre-extraction sphere-search reference, the holder-side scans
@@ -55,8 +56,9 @@ bench-kernels:
 # membership and node layers (the first input byte picks the message: a body
 # the decoder accepts must re-encode to itself, and no strict prefix,
 # trailing byte or count beyond the message may be accepted), the
-# delta-coded id sequence of range answers (round trip; a corrupt count,
-# varint or running sum must error), the split of a can_search response into
+# delta-coded id sequence (round trip; a corrupt count, varint or running sum
+# must error), the range answer's bitmap form (an accepted body is the form
+# its ids decide; any ids' form round-trips the wire), the split of a can_search response into
 # views (a corrupt count, view length or trailing byte must error), both
 # forms of the fetch_range / fetch_knn request (plain, and with the caching
 # coordinator's id: round trip; a prefix, trailing byte or wrong float count
@@ -74,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMembershipWire -fuzztime=30s ./internal/membership
 	$(GO) test -fuzz=FuzzNodeWire -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzIntsDeltaRoundTrip -fuzztime=30s ./internal/transport
+	$(GO) test -fuzz=FuzzRangeIDsRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzSearchRespDecode -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzFetchReqRoundTrip -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzNodeHandle -fuzztime=30s ./internal/node

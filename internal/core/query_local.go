@@ -114,8 +114,10 @@ func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	sc.tail = tail
 	cs := chunkSetPool.Get().(*chunkSet)
 	defer cs.release()
-	if setHits(cs, accepted, ids, tail) {
-		return cs.form()
+	if cs.addRows(accepted, ids) && cs.addIDs(tail) {
+		if out, ok := cs.form(); ok {
+			return out
+		}
 	}
 	out := slices.Clone(tail)
 	for w, word := range accepted {
@@ -125,24 +127,6 @@ func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	}
 	sortIDs(out)
 	return RangeIDsOf(out)
-}
-
-// setHits adds the ids of the accepted rows and the tail's hits to cs; false
-// as soon as one does not go in.
-func setHits(cs *chunkSet, accepted []uint64, ids, tail []int) bool {
-	for w, word := range accepted {
-		for ; word != 0; word &= word - 1 {
-			if !cs.add(ids[w<<6|bits.TrailingZeros64(word)]) {
-				return false
-			}
-		}
-	}
-	for _, id := range tail {
-		if !cs.add(id) {
-			return false
-		}
-	}
-	return true
 }
 
 // rangeScratch is LocalRangeIDs' per-call working memory, pooled: two bitmaps

@@ -177,7 +177,31 @@ func idLayouts() []idLayout {
 			}
 			return len(perm) - i
 		}},
+		// The dense form's cuts (see RangeIDs): one id on two rows of an
+		// otherwise dense answer; ids straddling a 2^16 boundary; a chunk
+		// that holds exactly 4096 and one that holds 4097 ids when every row
+		// is a hit; and ids at and above 2^24 — every 50th row and the tail
+		// — beside a chunk of corpus ids.
+		{name: "one-duplicate", id: func(i, _ int, perm []int) int { return max(perm[i], 1) }},
+		{name: "straddle-2^16", id: func(i, _ int, perm []int) int { return 1<<16 - len(perm)/2 + perm[i] }},
+		{name: "chunk-4096", id: func(i, _ int, perm []int) int { return chunkAfter(4096, perm[i]) }},
+		{name: "chunk-4097", id: func(i, _ int, perm []int) int { return chunkAfter(4097, perm[i]) }},
+		{name: "above-2^24", id: func(i, built int, perm []int) int {
+			if i%50 == 0 || (built > 0 && i >= built) {
+				return 1<<24 + perm[i]
+			}
+			return perm[i]
+		}},
 	}
+}
+
+// chunkAfter maps p to an id: the first n values of p fill chunk 0, the rest
+// go to chunk 1.
+func chunkAfter(n, p int) int {
+	if p < n {
+		return p
+	}
+	return 1<<16 + p
 }
 
 // storeInState appends rows under the given id layout, scanning once at
@@ -208,6 +232,23 @@ func sortedCopy(ids []int) []int {
 	out := slices.Clone(ids)
 	slices.Sort(out)
 	return out
+}
+
+// checkForm holds a scan's dense form to the reference answer want (sorted
+// for an indexed store): it materialises to want, it is the form want's ids
+// decide, and a decoder accepts it.
+func checkForm(t *testing.T, form RangeIDs, want []int) {
+	t.Helper()
+	if got := form.Items(); !slices.Equal(got, want) {
+		t.Fatalf("LocalRangeIDs materialises to %d ids (ascending: %v), reference %d", len(got), slices.IsSorted(got), len(want))
+	}
+	if canon := RangeIDsOf(want); !sameForm(form, canon) {
+		t.Fatalf("LocalRangeIDs returned %d bitmap chunks and %d listed ids, the reference's form has %d and %d",
+			len(form.Keys), len(form.List), len(canon.Keys), len(canon.List))
+	}
+	if err := form.Check(); err != nil {
+		t.Fatalf("LocalRangeIDs returned a form a decoder refuses: %v", err)
+	}
 }
 
 func TestLocalScansMatchReference(t *testing.T) {
@@ -281,6 +322,7 @@ func TestLocalScansMatchReference(t *testing.T) {
 							t.Fatalf("query %d eps %v: LocalRange returned %d ids (ascending: %v), reference %d",
 								qi, eps, len(got), slices.IsSorted(got), len(want))
 						}
+						checkForm(t, LocalRangeIDs(q, eps, st), want)
 					}
 					if ids.name != shuffledIDs.name {
 						continue // ids reach a kNN answer only through ties
@@ -411,9 +453,11 @@ func TestSortIDsMatchesSlicesSort(t *testing.T) {
 // indexed store built from the input: dim 8, 16 or 32, clustered or lattice
 // rows scaled by 2^(4·scaleExp) and moved by ±2^(4·offExp) (far enough either
 // way for float32 to overflow or flush a sketch to zero, and for float64
-// squares to underflow), a tail of rows appended after the build, a query at
-// or near a stored row, eps from raw bits and as the distances to three
-// stored rows, and any k.
+// squares to underflow), ids in one of the layouts TestLocalScansMatchReference
+// uses, 2k rows or (shape >= 128) 4k — enough for a dense chunk — and a tail
+// of rows appended after the build, a query at or near a stored row, eps from
+// raw bits and as the distances to three stored rows, and any k. The range
+// scan's dense form must be the reference's (checkForm).
 func FuzzLocalScans(f *testing.F) {
 	f.Add(int64(1), uint8(2), int8(-128), int8(0), math.Float64bits(0.3), 5)
 	f.Add(int64(2), uint8(5), int8(-128), int8(0), math.Float64bits(2), 10)
@@ -423,6 +467,11 @@ func FuzzLocalScans(f *testing.F) {
 	f.Add(int64(6), uint8(2), int8(-128), int8(-128), math.Float64bits(0), 2000)
 	f.Add(int64(7), uint8(11), int8(-128), int8(-35), math.Float64bits(math.Inf(1)), -1)
 	f.Add(int64(8), uint8(14), int8(127), int8(120), math.Float64bits(math.MaxFloat64), 7)
+	// 4k rows in each layout the dense form cuts on (idLayouts' last five),
+	// every row a hit.
+	for layout := 6; layout <= 10; layout++ {
+		f.Add(int64(layout), uint8(12*(layout+11)), int8(-128), int8(0), math.Float64bits(math.Inf(1)), 3)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, offExp, scaleExp int8, epsBits uint64, k int) {
 		dim := []int{8, 16, 32}[shape%3]
 		gen := clusteredRows
@@ -433,19 +482,22 @@ func FuzzLocalScans(f *testing.F) {
 		if shape/6%2 == 1 {
 			off = -off
 		}
+		layouts := append([]idLayout{shuffledIDs}, idLayouts()...)
+		ids := layouts[int(shape/12)%len(layouts)]
 		rng := rand.New(rand.NewSource(seed))
-		n := store.IndexMinRows + rng.Intn(store.IndexMinRows/8)
+		built := store.IndexMinRows * (1 + int(shape>>7))
+		n := built + rng.Intn(store.IndexMinRows/8)
 		perm := rng.Perm(n)
 		st := store.New(dim)
 		for i, r := range gen(rng, n, dim) {
-			if i == store.IndexMinRows {
+			if i == built {
 				LocalKNN(r, 1, st) // build the index; the rest is its tail
 			}
 			v := make([]float64, dim)
 			for j := range v {
 				v[j] = r[j]*scale + off
 			}
-			st.Append(perm[i], v)
+			st.Append(ids.id(i, built, perm), v)
 		}
 		q := vec.Clone(st.Vec(rng.Intn(n)))
 		if rng.Intn(2) == 0 {
@@ -462,6 +514,7 @@ func FuzzLocalScans(f *testing.F) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("eps %v: LocalRange returned %d ids (ascending: %v), reference %d", eps, len(got), slices.IsSorted(got), len(want))
 			}
+			checkForm(t, LocalRangeIDs(q, eps, st), want)
 		}
 		if got, want := LocalKNN(q, k, st), referenceLocalKNN(q, k, st); !slices.Equal(got, want) {
 			t.Fatalf("k %d: LocalKNN diverges from reference\n got %v\nwant %v", k, head(got), head(want))

@@ -70,13 +70,8 @@ func RangeIDsOf(ids []int) RangeIDs {
 // their chunks hold more than sparseMax ids and how many ids the others hold.
 // Fewer ids than one dense chunk needs are not looked at.
 func chunkRuns(ids []int) (ascending bool, dense, sparse int) {
-	if len(ids) <= sparseMax {
+	if len(ids) <= sparseMax || !strictlyAscending(ids) {
 		return false, 0, len(ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false, 0, len(ids)
-		}
 	}
 	for start := 0; start < len(ids); {
 		end := runEnd(ids, start)
@@ -88,6 +83,15 @@ func chunkRuns(ids []int) (ascending bool, dense, sparse int) {
 		start = end
 	}
 	return true, dense, sparse
+}
+
+func strictlyAscending(ids []int) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // runEnd returns the end of the run of ascending ids from start that share
@@ -116,32 +120,33 @@ func (r RangeIDs) Items() []int {
 	if len(r.Keys) == 0 {
 		return r.List
 	}
-	return r.appendItems(make([]int, 0, r.Len()))
+	return r.appendItems(nil)
 }
 
 // appendItems appends the answer's ids to dst in Items' order.
 func (r RangeIDs) appendItems(dst []int) []int {
+	if len(r.Keys) == 0 {
+		return append(dst, r.List...)
+	}
+	n, total := len(dst), r.Len()
+	dst = slices.Grow(dst, total)[:n+total]
 	list := r.List
 	for c, key := range r.Keys {
 		base := key << chunkShift
-		n := 0
-		for n < len(list) && list[n] < base {
-			n++
+		i := 0
+		for i < len(list) && list[i] < base {
+			i++
 		}
-		dst = append(dst, list[:n]...)
-		list = list[n:]
-		dst = appendChunk(dst, base, r.Words[c*chunkWords:(c+1)*chunkWords])
-	}
-	return append(dst, list...)
-}
-
-// appendChunk appends the ids of one chunk's bitmap to dst, ascending.
-func appendChunk(dst []int, base int, words []uint64) []int {
-	for w, word := range words {
-		for ; word != 0; word &= word - 1 {
-			dst = append(dst, base|w<<6|bits.TrailingZeros64(word))
+		n += copy(dst[n:], list[:i])
+		list = list[i:]
+		for w, word := range r.Words[c*chunkWords : (c+1)*chunkWords] {
+			for ; word != 0; word &= word - 1 {
+				dst[n] = base | w<<6 | bits.TrailingZeros64(word)
+				n++
+			}
 		}
 	}
+	copy(dst[n:], list)
 	return dst
 }
 
@@ -194,50 +199,88 @@ func (r RangeIDs) Check() error {
 
 // chunkSet is scratch for building an answer's form one id or one chunk at a
 // time: the holder's scan sets its hits' bits here and the coordinator's
-// union ORs answers in. It holds at most maxChunks chunks; add and or report
-// false when an id is already set, or a chunk would be one too many, and the
-// caller falls back to sorting the ids.
+// union ORs answers in. It counts the ids offered, so form can tell that an
+// id was offered twice (fewer bits are set than ids offered) without a test
+// per id. It holds at most maxChunks chunks; addIDs, addRows and or report
+// false on a chunk too many. On either, the caller sorts the ids instead.
 type chunkSet struct {
-	keys []int
-	bufs [][]uint64 // bufs[i] is chunk keys[i]'s bitmap; those past len(keys) are zeroed spares
-	cur  []uint64   // the bitmap of key, the chunk touched last
-	key  int
+	keys    []int
+	chunks  []*chunk // chunks[i] is chunk keys[i]; those past len(keys) are zeroed spares
+	cur     *chunk   // the chunk of key, touched last
+	key     int
+	offered int
 }
 
-// maxChunks bounds a chunkSet to 128 KB of bitmaps. Serving answers span a
+// chunk is one chunk's bitmap, with a summary of the words in use so that a
+// sparse chunk is read and cleared without a pass over all of its words.
+type chunk struct {
+	words [chunkWords]uint64
+	used  [chunkWords / 64]uint64 // bit w: words[w] may be non-zero
+}
+
+// maxChunks bounds a chunkSet to 130 KB of bitmaps. Serving answers span a
 // handful of chunks: the corpus ids and the publish ids above them.
 const maxChunks = 16
 
 var chunkSetPool = sync.Pool{New: func() any { return new(chunkSet) }}
 
-// add sets id's bit; false if it was set already or id needs a chunk too many.
-func (s *chunkSet) add(id int) bool {
-	if s.cur == nil || id>>chunkShift != s.key {
-		if !s.find(id >> chunkShift) {
-			return false
+// addIDs sets the bits of ids. Consecutive ids mostly share a chunk, which is
+// looked up only when the key changes.
+func (s *chunkSet) addIDs(ids []int) bool {
+	s.offered += len(ids)
+	c, key := s.cur, s.key
+	for _, id := range ids {
+		if c == nil || id>>chunkShift != key {
+			if !s.find(id >> chunkShift) {
+				return false
+			}
+			c, key = s.cur, s.key
 		}
+		c.set(id)
 	}
-	w, bit := id>>6&(chunkWords-1), uint64(1)<<(id&63)
-	if s.cur[w]&bit != 0 {
-		return false
-	}
-	s.cur[w] |= bit
 	return true
 }
 
-// or ORs one chunk's bitmap in; false if it shares a bit with what is set
-// (the chunk is then partly ORed) or needs a chunk too many.
+// addRows sets the bits of ids[row] for every row set in rows, like addIDs.
+func (s *chunkSet) addRows(rows []uint64, ids []int) bool {
+	c, key := s.cur, s.key
+	for w, word := range rows {
+		s.offered += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			id := ids[w<<6|bits.TrailingZeros64(word)]
+			if c == nil || id>>chunkShift != key {
+				if !s.find(id >> chunkShift) {
+					return false
+				}
+				c, key = s.cur, s.key
+			}
+			c.set(id)
+		}
+	}
+	return true
+}
+
+// set sets id's bit in c, whose chunk id is.
+func (c *chunk) set(id int) {
+	w := id >> 6 & (chunkWords - 1)
+	c.words[w] |= 1 << (id & 63)
+	c.used[w>>6] |= 1 << (w & 63)
+}
+
+// or ORs one chunk's bitmap in.
 func (s *chunkSet) or(key int, words []uint64) bool {
 	if !s.find(key) {
 		return false
 	}
-	dst := s.cur[:len(words)]
-	var overlap uint64
-	for i, w := range words {
-		overlap |= dst[i] & w
-		dst[i] |= w
+	c := s.cur
+	for i, w := range words[:chunkWords] {
+		c.words[i] |= w
+		s.offered += bits.OnesCount64(w)
 	}
-	return overlap == 0
+	for i := range c.used {
+		c.used[i] = ^uint64(0)
+	}
+	return true
 }
 
 // find makes key's chunk the current one, taking a spare if it is new.
@@ -249,23 +292,26 @@ func (s *chunkSet) find(key int) bool {
 		}
 		i = len(s.keys)
 		s.keys = append(s.keys, key)
-		if i == len(s.bufs) {
-			s.bufs = append(s.bufs, make([]uint64, chunkWords))
+		if i == len(s.chunks) {
+			s.chunks = append(s.chunks, new(chunk))
 		}
 	}
-	s.cur, s.key = s.bufs[i], key
+	s.cur, s.key = s.chunks[i], key
 	return true
 }
 
-// form returns what is set as a fresh RangeIDs: the ids of an ascending
-// answer without repeats, so the chunks' counts decide their form.
-func (s *chunkSet) form() RangeIDs {
+// form returns what is set as a fresh RangeIDs, the chunks' counts deciding
+// their form; false if an id was offered twice.
+func (s *chunkSet) form() (RangeIDs, bool) {
 	var order, counts [maxChunks]int
-	dense, sparse := 0, 0
-	for i := range s.keys {
-		for _, w := range s.bufs[i] {
-			counts[i] += bits.OnesCount64(w)
+	set, dense, sparse := 0, 0, 0
+	for i, c := range s.chunks[:len(s.keys)] {
+		for u, used := range c.used {
+			for ; used != 0; used &= used - 1 {
+				counts[i] += bits.OnesCount64(c.words[u<<6|bits.TrailingZeros64(used)])
+			}
 		}
+		set += counts[i]
 		if counts[i] > sparseMax {
 			dense++
 		} else {
@@ -278,30 +324,53 @@ func (s *chunkSet) form() RangeIDs {
 		}
 		order[j] = i
 	}
+	if set < s.offered {
+		return RangeIDs{}, false
+	}
 	var out RangeIDs
 	if dense > 0 {
 		out.Keys, out.Words = make([]int, 0, dense), make([]uint64, 0, dense*chunkWords)
 	}
 	if sparse > 0 {
-		out.List = make([]int, 0, sparse)
+		out.List = make([]int, sparse)
 	}
+	n := 0
 	for _, i := range order[:len(s.keys)] {
+		c := s.chunks[i]
 		if counts[i] > sparseMax {
 			out.Keys = append(out.Keys, s.keys[i])
-			out.Words = append(out.Words, s.bufs[i]...)
-		} else if counts[i] > 0 {
-			out.List = appendChunk(out.List, s.keys[i]<<chunkShift, s.bufs[i])
+			out.Words = append(out.Words, c.words[:]...)
+			continue
+		}
+		base := s.keys[i] << chunkShift
+		for u, used := range c.used {
+			for ; used != 0; used &= used - 1 {
+				w := u<<6 | bits.TrailingZeros64(used)
+				for word := c.words[w]; word != 0; word &= word - 1 {
+					out.List[n] = base | w<<6 | bits.TrailingZeros64(word)
+					n++
+				}
+			}
 		}
 	}
-	return out
+	return out, true
 }
 
 // release clears what was set and returns s to the pool.
 func (s *chunkSet) release() {
-	for i := range s.keys {
-		clear(s.bufs[i])
+	for _, c := range s.chunks[:len(s.keys)] {
+		for u, used := range c.used {
+			if used == ^uint64(0) {
+				clear(c.words[u<<6 : (u+1)<<6])
+				continue
+			}
+			for ; used != 0; used &= used - 1 {
+				c.words[u<<6|bits.TrailingZeros64(used)] = 0
+			}
+		}
+		c.used = [len(c.used)]uint64{}
 	}
-	s.keys, s.cur = s.keys[:0], nil
+	s.keys, s.cur, s.offered = s.keys[:0], nil, 0
 	chunkSetPool.Put(s)
 }
 
@@ -313,7 +382,9 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 	s := chunkSetPool.Get().(*chunkSet)
 	defer s.release()
 	if s.union(answers) {
-		return s.form()
+		if out, ok := s.form(); ok {
+			return out
+		}
 	}
 	total := 0
 	for _, a := range answers {
@@ -331,7 +402,7 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 }
 
 // union ORs every answer into s; false on an answer that does not strictly
-// ascend, on an id two answers share, or on too many chunks.
+// ascend or on too many chunks.
 func (s *chunkSet) union(answers []RangeIDs) bool {
 	for _, a := range answers {
 		for c, key := range a.Keys {
@@ -339,10 +410,8 @@ func (s *chunkSet) union(answers []RangeIDs) bool {
 				return false
 			}
 		}
-		for i, id := range a.List {
-			if i > 0 && id <= a.List[i-1] || !s.add(id) {
-				return false
-			}
+		if !strictlyAscending(a.List) || !s.addIDs(a.List) {
+			return false
 		}
 	}
 	return true

@@ -187,52 +187,6 @@ func TestRangeIDsForm(t *testing.T) {
 	}
 }
 
-// TestRangeIDsCheckRefusesNonCanonical: every form RangeIDsOf never returns
-// is refused, each one beside a neighbour that is accepted.
-func TestRangeIDsCheckRefusesNonCanonical(t *testing.T) {
-	good := RangeIDsOf(append(span(0, 5000), span(1<<16, 1<<16+5000)...))
-	good.List = []int{1 << 20}
-	if err := good.Check(); err != nil {
-		t.Fatalf("the accepted neighbour is refused: %v", err)
-	}
-	bitmap4096 := RangeIDsOf(span(0, 4097)).Words
-	bitmap4096[0] &^= 1
-	edit := func(f func(r *RangeIDs)) RangeIDs {
-		r := RangeIDs{List: slices.Clone(good.List), Keys: slices.Clone(good.Keys), Words: slices.Clone(good.Words)}
-		f(&r)
-		return r
-	}
-	for name, r := range map[string]RangeIDs{
-		"sparse bitmap": edit(func(r *RangeIDs) {
-			for i := range r.Words[:chunkWords] {
-				r.Words[i] = 0
-			}
-			r.Words[0] = 1
-		}),
-		"4096 bits":                {Keys: []int{0}, Words: bitmap4096},
-		"keys descend":             edit(func(r *RangeIDs) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
-		"keys repeat":              edit(func(r *RangeIDs) { r.Keys[1] = r.Keys[0] }),
-		"key too wide":             edit(func(r *RangeIDs) { r.Keys[1] = maxKey + 1 }),
-		"list inside":              edit(func(r *RangeIDs) { r.List = []int{70000} }),
-		"list descends":            edit(func(r *RangeIDs) { r.List = []int{1 << 21, 1 << 20} }),
-		"list repeats":             edit(func(r *RangeIDs) { r.List = []int{1 << 20, 1 << 20} }),
-		"words short":              edit(func(r *RangeIDs) { r.Words = r.Words[:len(r.Words)-1] }),
-		"words long":               edit(func(r *RangeIDs) { r.Words = append(r.Words, 0) }),
-		"dense list":               {List: span(0, 4097)},
-		"dense list beside bitmap": edit(func(r *RangeIDs) { r.List = span(1<<20, 1<<20+4097) }),
-	} {
-		if r.Check() == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// The 4096-bit bitmap above, with one bit more, is a form.
-	r := RangeIDs{Keys: []int{0}, Words: slices.Clone(bitmap4096)}
-	r.Words[0] |= 1
-	if r.Check() != nil || len(r.Keys) != 1 {
-		t.Errorf("4097 bits: %d chunks, check %v", len(r.Keys), r.Check())
-	}
-}
-
 // BenchmarkMergeIDs times the coordinator's union, materialised as Items, over
 // the fetches of serve-ingest (4 holders x 25k ids; with the ids above 1<<24
 // its request-mix publishes add and the ids above 1<<28 its ingest stream

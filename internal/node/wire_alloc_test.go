@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"hyperm/internal/core"
@@ -137,5 +139,45 @@ func TestStoreRecRoundTripAllocFence(t *testing.T) {
 	t.Logf("store_rec request decode: %.0f allocs", allocs)
 	if allocs > 8 {
 		t.Errorf("store_rec request decode took %.0f allocs, want <= 8", allocs)
+	}
+}
+
+var benchSink int
+
+// BenchmarkRangeIDsCodec times a range answer's encode and decode at the
+// shapes serve-ingest moves: one holder's answer (25k ids drawn from 200k, an
+// eighth of them) and the coordinator's union (100k of 200k, half). Each
+// draw's ids are ascending and without repeats, so both travel as bitmaps.
+func BenchmarkRangeIDsCodec(b *testing.B) {
+	for _, n := range []int{25000, 100000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		draws := make([]core.RangeIDs, 8)
+		bodies := make([][]byte, len(draws))
+		for d := range draws {
+			var ids []int
+			for id := 0; id < 200000; id++ {
+				if rng.Intn(200000) < n {
+					ids = append(ids, id)
+				}
+			}
+			draws[d] = core.RangeIDsOf(ids)
+			bodies[d] = encodeFetchRangeResp(draws[d])
+		}
+		b.Run(fmt.Sprintf("%dk/encode", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += len(encodeFetchRangeResp(draws[i%len(draws)]))
+			}
+		})
+		b.Run(fmt.Sprintf("%dk/decode", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := transport.Decode(bodies[i%len(bodies)], walkRangeIDs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(got.Keys)
+			}
+		})
 	}
 }

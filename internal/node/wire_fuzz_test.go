@@ -110,6 +110,61 @@ func denseIDs() core.RangeIDs {
 	return core.RangeIDsOf(append(ids, 1<<24))
 }
 
+// FuzzRangeIDsRoundTrip reads the input twice. As a body: one walkRangeIDs
+// accepts must re-encode to itself and be the form its own ids decide. As
+// ids: from start, each byte below 128 is a step of that size (0 repeats an
+// id) and each other byte a run of (b-127)·32 consecutive ids, so a few bytes
+// fill a chunk past its cut (the ids stop after three chunks' worth);
+// reversed or not, their form must cross the wire unchanged and materialise
+// to them.
+func FuzzRangeIDsRoundTrip(f *testing.F) {
+	f.Add(encodeFetchRangeResp(denseIDs()), int64(0), false)
+	f.Add(encodeFetchRangeResp(core.RangeIDsOf([]int{1, 2, 40, 41, 1 << 20})), int64(-1<<16+100), false)
+	f.Add([]byte{}, int64(1<<24), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, int64(1<<16-2000), false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0}, int64(0), false)
+	f.Fuzz(func(t *testing.T, raw []byte, start int64, reverse bool) {
+		if r, err := transport.Decode(raw, walkRangeIDs); err == nil {
+			if again := encodeFetchRangeResp(r); !bytes.Equal(again, raw) {
+				t.Fatalf("accepted body re-encodes to other bytes:\nin:  %x\nout: %x", raw, again)
+			}
+			if canon := core.RangeIDsOf(slices.Clone(r.Items())); !slices.Equal(canon.List, r.List) || !slices.Equal(canon.Keys, r.Keys) || !slices.Equal(canon.Words, r.Words) {
+				t.Fatalf("accepted a body of %d chunks and %d listed ids; its ids' form has %d and %d", len(r.Keys), len(r.List), len(canon.Keys), len(canon.List))
+			}
+		}
+		if start > 1<<40 || start < -1<<40 {
+			return
+		}
+		var ids []int
+		id := int(start)
+		for _, b := range raw {
+			if len(ids) > 3*4096 {
+				break
+			}
+			if b < 0x80 {
+				id += int(b)
+				ids = append(ids, id)
+				continue
+			}
+			for range (int(b) - 0x7f) * 32 {
+				id++
+				ids = append(ids, id)
+			}
+		}
+		if reverse {
+			slices.Reverse(ids)
+		}
+		form := core.RangeIDsOf(ids)
+		got, err := transport.Decode(encodeFetchRangeResp(form), walkRangeIDs)
+		if err != nil {
+			t.Fatalf("the form of %d ids (%d chunks) is refused: %v", len(ids), len(form.Keys), err)
+		}
+		if items := got.Items(); !slices.Equal(items, ids) {
+			t.Fatalf("%d ids (%d chunks) come back as %d", len(ids), len(form.Keys), len(items))
+		}
+	})
+}
+
 // walkRangeIDsPermissive is walkRangeIDs without its form check: it reads
 // any list, keys and words the fields can hold.
 func walkRangeIDsPermissive(c *transport.Coder, r *core.RangeIDs) {
@@ -150,7 +205,14 @@ func TestRangeIDsWireRefusesNonCanonical(t *testing.T) {
 		"word count short of the chunks": edit(func(r *core.RangeIDs) { r.Words = r.Words[:len(r.Words)-1] }),
 		"word count past the chunks":     edit(func(r *core.RangeIDs) { r.Words = append(r.Words, 0) }),
 		"words without a chunk":          edit(func(r *core.RangeIDs) { r.Keys = nil }),
+		"chunk key past the ints":        edit(func(r *core.RangeIDs) { r.Keys[0] = math.MaxInt>>16 + 1 }),
 		"dense chunk left in the list":   {List: good.Items()},
+		"dense chunk listed beside one": edit(func(r *core.RangeIDs) {
+			r.List = r.List[:2]
+			for id := 1 << 20; id <= 1<<20+4096; id++ {
+				r.List = append(r.List, id)
+			}
+		}),
 	} {
 		body := transport.Encode(&hostile, walkRangeIDsPermissive)
 		if _, err := transport.Decode(body, walkRangeIDsPermissive); err != nil {
