@@ -259,17 +259,32 @@ func (e *Engine) PlanRange(ctx context.Context, from int, q []float64, eps float
 // failing peer — reproduced here by counting contacts and items only up to
 // the first (lowest-ranked) failure.
 func (e *Engine) RetrieveRange(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, error) {
-	res, ids, err := e.RetrieveRangeIDs(ctx, from, q, eps, plan)
-	res.Items = ids.Items()
+	res, fetched, err := e.retrieveRange(ctx, from, q, eps, plan)
+	if err == nil {
+		res.Items = mergeIDs(fetched).Items()
+	}
 	return res, err
 }
 
-// RetrieveRangeIDs is RetrieveRange with Items left nil and the answer
-// returned in its dense form instead, the form a serving node sends it in. On
-// a fetch failure the form holds the partial answer as one list: what the
-// better-ranked peers returned, in score order, unsorted — non-nil exactly
-// when any slot holds ids.
+// RetrieveRangeIDs is RetrieveRange with the answer returned in its dense
+// form, the form a serving node sends it in, and Items left nil. On a fetch
+// failure the form is empty and Items holds RetrieveRange's partial answer.
 func (e *Engine) RetrieveRangeIDs(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, RangeIDs, error) {
+	res, fetched, err := e.retrieveRange(ctx, from, q, eps, plan)
+	if err != nil {
+		return res, RangeIDs{}, err
+	}
+	union := mergeIDs(fetched)
+	if len(union.Keys) == 0 {
+		union = RangeIDsOf(union.List)
+	}
+	return res, union, nil
+}
+
+// retrieveRange fetches plan's answers. On a fetch failure res.Items is the
+// partial answer: what the better-ranked peers returned, in score order,
+// unsorted — non-nil exactly when any slot holds ids.
+func (e *Engine) retrieveRange(ctx context.Context, from int, q []float64, eps float64, plan RangePlan) (RangeResult, []RangeIDs, error) {
 	res := RangeResult{Scores: plan.Scores, OverlayHops: plan.OverlayHops}
 	fetched, fetchErrs := e.backend.FetchRange(ctx, from, plan.Peers, q, eps)
 	for i, err := range fetchErrs {
@@ -279,18 +294,17 @@ func (e *Engine) RetrieveRangeIDs(ctx context.Context, from int, q []float64, ep
 			for _, ids := range fetched {
 				total += ids.Len()
 			}
-			var partial []int
 			if total > 0 {
-				partial = make([]int, 0, total)
+				res.Items = make([]int, 0, total)
 			}
 			for _, ids := range fetched[:i] {
-				partial = ids.appendItems(partial)
+				res.Items = ids.appendItems(res.Items)
 			}
-			return res, RangeIDs{List: partial}, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
+			return res, nil, fmt.Errorf("core: fetch from peer %d: %w", plan.Peers[i], err)
 		}
 	}
 	res.PeersContacted = len(plan.Peers)
-	return res, mergeIDs(fetched), nil
+	return res, fetched, nil
 }
 
 // KNNQuery runs the Figure 5 heuristic against the backend: PlanKNN, then

@@ -95,14 +95,14 @@ func strictlyAscending(ids []int) bool {
 }
 
 // runEnd returns the end of the run of ascending ids from start that share
-// ids[start]'s chunk.
+// ids[start]'s chunk, found by binary search: a run is up to 2^16 ids.
 func runEnd(ids []int, start int) int {
 	key := ids[start] >> chunkShift
-	end := start + 1
-	for end < len(ids) && ids[end]>>chunkShift == key {
-		end++
+	if key == maxKey {
+		return len(ids)
 	}
-	return end
+	n, _ := slices.BinarySearch(ids[start:], (key+1)<<chunkShift)
+	return start + n
 }
 
 // Len returns how many ids the answer holds.
@@ -377,7 +377,9 @@ func (s *chunkSet) release() {
 // mergeIDs returns the ascending multiset union of answers in fresh memory,
 // leaving them alone. Answers that strictly ascend and share no id — indexed
 // holders' answers always ascend, and a corpus id lives on one peer — are
-// ORed chunk by chunk; any other input is concatenated and sorted.
+// ORed chunk by chunk and come out in their form. Any other input is
+// concatenated and sorted, and comes out as one list, which RangeIDsOf turns
+// into the form when it is to be sent.
 func mergeIDs(answers []RangeIDs) RangeIDs {
 	s := chunkSetPool.Get().(*chunkSet)
 	defer s.release()
@@ -398,7 +400,7 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 		out = a.appendItems(out)
 	}
 	sortIDs(out)
-	return RangeIDsOf(out)
+	return RangeIDs{List: out}
 }
 
 // union ORs every answer into s; false on an answer that does not strictly
