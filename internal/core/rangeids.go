@@ -381,11 +381,13 @@ func (s *chunkSet) release() {
 // concatenated and sorted, and comes out as one list, which RangeIDsOf turns
 // into the form when it is to be sent.
 func mergeIDs(answers []RangeIDs) RangeIDs {
-	s := chunkSetPool.Get().(*chunkSet)
-	defer s.release()
-	if s.union(answers) {
-		if out, ok := s.form(); ok {
-			return out
+	if !slices.ContainsFunc(answers, func(a RangeIDs) bool { return !strictlyAscending(a.List) }) {
+		s := chunkSetPool.Get().(*chunkSet)
+		defer s.release()
+		if s.union(answers) {
+			if out, ok := s.form(); ok {
+				return out
+			}
 		}
 	}
 	total := 0
@@ -403,8 +405,7 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 	return RangeIDs{List: out}
 }
 
-// union ORs every answer into s; false on an answer that does not strictly
-// ascend or on too many chunks.
+// union ORs every answer into s; false on too many chunks.
 func (s *chunkSet) union(answers []RangeIDs) bool {
 	for _, a := range answers {
 		for c, key := range a.Keys {
@@ -412,7 +413,7 @@ func (s *chunkSet) union(answers []RangeIDs) bool {
 				return false
 			}
 		}
-		if !strictlyAscending(a.List) || !s.addIDs(a.List) {
+		if !s.addIDs(a.List) {
 			return false
 		}
 	}
