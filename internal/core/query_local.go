@@ -33,15 +33,27 @@ func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	ids := st.IDs()
 	groups, indexed := st.ScanGroups()
 	if indexed == 0 {
+		// Fewer rows than a bitmap chunk needs ids: one list, in row order.
 		var out []int
 		for i := range ids {
 			if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
 				out = append(out, ids[i])
 			}
 		}
-		return RangeIDsOf(out)
+		return RangeIDs{List: out}
 	}
+	return localRangeIndexed(q, eps2, bound, st, groups, indexed)
+}
 
+// A store below store.IndexMinRows answers as one list (LocalRangeIDs).
+const _ = uint(sparseMax - store.IndexMinRows)
+
+// localRangeIndexed is LocalRangeIDs over an indexed store: groups cover rows
+// [0, indexed), the rest is the tail. Its own function, so a small store's
+// scan, which runs on a fresh handler goroutine's stack, does not pay for
+// this one's frame.
+func localRangeIndexed(q []float64, eps2, bound float64, st *store.Store, groups []store.Group, indexed int) RangeIDs {
+	ids := st.IDs()
 	sc := rangeScratchPool.Get().(*rangeScratch)
 	defer rangeScratchPool.Put(sc)
 	words := (indexed + 63) / 64
