@@ -15,7 +15,8 @@ import (
 // LocalRange is the second query phase on a contacted peer: an exact scan of
 // its flat item store, returning the ids of every item within eps of q. An
 // indexed store (store.IndexMinRows rows or more) answers in ascending id
-// order, a smaller store in row order. It materialises LocalRangeIDs.
+// order; a smaller store, or a large one scanned while its first index is
+// being built, in row order. It materialises LocalRangeIDs.
 func LocalRange(q []float64, eps float64, st *store.Store) []int {
 	return LocalRangeIDs(q, eps, st).Items()
 }
@@ -33,20 +34,24 @@ func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	ids := st.IDs()
 	groups, indexed := st.ScanGroups()
 	if indexed == 0 {
-		// Fewer rows than a bitmap chunk needs ids: one list, in row order.
+		// A small store, or a large one whose first index another scan is
+		// still building: hits in row order. Row order can ascend and fill
+		// a chunk, so a list long enough to take the form is given it. A
+		// small store's list never is, and its scan, which runs on a fresh
+		// handler goroutine's stack, does not call down into RangeIDsOf.
 		var out []int
 		for i := range ids {
 			if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
 				out = append(out, ids[i])
 			}
 		}
+		if len(out) > sparseMax {
+			return RangeIDsOf(out)
+		}
 		return RangeIDs{List: out}
 	}
 	return localRangeIndexed(q, eps2, bound, st, groups, indexed)
 }
-
-// A store below store.IndexMinRows answers as one list (LocalRangeIDs).
-const _ = uint(sparseMax - store.IndexMinRows)
 
 // localRangeIndexed is LocalRangeIDs over an indexed store: groups cover rows
 // [0, indexed), the rest is the tail. Its own function, so a small store's
@@ -116,7 +121,8 @@ func localRangeIndexed(q []float64, eps2, bound float64, st *store.Store, groups
 	}
 	// The hits' ids, the tail's included, go straight into chunk bitmaps,
 	// which hand them out ascending. An id on two rows, or ids across more
-	// chunks than the scratch holds, and they are sorted instead.
+	// chunks than the scratch holds, and they are listed in row order and
+	// sorted instead.
 	tail := sc.tail[:0]
 	for i := indexed; i < len(ids); i++ {
 		if vec.Dist2Capped(q, st.Vec(i), bound) <= eps2 {
@@ -131,12 +137,17 @@ func localRangeIndexed(q []float64, eps2, bound float64, st *store.Store, groups
 			return out
 		}
 	}
-	out := slices.Clone(tail)
+	n := len(tail)
+	for _, word := range accepted {
+		n += bits.OnesCount64(word)
+	}
+	out := make([]int, 0, n)
 	for w, word := range accepted {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, ids[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
+	out = append(out, tail...)
 	sortIDs(out)
 	return RangeIDsOf(out)
 }

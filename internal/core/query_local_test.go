@@ -553,8 +553,8 @@ func benchScan(b *testing.B, n int, scan func(q []float64, st *store.Store) int)
 // serving benchmark's corpus) in turn, so each scan finds its store's rows,
 // sketches and bitmaps out of cache as a holder with several stores (or
 // other work between fetches) does. Queries are stored rows and each radius
-// the distance from its query to another stored row.
-func benchRotating(b *testing.B, scan func(q []float64, eps float64, st *store.Store) int) {
+// the distance from its query to another stored row. Row i has id id(i).
+func benchRotating(b *testing.B, id func(row int) int, scan func(q []float64, eps float64, st *store.Store) int) {
 	const stores, n, perStore = 4, 50000, 64
 	type query struct {
 		q   []float64
@@ -566,7 +566,7 @@ func benchRotating(b *testing.B, scan func(q []float64, eps float64, st *store.S
 	for s := range sts {
 		sts[s] = store.New(32)
 		for i, r := range dataset.Markov(dataset.MarkovConfig{N: n, Dim: 32}, rng) {
-			sts[s].Append(i, r)
+			sts[s].Append(id(i), r)
 		}
 		for range perStore {
 			q := sts[s].Vec(rng.Intn(n))
@@ -582,6 +582,8 @@ func benchRotating(b *testing.B, scan func(q []float64, eps float64, st *store.S
 	}
 }
 
+func rowID(row int) int { return row }
+
 func BenchmarkLocalRange(b *testing.B) {
 	for _, n := range []int{1000, 50000} {
 		b.Run(fmt.Sprintf("new/%d", n), func(b *testing.B) {
@@ -592,7 +594,19 @@ func BenchmarkLocalRange(b *testing.B) {
 		})
 	}
 	b.Run("new/4x50000-rotating", func(b *testing.B) {
-		benchRotating(b, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+		benchRotating(b, rowID, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+	})
+	// Ids 64 apart: a store's hits span 49 chunks, more than a holder's
+	// chunk scratch holds, so they are listed in row order, where they
+	// already ascend. Shuffled, the same ids also need sortIDs.
+	spread := func(row int) int { return row * 64 }
+	b.Run("new/4x50000-rotating-spread", func(b *testing.B) {
+		benchRotating(b, spread, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+	})
+	perm := rand.New(rand.NewSource(2)).Perm(50000)
+	shuffled := func(row int) int { return perm[row] * 64 }
+	b.Run("new/4x50000-rotating-shuffled", func(b *testing.B) {
+		benchRotating(b, shuffled, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
 	})
 }
 
@@ -606,6 +620,6 @@ func BenchmarkLocalKNN(b *testing.B) {
 		})
 	}
 	b.Run("new/4x50000-rotating", func(b *testing.B) {
-		benchRotating(b, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
+		benchRotating(b, rowID, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
 	})
 }

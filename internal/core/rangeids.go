@@ -197,12 +197,12 @@ func (r RangeIDs) Check() error {
 	return nil
 }
 
-// chunkSet is scratch for building an answer's form one id or one chunk at a
-// time: the holder's scan sets its hits' bits here and the coordinator's
-// union ORs answers in. It counts the ids offered, so form can tell that an
-// id was offered twice (fewer bits are set than ids offered) without a test
-// per id. It holds at most maxChunks chunks; addIDs, addRows and or report
-// false on a chunk too many. On either, the caller sorts the ids instead.
+// chunkSet is scratch for building an answer's form from ids in any order:
+// the holder's scan sets its hits' bits here, row by row. It counts the ids
+// offered, so form can tell that an id was offered twice (fewer bits are set
+// than ids offered) without a test per id. It holds at most maxChunks chunks;
+// addIDs and addRows report false on a chunk too many. On either, the caller
+// sorts the ids instead.
 type chunkSet struct {
 	keys    []int
 	chunks  []*chunk // chunks[i] is chunk keys[i]; those past len(keys) are zeroed spares
@@ -218,8 +218,11 @@ type chunk struct {
 	used  [chunkWords / 64]uint64 // bit w: words[w] may be non-zero
 }
 
-// maxChunks bounds a chunkSet to 130 KB of bitmaps. Serving answers span a
-// handful of chunks: the corpus ids and the publish ids above them.
+// maxChunks bounds a chunkSet to 130 KB of bitmaps. A store whose hits span
+// more chunks answers through the sort, which is free when its ids ascend in
+// row order (as a store filled in id order does) and costs a radix sort when
+// they do not. No holder answer of the four benchmark workloads spans more
+// than 16 (DESIGN.md §15 "The range-answer format").
 const maxChunks = 16
 
 var chunkSetPool = sync.Pool{New: func() any { return new(chunkSet) }}
@@ -267,22 +270,6 @@ func (c *chunk) set(id int) {
 	c.used[w>>6] |= 1 << (w & 63)
 }
 
-// or ORs one chunk's bitmap in.
-func (s *chunkSet) or(key int, words []uint64) bool {
-	if !s.find(key) {
-		return false
-	}
-	c := s.cur
-	for i, w := range words[:chunkWords] {
-		c.words[i] |= w
-		s.offered += bits.OnesCount64(w)
-	}
-	for i := range c.used {
-		c.used[i] = ^uint64(0)
-	}
-	return true
-}
-
 // find makes key's chunk the current one, taking a spare if it is new.
 func (s *chunkSet) find(key int) bool {
 	i := slices.Index(s.keys, key)
@@ -306,11 +293,7 @@ func (s *chunkSet) form() (RangeIDs, bool) {
 	var order, counts [maxChunks]int
 	set, dense, sparse := 0, 0, 0
 	for i, c := range s.chunks[:len(s.keys)] {
-		for u, used := range c.used {
-			for ; used != 0; used &= used - 1 {
-				counts[i] += bits.OnesCount64(c.words[u<<6|bits.TrailingZeros64(used)])
-			}
-		}
+		counts[i] = c.count()
 		set += counts[i]
 		if counts[i] > sparseMax {
 			dense++
@@ -332,25 +315,17 @@ func (s *chunkSet) form() (RangeIDs, bool) {
 		out.Keys, out.Words = make([]int, 0, dense), make([]uint64, 0, dense*chunkWords)
 	}
 	if sparse > 0 {
-		out.List = make([]int, sparse)
+		out.List = make([]int, 0, sparse)
 	}
-	n := 0
 	for _, i := range order[:len(s.keys)] {
 		c := s.chunks[i]
 		if counts[i] > sparseMax {
 			out.Keys = append(out.Keys, s.keys[i])
 			out.Words = append(out.Words, c.words[:]...)
-			continue
-		}
-		base := s.keys[i] << chunkShift
-		for u, used := range c.used {
-			for ; used != 0; used &= used - 1 {
-				w := u<<6 | bits.TrailingZeros64(used)
-				for word := c.words[w]; word != 0; word &= word - 1 {
-					out.List[n] = base | w<<6 | bits.TrailingZeros64(word)
-					n++
-				}
-			}
+		} else {
+			n := len(out.List)
+			out.List = out.List[:n+counts[i]]
+			c.drain(out.List[n:], s.keys[i])
 		}
 	}
 	return out, true
@@ -359,35 +334,80 @@ func (s *chunkSet) form() (RangeIDs, bool) {
 // release clears what was set and returns s to the pool.
 func (s *chunkSet) release() {
 	for _, c := range s.chunks[:len(s.keys)] {
-		for u, used := range c.used {
-			if used == ^uint64(0) {
-				clear(c.words[u<<6 : (u+1)<<6])
-				continue
-			}
-			for ; used != 0; used &= used - 1 {
-				c.words[u<<6|bits.TrailingZeros64(used)] = 0
-			}
-		}
-		c.used = [len(c.used)]uint64{}
+		c.clear()
 	}
 	s.keys, s.cur, s.offered = s.keys[:0], nil, 0
 	chunkSetPool.Put(s)
 }
 
+// or ORs a chunk's bitmap into c and returns how many ids it holds.
+func (c *chunk) or(words []uint64) int {
+	n := 0
+	for i, w := range words[:chunkWords] {
+		c.words[i] |= w
+		n += bits.OnesCount64(w)
+	}
+	for i := range c.used {
+		c.used[i] = ^uint64(0)
+	}
+	return n
+}
+
+// count returns how many bits are set in c.
+func (c *chunk) count() int {
+	n := 0
+	for u, used := range c.used {
+		for ; used != 0; used &= used - 1 {
+			n += bits.OnesCount64(c.words[u<<6|bits.TrailingZeros64(used)])
+		}
+	}
+	return n
+}
+
+// drain writes the ids set in c, chunk key, ascending, to the front of dst,
+// unsets them and returns how many it wrote. dst has room for them all.
+func (c *chunk) drain(dst []int, key int) int {
+	base, n := key<<chunkShift, 0
+	for u, used := range c.used {
+		for ; used != 0; used &= used - 1 {
+			w := u<<6 | bits.TrailingZeros64(used)
+			for word := c.words[w]; word != 0; word &= word - 1 {
+				dst[n] = base | w<<6 | bits.TrailingZeros64(word)
+				n++
+			}
+			c.words[w] = 0
+		}
+	}
+	c.used = [len(c.used)]uint64{}
+	return n
+}
+
+// clear unsets every bit of c.
+func (c *chunk) clear() {
+	for u, used := range c.used {
+		if used == ^uint64(0) {
+			clear(c.words[u<<6 : (u+1)<<6])
+			continue
+		}
+		for ; used != 0; used &= used - 1 {
+			c.words[u<<6|bits.TrailingZeros64(used)] = 0
+		}
+	}
+	c.used = [len(c.used)]uint64{}
+}
+
 // mergeIDs returns the ascending multiset union of answers in fresh memory,
 // leaving them alone. Answers that strictly ascend and share no id — indexed
 // holders' answers always ascend, and a corpus id lives on one peer — are
-// ORed chunk by chunk and come out in their form. Any other input is
-// concatenated and sorted, and comes out as one list, which RangeIDsOf turns
-// into the form when it is to be sent.
+// walked together chunk key by chunk key and come out in their form. Any
+// other input is concatenated and sorted, and comes out as one list, which
+// RangeIDsOf turns into the form when it is to be sent.
 func mergeIDs(answers []RangeIDs) RangeIDs {
-	if !slices.ContainsFunc(answers, func(a RangeIDs) bool { return !strictlyAscending(a.List) }) {
-		s := chunkSetPool.Get().(*chunkSet)
-		defer s.release()
-		if s.union(answers) {
-			if out, ok := s.form(); ok {
-				return out
-			}
+	if !slices.ContainsFunc(answers, func(a RangeIDs) bool { return !strictlyAscending(a.List) || !strictlyAscending(a.Keys) }) {
+		u := unionPool.Get().(*unionScratch)
+		defer unionPool.Put(u)
+		if out, ok := u.union(answers); ok {
+			return out
 		}
 	}
 	total := 0
@@ -405,17 +425,102 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 	return RangeIDs{List: out}
 }
 
-// union ORs every answer into s; false on too many chunks.
-func (s *chunkSet) union(answers []RangeIDs) bool {
+// unionScratch is mergeIDs' working memory, pooled: one chunk the answers'
+// ids for the current key are set in, each answer's place, and the bitmap
+// chunks of the union as it is built.
+type unionScratch struct {
+	c     chunk
+	at    []unionPos
+	keys  []int
+	words []uint64
+}
+
+// unionPos is an answer's place in the union's walk: its next list id and
+// its next bitmap chunk.
+type unionPos struct{ list, chunk int }
+
+var unionPool = sync.Pool{New: func() any { return new(unionScratch) }}
+
+// union builds the union of ascending answers one chunk key at a time, in
+// ascending key order, so one chunk of scratch serves any number of keys.
+// Each chunk counts the ids offered to it against the bits they set: fewer
+// bits means an id two answers share, and union reports false.
+func (u *unionScratch) union(answers []RangeIDs) (RangeIDs, bool) {
+	u.at = append(u.at[:0], make([]unionPos, len(answers))...)
+	u.keys, u.words = u.keys[:0], u.words[:0]
+	// listed counts the list ids not yet walked: a bitmap chunk holds more
+	// than sparseMax ids, so the union's list is made of list ids only and
+	// is allocated once, at its first id, for all that are left.
+	listed := 0
 	for _, a := range answers {
-		for c, key := range a.Keys {
-			if !s.or(key, a.Words[c*chunkWords:(c+1)*chunkWords]) {
-				return false
-			}
-		}
-		if !s.addIDs(a.List) {
-			return false
-		}
+		listed += len(a.List)
 	}
-	return true
+	var list []int
+	c := &u.c
+	key, found := 0, false
+	for i, a := range answers {
+		key, found = u.at[i].lowest(a, key, found)
+	}
+	for found {
+		offered, left := 0, listed
+		next, more := 0, false
+		for i, a := range answers {
+			at := &u.at[i]
+			if at.chunk < len(a.Keys) && a.Keys[at.chunk] == key {
+				offered += c.or(a.Words[at.chunk*chunkWords : (at.chunk+1)*chunkWords])
+				at.chunk++
+			}
+			if at.list < len(a.List) && a.List[at.list]>>chunkShift == key {
+				end := runEnd(a.List, at.list)
+				for _, id := range a.List[at.list:end] {
+					c.set(id)
+				}
+				offered += end - at.list
+				listed -= end - at.list
+				at.list = end
+			}
+			next, more = at.lowest(a, next, more)
+		}
+		// A chunk of sparseMax ids offered or fewer cannot be dense, so it is
+		// listed without a count first.
+		ok := true
+		if offered > sparseMax {
+			ok = c.count() == offered
+			if ok {
+				u.keys = append(u.keys, key)
+				u.words = append(u.words, c.words[:]...)
+			}
+			c.clear()
+		} else {
+			if list == nil {
+				list = make([]int, 0, left)
+			}
+			// The chunk holds at most offered ids, and list has room for
+			// every list id not walked before this chunk.
+			n := c.drain(list[len(list):len(list)+offered], key)
+			list = list[:len(list)+n]
+			ok = n == offered
+		}
+		if !ok {
+			return RangeIDs{}, false
+		}
+		key, found = next, more
+	}
+	out := RangeIDs{List: list}
+	if len(u.keys) > 0 {
+		out.Keys, out.Words = slices.Clone(u.keys), slices.Clone(u.words)
+	}
+	return out, true
+}
+
+// lowest returns the lower of key, if found, and the key of a's next chunk
+// from at; found is false while neither exists.
+func (at unionPos) lowest(a RangeIDs, key int, found bool) (int, bool) {
+	if at.list < len(a.List) && (!found || a.List[at.list]>>chunkShift < key) {
+		key, found = a.List[at.list]>>chunkShift, true
+	}
+	if at.chunk < len(a.Keys) && (!found || a.Keys[at.chunk] < key) {
+		key, found = a.Keys[at.chunk], true
+	}
+	return key, found
 }

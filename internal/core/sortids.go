@@ -21,8 +21,12 @@ const radixMinPerPass = 128
 // 4M), when the input is long enough to pay for the passes. A range answer
 // over large stores concatenates ~10^5 ids, where the comparison sort was the
 // largest cost left after the holder scans. Shorter inputs and inputs with a
-// negative id go to slices.Sort.
+// negative id go to slices.Sort; sorted ones (a holder whose ids ascend in row
+// order) are only read.
 func sortIDs(ids []int) {
+	if slices.IsSorted(ids) {
+		return
+	}
 	var or int
 	for _, v := range ids {
 		or |= v

@@ -52,7 +52,12 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 		"dense-overlap":     {span(0, 6000), span(5999, 12000)},
 		"dense-list-inside": {span(0, 6000), {3, 5000, 70000}},
 		"dense-disjoint":    {span(0, 6000), span(6000, 12000), {1 << 24, 1<<24 + 1}},
-		"too-many-chunks":   spread(2 * maxChunks),
+		"many-chunks":       spread(2 * maxChunks),
+		// Two listed halves of 2500 ids per chunk that union to bitmaps, in
+		// more chunks than a holder's scratch holds; then the same with one
+		// id in both halves, in the last chunk.
+		"many-dense-chunks":       interleaved(maxChunks+2, false),
+		"many-chunks-late-repeat": interleaved(maxChunks+2, true),
 	}
 	for _, k := range []int{1, 2, 3, 4, 5, 24, 64} {
 		for _, per := range []int{40, 250, long, 25000} {
@@ -145,6 +150,25 @@ func spread(n int) [][]int {
 	return out
 }
 
+// interleaved returns two runs over chunks 0..chunks-1, the even and the odd
+// ids of the first 5000 of each chunk; with repeat, the second run also
+// holds the first's last id.
+func interleaved(chunks int, repeat bool) [][]int {
+	var even, odd []int
+	for key := range chunks {
+		for j := 0; j < 5000; j += 2 {
+			even = append(even, key<<chunkShift+j)
+			odd = append(odd, key<<chunkShift+j+1)
+		}
+	}
+	if repeat {
+		last := even[len(even)-1]
+		i, _ := slices.BinarySearch(odd, last)
+		odd = slices.Insert(odd, i, last)
+	}
+	return [][]int{even, odd}
+}
+
 // sameForm reports whether two forms are equal field by field (nil and empty
 // alike).
 func sameForm(a, b RangeIDs) bool {
@@ -197,8 +221,9 @@ func TestRangeIDsForm(t *testing.T) {
 // its request-mix publishes add and the ids above 1<<28 its ingest stream
 // adds), serve-uniform (24 x 40), serve-skewed (24 x 60 and two narrower
 // queries, with the ids above 1<<24 its publishes add: three passes over 0.24k
-// to 1.5k ids) and disseminate (64 x 250), and two shapes either side of four
-// runs — each through mergeIDs and through concatenate + radix sort and
+// to 1.5k ids) and disseminate (64 x 250), serve-ingest's shape with its ids
+// 64 apart (-spread: 196 chunks, more than a chunkSet holds, so the union
+// sorts), and two shapes either side of four runs — each through mergeIDs and through concatenate + radix sort and
 // concatenate + comparison sort. Each run arrives as its holder's dense form,
 // ascending as an indexed holder answers; the -rows shapes shuffle each run,
 // as the small stores of serve-uniform and disseminate answer in row order.
@@ -212,13 +237,15 @@ func BenchmarkMergeIDs(b *testing.B) {
 		tag    string // "" or what the workload adds: extra ids from base up
 		extras []extra
 		rows   bool // each run shuffled: a small store answers in row order
+		stride int  // > 1: ids spaced this far apart, spreading them over more chunks
 	}{
-		{k: 4, per: 25000}, {4, 25000, "+ingest", []extra{{200, 1 << 28}}, false},
-		{4, 25000, "+serve-ingest", []extra{{40, 1 << 24}, {200, 1 << 28}}, false},
+		{k: 4, per: 25000}, {4, 25000, "+ingest", []extra{{200, 1 << 28}}, false, 0},
+		{4, 25000, "+serve-ingest", []extra{{40, 1 << 24}, {200, 1 << 28}}, false, 0},
+		{4, 25000, "-spread", nil, false, 64},
 		{k: 4, per: 250}, {k: 8, per: 5000},
-		{k: 24, per: 40}, {24, 8, "+publish", []extra{{48, 1 << 24}}, false}, {24, 15, "+publish", []extra{{48, 1 << 24}}, false},
-		{24, 60, "+publish", []extra{{48, 1 << 24}}, false}, {k: 64, per: 250},
-		{24, 40, "-rows", nil, true}, {64, 250, "-rows", nil, true},
+		{k: 24, per: 40}, {24, 8, "+publish", []extra{{48, 1 << 24}}, false, 0}, {24, 15, "+publish", []extra{{48, 1 << 24}}, false, 0},
+		{24, 60, "+publish", []extra{{48, 1 << 24}}, false, 0}, {k: 64, per: 250},
+		{24, 40, "-rows", nil, true, 0}, {64, 250, "-rows", nil, true, 0},
 	}
 	concat := func(runs [][]int) (out []int, or int) {
 		total := 0
@@ -260,6 +287,13 @@ func BenchmarkMergeIDs(b *testing.B) {
 		draws := make([]draw, max(1, 1<<17/(sh.k*sh.per)))
 		for d := range draws {
 			runs := ascendingRuns(rng, sh.k, sh.per)
+			if sh.stride > 1 {
+				for _, r := range runs {
+					for j := range r {
+						r[j] *= sh.stride
+					}
+				}
+			}
 			i := 0
 			for _, x := range sh.extras {
 				for j := range x.n {

@@ -17,13 +17,19 @@ import (
 // one row holds, as core.System's does. The stores are indexed and large
 // enough that an all-covering query makes each holder answer with a bitmap
 // chunk. Then one corpus id is published again on a second node (inside two
-// holders' bitmaps), one new id on two nodes (in two holders' lists) and one
-// new id twice on one node (a holder answer that does not strictly ascend).
-// After each step every query is asked twice over the wire, caching off and on, so the second
-// asking of a cached coordinator is served from its answer memo.
+// holders' bitmaps) and one new id on two nodes (in two holders' lists), in
+// either order, so that each kind of overlap is once the only one in the
+// union; then one new id twice on one node (a holder answer that does not
+// strictly ascend). After each step every query is asked twice over the
+// wire, caching off and on, so the second asking of a cached coordinator is
+// served from its answer memo.
 func TestRangeMultisetOverTheWire(t *testing.T) {
 	params := experiments.Params{Peers: 4, ItemsPerPeer: 4600, Dim: 16, Levels: 2, ClustersPerPeer: 3, Seed: 5}
-	for _, tuning := range []node.Tuning{{}, {CacheViews: true}} {
+	for _, c := range []struct {
+		tuning     node.Tuning
+		listsFirst bool
+	}{{node.Tuning{}, false}, {node.Tuning{}, true}, {node.Tuning{CacheViews: true}, false}, {node.Tuning{CacheViews: true}, true}} {
+		tuning := c.tuning
 		sys, err := experiments.BuildMarkovSystem(params)
 		if err != nil {
 			t.Fatal(err)
@@ -68,11 +74,18 @@ func TestRangeMultisetOverTheWire(t *testing.T) {
 			}
 		}
 		// Every holder answer ascends, and the union meets the repeat as an
-		// overlap: of two bitmaps, then of two lists.
-		publish(1, shared)
-		check(shared)
-		publish(1, listed)
-		publish(3, listed)
+		// overlap: of two bitmaps, of two lists, then of both.
+		if c.listsFirst {
+			publish(1, listed)
+			publish(3, listed)
+			check(listed)
+			publish(1, shared)
+		} else {
+			publish(1, shared)
+			check(shared)
+			publish(1, listed)
+			publish(3, listed)
+		}
 		check(shared, listed)
 		// One holder answer repeats an id and is sorted in with the rest.
 		publish(2, twice)

@@ -1,12 +1,17 @@
 package node
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hyperm/internal/core"
 	"hyperm/internal/store"
+	"hyperm/internal/transport"
 )
 
 // TestFetchEntryCoveredAgreesWithLocalRange pins the publish-time
@@ -53,4 +58,57 @@ func TestFetchEntryCoveredAgreesWithLocalRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFetchRangeWhileIndexBuilds: a scan that finds another scan building a
+// large store's first index carries on without one (store.ScanGroups returns
+// no groups) and answers in row order. When the rows' ids ascend, as a
+// corpus's do, that answer fills a chunk past the bitmap cut, and the
+// fetch_range body must still be the canonical form the coordinator decodes.
+func TestFetchRangeWhileIndexBuilds(t *testing.T) {
+	cl := startProbeCluster(t, 4, Tuning{})
+	nd := cl.Nodes[0]
+	dim := nd.cfg.Dim
+	const rows = 6000 // more than 4096 ids in chunk 0
+	st := store.New(dim)
+	for i := range rows {
+		v := make([]float64, dim)
+		v[0] = float64(i % 97)
+		st.Append(i, v)
+	}
+	release := holdIndexBuild(t, st)
+	if _, indexed := st.ScanGroups(); indexed != 0 {
+		t.Fatalf("the store has %d indexed rows while its build is held, want 0", indexed)
+	}
+	nd.mu.Lock()
+	nd.store = st
+	nd.mu.Unlock()
+	resp, err := nd.handle(context.Background(), transport.Request{Method: methodFetchRange, Body: encodeFetchRangeReq(make([]float64, dim), 1e9)})
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := transport.Decode(resp.Body, walkRangeIDs)
+	if err != nil {
+		t.Fatalf("fetch_range body of an unindexed scan: %v", err)
+	}
+	if items := got.Items(); len(items) != rows || !slices.IsSorted(items) || items[0] != 0 || items[rows-1] != rows-1 {
+		t.Errorf("fetch_range answered %d ids, want the ids 0..%d", len(items), rows-1)
+	}
+}
+
+// holdIndexBuild takes st's index-build try-lock, as a scan building the
+// index holds it, and returns its release. The lock is unexported; a test
+// that reached it any other way would have to race a real build.
+func holdIndexBuild(t *testing.T, st *store.Store) (release func()) {
+	t.Helper()
+	f := reflect.ValueOf(st).Elem().FieldByName("building")
+	if !f.IsValid() || f.Type() != reflect.TypeFor[atomic.Bool]() {
+		t.Fatal("store.Store has no building flag of type atomic.Bool")
+	}
+	b := (*atomic.Bool)(unsafe.Pointer(f.UnsafeAddr()))
+	if !b.CompareAndSwap(false, true) {
+		t.Fatal("the store is building its index already")
+	}
+	return func() { b.Store(false) }
 }
