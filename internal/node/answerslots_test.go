@@ -140,10 +140,11 @@ func TestAnswerSlotsDropOnlyCoveredHolder(t *testing.T) {
 				t.Errorf("%s, whose line at H the publish changed: resumed %v with %v fetch RPCs, %v to H; want a resume with exactly 1, to H", near.name, resumed, fetches, atH)
 			}
 
-			// Overflow H's directory with plain requests, then publish far
-			// from everything: the lost mark drops every slot of H at C.
+			// Overflow H's directory with requests C subscribes to, then
+			// publish far from everything: the lost mark drops every slot of H
+			// at C.
 			for i := 0; i <= fetchMemoCap; i++ {
-				req := transport.Request{Method: methodFetchRange, Body: encodeFetchRangeReq(x, float64(i+1)*1e-9)}
+				req := transport.Request{Method: methodFetchRange, Body: appendSubscriber(encodeFetchRangeReq(x, float64(i+1)*1e-9), c)}
 				if _, err := w.cl.Nodes[h].handle(context.Background(), req); err != nil {
 					t.Fatal(err)
 				}

@@ -16,12 +16,13 @@ import (
 // Fetch caching and its coherence: a directory at the holder.
 //
 // A fetch_range / fetch_knn answer is a pure function of the holder's item
-// store, which mutates only in Publish. Both ends keep it — the holder its
-// encoded response bodies, a caching coordinator the decoded value as a slot
-// of the answer-memo entry whose retrieval read it (see the answer memo below)
-// — and the holder's memo doubles as the directory of who was handed which
-// answer: each line is key → {resp, sharers}. A publish notifies the sharers
-// of the lines it changes and nobody else.
+// store, which mutates only in Publish. A caching coordinator keeps it, decoded,
+// as a slot of the answer-memo entry whose retrieval read it (see the answer
+// memo below); the holder keeps only the directory of who was handed which
+// answer: each line is key → {bound, sharers}, where bound is the squared
+// distance a new item must reach to change the answer (eps² for range, the
+// k-th distance² for k-nn). A publish notifies the sharers of the lines it
+// changes and nobody else.
 //
 // Invariant: whenever an answer entry of coordinator C holds a slot for
 // (holder H, key K), C is among the sharers of H's line for K.
@@ -31,16 +32,16 @@ import (
 //
 //   - Register before scan. A caching coordinator sends its peer id with the
 //     fetch itself, and the handler puts it on the line under fetchMu before it
-//     reads the store (a line nobody has filled yet is pending, resp == nil).
-//     So a store append either precedes the registration, and the scan sees
-//     it, or follows it, and its sweep sees the sharer.
+//     reads the store (a k-nn line nobody has filled yet is pending, bound
+//     +Inf). So a store append either precedes the registration, and the scan
+//     sees it, or follows it, and its sweep sees the sharer.
 //   - Sweep after append. Publish appends, then takes fetchMu once: every line
 //     a new item can change (fetchEntryCovered, the exact complement of the
-//     scan predicates; a pending range line is decided from its key, a pending
-//     k-nn line has no k-th distance yet and counts as changed) gives up its
+//     scan predicates; a pending k-nn line counts as changed) gives up its
 //     sharers and is deleted. The line itself is the fill token: a handler
-//     fills only the pending line it registered on, so a scan that raced the
-//     append cannot enter the memo after the sweep removed its line.
+//     whose line a sweep took away while it scanned registers again and
+//     rescans, so no answer leaves the holder without a line listing its
+//     subscriber.
 //   - Notify before ack. The collected sharers get one inval_fetch carrying
 //     the new items, and Publish returns only once all have answered; each
 //     drops exactly the slots the items change (the same predicate).
@@ -58,8 +59,9 @@ import (
 // No callback. A holder registers only subscribers it can call back: an id its
 // address book cannot resolve (a joiner it has not met, a junk id) is refused
 // with detailNoCallback before anything is stored, and the coordinator answers
-// that refusal by fetching the plain way and keeping nothing. Sharer lists are
-// de-duplicated, so the directory is bounded by fetchMemoCap × membership.
+// that refusal by fetching the plain way and keeping nothing. A plain fetch is
+// only the scan. Sharer lists are de-duplicated, so the directory is bounded
+// by fetchMemoCap × membership.
 //
 // A sharer whose notification fails is struck from every line and never
 // notified again — the fail-stop assumption of the membership layer. Any
@@ -111,14 +113,20 @@ func (n *Node) callFetch(ctx context.Context, peer int, method string, body []by
 	return r.Body, false, nil
 }
 
-// fetchKind is what tells the two fetch RPCs apart on the coordinator's side:
-// the key tag, the method, this node's own scan and the response decoder.
-// tail is eps or k as the request carries it, raw bits.
+// fetchKind is what tells the two fetch RPCs apart: the key tag, the method,
+// a node's own scan, the response codec, and the bound of an answer — the
+// squared distance to q a new item must reach to change it
+// (fetchEntryCovered). tail is eps or k as the request carries it, raw bits.
+// The codec is one closure per kind so that its walker is a static call:
+// through a func value, Encode and Decode would put their coder and value on
+// the heap.
 type fetchKind[T any] struct {
 	tag    byte
 	method string
 	local  func(n *Node, q []float64, tail uint64) T
 	decode func([]byte) (T, error)
+	encode func(T) []byte
+	bound  func(val T, tail uint64) float64
 }
 
 var (
@@ -126,10 +134,19 @@ var (
 		func(n *Node, q []float64, tail uint64) core.RangeIDs {
 			return n.localRange(q, math.Float64frombits(tail))
 		},
-		func(b []byte) (core.RangeIDs, error) { return transport.Decode(b, walkRangeIDs) }}
+		func(b []byte) (core.RangeIDs, error) { return transport.Decode(b, walkRangeIDs) },
+		func(ids core.RangeIDs) []byte { return transport.Encode(&ids, walkRangeIDs) },
+		func(_ core.RangeIDs, tail uint64) float64 { eps := math.Float64frombits(tail); return eps * eps }}
 	knnFetch = fetchKind[[]core.ItemDist]{'k', methodFetchKNN,
 		func(n *Node, q []float64, tail uint64) []core.ItemDist { return n.localKNN(q, int(int64(tail))) },
-		func(b []byte) ([]core.ItemDist, error) { return transport.Decode(b, walkFetchKNNResp) }}
+		func(b []byte) ([]core.ItemDist, error) { return transport.Decode(b, walkFetchKNNResp) },
+		func(items []core.ItemDist) []byte { return transport.Encode(&items, walkFetchKNNResp) },
+		func(items []core.ItemDist, tail uint64) float64 {
+			if k := int(int64(tail)); k >= 1 && len(items) >= k {
+				return items[k-1].Dist2
+			}
+			return math.Inf(1) // fewer than k items: any new one enters
+		}}
 )
 
 // fetchAll is the retrieval phase of one query (core.Backend.FetchRange /
@@ -180,11 +197,11 @@ func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []in
 	errs := make([]error, len(peers))
 	fanOut(len(misses), n.tuning.fan(fetchFanout), func(j int) {
 		r := &misses[j]
-		out[r.rank], r.resp, r.keep, errs[r.rank] = fetchOne(ctx, n, kind, r.peer, q, r.tail, t != nil)
+		out[r.rank], r.keep, errs[r.rank] = fetchOne(ctx, n, kind, r.peer, q, r.tail, t != nil)
 	})
 	for _, r := range misses {
 		if r.fly {
-			r.val = out[r.rank]
+			r.val, r.bound = out[r.rank], kind.bound(out[r.rank], r.tail)
 			t.read = append(t.read, r)
 		}
 	}
@@ -220,15 +237,15 @@ func fanOut(k, fan int, f func(j int)) {
 // scored peer's endpoint. With subscribe — the request keeps slots — the plain
 // request body goes out with this node's id appended, which puts it on the
 // holder's line before the holder scans; keep reports that a line lists this
-// node for the answer returned, with the raw response beside it for the k-nn
-// invalidation filter. A dead or unreachable peer yields the zero answer and
-// no error (see callFetch).
-func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail uint64, subscribe bool) (val T, resp []byte, keep bool, err error) {
+// node for the answer returned. A dead or unreachable peer yields the zero
+// answer and no error (see callFetch).
+func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, q []float64, tail uint64, subscribe bool) (val T, keep bool, err error) {
 	if peer == n.peer {
-		return kind.local(n, q, tail), nil, false, nil
+		return kind.local(n, q, tail), false, nil
 	}
 	// The plain request body, with room for the subscriber id.
 	body := fetchKey(make([]byte, 0, 1+fetchReqSize(len(q))+8), kind.tag, q, tail)[1:]
+	var resp []byte
 	var unavailable bool
 	if subscribe {
 		resp, unavailable, err = n.callFetch(ctx, peer, kind.method, appendSubscriber(body, n.peer))
@@ -243,14 +260,14 @@ func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, 
 		val, err = kind.decode(resp)
 	}
 	if err != nil {
-		return val, nil, false, err
+		return val, false, err
 	}
 	if keep = keep && !unavailable; subscribe && !keep {
 		// No line at the holder lists this node for what was just read, so no
 		// notification will say when it changes: no answer on it may be kept.
 		n.dropAnswers(peer)
 	}
-	return val, resp, keep, nil
+	return val, keep, nil
 }
 
 // invalidateFetch handles a holder's notification that items were published
@@ -271,7 +288,7 @@ func (n *Node) invalidateFetch(holder int, items [][]float64) {
 			e.resp = nil
 		}
 		// A stored slot slice is copied, never written.
-		gone := func(s answerSlot) bool { return s.peer == holder && fetchEntryCovered(key, s.tail, s.resp, items) }
+		gone := func(s answerSlot) bool { return s.peer == holder && fetchEntryCovered(key, s.bound, items) }
 		if slices.ContainsFunc(e.slots, gone) {
 			e.slots = slices.DeleteFunc(slices.Clone(e.slots), gone)
 		}
@@ -292,40 +309,27 @@ func keyU64(s string, off int) uint64 {
 
 // fetchEntryCovered reports whether publishing items at the holder can change
 // one fetch answer — the exact complement of the local scan predicates
-// (core.LocalRange / core.LocalKNN):
+// (core.LocalRange / core.LocalKNN): an item changes it iff its squared
+// distance to q is at most the answer's bound (fetchKind.bound).
 //
-//   - range: a new item joins the answer iff it lies within eps of q;
-//     anything outside leaves the response bytes untouched.
-//   - knn: a new item enters the top-k iff it ties or beats the current k-th
-//     distance (ties resolve by id, so <= is the safe test), or the holder had
-//     fewer than k items to give.
+//   - range: the bound is eps², as a new item joins the answer iff it lies
+//     within eps of q.
+//   - knn: the bound is the k-th distance², as a new item enters the top-k iff
+//     it ties or beats it (ties resolve by id, so <= is the safe test); +Inf
+//     when the holder had fewer than k items to give, or while a directory
+//     line is pending.
 //
 // key starts with the tag byte and the encoded query (U32 count, count
-// float64s), as directory and answer-memo keys do; tail is eps or k, raw bits;
-// a k-nn resp carries the k-th distance (a pending line has none: changed).
-// The distance is summed in vec.Dist2's term order, so the predicate matches
-// the scan bit for bit. An empty list (the lost-mark fallback) and malformed
-// keys report covered, erring on the side of dropping.
-func fetchEntryCovered(key string, tail uint64, resp []byte, items [][]float64) bool {
+// float64s), as directory and answer-memo keys do. The distance is summed in
+// vec.Dist2's term order, so the predicate matches the scan bit for bit. An
+// empty list (the lost-mark fallback) and malformed keys report covered,
+// erring on the side of dropping.
+func fetchEntryCovered(key string, bound float64, items [][]float64) bool {
 	if len(items) == 0 || len(key) < 1+4 {
 		return true
 	}
 	n := int(uint32(key[1])<<24 | uint32(key[2])<<16 | uint32(key[3])<<8 | uint32(key[4]))
 	if len(key) < 1+4+8*n {
-		return true
-	}
-	var bound float64
-	switch key[0] {
-	case 'r':
-		eps := math.Float64frombits(tail)
-		bound = eps * eps
-	case 'k':
-		held, err := transport.Decode(resp, walkFetchKNNResp)
-		if err != nil || len(held) < int(int64(tail)) || len(held) == 0 { // empty: a peer asked for k <= 0
-			return true
-		}
-		bound = held[len(held)-1].Dist2
-	default:
 		return true
 	}
 	for _, item := range items {
@@ -344,47 +348,50 @@ func fetchEntryCovered(key string, tail uint64, resp []byte, items [][]float64) 
 	return false
 }
 
-// fetchLine is one line of the holder's directory: a memoized response body
-// and the coordinators that were handed it. resp is nil while the line is
-// pending — registered by a handler that has not finished its scan.
+// fetchLine is one line of the holder's directory: the bound of the answer
+// (fetchEntryCovered) and the coordinators that were handed it. A k-nn line's
+// bound is +Inf while the line is pending — registered by a handler that has
+// not finished its scan.
 type fetchLine struct {
-	resp    []byte
+	bound   float64
 	sharers []int
 }
 
-// serveFetch is the body of the fetch_range / fetch_knn handlers. A request in
-// the plain form at a node that keeps no memo is just the scan; any other goes
-// through the directory: register on the line (refusing a subscriber this node
-// cannot call back), answer from it if filled, else scan and fill.
-func (n *Node) serveFetch(tag byte, body []byte, scan func(plain []byte) ([]byte, error)) (transport.Response, error) {
+// serveFetch is the body of the fetch_range / fetch_knn handlers, with scan
+// the store scan (kind.local but in tests). A plain request is just the scan.
+// A subscribing one (refused if this node cannot call the subscriber back)
+// registers on its line — a new line opens at the bound of an empty answer:
+// eps², or +Inf for a pending k-nn line — scans and fills the line's bound. If
+// a publish's sweep took the line away meanwhile, the answer may predate that
+// publish and no line lists the subscriber for it: register again, rescan.
+func serveFetch[T any](n *Node, kind fetchKind[T], body []byte, scan func(n *Node, q []float64, tail uint64) T) (transport.Response, error) {
 	plain, sub, caching, err := splitFetchReq(body, n.cfg.Dim)
 	if err != nil {
 		return transport.Response{}, err
 	}
-	if err := checkFetchTail(tag, binary.BigEndian.Uint64(plain[len(plain)-8:])); err != nil {
+	tail := binary.BigEndian.Uint64(plain[len(plain)-8:])
+	if err := checkFetchTail(kind.tag, tail); err != nil {
 		return transport.Response{}, err
 	}
-	if !caching && !n.tuning.CacheViews {
-		resp, err := scan(plain)
-		return transport.Response{Body: resp}, err
+	q, err := transport.Decode(plain[:len(plain)-8], func(c *transport.Coder, q *[]float64) { c.Floats(q) })
+	if err != nil {
+		return transport.Response{}, err
 	}
-	if caching {
-		if _, err := n.peerAddr(sub); err != nil {
-			return transport.Response{}, transport.WithDetail(fmt.Errorf("node: fetch subscriber: %w", err), detailNoCallback)
-		}
+	if !caching {
+		return transport.Response{Body: kind.encode(scan(n, q, tail))}, nil
+	}
+	if _, err := n.peerAddr(sub); err != nil {
+		return transport.Response{}, transport.WithDetail(fmt.Errorf("node: fetch subscriber: %w", err), detailNoCallback)
 	}
 	var kb [512]byte
-	key := append(append(kb[:0], tag), plain...)
-	line, resp := n.registerFetch(key, sub, caching)
-	if resp != nil {
-		n.count("cache.fetch_hit")
-		return transport.Response{Body: resp}, nil
+	key := append(append(kb[:0], kind.tag), plain...)
+	for {
+		line := n.registerFetch(key, sub, kind.bound(*new(T), tail))
+		val := scan(n, q, tail)
+		if n.fillFetch(key, line, kind.bound(val, tail)) {
+			return transport.Response{Body: kind.encode(val)}, nil
+		}
 	}
-	if resp, err = scan(plain); err != nil {
-		return transport.Response{}, err
-	}
-	n.fillFetch(key, line, resp)
-	return transport.Response{Body: resp}, nil
 }
 
 // checkFetchTail refuses the eps or k a fetch request ends with (tail, raw
@@ -403,10 +410,9 @@ func checkFetchTail(tag byte, tail uint64) error {
 	return nil
 }
 
-// registerFetch finds or opens the line of key, adds sub to its sharers when
-// the request is a caching one, and returns the line with its response (nil
-// while pending). Must run before the caller scans the store.
-func (n *Node) registerFetch(key []byte, sub int, caching bool) (*fetchLine, []byte) {
+// registerFetch finds the line of key, or opens it at bound open, and adds sub
+// to its sharers. Must run before the caller scans the store.
+func (n *Node) registerFetch(key []byte, sub int, open float64) *fetchLine {
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
 	line := n.fetchDir[string(key)] // no-alloc map lookup
@@ -417,28 +423,34 @@ func (n *Node) registerFetch(key []byte, sub int, caching bool) (*fetchLine, []b
 		if n.fetchDir == nil {
 			n.fetchDir = make(map[string]*fetchLine)
 		}
-		line = &fetchLine{}
+		line = &fetchLine{bound: open}
 		n.fetchDir[string(key)] = line
 	}
-	if caching && !slices.Contains(line.sharers, sub) {
+	if !slices.Contains(line.sharers, sub) {
 		line.sharers = append(line.sharers, sub)
 		if n.fetchServed == nil {
 			n.fetchServed = make(map[int]struct{})
 		}
 		n.fetchServed[sub] = struct{}{}
 	}
-	return line, line.resp
+	return line
 }
 
-// fillFetch completes a pending line with the response scanned for it, unless
-// a sweep or a reset took the line away since registerFetch returned it — the
-// scan may predate the publish that did.
-func (n *Node) fillFetch(key []byte, line *fetchLine, resp []byte) {
+// fillFetch completes a pending line with the bound of the answer scanned for
+// it, and reports whether the line registerFetch returned is still the key's.
+// It is not if a sweep or a reset took it away since: the scan may predate the
+// publish that did. A line is filled once; a later scan's bound can only be
+// lower, and the sharers handed the earlier answer need the higher one.
+func (n *Node) fillFetch(key []byte, line *fetchLine, bound float64) bool {
 	n.fetchMu.Lock()
-	if line.resp == nil && n.fetchDir[string(key)] == line {
-		line.resp = resp
+	defer n.fetchMu.Unlock()
+	if n.fetchDir[string(key)] != line {
+		return false
 	}
-	n.fetchMu.Unlock()
+	if math.IsInf(line.bound, 1) {
+		line.bound = bound
+	}
+	return true
 }
 
 // loseFetchDirLocked drops the whole directory. If any coordinator was ever
@@ -467,7 +479,7 @@ func (n *Node) sweepFetchDir(items [][]float64) {
 	}
 	var targets []int
 	for key, line := range n.fetchDir {
-		if !fetchEntryCovered(key, keyU64(key, len(key)-8), line.resp, items) {
+		if !fetchEntryCovered(key, line.bound, items) {
 			continue
 		}
 		for _, id := range line.sharers {
@@ -579,12 +591,12 @@ type answerEntry struct {
 }
 
 // answerSlot is one remote holder's answer, asked with tail (eps or k, raw
-// bits): decoded, and as the raw body the k-nn invalidation filter reads.
+// bits): decoded, with its bound (fetchEntryCovered).
 type answerSlot struct {
-	peer int
-	tail uint64
-	val  any
-	resp []byte
+	peer  int
+	tail  uint64
+	val   any
+	bound float64
 }
 
 func findSlot(slots []answerSlot, peer int, tail uint64) (answerSlot, bool) {

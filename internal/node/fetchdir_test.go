@@ -162,65 +162,134 @@ func nudged(q []float64, rng *rand.Rand, scale float64) []float64 {
 
 // TestFetchDirPendingLines stands between a handler's two halves — register
 // before the scan, fill after it — with a publish sweep in the middle. A
-// pending range line the item misses stays fillable; one it hits, and any
-// pending k-nn line, has its sharers notified and its late fill discarded.
+// pending range line (its bound eps², known from the key) the item misses
+// stays fillable; one it hits, and any pending k-nn line (bound +Inf), has its
+// sharers notified and its late fill refused.
 func TestFetchDirPendingLines(t *testing.T) {
 	w := startDirWorld(t, 6, 2)
 	const h, cNear, cFar, cKNN = 0, 1, 2, 3
 	holder := w.cl.Nodes[h]
 	x, far, epsNear, epsFar := w.spheres(h)
 	item := nudged(x, rand.New(rand.NewSource(1)), epsNear/100)
+	inf := math.Inf(1)
 
 	var kb [3][512]byte
 	keyNear := fetchKey(kb[0][:], 'r', x, math.Float64bits(epsNear))
 	keyFar := fetchKey(kb[1][:], 'r', far, math.Float64bits(epsFar))
 	keyKNN := fetchKey(kb[2][:], 'k', far, 3)
-	lineNear, resp := holder.registerFetch(keyNear, cNear, true)
-	if resp != nil {
-		t.Fatal("a line nobody filled came back with a response")
+	lineNear := holder.registerFetch(keyNear, cNear, epsNear*epsNear)
+	lineFar := holder.registerFetch(keyFar, cFar, epsFar*epsFar)
+	lineKNN := holder.registerFetch(keyKNN, cKNN, inf)
+	if lineNear.bound != epsNear*epsNear || lineKNN.bound != inf {
+		t.Fatalf("lines nobody filled opened at bounds %v (range) and %v (k-nn), want eps² %v and +Inf", lineNear.bound, lineKNN.bound, epsNear*epsNear)
 	}
-	lineFar, _ := holder.registerFetch(keyFar, cFar, true)
-	lineKNN, _ := holder.registerFetch(keyKNN, cKNN, true)
 	// Registering twice lists a sharer once.
-	if again, _ := holder.registerFetch(keyFar, cFar, true); again != lineFar || len(lineFar.sharers) != 1 {
+	if again := holder.registerFetch(keyFar, cFar, epsFar*epsFar); again != lineFar || len(lineFar.sharers) != 1 {
 		t.Errorf("second registration: same line %v, sharers %v, want the same line listing %d once", again == lineFar, lineFar.sharers, cFar)
 	}
 
-	// The responses the three handlers would have scanned before the publish.
-	respNear := encodeFetchRangeResp(holder.localRange(x, epsNear))
-	respFar := encodeFetchRangeResp(holder.localRange(far, epsFar))
-	respKNN := encodeFetchKNNResp(holder.localKNN(far, 3))
+	// The k-nn bound its handler would have scanned before the publish.
+	knnBefore := knnFetch.bound(holder.localKNN(far, 3), 3)
 	w.publish(h, item)
 	if got := []float64{w.invalsAt(cNear), w.invalsAt(cFar), w.invalsAt(cKNN)}; !slices.Equal(got, []float64{1, 0, 1}) {
 		t.Errorf("inval_fetch at (near, far, knn) sharers = %v, want [1 0 1]", got)
 	}
 
-	holder.fillFetch(keyNear, lineNear, respNear)
-	holder.fillFetch(keyFar, lineFar, respFar)
-	holder.fillFetch(keyKNN, lineKNN, respKNN)
-	if _, resp := holder.registerFetch(keyFar, 0, false); !slices.Equal(resp, respFar) {
+	if !holder.fillFetch(keyFar, lineFar, epsFar*epsFar) || holder.fetchDir[string(keyFar)] != lineFar {
 		t.Error("the pending range line the publish missed was not filled")
 	}
-	for name, key := range map[string][]byte{"covered range": keyNear, "k-nn": keyKNN} {
-		line, resp := holder.registerFetch(key, 0, false)
-		if resp != nil {
-			t.Errorf("pending %s line: a fill scanned before the publish entered the memo", name)
+	for name, c := range map[string]struct {
+		key  []byte
+		line *fetchLine
+		sub  int
+		b    float64
+	}{"covered range": {keyNear, lineNear, cNear, epsNear * epsNear}, "k-nn": {keyKNN, lineKNN, cKNN, knnBefore}} {
+		if holder.fillFetch(c.key, c.line, c.b) {
+			t.Errorf("pending %s line: a fill scanned before the publish was accepted", name)
 		}
-		if len(line.sharers) != 0 {
-			t.Errorf("pending %s line: sharers %v survived the sweep that notified them", name, line.sharers)
+		if l := holder.fetchDir[string(c.key)]; l != nil && slices.Contains(l.sharers, c.sub) {
+			t.Errorf("pending %s line: sharers %v survived the sweep that notified them", name, l.sharers)
 		}
 	}
-	// The lines just opened belong to new handlers: the old ones still cannot
+	// The lines opened now belong to new handlers: the old ones still cannot
 	// fill them, the new ones can.
-	holder.fillFetch(keyNear, lineNear, respNear)
-	fresh, resp := holder.registerFetch(keyNear, 0, false)
-	if resp != nil {
+	fresh := holder.registerFetch(keyKNN, cKNN, inf)
+	if holder.fillFetch(keyKNN, lineKNN, knnBefore) || fresh.bound != inf {
 		t.Error("a handler swept off its line filled the line that replaced it")
 	}
-	want := encodeFetchRangeResp(holder.localRange(x, epsNear))
-	holder.fillFetch(keyNear, fresh, want)
-	if _, resp := holder.registerFetch(keyNear, 0, false); !slices.Equal(resp, want) {
-		t.Error("the replacing line was not fillable by its own handler")
+	want := knnFetch.bound(holder.localKNN(far, 3), 3)
+	if !holder.fillFetch(keyKNN, fresh, want) || fresh.bound != want || math.IsInf(want, 1) {
+		t.Errorf("the replacing line was not fillable by its own handler: bound %v, want the k-th distance² %v", fresh.bound, want)
+	}
+	if !holder.fillFetch(keyKNN, fresh, 0) || fresh.bound != want {
+		t.Errorf("a second fill moved a filled line's bound from %v to %v", want, fresh.bound)
+	}
+}
+
+// TestFetchDirRescansSweptHandler stands a publish inside a subscribing
+// handler's scan: the scan reads the store, then an item near q is published,
+// whose sweep takes the handler's line away. The handler must not answer with
+// what it read — no line would list its subscriber for that answer, and no
+// later publish would reach the slot it becomes — but register again and
+// rescan.
+func TestFetchDirRescansSweptHandler(t *testing.T) {
+	t.Run("range", func(t *testing.T) { testRescansSweptHandler(t, rangeFetch, math.Float64bits) })
+	t.Run("knn", func(t *testing.T) { testRescansSweptHandler(t, knnFetch, func(float64) uint64 { return 3 }) })
+}
+
+func testRescansSweptHandler[T any](t *testing.T, kind fetchKind[T], tailOf func(eps float64) uint64) {
+	w := startDirWorld(t, 6, 2)
+	const h, c = 0, 1
+	holder := w.cl.Nodes[h]
+	x, _, eps, _ := w.spheres(h)
+	item := nudged(x, rand.New(rand.NewSource(1)), eps/100)
+	key := fetchKey(nil, kind.tag, x, tailOf(eps))
+	scans := 0
+	resp, err := serveFetch(holder, kind, appendSubscriber(key[1:], c), func(n *Node, q []float64, tail uint64) T {
+		val := kind.local(n, q, tail)
+		if scans++; scans == 1 {
+			w.publish(h, item)
+		}
+		return val
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := kind.local(holder, x, tailOf(eps))
+	if !slices.Equal(resp.Body, kind.encode(want)) {
+		t.Errorf("the handler answered with what it read before the publish (%d scans)", scans)
+	}
+	if scans != 2 {
+		t.Errorf("%d scans, want 2: one swept, one kept", scans)
+	}
+	if l := holder.fetchDir[string(key)]; l == nil || !slices.Contains(l.sharers, c) {
+		t.Error("no line lists the subscriber for the answer it was handed")
+	}
+}
+
+// TestFetchDirHandlerAllocs fences what a holder's fetch handler allocates
+// beside its scan and the encoded answer: the decoded query, nothing else, in
+// the plain form and for a sharer already on its line. (A codec called
+// through a func value put its coder and the answer on the heap: three more.)
+func TestFetchDirHandlerAllocs(t *testing.T) {
+	w := startDirWorld(t, 6, 2)
+	holder, ctx := w.cl.Nodes[0], context.Background()
+	x, _, eps, _ := w.spheres(0)
+	for _, tc := range []struct {
+		name, method string
+		body         []byte
+		answer       func()
+	}{
+		{"range", methodFetchRange, encodeFetchRangeReq(x, eps), func() { encodeFetchRangeResp(holder.localRange(x, eps)) }},
+		{"knn", methodFetchKNN, encodeFetchKNNReq(x, 3), func() { encodeFetchKNNResp(holder.localKNN(x, 3)) }},
+	} {
+		want := testing.AllocsPerRun(50, tc.answer) + 1
+		for _, body := range [][]byte{tc.body, appendSubscriber(tc.body, 1)} {
+			req := transport.Request{Method: tc.method, Body: body}
+			if allocs := testing.AllocsPerRun(50, func() { holder.handle(ctx, req) }); allocs > want {
+				t.Errorf("%s (%d-byte request): %.0f allocs, want <= %.0f (the scan, the body and the query)", tc.name, len(body), allocs, want)
+			}
+		}
 	}
 }
 
@@ -236,9 +305,9 @@ func TestFetchDirLostMark(t *testing.T) {
 		lose func(w *dirWorld, x []float64)
 	}{
 		{"cap", func(w *dirWorld, x []float64) {
-			// One more distinct key than the directory holds, asked the plain way.
+			// One more distinct key than the directory holds, asked by C1.
 			for i := 0; i <= fetchMemoCap; i++ {
-				req := transport.Request{Method: methodFetchRange, Body: encodeFetchRangeReq(x, float64(i+1)*1e-9)}
+				req := transport.Request{Method: methodFetchRange, Body: appendSubscriber(encodeFetchRangeReq(x, float64(i+1)*1e-9), c1)}
 				if _, err := w.cl.Nodes[h].handle(context.Background(), req); err != nil {
 					w.t.Fatal(err)
 				}

@@ -131,12 +131,12 @@ type Node struct {
 	counters sim.Counters
 
 	// The holder's side of fetch caching; the coherence protocol is documented
-	// in fetchcache.go. fetchDir is the directory — memoized fetch_range /
-	// fetch_knn response bodies with the coordinators that hold each (lazily
-	// built; used when this node has Tuning.CacheViews or the request names a
-	// subscriber), fetchServed every coordinator ever listed in it, fetchLost
-	// the mark that lines were dropped with sharers still owed (fetchLostGen
-	// counts such drops, so a publish clears only the mark it served).
+	// in fetchcache.go. fetchDir is the directory — for each fetch_range /
+	// fetch_knn request a subscriber named, the answer's bound and the
+	// coordinators that were handed it (lazily built) — fetchServed every
+	// coordinator ever listed in it, fetchLost the mark that lines were dropped
+	// with sharers still owed (fetchLostGen counts such drops, so a publish
+	// clears only the mark it served).
 	fetchMu      sync.Mutex
 	fetchDir     map[string]*fetchLine
 	fetchServed  map[int]struct{}
@@ -302,21 +302,6 @@ func (n *Node) Counters() map[string]float64 {
 // handlers and lookup workers.
 func (n *Node) count(name string) { n.counters.Add(name, 1) }
 
-// RangeQuery answers a range query with this node as the querying peer,
-// driving the overlay lookups peer-to-peer, uncached (the answer memo serves
-// the wire). Byte-identical to the source System's RangeQuery from the same
-// state. The engine refuses a query of the wrong dimension or with a NaN
-// coordinate, and a negative or NaN radius.
-func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts core.RangeOptions) (core.RangeResult, error) {
-	return n.engine.RangeQuery(ctx, n.peer, q, eps, opts)
-}
-
-// KNNQuery answers a k-nn query with this node as the querying peer; the
-// engine refuses bad queries as for RangeQuery, and a k below 1.
-func (n *Node) KNNQuery(ctx context.Context, q []float64, k int, opts core.KNNOptions) (core.KNNResult, error) {
-	return n.engine.KNNQuery(ctx, n.peer, q, k, opts)
-}
-
 // Publish post-inserts one item into this node's local store and absorbs it
 // into the nearest published cluster per level — core.System.PostInsert
 // semantics: the overlay summaries stay stale (Fig 10c). With
@@ -467,24 +452,10 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		return transport.Response{}, nil
 
 	case methodFetchRange:
-		return n.serveFetch('r', req.Body, func(plain []byte) ([]byte, error) {
-			r, err := transport.Decode(plain, walkFetchRangeReq)
-			if err != nil {
-				return nil, err
-			}
-			ids := n.localRange(r.Q, r.Eps)
-			return transport.Encode(&ids, walkRangeIDs), nil
-		})
+		return serveFetch(n, rangeFetch, req.Body, rangeFetch.local)
 
 	case methodFetchKNN:
-		return n.serveFetch('k', req.Body, func(plain []byte) ([]byte, error) {
-			r, err := transport.Decode(plain, walkFetchKNNReq)
-			if err != nil {
-				return nil, err
-			}
-			items := n.localKNN(r.Q, r.K)
-			return transport.Encode(&items, walkFetchKNNResp), nil
-		})
+		return serveFetch(n, knnFetch, req.Body, knnFetch.local)
 
 	default: // a membership method: rpcCounters holds no other
 		body, err := n.mgr.HandleRPC(ctx, req.Method, req.Body)

@@ -51,10 +51,64 @@ func TestFetchEntryCoveredAgreesWithLocalRange(t *testing.T) {
 			const id = 1 << 20
 			st.Append(id, tc.item)
 			got := slices.Contains(core.LocalRange(q, eps, st), id)
-			covered := fetchEntryCovered(key, math.Float64bits(eps), nil, [][]float64{tc.item})
+			covered := fetchEntryCovered(key, rangeFetch.bound(core.RangeIDs{}, math.Float64bits(eps)), [][]float64{tc.item})
 			if got != tc.inside || covered != tc.inside {
 				t.Errorf("%s (%d rows): LocalRange returns it = %v, fetchEntryCovered = %v, want both %v",
 					tc.name, rows, got, covered, tc.inside)
+			}
+		}
+	}
+}
+
+// TestFetchEntryCoveredAgreesWithLocalKNN is the k-nn half: against a store
+// whose k-th nearest item to q lies at distance 12, an appended item that
+// changes core.LocalKNN's answer must be covered, and one strictly beyond the
+// k-th distance must not be. A tie is covered on the safe side: ids decide
+// whether it enters. A store with fewer than k items gains any item, and
+// every item covers its answer. Both an unindexed and an indexed holder store
+// are scanned.
+func TestFetchEntryCoveredAgreesWithLocalKNN(t *testing.T) {
+	const dim, k = 16, 3
+	q := make([]float64, dim)
+	at := func(coords ...float64) []float64 {
+		v := make([]float64, dim)
+		copy(v, coords)
+		return v
+	}
+	cases := []struct {
+		name             string
+		item             []float64
+		covered, changes bool
+	}{
+		{"well inside", at(1, 1), true, true},
+		{"just inside, late coordinates", at(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 11.999), true, true},
+		{"on the k-th distance", at(0, 12), true, false},
+		{"just beyond the k-th distance", at(12, 1e-3), false, false},
+		{"well beyond", at(30, 30), false, false},
+	}
+	for _, rows := range []int{10, store.IndexMinRows + 10} {
+		for _, kk := range []int{k, rows + 1} {
+			key := "k" + string(encodeFetchKNNReq(q, kk))
+			for _, tc := range cases {
+				st := store.New(dim)
+				for i := 0; i < rows; i++ {
+					st.Append(i, at(float64(10+i))) // the i-th nearest at distance 10+i
+				}
+				before := core.LocalKNN(q, kk, st)
+				bound := knnFetch.bound(before, uint64(kk))
+				st.Append(1<<20, tc.item)
+				changed := !slices.Equal(before, core.LocalKNN(q, kk, st))
+				covered := fetchEntryCovered(key, bound, [][]float64{tc.item})
+				fewer := kk > rows
+				if want := tc.covered || fewer; covered != want {
+					t.Errorf("%s (%d rows, k %d): fetchEntryCovered = %v, want %v", tc.name, rows, kk, covered, want)
+				}
+				if changed && !covered {
+					t.Errorf("%s (%d rows, k %d): the item changes LocalKNN's answer, but is not covered", tc.name, rows, kk)
+				}
+				if (tc.changes || fewer) && !changed {
+					t.Errorf("%s (%d rows, k %d): the item leaves LocalKNN's answer as it was", tc.name, rows, kk)
+				}
 			}
 		}
 	}

@@ -283,7 +283,7 @@ func appendSubscriber(plain []byte, peer int) []byte {
 }
 
 // splitFetchReq cuts a fetch request over dim coordinates into its plain form
-// — the memo key, and what walkFetchRangeReq / walkFetchKNNReq read — and
+// — the memo key, and what walkFetchRangeReq / walkFetchKNNReq state — and
 // the subscriber id, if one follows. A caching request is as long as a plain
 // one of a coordinate more, so the length alone cannot tell them apart: the
 // count must be the holder's dimension, and then anything but exactly zero or
@@ -301,8 +301,9 @@ func splitFetchReq(b []byte, dim int) (plain []byte, sub int, caching bool, err 
 
 // The request walkers are the codec's statement of the plain form. A
 // coordinator writes the same bytes through fetchKey (fetchcache.go), whose
-// output doubles as the memo key; TestFetchDirKeyIsTaggedPlainRequest holds the
-// two together.
+// output doubles as the memo key, and a holder reads them as the query and
+// eight bytes of eps or k (serveFetch); TestFetchDirKeyIsTaggedPlainRequest
+// holds the walkers and fetchKey together.
 type fetchRangeReq struct {
 	Q   []float64
 	Eps float64
