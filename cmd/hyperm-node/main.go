@@ -88,7 +88,7 @@ func run() int {
 	probeTimeout := flag.Duration("probe-timeout", 250*time.Millisecond, "per-probe response deadline")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a neighbor is declared dead")
 	graceful := flag.Bool("leave", false, "leave gracefully on shutdown: hand zones and records to neighbors")
-	cacheViews := flag.Bool("cache-views", false, "keep each range/k-nn request's plan for the churn epoch, each contacted holder's answer until that holder's directory reports a change to it, and the whole answer until a contacted holder publishes (the answer memo)")
+	cacheViews := flag.Bool("cache-views", false, "keep each range/k-nn request's plan for the churn epoch, each contacted peer's answer (this node's own scan included) until a publish there can change it, and the whole answer while it keeps every one of them (the answer memo)")
 	streamPublish := flag.Bool("stream-publish", false, "publish through the streaming incremental kernel: O(changed clusters) record deltas announced per publish")
 	reclusterEvery := flag.Int("recluster-every", 0, "with -stream-publish, re-cluster this node's levels after this many streamed inserts (0 = never)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")

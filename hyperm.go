@@ -26,6 +26,7 @@ package hyperm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hyperm/internal/can"
@@ -301,8 +302,8 @@ func (n *Network) KNNWithC(fromPeer int, query []float64, k int, c float64) (KNN
 	if k < 1 {
 		return KNNAnswer{}, fmt.Errorf("hyperm: k must be >= 1, got %d", k)
 	}
-	if c < 0 {
-		return KNNAnswer{}, fmt.Errorf("hyperm: C must be >= 0, got %v", c)
+	if !(c >= 0) || math.IsInf(c, 1) {
+		return KNNAnswer{}, fmt.Errorf("hyperm: C must be finite and >= 0, got %v", c)
 	}
 	res := n.sys.KNNQuery(fromPeer, query, k, core.KNNOptions{C: c})
 	return KNNAnswer{

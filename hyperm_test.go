@@ -382,7 +382,8 @@ func TestLookup(t *testing.T) {
 // TestFacadeRefusesNonFinite: an item with a NaN or ±Inf coordinate would put
 // a NaN into its wavelet keys, and a query with a NaN coordinate does, which
 // the overlay refuses with a panic. The facade refuses both up front, and a
-// NaN radius with them, instead of panicking on a worker or answering nothing.
+// NaN radius and a NaN or infinite C with them, instead of panicking on a
+// worker or answering nothing.
 // A query point at infinity stays a query: it is far from every item.
 func TestFacadeRefusesNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -405,6 +406,8 @@ func TestFacadeRefusesNonFinite(t *testing.T) {
 		{"Lookup NaN coordinate", func(net, _ *Network) error { _, err := net.Lookup(0, at(0, nan)); return err }},
 		{"KNN NaN coordinate", func(net, _ *Network) error { _, err := net.KNN(0, at(9, nan), 3); return err }},
 		{"KNNWithC NaN coordinate", func(net, _ *Network) error { _, err := net.KNNWithC(0, at(9, nan), 3, 2); return err }},
+		{"KNNWithC NaN C", func(net, _ *Network) error { _, err := net.KNNWithC(0, at(9, 0), 3, nan); return err }},
+		{"KNNWithC +Inf C", func(net, _ *Network) error { _, err := net.KNNWithC(0, at(9, 0), 3, inf); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, _ := buildNet(t)

@@ -318,14 +318,19 @@ func (e *Engine) KNNQuery(ctx context.Context, from int, q []float64, k int, opt
 }
 
 // PlanKNN runs Fig 5 steps 1–6 and sizes step 7's fetches. It refuses a
-// query checkQuery refuses and a k below 1. On a lookup failure the plan
-// holds the radii and hops of the levels before the failing one.
+// query checkQuery refuses, a k below 1, and a C that is NaN, infinite or
+// negative, whose shares would go through a float-to-int conversion Go leaves
+// to the platform. On a lookup failure the plan holds the radii and hops of
+// the levels before the failing one.
 func (e *Engine) PlanKNN(ctx context.Context, from int, q []float64, k int, opts KNNOptions) (KNNPlan, error) {
 	if err := e.checkQuery(q); err != nil {
 		return KNNPlan{}, err
 	}
 	if k < 1 {
 		return KNNPlan{}, fmt.Errorf("core: k must be >= 1, got %d", k)
+	}
+	if !(opts.C >= 0) || math.IsInf(opts.C, 1) {
+		return KNNPlan{}, fmt.Errorf("core: C must be finite and >= 0, got %v", opts.C)
 	}
 	c := opts.C
 	if c == 0 {

@@ -65,7 +65,7 @@ func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		served, resumes := w.fetchesServed(), nd.Counters()[ctrAnswerResume]
-		contacts = append(contacts, len(nd.answers[string(append([]byte{'r'}, req.Body...))].peers))
+		contacts = append(contacts, len(nd.answers[string(append([]byte{'r'}, req.Body...))].slots))
 		allocs = append(allocs, testing.AllocsPerRun(50, func() {
 			dropBytes(nd)
 			if _, err := nd.handle(ctx, req); err != nil {
@@ -91,19 +91,15 @@ func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 
 // TestHitPathCountsEveryHit: the retrieval pass adds its slot hits to
 // cache.fetch_local_hit in one go, and the sum must still be one per answer
-// served from a slot — every contact of a resumed request but the
-// coordinator's own store, for both query kinds.
+// served from a slot — every contact of a resumed request, the coordinator's
+// own store included, for both query kinds.
 func TestHitPathCountsEveryHit(t *testing.T) {
 	w, x, radii := hitPathWorld(t)
 	nd := w.cl.Nodes[0]
-	remote := func(scores []core.PeerScore, contacted int) float64 {
-		n := 0
-		for _, ps := range scores[:contacted] {
-			if ps.Peer != nd.peer {
-				n++
-			}
-		}
-		return float64(n)
+	own := false
+	contacts := func(scores []core.PeerScore, contacted int) float64 {
+		own = own || slices.ContainsFunc(scores[:contacted], func(ps core.PeerScore) bool { return ps.Peer == nd.peer })
+		return float64(contacted)
 	}
 	hitsOf := func(query func() float64) (hits, want float64) {
 		query() // miss: stores the plan and the slots
@@ -121,10 +117,10 @@ func TestHitPathCountsEveryHit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return remote(res.Scores, res.PeersContacted)
+			return contacts(res.Scores, res.PeersContacted)
 		})
 		if hits != want || want == 0 {
-			t.Errorf("range query of radius %v: %v slot hits counted, %v remote peers contacted", eps, hits, want)
+			t.Errorf("range query of radius %v: %v slot hits counted, %v peers contacted", eps, hits, want)
 		}
 	}
 	for _, k := range []int{1, 20, 200} {
@@ -133,11 +129,14 @@ func TestHitPathCountsEveryHit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return remote(res.Scores, res.PeersContacted)
+			return contacts(res.Scores, res.PeersContacted)
 		})
 		if hits != want || want == 0 {
-			t.Errorf("%d-nn query: %v slot hits counted, %v remote peers contacted", k, hits, want)
+			t.Errorf("%d-nn query: %v slot hits counted, %v peers contacted", k, hits, want)
 		}
+	}
+	if !own {
+		t.Error("no query contacted the coordinator's own store: its slot went uncounted")
 	}
 }
 

@@ -163,7 +163,9 @@ func TestCoordinatorRefusesWrongDimensionViews(t *testing.T) {
 // TestNodeRefusesNonFinite: a query with a NaN coordinate, or an item with a
 // NaN or ±Inf one, has no oracle answer to match — the in-process System
 // panics on it — so a node refuses it, through its methods and through the
-// handler alike, before the engine or the store sees it.
+// handler alike, before the engine or the store sees it. A k-nn request whose
+// C is NaN or infinite has no answer the language defines (its shares go
+// through a float-to-int conversion), and the engine refuses it.
 func TestNodeRefusesNonFinite(t *testing.T) {
 	w := startDirWorld(t, 6, 6)
 	nd, ctx := w.cl.Nodes[0], context.Background()
@@ -188,6 +190,8 @@ func TestNodeRefusesNonFinite(t *testing.T) {
 		{"Publish -Inf", func() error { return nd.Publish(9002, at(1, -inf)) }},
 		{"range request NaN coordinate", func() error { return handle(methodRange, encodeRangeReq(at(2, nan), 0.1, core.RangeOptions{})) }},
 		{"knn request NaN coordinate", func() error { return handle(methodKNN, encodeKNNReq(at(2, nan), 3, core.KNNOptions{})) }},
+		{"knn request NaN C", func() error { return handle(methodKNN, encodeKNNReq(at(2, 0), 3, core.KNNOptions{C: nan})) }},
+		{"knn request +Inf C", func() error { return handle(methodKNN, encodeKNNReq(at(2, 0), 3, core.KNNOptions{C: inf})) }},
 		{"publish request +Inf", func() error { return handle(methodPublish, encodePublishReq(9003, at(4, inf))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,9 +55,9 @@ const (
 type Tuning struct {
 	// CacheViews switches on the coordinator's one cache, the answer memo
 	// (fetchcache.go): a range or k-nn request asked over the wire keeps its
-	// plan (lookups, scores, selected peers) for the churn epoch, each remote
-	// holder's answer as a slot, and its encoded answer, the last two until
-	// the holder's directory reports a change to them. Under StreamPublish,
+	// plan (lookups, scores, selected peers) for the churn epoch, each scored
+	// peer's answer as a slot until a publish there can change it, and its
+	// encoded answer while it keeps every slot. Under StreamPublish,
 	// whose record deltas bump no epoch, it keeps slots only. The views a
 	// lookup runs over are never cached: every one comes from the query's
 	// probe table.
@@ -145,14 +145,12 @@ type Node struct {
 
 	// The answer memo (fetchcache.go), the coordinator's one cache: range and
 	// k-nn plans, fetched slots and encoded responses by method tag and
-	// request body, valid at the membership epoch ansEpoch; ansSeq counts the
-	// events that may change an answer while it is being computed, and
-	// ansFlight the fetches in flight to each holder with the notifications
-	// from it since they left.
+	// request body, valid at the membership epoch ansEpoch; ansFlight counts
+	// the fetches in flight to each holder, this node included, with the
+	// invalidations for it since they left.
 	ansMu     sync.Mutex
 	answers   map[string]answerEntry
 	ansEpoch  uint64
-	ansSeq    uint64
 	ansFlight map[int]flight
 }
 
@@ -322,7 +320,6 @@ func (n *Node) Publish(id int, item []float64) error {
 	// The item store changed: the answers that read it must go, here and at
 	// every coordinator holding one, before the publish is acknowledged (see
 	// fetchcache.go).
-	n.dropAnswers(n.peer)
 	n.sweepFetchDir([][]float64{item})
 	return nil
 }
@@ -391,43 +388,43 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 	n.count(name)
 	switch req.Method {
 	case methodRange:
-		return n.answer(ctx, 'r', req.Body, func(ctx context.Context, plan any) ([]byte, any, []int, error) {
+		return n.answer(ctx, 'r', req.Body, func(ctx context.Context, plan any) ([]byte, any, error) {
 			r, err := transport.Decode(req.Body, walkRangeReq)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			p, ok := plan.(core.RangePlan)
 			if !ok {
 				if p, err = n.engine.PlanRange(ctx, n.peer, r.Q, r.Eps, r.Opts); err != nil {
-					return nil, nil, nil, remoteErr(err)
+					return nil, nil, remoteErr(err)
 				}
 				plan = p
 			}
 			res, ids, err := n.engine.RetrieveRangeIDs(ctx, n.peer, r.Q, r.Eps, p)
 			if err != nil {
-				return nil, nil, nil, remoteErr(err)
+				return nil, nil, remoteErr(err)
 			}
-			return transport.Encode(&rangeResp{ids, res}, walkRangeResp), plan, p.Peers, nil
+			return transport.Encode(&rangeResp{ids, res}, walkRangeResp), plan, nil
 		})
 
 	case methodKNN:
-		return n.answer(ctx, 'k', req.Body, func(ctx context.Context, plan any) ([]byte, any, []int, error) {
+		return n.answer(ctx, 'k', req.Body, func(ctx context.Context, plan any) ([]byte, any, error) {
 			r, err := transport.Decode(req.Body, walkKNNReq)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			p, ok := plan.(core.KNNPlan)
 			if !ok {
 				if p, err = n.engine.PlanKNN(ctx, n.peer, r.Q, r.K, r.Opts); err != nil {
-					return nil, nil, nil, remoteErr(err)
+					return nil, nil, remoteErr(err)
 				}
 				plan = p
 			}
 			res, err := n.engine.RetrieveKNN(ctx, n.peer, r.Q, p)
 			if err != nil {
-				return nil, nil, nil, remoteErr(err)
+				return nil, nil, remoteErr(err)
 			}
-			return transport.Encode(&res, walkKNNResp), plan, p.Peers, nil
+			return transport.Encode(&res, walkKNNResp), plan, nil
 		})
 
 	case methodPublish:
@@ -449,6 +446,7 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 			return transport.Response{}, err
 		}
 		n.invalidateFetch(r.Holder, r.Items)
+		n.count("cache.fetch_inval")
 		return transport.Response{}, nil
 
 	case methodFetchRange:

@@ -56,9 +56,9 @@ func (n *Node) publishStream(id int, item []float64) error {
 	n.mu.Unlock()
 	defer close(mine)
 
-	// Same item-store coherence as the stale-publish path: this node's fetch
-	// memo and every coordinator caching an answer the new item can change
-	// must forget it (see fetchcache.go).
+	// Same item-store coherence as the stale-publish path: every coordinator
+	// caching an answer the new item can change, this node included, must
+	// forget it (see fetchcache.go).
 	n.sweepFetchDir([][]float64{item})
 
 	if prev != nil {

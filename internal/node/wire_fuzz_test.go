@@ -493,7 +493,7 @@ func FuzzFetchReqRoundTrip(f *testing.F) {
 // TestInvalReqEmptyListIsDropAll pins the one inval_fetch no publish sends —
 // a holder id and no items — as decodable, distinct from any real one, and
 // read by the receiver as "drop every slot of this holder", and the bytes of
-// every answer that contacted it.
+// every answer that held one.
 func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 	r, err := transport.Decode(encodeInvalReq(9, nil), walkInvalReq)
 	if err != nil || r.Holder != 9 || len(r.Items) != 0 {
@@ -504,8 +504,8 @@ func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 	}
 
 	n := &Node{answers: map[string]answerEntry{
-		"r-both":  {peers: []int{9, 4}, slots: []answerSlot{{peer: 9, tail: 1}, {peer: 4}, {peer: 9, tail: 2}}, resp: []byte{1}},
-		"r-other": {peers: []int{4}, slots: []answerSlot{{peer: 4}}, resp: []byte{1}},
+		"r-both":  {slots: []answerSlot{{peer: 9, tail: 1}, {peer: 4}, {peer: 9, tail: 2}}, resp: []byte{1}},
+		"r-other": {slots: []answerSlot{{peer: 4}}, resp: []byte{1}},
 	}, ansFlight: map[int]flight{9: {n: 1}}}
 	n.invalidateFetch(9, nil)
 	both, other := n.answers["r-both"], n.answers["r-other"]
