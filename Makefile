@@ -40,8 +40,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
-# the holder-side scans at 1k and 50k rows plus a rotation over four 50k-row
-# Markov stores that finds each out of cache, the coordinator's id union
+# the holder-side scans at 1k and 50k rows plus rotations over four 50k-row
+# Markov stores and over 64 500-row 128-d ones that find each out of cache, the coordinator's id union
 # against concatenate + radix sort and concatenate + comparison sort over the
 # run shapes the workloads fetch, and the range answer's encode and decode at
 # 25k and 100k ids), 5 repetitions for benchstat-grade numbers.

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hyperm/internal/overlay"
@@ -110,8 +111,8 @@ func (c Config) validate() error {
 	if c.ClustersPerPeer < 1 {
 		return fmt.Errorf("core: ClustersPerPeer must be >= 1, got %d", c.ClustersPerPeer)
 	}
-	if c.C < 0 {
-		return fmt.Errorf("core: C must be positive, got %v", c.C)
+	if !(c.C >= 0) || math.IsInf(c.C, 1) {
+		return fmt.Errorf("core: C must be finite and >= 0, got %v", c.C)
 	}
 	if c.Factory == nil {
 		return fmt.Errorf("core: Factory is required")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,6 +63,9 @@ func TestNewSystemValidation(t *testing.T) {
 		{"zero levels", func(c *Config) { c.Levels = 0 }},
 		{"zero clusters", func(c *Config) { c.ClustersPerPeer = 0 }},
 		{"negative C", func(c *Config) { c.C = -1 }},
+		{"NaN C", func(c *Config) { c.C = math.NaN() }},
+		{"infinite C", func(c *Config) { c.C = math.Inf(1) }},
+		{"negative infinite C", func(c *Config) { c.C = math.Inf(-1) }},
 		{"nil factory", func(c *Config) { c.Factory = nil }},
 		{"nil rng", func(c *Config) { c.Rng = nil }},
 	}

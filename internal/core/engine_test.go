@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"hyperm/internal/overlay"
+	"hyperm/internal/vec"
 )
 
 // fetchBackend scores every peer on one cluster around the origin (peer p
@@ -333,5 +335,121 @@ func TestPlanThenRetrieve(t *testing.T) {
 	}
 	if empty == 0 {
 		t.Error("no k-nn plan took an early return")
+	}
+}
+
+// referenceBackend is the in-process backend with every store read through
+// the frozen reference scans: row-order range lists and a full sort per k-nn
+// fetch.
+type referenceBackend struct{ systemBackend }
+
+func (b referenceBackend) Scope(context.Context, []Sphere) Backend { return b }
+
+func (b referenceBackend) FetchRange(_ context.Context, _ int, peers []int, q []float64, eps float64) ([]RangeIDs, []error) {
+	ids := make([]RangeIDs, len(peers))
+	for i, p := range peers {
+		if ps := b.s.peers[p]; !ps.dead {
+			ids[i] = RangeIDs{List: referenceLocalRange(q, eps, ps.store)}
+		}
+	}
+	return ids, nil
+}
+
+func (b referenceBackend) FetchKNN(_ context.Context, _ int, peers, wants []int, q []float64) ([][]ItemDist, []error) {
+	items := make([][]ItemDist, len(peers))
+	for i, p := range peers {
+		if ps := b.s.peers[p]; !ps.dead {
+			items[i] = referenceLocalKNN(q, wants[i], ps.store)
+		}
+	}
+	return items, nil
+}
+
+// TestQueriesMatchReferenceScans runs whole queries over the paper's store
+// shape, 64 peers of 0 to ~1,000 128-d Markov rows (mean ~500, most of them
+// indexed), and holds every answer, range form included, to the one an engine
+// reading each store through the reference scans returns.
+func TestQueriesMatchReferenceScans(t *testing.T) {
+	const peers, dim = 64, 128
+	rng := rand.New(rand.NewSource(11))
+	sys, err := NewSystem(Config{Peers: peers, Dim: dim, Levels: 3, ClustersPerPeer: 4, Factory: canFactory(11), Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data [][]float64
+	perm := rng.Perm(peers * (peers - 1) / 2 * 32)
+	for p := range peers {
+		rows := markovRows(rng, 32*p, dim)
+		ids := make([]int, len(rows))
+		for i := range ids {
+			ids[i] = perm[len(data)+i]
+		}
+		if len(rows) > 0 {
+			sys.AddPeerData(p, ids, rows)
+		}
+		data = append(data, rows...)
+	}
+	sys.DeriveBounds()
+	sys.PublishAll()
+	ref := &Engine{cfg: sys.cfg, mappers: sys.mappers, backend: referenceBackend{systemBackend{s: sys}}}
+	ctx := context.Background()
+	indexed := 0
+	for p := range peers {
+		if _, n := sys.peers[p].store.ScanGroups(); n > 0 {
+			indexed++
+		}
+	}
+	if indexed < peers/2 {
+		t.Fatalf("%d of %d stores indexed", indexed, peers)
+	}
+	hits := 0
+	for qi := range 6 {
+		q := vec.Clone(data[rng.Intn(len(data))])
+		if qi%2 == 1 {
+			for j := range q {
+				q[j] += rng.NormFloat64()
+			}
+		}
+		from := rng.Intn(peers)
+		for _, frac := range []float64{0.25, 0.5, 1} {
+			eps := frac * vec.Dist(q, data[rng.Intn(len(data))])
+			want, err := ref.RangeQuery(ctx, from, q, eps, RangeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.RangeQuery(from, q, eps, RangeOptions{}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d eps %v: %d ids from %d peers, the reference scans %d from %d",
+					qi, eps, len(got.Items), got.PeersContacted, len(want.Items), want.PeersContacted)
+			}
+			hits = max(hits, len(want.Items))
+			plan, err := sys.engine.PlanRange(ctx, from, q, eps, RangeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, form, err := sys.engine.RetrieveRangeIDs(ctx, from, q, eps, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantForm, err := ref.RetrieveRangeIDs(ctx, from, q, eps, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameForm(form, wantForm) {
+				t.Fatalf("query %d eps %v: range form of %d chunks and %d listed ids, the reference scans' %d and %d",
+					qi, eps, len(form.Keys), len(form.List), len(wantForm.Keys), len(wantForm.List))
+			}
+		}
+		for _, k := range []int{1, 10, 100} {
+			want, err := ref.KNNQuery(ctx, from, q, k, KNNOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.KNNQuery(from, q, k, KNNOptions{}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d %d-nn: answer differs from the reference scans'\n got %v\nwant %v", qi, k, got.Items, want.Items)
+			}
+		}
+	}
+	if hits <= 4096 {
+		t.Errorf("largest range answer holds %d ids, want one large enough for a bitmap chunk", hits)
 	}
 }

@@ -14,9 +14,10 @@ import (
 
 // LocalRange is the second query phase on a contacted peer: an exact scan of
 // its flat item store, returning the ids of every item within eps of q. An
-// indexed store (store.IndexMinRows rows or more) answers in ascending id
-// order; a smaller store, or a large one scanned while its first index is
-// being built, in row order. It materialises LocalRangeIDs.
+// indexed store (from store.IndexMinRows rows, a few hundred: most of the
+// paper's peers) answers in ascending id order; a smaller store, or one
+// scanned while its first index is being built, in row order. It
+// materialises LocalRangeIDs.
 func LocalRange(q []float64, eps float64, st *store.Store) []int {
 	return LocalRangeIDs(q, eps, st).Items()
 }
@@ -34,8 +35,8 @@ func LocalRangeIDs(q []float64, eps float64, st *store.Store) RangeIDs {
 	ids := st.IDs()
 	groups, indexed := st.ScanGroups()
 	if indexed == 0 {
-		// A small store, or a large one whose first index another scan is
-		// still building: hits in row order. Row order can ascend and fill
+		// A small store, or one whose first index another scan is still
+		// building: hits in row order. Row order can ascend and fill
 		// a chunk, so a list long enough to take the form is given it. A
 		// small store's list never is, and its scan, which runs on a fresh
 		// handler goroutine's stack, does not call down into RangeIDsOf.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"hyperm/internal/dataset"
@@ -96,6 +97,12 @@ func latticeRows(rng *rand.Rand, n, dim int) [][]float64 {
 	return rows
 }
 
+// markovRows are §5.1's Markov vectors, the corpus the benchmark deals to its
+// peers: no cluster structure for the pivots to find.
+func markovRows(rng *rand.Rand, n, dim int) [][]float64 {
+	return dataset.Markov(dataset.MarkovConfig{N: n, Dim: dim}, rng)
+}
+
 // offsetRows are clusteredRows moved by 1e6 along every axis: norms dwarf
 // distances, so the float32 rounding of a row's sketch (a block sum near
 // 1.6e7 is off by up to 1) is larger than the gaps between the rows a scan
@@ -127,25 +134,30 @@ func offsetRows(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 // indexState names one way a store can reach a scan: how many rows it held
-// when a scan last built the index, and how many it holds now.
+// when a scan last built the index, how many it holds now, and how many pivot
+// groups the index the scan reads has.
 type indexState struct {
 	name        string
 	built, rows int // built == 0: never scanned before
+	groups      int
 }
 
 func indexStates() []indexState {
-	const m = store.IndexMinRows
+	const m, b = store.IndexMinRows, 2 * store.BlockRows
 	return []indexState{
-		{"empty", 0, 0},
-		{"one-row", 0, 1},
-		{"below-threshold", 0, m - 1},
-		{"at-threshold-first-scan", 0, m},
-		{"above-threshold-first-scan", 0, m + 700},
-		{"fresh", m + 700, m + 700},
-		{"stale-tail", m + 700, m + 700 + 40},                    // tail scanned linearly
-		{"crossed-threshold-since", m - 5, m + 5},                // absent at first scan, built now
-		{"rebuilt-after-growth", m, m + m/2},                     // tail outgrew the index
-		{"several-groups-stale", 4 * m, 4*m + store.BlockRows/4}, // 8 pivots
+		{"empty", 0, 0, 0},
+		{"one-row", 0, 1, 0},
+		{"below-threshold", 0, m - 1, 0},
+		{"at-threshold-first-scan", 0, m, 2},
+		{"above-threshold-first-scan", 0, m + 700, 2},
+		{"fresh", m + 700, m + 700, 2},
+		{"stale-tail", m + 700, m + 700 + 40, 2},     // tail scanned linearly
+		{"crossed-threshold-since", m - 5, m + 5, 2}, // absent at first scan, built now
+		{"rebuilt-after-growth", m, m + m/2, 2},      // tail outgrew the index
+		// From 2·BlockRows rows on, one group per BlockRows rows.
+		{"two-blocks-first-scan", 0, b, 2},
+		{"two-blocks-rebuilt", b, b + b/2, 3},
+		{"several-groups-stale", 4 * b, 4*b + store.BlockRows/4, 8},
 	}
 }
 
@@ -270,6 +282,9 @@ func TestLocalScansMatchReference(t *testing.T) {
 		// on the line through query and centroid, right at the window edges.
 		{"clustered1", 1, clusteredRows, shuffledIDs},
 		{"lattice2", 2, latticeRows, shuffledIDs},
+		// The stores the paper's peers hold: a few hundred 128-d rows.
+		{"clustered128", 128, clusteredRows, shuffledIDs},
+		{"markov128", 128, markovRows, shuffledIDs},
 	}
 	// The other id layouts only change the order hits are emitted in, which
 	// one data shape covers.
@@ -284,8 +299,11 @@ func TestLocalScansMatchReference(t *testing.T) {
 				st := storeInState(rng, is, dim, sh.gen, ids)
 				n := st.Len()
 				groups, indexed := st.ScanGroups()
-				if is.rows >= store.IndexMinRows && (len(groups) == 0 || indexed > n) {
-					t.Fatalf("store of %d rows: %d groups covering %d rows", n, len(groups), indexed)
+				// Lattice rows repeat, and a pivot equal to an earlier one
+				// attracts no row: its group is dropped.
+				exact := !strings.HasPrefix(sh.name, "lattice")
+				if len(groups) > is.groups || len(groups) < is.groups && (exact || len(groups) == 0) || indexed > n {
+					t.Fatalf("store of %d rows: %d groups covering %d rows, want %d groups", n, len(groups), indexed, is.groups)
 				}
 
 				var queries [][]float64
@@ -353,7 +371,7 @@ func TestLocalScansMatchReference(t *testing.T) {
 // at 50.1; from q = 49.8 B's centroid is nearer, so B fills the heap first
 // and A is cut against the resulting k-th distance.
 func TestLocalKNNFarSideOfCentroid(t *testing.T) {
-	const n = store.IndexMinRows // two pivots: rows n/4 and 3n/4
+	const n = 2 * store.BlockRows // two pivots: rows n/4 and 3n/4
 	st := store.New(1)
 	for row := 0; row < n; row++ {
 		v := 50.1
@@ -450,43 +468,58 @@ func TestSortIDsMatchesSlicesSort(t *testing.T) {
 }
 
 // FuzzLocalScans runs both scans against the frozen reference bodies on an
-// indexed store built from the input: dim 8, 16 or 32, clustered or lattice
-// rows scaled by 2^(4·scaleExp) and moved by ±2^(4·offExp) (far enough either
-// way for float32 to overflow or flush a sketch to zero, and for float64
-// squares to underflow), ids in one of the layouts TestLocalScansMatchReference
-// uses, 2k rows or (shape >= 128) 4k — enough for a dense chunk — and a tail
-// of rows appended after the build, a query at or near a stored row, eps from
-// raw bits and as the distances to three stored rows, and any k. The range
-// scan's dense form must be the reference's (checkForm).
+// indexed store built from the input: dim 8, 16, 32, 64 or 128, clustered or
+// lattice rows scaled by 2^(4·scaleExp) and moved by ±2^(4·offExp) (far
+// enough either way for float32 to overflow or flush a sketch to zero, and
+// for float64 squares to underflow), ids in one of the layouts
+// TestLocalScansMatchReference uses, from IndexMinRows to 2k rows or (shape
+// >= 128) 4k — enough for a dense chunk — and a tail of rows appended after
+// the build, a query at or near a stored row, eps from raw bits and as the
+// distances to three stored rows, and any k. The range scan's dense form must
+// be the reference's (checkForm).
 func FuzzLocalScans(f *testing.F) {
 	f.Add(int64(1), uint8(2), int8(-128), int8(0), math.Float64bits(0.3), 5)
-	f.Add(int64(2), uint8(5), int8(-128), int8(0), math.Float64bits(2), 10)
+	f.Add(int64(2), uint8(7), int8(-128), int8(0), math.Float64bits(2), 10)
 	f.Add(int64(3), uint8(0), int8(5), int8(0), math.Float64bits(0.1), 1)
-	f.Add(int64(4), uint8(7), int8(0), int8(-15), math.Float64bits(1e-18), 50)
-	f.Add(int64(5), uint8(8), int8(32), int8(28), math.Float64bits(1e30), 3)
+	f.Add(int64(4), uint8(11), int8(0), int8(-15), math.Float64bits(1e-18), 50)
+	f.Add(int64(5), uint8(12), int8(32), int8(28), math.Float64bits(1e30), 3)
 	f.Add(int64(6), uint8(2), int8(-128), int8(-128), math.Float64bits(0), 2000)
-	f.Add(int64(7), uint8(11), int8(-128), int8(-35), math.Float64bits(math.Inf(1)), -1)
-	f.Add(int64(8), uint8(14), int8(127), int8(120), math.Float64bits(math.MaxFloat64), 7)
+	f.Add(int64(7), uint8(17), int8(-128), int8(-35), math.Float64bits(math.Inf(1)), -1)
+	f.Add(int64(8), uint8(22), int8(127), int8(120), math.Float64bits(math.MaxFloat64), 7)
+	// 64-d and 128-d stores of a few hundred rows, the paper's peers: near
+	// the origin, on the lattice, and far from it.
+	f.Add(int64(9), uint8(3), int8(-128), int8(0), math.Float64bits(0.5), 10)
+	f.Add(int64(10), uint8(4), int8(-128), int8(0), math.Float64bits(1), 10)
+	f.Add(int64(11), uint8(9), int8(-128), int8(0), math.Float64bits(3), 50)
+	f.Add(int64(12), uint8(14), int8(5), int8(0), math.Float64bits(0.1), 5)
 	// 4k rows in each layout the dense form cuts on (idLayouts' last five),
-	// every row a hit.
+	// every row a hit, and the 4097-id chunk again at 128-d.
 	for layout := 6; layout <= 10; layout++ {
-		f.Add(int64(layout), uint8(12*(layout+11)), int8(-128), int8(0), math.Float64bits(math.Inf(1)), 3)
+		shape := 20 * layout
+		if shape < 128 {
+			shape += 10 // a negligible negative offset, to reach 4k rows
+		}
+		f.Add(int64(layout), uint8(shape), int8(-128), int8(0), math.Float64bits(math.Inf(1)), 3)
 	}
+	f.Add(int64(13), uint8(184), int8(-128), int8(0), math.Float64bits(math.Inf(1)), 3)
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, offExp, scaleExp int8, epsBits uint64, k int) {
-		dim := []int{8, 16, 32}[shape%3]
+		dim := []int{8, 16, 32, 64, 128}[shape%5]
 		gen := clusteredRows
-		if shape/3%2 == 1 {
+		if shape/5%2 == 1 {
 			gen = latticeRows
 		}
 		off, scale := math.Ldexp(1, 4*int(offExp)), math.Ldexp(1, 4*int(scaleExp))
-		if shape/6%2 == 1 {
+		if shape/10%2 == 1 {
 			off = -off
 		}
 		layouts := append([]idLayout{shuffledIDs}, idLayouts()...)
-		ids := layouts[int(shape/12)%len(layouts)]
+		ids := layouts[int(shape/20)%len(layouts)]
 		rng := rand.New(rand.NewSource(seed))
-		built := store.IndexMinRows * (1 + int(shape>>7))
-		n := built + rng.Intn(store.IndexMinRows/8)
+		built := 4096
+		if shape < 128 {
+			built = store.IndexMinRows + rng.Intn(2*store.BlockRows-store.IndexMinRows+1)
+		}
+		n := built + rng.Intn(built/8)
 		perm := rng.Perm(n)
 		st := store.New(dim)
 		for i, r := range gen(rng, n, dim) {
@@ -549,13 +582,13 @@ func benchScan(b *testing.B, n int, scan func(q []float64, st *store.Store) int)
 	}
 }
 
-// benchRotating times scan over four 50k-row stores of §5.1 Markov rows (the
-// serving benchmark's corpus) in turn, so each scan finds its store's rows,
+// benchRotating times scan over stores of n dim-wide §5.1 Markov rows (the
+// benchmark workloads' corpus) in turn, so each scan finds its store's rows,
 // sketches and bitmaps out of cache as a holder with several stores (or
 // other work between fetches) does. Queries are stored rows and each radius
 // the distance from its query to another stored row. Row i has id id(i).
-func benchRotating(b *testing.B, id func(row int) int, scan func(q []float64, eps float64, st *store.Store) int) {
-	const stores, n, perStore = 4, 50000, 64
+func benchRotating(b *testing.B, stores, n, dim int, id func(row int) int, scan func(q []float64, eps float64, st *store.Store) int) {
+	const perStore = 64
 	type query struct {
 		q   []float64
 		eps float64
@@ -564,8 +597,8 @@ func benchRotating(b *testing.B, id func(row int) int, scan func(q []float64, ep
 	queries := make([][]query, stores)
 	rng := rand.New(rand.NewSource(1))
 	for s := range sts {
-		sts[s] = store.New(32)
-		for i, r := range dataset.Markov(dataset.MarkovConfig{N: n, Dim: 32}, rng) {
+		sts[s] = store.New(dim)
+		for i, r := range markovRows(rng, n, dim) {
 			sts[s].Append(id(i), r)
 		}
 		for range perStore {
@@ -594,19 +627,27 @@ func BenchmarkLocalRange(b *testing.B) {
 		})
 	}
 	b.Run("new/4x50000-rotating", func(b *testing.B) {
-		benchRotating(b, rowID, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+		benchRotating(b, 4, 50000, 32, rowID, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
 	})
 	// Ids 64 apart: a store's hits span 49 chunks, more than a holder's
 	// chunk scratch holds, so they are listed in row order, where they
 	// already ascend. Shuffled, the same ids also need sortIDs.
 	spread := func(row int) int { return row * 64 }
 	b.Run("new/4x50000-rotating-spread", func(b *testing.B) {
-		benchRotating(b, spread, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+		benchRotating(b, 4, 50000, 32, spread, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
 	})
 	perm := rand.New(rand.NewSource(2)).Perm(50000)
 	shuffled := func(row int) int { return perm[row] * 64 }
 	b.Run("new/4x50000-rotating-shuffled", func(b *testing.B) {
-		benchRotating(b, shuffled, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+		benchRotating(b, 4, 50000, 32, shuffled, func(q []float64, eps float64, st *store.Store) int { return len(LocalRange(q, eps, st)) })
+	})
+	// disseminate's stores: 64 of 500 128-d rows, in turn, answering in the
+	// form a fetch carries.
+	b.Run("new/64x500-d128-rotating", func(b *testing.B) {
+		benchRotating(b, 64, 500, 128, rowID, func(q []float64, eps float64, st *store.Store) int { return LocalRangeIDs(q, eps, st).Len() })
+	})
+	b.Run("reference/64x500-d128-rotating", func(b *testing.B) {
+		benchRotating(b, 64, 500, 128, rowID, func(q []float64, eps float64, st *store.Store) int { return len(referenceLocalRange(q, eps, st)) })
 	})
 }
 
@@ -620,6 +661,13 @@ func BenchmarkLocalKNN(b *testing.B) {
 		})
 	}
 	b.Run("new/4x50000-rotating", func(b *testing.B) {
-		benchRotating(b, rowID, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
+		benchRotating(b, 4, 50000, 32, rowID, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
+	})
+	// disseminate's stores: 64 of 500 128-d rows, in turn.
+	b.Run("new/64x500-d128-rotating", func(b *testing.B) {
+		benchRotating(b, 64, 500, 128, rowID, func(q []float64, _ float64, st *store.Store) int { return len(LocalKNN(q, 10, st)) })
+	})
+	b.Run("reference/64x500-d128-rotating", func(b *testing.B) {
+		benchRotating(b, 64, 500, 128, rowID, func(q []float64, _ float64, st *store.Store) int { return len(referenceLocalKNN(q, 10, st)) })
 	})
 }

@@ -15,12 +15,19 @@ import (
 // ignores it reads the same rows — so it is built lazily by whichever scan
 // first finds it missing or stale, and published through an atomic pointer.
 
-// IndexMinRows is the store size from which scans build and use an index.
-// Below it a scan is a few microseconds and a store is one unbounded run of
-// rows. A constant and not a tunable: the only inputs that matter are the row
-// count, which the code observes, and the fixed cost of one centroid
-// distance per BlockRows rows.
-const IndexMinRows = 2 * BlockRows
+// IndexMinRows is the store size from which scans build and use an index; a
+// smaller store is one unbounded run of rows. It sits a factor of two above
+// the measured crossover of the two scan paths (EXPERIMENTS.md "Indexing the
+// paper's stores"): timed on eight stores in turn, clustered and §5.1 Markov
+// rows, dims 8, 32 and 128, 2 cores, the index lost only on clustered rows
+// below 96 (range up to 1.9× the linear scan at 32–64 rows, ~1 µs either
+// way) and won every shape from 96 rows to 256 (range 0.2–0.93×, k-nn
+// 0.4–0.85×). On 128-d Markov rows, the benchmark's corpus, a 512-row range
+// scan takes 13 µs instead of 53 and a k-nn scan 19 instead of 41. Only k-nn
+// over clustered rows from ~400 rows does not gain (0.7–1.7×). A constant
+// and not a tunable: the only inputs that matter are the row count, which
+// the code observes, and the fixed cost of one centroid distance per group.
+const IndexMinRows = 256
 
 // indexTailDiv bounds the linearly scanned tail: the index is rebuilt once
 // the rows appended since the last build exceed 1/indexTailDiv of the rows it
@@ -150,7 +157,9 @@ func (s *Store) indexStale(ix *scanIndex) bool {
 	return ix == nil || (s.n-ix.indexed)*indexTailDiv > ix.indexed
 }
 
-// buildIndex partitions the current rows into ~n/BlockRows pivot groups.
+// buildIndex partitions the current rows into max(2, n/BlockRows) pivot
+// groups: one per BlockRows rows, and two for a store of fewer than
+// 2·BlockRows, whose rows then still split into windows narrower than one run.
 // Pivots are rows at an even stride (arrival order is as good a sample as
 // any and keeps the build deterministic); one capped-distance pass assigns
 // each row to its nearest pivot; a second pass over the members gives each
@@ -159,7 +168,7 @@ func (s *Store) indexStale(ix *scanIndex) bool {
 // how many rows a scan can decide without a distance, never what it returns.
 func (s *Store) buildIndex() *scanIndex {
 	n, dim := s.n, s.dim
-	g := n / BlockRows
+	g := max(2, n/BlockRows)
 	pivots := make([][]float64, g)
 	for j := range pivots {
 		pivots[j] = s.Vec(j*n/g + n/(2*g))

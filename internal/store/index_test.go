@@ -86,17 +86,13 @@ func TestScanIndexLifecycle(t *testing.T) {
 	if groups, indexed := s.ScanGroups(); groups != nil || indexed != 0 {
 		t.Fatalf("store below IndexMinRows got %d groups over %d rows", len(groups), indexed)
 	}
-	plain := s.HeapBytes()
 
 	appendRandom(s, rng, 1)
 	groups, indexed := s.ScanGroups()
-	if len(groups) != IndexMinRows/BlockRows || indexed != IndexMinRows {
+	if len(groups) != 2 || indexed != IndexMinRows {
 		t.Fatalf("first build: %d groups over %d rows", len(groups), indexed)
 	}
 	checkIndex(t, s, groups, indexed)
-	if perRow := float64(s.HeapBytes()-plain) / float64(indexed); perRow > 5 {
-		t.Errorf("index costs %.1f B/row, want <= 5", perRow)
-	}
 
 	// A short tail leaves the index alone; the rows are the caller's.
 	appendRandom(s, rng, IndexMinRows/indexTailDiv)
@@ -121,13 +117,45 @@ func TestScanIndexLifecycle(t *testing.T) {
 	t.Run("sketch-at-dim32", checkSketchCost)
 }
 
+// TestScanIndexGroups pins how many pivot groups a first build forms and what
+// they cost: two from IndexMinRows rows up to 2·BlockRows, then one per
+// BlockRows rows. Per row the index holds a row number and a sixteenth of a
+// shell edge, per group a centroid, four slice headers and up to two more
+// edges; from 2·BlockRows rows the whole is at most 5 B/row.
+func TestScanIndexGroups(t *testing.T) {
+	const dim = 5
+	const perGroup = 4*3*8 + dim*8 + 2*8
+	for _, tc := range []struct{ rows, groups int }{
+		{IndexMinRows, 2},
+		{1000, 2},
+		{2 * BlockRows, 2},
+		{3*BlockRows + 500, 3},
+		{8*BlockRows + BlockRows/4, 8},
+	} {
+		s := randomStore(rand.New(rand.NewSource(int64(tc.rows))), dim, tc.rows)
+		plain := s.HeapBytes()
+		groups, indexed := s.ScanGroups()
+		if len(groups) != tc.groups || indexed != tc.rows {
+			t.Fatalf("%d rows: %d groups over %d rows, want %d groups", tc.rows, len(groups), indexed, tc.groups)
+		}
+		checkIndex(t, s, groups, indexed)
+		limit := 5*tc.rows + tc.groups*perGroup
+		if tc.rows >= 2*BlockRows {
+			limit = 5 * tc.rows
+		}
+		if cost := s.HeapBytes() - plain; cost > limit {
+			t.Errorf("%d rows: index costs %d B (%.2f B/row), want <= %d", tc.rows, cost, float64(cost)/float64(tc.rows), limit)
+		}
+	}
+}
+
 // checkSketchCost fences the index at the shipped shape, dim 32, where every
 // row also gets a sketch: the parts fenced above stay within their bound, the
 // sketch costs exactly 4·(SketchBlocks+1) B/row, HeapBytes counts both, and a
 // clone shares the sketch with the index. A dim-31 store of the same size has
 // no sketch and one centroid coordinate less per group.
 func checkSketchCost(t *testing.T) {
-	const n, groups = IndexMinRows, IndexMinRows / BlockRows
+	const n, groups = 2 * BlockRows, 2
 	build := func(dim int) (*Store, []Group, int) {
 		s := randomStore(rand.New(rand.NewSource(5)), dim, n)
 		plain := s.HeapBytes()
@@ -188,7 +216,7 @@ func TestScanIndexDegenerateRows(t *testing.T) {
 
 func TestGroupWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := randomStore(rng, 3, IndexMinRows)
+	s := randomStore(rng, 3, 2*BlockRows)
 	groups, _ := s.ScanGroups()
 	for gi := range groups {
 		g := &groups[gi]
