@@ -39,16 +39,20 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Optimized-vs-reference kernel microbenchmarks (k-means, the Eq 8 solver,
+# Optimized-vs-reference kernel microbenchmarks (k-means, among them at the
+# 1- and 4-d shapes of a publish's coarse coefficients, the coarse wavelet
+# transform against the full decomposition it replaced, the Eq 8 solver,
 # the holder-side scans at 1k and 50k rows plus rotations over four 50k-row
 # Markov stores and over 64 500-row 128-d ones that find each out of cache, the coordinator's id union
 # against concatenate + radix sort and concatenate + comparison sort over the
 # run shapes the workloads fetch, and the range answer's encode and decode at
 # 25k and 100k ids), 5 repetitions for benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry ./internal/core ./internal/node
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSubspaceMatrices|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec)$$' -benchmem -count=5 ./internal/cluster ./internal/wavelet ./internal/geometry ./internal/core ./internal/node
 
-# Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
+# Short fuzz sessions: the wavelet round-trip invariant, the coarse
+# coefficient matrices vs the frozen full decomposition (float bits, NaN and
+# signed zeros included), the routing core vs
 # the frozen pre-extraction sphere-search reference, the holder-side scans
 # (sketch bounds and all) vs their frozen reference bodies on indexed stores
 # of fuzz-chosen dim, scale and offset, the zone split/takeover
@@ -70,6 +74,7 @@ bench-kernels:
 # duplicate-free and without a self entry.
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
+	$(GO) test -fuzz=FuzzSubspaceMatrices -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzLocalScans -fuzztime=30s ./internal/core

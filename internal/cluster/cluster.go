@@ -97,8 +97,10 @@ func validateKMeansInput(data [][]float64, cfg Config) int {
 // once per peer per wavelet level): incremental k-means++ seeding (O(n·k)
 // total instead of O(n·k²)), Lloyd iterations over flat double-buffered
 // centroid/accumulator arrays with zero per-iteration allocations, and
-// Hamerly-style triangle-inequality pruning with partial-distance early
-// exits in the assignment scans. Every floating-point operation that reaches
+// Hamerly-style triangle-inequality pruning (per-point bounds, each point's
+// lower bound drifted by the largest movement among the other centroids, and
+// the centroid-separation bound) with partial-distance early exits in the
+// assignment scans. Every floating-point operation that reaches
 // the output is performed in the same order as the naive kernel, so results
 // are bit-identical to kmeansReference (the pruning only skips computations
 // whose outcome is already decided); TestPropOptimizedMatchesReference
@@ -140,19 +142,28 @@ type kmeansState struct {
 	// centroid. A point whose upper < lower cannot change assignment.
 	upper, lower []float64
 	move         []float64 // per-centroid movement of the last update step
-	remap        []int     // result-compaction scratch
-	maxMove      float64
-	repaired     []int // point indices chosen by empty-cluster repairs
+	// drift[c] is the largest movement of the last update step among the
+	// centroids other than c: how far the lower bound of a point assigned
+	// to c falls.
+	drift []float64
+	// sep[c] is half the distance from centroid c to the nearest other one:
+	// a point within sep[c] of c is nearer c than any other centroid.
+	sep      []float64
+	remap    []int // result-compaction scratch
+	maxMove  float64
+	repaired []int // point indices chosen by empty-cluster repairs
 }
 
 func newKmeansState(n, k, dim int) kmeansState {
-	floats := make([]float64, 2*k*dim+2*n+k)
+	floats := make([]float64, 2*k*dim+2*n+3*k)
 	ints := make([]int, n+2*k)
 	st := kmeansState{n: n, k: k, dim: dim}
 	st.cent, floats = floats[:k*dim], floats[k*dim:]
 	st.next, floats = floats[:k*dim], floats[k*dim:]
 	st.upper, floats = floats[:n], floats[n:]
 	st.lower, floats = floats[:n], floats[n:]
+	st.sep, floats = floats[:k], floats[k:]
+	st.drift, floats = floats[:k], floats[k:]
 	st.move = floats
 	st.assign, ints = ints[:n], ints[n:]
 	st.counts, ints = ints[:k], ints[k:]
@@ -217,6 +228,13 @@ func (st *kmeansState) seed(data [][]float64, rng *rand.Rand) {
 // assignStep computes the nearest centroid for every point. After the first
 // full scan it applies the pending centroid drift to the Hamerly bounds and
 // rescans only the points whose bounds cannot certify their assignment.
+//
+// A point keeps its centroid a when its upper bound u is below m, the larger
+// of two bounds on its distance to every other centroid: its drifted lower
+// bound, and sep[a] — a centroid c at distance at least 2·sep[a] from a is at
+// least 2·sep[a] − u > u from the point. The comparison is strict, so a is
+// then the unique nearest centroid and the naive scan, whose ties keep the
+// lowest index, picks it too.
 func (st *kmeansState) assignStep(data [][]float64, full bool) {
 	if full {
 		for i, x := range data {
@@ -224,40 +242,105 @@ func (st *kmeansState) assignStep(data [][]float64, full bool) {
 		}
 		return
 	}
-	for i, x := range data {
-		a := st.assign[i]
-		u := st.upper[i] + st.move[a]
-		l := st.lower[i] - st.maxMove
-		if u < l {
-			st.upper[i], st.lower[i] = u, l
+	st.separate()
+	assign := st.assign[:len(data)]
+	upper, lower := st.upper[:len(assign)], st.lower[:len(assign)]
+	for i, a := range assign {
+		u := upper[i] + st.move[a]
+		l := lower[i] - st.drift[a]
+		m := l
+		if st.sep[a] > m {
+			m = st.sep[a]
+		}
+		if u < m {
+			upper[i], lower[i] = u, l
 			continue
 		}
 		// Tighten the upper bound with one exact distance before falling
 		// back to the full scan.
-		u = math.Sqrt(vec.Dist2(x, st.row(a)))
-		if u < l {
-			st.upper[i], st.lower[i] = u, l
+		x := data[i]
+		u = math.Sqrt(st.dist2(x, a))
+		if u < m {
+			upper[i], lower[i] = u, l
 			continue
 		}
 		st.scanPoint(i, x)
 	}
 }
 
+// separate sets sep[c] to half the distance from centroid c to its nearest
+// other centroid (+Inf for a lone centroid).
+func (st *kmeansState) separate() {
+	for c := range st.sep {
+		st.sep[c] = math.Inf(1)
+	}
+	for c := 0; c < st.k; c++ {
+		for o := c + 1; o < st.k; o++ {
+			h := math.Sqrt(vec.Dist2(st.row(c), st.row(o))) / 2
+			if h < st.sep[c] {
+				st.sep[c] = h
+			}
+			if h < st.sep[o] {
+				st.sep[o] = h
+			}
+		}
+	}
+}
+
+// smallDim is the dimensionality below which distances to the flat centroid
+// rows are summed inline: vec.Dist2Capped checks its cap once per 8
+// coordinates, so below 8 it is a call that never prunes.
+const smallDim = 8
+
+// dist2 is the squared distance from x to centroid c, summed in vec.Dist2's
+// order, so bit-identical to it.
+func (st *kmeansState) dist2(x []float64, c int) float64 {
+	if st.dim >= smallDim {
+		return vec.Dist2(x, st.row(c))
+	}
+	row := st.cent[c*st.dim:]
+	row = row[:len(x)]
+	var s float64
+	for j, v := range x {
+		t := v - row[j]
+		s += t * t
+	}
+	return s
+}
+
 // scanPoint is the full assignment scan for one point, tracking the best and
-// second-best squared distances (the Hamerly bounds). Each candidate scan is
-// capped at the running second-best distance: a partial sum that reaches the
-// cap proves the candidate can affect neither bound, and below the cap the
-// capped distance is bit-identical to vec.Dist2, so the selected index (ties
-// keep the lowest, exactly like the naive argmin) and both bounds match the
-// unpruned scan.
+// second-best squared distances (the Hamerly bounds). From smallDim on each
+// candidate scan is capped at the running second-best distance: a partial
+// sum that reaches the cap proves the candidate can affect neither bound, and
+// below the cap the capped distance is bit-identical to vec.Dist2, so the
+// selected index (ties keep the lowest, exactly like the naive argmin) and
+// both bounds match the unpruned scan. Below smallDim the distances are
+// summed inline over the flat centroid rows, in the same order.
 func (st *kmeansState) scanPoint(i int, x []float64) {
 	best, best2, second2 := 0, math.Inf(1), math.Inf(1)
-	for c := 0; c < st.k; c++ {
-		d2 := vec.Dist2Capped(x, st.row(c), second2)
-		if d2 < best2 {
-			best, best2, second2 = c, d2, best2
-		} else if d2 < second2 {
-			second2 = d2
+	if st.dim < smallDim {
+		for c, off := 0, 0; c < st.k; c, off = c+1, off+st.dim {
+			row := st.cent[off:]
+			row = row[:len(x)]
+			var d2 float64
+			for j, v := range x {
+				t := v - row[j]
+				d2 += t * t
+			}
+			if d2 < best2 {
+				best, best2, second2 = c, d2, best2
+			} else if d2 < second2 {
+				second2 = d2
+			}
+		}
+	} else {
+		for c := 0; c < st.k; c++ {
+			d2 := vec.Dist2Capped(x, st.row(c), second2)
+			if d2 < best2 {
+				best, best2, second2 = c, d2, best2
+			} else if d2 < second2 {
+				second2 = d2
+			}
 		}
 	}
 	st.assign[i] = best
@@ -302,14 +385,24 @@ func (st *kmeansState) updateStep(data [][]float64) float64 {
 			row[j] *= inv
 		}
 	}
+	// The largest movement, the centroid that made it, and the largest
+	// among the others: each centroid's drift is one of the two.
+	var maxMove2 float64
+	maxAt := 0
 	st.maxMove = 0
 	for c := 0; c < st.k; c++ {
 		m := math.Sqrt(vec.Dist2(st.row(c), st.nextRow(c)))
 		st.move[c] = m
 		if m > st.maxMove {
-			st.maxMove = m
+			st.maxMove, maxMove2, maxAt = m, st.maxMove, c
+		} else if m > maxMove2 {
+			maxMove2 = m
 		}
 	}
+	for c := range st.drift {
+		st.drift[c] = st.maxMove
+	}
+	st.drift[maxAt] = maxMove2
 	st.cent, st.next = st.next, st.cent
 	return st.maxMove
 }

@@ -233,12 +233,27 @@ func TestClusterString(t *testing.T) {
 }
 
 // TestPropOptimizedMatchesReference is the golden test for the optimized
-// kernel: across many random (seed, n, k, dim) combinations — including
-// degenerate inputs with heavy point duplication, which exercise the
-// zero-weight seeding path and empty-cluster repairs — KMeans must return
-// results bit-identical to the naive kmeansReference.
+// kernel: KMeans must return results bit-identical to the naive
+// kmeansReference over 3,240 configurations of three families —
+//   - random (n, k, dim ≤ 20) with heavy point duplication, which exercises
+//     the zero-weight seeding path and empty-cluster repairs;
+//   - the publish's coefficient matrices: d ∈ {1, 2, 4}, n up to 1,800,
+//     k = 10, on clustered data;
+//   - integer-lattice points, whose exact distance ties sit on the equality
+//     edges of the pruning bounds (a point midway between two centroids is
+//     exactly at its centroid's separation bound). Few trajectories pass
+//     through such a tie — about one in 500 of the small 1-d ones — so the
+//     family runs 3,000 of those besides 80 larger ones in up to 4-d.
 func TestPropOptimizedMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 30; seed++ {
+	check := func(family string, seed int64, data [][]float64, k int, runSeed int64) {
+		t.Helper()
+		ref := kmeansReference(data, Config{K: k, Rng: rand.New(rand.NewSource(runSeed))})
+		opt := KMeans(data, Config{K: k, Rng: rand.New(rand.NewSource(runSeed))})
+		if err := resultsIdentical(ref, opt); err != nil {
+			t.Fatalf("%s seed=%d n=%d k=%d dim=%d: %v", family, seed, len(data), k, len(data[0]), err)
+		}
+	}
+	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(300)
 		dim := 1 + rng.Intn(20)
@@ -256,12 +271,33 @@ func TestPropOptimizedMatchesReference(t *testing.T) {
 				data[i][j] = rng.NormFloat64() * 10
 			}
 		}
-		runSeed := rng.Int63()
-		ref := kmeansReference(data, Config{K: k, Rng: rand.New(rand.NewSource(runSeed))})
-		opt := KMeans(data, Config{K: k, Rng: rand.New(rand.NewSource(runSeed))})
-		if err := resultsIdentical(ref, opt); err != nil {
-			t.Fatalf("seed=%d n=%d k=%d dim=%d: %v", seed, n, k, dim, err)
+		check("random", seed, data, k, rng.Int63())
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dim := []int{1, 2, 4}[seed%3]
+		n := 30 + rng.Intn(1771)
+		check("coefficients", seed, MixtureData(n, dim, 2+rng.Intn(12), rng), 10, rng.Int63())
+	}
+	lattice := func(rng *rand.Rand, n, dim, side int) [][]float64 {
+		data := make([][]float64, n)
+		for i := range data {
+			data[i] = make([]float64, dim)
+			for j := range data[i] {
+				data[i][j] = float64(rng.Intn(side))
+			}
 		}
+		return data
+	}
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := lattice(rng, 5+rng.Intn(600), 1+rng.Intn(4), 2+rng.Intn(6))
+		check("lattice", seed, data, 1+rng.Intn(12), rng.Int63())
+	}
+	for seed := int64(1); seed <= 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := lattice(rng, 4+rng.Intn(7), 1, 2+rng.Intn(5))
+		check("small-lattice", seed, data, 2+rng.Intn(3), rng.Int63())
 	}
 }
 
@@ -297,11 +333,11 @@ func TestEmptyClusterRepairsDistinct(t *testing.T) {
 	}
 }
 
-// benchmarkKMeans runs one kernel at the default experiment scale
-// (n=1000, K=10) for one dimensionality, on the clustered mixture data the
-// publish pipeline actually feeds the kernel.
-func benchmarkKMeans(b *testing.B, dim int, ref bool) {
-	data := MixtureData(1000, dim, 10, rand.New(rand.NewSource(1)))
+// benchmarkKMeans runs one kernel with K=10 on n points of one
+// dimensionality, on the clustered mixture data the publish pipeline
+// actually feeds the kernel.
+func benchmarkKMeans(b *testing.B, n, dim int, ref bool) {
+	data := MixtureData(n, dim, 10, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,11 +351,13 @@ func benchmarkKMeans(b *testing.B, dim int, ref bool) {
 }
 
 // BenchmarkKMeans compares the optimized kernel against the naive reference
-// at the default experiment scale (n=1000, k=10, d ∈ {2, 8, 64}); run with
-// -benchmem to see the allocation gap.
+// at k=10: at the default experiment scale (n=1000, d ∈ {2, 8, 64}), and at
+// the shapes of a publish's coarse coefficient matrices (n=500, d ∈ {1, 4};
+// the 128-d items of a 4-level publish give matrices of d = 1, 1, 2 and 4).
+// Run with -benchmem to see the allocation gap.
 func BenchmarkKMeans(b *testing.B) {
-	for _, dim := range []int{2, 8, 64} {
-		b.Run(fmt.Sprintf("d=%d/opt", dim), func(b *testing.B) { benchmarkKMeans(b, dim, false) })
-		b.Run(fmt.Sprintf("d=%d/ref", dim), func(b *testing.B) { benchmarkKMeans(b, dim, true) })
+	for _, sh := range []struct{ n, dim int }{{500, 1}, {1000, 2}, {500, 4}, {1000, 8}, {1000, 64}} {
+		b.Run(fmt.Sprintf("d=%d/opt", sh.dim), func(b *testing.B) { benchmarkKMeans(b, sh.n, sh.dim, false) })
+		b.Run(fmt.Sprintf("d=%d/ref", sh.dim), func(b *testing.B) { benchmarkKMeans(b, sh.n, sh.dim, true) })
 	}
 }

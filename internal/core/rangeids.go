@@ -397,16 +397,19 @@ func (c *chunk) clear() {
 }
 
 // mergeIDs returns the ascending multiset union of answers in fresh memory,
-// leaving them alone. Answers that strictly ascend and share no id — indexed
-// holders' answers always ascend, and a corpus id lives on one peer — are
-// walked together chunk key by chunk key and come out in their form. Any
-// other input is concatenated and sorted, and comes out as one list, which
-// RangeIDsOf turns into the form when it is to be sent.
+// leaving them alone. Answers that do not strictly ascend (a small store
+// lists its ids in row order) are copied and sorted first when they hold
+// fewer ids than the others; then, when no answer repeats an id and none
+// shares one with another — a corpus id lives on one peer — the answers are
+// walked together chunk key by chunk key and the union comes out in its
+// form. Otherwise every answer is concatenated and sorted, and the union
+// comes out as one list, which RangeIDsOf turns into the form when it is to
+// be sent.
 func mergeIDs(answers []RangeIDs) RangeIDs {
-	if !slices.ContainsFunc(answers, func(a RangeIDs) bool { return !strictlyAscending(a.List) || !strictlyAscending(a.Keys) }) {
-		u := unionPool.Get().(*unionScratch)
-		defer unionPool.Put(u)
-		if out, ok := u.union(answers); ok {
+	u := unionPool.Get().(*unionScratch)
+	defer unionPool.Put(u)
+	if walk, ok := u.ascending(answers); ok {
+		if out, ok := u.union(walk); ok {
 			return out
 		}
 	}
@@ -426,14 +429,64 @@ func mergeIDs(answers []RangeIDs) RangeIDs {
 }
 
 // unionScratch is mergeIDs' working memory, pooled: one chunk the answers'
-// ids for the current key are set in, each answer's place, and the bitmap
-// chunks of the union as it is built.
+// ids for the current key are set in, each answer's place, the bitmap
+// chunks of the union as it is built, and the answers to walk with the
+// sorted copies of those that do not ascend.
 type unionScratch struct {
-	c     chunk
-	at    []unionPos
-	keys  []int
-	words []uint64
+	c      chunk
+	at     []unionPos
+	keys   []int
+	words  []uint64
+	walk   []RangeIDs
+	sorted []int
 }
+
+// ascending returns answers with each one that does not strictly ascend
+// replaced by a sorted copy of its ids in u's memory, or answers itself when
+// every one ascends. It reports false, and sorts nothing, when the answers
+// that do not ascend hold half the ids or more: sorting them one by one and
+// walking the union then costs as much as sorting the concatenation
+// (BenchmarkMergeIDs' 32x500 shapes: 0.6x at 2 of 32 such answers, 0.8x at
+// 8, even at 16). It also reports false when a sorted copy repeats an id.
+func (u *unionScratch) ascending(answers []RangeIDs) ([]RangeIDs, bool) {
+	ordered, unordered := 0, 0
+	for _, a := range answers {
+		if ascends(a) {
+			ordered += a.Len()
+		} else {
+			unordered += a.Len()
+		}
+	}
+	if unordered == 0 {
+		return answers, true
+	}
+	if unordered >= ordered {
+		return nil, false
+	}
+	walk, copied := answers, false
+	u.sorted = u.sorted[:0]
+	for i, a := range answers {
+		if ascends(a) {
+			continue
+		}
+		at := len(u.sorted)
+		u.sorted = a.appendItems(u.sorted)
+		ids := u.sorted[at:]
+		sortIDs(ids)
+		if !strictlyAscending(ids) {
+			return nil, false
+		}
+		if !copied {
+			u.walk = append(u.walk[:0], answers...)
+			walk, copied = u.walk, true
+		}
+		walk[i] = RangeIDs{List: ids}
+	}
+	return walk, true
+}
+
+// ascends reports whether a's ids strictly ascend, as the chunk walk needs.
+func ascends(a RangeIDs) bool { return strictlyAscending(a.List) && strictlyAscending(a.Keys) }
 
 // unionPos is an answer's place in the union's walk: its next list id and
 // its next bitmap chunk.

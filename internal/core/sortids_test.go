@@ -132,6 +132,72 @@ func TestMergeIDsMatchesSort(t *testing.T) {
 	}
 }
 
+// TestMergeIDsSortsOnlyUnorderedAnswers: answers out of order (a small
+// store's row order) that hold fewer ids than the ascending ones are sorted
+// on their own and unioned with them, and the union sends the same bytes as
+// sorting the whole concatenation; an id repeated inside one answer or
+// shared by two, or answers mostly out of order, still take the
+// concatenation, with the same result.
+func TestMergeIDsSortsOnlyUnorderedAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shuffled := func(ids []int) []int {
+		out := slices.Clone(ids)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	evens := func(lo, hi int) []int {
+		var out []int
+		for id := lo; id < hi; id += 2 {
+			out = append(out, id)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		runs   [][]int
+		bitmap bool // the union has a dense chunk: only the chunk walk makes one
+	}{
+		{"row-order-beside-ascending", [][]int{{1, 9, 40}, shuffled(span(100, 300)), {2, 3}, shuffled(span(500, 700)), {1 << 20}}, false},
+		{"row-order-inside-a-bitmap", [][]int{evens(0, 12000), shuffled(evens(1, 401)), {70000, 70001}}, true},
+		{"row-order-completes-a-bitmap", [][]int{span(0, 4000), shuffled(span(4000, 6000)), shuffled(span(1<<17, 1<<17+50))}, true},
+		{"mostly-row-order", [][]int{span(0, 3000), shuffled(span(3000, 6000)), {70000}}, false},
+		{"all-row-order", [][]int{shuffled(span(0, 100)), shuffled(span(100, 250))}, false},
+		{"shared-with-ascending", [][]int{evens(0, 12000), shuffled(append(evens(1, 401), 0))}, false},
+		{"shared-between-row-orders", [][]int{shuffled(span(0, 100)), shuffled(span(99, 250)), {1000}}, false},
+		{"repeat-inside-row-order", [][]int{{5000, 5001}, shuffled(append(span(0, 200), 17))}, false},
+	}
+	for _, tc := range cases {
+		before := make([][]int, len(tc.runs))
+		var want []int
+		for i, r := range tc.runs {
+			before[i] = slices.Clone(r)
+			want = append(want, r...)
+		}
+		slices.Sort(want)
+		merged := mergeIDs(forms(tc.runs))
+		if got := merged.Items(); !slices.Equal(got, want) {
+			t.Errorf("%s: mergeIDs differs from the sorted concatenation (%d ids, want %d)", tc.name, len(got), len(want))
+			continue
+		}
+		sent := merged
+		if len(sent.Keys) == 0 {
+			sent = RangeIDsOf(sent.List)
+		}
+		if today := RangeIDsOf(want); !sameForm(sent, today) {
+			t.Errorf("%s: sends %d chunks and %d listed ids, the sorted concatenation %d and %d",
+				tc.name, len(sent.Keys), len(sent.List), len(today.Keys), len(today.List))
+		}
+		if tc.bitmap && len(merged.Keys) == 0 {
+			t.Errorf("%s: union came out as one list; the answers were not walked by chunk", tc.name)
+		}
+		for i, r := range tc.runs {
+			if !slices.Equal(r, before[i]) {
+				t.Errorf("%s: run %d was modified", tc.name, i)
+			}
+		}
+	}
+}
+
 // span returns the ids [lo, hi).
 func span(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
@@ -226,7 +292,9 @@ func TestRangeIDsForm(t *testing.T) {
 // sorts), and two shapes either side of four runs — each through mergeIDs and through concatenate + radix sort and
 // concatenate + comparison sort. Each run arrives as its holder's dense form,
 // ascending as an indexed holder answers; the -rows shapes shuffle each run,
-// as the small stores of serve-uniform and disseminate answer in row order.
+// as the small stores of serve-uniform and disseminate answer in row order,
+// and the 32 x 500 -Nrows shapes only the last N, as disseminate's few
+// unindexed stores among indexed ones do.
 // A short shape is drawn many times over and the draws take turns: a
 // comparison sort fed the same thousand ids every iteration runs on a branch
 // predictor that has learnt them, at a third of what it costs a coordinator.
@@ -236,16 +304,17 @@ func BenchmarkMergeIDs(b *testing.B) {
 		k, per int
 		tag    string // "" or what the workload adds: extra ids from base up
 		extras []extra
-		rows   bool // each run shuffled: a small store answers in row order
-		stride int  // > 1: ids spaced this far apart, spreading them over more chunks
+		rows   int // runs shuffled, the last ones: a small store answers in row order
+		stride int // > 1: ids spaced this far apart, spreading them over more chunks
 	}{
-		{k: 4, per: 25000}, {4, 25000, "+ingest", []extra{{200, 1 << 28}}, false, 0},
-		{4, 25000, "+serve-ingest", []extra{{40, 1 << 24}, {200, 1 << 28}}, false, 0},
-		{4, 25000, "-spread", nil, false, 64},
+		{k: 4, per: 25000}, {4, 25000, "+ingest", []extra{{200, 1 << 28}}, 0, 0},
+		{4, 25000, "+serve-ingest", []extra{{40, 1 << 24}, {200, 1 << 28}}, 0, 0},
+		{4, 25000, "-spread", nil, 0, 64},
 		{k: 4, per: 250}, {k: 8, per: 5000},
-		{k: 24, per: 40}, {24, 8, "+publish", []extra{{48, 1 << 24}}, false, 0}, {24, 15, "+publish", []extra{{48, 1 << 24}}, false, 0},
-		{24, 60, "+publish", []extra{{48, 1 << 24}}, false, 0}, {k: 64, per: 250},
-		{24, 40, "-rows", nil, true, 0}, {64, 250, "-rows", nil, true, 0},
+		{k: 24, per: 40}, {24, 8, "+publish", []extra{{48, 1 << 24}}, 0, 0}, {24, 15, "+publish", []extra{{48, 1 << 24}}, 0, 0},
+		{24, 60, "+publish", []extra{{48, 1 << 24}}, 0, 0}, {k: 64, per: 250},
+		{24, 40, "-rows", nil, 24, 0}, {64, 250, "-rows", nil, 64, 0},
+		{32, 500, "-2rows", nil, 2, 0}, {32, 500, "-8rows", nil, 8, 0}, {32, 500, "-16rows", nil, 16, 0},
 	}
 	concat := func(runs [][]int) (out []int, or int) {
 		total := 0
@@ -301,10 +370,8 @@ func BenchmarkMergeIDs(b *testing.B) {
 					i++
 				}
 			}
-			if sh.rows {
-				for _, r := range runs {
-					rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
-				}
+			for _, r := range runs[sh.k-sh.rows:] {
+				rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
 			}
 			draws[d] = draw{runs, forms(runs)}
 		}

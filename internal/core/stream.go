@@ -181,12 +181,10 @@ func (sp *StreamPublisher) recluster(st *store.Store) []StreamDelta {
 	sp.State.epoch++
 	sp.State.inserts = 0
 	rng := rand.New(rand.NewSource(reclusterSeed(sp.Peer, sp.State.epoch)))
-	decs := wavelet.DecomposeAll(st.Rows(), sp.Convention)
 	levels := len(sp.Published)
 	pub := make([][]ClusterRef, levels)
 	seqs := make([][]int, levels)
-	for l := 0; l < levels; l++ {
-		coeffs := wavelet.SubspaceMatrix(decs, l)
+	for l, coeffs := range wavelet.SubspaceMatrices(st.Rows(), levels, sp.Convention) {
 		res := cluster.KMeans(coeffs, cluster.Config{K: sp.ClustersPerPeer, Rng: rng})
 		for idx, c := range res.Clusters {
 			pub[l] = append(pub[l], ClusterRef{

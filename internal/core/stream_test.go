@@ -195,9 +195,7 @@ func TestStreamReclusterMatchesBatch(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(reclusterSeed(p, 1)))
-	decs := wavelet.DecomposeAll(ps.store.Rows(), sys.cfg.Convention)
-	for l := 0; l < sys.cfg.Levels; l++ {
-		coeffs := wavelet.SubspaceMatrix(decs, l)
+	for l, coeffs := range wavelet.SubspaceMatrices(ps.store.Rows(), sys.cfg.Levels, sys.cfg.Convention) {
 		res := cluster.KMeans(coeffs, cluster.Config{K: sys.cfg.ClustersPerPeer, Rng: rng})
 		if len(res.Clusters) != len(ps.published[l]) {
 			t.Fatalf("level %d: %d clusters, batch pipeline gives %d", l, len(ps.published[l]), len(res.Clusters))

@@ -134,15 +134,13 @@ func (s *System) TotalItems() int {
 // PublishAll derives the same bounds itself when none are installed.
 //
 // The per-peer reductions run on the Config.Parallelism worker pool: each
-// peer decomposes only its own items, and the min/max merge runs in peer
-// order, so the result is identical for every worker count.
+// peer transforms only its own items, to the published levels' coefficients,
+// and the min/max merge runs in peer order, so the result is identical for
+// every worker count.
 func (s *System) DeriveBounds() {
 	parts, _ := parallel.Map(nil, s.cfg.Parallelism, len(s.peers), func(p int) (extrema, error) {
 		x := newExtrema(s.cfg.Levels)
-		st := s.peers[p].store
-		for i := 0; i < st.Len(); i++ {
-			x.add(wavelet.Decompose(st.Vec(i), s.cfg.Convention))
-		}
+		x.add(wavelet.SubspaceMatrices(s.peers[p].store.Rows(), s.cfg.Levels, s.cfg.Convention))
 		return x, nil
 	})
 	s.installExtrema(parts)
@@ -160,11 +158,15 @@ func newExtrema(levels int) extrema {
 	return x
 }
 
-// add widens x by every coefficient of one decomposed item.
-func (x extrema) add(dec *wavelet.Decomposition) {
-	for l := range x {
-		for _, c := range dec.Subspace(l) {
-			x.widen(l, c, c)
+// add widens level l of x by every coefficient of mats[l], the rows of
+// wavelet.SubspaceMatrices. Each level sees its coefficients in item order,
+// as it did when items were decomposed one at a time.
+func (x extrema) add(mats [][][]float64) {
+	for l, rows := range mats {
+		for _, row := range rows {
+			for _, c := range row {
+				x.widen(l, c, c)
+			}
 		}
 	}
 }
@@ -255,14 +257,14 @@ type PublishStats struct {
 }
 
 // preparedPeer is the output of one peer's local pipeline steps — the DWT
-// decomposition (i1) and the per-subspace k-means (i2). It is pure data
-// computed without touching any shared structure, which is what makes the
-// preparation phase safe to fan out across workers.
+// coefficients of the published levels (i1) and the per-subspace k-means
+// (i2). It is pure data computed without touching any shared structure,
+// which is what makes the preparation phase safe to fan out across workers.
 type preparedPeer struct {
 	// levels[l] holds the level-l cluster spheres, nil for an empty peer.
 	levels [][]cluster.Cluster
 	// extrema is the peer's share of DeriveBounds, read off the same
-	// decompositions (nil for an empty peer).
+	// coefficients (nil for an empty peer).
 	extrema extrema
 }
 
@@ -280,13 +282,10 @@ func (s *System) preparePeer(p int, seed int64) preparedPeer {
 		return preparedPeer{}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	decs := wavelet.DecomposeAll(ps.store.Rows(), s.cfg.Convention)
+	mats := wavelet.SubspaceMatrices(ps.store.Rows(), s.cfg.Levels, s.cfg.Convention)
 	prep := preparedPeer{levels: make([][]cluster.Cluster, s.cfg.Levels), extrema: newExtrema(s.cfg.Levels)}
-	for _, dec := range decs {
-		prep.extrema.add(dec)
-	}
-	for l := 0; l < s.cfg.Levels; l++ {
-		coeffs := wavelet.SubspaceMatrix(decs, l)
+	prep.extrema.add(mats)
+	for l, coeffs := range mats {
 		res := cluster.KMeans(coeffs, cluster.Config{K: s.cfg.ClustersPerPeer, Rng: rng})
 		prep.levels[l] = res.Clusters
 	}
@@ -354,7 +353,7 @@ func (s *System) PublishPeer(p int) PublishStats {
 
 // PublishAll publishes every peer and returns the summed statistics. Without
 // installed bounds it first derives them, exactly as DeriveBounds would, from
-// the decompositions it clusters — each item is decomposed once.
+// the coefficients it clusters — each item is transformed once.
 //
 // The per-peer preparation (decomposition + clustering, the dominant cost)
 // fans out across the Config.Parallelism worker pool; per-peer clustering

@@ -72,9 +72,7 @@ func Fig11(p EffectivenessParams, maxSpaces int) ([]Fig11Row, error) {
 		// Original space.
 		addQuality(&part.rows[0], &part.counts[0], items, p.ClustersPerPeer, krng)
 		// Wavelet subspaces.
-		decs := wavelet.DecomposeAll(items, wavelet.Averaging)
-		for s := 0; s < maxSpaces; s++ {
-			coeffs := wavelet.SubspaceMatrix(decs, s)
+		for s, coeffs := range wavelet.SubspaceMatrices(items, maxSpaces, wavelet.Averaging) {
 			addQuality(&part.rows[s+1], &part.counts[s+1], coeffs, p.ClustersPerPeer, krng)
 		}
 		return part, nil

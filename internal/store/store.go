@@ -101,7 +101,7 @@ func (s *Store) Append(id int, v []float64) {
 func (s *Store) IDs() []int { return s.ids }
 
 // Rows materializes the outer slice of row views (one allocation). Used to
-// feed batch kernels (wavelet.DecomposeAll) that consume [][]float64.
+// feed batch kernels (wavelet.SubspaceMatrices) that consume [][]float64.
 func (s *Store) Rows() [][]float64 {
 	out := make([][]float64, s.n)
 	for i := range out {

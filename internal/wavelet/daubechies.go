@@ -28,20 +28,17 @@ func init() {
 }
 
 // d4Step performs one periodic Daubechies-4 analysis step on cur (length n,
-// even, >= 4), writing approx[i] = Σ_k h_k cur[(2i+k) mod n] and the
-// corresponding details. For n == 2 the step degenerates to the orthonormal
-// Haar step (standard practice for short periodic signals).
-func d4Step(cur []float64) (approx, detail []float64) {
+// even, >= 4), writing approx[i] = Σ_k h_k cur[(2i+k) mod n] and, unless
+// detail is nil, the corresponding details. approx must not overlap cur. For
+// n == 2 the step degenerates to the orthonormal Haar step (standard
+// practice for short periodic signals).
+func d4Step(cur, approx, detail []float64) {
 	n := len(cur)
-	half := n / 2
-	approx = make([]float64, half)
-	detail = make([]float64, half)
 	if n == 2 {
-		approx[0] = (cur[0] + cur[1]) / math.Sqrt2
-		detail[0] = (cur[0] - cur[1]) / math.Sqrt2
-		return approx, detail
+		haarStep(cur, approx, detail, math.Sqrt2)
+		return
 	}
-	for i := 0; i < half; i++ {
+	for i := 0; i < n/2; i++ {
 		var a, d float64
 		for k := 0; k < 4; k++ {
 			v := cur[(2*i+k)%n]
@@ -49,9 +46,10 @@ func d4Step(cur []float64) (approx, detail []float64) {
 			d += d4Hi[k] * v
 		}
 		approx[i] = a
-		detail[i] = d
+		if detail != nil {
+			detail[i] = d
+		}
 	}
-	return approx, detail
 }
 
 // d4Inverse inverts one step: the analysis transform is orthogonal, so the

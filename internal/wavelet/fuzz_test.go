@@ -75,3 +75,45 @@ func FuzzDecomposeReconstruct(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSubspaceMatrices holds SubspaceMatrices to the frozen DecomposeAll +
+// SubspaceMatrix pair on fuzz-chosen dims (1 to 512), levels, conventions and
+// values, NaN, signed zeros and infinities included: every coefficient must
+// have the frozen pair's bits. Run with
+// `go test -fuzz=FuzzSubspaceMatrices ./internal/wavelet`.
+func FuzzSubspaceMatrices(f *testing.F) {
+	floats := func(xs ...float64) []byte {
+		buf := make([]byte, 8*len(xs))
+		for i, v := range xs {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		return buf
+	}
+	f.Add(uint8(2), uint8(3), uint8(0), floats(9, 7, 3, 5, 1, 1, 1, 1))
+	f.Add(uint8(0), uint8(1), uint8(1), floats(math.Copysign(0, -1)))
+	f.Add(uint8(3), uint8(4), uint8(2), floats(math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e308, -1e308, 5e-324))
+	f.Add(uint8(7), uint8(4), uint8(0), floats(0.25, -3, 17, 1e-9))
+	f.Add(uint8(9), uint8(10), uint8(2), floats(1, 2, 3))
+	f.Fuzz(func(t *testing.T, logDim, levels, conv uint8, raw []byte) {
+		d := 1 << (logDim % 10)
+		var vals []float64
+		for ; len(raw) >= 8 && len(vals) < 4*512; raw = raw[8:] {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+		}
+		n := 1 + len(vals)/d
+		xs := make([][]float64, n)
+		for r := range xs {
+			xs[r] = make([]float64, d)
+			for j := range xs[r] {
+				if len(vals) > 0 {
+					xs[r][j] = vals[(r*d+j)%len(vals)]
+				}
+			}
+		}
+		lv := int(levels) % (NumSubspaces(d) + 1)
+		c := Convention(conv % 3)
+		if err := sameMatrices(xs, lv, c, SubspaceMatrices(xs, lv, c)); err != nil {
+			t.Fatalf("%v d=%d levels=%d rows=%d: %v", c, d, lv, n, err)
+		}
+	})
+}

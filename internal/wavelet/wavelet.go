@@ -162,27 +162,9 @@ func Decompose(x []float64, conv Convention) *Decomposition {
 	// Steps run from the finest detail (D_{levels-1}, length d/2) down to the
 	// coarsest (D_0, length 1).
 	for l := levels - 1; l >= 0; l-- {
-		var approx, detail []float64
-		if conv == Daubechies4 {
-			approx, detail = d4Step(cur)
-		} else {
-			half := len(cur) / 2
-			approx = make([]float64, half)
-			detail = make([]float64, half)
-			for i := 0; i < half; i++ {
-				a, b := cur[2*i], cur[2*i+1]
-				switch conv {
-				case Averaging:
-					approx[i] = (a + b) / 2
-					detail[i] = (a - b) / 2
-				case Orthonormal:
-					approx[i] = (a + b) / math.Sqrt2
-					detail[i] = (a - b) / math.Sqrt2
-				default:
-					panic("wavelet: unknown convention")
-				}
-			}
-		}
+		half := len(cur) / 2
+		approx, detail := make([]float64, half), make([]float64, half)
+		step(conv, cur, approx, detail)
 		dec.Details[l] = detail
 		cur = approx
 	}
@@ -281,25 +263,113 @@ func PadPow2(x []float64) []float64 {
 	return out
 }
 
-// DecomposeAll decomposes every row of xs with the given convention.
-func DecomposeAll(xs [][]float64, conv Convention) []*Decomposition {
-	out := make([]*Decomposition, len(xs))
-	for i, x := range xs {
-		out[i] = Decompose(x, conv)
+// step performs one analysis step of conv on cur (even length), writing
+// the half-length approximation to approx and, unless detail is nil, the
+// details to detail. Decompose and SubspaceMatrices both run their steps
+// here, so a coefficient has one sequence of operations whichever of them
+// makes it.
+func step(conv Convention, cur, approx, detail []float64) {
+	switch conv {
+	case Averaging:
+		haarStep(cur, approx, detail, 2)
+	case Orthonormal:
+		haarStep(cur, approx, detail, math.Sqrt2)
+	case Daubechies4:
+		d4Step(cur, approx, detail)
+	default:
+		panic("wavelet: unknown convention")
 	}
-	return out
 }
 
-// SubspaceMatrix extracts subspace i's coefficients from every decomposition,
-// producing the matrix that per-level clustering runs on. Rows are copies and
-// safe to mutate.
-func SubspaceMatrix(decs []*Decomposition, i int) [][]float64 {
-	out := make([][]float64, len(decs))
-	for r, dec := range decs {
-		src := dec.Subspace(i)
-		row := make([]float64, len(src))
-		copy(row, src)
-		out[r] = row
+// haarStep is the Haar step with normalization div: approx[i] =
+// (cur[2i]+cur[2i+1])/div and detail[i] = (cur[2i]-cur[2i+1])/div. approx
+// may be cur itself: entry i is written after cur[2i] and cur[2i+1] are
+// read, and no later entry reads below 2i+2.
+func haarStep(cur, approx, detail []float64, div float64) {
+	half := len(cur) / 2
+	if detail == nil {
+		for i := 0; i < half; i++ {
+			approx[i] = (cur[2*i] + cur[2*i+1]) / div
+		}
+		return
+	}
+	for i := 0; i < half; i++ {
+		a, b := cur[2*i], cur[2*i+1]
+		approx[i] = (a + b) / div
+		detail[i] = (a - b) / div
+	}
+}
+
+// SubspaceMatrices transforms every row of xs and returns, for each subspace
+// i below levels, the matrix of every row's subspace-i coefficients: the
+// input per-level clustering runs on. Coefficients are bit-identical to
+// Decompose's. Only what is returned is stored: the steps run on one
+// scratch row (in place for Haar, between two buffers for D4), the details
+// of subspaces at or above levels are dropped as they are made, and every
+// row of every level is carved from one backing array, so a call makes three
+// allocations. The rows of xs must share one power-of-two length d, and
+// levels must lie in [0, NumSubspaces(d)].
+func SubspaceMatrices(xs [][]float64, levels int, conv Convention) [][][]float64 {
+	if levels < 0 {
+		panic(fmt.Sprintf("wavelet: %d subspaces asked for", levels))
+	}
+	n := len(xs)
+	out := make([][][]float64, levels)
+	headers := make([][]float64, n*levels)
+	for l := range out {
+		out[l] = headers[l*n : (l+1)*n : (l+1)*n]
+	}
+	if n == 0 {
+		return out
+	}
+	d := len(xs[0])
+	if !IsPow2(d) {
+		panic(fmt.Sprintf("wavelet: input length %d is not a power of two", d))
+	}
+	if levels > NumSubspaces(d) {
+		panic(fmt.Sprintf("wavelet: %d subspaces asked of dim %d, which has %d", levels, d, NumSubspaces(d)))
+	}
+	// A row keeps 2^(levels-1) coefficients, subspace l > 0 starting at the
+	// row's coefficient 2^(l-1); level l's block of the backing starts at n
+	// times that offset, and the scratch rows follow the last block.
+	kept := 0
+	if levels > 0 {
+		kept = 1 << (levels - 1)
+	}
+	backing := make([]float64, n*kept+d+d/2)
+	for l := range out {
+		w, base := SubspaceDim(l), 0
+		if l > 0 {
+			base = n * w
+		}
+		for r := range out[l] {
+			at := base + r*w
+			out[l][r] = backing[at : at+w : at+w]
+		}
+	}
+	scratch := backing[n*kept:]
+	for r, x := range xs {
+		if len(x) != d {
+			panic(fmt.Sprintf("wavelet: row %d has length %d, want %d", r, len(x), d))
+		}
+		cur, spare := scratch[:d], scratch[d:]
+		copy(cur, x)
+		for l := Log2(d) - 1; l >= 0; l-- {
+			half := len(cur) / 2
+			var detail []float64
+			if l+1 < levels {
+				detail = out[l+1][r]
+			}
+			approx := cur[:half]
+			if conv == Daubechies4 { // a D4 step reads around the row
+				approx, spare = spare[:half], cur
+			}
+			step(conv, cur, approx, detail)
+			cur = approx
+		}
+		if levels > 0 {
+			out[0][r][0] = cur[0]
+		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package wavelet
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,17 +226,44 @@ func TestPadPow2(t *testing.T) {
 	}
 }
 
-func TestDecomposeAllAndSubspaceMatrix(t *testing.T) {
+func TestSubspaceMatricesKnownValues(t *testing.T) {
 	xs := [][]float64{{9, 7, 3, 5}, {1, 1, 1, 1}}
-	decs := DecomposeAll(xs, Averaging)
-	m := SubspaceMatrix(decs, 0)
-	if m[0][0] != 6 || m[1][0] != 1 {
-		t.Errorf("SubspaceMatrix = %v", m)
+	m := SubspaceMatrices(xs, 3, Averaging)
+	want := [][][]float64{{{6}, {1}}, {{2}, {0}}, {{1, -1}, {0, 0}}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("SubspaceMatrices = %v, want %v", m, want)
 	}
-	// Rows must be copies.
-	m[0][0] = 99
-	if decs[0].Approx[0] != 6 {
-		t.Error("SubspaceMatrix aliased decomposition storage")
+	// Rows are carved from one array but bounded: an append to one row
+	// cannot reach the next, and the input is left alone.
+	m[0][0] = append(m[0][0], 99)
+	m[1][0][0] = 42
+	if m[0][1][0] != 1 || m[1][1][0] != 0 || m[2][0][0] != 1 {
+		t.Errorf("a row write reached another row: %v", m)
+	}
+	if xs[0][0] != 9 || xs[1][3] != 1 {
+		t.Error("SubspaceMatrices mutated its input")
+	}
+}
+
+func TestSubspaceMatricesPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		xs     [][]float64
+		levels int
+	}{
+		{"non-power-of-two", [][]float64{{1, 2, 3}}, 1},
+		{"too many levels", [][]float64{{1, 2, 3, 4}}, 4},
+		{"negative levels", [][]float64{{1, 2}}, -1},
+		{"ragged rows", [][]float64{{1, 2}, {1, 2, 3, 4}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			SubspaceMatrices(tc.xs, tc.levels, Averaging)
+		})
 	}
 }
 
