@@ -46,14 +46,17 @@ bench:
 # Markov stores and over 64 500-row 128-d ones that find each out of cache, the coordinator's id union
 # against concatenate + radix sort and concatenate + comparison sort over the
 # run shapes the workloads fetch, and the range answer's encode and decode at
-# 25k and 100k ids), 5 repetitions for benchstat-grade numbers.
+# 25k and 100k ids, and the simulator's sphere search and insert, whose
+# flood visits read kept neighbor views and mark an open-addressing id set),
+# 5 repetitions for benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSubspaceMatrices|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec)$$' -benchmem -count=5 ./internal/cluster ./internal/wavelet ./internal/geometry ./internal/core ./internal/node
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSubspaceMatrices|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec|BenchmarkSearchSphere|BenchmarkInsertSphere)$$' -benchmem -count=5 ./internal/cluster ./internal/wavelet ./internal/geometry ./internal/core ./internal/node ./internal/can
 
 # Short fuzz sessions: the wavelet round-trip invariant, the coarse
 # coefficient matrices vs the frozen full decomposition (float bits, NaN and
 # signed zeros included), the routing core vs
-# the frozen pre-extraction sphere-search reference, the holder-side scans
+# the frozen pre-extraction sphere-search reference, the route machines'
+# open-addressing id set vs a map, the holder-side scans
 # (sketch bounds and all) vs their frozen reference bodies on indexed stores
 # of fuzz-chosen dim, scale and offset, the zone split/takeover
 # tiling invariants under random churn schedules, every wire body of the
@@ -76,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSubspaceMatrices -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
+	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s ./internal/route
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzLocalScans -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzMembershipWire -fuzztime=30s ./internal/membership

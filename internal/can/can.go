@@ -45,8 +45,13 @@ type node struct {
 	zones     []Zone // usually one; temporarily more after a takeover (Leave)
 	alive     bool
 	neighbors []int
-	owned     []RecordView
-	replicas  []RecordView
+	// views is the neighbor table as the routing core reads it: neighbors'
+	// ids with their live zone slices. Every mutator that changes zones or
+	// neighbor lists rebuilds it (refreshViews), so liveView stays a pure
+	// read that concurrent searches can share.
+	views    []NeighborView
+	owned    []RecordView
+	replicas []RecordView
 }
 
 // containsPoint reports whether any of the node's zones contains p.
@@ -206,6 +211,7 @@ func (o *Overlay) split(owner *node, joinPoint []float64) (*node, error) {
 	for id := range affected {
 		o.recomputeNeighbors(o.nodes[id])
 	}
+	o.refreshViews()
 	return joiner, nil
 }
 
@@ -272,15 +278,25 @@ func zonesAdjacent(a, b Zone) bool { return route.ZonesAdjacent(a, b) }
 // length on a consistent topology.
 func (o *Overlay) hopLimit() int { return 8*len(o.nodes) + 16 }
 
-// liveView builds node n's view for the routing core, sharing the live zone
-// and record slices (the machines treat views as read-only, so no copying is
-// needed on the simulator's synchronous path).
+// liveView returns node n's view for the routing core, sharing the live
+// zone, neighbor-view and record slices (the machines treat views as
+// read-only, so no copying is needed on the simulator's synchronous path).
+// It writes nothing: concurrent searches may call it.
 func (o *Overlay) liveView(n *node) route.NodeView {
-	nbs := make([]route.NeighborView, len(n.neighbors))
-	for i, id := range n.neighbors {
-		nbs[i] = route.NeighborView{ID: id, Zones: o.nodes[id].zones}
+	return route.NodeView{ID: n.id, Zones: n.zones, Neighbors: n.views, Owned: n.owned, Replicas: n.replicas}
+}
+
+// refreshViews rebuilds every node's kept neighbor views from the current
+// neighbor lists and zones. Each mutator that changes either calls it once
+// at its end; churn is rare and an overlay has at most a few hundred nodes,
+// so rebuilding them all is cheaper than tracking which went stale.
+func (o *Overlay) refreshViews() {
+	for _, n := range o.nodes {
+		n.views = n.views[:0]
+		for _, id := range n.neighbors {
+			n.views = append(n.views, route.NeighborView{ID: id, Zones: o.nodes[id].zones})
+		}
 	}
-	return route.NodeView{ID: n.id, Zones: n.zones, Neighbors: nbs, Owned: n.owned, Replicas: n.replicas}
 }
 
 // route greedily forwards from start toward the owner of target, returning
@@ -626,6 +642,7 @@ func (o *Overlay) Leave(id int) (int, error) {
 	for aid := range affected {
 		o.recomputeNeighbors(o.nodes[aid])
 	}
+	o.refreshViews()
 	return msgs, nil
 }
 
@@ -742,6 +759,7 @@ func (o *Overlay) Crash(id int) (int, error) {
 	for aid := range affected {
 		o.recomputeNeighbors(o.nodes[aid])
 	}
+	o.refreshViews()
 
 	// Republish: each taker pulls the records its new zone needs from the
 	// replicas that survived in overlapping zones. Records held only by the
@@ -764,25 +782,14 @@ func (o *Overlay) Crash(id int) (int, error) {
 // deduplicated and then sorted by seq — the global-scan equivalent of what
 // a live node's recovery sphere search collects.
 func (o *Overlay) scanRecords(key []float64, radius float64) []RecordView {
-	seen := map[int]bool{}
-	var out []RecordView
-	add := func(recs []RecordView) {
-		for _, rec := range recs {
-			if seen[rec.Seq] {
-				continue
-			}
-			if TorusDist(rec.Entry.Key, key) <= rec.Entry.Radius+radius {
-				seen[rec.Seq] = true
-				out = append(out, rec)
-			}
-		}
-	}
+	h := route.NewHarvest(key, radius)
 	for _, n := range o.nodes {
 		if n.alive {
-			add(n.owned)
-			add(n.replicas)
+			h.Add(n.owned)
+			h.Add(n.replicas)
 		}
 	}
+	out := h.Records
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

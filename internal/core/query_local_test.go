@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hyperm/internal/dataset"
@@ -670,4 +671,105 @@ func BenchmarkLocalKNN(b *testing.B) {
 	b.Run("reference/64x500-d128-rotating", func(b *testing.B) {
 		benchRotating(b, 64, 500, 128, rowID, func(q []float64, _ float64, st *store.Store) int { return len(referenceLocalKNN(q, 10, st)) })
 	})
+	// disseminate's own indexed stores, by row count, at both ends of the
+	// per-peer k the engine asks (ceil(C·k·share) with k = 10, C = 1): the
+	// shipped scan through the index, and the linear scan a store below
+	// store.IndexMinRows gets. "own" queries are the store's rows; "pool"
+	// queries are corpus rows drawn as the workload's query pool draws them,
+	// mostly from other peers' interest clusters.
+	for _, band := range [][2]int{{256, 512}, {512, 1024}, {1024, 1 << 30}} {
+		for _, k := range []int{1, 10} {
+			for _, pool := range []bool{false, true} {
+				name := fmt.Sprintf("dissem-%d-%d-k%d-own", band[0], min(band[1], 9999), k)
+				if pool {
+					name = strings.Replace(name, "-own", "-pool", 1)
+				}
+				b.Run("new/"+name, func(b *testing.B) {
+					benchStores(b, disseminateStores(band[0], band[1]), pool, func(q []float64, st *store.Store) int { return len(LocalKNN(q, k, st)) })
+				})
+				b.Run("linear/"+name, func(b *testing.B) {
+					benchStores(b, disseminateStores(band[0], band[1]), pool, func(q []float64, st *store.Store) int { return len(linearKNN(q, k, st)) })
+				})
+			}
+		}
+	}
+}
+
+// linearKNN is LocalKNN's scan of a store with no index — every row, each
+// distance capped at the heap's bound — run over any store.
+func linearKNN(q []float64, k int, st *store.Store) []ItemDist {
+	ids := st.IDs()
+	top := newTopK(min(k, len(ids)))
+	for i := range ids {
+		if d := vec.Dist2Capped(q, st.Vec(i), top.bound); d <= top.limit {
+			top.offer(ids[i], d)
+		}
+	}
+	return top.sorted()
+}
+
+// disseminatePeers is the disseminate workload's corpus as its 64 peers hold
+// it: 32,000 §5.1 Markov rows of 128 dims, dealt by dataset.AssignToPeers
+// from the same seed (the experiments' markovData), each peer's rows in the
+// order it adds them.
+var disseminatePeers = sync.OnceValue(func() [][][]float64 {
+	rng := rand.New(rand.NewSource(1))
+	data := dataset.Markov(dataset.MarkovConfig{N: 64 * 500, Dim: 128}, rng)
+	asg := dataset.AssignToPeers(data, dataset.AssignConfig{Peers: 64}, rng)
+	peers := make([][][]float64, len(asg.PeerItems))
+	for p, items := range asg.PeerItems {
+		for _, id := range items {
+			peers[p] = append(peers[p], data[id])
+		}
+	}
+	return peers
+})
+
+// disseminateStores builds a store of each disseminate peer holding lo to
+// hi-1 rows.
+func disseminateStores(lo, hi int) []*store.Store {
+	var sts []*store.Store
+	for _, rows := range disseminatePeers() {
+		if len(rows) < lo || len(rows) >= hi {
+			continue
+		}
+		st := store.New(128)
+		for i, r := range rows {
+			st.Append(i, r)
+		}
+		sts = append(sts, st)
+	}
+	return sts
+}
+
+// benchStores times scan over the stores in turn. Each store's queries are
+// its own rows, or with pool corpus rows drawn from every peer.
+func benchStores(b *testing.B, sts []*store.Store, pool bool, scan func(q []float64, st *store.Store) int) {
+	if len(sts) == 0 {
+		b.Skip("no store in the band")
+	}
+	const perStore = 64
+	peers := disseminatePeers()
+	queries := make([][][]float64, len(sts))
+	rng := rand.New(rand.NewSource(1))
+	for s, st := range sts {
+		for range perStore {
+			q := st.Vec(rng.Intn(st.Len()))
+			if pool {
+				rows := peers[rng.Intn(len(peers))]
+				for len(rows) == 0 {
+					rows = peers[rng.Intn(len(peers))]
+				}
+				q = rows[rng.Intn(len(rows))]
+			}
+			queries[s] = append(queries[s], q)
+		}
+		scan(queries[s][0], st) // index build is set-up, not scan time
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % len(sts)
+		benchSink += scan(queries[s][i/len(sts)%perStore], sts[s])
+	}
+	b.ReportMetric(float64(len(sts)), "stores")
 }

@@ -99,20 +99,10 @@ func (n *Node) RouteOwner(ctx context.Context, level int, bootstrap string, key 
 // the simulator's scan would see.
 func (n *Node) Collect(ctx context.Context, level int, key []float64, radius float64) ([]route.RecordView, error) {
 	src := n.sphereViews(ctx, level, key, radius)
-	seen := map[int]bool{}
-	var out []route.RecordView
+	h := route.NewHarvest(key, radius)
 	harvest := func(v route.NodeView) {
-		for _, recs := range [2][]route.RecordView{v.Owned, v.Replicas} {
-			for _, rec := range recs {
-				if seen[rec.Seq] {
-					continue
-				}
-				if route.TorusDist(rec.Entry.Key, key) <= rec.Entry.Radius+radius {
-					seen[rec.Seq] = true
-					out = append(out, rec)
-				}
-			}
-		}
+		h.Add(v.Owned)
+		h.Add(v.Replicas)
 	}
 	start, err := src.View(n.peer)
 	if err != nil {
@@ -139,6 +129,7 @@ func (n *Node) Collect(ctx context.Context, level int, key []float64, radius flo
 		harvest(v)
 		s.Feed(v, 1)
 	}
+	out := h.Records
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
 }

@@ -142,7 +142,7 @@ type Router struct {
 	limit   int
 	hops    int
 	cur     NodeView
-	visited map[int]bool
+	visited idSet
 	pending bool // a RouteHop awaits Feed
 	stalled bool // a stall awaits ResolveOwner
 	done    bool
@@ -152,7 +152,9 @@ type Router struct {
 // hopLimit bounds the driver-accounted hop total before the ErrLoopLimit
 // stall fires (the CAN simulator uses 8*nodes+16).
 func NewRouter(start NodeView, key []float64, hopLimit int) *Router {
-	return &Router{key: key, limit: hopLimit, cur: start, visited: map[int]bool{start.ID: true}}
+	r := &Router{key: key, limit: hopLimit, cur: start}
+	r.visited.add(start.ID)
+	return r
 }
 
 // Next emits the next routing decision: StepDone when the current node owns
@@ -177,7 +179,7 @@ func (r *Router) Next() (Step, error) {
 	bestID, bestDist := -1, math.Inf(1)
 	for _, nb := range r.cur.Neighbors {
 		d := ZonesDist(nb.Zones, r.key)
-		if r.visited[nb.ID] {
+		if r.visited.has(nb.ID) {
 			d += visitedPenalty
 		}
 		if d < bestDist {
@@ -202,7 +204,7 @@ func (r *Router) Feed(v NodeView, hops int) {
 	r.pending = false
 	r.hops += hops
 	r.cur = v
-	r.visited[v.ID] = true
+	r.visited.add(v.ID)
 }
 
 // ResolveOwner answers a stall with the owner's view obtained out-of-band

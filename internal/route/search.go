@@ -16,7 +16,7 @@ import (
 type Flood struct {
 	key      []float64
 	radius   float64
-	visited  map[int]bool
+	visited  idSet
 	frontier []NodeView
 	next     []NodeView
 	fi, ni   int
@@ -24,14 +24,18 @@ type Flood struct {
 }
 
 // NewFlood starts a flood of the sphere (key, radius) rooted at root. The
-// root itself is considered visited and is not re-emitted.
+// root itself is considered visited and is not re-emitted. The visited set
+// starts at room for four times the root's neighborhood, so a typical flood
+// grows it at most once or twice.
 func NewFlood(root NodeView, key []float64, radius float64) *Flood {
-	return &Flood{
+	f := &Flood{
 		key:      key,
 		radius:   radius,
-		visited:  map[int]bool{root.ID: true},
+		visited:  newIDSet(4 * (len(root.Neighbors) + 1)),
 		frontier: []NodeView{root},
 	}
+	f.visited.add(root.ID)
+	return f
 }
 
 // claimOne claims the next unvisited, sphere-intersecting neighbor of the
@@ -44,10 +48,9 @@ func (f *Flood) claimOne() (Step, bool) {
 		for f.ni < len(v.Neighbors) {
 			nb := v.Neighbors[f.ni]
 			f.ni++
-			if f.visited[nb.ID] {
+			if !f.visited.add(nb.ID) {
 				continue
 			}
-			f.visited[nb.ID] = true
 			if !ZonesIntersect(nb.Zones, f.key, f.radius) {
 				continue
 			}
@@ -74,9 +77,15 @@ func (f *Flood) Next() Step {
 		if len(f.next) == 0 {
 			return Step{Kind: StepDone}
 		}
-		f.frontier, f.next = f.next, nil
-		f.fi, f.ni = 0, 0
+		f.advance()
 	}
+}
+
+// advance makes the next frontier current, reusing the spent frontier's
+// buffer for the one after.
+func (f *Flood) advance() {
+	f.frontier, f.next = f.next, f.frontier[:0]
+	f.fi, f.ni = 0, 0
 }
 
 // NextBatch claims up to max flood visits at once, for drivers that fetch
@@ -101,8 +110,7 @@ func (f *Flood) NextBatch(max int) []Step {
 		if len(f.next) == 0 {
 			break // exhausted
 		}
-		f.frontier, f.next = f.next, nil
-		f.fi, f.ni = 0, 0
+		f.advance()
 	}
 	return steps
 }
@@ -139,7 +147,7 @@ type Search struct {
 	key       []float64
 	radius    float64
 	floodHops int
-	seen      map[int]bool
+	seen      idSet
 	results   []overlay.Entry
 }
 
@@ -150,7 +158,6 @@ func NewSearch(start NodeView, key []float64, radius float64, hopLimit int) *Sea
 		router: NewRouter(start, key, hopLimit),
 		key:    key,
 		radius: radius,
-		seen:   map[int]bool{},
 	}
 }
 
@@ -235,14 +242,47 @@ func (s *Search) ResolveOwner(v NodeView, hops int) { s.router.ResolveOwner(v, h
 // is idempotent, so pre-filtering cannot change the result.
 func (s *Search) collect(v NodeView) {
 	for _, recs := range [2][]RecordView{v.Owned, v.Replicas} {
-		for _, rec := range recs {
-			if s.seen[rec.Seq] {
-				continue
+		for i := range recs {
+			if s.seen.claimMatch(&recs[i], s.key, s.radius) {
+				s.results = append(s.results, recs[i].Entry)
 			}
-			if TorusDist(rec.Entry.Key, s.key) <= rec.Entry.Radius+s.radius {
-				s.seen[rec.Seq] = true
-				s.results = append(s.results, rec.Entry)
-			}
+		}
+	}
+}
+
+// claimMatch reports whether rec is unseen and its sphere intersects the
+// query sphere (key, radius), marking its seq seen if so: a seq counts as
+// seen only once it matches.
+func (s *idSet) claimMatch(rec *RecordView, key []float64, radius float64) bool {
+	if s.has(rec.Seq) || !(TorusDist(rec.Entry.Key, key) <= rec.Entry.Radius+radius) {
+		return false
+	}
+	s.add(rec.Seq)
+	return true
+}
+
+// Harvest collects, over any number of record lists, every record whose
+// sphere intersects a query sphere, deduplicated by sequence number in
+// arrival order — Search's collection, keeping whole records instead of
+// entries. Recovery scans use it: the simulator's global scan and a live
+// node's recovery search.
+type Harvest struct {
+	key     []float64
+	radius  float64
+	seen    idSet
+	Records []RecordView
+}
+
+// NewHarvest starts an empty harvest of the sphere (key, radius).
+func NewHarvest(key []float64, radius float64) *Harvest {
+	return &Harvest{key: key, radius: radius}
+}
+
+// Add harvests recs in order.
+func (h *Harvest) Add(recs []RecordView) {
+	for i := range recs {
+		if h.seen.claimMatch(&recs[i], h.key, h.radius) {
+			h.Records = append(h.Records, recs[i])
 		}
 	}
 }
