@@ -42,7 +42,10 @@ bench:
 # Optimized-vs-reference kernel microbenchmarks (k-means, among them at the
 # 1- and 4-d shapes of a publish's coarse coefficients, the coarse wavelet
 # transform against the full decomposition it replaced, the Eq 8 solver,
-# the holder-side scans at 1k and 50k rows plus rotations over four 50k-row
+# the Eq 1 intersection fraction at the subspace dimensions 1, 2 and 4 and a
+# k-nn level's Eq 8 work over the cluster sets disseminate queries discover,
+# each through the cap series and through the frozen beta form, the
+# holder-side scans at 1k and 50k rows plus rotations over four 50k-row
 # Markov stores and over 64 500-row 128-d ones that find each out of cache, the coordinator's id union
 # against concatenate + radix sort and concatenate + comparison sort over the
 # run shapes the workloads fetch, and the range answer's encode and decode at
@@ -50,11 +53,12 @@ bench:
 # flood visits read kept neighbor views and mark an open-addressing id set),
 # 5 repetitions for benchstat-grade numbers.
 bench-kernels:
-	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSubspaceMatrices|BenchmarkSolveEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec|BenchmarkSearchSphere|BenchmarkInsertSphere)$$' -benchmem -count=5 ./internal/cluster ./internal/wavelet ./internal/geometry ./internal/core ./internal/node ./internal/can
+	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSubspaceMatrices|BenchmarkSolveEps|BenchmarkIntersectFraction|BenchmarkLevelEps|BenchmarkLocalRange|BenchmarkLocalKNN|BenchmarkMergeIDs|BenchmarkRangeIDsCodec|BenchmarkSearchSphere|BenchmarkInsertSphere)$$' -benchmem -count=5 ./internal/cluster ./internal/wavelet ./internal/geometry ./internal/core ./internal/node ./internal/can
 
 # Short fuzz sessions: the wavelet round-trip invariant, the coarse
 # coefficient matrices vs the frozen full decomposition (float bits, NaN and
-# signed zeros included), the routing core vs
+# signed zeros included), the cap series' intersection fraction vs the frozen
+# beta form (in [0, 1], within 1e-9, growing with eps), the routing core vs
 # the frozen pre-extraction sphere-search reference, the route machines'
 # open-addressing id set vs a map, the holder-side scans
 # (sketch bounds and all) vs their frozen reference bodies on indexed stores
@@ -78,6 +82,7 @@ bench-kernels:
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSubspaceMatrices -fuzztime=30s ./internal/wavelet
+	$(GO) test -fuzz=FuzzIntersectFraction -fuzztime=30s ./internal/geometry
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s ./internal/route
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can

@@ -464,12 +464,6 @@ func scoredPeers(scores []PeerScore) []int {
 	return peers
 }
 
-// levelEps discovers the clusters reachable at level l and estimates the
-// Eq 8 radius expected to yield k items. Discovery expands the overlay
-// search radius geometrically until the expected item mass covers k (or the
-// whole key space is swept); the Eq 8 inversion then runs on the discovered
-// cluster set, which is a superset of the clusters reachable at the solved
-// radius.
 // epsScratch holds the per-call working slices of levelEps, pooled because a
 // busy coordinator runs the geometric search once per level per query.
 type epsScratch struct {
@@ -479,6 +473,12 @@ type epsScratch struct {
 
 var epsScratchPool = sync.Pool{New: func() any { return new(epsScratch) }}
 
+// levelEps discovers the clusters reachable at level l and estimates the
+// Eq 8 radius expected to yield k items. Discovery expands the overlay
+// search radius geometrically until the expected item mass covers k (or the
+// whole key space is swept); the Eq 8 inversion then runs on the discovered
+// cluster set, which is a superset of the clusters reachable at the solved
+// radius.
 func (e *Engine) levelEps(b Backend, from, l int, qc, key []float64, k float64) (float64, []ClusterRef, int, error) {
 	m := wavelet.SubspaceDim(l)
 	// Start at startRadius — the pass KNNQuery announced to Backend.Scope —
