@@ -10,6 +10,7 @@ import (
 	"hyperm/internal/eval"
 	"hyperm/internal/flatindex"
 	"hyperm/internal/overlay"
+	"hyperm/internal/vec"
 	"hyperm/internal/wavelet"
 )
 
@@ -130,6 +131,64 @@ func TestRangeQueryNoFalseDismissalsAndPerfectPrecision(t *testing.T) {
 		if p != 1 {
 			t.Fatalf("trial %d: precision %v < 1 — local filtering broken", trial, p)
 		}
+	}
+}
+
+// The same guarantee with every wavelet level of a 32-d corpus, for queries
+// built to graze a cluster in the 16-d subspace: the query is a cluster's
+// farthest member moved outward along that subspace's own direction, by a
+// hair less than the radius, so the member is an answer while the query
+// sphere covers a lens 1% or 0.5% of the cluster radius deep — a share of
+// the cluster's volume far below 1e-16. Eq 1 must still score that cluster
+// positive, or the min policy drops the member's peer.
+func TestRangeQueryNoFalseDismissalsShallowLens(t *testing.T) {
+	const l = 5 // D_4, 16-d
+	sys, _, truth := testSystem(t, 10, 30, 8, 32, 6, 5, 11)
+	conv := sys.Config().Convention
+	trials := 0
+	for p := 0; p < 10; p++ {
+		ids, items := sys.PeerData(p)
+		for _, ref := range sys.PublishedClusters(p, l) {
+			if ref.Radius <= 0 {
+				continue
+			}
+			// The member on the cluster's boundary and its outward direction.
+			far, dir := -1, []float64(nil)
+			for i, x := range items {
+				xc := wavelet.SubspaceOf(x, l, conv)
+				if math.Abs(vec.Dist(xc, ref.Center)-ref.Radius) <= 1e-12*ref.Radius {
+					far, dir = i, vec.Sub(xc, ref.Center)
+					break
+				}
+			}
+			if far < 0 {
+				continue
+			}
+			// w is the unit full-space vector whose only wavelet component
+			// is dir, in subspace l; it moves a point's level-l coefficients
+			// by scale per unit length and leaves every other level's alone.
+			dec := wavelet.Decompose(make([]float64, 32), conv)
+			copy(dec.Subspace(l), dir)
+			w := dec.Reconstruct()
+			vec.Scale(w, 1/vec.Norm(w))
+			scale := vec.Norm(wavelet.SubspaceOf(w, l, conv))
+			eps := ref.Radius / scale // the query's level-l radius is the cluster's
+			for _, depth := range []float64{0.01, 0.005} {
+				q, step := vec.Clone(items[far]), vec.Clone(w)
+				vec.Scale(step, eps*(1-depth))
+				vec.Add(q, step)
+				want := truth.Range(q, eps)
+				got := sys.RangeQuery(0, q, eps, RangeOptions{})
+				if p, r := eval.PrecisionRecall(got.Items, want); r != 1 || p != 1 {
+					t.Fatalf("item %d, lens %v of the radius deep: precision %v, recall %v (got %d of %d)",
+						ids[far], depth, p, r, len(got.Items), len(want))
+				}
+				trials++
+			}
+		}
+	}
+	if trials < 10 {
+		t.Fatalf("only %d grazing queries built", trials)
 	}
 }
 
