@@ -77,6 +77,9 @@ type Manager struct {
 	self   int
 	fabric Fabric
 	opts   Options
+	// sendTimeout bounds one sendAll batch: sendDeadline, which tests
+	// shorten.
+	sendTimeout time.Duration
 
 	mu       sync.RWMutex
 	selfAddr string
@@ -118,16 +121,17 @@ func NewManager(self, size int, levels []LevelState, fabric Fabric, opts Options
 		size = self + 1
 	}
 	m := &Manager{
-		self:   self,
-		fabric: fabric,
-		opts:   opts.withDefaults(),
-		levels: make([]LevelState, len(levels)),
-		book:   map[int]string{},
-		size:   size,
-		dead:   map[int]bool{},
-		fails:  map[int]int{},
-		tables: map[int][]LevelTable{},
-		claims: map[string][]route.Zone{},
+		self:        self,
+		fabric:      fabric,
+		opts:        opts.withDefaults(),
+		sendTimeout: sendDeadline,
+		levels:      make([]LevelState, len(levels)),
+		book:        map[int]string{},
+		size:        size,
+		dead:        map[int]bool{},
+		fails:       map[int]int{},
+		tables:      map[int][]LevelTable{},
+		claims:      map[string][]route.Zone{},
 	}
 	if opts.ProbeInterval <= 0 {
 		m.opts.ProbeInterval = 0
@@ -553,15 +557,42 @@ func (m *Manager) sendLocked(ns, except []Neighbor, method string, body []byte) 
 	return outs
 }
 
-// sendAll delivers protocol messages best-effort and sequentially (the
-// transport client retries transient faults; a peer that died mid-protocol
-// will be handled by its own detectors).
+// sendDeadline bounds one batch of protocol messages (sendAll).
+const sendDeadline = 5 * time.Second
+
+// sendAll delivers protocol messages best-effort: each address's messages in
+// order, distinct addresses at once, the whole batch under one deadline, so a
+// neighbor that hangs delays none of the others' notices (the transport
+// client retries transient faults; a peer that died mid-protocol will be
+// handled by its own detectors).
 func (m *Manager) sendAll(msgs []outMsg) {
-	for _, msg := range msgs {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		m.fabric.Call(ctx, msg.addr, msg.method, msg.body) //nolint:errcheck
-		cancel()
+	if len(msgs) == 0 {
+		return
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), m.sendTimeout)
+	defer cancel()
+	var queues [][]outMsg
+	at := map[string]int{}
+	for _, msg := range msgs {
+		i, ok := at[msg.addr]
+		if !ok {
+			i = len(queues)
+			at[msg.addr] = i
+			queues = append(queues, nil)
+		}
+		queues[i] = append(queues[i], msg)
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(queues))
+	for _, q := range queues {
+		go func(q []outMsg) {
+			defer wg.Done()
+			for _, msg := range q {
+				m.fabric.Call(ctx, msg.addr, msg.method, msg.body) //nolint:errcheck
+			}
+		}(q)
+	}
+	wg.Wait()
 }
 
 // retry runs try up to 8 times, pausing between attempts, until it succeeds

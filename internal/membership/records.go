@@ -18,45 +18,47 @@ import (
 // route.UpsertRecord / DeleteRecord and route.ApplyRecovery, and a recovery
 // merges a seq-sorted, deduplicated batch, as the oracle's global scan does.
 
-// ApplyRecord applies one streamed record delta to this node's level state
+// StoreRecord applies one streamed record delta to this node's level state
 // through the shared rules (route.UpsertRecord/DeleteRecord), so the records
 // a live holder ends up with are byte-identical to the simulator node the
-// same delta sequence reached. A record whose key is not of the level's
-// dimension is refused (checkDims). The churn epoch holds: record churn is
-// not membership churn, which is why coordinators keep no answer memo under
-// streaming publish (see node.Tuning.StreamPublish).
-func (m *Manager) ApplyRecord(level int, asOwner, del bool, rec route.RecordView) error {
-	if err := m.checkLevel(level); err != nil {
-		return err
+// same delta sequence reached, and returns this node's zones and neighbor
+// table read under the same lock hold: the view the publisher's route and
+// flood machines expand through is the one the delta was applied against.
+// With IfOwner the delta applies only if those zones contain the record's
+// key, so a routing hop that has not reached the owner writes nothing, and
+// route.Router.Next, fed the returned view, stops exactly at the node that
+// wrote it. A record whose key is not of the level's dimension is refused
+// (checkDims). The churn epoch holds: record churn is not membership churn,
+// which is why coordinators keep no answer memo under streaming publish (see
+// node.Tuning.StreamPublish).
+func (m *Manager) StoreRecord(req StoreRecReq) (StoreRecResp, error) {
+	if err := m.checkLevel(req.Level); err != nil {
+		return StoreRecResp{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ls := &m.levels[level]
-	if err := checkDims(ls, []route.Zone{point(rec.Entry.Key)}); err != nil {
-		return err
+	ls := &m.levels[req.Level]
+	key := req.Rec.Entry.Key
+	if err := checkDims(ls, []route.Zone{point(key)}); err != nil {
+		return StoreRecResp{}, err
 	}
-	if del {
-		ls.Owned, ls.Replicas, _ = route.DeleteRecord(ls.Owned, ls.Replicas, rec.Seq)
-	} else {
-		ls.Owned, ls.Replicas = route.UpsertRecord(ls.Owned, ls.Replicas, rec, asOwner)
+	switch {
+	case req.IfOwner && !route.ZonesContain(ls.Zones, key):
+	case req.Del:
+		ls.Owned, ls.Replicas, _ = route.DeleteRecord(ls.Owned, ls.Replicas, req.Rec.Seq)
+	default:
+		ls.Owned, ls.Replicas = route.UpsertRecord(ls.Owned, ls.Replicas, req.Rec, req.AsOwner)
 	}
-	return nil
+	return StoreRecResp{ID: m.self, Zones: cloneZones(ls.Zones), Neighbors: cloneNeighbors(ls.Neighbors)}, nil
 }
 
-// handleStoreRec serves one streamed record delta and acknowledges with this
-// node's zones and neighbor table — the view the publisher's flood machine
-// expands through.
+// handleStoreRec serves one streamed record delta (StoreRecord) and
+// acknowledges with the view it was applied against.
 func (m *Manager) handleStoreRec(req StoreRecReq) ([]byte, error) {
-	if err := m.ApplyRecord(req.Level, req.AsOwner, req.Del, req.Rec); err != nil {
+	resp, err := m.StoreRecord(req)
+	if err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
-	resp := StoreRecResp{
-		ID:        m.self,
-		Zones:     cloneZones(m.levels[req.Level].Zones),
-		Neighbors: cloneNeighbors(m.levels[req.Level].Neighbors),
-	}
-	m.mu.RUnlock()
 	return transport.Encode(&resp, WalkStoreRecResp), nil
 }
 

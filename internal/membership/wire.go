@@ -285,10 +285,14 @@ func walkTakeoverMsg(c *transport.Coder, msg *TakeoverMsg) {
 // store where absent — as an owned record when AsOwner, as a replica
 // otherwise) or delete the record with Rec.Seq. Rec carries the full record
 // value, so holders apply it without further context (see route.UpsertRecord).
+// IfOwner makes the apply conditional on the holder's zones containing the
+// record's key: the publisher's routing hops toward the owner are store_recs
+// with it set, so the hop that reaches the owner is also the write.
 type StoreRecReq struct {
 	Level   int
 	Del     bool
 	AsOwner bool
+	IfOwner bool
 	Rec     route.RecordView
 }
 
@@ -296,6 +300,7 @@ type StoreRecReq struct {
 const (
 	storeRecDel     = 1 << 0
 	storeRecAsOwner = 1 << 1
+	storeRecIfOwner = 1 << 2
 )
 
 // WalkStoreRecReq walks a store_rec request (exported: the stream publisher
@@ -309,14 +314,17 @@ func WalkStoreRecReq(c *transport.Coder, r *StoreRecReq) {
 	if r.AsOwner {
 		flags |= storeRecAsOwner
 	}
+	if r.IfOwner {
+		flags |= storeRecIfOwner
+	}
 	c.U8(&flags)
-	if flags&^(storeRecDel|storeRecAsOwner) != 0 {
+	if flags&^(storeRecDel|storeRecAsOwner|storeRecIfOwner) != 0 {
 		c.Fail(fmt.Errorf("membership: store_rec has unknown flag bits %#x", flags))
 	}
 	recs := []route.RecordView{r.Rec}
 	WalkRecords(c, &recs)
 	if c.Decoding() {
-		r.Del, r.AsOwner = flags&storeRecDel != 0, flags&storeRecAsOwner != 0
+		r.Del, r.AsOwner, r.IfOwner = flags&storeRecDel != 0, flags&storeRecAsOwner != 0, flags&storeRecIfOwner != 0
 		if len(recs) != 1 {
 			c.Fail(fmt.Errorf("membership: store_rec carries %d records, want 1", len(recs)))
 			return
@@ -326,8 +334,9 @@ func WalkStoreRecReq(c *transport.Coder, r *StoreRecReq) {
 }
 
 // StoreRecResp is the holder's acknowledgement: its id, zones, and neighbor
-// table, which is exactly what the publisher's flood machine needs to expand
-// the record's sphere to the next holders.
+// table as they stood when the delta was applied (or, under IfOwner, not
+// applied), which is exactly what the publisher's route and flood machines
+// need to take the next hop or expand the record's sphere to the next holders.
 type StoreRecResp struct {
 	ID        int
 	Zones     []route.Zone

@@ -40,9 +40,10 @@ type Config struct {
 
 // The coordinator's concurrency, each measured against serial in
 // EXPERIMENTS.md "Leave-one-out: the coordinator's concurrency knobs". None of
-// it reaches an answer (route.RunAlpha, core.Engine.SetParallelism, fetchAll).
+// it reaches an answer (route.RunAlpha, core.Engine.SetParallelism, fetchAll)
+// or a holder's records (route.RunFlood under a streamed publish's announce).
 const (
-	lookupAlpha = 3 // can_search probes in flight per flood step (Kademlia's α)
+	lookupAlpha = 3 // can_search probes, or announce store_recs, in flight per flood step (Kademlia's α)
 	levelFanout = 8 // level searches at once: effectively all levels
 	fetchFanout = 8 // phase-two fetches in flight, the coordinator's own scan included
 )
@@ -73,8 +74,9 @@ type Tuning struct {
 	// ReclusterEvery forwards to core.StreamTuning: re-cluster after this many
 	// streamed inserts, 0 never. Only meaningful with StreamPublish.
 	ReclusterEvery int
-	// serial runs the coordinator one RPC at a time (every fan-out 1): the
-	// reference the tests count exact RPCs against.
+	// serial runs the coordinator one RPC at a time (every fan-out 1, a
+	// streamed publish's levels one after the other): the reference the tests
+	// count exact RPCs against.
 	serial bool
 }
 

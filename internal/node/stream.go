@@ -7,6 +7,7 @@ import (
 
 	"hyperm/internal/core"
 	"hyperm/internal/membership"
+	"hyperm/internal/parallel"
 	"hyperm/internal/route"
 	"hyperm/internal/transport"
 )
@@ -15,10 +16,13 @@ import (
 // half is core.System.StreamInsert). A streamed Publish runs the shared
 // kernel (core.StreamPublisher) against this node's published summaries and
 // announces each resulting record delta peer-to-peer: greedy-route to the
-// record's owner, apply there, then flood the record's sphere applying at
-// every reached holder — the exact visit pattern of can.Overlay.streamOp,
-// driven by the same route machines over store_rec RPC views, so both
-// substrates' record stores stay byte-identical.
+// record's owner, every hop a store_rec that applies only at the owner, then
+// flood the record's sphere applying at every reached holder — the exact
+// visit pattern of can.Overlay.streamOp, driven by the same route machines
+// over store_rec views, so both substrates' record stores stay
+// byte-identical. The levels are separate overlays, so a publish announces
+// them at once; within a level its deltas go one after the other, in kernel
+// order.
 
 // Issue-side attribution of the announce traffic (handler side shows up as
 // rpc.m.store_rec).
@@ -67,23 +71,49 @@ func (n *Node) publishStream(id int, item []float64) error {
 	// Never a caller's ctx (context.WithoutCancel of one, should Publish ever
 	// take it): an announce cut short leaves the record's holders half
 	// updated, and nothing sends the rest.
-	ctx := context.Background()
+	return n.announce(context.Background(), deltas)
+}
+
+// announce ships one publish's deltas: each level's in kernel order, the
+// levels at once (one after the other for the serial coordinator). A holder
+// applies a delta last-writer-wins and in arrival order, so two deltas of one
+// level must not race; two of different levels touch different stores. Every
+// level runs to its own end, failed or not (no task returns an error to stop
+// the others), so the error is the lowest failing level's whatever the
+// schedule.
+func (n *Node) announce(ctx context.Context, deltas []core.StreamDelta) error {
+	byLevel := make([][]core.StreamDelta, n.cfg.Levels)
 	for _, d := range deltas {
-		if err := n.announceDelta(ctx, d); err != nil {
-			return fmt.Errorf("node: announcing stream delta (level %d, seq %d): %w", d.Level, d.Rec.Seq, err)
+		byLevel[d.Level] = append(byLevel[d.Level], d)
+	}
+	errs := make([]error, len(byLevel))
+	// ForEach fails only with a task's error or ctx's, and neither can occur.
+	_ = parallel.ForEach(ctx, n.tuning.fan(levelFanout), len(byLevel), func(l int) error {
+		for _, d := range byLevel[l] {
+			if err := n.announceDelta(ctx, d); err != nil {
+				errs[l] = fmt.Errorf("node: announcing stream delta (level %d, seq %d): %w", d.Level, d.Rec.Seq, err)
+				break
+			}
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // announceDelta ships one record delta: route to the owner of the record's
-// key, apply there (as owner), then — for sphere records — flood the sphere
-// applying at every holder it reaches. Holders that die mid-flood are
-// skipped, like replication drops in the simulator.
+// key, each hop a store_rec that applies only if the node it reaches owns the
+// key, then — for sphere records — flood the sphere applying at every holder
+// it reaches, up to α holders at once. The owner is contacted once, and the
+// hop that reaches it is the write. Holders that die mid-flood are skipped,
+// like replication drops in the simulator.
 func (n *Node) announceDelta(ctx context.Context, d core.StreamDelta) error {
 	key, radius := d.Rec.Entry.Key, d.Rec.Entry.Radius
-	src := n.sphereViews(ctx, d.Level, key, 0)
-	start, err := src.View(n.peer)
+	start, err := n.applyRec(ctx, d, n.peer, true)
 	if err != nil {
 		return err
 	}
@@ -96,55 +126,43 @@ func (n *Node) announceDelta(ctx context.Context, d core.StreamDelta) error {
 		if step.Kind == route.StepDone {
 			break
 		}
-		v, err := src.View(step.To)
+		v, err := n.applyRec(ctx, d, step.To, true)
 		if err != nil {
 			return err
 		}
 		r.Feed(v, 1)
 	}
-	ownerView, err := n.applyRec(ctx, d, r.Owner().ID, true)
-	if err != nil {
-		return err
-	}
 	if radius <= 0 {
 		return nil
 	}
-	f := route.NewFlood(ownerView, key, radius)
-	for {
-		step := f.Next()
-		if step.Kind == route.StepDone {
-			return nil
-		}
+	f := route.NewFlood(r.Owner(), key, radius)
+	return route.RunFlood(f, func(step route.Step) (route.NodeView, bool, error) {
 		v, err := n.applyRec(ctx, d, step.To, false)
-		if err != nil {
-			if errors.Is(err, transport.ErrUnavailable) {
-				f.Skip() // holder died mid-flood; its copy goes with it
-				continue
-			}
-			return err
+		if errors.Is(err, transport.ErrUnavailable) {
+			return v, true, nil // holder died mid-flood; its copy goes with it
 		}
-		f.Feed(v)
-	}
+		return v, false, err
+	}, n.tuning.fan(lookupAlpha))
 }
 
-// applyRec applies one delta at node id — locally when id is this node,
-// via a store_rec RPC otherwise — and returns the holder's zones/neighbors
-// view for flood expansion.
-func (n *Node) applyRec(ctx context.Context, d core.StreamDelta, id int, asOwner bool) (route.NodeView, error) {
+// applyRec applies one delta at node id — locally when id is this node, via
+// a store_rec RPC otherwise — as the owner if and only if id owns the key
+// (toOwner: a routing hop), or as a replica (a flood visit), and returns the
+// zones/neighbors view id applied it against.
+func (n *Node) applyRec(ctx context.Context, d core.StreamDelta, id int, toOwner bool) (route.NodeView, error) {
+	req := membership.StoreRecReq{Level: d.Level, Del: d.Del, AsOwner: toOwner, IfOwner: toOwner, Rec: d.Rec}
 	if id == n.peer {
-		if err := n.mgr.ApplyRecord(d.Level, asOwner, d.Del, d.Rec); err != nil {
+		v, err := n.mgr.StoreRecord(req)
+		if err != nil {
 			return route.NodeView{}, err
 		}
-		zones, nbs, _, _, _ := n.mgr.SearchView(d.Level, func(route.RecordView) bool { return false })
-		return n.toNodeView(searchView{ID: n.peer, Zones: zones, Neighbors: nbs}), nil
+		return n.toNodeView(searchView{ID: v.ID, Zones: v.Zones, Neighbors: v.Neighbors}), nil
 	}
 	addr, err := n.peerAddr(id)
 	if err != nil {
 		return route.NodeView{}, err
 	}
-	body := transport.Encode(&membership.StoreRecReq{
-		Level: d.Level, Del: d.Del, AsOwner: asOwner, Rec: d.Rec,
-	}, membership.WalkStoreRecReq)
+	body := transport.Encode(&req, membership.WalkStoreRecReq)
 	n.count(ctrStreamRec)
 	resp, err := n.client.Call(ctx, addr, transport.Request{Method: membership.MethodStoreRec, Body: body})
 	if err != nil {

@@ -1,16 +1,19 @@
 package node_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"hyperm/internal/can"
 	"hyperm/internal/core"
 	"hyperm/internal/experiments"
 	"hyperm/internal/membership"
 	"hyperm/internal/node"
+	"hyperm/internal/route"
 	"hyperm/internal/transport"
 )
 
@@ -283,5 +286,81 @@ func TestConcurrentStreamPublishMatchesOracle(t *testing.T) {
 			cl.Stop()
 			tr.Close()
 		}
+	}
+}
+
+// TestStreamAnnounceSerialMatchesParallel publishes one stream of items
+// through two clusters started from the same snapshot — one announcing with
+// the serial coordinator (levels one after the other, one flood visit at a
+// time), one with the default announce (every level at once, α holders per
+// flood batch) — and through the oracle's StreamInsert, then holds every
+// holder's owned and replica records, at every level, byte-identical across
+// the three. The bursts cross re-clusters, whose retire-all deletes and fresh
+// records put many deltas on one level, and splits put some far from the
+// publisher's clusters.
+func TestStreamAnnounceSerialMatchesParallel(t *testing.T) {
+	for _, seed := range []int64{5, 6, 7} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			params := experiments.Params{Peers: 12, ItemsPerPeer: 20, Dim: 16, Levels: 4, ClustersPerPeer: 3, Seed: seed}
+			sys, err := experiments.BuildMarkovSystem(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.PublishAll()
+			const every = 4
+			sys.SetStreamTuning(core.StreamTuning{ReclusterEvery: every})
+			tuning := node.Tuning{StreamPublish: true, ReclusterEvery: every}
+			clusters := map[string]*node.Cluster{}
+			for name, tn := range map[string]node.Tuning{"serial": node.SerialTuning(tuning), "default": tuning} {
+				tr := transport.NewChan()
+				defer tr.Close()
+				cl, err := node.StartClusterTuned(sys, tr, nil, transport.Policy{Timeout: 30e9}, membership.Options{}, tn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Stop()
+				clusters[name] = cl
+			}
+
+			rng := rand.New(rand.NewSource(seed * 47))
+			id := 9000
+			for holder := 0; holder < 4; holder++ {
+				_, items := sys.PeerData(holder)
+				for k := 0; k < every+2; k++ {
+					item := append([]float64(nil), items[rng.Intn(len(items))]...)
+					spread := 0.02
+					if k%3 == 2 {
+						spread = 0.5 // far enough from every cluster to split
+					}
+					for d := range item {
+						item[d] += spread * (rng.Float64() - 0.5)
+					}
+					sys.StreamInsert(holder, id, item)
+					for name, cl := range clusters {
+						if err := cl.Nodes[holder].Publish(id, item); err != nil {
+							t.Fatalf("%s: streamed publish %d at %d: %v", name, id, holder, err)
+						}
+					}
+					id++
+				}
+			}
+
+			encode := func(recs []route.RecordView) []byte { return transport.Encode(&recs, membership.WalkRecords) }
+			for l := 0; l < params.Levels; l++ {
+				ov := sys.Overlay(l).(*can.Overlay)
+				for p := 0; p < params.Peers; p++ {
+					want := ov.View(p)
+					for name, cl := range clusters {
+						got := cl.Nodes[p].Membership().View(l)
+						if !bytes.Equal(encode(got.Owned), encode(want.Owned)) {
+							t.Errorf("%s: peer %d level %d owned records diverged:\nlive:   %v\noracle: %v", name, p, l, got.Owned, want.Owned)
+						}
+						if !bytes.Equal(encode(got.Replicas), encode(want.Replicas)) {
+							t.Errorf("%s: peer %d level %d replicas diverged:\nlive:   %v\noracle: %v", name, p, l, got.Replicas, want.Replicas)
+						}
+					}
+				}
+			}
+		})
 	}
 }

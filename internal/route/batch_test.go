@@ -1,8 +1,12 @@
 package route
 
 import (
+	"errors"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestFloodNextBatchStopsAtFrontierBoundary claims a batch on the quadrant
@@ -96,5 +100,46 @@ func TestSearchNextBatchSerialRouting(t *testing.T) {
 	if !reflect.DeepEqual(batchSeqs, serialSeqs) || batchHops != serialHops {
 		t.Fatalf("batched drive diverges: got %v hops %d, serial %v hops %d",
 			batchSeqs, batchHops, serialSeqs, serialHops)
+	}
+}
+
+// TestRunFloodLowestClaimError fails both visits of the quadrant flood's first
+// batch, the first claim's last: RunFlood returns the first claim's error,
+// whatever the completion order, and a lost visit is skipped, not failed.
+func TestRunFloodLowestClaimError(t *testing.T) {
+	views := quadrants()
+	errs := map[int]error{1: errors.New("visit 1"), 2: errors.New("visit 2")}
+	var mu sync.Mutex
+	var visited []int
+	err := RunFlood(NewFlood(views[0], []float64{0.5, 0.5}, 1.0), func(step Step) (NodeView, bool, error) {
+		if step.To == 1 {
+			time.Sleep(5 * time.Millisecond) // the lower claim finishes last
+		}
+		mu.Lock()
+		visited = append(visited, step.To)
+		mu.Unlock()
+		return NodeView{}, false, errs[step.To]
+	}, 2)
+	if err != errs[1] {
+		t.Fatalf("RunFlood error = %v, want the first claim's (%v)", err, errs[1])
+	}
+	if len(visited) != 2 {
+		t.Fatalf("visited %v, want both claims of the batch", visited)
+	}
+
+	// Node 1 lost and node 2 fed: the flood goes on through 2 to node 3.
+	var reached []int
+	err = RunFlood(NewFlood(views[0], []float64{0.5, 0.5}, 1.0), func(step Step) (NodeView, bool, error) {
+		mu.Lock()
+		reached = append(reached, step.To)
+		mu.Unlock()
+		return views[step.To], step.To == 1, nil
+	}, 2)
+	if err != nil {
+		t.Fatalf("RunFlood with a lost visit: %v", err)
+	}
+	sort.Ints(reached)
+	if !reflect.DeepEqual(reached, []int{1, 2, 3}) {
+		t.Fatalf("reached %v, want 1, 2 and 3", reached)
 	}
 }

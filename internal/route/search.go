@@ -315,31 +315,17 @@ func RunAlpha(s *Search, src ViewSource, alpha int) ([]overlay.Entry, int, error
 	}
 	views := make([]NodeView, alpha)
 	errs := make([]error, alpha)
+	var steps []Step
+	fetch := func(i int) { views[i], errs[i] = src.View(steps[i].To) }
 	for {
-		steps, err := s.NextBatch(alpha)
-		if err != nil {
+		var err error
+		if steps, err = s.NextBatch(alpha); err != nil {
 			return nil, s.Hops(), err
 		}
 		if len(steps) == 0 {
 			return s.Results(), s.Hops(), nil
 		}
-		if len(steps) == 1 {
-			v, err := src.View(steps[0].To)
-			if err != nil {
-				return nil, s.Hops(), err
-			}
-			s.Feed(v, 1)
-			continue
-		}
-		var wg sync.WaitGroup
-		for i := range steps {
-			wg.Add(1)
-			go func(i, to int) {
-				defer wg.Done()
-				views[i], errs[i] = src.View(to)
-			}(i, steps[i].To)
-		}
-		wg.Wait()
+		fanOut(len(steps), fetch)
 		for i := range steps {
 			if errs[i] != nil {
 				return nil, s.Hops(), errs[i]
@@ -347,4 +333,61 @@ func RunAlpha(s *Search, src ViewSource, alpha int) ([]overlay.Entry, int, error
 			s.Feed(views[i], 1)
 		}
 	}
+}
+
+// RunFlood drives a Flood to completion, visiting up to alpha claimed nodes
+// at once: the flood half of RunAlpha, for drivers whose every visit is also
+// a write (a streamed record delta applied at each holder it reaches). visit
+// contacts the node a step names and returns its view, or lost when the
+// message was lost (the holder is Skipped: claimed, charged, not expanded),
+// or an error that aborts the flood. Visits of one batch run concurrently,
+// so with alpha > 1 visit must be safe for concurrent calls; their outcomes
+// are fed or skipped in claim order, so the visit set and the Feed/Skip
+// sequence are those of the serial Next walk for every alpha. On an error
+// the batch's earlier claims are still fed and the lowest claim's error is
+// returned; the batch's later visits have already run, which leaves more
+// holders written than the serial walk would at its abort, never fewer.
+func RunFlood(f *Flood, visit func(Step) (v NodeView, lost bool, err error), alpha int) error {
+	if alpha < 1 {
+		alpha = 1
+	}
+	views := make([]NodeView, alpha)
+	lost := make([]bool, alpha)
+	errs := make([]error, alpha)
+	var steps []Step
+	do := func(i int) { views[i], lost[i], errs[i] = visit(steps[i]) }
+	for {
+		if steps = f.NextBatch(alpha); len(steps) == 0 {
+			return nil
+		}
+		fanOut(len(steps), do)
+		for i := range steps {
+			switch {
+			case errs[i] != nil:
+				return errs[i]
+			case lost[i]:
+				f.Skip()
+			default:
+				f.Feed(views[i])
+			}
+		}
+	}
+}
+
+// fanOut runs fn(0), ..., fn(n-1) at once and waits for all of them; a batch
+// of one runs on the caller's goroutine.
+func fanOut(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }
