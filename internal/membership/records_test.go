@@ -16,9 +16,10 @@ import (
 
 // TestStoreRecIfOwnerAppliesOnlyAtOwner sends one announce's routing hop —
 // a store_rec as owner, if owner — to every node of a 6-node level: each
-// non-owner applies nothing, upserts and deletes alike (not even over a
-// replica it holds of the record), and answers with zones that do not contain
-// the key; the owner applies once, as owner, and answers with zones that do.
+// non-owner applies nothing (an upsert adds no record; a delete removes not
+// even a replica it holds of the record) and answers with zones that do not
+// contain the key; the owner applies once, as owner, and answers with zones
+// that do.
 func TestStoreRecIfOwnerAppliesOnlyAtOwner(t *testing.T) {
 	_, fab, mgrs := buildPair(t, 7, 6, 2, 10, Options{})
 	key := []float64{0.3, 0.7}
@@ -52,10 +53,6 @@ func TestStoreRecIfOwnerAppliesOnlyAtOwner(t *testing.T) {
 	owners := 0
 	for id, m := range mgrs {
 		owns := route.ZonesContain(m.View(0).Zones, key)
-		if !owns {
-			// A replica of the record, as a flood visit would leave it.
-			call(id, StoreRecReq{Rec: rec})
-		}
 		before := m.View(0)
 		call(id, hop)
 		v := call(id, hop) // a retried hop changes nothing more
@@ -70,6 +67,8 @@ func TestStoreRecIfOwnerAppliesOnlyAtOwner(t *testing.T) {
 			if !reflect.DeepEqual(before.Owned, after.Owned) || !reflect.DeepEqual(before.Replicas, after.Replicas) {
 				t.Errorf("non-owner %d applied a routing hop", id)
 			}
+			// A replica of the record, as a flood visit would leave it.
+			call(id, StoreRecReq{Rec: rec})
 			del := hop
 			del.Del = true
 			call(id, del)
