@@ -47,17 +47,6 @@ func FuzzMembershipHandle(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(method(MethodStoreRec), uint8(0), storeRec)
-	// The same delta as an announce's routing hop: applied only at the owner.
-	hop, err := EncodeStoreRecReq(StoreRecReq{AsOwner: true, IfOwner: true, Rec: route.RecordView{Seq: 1 << 20, Entry: overlay.Entry{
-		Key: []float64{0.25, 0.75}, Radius: 0.1,
-		Payload: core.ClusterRef{Peer: 1, Center: []float64{0.25, 0.75}, Radius: 0.1, Items: 3},
-	}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for target := uint8(0); target < nodes; target++ {
-		f.Add(method(MethodStoreRec), target, hop)
-	}
 
 	_, mgrs := build(f)
 	v := mgrs[0].View(0)

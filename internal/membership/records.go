@@ -24,8 +24,8 @@ import (
 // same delta sequence reached, and returns this node's zones and neighbor
 // table read under the same lock hold: the view the publisher's route and
 // flood machines expand through is the one the delta was applied against.
-// With IfOwner the delta applies only if those zones contain the record's
-// key, so a routing hop that has not reached the owner writes nothing, and
+// As owner the delta applies only if those zones contain the record's key,
+// so a routing hop that has not reached the owner writes nothing, and
 // route.Router.Next, fed the returned view, stops exactly at the node that
 // wrote it. A record whose key is not of the level's dimension is refused
 // (checkDims). The churn epoch holds: record churn is not membership churn,
@@ -43,7 +43,7 @@ func (m *Manager) StoreRecord(req StoreRecReq) (StoreRecResp, error) {
 		return StoreRecResp{}, err
 	}
 	switch {
-	case req.IfOwner && !route.ZonesContain(ls.Zones, key):
+	case req.AsOwner && !route.ZonesContain(ls.Zones, key):
 	case req.Del:
 		ls.Owned, ls.Replicas, _ = route.DeleteRecord(ls.Owned, ls.Replicas, req.Rec.Seq)
 	default:

@@ -14,13 +14,13 @@ import (
 	"hyperm/internal/transport"
 )
 
-// TestStoreRecIfOwnerAppliesOnlyAtOwner sends one announce's routing hop —
-// a store_rec as owner, if owner — to every node of a 6-node level: each
+// TestStoreRecAsOwnerAppliesOnlyAtOwner sends one announce's routing hop —
+// a store_rec as owner — to every node of a 6-node level: each
 // non-owner applies nothing (an upsert adds no record; a delete removes not
 // even a replica it holds of the record) and answers with zones that do not
 // contain the key; the owner applies once, as owner, and answers with zones
 // that do.
-func TestStoreRecIfOwnerAppliesOnlyAtOwner(t *testing.T) {
+func TestStoreRecAsOwnerAppliesOnlyAtOwner(t *testing.T) {
 	_, fab, mgrs := buildPair(t, 7, 6, 2, 10, Options{})
 	key := []float64{0.3, 0.7}
 	rec := route.RecordView{Seq: 1 << 41, Entry: overlay.Entry{
@@ -49,7 +49,7 @@ func TestStoreRecIfOwnerAppliesOnlyAtOwner(t *testing.T) {
 		}
 		return n
 	}
-	hop := StoreRecReq{AsOwner: true, IfOwner: true, Rec: rec}
+	hop := StoreRecReq{AsOwner: true, Rec: rec}
 	owners := 0
 	for id, m := range mgrs {
 		owns := route.ZonesContain(m.View(0).Zones, key)

@@ -285,14 +285,13 @@ func walkTakeoverMsg(c *transport.Coder, msg *TakeoverMsg) {
 // store where absent — as an owned record when AsOwner, as a replica
 // otherwise) or delete the record with Rec.Seq. Rec carries the full record
 // value, so holders apply it without further context (see route.UpsertRecord).
-// IfOwner makes the apply conditional on the holder's zones containing the
-// record's key: the publisher's routing hops toward the owner are store_recs
-// with it set, so the hop that reaches the owner is also the write.
+// AsOwner applies only where the holder's zones contain the record's key and
+// writes nothing elsewhere: the publisher's routing hops toward the owner are
+// store_recs as owner, so the hop that reaches the owner is also the write.
 type StoreRecReq struct {
 	Level   int
 	Del     bool
 	AsOwner bool
-	IfOwner bool
 	Rec     route.RecordView
 }
 
@@ -300,7 +299,6 @@ type StoreRecReq struct {
 const (
 	storeRecDel     = 1 << 0
 	storeRecAsOwner = 1 << 1
-	storeRecIfOwner = 1 << 2
 )
 
 // WalkStoreRecReq walks a store_rec request (exported: the stream publisher
@@ -314,17 +312,14 @@ func WalkStoreRecReq(c *transport.Coder, r *StoreRecReq) {
 	if r.AsOwner {
 		flags |= storeRecAsOwner
 	}
-	if r.IfOwner {
-		flags |= storeRecIfOwner
-	}
 	c.U8(&flags)
-	if flags&^(storeRecDel|storeRecAsOwner|storeRecIfOwner) != 0 {
+	if flags&^(storeRecDel|storeRecAsOwner) != 0 {
 		c.Fail(fmt.Errorf("membership: store_rec has unknown flag bits %#x", flags))
 	}
 	recs := []route.RecordView{r.Rec}
 	WalkRecords(c, &recs)
 	if c.Decoding() {
-		r.Del, r.AsOwner, r.IfOwner = flags&storeRecDel != 0, flags&storeRecAsOwner != 0, flags&storeRecIfOwner != 0
+		r.Del, r.AsOwner = flags&storeRecDel != 0, flags&storeRecAsOwner != 0
 		if len(recs) != 1 {
 			c.Fail(fmt.Errorf("membership: store_rec carries %d records, want 1", len(recs)))
 			return
@@ -334,9 +329,10 @@ func WalkStoreRecReq(c *transport.Coder, r *StoreRecReq) {
 }
 
 // StoreRecResp is the holder's acknowledgement: its id, zones, and neighbor
-// table as they stood when the delta was applied (or, under IfOwner, not
-// applied), which is exactly what the publisher's route and flood machines
-// need to take the next hop or expand the record's sphere to the next holders.
+// table as they stood when the delta was applied (or, as owner at a
+// non-owner, not applied), which is exactly what the publisher's route and
+// flood machines need to take the next hop or expand the record's sphere to
+// the next holders.
 type StoreRecResp struct {
 	ID        int
 	Zones     []route.Zone

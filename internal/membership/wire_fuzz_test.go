@@ -60,8 +60,7 @@ func wireMessages() []wiretest.Message {
 			}),
 		wiretest.Of("m.store_rec request", WalkStoreRecReq,
 			func(r *StoreRecReq) []byte { return transport.Encode(r, WalkStoreRecReq) },
-			StoreRecReq{Rec: rec}, StoreRecReq{Level: 2, Del: true, AsOwner: true, Rec: rec},
-			StoreRecReq{Level: 1, AsOwner: true, IfOwner: true, Rec: rec}),
+			StoreRecReq{Rec: rec}, StoreRecReq{Level: 2, Del: true, AsOwner: true, Rec: rec}),
 		wiretest.Of("m.store_rec response", WalkStoreRecResp,
 			func(r *StoreRecResp) []byte { return transport.Encode(r, WalkStoreRecResp) },
 			StoreRecResp{}, StoreRecResp{ID: 7, Zones: []route.Zone{z(0.5, 0, 1, 0.5)}, Neighbors: nbs}),
@@ -99,12 +98,11 @@ func TestWireRefusesNonCanonical(t *testing.T) {
 		out[at] = v
 		return out
 	}
-	// The flag byte follows the level: bits 0 (delete), 1 (as owner) and 2
-	// (if owner) only.
+	// The flag byte follows the level: bits 0 (delete) and 1 (as owner) only.
 	storeRec := storeRecSeed(1, false, false, nil, nil)
-	for _, flags := range []byte{0, 1, 2, 3, 1 << 2, 7, 1 << 3, 1<<3 | 7, 1<<7 | 1} {
+	for _, flags := range []byte{0, 1, 2, 3, 1 << 2, 1<<7 | 1} {
 		_, err := transport.Decode(withByte(storeRec, 8, flags), WalkStoreRecReq)
-		if (err == nil) != (flags <= 7) {
+		if (err == nil) != (flags <= 3) {
 			t.Errorf("store_rec flags %#x: decode error %v", flags, err)
 		}
 	}

@@ -150,7 +150,7 @@ func (n *Node) announceDelta(ctx context.Context, d core.StreamDelta) error {
 // (toOwner: a routing hop), or as a replica (a flood visit), and returns the
 // zones/neighbors view id applied it against.
 func (n *Node) applyRec(ctx context.Context, d core.StreamDelta, id int, toOwner bool) (route.NodeView, error) {
-	req := membership.StoreRecReq{Level: d.Level, Del: d.Del, AsOwner: toOwner, IfOwner: toOwner, Rec: d.Rec}
+	req := membership.StoreRecReq{Level: d.Level, Del: d.Del, AsOwner: toOwner, Rec: d.Rec}
 	if id == n.peer {
 		v, err := n.mgr.StoreRecord(req)
 		if err != nil {
