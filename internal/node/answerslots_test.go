@@ -116,7 +116,7 @@ func TestAnswerSlotsDropOnlyCoveredHolder(t *testing.T) {
 				// The far line stays unchanged by a copy of x: H's want-th
 				// nearest item to far is nearer than x.
 				key := append([]byte{'k'}, far.body...)
-				plan := w.cl.Nodes[c].answers[string(key)].plan.(core.KNNPlan)
+				plan := w.cl.Nodes[c].memo.entries[string(key)].plan.(core.KNNPlan)
 				want := plan.Wants[slices.Index(plan.Peers, h)]
 				_, farQ, _, _ := w.spheres(h)
 				_, items := w.sys.PeerData(h)
@@ -152,7 +152,7 @@ func TestAnswerSlotsDropOnlyCoveredHolder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !w.cl.Nodes[h].fetchLost {
+			if !w.cl.Nodes[h].dir.lost {
 				t.Fatal("the overflow set no lost mark")
 			}
 			away := append([]float64(nil), x...)
@@ -178,8 +178,9 @@ func TestAnswerSlotsDropOnlyCoveredHolder(t *testing.T) {
 // coordinator's store, with a copy of the fetch kind whose scan publishes an
 // item inside the sphere once it has read the store, so the answer it returns
 // predates the publish. The publish's invalidation finds the scan in flight
-// (ansFlight), so the own slot is not kept and the bytes are not stored: the
-// next asking misses and holds the item, and the one after it is a hit.
+// (answerMemo.flight), so the own slot is not kept and the bytes are not
+// stored: the next asking misses and holds the item, and the one after it is
+// a hit.
 //
 // The sibling variants run a complete asking of the same key right after each
 // publish, inside the stale retrieval, which lands a fresh own slot and bytes
@@ -254,7 +255,7 @@ func ownSlotGuard[T any](w *dirWorld, kind fetchKind[T], body []byte, x []float6
 	entry := func() answerEntry {
 		nd.ansMu.Lock()
 		defer nd.ansMu.Unlock()
-		return nd.answers[key]
+		return nd.memo.entries[key]
 	}
 
 	var ids []int

@@ -6,10 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"hyperm/internal/core"
+	"hyperm/internal/parallel"
 	"hyperm/internal/transport"
 )
 
@@ -30,33 +29,37 @@ import (
 // same invalidation on C's memo directly (sweepFetchDir).
 //
 // It holds, and makes every completed publish visible to every later cached
-// fetch in any serial order of operations, because of four orderings:
+// fetch in any serial order of operations, by four rules the types of
+// coherence.go keep and three orderings Node keeps around them, with neither
+// fetchMu nor ansMu held across an RPC. The types keep:
+//
+//   - The fill token. fetchDir.fill refuses a line a sweep or a reset took
+//     away while its handler scanned, so no answer leaves the holder without
+//     a line listing its subscriber.
+//   - The lost mark. The fetchMemoCap reset, the one way the directory
+//     forgets a line it still owes for, makes the next sweep name every
+//     coordinator ever served with no items ("drop every slot of this
+//     holder"); finish clears the mark unless a further loss came meanwhile.
+//   - The in-flight guard. A notification can overtake the fetch response it
+//     concerns, so answerMemo.land keeps a fetched slot only if its holder's
+//     generation (taken by fly, bumped by invalidate) still stands.
+//   - The own rule. land stores an answer's bytes only if every read it was
+//     computed over still stands as read, never beside a sibling's slot.
+//
+// Node keeps:
 //
 //   - Register before scan. A caching coordinator sends its peer id with the
-//     fetch itself, and the handler puts it on the line under fetchMu before it
-//     reads the store (a k-nn line nobody has filled yet is pending, bound
-//     +Inf). So a store append either precedes the registration, and the scan
-//     sees it, or follows it, and its sweep sees the sharer.
-//   - Sweep after append. Publish appends, then takes fetchMu once: every line
-//     a new item can change (fetchEntryCovered, the exact complement of the
-//     scan predicates; a pending k-nn line counts as changed) gives up its
-//     sharers and is deleted. The line itself is the fill token: a handler
-//     whose line a sweep took away while it scanned registers again and
-//     rescans, so no answer leaves the holder without a line listing its
-//     subscriber.
-//   - Notify before ack. The collected sharers get one inval_fetch carrying
-//     the new items, and Publish returns only once all have answered; each
-//     drops exactly the slots the items change (the same predicate).
-//   - The in-flight guard. A notification can overtake the fetch response it
-//     concerns, so while a fetch to the holder is in flight (ansFlight) it
-//     bumps the holder's generation there, and a fetched slot is stored only
-//     if the generation it was asked under still stands when its entry is.
-//
-// Lost mark. The one way the directory forgets a line it still owes for is
-// the fetchMemoCap reset. That sets fetchLost, under which the next publish
-// notifies every coordinator ever served with an empty item list — "drop every
-// slot of this holder" — and the mark clears once that round is through with
-// no further loss.
+//     fetch itself, and the handler registers it before it reads the store
+//     (a k-nn line nobody has filled yet is pending, bound +Inf). So a store
+//     append either precedes the registration, and the scan sees it, or
+//     follows it, and its sweep sees the sharer. A refused fill rescans.
+//   - Sweep after append. Publish appends, then sweeps the directory once:
+//     every line a new item can change (fetchEntryCovered, the exact
+//     complement of the scan predicates; a pending k-nn line counts as
+//     changed) gives up its sharers and is deleted.
+//   - Notify before ack. The sharers get one inval_fetch carrying the new
+//     items, and Publish returns only once all have answered; each drops
+//     exactly the slots the items change (the same predicate).
 //
 // No callback. A holder registers only subscribers it can call back: an id its
 // address book cannot resolve (a joiner it has not met, a junk id) is refused
@@ -65,21 +68,13 @@ import (
 // only the scan. Sharer lists are de-duplicated, so the directory is bounded
 // by fetchMemoCap × membership.
 //
-// A sharer whose notification fails is struck from every line and never
-// notified again — the fail-stop assumption of the membership layer. Any
-// membership event (a move of Manager.Epoch) clears the coordinator side
+// Any membership event (a move of Manager.Epoch) clears the coordinator side
 // whole: a crashed holder lost its directory, and a recycled peer id must not
 // serve another node's answers.
 
-const (
-	// fetchMemoCap bounds the holder's directory; on overflow it resets whole
-	// under the lost mark (repeat-heavy workloads refill it in a handful of
-	// queries).
-	fetchMemoCap = 4096
-	// detailNoCallback classifies a holder's refusal to register a subscriber
-	// it has no address for.
-	detailNoCallback = "node/no-callback"
-)
+// detailNoCallback classifies a holder's refusal to register a subscriber it
+// has no address for.
+const detailNoCallback = "node/no-callback"
 
 // fetchKey writes the directory key of one fetch — a method tag ('r' or 'k'),
 // then the plain request body: the query vector and eps or k as raw bits
@@ -187,15 +182,11 @@ func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []in
 	}
 	if t != nil {
 		n.ansMu.Lock()
-		for j, r := range misses {
-			f := n.ansFlight[r.peer]
-			f.n++
-			n.ansFlight[r.peer], misses[j].gen = f, f.gen
-		}
+		n.memo.fly(misses)
 		n.ansMu.Unlock()
 	}
 	errs := make([]error, len(peers))
-	fanOut(len(misses), n.tuning.fan(fetchFanout), func(j int) {
+	parallel.Fan(len(misses), n.tuning.fan(fetchFanout), func(j int) {
 		r := &misses[j]
 		out[r.rank], r.keep, errs[r.rank] = fetchOne(ctx, n, kind, r.peer, q, r.tail, t != nil)
 	})
@@ -207,31 +198,6 @@ func fetchAll[T any](ctx context.Context, n *Node, kind fetchKind[T], peers []in
 		}
 	}
 	return out, errs
-}
-
-// fanOut runs f(0) … f(k-1) with at most fan of them in flight, the last one
-// on the calling goroutine: a retrieval whose only open slot is the
-// coordinator's own scan, or one RPC, starts no goroutine at all.
-func fanOut(k, fan int, f func(j int)) {
-	if fan > 1 && k > 1 {
-		sem := make(chan struct{}, fan-1)
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		for j := 0; j < k-1; j++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(j int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				f(j)
-			}(j)
-		}
-		f(k - 1)
-		return
-	}
-	for j := 0; j < k; j++ {
-		f(j)
-	}
 }
 
 // fetchOne fills one open slot: this node's own scan, or one fetch RPC to the
@@ -267,26 +233,10 @@ func fetchOne[T any](ctx context.Context, n *Node, kind fetchKind[T], peer int, 
 	return val, keep && !unavailable, nil
 }
 
-// invalidateFetch handles items published at holder — a holder's
-// notification, or this node's own publish: fetches to it in flight get their
-// generation bumped (the answer may predate the publish), and every slot of it
-// the items can change goes, with its entry's bytes — all of them for an empty
-// list, the lost-mark fallback. A holder nothing is in flight to leaves no
-// trace, so ids this node never asked grow nothing.
+// invalidateFetch runs answerMemo.invalidate under ansMu.
 func (n *Node) invalidateFetch(holder int, items [][]float64) {
 	n.ansMu.Lock()
-	if f, ok := n.ansFlight[holder]; ok {
-		f.gen++
-		n.ansFlight[holder] = f
-	}
-	for key, e := range n.answers {
-		gone := func(s answerSlot) bool { return s.peer == holder && fetchEntryCovered(key, s.bound, items) }
-		if slices.ContainsFunc(e.slots, gone) {
-			// A stored slot slice is copied, never written.
-			e.slots, e.resp = slices.DeleteFunc(slices.Clone(e.slots), gone), nil
-			n.answers[key] = e
-		}
-	}
+	n.memo.invalidate(holder, items)
 	n.ansMu.Unlock()
 }
 
@@ -340,15 +290,6 @@ func fetchEntryCovered(key string, bound float64, items [][]float64) bool {
 	return false
 }
 
-// fetchLine is one line of the holder's directory: the bound of the answer
-// (fetchEntryCovered) and the coordinators that were handed it. A k-nn line's
-// bound is +Inf while the line is pending — registered by a handler that has
-// not finished its scan.
-type fetchLine struct {
-	bound   float64
-	sharers []int
-}
-
 // serveFetch is the body of the fetch_range / fetch_knn handlers, with scan
 // the store scan (kind.local but in tests). A plain request is just the scan.
 // A subscribing one (refused if this node cannot call the subscriber back)
@@ -377,10 +318,16 @@ func serveFetch[T any](n *Node, kind fetchKind[T], body []byte, scan func(n *Nod
 	}
 	var kb [512]byte
 	key := append(append(kb[:0], kind.tag), plain...)
+	open := kind.bound(*new(T), tail)
 	for {
-		line := n.registerFetch(key, sub, kind.bound(*new(T), tail))
+		n.fetchMu.Lock()
+		line := n.dir.register(key, sub, open)
+		n.fetchMu.Unlock()
 		val := scan(n, q, tail)
-		if n.fillFetch(key, line, kind.bound(val, tail)) {
+		n.fetchMu.Lock()
+		filled := n.dir.fill(key, line, kind.bound(val, tail))
+		n.fetchMu.Unlock()
+		if filled {
 			return transport.Response{Body: kind.encode(val)}, nil
 		}
 	}
@@ -402,224 +349,64 @@ func checkFetchTail(tag byte, tail uint64) error {
 	return nil
 }
 
-// registerFetch finds the line of key, or opens it at bound open, and adds sub
-// to its sharers. Must run before the caller scans the store.
-func (n *Node) registerFetch(key []byte, sub int, open float64) *fetchLine {
-	n.fetchMu.Lock()
-	defer n.fetchMu.Unlock()
-	line := n.fetchDir[string(key)] // no-alloc map lookup
-	if line == nil {
-		if len(n.fetchDir) >= fetchMemoCap {
-			n.loseFetchDirLocked()
-		}
-		if n.fetchDir == nil {
-			n.fetchDir = make(map[string]*fetchLine)
-		}
-		line = &fetchLine{bound: open}
-		n.fetchDir[string(key)] = line
-	}
-	if !slices.Contains(line.sharers, sub) {
-		line.sharers = append(line.sharers, sub)
-		if n.fetchServed == nil {
-			n.fetchServed = make(map[int]struct{})
-		}
-		n.fetchServed[sub] = struct{}{}
-	}
-	return line
-}
-
-// fillFetch completes a pending line with the bound of the answer scanned for
-// it, and reports whether the line registerFetch returned is still the key's.
-// It is not if a sweep or a reset took it away since: the scan may predate the
-// publish that did. A line is filled once; a later scan's bound can only be
-// lower, and the sharers handed the earlier answer need the higher one.
-func (n *Node) fillFetch(key []byte, line *fetchLine, bound float64) bool {
-	n.fetchMu.Lock()
-	defer n.fetchMu.Unlock()
-	if n.fetchDir[string(key)] != line {
-		return false
-	}
-	if math.IsInf(line.bound, 1) {
-		line.bound = bound
-	}
-	return true
-}
-
-// loseFetchDirLocked drops the whole directory. If any coordinator was ever
-// served, lines it is still owed notifications for may be among the dropped:
-// the lost mark makes the next publish tell them all.
-func (n *Node) loseFetchDirLocked() {
-	n.fetchDir = nil
-	if len(n.fetchServed) > 0 {
-		n.fetchLost = true
-		n.fetchLostGen++
-	}
-}
-
 // sweepFetchDir is the coherence step of every publish, run after the store
 // append and before the acknowledgement, so any later query anywhere sees the
 // items: this node's own slots the items can change go first, as a
-// notification's would; then one sweep of the directory deletes the lines the
-// items can change and collects their sharers, who are notified synchronously
-// — one inval_fetch each, whatever the batch size. Under the lost mark the
-// notification goes to every coordinator ever served, in the drop-all form.
+// notification's would; then each coordinator the directory's sweep names gets
+// one inval_fetch, whatever the batch size, and has answered when it returns.
 func (n *Node) sweepFetchDir(items [][]float64) {
 	n.invalidateFetch(n.peer, items)
 	n.fetchMu.Lock()
-	if len(n.fetchDir) == 0 && !n.fetchLost {
-		n.fetchMu.Unlock()
-		return
-	}
-	var targets []int
-	for key, line := range n.fetchDir {
-		if !fetchEntryCovered(key, line.bound, items) {
-			continue
-		}
-		for _, id := range line.sharers {
-			if !slices.Contains(targets, id) {
-				targets = append(targets, id)
-			}
-		}
-		delete(n.fetchDir, key)
-	}
-	lost, lostGen := n.fetchLost, n.fetchLostGen
-	if lost {
-		items, targets = nil, targets[:0]
-		for id := range n.fetchServed {
-			targets = append(targets, id)
-		}
-	}
+	targets, items, round := n.dir.sweep(items)
 	n.fetchMu.Unlock()
-	if len(targets) == 0 && !lost {
+	if len(targets) == 0 && round == 0 {
 		return
 	}
-
 	body := transport.Encode(&invalReq{n.peer, items}, walkInvalReq)
 	failed := make([]bool, len(targets))
-	var wg sync.WaitGroup
+	parallel.Fan(len(targets), len(targets), func(i int) {
+		addr, err := n.peerAddr(targets[i])
+		if err == nil {
+			// Never a caller's ctx (context.WithoutCancel of one, should
+			// Publish ever take it): a notification cut short strikes a live
+			// sharer from every line below, and it then serves stale answers
+			// for as long as it runs.
+			_, err = n.client.Call(context.Background(), addr, transport.Request{Method: methodFetchInval, Body: body})
+		}
+		failed[i] = err != nil
+	})
+	var struck []int
 	for i, id := range targets {
-		wg.Add(1)
-		go func(i, id int) {
-			defer wg.Done()
-			addr, err := n.peerAddr(id)
-			if err == nil {
-				// Never a caller's ctx (context.WithoutCancel of one, should
-				// Publish ever take it): a notification cut short strikes a
-				// live sharer from every line below, and it then serves stale
-				// answers for as long as it runs.
-				_, err = n.client.Call(context.Background(), addr, transport.Request{Method: methodFetchInval, Body: body})
-			}
-			failed[i] = err != nil
-		}(i, id)
+		if failed[i] {
+			struck = append(struck, id)
+		}
 	}
-	wg.Wait()
-
 	n.fetchMu.Lock()
-	for i, id := range targets {
-		if !failed[i] {
-			continue
-		}
-		delete(n.fetchServed, id)
-		for _, line := range n.fetchDir {
-			if at := slices.Index(line.sharers, id); at >= 0 {
-				line.sharers = slices.Delete(line.sharers, at, at+1)
-			}
-		}
-	}
-	if lost && n.fetchLostGen == lostGen {
-		n.fetchLost = false
-	}
+	n.dir.finish(struck, round)
 	n.fetchMu.Unlock()
 }
 
 // The answer memo: a coordinator's range or k-nn request, by request body,
-// kept as its plan, the slots its retrieval fetched and its encoded answer.
-//
-// A query has the paper's two phases (§4.1, Fig 5), and the memo keeps each
-// as long as its inputs stand. The plan — level lookups, scores, Eq 8 radii,
-// selected peers, k-nn shares (core.RangePlan, core.KNNPlan) — is a function
-// of the overlay entries the lookups return, which change only through
-// membership events, each of which moves Manager.Epoch. A slot — one scored
-// peer's answer, this node's own scan as any holder's — stands until items
-// published at its holder can change it (invalidateFetch): a holder's
-// notification, which by the directory invariant every change to a line this
-// node read arrives as, or, for the own scan, this node's own publish. The
-// encoded answer is a function of the plan and the slots, so it is stored
-// only when every peer the retrieval read landed its own value as a slot, and
-// goes exactly when one of the entry's slots goes.
-//
-// So the next asking of an answer whose bytes went resumes at retrieval: no
-// lookup, no scoring, no can_search, and a fetch only where a slot went. An
-// epoch move drops whole entries. A finished answer is stored if the epoch
-// still reads what it read before the plan was built (it only grows, so it
-// held throughout), with the slots landLocked lands. Under StreamPublish,
-// whose record deltas change lookup entries without an epoch move, an entry
-// keeps slots only: every asking plans afresh, and a re-plan that picks a
-// holder with the same tail reads its slot.
+// kept as its plan, the slots its retrieval fetched and its encoded answer,
+// each as long as its inputs stand. The plan (core.RangePlan, core.KNNPlan) is
+// a function of the overlay entries its lookups return, which change only
+// through membership events, each of which moves Manager.Epoch; a slot stands
+// until items published at its holder can change it (invalidateFetch); the
+// bytes are a function of both. So the next asking of an answer whose bytes
+// went resumes at retrieval: no lookup, no scoring, no can_search, and a fetch
+// only where a slot went. Under StreamPublish, whose record deltas change
+// lookup entries without an epoch move, every asking plans afresh, and a
+// re-plan that picks a holder with the same tail reads its slot.
 
 const (
-	// answerMemoCap bounds the answer memo; on overflow it resets whole. Its
-	// heap is at most this many plans, slot lists and encoded responses.
-	answerMemoCap   = 1024
 	ctrAnswerHit    = "cache.answer_hit"
 	ctrAnswerMiss   = "cache.answer_miss"
 	ctrAnswerResume = "cache.answer_resume"
 )
 
-// answerEntry is one memoized request: its plan (a core.RangePlan or
-// core.KNNPlan), its slots — a stored slice is never written, as retrievals
-// read it without ansMu — and the encoded response, nil unless every peer the
-// plan's retrieval read is a slot.
-type answerEntry struct {
-	plan  any
-	slots []answerSlot
-	resp  []byte
-}
-
-// answerSlot is one peer's answer, asked with tail (eps or k, raw bits):
-// decoded, with its bound (fetchEntryCovered). val is a *T boxed once per
-// fetch, so it tells a slot from a later one for the same peer and tail.
-type answerSlot struct {
-	peer  int
-	tail  uint64
-	val   any
-	bound float64
-}
-
-func findSlot(slots []answerSlot, peer int, tail uint64) (answerSlot, bool) {
-	for _, s := range slots {
-		if s.peer == peer && s.tail == tail {
-			return s, true
-		}
-	}
-	return answerSlot{}, false
-}
-
 // slotsKey is the ctx key under which answer hands a request's slot table to
 // its retrieval: the slots its entry held, and what the retrieval read.
 type slotsKey struct{}
-
-type slotTable struct {
-	held []answerSlot
-	read []slotRead
-}
-
-// slotRead is one peer a retrieval read, at rank in its peers: served from a
-// held slot, or fetched (fly) — registered in ansFlight under gen until answer
-// stores the entry; keep says a change to it will be reported (fetchOne).
-type slotRead struct {
-	answerSlot
-	rank      int
-	fly, keep bool
-	gen       uint64
-}
-
-// flight counts the fetches in flight to one holder, and the notifications
-// from it since the first of them left.
-type flight struct {
-	n   int
-	gen uint64
-}
 
 // answer serves one range or k-nn request — tag 'r' or 'k' and the raw body,
 // together the memo key — through the answer memo when the node keeps one. A
@@ -638,10 +425,7 @@ func (n *Node) answer(ctx context.Context, tag byte, body []byte,
 	n.ansMu.Lock()
 	// Read under the lock, so the memo's epoch only moves forward.
 	epoch := n.mgr.Epoch()
-	if epoch != n.ansEpoch {
-		n.answers, n.ansEpoch = nil, epoch
-	}
-	e := n.answers[string(key)] // no-alloc map lookup
+	e := n.memo.get(key, epoch)
 	n.ansMu.Unlock()
 	if e.resp != nil {
 		n.count(ctrAnswerHit)
@@ -651,59 +435,10 @@ func (n *Node) answer(ctx context.Context, tag byte, body []byte,
 	if e.plan != nil {
 		n.count(ctrAnswerResume)
 	}
-	t := &slotTable{held: e.slots}
+	t := &slotTable{held: e.slots, epoch: epoch}
 	resp, plan, err := run(context.WithValue(ctx, slotsKey{}, t), e.plan)
 	n.ansMu.Lock()
-	slots, own := n.landLocked(t, n.answers[string(key)].slots)
-	if err == nil && n.mgr.Epoch() == epoch {
-		if len(n.answers) >= answerMemoCap {
-			n.answers = nil
-		}
-		if n.answers == nil {
-			n.answers = make(map[string]answerEntry)
-		}
-		e = answerEntry{slots: slots}
-		if !n.tuning.StreamPublish {
-			e.plan = plan
-			if own {
-				e.resp = resp
-			}
-		}
-		n.answers[string(key)] = e
-	}
+	n.memo.land(key, t, n.mgr.Epoch(), err == nil, plan, resp)
 	n.ansMu.Unlock()
 	return transport.Response{Body: resp}, err
-}
-
-// landLocked ends t's retrieval: every fetch it sent leaves ansFlight, and it
-// returns the slots the entry keeps, at most one per peer read. Of each, that
-// is the slot cur — the entry as it stands now — holds for the same tail (a
-// held slot cur lost was dropped since), else the fetched answer if keep and
-// no invalidation for its holder came while it was in flight. own reports
-// whether every read still stands as read: a fetched answer so kept, a held
-// slot that cur still holds itself. A sibling asking may have landed a fresh
-// slot where this retrieval's read went stale; the answer computed over the
-// stale read must not be stored beside it.
-func (n *Node) landLocked(t *slotTable, cur []answerSlot) (slots []answerSlot, own bool) {
-	slots, own = make([]answerSlot, 0, len(t.read)), true
-	for _, r := range t.read {
-		s, held := findSlot(cur, r.peer, r.tail)
-		ok := held && s.val == r.val
-		if r.fly {
-			f := n.ansFlight[r.peer]
-			ok = r.keep && f.gen == r.gen
-			if f.n--; f.n == 0 {
-				delete(n.ansFlight, r.peer)
-			} else {
-				n.ansFlight[r.peer] = f
-			}
-		}
-		if held {
-			slots = append(slots, s)
-		} else if ok {
-			slots = append(slots, r.answerSlot)
-		}
-		own = own && ok
-	}
-	return slots, own
 }

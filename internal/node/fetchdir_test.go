@@ -106,7 +106,7 @@ func (w *dirWorld) checkInvariant(tag string) {
 	w.t.Helper()
 	for _, c := range w.cl.Nodes {
 		c.ansMu.Lock()
-		for key, e := range c.answers {
+		for key, e := range c.memo.entries {
 			for _, s := range e.slots {
 				if s.peer == c.peer {
 					continue
@@ -115,7 +115,7 @@ func (w *dirWorld) checkInvariant(tag string) {
 				query := key[:5+8*binary.BigEndian.Uint32([]byte(key[1:5]))] // a request body starts with its query
 				line := binary.BigEndian.AppendUint64([]byte(query), s.tail)
 				holder.fetchMu.Lock()
-				if l := holder.fetchDir[string(line)]; !holder.fetchLost && (l == nil || !slices.Contains(l.sharers, c.peer)) {
+				if l := holder.dir.lines[string(line)]; !holder.dir.lost && (l == nil || !slices.Contains(l.sharers, c.peer)) {
 					w.t.Errorf("%s: coordinator %d holds a slot of holder %d (%c, %d bytes) that lists it nowhere", tag, c.peer, s.peer, line[0], len(line))
 				}
 				holder.fetchMu.Unlock()
@@ -131,7 +131,7 @@ func slotsOf(nd *Node, h int) int {
 	nd.ansMu.Lock()
 	defer nd.ansMu.Unlock()
 	n := 0
-	for _, e := range nd.answers {
+	for _, e := range nd.memo.entries {
 		for _, s := range e.slots {
 			if h < 0 || s.peer == h {
 				n++
@@ -181,14 +181,14 @@ func TestFetchDirPendingLines(t *testing.T) {
 	keyNear := fetchKey(kb[0][:], 'r', x, math.Float64bits(epsNear))
 	keyFar := fetchKey(kb[1][:], 'r', far, math.Float64bits(epsFar))
 	keyKNN := fetchKey(kb[2][:], 'k', far, 3)
-	lineNear := holder.registerFetch(keyNear, cNear, epsNear*epsNear)
-	lineFar := holder.registerFetch(keyFar, cFar, epsFar*epsFar)
-	lineKNN := holder.registerFetch(keyKNN, cKNN, inf)
+	lineNear := holder.dir.register(keyNear, cNear, epsNear*epsNear)
+	lineFar := holder.dir.register(keyFar, cFar, epsFar*epsFar)
+	lineKNN := holder.dir.register(keyKNN, cKNN, inf)
 	if lineNear.bound != epsNear*epsNear || lineKNN.bound != inf {
 		t.Fatalf("lines nobody filled opened at bounds %v (range) and %v (k-nn), want eps² %v and +Inf", lineNear.bound, lineKNN.bound, epsNear*epsNear)
 	}
 	// Registering twice lists a sharer once.
-	if again := holder.registerFetch(keyFar, cFar, epsFar*epsFar); again != lineFar || len(lineFar.sharers) != 1 {
+	if again := holder.dir.register(keyFar, cFar, epsFar*epsFar); again != lineFar || len(lineFar.sharers) != 1 {
 		t.Errorf("second registration: same line %v, sharers %v, want the same line listing %d once", again == lineFar, lineFar.sharers, cFar)
 	}
 
@@ -199,7 +199,7 @@ func TestFetchDirPendingLines(t *testing.T) {
 		t.Errorf("inval_fetch at (near, far, knn) sharers = %v, want [1 0 1]", got)
 	}
 
-	if !holder.fillFetch(keyFar, lineFar, epsFar*epsFar) || holder.fetchDir[string(keyFar)] != lineFar {
+	if !holder.dir.fill(keyFar, lineFar, epsFar*epsFar) || holder.dir.lines[string(keyFar)] != lineFar {
 		t.Error("the pending range line the publish missed was not filled")
 	}
 	for name, c := range map[string]struct {
@@ -208,24 +208,24 @@ func TestFetchDirPendingLines(t *testing.T) {
 		sub  int
 		b    float64
 	}{"covered range": {keyNear, lineNear, cNear, epsNear * epsNear}, "k-nn": {keyKNN, lineKNN, cKNN, knnBefore}} {
-		if holder.fillFetch(c.key, c.line, c.b) {
+		if holder.dir.fill(c.key, c.line, c.b) {
 			t.Errorf("pending %s line: a fill scanned before the publish was accepted", name)
 		}
-		if l := holder.fetchDir[string(c.key)]; l != nil && slices.Contains(l.sharers, c.sub) {
+		if l := holder.dir.lines[string(c.key)]; l != nil && slices.Contains(l.sharers, c.sub) {
 			t.Errorf("pending %s line: sharers %v survived the sweep that notified them", name, l.sharers)
 		}
 	}
 	// The lines opened now belong to new handlers: the old ones still cannot
 	// fill them, the new ones can.
-	fresh := holder.registerFetch(keyKNN, cKNN, inf)
-	if holder.fillFetch(keyKNN, lineKNN, knnBefore) || fresh.bound != inf {
+	fresh := holder.dir.register(keyKNN, cKNN, inf)
+	if holder.dir.fill(keyKNN, lineKNN, knnBefore) || fresh.bound != inf {
 		t.Error("a handler swept off its line filled the line that replaced it")
 	}
 	want := knnFetch.bound(holder.localKNN(far, 3), 3)
-	if !holder.fillFetch(keyKNN, fresh, want) || fresh.bound != want || math.IsInf(want, 1) {
+	if !holder.dir.fill(keyKNN, fresh, want) || fresh.bound != want || math.IsInf(want, 1) {
 		t.Errorf("the replacing line was not fillable by its own handler: bound %v, want the k-th distance² %v", fresh.bound, want)
 	}
-	if !holder.fillFetch(keyKNN, fresh, 0) || fresh.bound != want {
+	if !holder.dir.fill(keyKNN, fresh, 0) || fresh.bound != want {
 		t.Errorf("a second fill moved a filled line's bound from %v to %v", want, fresh.bound)
 	}
 }
@@ -266,7 +266,7 @@ func testRescansSweptHandler[T any](t *testing.T, kind fetchKind[T], tailOf func
 	if scans != 2 {
 		t.Errorf("%d scans, want 2: one swept, one kept", scans)
 	}
-	if l := holder.fetchDir[string(key)]; l == nil || !slices.Contains(l.sharers, c) {
+	if l := holder.dir.lines[string(key)]; l == nil || !slices.Contains(l.sharers, c) {
 		t.Error("no line lists the subscriber for the answer it was handed")
 	}
 }
@@ -333,7 +333,7 @@ func TestFetchDirLostMark(t *testing.T) {
 			}
 			pass("cold")
 			tc.lose(w, x)
-			if !holder.fetchLost {
+			if !holder.dir.lost {
 				t.Fatal("dropping lines with sharers on them set no lost mark")
 			}
 			pass("lost") // no publish yet: the old entries are still right
@@ -350,7 +350,7 @@ func TestFetchDirLostMark(t *testing.T) {
 					t.Errorf("coordinator %d kept %d slots of holder %d through a drop-all", c, left, h)
 				}
 			}
-			if holder.fetchLost {
+			if holder.dir.lost {
 				t.Error("lost mark still set after every coordinator acknowledged")
 			}
 			pass("refill")
@@ -390,8 +390,8 @@ func TestFetchDirRefusesUnknownSubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d: err = %v, want a %s refusal", 1<<20+i, err, detailNoCallback)
 		}
 	}
-	if len(holder.fetchDir) != 0 || len(holder.fetchServed) != 0 {
-		t.Errorf("1000 refused subscribers left %d lines and %d served coordinators", len(holder.fetchDir), len(holder.fetchServed))
+	if len(holder.dir.lines) != 0 || len(holder.dir.served) != 0 {
+		t.Errorf("1000 refused subscribers left %d lines and %d served coordinators", len(holder.dir.lines), len(holder.dir.served))
 	}
 	w.publish(h, nudged(x, rand.New(rand.NewSource(3)), eps/100))
 	if got := runtime.NumGoroutine(); got > goroutines {
@@ -409,10 +409,10 @@ func TestFetchDirRefusesUnknownSubscribers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(holder.fetchDir) != 1 || len(holder.fetchServed) != 1 {
-		t.Errorf("one subscriber asking one key thrice left %d lines and %d served coordinators", len(holder.fetchDir), len(holder.fetchServed))
+	if len(holder.dir.lines) != 1 || len(holder.dir.served) != 1 {
+		t.Errorf("one subscriber asking one key thrice left %d lines and %d served coordinators", len(holder.dir.lines), len(holder.dir.served))
 	}
-	for _, line := range holder.fetchDir {
+	for _, line := range holder.dir.lines {
 		if !slices.Equal(line.sharers, []int{0}) {
 			t.Errorf("sharers = %v, want [0]", line.sharers)
 		}
@@ -441,8 +441,8 @@ func TestFetchDirIgnoresUnknownHolders(t *testing.T) {
 					t.Fatalf("notification from unknown holder %d: %v", 1<<20+i, err)
 				}
 			}
-			if len(nd.ansFlight) != 0 {
-				t.Errorf("1000 notifications from unknown holders left state for %d holders", len(nd.ansFlight))
+			if len(nd.memo.flight) != 0 {
+				t.Errorf("1000 notifications from unknown holders left state for %d holders", len(nd.memo.flight))
 			}
 			hits := nd.Counters()[ctrAnswerHit]
 			if _, err := nd.handle(ctx, query); err != nil {
@@ -519,7 +519,7 @@ func TestFetchDirHitAndEmptySweepAllocNothing(t *testing.T) {
 	// retrievals below ask exactly the holders those slots are of.
 	entry := func(method string, tag byte, body []byte) *slotTable {
 		w.ask("fill", c, method, body)
-		return &slotTable{held: nd.answers[string(append([]byte{tag}, body...))].slots}
+		return &slotTable{held: nd.memo.entries[string(append([]byte{tag}, body...))].slots}
 	}
 	rt := entry(methodRange, 'r', encodeRangeReq(x, eps, core.RangeOptions{}))
 	kt := entry(methodKNN, 'k', encodeKNNReq(x, 5, core.KNNOptions{}))

@@ -39,9 +39,9 @@ func (w *dirWorld) fetchesServed() float64 {
 // of each resumes at retrieval, served from its slots.
 func dropBytes(nd *Node) {
 	nd.ansMu.Lock()
-	for key, e := range nd.answers {
+	for key, e := range nd.memo.entries {
 		e.resp = nil
-		nd.answers[key] = e
+		nd.memo.entries[key] = e
 	}
 	nd.ansMu.Unlock()
 }
@@ -65,7 +65,7 @@ func TestHitPathAllocsPerQueryNotPerFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		served, resumes := w.fetchesServed(), nd.Counters()[ctrAnswerResume]
-		contacts = append(contacts, len(nd.answers[string(append([]byte{'r'}, req.Body...))].slots))
+		contacts = append(contacts, len(nd.memo.entries[string(append([]byte{'r'}, req.Body...))].slots))
 		allocs = append(allocs, testing.AllocsPerRun(50, func() {
 			dropBytes(nd)
 			if _, err := nd.handle(ctx, req); err != nil {

@@ -33,7 +33,7 @@ type Config struct {
 	// Membership tunes the live membership protocol. The zero value serves
 	// join/leave/handoff RPCs but runs no liveness probes (static clusters).
 	Membership membership.Options
-	// Tuning switches the coordinator's caches and streaming publish; the zero
+	// Tuning switches the coordinator's cache and streaming publish; the zero
 	// value is the uncached reference. See Tuning.
 	Tuning Tuning
 }
@@ -132,28 +132,12 @@ type Node struct {
 	tuning   Tuning
 	counters sim.Counters
 
-	// The holder's side of fetch caching; the coherence protocol is documented
-	// in fetchcache.go. fetchDir is the directory — for each fetch_range /
-	// fetch_knn request a subscriber named, the answer's bound and the
-	// coordinators that were handed it (lazily built) — fetchServed every
-	// coordinator ever listed in it, fetchLost the mark that lines were dropped
-	// with sharers still owed (fetchLostGen counts such drops, so a publish
-	// clears only the mark it served).
-	fetchMu      sync.Mutex
-	fetchDir     map[string]*fetchLine
-	fetchServed  map[int]struct{}
-	fetchLost    bool
-	fetchLostGen uint64
-
-	// The answer memo (fetchcache.go), the coordinator's one cache: range and
-	// k-nn plans, fetched slots and encoded responses by method tag and
-	// request body, valid at the membership epoch ansEpoch; ansFlight counts
-	// the fetches in flight to each holder, this node included, with the
-	// invalidations for it since they left.
-	ansMu     sync.Mutex
-	answers   map[string]answerEntry
-	ansEpoch  uint64
-	ansFlight map[int]flight
+	// The coherence state (coherence.go): the holder's directory and the
+	// answer memo, the coordinator's one cache. Neither lock spans an RPC.
+	fetchMu sync.Mutex
+	dir     fetchDir
+	ansMu   sync.Mutex
+	memo    answerMemo
 }
 
 // levelFromView converts a snapshot level into membership state. Neighbor
@@ -196,7 +180,7 @@ func New(cfg Config) (*Node, error) {
 		published: snap.Published,
 		pubSeqs:   snap.PubSeqs,
 		tuning:    cfg.Tuning,
-		ansFlight: make(map[int]flight),
+		memo:      answerMemo{slotsOnly: cfg.Tuning.StreamPublish},
 	}
 	if n.tuning.StreamPublish {
 		n.mappers = core.BuildKeyMappers(snap.Bounds)

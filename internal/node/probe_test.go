@@ -283,7 +283,7 @@ func TestFetchHandlersRefuseBadTails(t *testing.T) {
 	if err := ask(methodFetchKNN, appendSubscriber(encodeFetchKNNReq(q, 1), 1)); err != nil {
 		t.Fatalf("k 1: %v", err)
 	}
-	lines := len(nd.fetchDir)
+	lines := len(nd.dir.lines)
 	for name, req := range map[string]transport.Request{
 		"negative eps":         {Method: methodFetchRange, Body: encodeFetchRangeReq(q, -0.5)},
 		"negative eps caching": {Method: methodFetchRange, Body: appendSubscriber(encodeFetchRangeReq(q, -0.5), 1)},
@@ -297,7 +297,7 @@ func TestFetchHandlersRefuseBadTails(t *testing.T) {
 			t.Errorf("%s: answered, want an error", name)
 		}
 	}
-	if len(nd.fetchDir) != lines {
-		t.Errorf("refused requests left %d directory lines, want %d", len(nd.fetchDir), lines)
+	if len(nd.dir.lines) != lines {
+		t.Errorf("refused requests left %d directory lines, want %d", len(nd.dir.lines), lines)
 	}
 }

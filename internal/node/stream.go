@@ -78,24 +78,21 @@ func (n *Node) publishStream(id int, item []float64) error {
 // levels at once (one after the other for the serial coordinator). A holder
 // applies a delta last-writer-wins and in arrival order, so two deltas of one
 // level must not race; two of different levels touch different stores. Every
-// level runs to its own end, failed or not (no task returns an error to stop
-// the others), so the error is the lowest failing level's whatever the
-// schedule.
+// level runs to its own end, failed or not, so the error is the lowest failing
+// level's whatever the schedule.
 func (n *Node) announce(ctx context.Context, deltas []core.StreamDelta) error {
 	byLevel := make([][]core.StreamDelta, n.cfg.Levels)
 	for _, d := range deltas {
 		byLevel[d.Level] = append(byLevel[d.Level], d)
 	}
 	errs := make([]error, len(byLevel))
-	// ForEach fails only with a task's error or ctx's, and neither can occur.
-	_ = parallel.ForEach(ctx, n.tuning.fan(levelFanout), len(byLevel), func(l int) error {
+	parallel.Fan(len(byLevel), n.tuning.fan(levelFanout), func(l int) {
 		for _, d := range byLevel[l] {
 			if err := n.announceDelta(ctx, d); err != nil {
 				errs[l] = fmt.Errorf("node: announcing stream delta (level %d, seq %d): %w", d.Level, d.Rec.Seq, err)
 				break
 			}
 		}
-		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

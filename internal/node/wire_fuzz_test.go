@@ -503,15 +503,15 @@ func TestInvalReqEmptyListIsDropAll(t *testing.T) {
 		t.Fatalf("one-item inval_fetch decoded to %d items (%v)", len(r.Items), err)
 	}
 
-	n := &Node{answers: map[string]answerEntry{
+	n := &Node{memo: answerMemo{entries: map[string]answerEntry{
 		"r-both":  {slots: []answerSlot{{peer: 9, tail: 1}, {peer: 4}, {peer: 9, tail: 2}}, resp: []byte{1}},
 		"r-other": {slots: []answerSlot{{peer: 4}}, resp: []byte{1}},
-	}, ansFlight: map[int]flight{9: {n: 1}}}
+	}, flight: map[int]flight{9: {n: 1}}}}
 	n.invalidateFetch(9, nil)
-	both, other := n.answers["r-both"], n.answers["r-other"]
-	if len(both.slots) != 1 || both.slots[0].peer != 4 || both.resp != nil || len(other.slots) != 1 || other.resp == nil || n.ansFlight[9].gen != 1 {
+	both, other := n.memo.entries["r-both"], n.memo.entries["r-other"]
+	if len(both.slots) != 1 || both.slots[0].peer != 4 || both.resp != nil || len(other.slots) != 1 || other.resp == nil || n.memo.flight[9].gen != 1 {
 		t.Errorf("drop-all left slots %v and bytes %v through the holder, slots %v and bytes %v elsewhere, in-flight generation %d; want [4], none, [4], kept, 1",
-			both.slots, both.resp != nil, other.slots, other.resp != nil, n.ansFlight[9].gen)
+			both.slots, both.resp != nil, other.slots, other.resp != nil, n.memo.flight[9].gen)
 	}
 }
 

@@ -64,6 +64,32 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
+// Fan runs fn(0), …, fn(n-1), at most limit at once, and returns when all
+// have. The caller is one of the workers, so one task, or a limit of 1, starts
+// no goroutine and runs in index order. Unlike ForEach it neither stops early
+// nor recovers a panic: each task reports through its own result.
+func Fan(n, limit int, fn func(i int)) {
+	if limit <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(min(limit, n) - 1)
+	for range min(limit, n) - 1 {
+		go func() { work(); wg.Done() }()
+	}
+	work()
+	wg.Wait()
+}
+
 // ForEach runs fn(i) for i in [0, n) on at most `workers` goroutines
 // (resolved through Workers) and waits for completion. Tasks are handed out
 // in index order. The error returned is deterministic: among all tasks that

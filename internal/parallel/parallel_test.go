@@ -82,6 +82,42 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// Fan runs every task once with at most limit in flight, and a limit of 1 or
+// a single task on the caller alone, in index order.
+func TestFanBoundsConcurrency(t *testing.T) {
+	for _, tc := range []struct{ n, limit int }{{0, 4}, {1, 4}, {3, 3}, {200, 4}, {5, 1}} {
+		var cur, peak atomic.Int64
+		ran := make([]int64, tc.n)
+		var order []int
+		Fan(tc.n, tc.limit, func(i int) {
+			c := cur.Add(1)
+			for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+			}
+			time.Sleep(time.Microsecond)
+			atomic.AddInt64(&ran[i], 1)
+			if tc.limit == 1 {
+				order = append(order, i)
+			}
+			cur.Add(-1)
+		})
+		for i, r := range ran {
+			if r != 1 {
+				t.Errorf("n %d, limit %d: task %d ran %d times", tc.n, tc.limit, i, r)
+			}
+		}
+		if p := peak.Load(); p > int64(max(tc.limit, 1)) {
+			t.Errorf("n %d, limit %d: %d tasks in flight", tc.n, tc.limit, p)
+		}
+		inOrder := len(order) == tc.n
+		for i, got := range order {
+			inOrder = inOrder && got == i
+		}
+		if tc.limit == 1 && !inOrder {
+			t.Errorf("limit 1 ran %v, want every task in index order", order)
+		}
+	}
+}
+
 // Panic propagation: a panic on a worker must resurface on the caller's
 // goroutine as a *PanicError carrying the original value, for both the
 // serial and the parallel path.

@@ -1,9 +1,8 @@
 package route
 
 import (
-	"sync"
-
 	"hyperm/internal/overlay"
+	"hyperm/internal/parallel"
 )
 
 // Flood expands breadth-first from a root node over every node whose zones
@@ -325,7 +324,7 @@ func RunAlpha(s *Search, src ViewSource, alpha int) ([]overlay.Entry, int, error
 		if len(steps) == 0 {
 			return s.Results(), s.Hops(), nil
 		}
-		fanOut(len(steps), fetch)
+		parallel.Fan(len(steps), len(steps), fetch)
 		for i := range steps {
 			if errs[i] != nil {
 				return nil, s.Hops(), errs[i]
@@ -360,7 +359,7 @@ func RunFlood(f *Flood, visit func(Step) (v NodeView, lost bool, err error), alp
 		if steps = f.NextBatch(alpha); len(steps) == 0 {
 			return nil
 		}
-		fanOut(len(steps), do)
+		parallel.Fan(len(steps), len(steps), do)
 		for i := range steps {
 			switch {
 			case errs[i] != nil:
@@ -372,22 +371,4 @@ func RunFlood(f *Flood, visit func(Step) (v NodeView, lost bool, err error), alp
 			}
 		}
 	}
-}
-
-// fanOut runs fn(0), ..., fn(n-1) at once and waits for all of them; a batch
-// of one runs on the caller's goroutine.
-func fanOut(n int, fn func(i int)) {
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
